@@ -161,6 +161,31 @@ def _load(args):
         raise SystemExit2(f"malformed chart file: {exc}") from exc
 
 
+def _flag(args, name, default):
+    """--<name>, or the verb's default when absent.  --step, --samples and
+    --tol must be finite and positive, --t1 finite and nonzero (else exit 2)."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if not np.isfinite(value) or (value == 0 if name == "t1" else value <= 0):
+        rule = "finite and nonzero" if name == "t1" else "finite and positive"
+        raise SystemExit2(f"--{name} must be {rule}, got {value}")
+    return value
+
+
+def _in_domain(run, integrate, *args):
+    """Call `integrate(*args)` and record the stayed_in_domain check; returns
+    (result, None), or (None, exc) after a DomainExitError (exit time noted)."""
+    try:
+        result = integrate(*args)
+    except DomainExitError as exc:
+        run.note("domain_exit_time", exc.time)
+        run.check("stayed_in_domain", 1.0, 0.5)
+        return None, exc
+    run.check("stayed_in_domain", 0.0, 0.5)
+    return result, None
+
+
 def _default_state(chart, args, mu_scale=0.5):
     x = sample_box(chart.domain, 1, args.seed, shrink=0.3)[0]
     mu = sample_fiber(chart.r, 1, args.seed, scale=mu_scale)[0]
@@ -172,6 +197,11 @@ def _state_from_args(chart, args, mu_scale=0.5):
     x = _vector(args.x, chart.n, "--x") if args.x else state.x
     mu = _vector(args.mu, chart.r, "--mu") if args.mu else state.mu
     return AVector(x, mu)
+
+
+def _index_rows(array):
+    """CSV rows (1-based indices..., value) of an array in row-major order."""
+    return [[*(i + 1 for i in idx), value] for idx, value in np.ndenumerate(array)]
 
 
 def _xcols(n):
@@ -190,9 +220,10 @@ def _mucols(r, stem="mu"):
 def _cmd_validate(args, out):
     chart, metric = _load(args)
     run = Run("validate", args)
-    run.note("samples", args.samples or 200)
-    tol = args.tol or 1e-9
-    report = validate_chart(chart, samples=args.samples or 200, seed=args.seed, tol=tol)
+    samples = _flag(args, "samples", 200)
+    run.note("samples", samples)
+    tol = _flag(args, "tol", 1e-9)
+    report = validate_chart(chart, samples=samples, seed=args.seed, tol=tol)
     rows = []
     for check in report.checks:
         run.check(check.name, check.residual, check.tolerance)
@@ -201,7 +232,7 @@ def _cmd_validate(args, out):
             [check.name, *idx, check.residual, check.tolerance, check.passed]
             + list(check.point)
         )
-    margin = metric.spd_margin(chart, samples=args.samples or 200, seed=args.seed)
+    margin = metric.spd_margin(chart, samples=samples, seed=args.seed)
     run.note("metric_spd_margin", margin)
     run.check("metric_spd", max(0.0, SPD_EIGENVALUE_FLOOR - margin), 1e-15)
     rows.append(
@@ -220,21 +251,18 @@ def _cmd_geodesic(args, out):
     chart, metric = _load(args)
     run = Run("geodesic", args)
     start = _state_from_args(chart, args)
-    step = args.step or 1e-3
-    t1 = args.t1
+    step = _flag(args, "step", 1e-3)
+    t1 = _flag(args, "t1", 1.0)
+    tol = _flag(args, "tol", 1e-8)
     run.note("x0", ",".join(_fmt(v) for v in start.x))
     run.note("mu0", ",".join(_fmt(v) for v in start.mu))
-    try:
-        path = geodesic_integrate(chart, metric, start, (0.0, t1), step)
-    except DomainExitError as exc:
-        path = exc.path
-        run.note("domain_exit_time", exc.time)
-        run.check("stayed_in_domain", 1.0, 0.5)
+    path, exited = _in_domain(run, geodesic_integrate, chart, metric, start, (0.0, t1), step)
+    if exited:
+        path = exited.path
     else:
-        run.check("stayed_in_domain", 0.0, 0.5)
         E = energy_along(chart, metric, path)
         scale = abs(E[0]) if E[0] != 0 else 1.0
-        run.check("energy_drift", float(np.max(np.abs(E - E[0])) / scale), args.tol or 1e-8)
+        run.check("energy_drift", float(np.max(np.abs(E - E[0])) / scale), tol)
         run.check("apath_residual", path.constraint_residual(chart), TOL_APATH_GENERATED)
     rows = [
         [t, *x, *mu] for t, x, mu in zip(path.ts, path.xs, path.mus)
@@ -247,14 +275,11 @@ def _cmd_exp(args, out):
     chart, metric = _load(args)
     run = Run("exp", args)
     start = _state_from_args(chart, args)
-    try:
-        image = exp_map(chart, metric, start.x, start.mu, step=args.step or 1e-3)
-    except DomainExitError as exc:
-        run.note("domain_exit_time", exc.time)
-        run.check("stayed_in_domain", 1.0, 0.5)
+    step = _flag(args, "step", 1e-3)
+    image, exited = _in_domain(run, exp_map, chart, metric, start.x, start.mu, step)
+    if exited:
         write_csv(out / "exp.csv", _xcols(chart.n) + _mucols(chart.r, "a"), [[*start.x, *start.mu]])
         return run.finish(out)
-    run.check("stayed_in_domain", 0.0, 0.5)
     write_csv(
         out / "exp.csv",
         _xcols(chart.n) + _mucols(chart.r, "a") + [f"exp{i+1}" for i in range(chart.n)],
@@ -268,25 +293,19 @@ def _cmd_transport(args, out):
     run = Run("transport", args)
     start = _state_from_args(chart, args)
     s0 = _vector(args.s0, chart.r, "--s0") if args.s0 else sample_fiber(chart.r, 1, args.seed + 7)[0]
-    step = args.step or 1e-3
-    try:
-        path = geodesic_integrate(chart, metric, start, (0.0, args.t1), step)
-    except DomainExitError as exc:
-        run.note("domain_exit_time", exc.time)
-        run.check("stayed_in_domain", 1.0, 0.5)
+    step = _flag(args, "step", 1e-3)
+    t1 = _flag(args, "t1", 1.0)
+    tol = _flag(args, "tol", 1e-8)
+    path, exited = _in_domain(run, geodesic_integrate, chart, metric, start, (0.0, t1), step)
+    if exited:
         write_csv(out / "transport.csv", ["t"] + _mucols(chart.r, "s"), [])
         return run.finish(out)
-    run.check("stayed_in_domain", 0.0, 0.5)
     curve = parallel_transport(chart, metric, path, s0)
     norms = fiber_inner(metric, path.xs, curve.values, curve.values)
     scale = abs(norms[0]) if norms[0] != 0 else 1.0
-    run.check("norm_drift", float(np.max(np.abs(norms - norms[0])) / scale), args.tol or 1e-8)
+    run.check("norm_drift", float(np.max(np.abs(norms - norms[0])) / scale), tol)
     back = parallel_transport(chart, metric, path.reversed(), curve.values[-1])
-    run.check(
-        "roundtrip_identity",
-        float(np.max(np.abs(back.values[-1] - np.asarray(s0)))),
-        args.tol or 1e-8,
-    )
+    run.check("roundtrip_identity", float(np.max(np.abs(back.values[-1] - np.asarray(s0)))), tol)
     rows = [[t, *s] for t, s in zip(curve.ts, curve.values)]
     write_csv(out / "transport.csv", ["t"] + _mucols(chart.r, "s"), rows)
     return run.finish(out)
@@ -296,30 +315,26 @@ def _cmd_jacobi(args, out):
     chart, metric = _load(args)
     run = Run("jacobi", args)
     start = _state_from_args(chart, args)
-    step = args.step or 1e-3
+    step = _flag(args, "step", 1e-3)
+    t1 = _flag(args, "t1", 1.0)
+    tol = _flag(args, "tol", 1e-8)
     beta0 = _vector(args.beta0, chart.r, "--beta0") if args.beta0 else np.zeros(chart.r)
     dbeta0 = (
         _vector(args.dbeta0, chart.r, "--dbeta0")
         if args.dbeta0
         else sample_fiber(chart.r, 1, args.seed + 13)[0]
     )
-    try:
-        path = geodesic_integrate(chart, metric, start, (0.0, args.t1), step)
-    except DomainExitError as exc:
-        run.note("domain_exit_time", exc.time)
-        run.check("stayed_in_domain", 1.0, 0.5)
+    path, exited = _in_domain(run, geodesic_integrate, chart, metric, start, (0.0, t1), step)
+    if exited:
         write_csv(out / "jacobi.csv", ["t"] + _mucols(chart.r, "beta"), [])
         return run.finish(out)
-    run.check("stayed_in_domain", 0.0, 0.5)
     run.check("geodesic_residual", geodesic_residual(chart, metric, path), 1e-6)
     curve = jacobi_solve(chart, metric, path, beta0, dbeta0)
 
     # scaling solution: beta(0) = 0, beta'(0) = alpha(0) gives beta = t alpha
     scaling = jacobi_solve(chart, metric, path, np.zeros(chart.r), start.mu)
     expected = path.ts[:, None] * path.mus
-    run.check(
-        "scaling_solution", float(np.max(np.abs(scaling.values - expected))), args.tol or 1e-8
-    )
+    run.check("scaling_solution", float(np.max(np.abs(scaling.values - expected))), tol)
 
     # differential of exp against central differences, transitive charts only
     frame = split(chart, metric, start.x)
@@ -353,28 +368,8 @@ def _cmd_curvature(args, out):
     kr = koszul_rhs(chart, metric, x)
     two_low_gamma = 2.0 * np.einsum("ijl,lk->ijk", ch.gamma, G)
     run.check("koszul_consistency", float(np.max(np.abs(two_low_gamma - kr))), 1e-10)
-    r = chart.r
-    write_csv(
-        out / "christoffel.csv",
-        ["i", "j", "k", "value"],
-        [
-            [i + 1, j + 1, k + 1, ch.gamma[i, j, k]]
-            for i in range(r)
-            for j in range(r)
-            for k in range(r)
-        ],
-    )
-    write_csv(
-        out / "curvature.csv",
-        ["i", "j", "k", "l", "value"],
-        [
-            [i + 1, j + 1, k + 1, l + 1, R[i, j, k, l]]
-            for i in range(r)
-            for j in range(r)
-            for k in range(r)
-            for l in range(r)
-        ],
-    )
+    write_csv(out / "christoffel.csv", ["i", "j", "k", "value"], _index_rows(ch.gamma))
+    write_csv(out / "curvature.csv", ["i", "j", "k", "l", "value"], _index_rows(R))
     return run.finish(out)
 
 
@@ -382,13 +377,14 @@ def _cmd_oneill(args, out):
     chart, metric = _load(args)
     run = Run("oneill", args)
     x = _vector(args.x, chart.n, "--x") if args.x else chart.center()
+    tol = _flag(args, "tol", 1e-9)
     tensors = oneill_tensors(chart, metric, x)
     if tensors.frame.warning:
         run.check("rank_stability", 1.0, 0.5)
     run.note("anchor_rank", tensors.frame.q)
     residuals = oneill_identity_residuals(chart, metric, x)
     for name, value in sorted(residuals.items()):
-        run.check(name, value, args.tol or 1e-9)
+        run.check(name, value, tol)
     try:
         chk = oneill_curvature_check(chart, metric, x)
         for label, value in (
@@ -402,13 +398,8 @@ def _cmd_oneill(args, out):
                 run.check(label, value, 1e-8)
     except SplitError as exc:
         run.note("curvature_identities", f"skipped: {exc}")
-    r = chart.r
-    rows = []
-    for name, ten in (("T", tensors.T), ("H", tensors.H)):
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    rows.append([name, i + 1, j + 1, k + 1, ten[i, j, k]])
+    rows = [["T", *row] for row in _index_rows(tensors.T)]
+    rows += [["H", *row] for row in _index_rows(tensors.H)]
     write_csv(out / "oneill.csv", ["tensor", "i", "j", "k", "value"], rows)
     return run.finish(out)
 
@@ -416,7 +407,8 @@ def _cmd_oneill(args, out):
 def _cmd_divergence(args, out):
     chart, metric = _load(args)
     run = Run("divergence", args)
-    count = args.samples or 50
+    count = _flag(args, "samples", 50)
+    tol = _flag(args, "tol", 1e-5)
     xs = sample_box(chart.domain, count, args.seed, shrink=0.25)
     mus = sample_fiber(chart.r, count, args.seed)
     if args.x or args.mu:
@@ -438,7 +430,7 @@ def _cmd_divergence(args, out):
         if no_kernel:
             worst_zero = max(worst_zero, abs(total))
     if zero_anchor:
-        run.check("fd_divergence_agreement", worst_fd, args.tol or 1e-5)
+        run.check("fd_divergence_agreement", worst_fd, tol)
     if no_kernel:
         run.check("liouville_zero", worst_zero, 1e-9)
     write_csv(
@@ -452,7 +444,8 @@ def _cmd_divergence(args, out):
 def _cmd_hamcheck(args, out):
     chart, metric = _load(args)
     run = Run("hamcheck", args)
-    count = args.samples or 100
+    count = _flag(args, "samples", 100)
+    tol = _flag(args, "tol", 1e-8)
     xs = sample_box(chart.domain, count, args.seed, shrink=0.25)
     mus = sample_fiber(chart.r, count, args.seed)
     rows = []
@@ -467,7 +460,7 @@ def _cmd_hamcheck(args, out):
         rows.append([*x, *mu, eq, hom])
         worst_eq = max(worst_eq, eq)
         worst_h = max(worst_h, hom)
-    run.check("hamiltonian_geodesic_equivalence", worst_eq, args.tol or 1e-8)
+    run.check("hamiltonian_geodesic_equivalence", worst_eq, tol)
     run.check("field_homogeneity", worst_h, 1e-12)
     write_csv(
         out / "hamcheck.csv",
@@ -482,11 +475,12 @@ def _cmd_variation_check(args, out):
     run = Run("variation-check", args)
     start = _state_from_args(chart, args, mu_scale=0.4)
     u = sample_fiber(chart.r, 1, args.seed + 17, scale=0.5)[0]
-    step = args.step or 2e-3
+    step = _flag(args, "step", 2e-3)
+    tol = _flag(args, "tol", 1e-4)
     rows = []
 
     report = jacobi_from_geodesic_pencil(chart, metric, start, u, step=step)
-    run.check("pencil_vs_jacobi_ode", report.deviation, args.tol or 1e-4)
+    run.check("pencil_vs_jacobi_ode", report.deviation, tol)
     rows.append(["pencil_vs_jacobi_ode", 0, report.deviation])
 
     eps_values = 1e-2 * np.arange(-2, 3)
@@ -595,7 +589,7 @@ def _build_parser():
         p.add_argument("--s0", help="transported vector (transport verb)")
         p.add_argument("--beta0", help="initial Jacobi value (jacobi verb)")
         p.add_argument("--dbeta0", help="initial Jacobi derivative (jacobi verb)")
-        p.add_argument("--t1", type=float, default=1.0, help="end time for integrations")
+        p.add_argument("--t1", type=float, default=None, help="integration end time (default 1)")
         p.add_argument("--name", help="catalog entry to write (catalog verb)")
     return parser
 

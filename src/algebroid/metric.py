@@ -20,6 +20,7 @@ sum_k gamma[i,j,k] a_k); ``dgamma[i, j, k, m]`` is d Gamma_{ij}^k / d x_m;
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,10 @@ class MetricField:
     Entries are stored for i <= j and mirrored, so g(x) is symmetric to
     the bit.  Positive definiteness is asserted lazily at every evaluation
     point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``).
+
+    The fields are frozen, but the instance is not immutable: it carries a
+    memo of the single-point Christoffel coefficients of every constant
+    chart it has been paired with, keyed weakly by the chart object.
     """
 
     entries: dict
@@ -75,7 +80,7 @@ class MetricField:
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", weakref.WeakKeyDictionary())
 
     @classmethod
     def identity(cls, r, n):
@@ -151,10 +156,10 @@ class Christoffel:
 
 def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
     """Levi-Civita coefficients (and their exact space derivatives) at x."""
-    cache_key = None
+    memo = None
     if chart.is_constant and metric.is_constant:
-        cache_key = (id(chart), bool(with_derivative))
-        hit = metric._cache.get(cache_key)
+        memo = metric._cache.setdefault(chart, {})
+        hit = memo.get(bool(with_derivative))
         if hit is not None:
             gamma, dgamma = hit
             x = np.asarray(x, dtype=float)
@@ -204,8 +209,8 @@ def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
             + np.einsum("...ijl,...lkm->...ijkm", S, dGi)
         )
 
-    if cache_key is not None and x.shape == (chart.n,):
-        metric._cache[cache_key] = (gamma, dgamma)
+    if memo is not None and x.shape == (chart.n,):
+        memo[bool(with_derivative)] = (gamma, dgamma)
     return Christoffel(gamma, dgamma)
 
 

@@ -12,6 +12,14 @@ Lie algebras) keep the fiber coordinates constant to the bit.
 
 Grids are deterministic: a requested span and step always produce the same
 nodes, which the transport / Jacobi / variation machinery reuses.
+
+Every flow in the package runs on the one RK4 core `_rk4`.  Its right side
+is called as f(j, y) with j a half-grid index: node k of the grid is
+j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the only times
+an RK4 step samples.  The state y may carry batch axes.  Flows along an
+already fixed path (parallel transport, the transported frame, Jacobi
+sections) therefore evaluate the path, Gamma and, for Jacobi, R once over
+all 2N - 1 half-grid times and integrate a linear system on those tracks.
 """
 
 from __future__ import annotations
@@ -185,27 +193,52 @@ def _grid(t_span, step):
 def _rk4(f, ts, y0, on_node=None):
     """Classical RK4 over the given nodes; returns states and derivatives.
 
-    `on_node(k, y)` may raise to abort; states up to node k are kept by the
-    caller via the exception payload it builds.
+    The right side is called as f(j, y) with j the half-grid index of the
+    sampled time (2k at node k, 2k + 1 at the midpoint after it), 1 + 4
+    times per step; y has the shape of y0, batch axes included.
+    `on_node(k, y, ys, ds)` may raise to abort; states up to node k are
+    kept by the caller via the exception payload it builds.
     """
     ys = np.empty((len(ts),) + np.shape(y0))
     ds = np.empty_like(ys)
     ys[0] = y0
-    ds[0] = f(ts[0], ys[0])
+    ds[0] = f(0, ys[0])
     if on_node is not None:
         on_node(0, ys[0], ys, ds)
     for k in range(len(ts) - 1):
-        t, h = ts[k], ts[k + 1] - ts[k]
+        h = ts[k + 1] - ts[k]
         y = ys[k]
         k1 = ds[k]
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
+        k2 = f(2 * k + 1, y + 0.5 * h * k1)
+        k3 = f(2 * k + 1, y + 0.5 * h * k2)
+        k4 = f(2 * k + 2, y + h * k3)
         ys[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ds[k + 1] = f(ts[k + 1], ys[k + 1])
+        ds[k + 1] = f(2 * k + 2, ys[k + 1])
         if on_node is not None:
             on_node(k + 1, ys[k + 1], ys, ds)
     return ys, ds
+
+
+def _interleave(nodes, mids):
+    """Node and interval-midpoint values merged onto the half grid."""
+    out = np.empty((2 * len(nodes) - 1,) + np.shape(nodes)[1:])
+    out[0::2] = nodes
+    out[1::2] = mids
+    return out
+
+
+def _transport_track(chart, metric, alpha, with_curvature=False):
+    """Transport operators L[j] s = -Gamma(alpha, s) on the half grid of
+    alpha and, optionally, the Jacobi operators K[j] beta = R(alpha, beta)
+    alpha: one path evaluation and one batched Gamma (and R) call."""
+    ts = alpha.ts
+    x, mu = alpha.eval(_interleave(ts, ts[:-1] + 0.5 * np.diff(ts)))
+    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
+    L = -np.einsum("ti,tiju->tuj", mu, gamma)
+    if not with_curvature:
+        return L
+    R = curvature(chart, metric, x)
+    return L, np.einsum("tijkl,ti,tk->tlj", R, mu, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +265,7 @@ def geodesic_integrate(chart, metric, start: AVector, t_span=(0.0, 1.0), step=1e
     n, r = chart.n, chart.r
     ts = _grid(t_span, step)
 
-    def f(t, y):
+    def f(j, y):
         dx, dmu = geodesic_rhs(chart, metric, y[:n], y[n:])
         return np.concatenate([dx, dmu])
 
@@ -270,13 +303,8 @@ def energy_along(chart, metric, path: APath):
 
 def parallel_transport(chart, metric, alpha: APath, s0):
     """Solve ds^u/dt + sum alpha^i s^j Gamma_{ij}^u = 0 along alpha."""
-
-    def f(t, s):
-        x, mu = alpha.eval(t)
-        gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-        return -np.einsum("i,j,iju->u", mu, s, gamma)
-
-    ys, ds = _rk4(f, alpha.ts, np.asarray(s0, dtype=float))
+    L = _transport_track(chart, metric, alpha)
+    ys, ds = _rk4(lambda j, s: L[j] @ s, alpha.ts, np.asarray(s0, dtype=float))
     return FiberCurve(ts=alpha.ts, values=ys, dvalues=ds)
 
 
@@ -284,13 +312,8 @@ def transport_frame(chart, metric, alpha: APath):
     """Transport the full coordinate frame; returns S with S[k] mapping
     fiber coordinates at t0 to coordinates at ts[k] (columns are the
     transported basis vectors)."""
-
-    def f(t, S):
-        x, mu = alpha.eval(t)
-        gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-        return -np.einsum("i,iju,jk->uk", mu, gamma, S)
-
-    ys, _ = _rk4(f, alpha.ts, np.eye(alpha.r))
+    L = _transport_track(chart, metric, alpha)
+    ys, _ = _rk4(lambda j, S: L[j] @ S, alpha.ts, np.eye(alpha.r))
     return ys
 
 
@@ -367,20 +390,10 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0, geodesic_tol=1e-6):
             f"path is not a geodesic (derivative-along residual {res:.3e})"
         )
     r = alpha.r
-
-    def f(t, y):
-        x, mu = alpha.eval(t)
-        gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-        R = curvature(chart, metric, x)
-        beta, w = y[:r], y[r:]
-        dbeta = w - np.einsum("i,j,iju->u", mu, beta, gamma)
-        dw = np.einsum("ijkl,i,j,k->l", R, mu, beta, mu) - np.einsum(
-            "i,j,iju->u", mu, w, gamma
-        )
-        return np.concatenate([dbeta, dw])
-
+    L, K = _transport_track(chart, metric, alpha, with_curvature=True)
+    ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
-    ys, ds = _rk4(f, alpha.ts, y0)
+    ys, ds = _rk4(lambda j, y: ops[j] @ y, alpha.ts, y0)
     return FiberCurve(ts=alpha.ts, values=ys[:, :r], dvalues=ds[:, :r])
 
 

@@ -14,7 +14,8 @@ around a given path.
 
 All mesh derivatives are second-order centered differences (one-sided at
 the boundary), matching what discrete user-supplied grids can support;
-the integrators themselves remain RK4.
+the integrators themselves are the RK4 core of `paths`, run on all eps-rows
+at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .charts import AVector
 from .metric import christoffel, curvature, fiber_inner
-from .paths import APath, FiberCurve, geodesic_integrate, jacobi_solve
+from .paths import APath, FiberCurve, _interleave, _rk4, geodesic_integrate, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -145,10 +146,6 @@ def _check_mesh(grid):
         raise ValueError("mesh too coarse: need at least 3 nodes per direction")
 
 
-def _gamma_on_mesh(chart, metric, grid):
-    return christoffel(chart, metric, grid.x, with_derivative=False).gamma
-
-
 def delta(chart, metric, grid: VariationGrid):
     """Delta = D_t beta - D_eps alpha on the mesh, shape (E, N, r).
 
@@ -159,7 +156,7 @@ def delta(chart, metric, grid: VariationGrid):
     _check_mesh(grid)
     if grid.beta is None:
         raise ValueError("delta needs a transverse family on the grid")
-    gamma = _gamma_on_mesh(chart, metric, grid)
+    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
     dbeta_dt = np.gradient(grid.beta, grid.ts, axis=1, edge_order=2)
     dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
     quad = np.einsum("eti,etj,etiju->etu", grid.mu, grid.beta, gamma) - np.einsum(
@@ -199,12 +196,20 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
             f"{TRANSVERSALITY_TOL:g})"
         )
 
-    dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
-    beta = np.empty_like(grid.mu)
-    for i in range(E):
-        beta[i] = _integrate_row(
-            chart, metric, grid.ts, grid.x[i], grid.mu[i], dalpha_de[i], beta0[i]
-        )
+    # d beta/dt = d alpha/d eps + Q beta, Q^u_i = sum_j mu_j (Gamma_ij^u -
+    # Gamma_ji^u), on time-first (t, eps) tracks over the half grid
+    x = np.swapaxes(grid.x, 0, 1)
+    mu = np.swapaxes(grid.mu, 0, 1)
+    dmu_de = np.swapaxes(np.gradient(grid.mu, grid.eps, axis=0, edge_order=2), 0, 1)
+    gamma = _interleave(
+        christoffel(chart, metric, x, with_derivative=False).gamma,
+        christoffel(chart, metric, _midpoint_interp(x), with_derivative=False).gamma,
+    )
+    mus = _interleave(mu, _midpoint_interp(mu))
+    src = _interleave(dmu_de, _midpoint_interp(dmu_de))
+    Q = np.einsum("tej,teiju->teui", mus, gamma - np.swapaxes(gamma, -3, -2))
+    ys, _ = _rk4(lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + src[j], grid.ts, beta0)
+    beta = np.ascontiguousarray(np.swapaxes(ys, 0, 1))
     out = replace(grid, beta=beta)
     post = out.transversality_residual(chart)
     if post > TRANSVERSALITY_POSTERIOR_TOL:
@@ -234,34 +239,6 @@ def _midpoint_interp(values):
     return mids
 
 
-def _integrate_row(chart, metric, ts, xs, mus, dmu_de, b0):
-    """RK4 for d beta/dt = d alpha/d eps + (beta, alpha)-commutator term,
-    sampling the row coefficients at interval midpoints by interpolation."""
-    xm = _midpoint_interp(xs)
-    mum = _midpoint_interp(mus)
-    dm = _midpoint_interp(dmu_de)
-    gam_nodes = christoffel(chart, metric, xs, with_derivative=False).gamma
-    gam_mids = christoffel(chart, metric, xm, with_derivative=False).gamma
-
-    def rhs(mu, gam, dmu, b):
-        comm = np.einsum("i,j,iju->u", b, mu, gam) - np.einsum(
-            "i,j,iju->u", mu, b, gam
-        )
-        return dmu + comm
-
-    beta = np.empty_like(mus)
-    beta[0] = b0
-    for k in range(len(ts) - 1):
-        h = ts[k + 1] - ts[k]
-        b = beta[k]
-        k1 = rhs(mus[k], gam_nodes[k], dmu_de[k], b)
-        k2 = rhs(mum[k], gam_mids[k], dm[k], b + 0.5 * h * k1)
-        k3 = rhs(mum[k], gam_mids[k], dm[k], b + 0.5 * h * k2)
-        k4 = rhs(mus[k + 1], gam_nodes[k + 1], dmu_de[k + 1], b + h * k3)
-        beta[k + 1] = b + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return beta
-
-
 def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid, tol=HOMOTOPY_TOL):
     """Solve the transverse family with zero initial rows and test whether
     it also vanishes at the far end (the homotopy criterion).
@@ -286,7 +263,7 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     if grid.beta is None:
         raise ValueError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
-    gamma = _gamma_on_mesh(chart, metric, grid)
+    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
 
     def nabla_t(f):
         return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
@@ -327,11 +304,11 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     dE = np.gradient(energies, grid.eps, edge_order=2)
     mid = len(grid.eps) // 2
 
-    gamma = _gamma_on_mesh(chart, metric, grid)
+    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
     Dt_alpha = np.gradient(grid.mu, grid.ts, axis=1, edge_order=2) + np.einsum(
         "eti,etj,etiju->etu", grid.mu, grid.mu, gamma
     )
-    G, _, _ = _metric_on_mesh(chart, metric, grid)
+    G, _, _ = metric.eval(grid.x)
     pair_beta_alpha = np.einsum("etu,etuv,etv->et", grid.beta, G, grid.mu)
     pair_beta_Dt = np.einsum("etu,etuv,etv->et", grid.beta, G, Dt_alpha)
     d = delta(chart, metric, grid)
@@ -344,10 +321,6 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
         - _trapz(pair_delta_alpha[mid], grid.ts)
     )
     return float(abs(dE[mid] - rhs))
-
-
-def _metric_on_mesh(chart, metric, grid):
-    return metric.eval(grid.x)
 
 
 # ---------------------------------------------------------------------------
@@ -430,53 +403,44 @@ def make_fixed_endpoint_homotopy(
     beta_row = amplitude * profile[:, None] * direction[None, :]
     dbeta_dt = amplitude * dprofile[:, None] * direction[None, :]
 
-    def flow_rhs(X, M):
-        """d/deps of (base row, fiber row); pointwise in t."""
+    n = chart.n
+
+    def flow_rhs(j, y):
+        """d/deps of the (base row, fiber row) state; pointwise in t."""
+        X, M = y[:, :n], y[:, n:]
         B, _ = chart.eval_anchor(X)
         gamma = christoffel(chart, metric, X, with_derivative=False).gamma
-        beta = beta_row
-        dX = np.einsum("ts,tsi->ti", beta, B)
-        comm = np.einsum("ti,tj,tiju->tu", M, beta, gamma) - np.einsum(
-            "ti,tj,tiju->tu", beta, M, gamma
+        dX = np.einsum("ts,tsi->ti", beta_row, B)
+        comm = np.einsum("ti,tj,tiju->tu", M, beta_row, gamma) - np.einsum(
+            "ti,tj,tiju->tu", beta_row, M, gamma
         )
-        dM = dbeta_dt + comm
-        return dX, dM
+        return np.concatenate([dX, dbeta_dt + comm], axis=1)
 
-    def flow(X0, M0, e_from, e_to):
-        nsub = max(1, substeps)
-        h = (e_to - e_from) / nsub
-        X, M = X0.copy(), M0.copy()
-        for _ in range(nsub):
-            k1x, k1m = flow_rhs(X, M)
-            k2x, k2m = flow_rhs(X + 0.5 * h * k1x, M + 0.5 * h * k1m)
-            k3x, k3m = flow_rhs(X + 0.5 * h * k2x, M + 0.5 * h * k2m)
-            k4x, k4m = flow_rhs(X + h * k3x, M + h * k3m)
-            X = X + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            M = M + (h / 6.0) * (k1m + 2 * k2m + 2 * k3m + k4m)
-        return X, M
-
+    # integrate outward from eps = 0 in both directions, one RK4 run per
+    # direction over `substeps` steps between consecutive eps-rows
+    nsub = max(1, substeps)
     order = np.argsort(eps_values)
-    rows_x = {}
-    rows_mu = {}
-    # integrate outward from eps = 0 in both directions
     zero_idx = int(np.argmin(np.abs(eps_values)))
-    rows_x[zero_idx] = alpha0.xs.copy()
-    rows_mu[zero_idx] = alpha0.mus.copy()
-    pos = [i for i in order if eps_values[i] > eps_values[zero_idx]]
-    neg = [i for i in order[::-1] if eps_values[i] < eps_values[zero_idx]]
-    X, M, e_cur = alpha0.xs, alpha0.mus, eps_values[zero_idx]
-    for i in pos:
-        X, M = flow(X, M, e_cur, eps_values[i])
-        e_cur = eps_values[i]
-        rows_x[i], rows_mu[i] = X, M
-    X, M, e_cur = alpha0.xs, alpha0.mus, eps_values[zero_idx]
-    for i in neg:
-        X, M = flow(X, M, e_cur, eps_values[i])
-        e_cur = eps_values[i]
-        rows_x[i], rows_mu[i] = X, M
+    e0 = eps_values[zero_idx]
+    y0 = np.concatenate([alpha0.xs, alpha0.mus], axis=1)
+    rows = {zero_idx: y0}
+    for side in (
+        [i for i in order if eps_values[i] > e0],
+        [i for i in order[::-1] if eps_values[i] < e0],
+    ):
+        if not side:
+            continue
+        knots = [e0] + [eps_values[i] for i in side]
+        eps_grid = np.concatenate(
+            [np.linspace(a, b, nsub + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
+            + [knots[-1:]]
+        )
+        ys, _ = _rk4(flow_rhs, eps_grid, y0)
+        for m, i in enumerate(side, start=1):
+            rows[i] = ys[m * nsub]
 
     E = len(eps_values)
-    xarr = np.stack([rows_x[i] for i in range(E)])
-    muarr = np.stack([rows_mu[i] for i in range(E)])
+    state = np.stack([rows[i] for i in range(E)])
+    xarr, muarr = state[..., :n], state[..., n:]
     beta = np.broadcast_to(beta_row, (E,) + alpha0.mus.shape).copy()
     return VariationGrid(eps=eps_values, ts=ts, x=xarr, mu=muarr, beta=beta)

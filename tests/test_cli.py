@@ -203,6 +203,25 @@ class TestOtherVerbs:
         assert "commutation_residual" in checks
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "--step", "0"],
+        ["geodesic", "--step", "-0.5"],
+        ["geodesic", "--step", "nan"],
+        ["validate", "--tol", "0"],
+        ["divergence", "--samples", "-3"],
+        ["geodesic", "--t1", "0"],
+    ],
+)
+def test_bad_numeric_flag_exits_2(argv, tmp_path, capsys):
+    rc = main([*argv, "--catalog", "euclidean2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {argv[1]} must be finite")
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_console_script_help():
     out = subprocess.run(
         [sys.executable, "-m", "algebroid.cli", "--help"],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from algebroid import catalog
-from algebroid.charts import SectionField
+from algebroid.charts import AlgebroidChart, SectionField
 from algebroid.expressions import parse
 from algebroid.metric import (
     MetricError,
@@ -116,6 +116,27 @@ class TestChristoffel:
             gm = christoffel(sphere.chart, sphere.metric, x - e, False).gamma
             fd = (gp - gm) / (2 * h)
             np.testing.assert_allclose(ch.dgamma[..., m], fd, atol=1e-8)
+
+    def test_constant_chart_memo_keeps_charts_apart(self):
+        # many short-lived constant charts share one metric; each must get
+        # its own coefficients even when a new chart reuses a freed address
+        metric = MetricField.identity(3, 1)
+        x = np.array([0.0])
+        wrong = 0
+        for k in range(399):
+            c = str(1.0 + 0.01 * k)
+            chart = AlgebroidChart(
+                n=1,
+                r=3,
+                b=[["0"], ["0"], ["0"]],
+                c_upper={(1, 2, 3): c, (2, 3, 1): c, (1, 3, 2): "-" + c},
+            )
+            fresh = MetricField.identity(3, 1)
+            for with_derivative in (False, True):
+                got = christoffel(chart, metric, x, with_derivative).gamma
+                want = christoffel(chart, fresh, x, with_derivative).gamma
+                wrong += not np.array_equal(got, want)
+        assert wrong == 0
 
 
 class TestCovariantDerivative:

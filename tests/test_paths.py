@@ -1,10 +1,13 @@
+import collections
+
 import numpy as np
 import pytest
 
-from algebroid import catalog
+from algebroid import catalog, paths
 from algebroid.charts import AVector, SectionField
-from algebroid.metric import covariant_derivative, fiber_inner
+from algebroid.metric import MetricField, christoffel, covariant_derivative, curvature, fiber_inner
 from algebroid.paths import (
+    APath,
     DomainExitError,
     FiberCurve,
     NonGeodesicError,
@@ -16,6 +19,8 @@ from algebroid.paths import (
     geodesic_residual,
     jacobi_solve,
     parallel_transport,
+    _interleave,
+    _rk4,
     transport_frame,
 )
 from algebroid.sampling import sample_box, sample_fiber
@@ -269,3 +274,144 @@ class TestDexp:
         fd = (plus - minus) / (2 * eps)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(d - fd)) / scale < 1e-4
+
+
+class TestRK4Core:
+    A = np.array([[-0.5, 2.0, 0.0], [-1.0, 0.3, 0.5], [0.2, 0.0, -0.1]])
+
+    def test_fourth_order_with_batch_axis(self, rng):
+        w, V = np.linalg.eig(self.A)
+        flow = ((V * np.exp(2.0 * w)) @ np.linalg.inv(V)).real  # exp(2A)
+        y0 = rng.normal(size=(4, 3))  # a batch of four initial states
+        exact = y0 @ flow.T
+        errors = []
+        for steps in (20, 40):
+            ts = np.linspace(0.0, 2.0, steps + 1)
+            ys, ds = _rk4(lambda j, y: y @ self.A.T, ts, y0)
+            assert ys.shape == (steps + 1, 4, 3)
+            np.testing.assert_allclose(ds, ys @ self.A.T, rtol=0, atol=1e-14)
+            errors.append(np.max(np.abs(ys[-1] - exact)))
+        assert 14.0 < errors[0] / errors[1] < 18.0
+
+    def test_half_grid_indices(self):
+        seen = []
+
+        def f(j, y):
+            seen.append(j)
+            return np.zeros_like(y)
+
+        _rk4(f, np.linspace(0.0, 1.0, 4), np.zeros(2))
+        # one evaluation at node 0, then midpoint twice and node twice per step
+        assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+        merged = _interleave(np.array([0.0, 1.0, 3.0]), [0.5, 2.0])
+        np.testing.assert_array_equal(merged, [0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+def _per_stage_rk4(f, ts, y0):
+    """Reference RK4 whose right side takes the time, not a track index."""
+    ys = np.empty((len(ts),) + np.shape(y0))
+    ds = np.empty_like(ys)
+    ys[0] = y0
+    ds[0] = f(ts[0], ys[0])
+    for k in range(len(ts) - 1):
+        t, h, y = ts[k], ts[k + 1] - ts[k], ys[k]
+        k2 = f(t + 0.5 * h, y + 0.5 * h * ds[k])
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        ys[k + 1] = y + (h / 6.0) * (ds[k] + 2.0 * k2 + 2.0 * k3 + k4)
+        ds[k + 1] = f(ts[k + 1], ys[k + 1])
+    return ys, ds
+
+
+def _gamma_at(chart, metric, alpha, t):
+    x, mu = alpha.eval(t)
+    return x, mu, christoffel(chart, metric, x, with_derivative=False).gamma
+
+
+def reference_transport(chart, metric, alpha, s0):
+    def f(t, s):
+        _, mu, gamma = _gamma_at(chart, metric, alpha, t)
+        return -np.einsum("i,j,iju->u", mu, s, gamma)
+
+    return _per_stage_rk4(f, alpha.ts, np.asarray(s0, float))
+
+
+def reference_frame(chart, metric, alpha):
+    def f(t, S):
+        _, mu, gamma = _gamma_at(chart, metric, alpha, t)
+        return -np.einsum("i,iju,jk->uk", mu, gamma, S)
+
+    return _per_stage_rk4(f, alpha.ts, np.eye(alpha.r))[0]
+
+
+def reference_jacobi(chart, metric, alpha, beta0, dbeta0):
+    r = alpha.r
+
+    def f(t, y):
+        x, mu, gamma = _gamma_at(chart, metric, alpha, t)
+        R = curvature(chart, metric, x)
+        beta, w = y[:r], y[r:]
+        dbeta = w - np.einsum("i,j,iju->u", mu, beta, gamma)
+        dw = np.einsum("ijkl,i,j,k->l", R, mu, beta, mu) - np.einsum("i,j,iju->u", mu, w, gamma)
+        return np.concatenate([dbeta, dw])
+
+    return _per_stage_rk4(f, alpha.ts, np.concatenate([beta0, dbeta0]))
+
+
+@pytest.fixture(params=["sphere_chart", "twisted"])
+def flow_case(request):
+    """A 100-step geodesic with a transported vector and Jacobi data."""
+    if request.param == "twisted":
+        chart, metric = request.getfixturevalue("twisted_chart"), MetricField.identity(3, 2)
+        start = AVector([1.0, 0.9], [0.3, -0.2, 0.4])
+    else:
+        entry = catalog.get(request.param)
+        chart, metric = entry.chart, entry.metric
+        start = AVector([1.1, 0.4], [0.5, 0.3])
+    path = geodesic_integrate(chart, metric, start, (0.0, 1.0), 1e-2)
+    s0 = sample_fiber(chart.r, 2, seed=5)
+    return chart, metric, path, s0[0], s0[1]
+
+
+class TestCoefficientTracks:
+    def test_transport_matches_per_stage_reference(self, flow_case):
+        chart, metric, path, s0, _ = flow_case
+        curve = parallel_transport(chart, metric, path, s0)
+        ys, ds = reference_transport(chart, metric, path, s0)
+        assert np.max(np.abs(curve.values - ys)) <= 1e-12
+        assert np.max(np.abs(curve.dvalues - ds)) <= 1e-12
+
+    def test_frame_matches_per_stage_reference(self, flow_case):
+        chart, metric, path, _, _ = flow_case
+        S = transport_frame(chart, metric, path)
+        assert np.max(np.abs(S - reference_frame(chart, metric, path))) <= 1e-12
+
+    def test_jacobi_matches_per_stage_reference(self, flow_case):
+        chart, metric, path, beta0, dbeta0 = flow_case
+        beta = jacobi_solve(chart, metric, path, beta0, dbeta0)
+        ys, ds = reference_jacobi(chart, metric, path, beta0, dbeta0)
+        r = chart.r
+        assert np.max(np.abs(beta.values - ys[:, :r])) <= 1e-12
+        assert np.max(np.abs(beta.dvalues - ds[:, :r])) <= 1e-12
+
+    def test_coefficients_evaluated_once(self, flow_case, monkeypatch):
+        chart, metric, path, s0, dbeta0 = flow_case
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(paths, "christoffel", counting("christoffel", paths.christoffel))
+        monkeypatch.setattr(paths, "curvature", counting("curvature", paths.curvature))
+        monkeypatch.setattr(APath, "eval", counting("eval", APath.eval))
+        parallel_transport(chart, metric, path, s0)
+        transport_frame(chart, metric, path)
+        assert calls == {"christoffel": 2, "eval": 2}
+        calls.clear()
+        jacobi_solve(chart, metric, path, np.zeros(chart.r), dbeta0)
+        # one Gamma call of the geodesic check on the nodes, one on the track
+        assert calls == {"christoffel": 2, "curvature": 1, "eval": 1}

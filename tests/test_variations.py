@@ -3,10 +3,12 @@ import pytest
 
 from algebroid import catalog
 from algebroid.charts import AVector
+from algebroid.metric import MetricField, christoffel
 from algebroid.paths import geodesic_integrate
 from algebroid.sampling import sample_box
 from algebroid.variations import (
     VariationGrid,
+    _midpoint_interp,
     anchor_of_grid,
     curvature_commutation_residual,
     delta,
@@ -308,3 +310,95 @@ class TestGridCsv:
         back = grid_from_csv(path, n=2, r=2)
         assert back.beta is None
         np.testing.assert_allclose(back.mu, grid.mu, atol=1e-15)
+
+
+def reference_transverse_row(chart, metric, ts, xs, mus, dmu_de, b0):
+    """One eps-row of the transverse solve, integrated on its own with
+    RK4 and Gamma sampled at the nodes and interpolated midpoints."""
+    xm, mum, dm = (_midpoint_interp(v) for v in (xs, mus, dmu_de))
+    gam_nodes = christoffel(chart, metric, xs, with_derivative=False).gamma
+    gam_mids = christoffel(chart, metric, xm, with_derivative=False).gamma
+
+    def rhs(mu, gam, dmu, b):
+        return dmu + np.einsum("i,j,iju->u", b, mu, gam) - np.einsum("i,j,iju->u", mu, b, gam)
+
+    beta = np.empty_like(mus)
+    beta[0] = b0
+    for k in range(len(ts) - 1):
+        h, b = ts[k + 1] - ts[k], beta[k]
+        k1 = rhs(mus[k], gam_nodes[k], dmu_de[k], b)
+        k2 = rhs(mum[k], gam_mids[k], dm[k], b + 0.5 * h * k1)
+        k3 = rhs(mum[k], gam_mids[k], dm[k], b + 0.5 * h * k2)
+        k4 = rhs(mus[k + 1], gam_nodes[k + 1], dmu_de[k + 1], b + h * k3)
+        beta[k + 1] = b + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return beta
+
+
+def reference_homotopy_rows(chart, metric, alpha0, direction, amplitude, eps_values, substeps):
+    """The homotopy flow in eps by hand-written RK4, row to row outward."""
+    ts = alpha0.ts
+    s = (ts - ts[0]) / (ts[-1] - ts[0])
+    beta = amplitude * np.sin(np.pi * s)[:, None] * direction[None, :]
+    dbeta = amplitude * (np.pi / (ts[-1] - ts[0])) * np.cos(np.pi * s)[:, None] * direction[None, :]
+
+    def rhs(X, M):
+        B, _ = chart.eval_anchor(X)
+        gamma = christoffel(chart, metric, X, with_derivative=False).gamma
+        comm = np.einsum("ti,tj,tiju->tu", M, beta, gamma) - np.einsum(
+            "ti,tj,tiju->tu", beta, M, gamma
+        )
+        return np.einsum("ts,tsi->ti", beta, B), dbeta + comm
+
+    rows = {0.0: (alpha0.xs, alpha0.mus)}
+    above = sorted(e for e in eps_values if e > 0)
+    below = sorted((e for e in eps_values if e < 0), reverse=True)
+    for side in (above, below):
+        X, M, e_cur = alpha0.xs, alpha0.mus, 0.0
+        for e in side:
+            h = (e - e_cur) / substeps
+            for _ in range(substeps):
+                k1 = rhs(X, M)
+                k2 = rhs(X + 0.5 * h * k1[0], M + 0.5 * h * k1[1])
+                k3 = rhs(X + 0.5 * h * k2[0], M + 0.5 * h * k2[1])
+                k4 = rhs(X + h * k3[0], M + h * k3[1])
+                X = X + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                M = M + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            rows[e], e_cur = (X, M), e
+    return np.stack([rows[e][0] for e in eps_values]), np.stack([rows[e][1] for e in eps_values])
+
+
+@pytest.fixture(params=["sphere_chart", "twisted"])
+def chart_metric(request):
+    if request.param == "twisted":
+        return request.getfixturevalue("twisted_chart"), MetricField.identity(3, 2)
+    entry = catalog.get(request.param)
+    return entry.chart, entry.metric
+
+
+class TestBatchedFlows:
+    def test_transverse_solve_matches_per_row_reference(self, chart_metric):
+        chart, metric = chart_metric
+        x = chart.center()
+        a = AVector(x, 0.4 * np.linspace(1.0, -0.5, chart.r))
+        u = np.linspace(0.3, -0.2, chart.r)
+        eps = np.linspace(-0.05, 0.05, 9)
+        grid = make_geodesic_pencil(chart, metric, a, u, eps, (0.0, 1.0), 1.0 / 40)
+        solved = solve_transverse(chart, metric, grid, np.zeros((len(eps), chart.r)))
+        dmu_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
+        for i in range(len(eps)):
+            ref = reference_transverse_row(
+                chart, metric, grid.ts, grid.x[i], grid.mu[i], dmu_de[i], np.zeros(chart.r)
+            )
+            assert np.max(np.abs(solved.beta[i] - ref)) <= 1e-12
+        assert np.max(np.abs(solved.beta)) > 1e-3
+
+    def test_homotopy_matches_row_to_row_reference(self, chart_metric):
+        chart, metric = chart_metric
+        a = AVector(chart.center(), 0.3 * np.ones(chart.r))
+        path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
+        direction = np.linspace(1.0, 0.5, chart.r)
+        eps = (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, 0.05, eps, substeps=4)
+        X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
+        assert np.max(np.abs(grid.x - X)) <= 1e-12
+        assert np.max(np.abs(grid.mu - M)) <= 1e-12
