@@ -42,6 +42,7 @@ from .paths import (
     APath,
     DomainExitError,
     FiberCurve,
+    NonFiniteError,
     NonGeodesicError,
     derivative_along,
     dexp,

@@ -109,6 +109,28 @@ class AlgebroidChart:
         object.__setattr__(self, "b", tuple(rows))
         object.__setattr__(self, "c_upper", dict(entries))
         object.__setattr__(self, "domain", dom)
+        # constant parts of B and C, filled once; evaluation copies them and
+        # writes only the non-constant entries listed beside them
+        B0 = np.zeros((r, n))
+        b_var = []
+        for s, row in enumerate(rows):
+            for i, expr in enumerate(row):
+                if expr.is_constant:
+                    B0[s, i] = expr.root.value
+                else:
+                    b_var.append((s, i, expr))
+        C0 = np.zeros((r, r, r))
+        c_var = []
+        for (s, t, u), expr in entries.items():
+            if expr.is_constant:
+                C0[s, t, u] = expr.root.value
+                C0[t, s, u] = -expr.root.value
+            else:
+                c_var.append((s, t, u, expr))
+        object.__setattr__(self, "_B0", B0)
+        object.__setattr__(self, "_b_var", tuple(b_var))
+        object.__setattr__(self, "_C0", C0)
+        object.__setattr__(self, "_c_var", tuple(c_var))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -116,31 +138,24 @@ class AlgebroidChart:
         """Anchor matrix B (..., r, n) and optionally dB (..., r, n, n)."""
         points = np.asarray(points, dtype=float)
         base = points.shape[:-1]
-        B = np.zeros(base + (self.r, self.n))
+        B = np.empty(base + (self.r, self.n))
+        B[...] = self._B0
         dB = np.zeros(base + (self.r, self.n, self.n)) if order >= 1 else None
-        for s in range(self.r):
-            for i in range(self.n):
-                expr = self.b[s][i]
-                if expr.is_constant:
-                    B[..., s, i] = expr.root.value
-                    continue
-                t = expr.eval_raw(points, order=min(order, 1))
-                B[..., s, i] = t.v
-                if order >= 1:
-                    dB[..., s, i, :] = t.g
+        for s, i, expr in self._b_var:
+            t = expr.eval_raw(points, order=min(order, 1))
+            B[..., s, i] = t.v
+            if order >= 1:
+                dB[..., s, i, :] = t.g
         return B, dB
 
     def eval_bracket(self, points, order=0):
         """Coefficients C (..., r, r, r) and optionally dC (..., r, r, r, n)."""
         points = np.asarray(points, dtype=float)
         base = points.shape[:-1]
-        C = np.zeros(base + (self.r, self.r, self.r))
+        C = np.empty(base + (self.r, self.r, self.r))
+        C[...] = self._C0
         dC = np.zeros(base + (self.r, self.r, self.r, self.n)) if order >= 1 else None
-        for (s, t, u), expr in self.c_upper.items():
-            if expr.is_constant:
-                C[..., s, t, u] = expr.root.value
-                C[..., t, s, u] = -expr.root.value
-                continue
+        for s, t, u, expr in self._c_var:
             e = expr.eval_raw(points, order=min(order, 1))
             C[..., s, t, u] = e.v
             C[..., t, s, u] = -e.v
@@ -153,15 +168,11 @@ class AlgebroidChart:
 
     @property
     def has_zero_anchor(self):
-        return all(
-            e.is_constant and e.root.value == 0.0 for row in self.b for e in row
-        )
+        return not self._b_var and not self._B0.any()
 
     @property
     def is_constant(self):
-        return all(e.is_constant for row in self.b for e in row) and all(
-            e.is_constant for e in self.c_upper.values()
-        )
+        return not self._b_var and not self._c_var
 
     def contains(self, x, margin=0.0):
         x = np.asarray(x, dtype=float)

@@ -36,6 +36,7 @@ from .metric import (
 )
 from .paths import (
     DomainExitError,
+    NonFiniteError,
     TOL_APATH_GENERATED,
     energy_along,
     dexp,
@@ -606,7 +607,7 @@ def main(argv=None) -> int:
     except (ChartFileError, ExpressionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except (MetricError, SplitError, ValueError) as exc:
+    except (MetricError, NonFiniteError, SplitError, ValueError) as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -16,6 +16,16 @@ curvature tensor downstream carries no step-size parameter.
 Index conventions: ``gamma[i, j, k]`` is Gamma_{ij}^k (D_{a_i} a_j =
 sum_k gamma[i,j,k] a_k); ``dgamma[i, j, k, m]`` is d Gamma_{ij}^k / d x_m;
 ``R[i, j, k, l]`` is the a_l component of R(a_i, a_j) a_k.
+
+`christoffel` (and through it `curvature` and every flow) runs on one
+connection evaluator per (chart, metric) pair.  It is built on first use
+and kept in the metric's ``_cache``, keyed weakly by the chart.  What it
+holds is fixed by the pair, never by a point: which structure arrays
+vanish identically, and for a constant metric g, its inverse and its SPD
+verdict; for a constant chart with a constant metric also Gamma and
+dGamma.  A non-constant metric is evaluated and SPD-checked at every
+point asked for.  `koszul_rhs` reads only the raw evaluations of g, b and
+C, so it stays an independent check of the evaluator.
 """
 
 from __future__ import annotations
@@ -54,11 +64,14 @@ class MetricField:
 
     Entries are stored for i <= j and mirrored, so g(x) is symmetric to
     the bit.  Positive definiteness is asserted lazily at every evaluation
-    point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``).
+    point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``).  The
+    constant entries are laid out once in a template that every evaluation
+    copies; only the other entries are evaluated per call.
 
-    The fields are frozen, but the instance is not immutable: it carries a
-    memo of the single-point Christoffel coefficients of every constant
-    chart it has been paired with, keyed weakly by the chart object.
+    The fields are frozen, but the instance is not immutable: ``_cache``
+    holds the connection evaluator (see `christoffel`) of every chart the
+    metric has been paired with, keyed weakly by the chart object, so an
+    entry lives exactly as long as its chart.
     """
 
     entries: dict
@@ -77,9 +90,19 @@ class MetricField:
         for i in range(r):
             if (i, i) not in table:
                 raise MetricError(f"metric diagonal entry ({i + 1},{i + 1}) missing")
+        G0 = np.zeros((r, r))
+        var = []
+        for (i, j), expr in table.items():
+            if expr.is_constant:
+                G0[i, j] = G0[j, i] = expr.root.value
+            else:
+                var.append((i, j, expr))
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_G0", G0)
+        object.__setattr__(self, "_var", tuple(var))
+        object.__setattr__(self, "_shift", SPD_EIGENVALUE_FLOOR * np.eye(r))
         object.__setattr__(self, "_cache", weakref.WeakKeyDictionary())
 
     @classmethod
@@ -88,23 +111,19 @@ class MetricField:
 
     @property
     def is_constant(self):
-        return all(e.is_constant for e in self.entries.values())
+        return not self._var
 
     def eval(self, points, order=0, check_spd=True):
         """g (..., r, r), dg (..., r, r, n), d2g (..., r, r, n, n)."""
         points = np.asarray(points, dtype=float)
         base = points.shape[:-1]
-        G = np.zeros(base + (self.r, self.r))
+        G = np.empty(base + (self.r, self.r))
+        G[...] = self._G0
         dG = np.zeros(base + (self.r, self.r, self.n)) if order >= 1 else None
         d2G = (
             np.zeros(base + (self.r, self.r, self.n, self.n)) if order >= 2 else None
         )
-        for (i, j), expr in self.entries.items():
-            if expr.is_constant:
-                G[..., i, j] = expr.root.value
-                if i != j:
-                    G[..., j, i] = expr.root.value
-                continue
+        for i, j, expr in self._var:
             t = expr.eval_raw(points, order=order)
             G[..., i, j] = t.v
             if i != j:
@@ -117,33 +136,36 @@ class MetricField:
                 d2G[..., i, j, :, :] = t.h
                 if i != j:
                     d2G[..., j, i, :, :] = t.h
-        if check_spd:
-            self._require_spd(G, points)
+        if check_spd and not self._is_spd(G):
+            _raise_not_spd(G, points)
         return G, dG, d2G
 
-    def _require_spd(self, G, points):
-        # Cholesky of G - floor*I succeeds iff the smallest eigenvalue
-        # exceeds the floor; eigvalsh runs only on the failure path
-        shifted = G - SPD_EIGENVALUE_FLOOR * np.eye(self.r)
+    def _is_spd(self, G):
+        """Whether every smallest eigenvalue of G exceeds the floor: exactly
+        when the Cholesky factorization of G - floor*I succeeds."""
         try:
-            np.linalg.cholesky(shifted)
-            return
+            np.linalg.cholesky(G - self._shift)
         except np.linalg.LinAlgError:
-            pass
-        eig = np.linalg.eigvalsh(G)
-        smallest = eig[..., 0]
-        k = np.unravel_index(np.argmin(smallest), np.shape(smallest))
-        bad = points[k] if points.ndim > 1 else points
-        raise MetricError(
-            f"metric not positive definite at x={bad} "
-            f"(smallest eigenvalue {float(np.min(smallest)):.3e})"
-        )
+            return False
+        return True
 
     def spd_margin(self, chart, samples=200, seed=42):
         """Smallest eigenvalue of g over sampled points of the chart box."""
         pts = sample_box(chart.domain, samples, seed)
         G, _, _ = self.eval(pts, order=0, check_spd=False)
         return float(np.min(np.linalg.eigvalsh(G)))
+
+
+def _raise_not_spd(G, points):
+    # eigvalsh runs only on this failure path
+    eig = np.linalg.eigvalsh(G)
+    smallest = eig[..., 0]
+    k = np.unravel_index(np.argmin(smallest), np.shape(smallest))
+    bad = points[k] if points.ndim > 1 else points
+    raise MetricError(
+        f"metric not positive definite at x={bad} "
+        f"(smallest eigenvalue {float(np.min(smallest)):.3e})"
+    )
 
 
 @dataclass
@@ -154,64 +176,139 @@ class Christoffel:
     dgamma: np.ndarray | None  # (..., r, r, r, n)
 
 
+class _Connection:
+    """Levi-Civita coefficients of one (chart, metric) pair.
+
+    Built on first use and kept in ``metric._cache``.  Construction settles
+    what does not depend on the point:
+
+    * which structure arrays vanish identically (a constant metric has
+      dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
+      and B or C may be zero outright); no term with such a factor is
+      formed;
+    * for a constant metric: g, its inverse and the SPD verdict; a negative
+      verdict raises MetricError at every use, as an evaluation would;
+    * for a constant chart with a constant metric: Gamma and dGamma.
+
+    With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
+    axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
+    and Q[a, b, c] = C_{ab}^u g_{uc}:
+
+        S_{ijl} = P_{ijl} + P_{jil} - P_{lij} + Q_{ijl} + Q_{lij} + Q_{lji}
+
+    and dS is the same combination of their derivatives dP and dQ.  Chart
+    and metric are held weakly: the cache must not keep its key alive.
+    """
+
+    def __init__(self, chart, metric):
+        self._chart = weakref.ref(chart)
+        self._metric = weakref.ref(metric)
+        b = [e for row in chart.b for e in row]
+        c = list(chart.c_upper.values())
+        self.zero_anchor = chart.has_zero_anchor
+        self.const_anchor = all(e.is_constant for e in b)
+        self.zero_bracket = all(e.is_constant and e.root.value == 0.0 for e in c)
+        self.const_bracket = all(e.is_constant for e in c)
+        self.G = self.Gi = self.gamma = self.dgamma = None
+        self.spd = True
+        if metric.is_constant:
+            self.G = metric._G0
+            self.spd = metric._is_spd(self.G)
+            if self.spd:
+                self.Gi = np.linalg.inv(self.G)
+                if chart.is_constant:
+                    self.gamma, self.dgamma = self._assemble(chart.center(), True)
+
+    def christoffel(self, x, with_derivative):
+        x = np.asarray(x, dtype=float)
+        if self.gamma is None:
+            return Christoffel(*self._assemble(x, with_derivative))
+        base = x.shape[:-1]
+        gamma = np.broadcast_to(self.gamma, base + self.gamma.shape)
+        dgamma = None
+        if with_derivative:
+            dgamma = np.broadcast_to(self.dgamma, base + self.dgamma.shape)
+        return Christoffel(gamma, dgamma)
+
+    def _assemble(self, x, with_derivative):
+        chart = self._chart()
+        base = x.shape[:-1]
+        if self.G is None:
+            G, dG, d2G = self._metric().eval(x, order=2 if with_derivative else 1)
+            Gi = np.linalg.inv(G)
+        else:
+            G, Gi, dG, d2G = self.G, self.Gi, None, None
+            if not self.spd:
+                _raise_not_spd(np.broadcast_to(G, base + G.shape), x)
+        r, n = G.shape[-1], x.shape[-1]
+        order = 1 if with_derivative else 0
+
+        S = dS = None
+        use_anchor = dG is not None and not self.zero_anchor
+        if use_anchor:
+            B, dB = chart.eval_anchor(x, order=order)
+            P = (B @ dG.reshape(base + (r * r, n)).swapaxes(-1, -2)).reshape(
+                base + (r, r, r)
+            )
+            S = (P + P.swapaxes(-3, -2)) - _perm(P, 1, 2, 0)
+        if not self.zero_bracket:
+            C, dC = chart.eval_bracket(x, order=order)
+            Q = C @ G[..., None, :, :]
+            tc = (Q + _perm(Q, 1, 2, 0)) + Q.swapaxes(-3, -1)
+            S = tc if S is None else S + tc
+        if S is None:
+            S = np.zeros(base + (r, r, r))
+        gamma = 0.5 * (S @ Gi[..., None, :, :])
+        if not with_derivative:
+            return gamma, None
+
+        # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise
+        if use_anchor:
+            dP = _perm(B[..., None, None, :, :] @ d2G, 2, 0, 1, 3)
+            if not self.const_anchor:
+                dP = (dG.reshape(base + (1, r * r, n)) @ dB).reshape(
+                    base + (r, r, r, n)
+                ) + dP
+            dS = (dP + dP.swapaxes(-4, -3)) - _perm(dP, 1, 2, 0, 3)
+        if not self.zero_bracket:
+            dQ = None
+            if not self.const_bracket:
+                dQ = (dC.swapaxes(-1, -2) @ G[..., None, None, :, :]).swapaxes(-1, -2)
+            if dG is not None:
+                CdG = (C @ dG.reshape(base + (1, r, r * n))).reshape(base + (r, r, r, n))
+                dQ = CdG if dQ is None else dQ + CdG
+            if dQ is not None:
+                tc = (dQ + _perm(dQ, 1, 2, 0, 3)) + dQ.swapaxes(-4, -2)
+                dS = tc if dS is None else dS + tc
+        if dS is None:
+            return gamma, np.zeros(base + (r, r, r, n))
+        dgamma = (dS.swapaxes(-1, -2) @ Gi[..., None, None, :, :]).swapaxes(-1, -2)
+        if dG is not None:
+            dGm = _perm(dG, 2, 0, 1)  # dGm[m, a, b] = d_m g_{ab}
+            dGi = -(Gi[..., None, :, :] @ dGm @ Gi[..., None, :, :])
+            SdGi = S.reshape(base + (1, r * r, r)) @ dGi
+            dgamma = dgamma + _perm(SdGi.reshape(base + (n, r, r, r)), 1, 2, 3, 0)
+        return gamma, 0.5 * dgamma
+
+
+def _perm(a, *axes):
+    """View of `a` with its trailing len(axes) axes permuted by `axes`
+    (as in np.transpose); leading batch axes stay in place."""
+    lead = a.ndim - len(axes)
+    return a.transpose(tuple(range(lead)) + tuple(lead + k for k in axes))
+
+
 def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
-    """Levi-Civita coefficients (and their exact space derivatives) at x."""
-    memo = None
-    if chart.is_constant and metric.is_constant:
-        memo = metric._cache.setdefault(chart, {})
-        hit = memo.get(bool(with_derivative))
-        if hit is not None:
-            gamma, dgamma = hit
-            x = np.asarray(x, dtype=float)
-            base = x.shape[:-1]
-            gamma = np.broadcast_to(gamma, base + gamma.shape)
-            if dgamma is not None:
-                dgamma = np.broadcast_to(dgamma, base + dgamma.shape)
-            return Christoffel(gamma, dgamma)
+    """Levi-Civita coefficients (and their exact space derivatives) at x.
 
-    x = np.asarray(x, dtype=float)
-    order = 2 if with_derivative else 1
-    G, dG, d2G = metric.eval(x, order=order)
-    Gi = np.linalg.inv(G)
-    B, dB = chart.eval_anchor(x, order=1 if with_derivative else 0)
-    C, dC = chart.eval_bracket(x, order=1 if with_derivative else 0)
-
-    t1 = np.einsum("...iu,...jlu->...ijl", B, dG)
-    t2 = np.einsum("...ju,...ilu->...ijl", B, dG)
-    t3 = np.einsum("...lu,...iju->...ijl", B, dG)
-    tc = (
-        np.einsum("...iju,...ul->...ijl", C, G)
-        + np.einsum("...liu,...uj->...ijl", C, G)
-        + np.einsum("...lju,...ui->...ijl", C, G)
-    )
-    S = t1 + t2 - t3 + tc
-    gamma = 0.5 * np.einsum("...ijl,...lk->...ijk", S, Gi)
-
-    dgamma = None
-    if with_derivative:
-        dS = (
-            np.einsum("...ium,...jlu->...ijlm", dB, dG)
-            + np.einsum("...iu,...jlum->...ijlm", B, d2G)
-            + np.einsum("...jum,...ilu->...ijlm", dB, dG)
-            + np.einsum("...ju,...ilum->...ijlm", B, d2G)
-            - np.einsum("...lum,...iju->...ijlm", dB, dG)
-            - np.einsum("...lu,...ijum->...ijlm", B, d2G)
-            + np.einsum("...ijum,...ul->...ijlm", dC, G)
-            + np.einsum("...iju,...ulm->...ijlm", C, dG)
-            + np.einsum("...lium,...uj->...ijlm", dC, G)
-            + np.einsum("...liu,...ujm->...ijlm", C, dG)
-            + np.einsum("...ljum,...ui->...ijlm", dC, G)
-            + np.einsum("...lju,...uim->...ijlm", C, dG)
-        )
-        dGi = -np.einsum("...la,...abm,...bk->...lkm", Gi, dG, Gi)
-        dgamma = 0.5 * (
-            np.einsum("...ijlm,...lk->...ijkm", dS, Gi)
-            + np.einsum("...ijl,...lkm->...ijkm", S, dGi)
-        )
-
-    if memo is not None and x.shape == (chart.n,):
-        memo[bool(with_derivative)] = (gamma, dgamma)
-    return Christoffel(gamma, dgamma)
+    Raises MetricError if g is not positive definite at a point of x.  For
+    a constant chart with a constant metric the arrays returned are
+    read-only broadcast views of the evaluator's constants.
+    """
+    ev = metric._cache.get(chart)
+    if ev is None:
+        ev = metric._cache[chart] = _Connection(chart, metric)
+    return ev.christoffel(x, with_derivative)
 
 
 def covariant_derivative(chart, metric, f: SectionField, g: SectionField, x):

@@ -24,6 +24,7 @@ all 2N - 1 half-grid times and integrate a linear system on those tracks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "APath",
     "FiberCurve",
     "DomainExitError",
+    "NonFiniteError",
     "NonGeodesicError",
     "geodesic_rhs",
     "geodesic_integrate",
@@ -57,6 +59,15 @@ class DomainExitError(RuntimeError):
 
     def __init__(self, time, path):
         super().__init__(f"trajectory left the chart domain at t={time:.6g}")
+        self.time = time
+        self.path = path
+
+
+class NonFiniteError(FloatingPointError):
+    """Trajectory reached a non-finite state; carries the time and the partial path."""
+
+    def __init__(self, time, path):
+        super().__init__(f"trajectory reached a non-finite state at t={time:.6g}")
         self.time = time
         self.path = path
 
@@ -196,15 +207,16 @@ def _rk4(f, ts, y0, on_node=None):
     The right side is called as f(j, y) with j the half-grid index of the
     sampled time (2k at node k, 2k + 1 at the midpoint after it), 1 + 4
     times per step; y has the shape of y0, batch axes included.
-    `on_node(k, y, ys, ds)` may raise to abort; states up to node k are
-    kept by the caller via the exception payload it builds.
+    `on_node(k, y, ys, ds)` sees node k before the right side is evaluated
+    there and may raise to abort; states and derivatives of the nodes
+    before k are kept by the caller via the exception payload it builds.
     """
     ys = np.empty((len(ts),) + np.shape(y0))
     ds = np.empty_like(ys)
     ys[0] = y0
-    ds[0] = f(0, ys[0])
     if on_node is not None:
         on_node(0, ys[0], ys, ds)
+    ds[0] = f(0, ys[0])
     for k in range(len(ts) - 1):
         h = ts[k + 1] - ts[k]
         y = ys[k]
@@ -213,9 +225,9 @@ def _rk4(f, ts, y0, on_node=None):
         k3 = f(2 * k + 1, y + 0.5 * h * k2)
         k4 = f(2 * k + 2, y + h * k3)
         ys[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ds[k + 1] = f(2 * k + 2, ys[k + 1])
         if on_node is not None:
             on_node(k + 1, ys[k + 1], ys, ds)
+        ds[k + 1] = f(2 * k + 2, ys[k + 1])
     return ys, ds
 
 
@@ -248,37 +260,54 @@ def _transport_track(chart, metric, alpha, with_curvature=False):
 
 def geodesic_rhs(chart, metric, x, mu):
     """Right side of the geodesic system at (x, mu); batch friendly."""
+    mu = np.asarray(mu, dtype=float)
     B, _ = chart.eval_anchor(x)
     gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    gsym = 0.5 * (gamma + np.swapaxes(gamma, -3, -2))
-    dx = np.einsum("...s,...si->...i", mu, B)
-    dmu = -np.einsum("...s,...u,...suj->...j", mu, mu, gsym)
+    r = gamma.shape[-1]
+    # dmu_j = -sum over the pairs (s, u) of mu_s mu_u (Gamma_su^j + Gamma_us^j) / 2;
+    # halving after the sum is exact, so it is done once
+    mumu = mu[..., :, None] * mu[..., None, :]
+    mumu = mumu.reshape(mumu.shape[:-2] + (1, r * r))
+    gsum = gamma + gamma.swapaxes(-3, -2)
+    dx = (mu[..., None, :] @ B)[..., 0, :]
+    dmu = -0.5 * (mumu @ gsum.reshape(gsum.shape[:-3] + (r * r, r)))[..., 0, :]
     return dx, dmu
 
 
 def geodesic_integrate(chart, metric, start: AVector, t_span=(0.0, 1.0), step=1e-3):
     """Integrate the geodesic through `start` over `t_span` with fixed step.
 
-    Raises DomainExitError (with the partial path attached) as soon as a
-    node leaves the chart box.
+    Every node is checked before the right side is evaluated there.  A
+    node with a non-finite coordinate raises NonFiniteError, a node outside
+    the chart box DomainExitError; both carry the time and the partial
+    path of the nodes before it.
     """
-    n, r = chart.n, chart.r
+    n = chart.n
     ts = _grid(t_span, step)
+    box = chart.domain.tolist()
 
     def f(j, y):
         dx, dmu = geodesic_rhs(chart, metric, y[:n], y[n:])
         return np.concatenate([dx, dmu])
 
     def guard(k, y, ys, ds):
-        if not chart.contains(y[:n]):
-            partial = APath(
-                ts=ts[:k].copy(),
-                xs=ys[:k, :n].copy(),
-                mus=ys[:k, n:].copy(),
-                dxs=ds[:k, :n].copy(),
-                dmus=ds[:k, n:].copy(),
-            )
-            raise DomainExitError(float(ts[k]), partial)
+        # plain floats: a few comparisons cost less than numpy calls here;
+        # zip pairs the n base coordinates with the box
+        v = y.tolist()
+        if not all(map(math.isfinite, v)):
+            error = NonFiniteError
+        elif not all(lo <= c <= hi for c, (lo, hi) in zip(v, box)):
+            error = DomainExitError
+        else:
+            return
+        partial = APath(
+            ts=ts[:k].copy(),
+            xs=ys[:k, :n].copy(),
+            mus=ys[:k, n:].copy(),
+            dxs=ds[:k, :n].copy(),
+            dmus=ds[:k, n:].copy(),
+        )
+        raise error(float(ts[k]), partial)
 
     y0 = np.concatenate([np.asarray(start.x, float), np.asarray(start.mu, float)])
     ys, ds = _rk4(f, ts, y0, on_node=guard)

@@ -391,10 +391,14 @@ def make_fixed_endpoint_homotopy(
     time), which vanishes at both ends, and the family itself is obtained
     by integrating the zero-defect flow in eps; every row then satisfies
     the A-path constraint and the family is a fixed-endpoint homotopy.
+    The input path is the row at eps = 0, whether or not 0 is among the
+    distinct, finite `eps_values`; every other row is flowed out from it.
     Returns a VariationGrid with beta filled in.
     """
     direction = np.asarray(direction, dtype=float)
     eps_values = np.asarray(eps_values, dtype=float)
+    if not np.all(np.isfinite(eps_values)) or len(np.unique(eps_values)) < len(eps_values):
+        raise ValueError(f"eps_values must be finite and distinct, got {eps_values}")
     ts = alpha0.ts
     snorm = (ts - ts[0]) / (ts[-1] - ts[0])
     profile = np.sin(np.pi * snorm)  # (N,)
@@ -420,17 +424,15 @@ def make_fixed_endpoint_homotopy(
     # direction over `substeps` steps between consecutive eps-rows
     nsub = max(1, substeps)
     order = np.argsort(eps_values)
-    zero_idx = int(np.argmin(np.abs(eps_values)))
-    e0 = eps_values[zero_idx]
     y0 = np.concatenate([alpha0.xs, alpha0.mus], axis=1)
-    rows = {zero_idx: y0}
+    rows = {i: y0 for i in np.flatnonzero(eps_values == 0.0)}
     for side in (
-        [i for i in order if eps_values[i] > e0],
-        [i for i in order[::-1] if eps_values[i] < e0],
+        [i for i in order if eps_values[i] > 0.0],
+        [i for i in order[::-1] if eps_values[i] < 0.0],
     ):
         if not side:
             continue
-        knots = [e0] + [eps_values[i] for i in side]
+        knots = [0.0] + [eps_values[i] for i in side]
         eps_grid = np.concatenate(
             [np.linspace(a, b, nsub + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
             + [knots[-1:]]

@@ -90,6 +90,21 @@ class TestGeodesicVerb:
         assert "domain_exit_time" in report
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--catalog", "euclidean2", "--x", "nan,0"],
+            ["--catalog", "aff2", "--mu", "10,10", "--step", "1", "--t1", "20"],
+        ],
+    )
+    def test_non_finite_state_is_a_failed_check(self, argv, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["geodesic", *argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("check failed: trajectory reached a non-finite state")
+
+
 class TestHamcheckVerb:
     def test_affine_algebra(self, tmp_path, capsys):
         rc = main(

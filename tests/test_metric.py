@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from algebroid import catalog
-from algebroid.charts import AlgebroidChart, SectionField
+from algebroid.charts import AlgebroidChart, AVector, SectionField
 from algebroid.expressions import parse
+from algebroid.paths import geodesic_integrate
 from algebroid.metric import (
     MetricError,
     MetricField,
@@ -137,6 +141,88 @@ class TestChristoffel:
                 want = christoffel(chart, fresh, x, with_derivative).gamma
                 wrong += not np.array_equal(got, want)
         assert wrong == 0
+
+
+class TestConnectionEvaluator:
+    def test_cache_releases_its_charts(self):
+        from conftest import build_twisted_chart
+
+        metric = MetricField.identity(3, 2)
+        charts = [build_twisted_chart(), catalog.get("heisenberg_central").chart]
+        for chart in charts:
+            christoffel(chart, metric, np.array([0.8, 1.1]))
+        assert len(metric._cache) == 2
+        refs = [weakref.ref(chart) for chart in charts]
+        del chart, charts
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(metric._cache) == 0
+
+    @pytest.mark.parametrize("anchor", ["1", "x1"])
+    def test_constant_metric_that_is_not_spd_raises_on_every_use(self, anchor):
+        chart = AlgebroidChart(n=1, r=1, b=[[anchor]], domain=[(0.5, 1.5)])
+        metric = MetricField({(1, 1): "-1"}, r=1, n=1)
+        for x in (np.array([1.0]), np.array([[0.9], [1.1]])):
+            for with_derivative in (False, True):
+                with pytest.raises(MetricError, match="positive definite"):
+                    christoffel(chart, metric, x, with_derivative)
+        with pytest.raises(MetricError, match="positive definite"):
+            geodesic_integrate(chart, metric, AVector([1.0], [0.1]), (0.0, 0.1), 1e-2)
+
+    def test_varying_metric_is_checked_at_every_point(self):
+        chart = AlgebroidChart(n=1, r=2, b=[["1"], ["0"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "x1", (2, 2): "1"}, r=2, n=1)
+        christoffel(chart, metric, np.array([0.5]))
+        with pytest.raises(MetricError, match="positive definite"):
+            christoffel(chart, metric, np.array([[0.5], [-0.5]]), with_derivative=False)
+
+
+def reference_structure(chart, metric, pts, order):
+    """B, dB, C, dC, G, dG, d2G filled entry by entry from the expressions."""
+    r, n = chart.r, chart.n
+    base = pts.shape[:-1]
+    B, dB = np.zeros(base + (r, n)), np.zeros(base + (r, n, n))
+    for s in range(r):
+        for i in range(n):
+            t = chart.b[s][i].eval_raw(pts, order=1)
+            B[..., s, i], dB[..., s, i, :] = t.v, t.g
+    C, dC = np.zeros(base + (r, r, r)), np.zeros(base + (r, r, r, n))
+    for (s, t, u), expr in chart.c_upper.items():
+        e = expr.eval_raw(pts, order=1)
+        C[..., s, t, u], C[..., t, s, u] = e.v, -e.v
+        dC[..., s, t, u, :], dC[..., t, s, u, :] = e.g, -e.g
+    G, dG, d2G = np.zeros(base + (r, r)), np.zeros(base + (r, r, n)), np.zeros(base + (r, r, n, n))
+    for (i, j), expr in metric.entries.items():
+        e = expr.eval_raw(pts, order=2)
+        for a, b in {(i, j), (j, i)}:
+            G[..., a, b], dG[..., a, b, :], d2G[..., a, b, :, :] = e.v, e.g, e.h
+    return {
+        "anchor": (B, dB if order >= 1 else None),
+        "bracket": (C, dC if order >= 1 else None),
+        "metric": (G, dG if order >= 1 else None, d2G if order >= 2 else None),
+    }
+
+
+class TestTemplatedEvaluation:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_matches_entry_by_entry_reference(self, name, order, twisted_chart):
+        if name == "twisted":
+            chart = twisted_chart
+            metric = MetricField({(1, 1): "2 + x1*x2", (1, 3): "0.1*x2", (2, 2): "1.5", (3, 3): "exp(x1)"}, 3, 2)
+        else:
+            chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        pts = sample_box(chart.domain, 6, seed=8)
+        for x in (pts[0], pts, pts.reshape(2, 3, -1)):
+            want = reference_structure(chart, metric, x, order)
+            got = {
+                "anchor": chart.eval_anchor(x, order=order),
+                "bracket": chart.eval_bracket(x, order=order),
+                "metric": metric.eval(x, order=order),
+            }
+            for key, arrays in want.items():
+                for w, g in zip(arrays, got[key]):
+                    assert (w is None and g is None) or np.array_equal(w, g), key
 
 
 class TestCovariantDerivative:

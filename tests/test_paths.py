@@ -10,6 +10,7 @@ from algebroid.paths import (
     APath,
     DomainExitError,
     FiberCurve,
+    NonFiniteError,
     NonGeodesicError,
     derivative_along,
     dexp,
@@ -80,6 +81,27 @@ class TestGeodesics:
         assert 0.29 < exc.time < 0.31  # leaves |x1| < 3 at t = 0.3
         assert len(exc.path.ts) > 100
         assert np.all(np.abs(exc.path.xs[:, 0]) <= 3.0)
+
+    @pytest.mark.parametrize("name", ["euclidean2", "sphere_chart", "heisenberg_central"])
+    def test_non_finite_start_is_not_a_domain_exit(self, name):
+        entry = catalog.get(name)
+        x = entry.chart.center()
+        x[0] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            geodesic_integrate(entry.chart, entry.metric, AVector(x, np.full(entry.chart.r, 0.1)))
+        assert err.value.time == 0.0
+        assert len(err.value.path.ts) == 0
+
+    def test_blow_up_reports_time_and_partial_path(self, aff2):
+        # a step far too large for |mu| = 14: RK4 overflows within three steps
+        # while the base point stays inside the box (aff2 has zero anchor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as err:
+                geodesic_integrate(aff2.chart, aff2.metric, AVector([0.0], [10.0, 10.0]), (0, 20), 1.0)
+        exc = err.value
+        assert exc.time == 3.0
+        assert len(exc.path.ts) == 3
+        assert np.all(np.isfinite(exc.path.xs)) and np.all(np.isfinite(exc.path.mus))
 
     def test_geodesic_residual_detects_non_geodesic(self, sphere):
         path = geodesic_integrate(

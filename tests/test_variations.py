@@ -402,3 +402,21 @@ class TestBatchedFlows:
         X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
         assert np.max(np.abs(grid.x - X)) <= 1e-12
         assert np.max(np.abs(grid.mu - M)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [(0.01, 0.02, 0.03), (-0.03, -0.01)])
+    def test_homotopy_without_zero_row_flows_from_the_input_path(self, chart_metric, eps):
+        # the input path is the eps = 0 row even when 0 is not requested
+        chart, metric = chart_metric
+        a = AVector(chart.center(), 0.3 * np.ones(chart.r))
+        path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
+        direction = np.linspace(1.0, 0.5, chart.r)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, 0.05, eps, substeps=4)
+        X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
+        assert np.max(np.abs(grid.x - X)) <= 1e-12
+        assert np.max(np.abs(grid.mu - M)) <= 1e-12
+        assert np.max(np.abs(grid.mu[0] - path.mus)) > 1e-4
+
+    def test_homotopy_rejects_repeated_eps(self, sphere):
+        path = geodesic_integrate(sphere.chart, sphere.metric, AVector([1.2, 1.0], [0.3, 0.2]), (0.0, 1.0), 1e-2)
+        with pytest.raises(ValueError, match="distinct"):
+            make_fixed_endpoint_homotopy(sphere.chart, sphere.metric, path, [1.0, 0.5], 0.05, (0.0, 0.0, 0.01))
