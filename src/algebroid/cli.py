@@ -138,6 +138,8 @@ def _vector(text, length, name):
         raise SystemExit2(f"cannot parse {name} {text!r} as comma-separated reals")
     if len(values) != length:
         raise SystemExit2(f"{name} needs {length} components, got {len(values)}")
+    if not np.all(np.isfinite(values)):
+        raise SystemExit2(f"{name} must be finite, got {text!r}")
     return values
 
 
@@ -344,8 +346,9 @@ def _cmd_jacobi(args, out):
         try:
             d = dexp(chart, metric, start.x, start.mu, u, step=step)
             eps = 1e-4
-            plus = exp_map(chart, metric, start.x, start.mu + eps * u, step=step)
-            minus = exp_map(chart, metric, start.x, start.mu - eps * u, step=step)
+            plus, minus = exp_map(
+                chart, metric, start.x, np.stack([start.mu + eps * u, start.mu - eps * u]), step=step
+            )
             fd = (plus - minus) / (2 * eps)
             scale = max(1.0, float(np.max(np.abs(fd))))
             run.check("dexp_vs_fd", float(np.max(np.abs(d - fd))) / scale, 1e-4)

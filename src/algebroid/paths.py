@@ -20,6 +20,8 @@ an RK4 step samples.  The state y may carry batch axes.  Flows along an
 already fixed path (parallel transport, the transported frame, Jacobi
 sections) therefore evaluate the path, Gamma and, for Jacobi, R once over
 all 2N - 1 half-grid times and integrate a linear system on those tracks.
+Families of geodesics on one grid (a pencil, exp of several fiber vectors)
+run as one batch through `_geodesics`, which also serves single geodesics.
 """
 
 from __future__ import annotations
@@ -274,6 +276,98 @@ def geodesic_rhs(chart, metric, x, mu):
     return dx, dmu
 
 
+def _geodesics(chart, metric, x0, mu0, t_span, step):
+    """Geodesics from one start, x0 (n,) and mu0 (r,), or from the E rows of
+    x0 (E, n) and mu0 (E, r), all on one grid: returns the grid and the node
+    states and derivatives, (N, n + r) or (N, E, n + r).
+
+    Every node of every row is checked before the right side is evaluated
+    there: a non-finite coordinate raises NonFiniteError, a base point
+    outside the chart box DomainExitError, with the time and the partial
+    path of that row.  Rows run together, but the error raised is the one
+    a row-by-row loop would raise first: that of the lowest failing row.
+    So a failing row is frozen together with every row after it (their
+    right side is no longer evaluated) and only the rows before it go on;
+    an exception from the right side is charged to the lowest row that
+    raises it on its own.
+    """
+    n = chart.n
+    ts = _grid(t_span, step)
+    box = chart.domain.tolist()
+    lower, upper = chart.domain[:, 0], chart.domain[:, 1]
+    y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
+    live = len(y0) if y0.ndim == 2 else 1  # rows [0, live) are integrated
+    failure = None  # the error of row `live`, raised when the run ends
+
+    def rhs(j, y):
+        dx, dmu = geodesic_rhs(chart, metric, y[..., :n], y[..., n:])
+        return np.concatenate([dx, dmu], axis=-1)
+
+    def freeze(row, error):
+        nonlocal live, failure
+        live, failure = row, error
+        if row == 0:
+            raise error
+
+    # what the right side raises at a bad point: EvalDomainError and
+    # MetricError are ValueErrors, an overflow under np.errstate an
+    # ArithmeticError
+    pointwise = (ValueError, ArithmeticError)
+
+    def batch_rhs(j, y):
+        try:
+            d = rhs(j, y[:live])
+        except pointwise:
+            for i in range(live):
+                try:
+                    rhs(j, y[i])
+                except pointwise as error:
+                    freeze(i, error)
+                    break
+            else:
+                raise
+            d = rhs(j, y[:live])
+        if live == len(y):
+            return d
+        out = np.zeros_like(y)
+        out[:live] = d
+        return out
+
+    def guard(k, y, ys, ds):
+        if y.ndim == 1:
+            # plain floats: a few comparisons cost less than numpy calls here;
+            # zip pairs the n base coordinates with the box
+            v = y.tolist()
+            finite = all(map(math.isfinite, v))
+            if finite and all(lo <= c <= hi for c, (lo, hi) in zip(v, box)):
+                return
+            i = 0
+        else:
+            x = y[:live, :n]
+            finite = np.isfinite(y[:live]).all(axis=1)
+            ok = finite & ((lower <= x) & (x <= upper)).all(axis=1)
+            if ok.all():
+                return
+            i = int(np.argmin(ok))  # the lowest failing row
+            finite = finite[i]
+        error = DomainExitError if finite else NonFiniteError
+        row = ys.reshape(len(ts), -1, y.shape[-1])[:k, i]
+        drow = ds.reshape(len(ts), -1, y.shape[-1])[:k, i]
+        partial = APath(
+            ts=ts[:k].copy(),
+            xs=row[:, :n].copy(),
+            mus=row[:, n:].copy(),
+            dxs=drow[:, :n].copy(),
+            dmus=drow[:, n:].copy(),
+        )
+        freeze(i, error(float(ts[k]), partial))
+
+    ys, ds = _rk4(batch_rhs if y0.ndim == 2 else rhs, ts, y0, on_node=guard)
+    if failure is not None:
+        raise failure
+    return ts, ys, ds
+
+
 def geodesic_integrate(chart, metric, start: AVector, t_span=(0.0, 1.0), step=1e-3):
     """Integrate the geodesic through `start` over `t_span` with fixed step.
 
@@ -283,41 +377,25 @@ def geodesic_integrate(chart, metric, start: AVector, t_span=(0.0, 1.0), step=1e
     path of the nodes before it.
     """
     n = chart.n
-    ts = _grid(t_span, step)
-    box = chart.domain.tolist()
-
-    def f(j, y):
-        dx, dmu = geodesic_rhs(chart, metric, y[:n], y[n:])
-        return np.concatenate([dx, dmu])
-
-    def guard(k, y, ys, ds):
-        # plain floats: a few comparisons cost less than numpy calls here;
-        # zip pairs the n base coordinates with the box
-        v = y.tolist()
-        if not all(map(math.isfinite, v)):
-            error = NonFiniteError
-        elif not all(lo <= c <= hi for c, (lo, hi) in zip(v, box)):
-            error = DomainExitError
-        else:
-            return
-        partial = APath(
-            ts=ts[:k].copy(),
-            xs=ys[:k, :n].copy(),
-            mus=ys[:k, n:].copy(),
-            dxs=ds[:k, :n].copy(),
-            dmus=ds[:k, n:].copy(),
-        )
-        raise error(float(ts[k]), partial)
-
-    y0 = np.concatenate([np.asarray(start.x, float), np.asarray(start.mu, float)])
-    ys, ds = _rk4(f, ts, y0, on_node=guard)
+    ts, ys, ds = _geodesics(chart, metric, start.x, start.mu, t_span, step)
     return APath(ts=ts, xs=ys[:, :n], mus=ys[:, n:], dxs=ds[:, :n], dmus=ds[:, n:])
 
 
 def exp_map(chart, metric, m, a, step=1e-3):
-    """Base point of the time-1 geodesic from (m, a)."""
-    path = geodesic_integrate(chart, metric, AVector(m, a), (0.0, 1.0), step)
-    return path.xs[-1].copy()
+    """Base point of the time-1 geodesic from (m, a).
+
+    `a` may carry leading batch axes; the geodesics from the rows of `a`
+    (at m, or at the matching rows of m) then run as one batch and the
+    result has the same leading axes.  Errors are those of the lowest
+    failing row, as in `make_geodesic_pencil`.
+    """
+    a = np.asarray(a, dtype=float)
+    lead = a.shape[:-1]
+    m = np.broadcast_to(np.asarray(m, dtype=float), lead + (chart.n,))
+    if lead:
+        m, a = m.reshape(-1, chart.n), a.reshape(-1, chart.r)
+    _, ys, _ = _geodesics(chart, metric, m, a, (0.0, 1.0), step)
+    return ys[-1, ..., : chart.n].reshape(lead + (chart.n,)).copy()
 
 
 def energy_along(chart, metric, path: APath):

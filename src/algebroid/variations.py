@@ -27,7 +27,7 @@ import numpy as np
 
 from .charts import AVector
 from .metric import christoffel, curvature, fiber_inner
-from .paths import APath, FiberCurve, _interleave, _rk4, geodesic_integrate, jacobi_solve
+from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -329,15 +329,22 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
 
 
 def make_geodesic_pencil(chart, metric, a: AVector, u, eps_values, t_span=(0.0, 1.0), step=1e-3):
-    """The family of geodesics from (x, a + eps*u), sharing one time grid."""
+    """The family of geodesics from (x, a + eps*u), sharing one time grid.
+
+    All rows are integrated as one batch.  If rows leave the chart box or
+    reach a non-finite state, the error raised (DomainExitError or
+    NonFiniteError, with the time and partial path of its row) is that of
+    the failing row with the lowest index, as if the rows were integrated
+    one after another in the order of `eps_values`.
+    """
     eps_values = np.asarray(eps_values, dtype=float)
-    paths = [
-        geodesic_integrate(chart, metric, AVector(a.x, a.mu + e * np.asarray(u)), t_span, step)
-        for e in eps_values
-    ]
-    ts = paths[0].ts
-    x = np.stack([p.xs for p in paths])
-    mu = np.stack([p.mus for p in paths])
+    mu0 = a.mu + eps_values[:, None] * np.asarray(u, dtype=float)
+    x0 = np.broadcast_to(a.x, mu0.shape[:-1] + a.x.shape)
+    ts, ys, _ = _geodesics(chart, metric, x0, mu0, t_span, step)
+    states = np.swapaxes(ys, 0, 1)
+    n = chart.n
+    x = np.ascontiguousarray(states[..., :n])
+    mu = np.ascontiguousarray(states[..., n:])
     return VariationGrid(eps=eps_values, ts=ts, x=x, mu=mu)
 
 

@@ -133,6 +133,35 @@ class TestExpMap:
         np.testing.assert_allclose(out, [np.pi / 2, 1.2], atol=1e-8)
 
 
+class TestBatchedExpMap:
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "so3_biinv"])
+    def test_matches_one_at_a_time(self, name):
+        entry = catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        x = sample_box(chart.domain, 1, seed=21, shrink=0.35)[0]
+        a = sample_fiber(chart.r, 6, seed=21, scale=0.4).reshape(2, 3, chart.r)
+        out = exp_map(chart, metric, x, a, step=1e-2)
+        assert out.shape == (2, 3, chart.n)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[idx], exp_map(chart, metric, x, a[idx], step=1e-2))
+
+    def test_base_points_per_row(self, sphere):
+        xs = sample_box(sphere.chart.domain, 4, seed=22, shrink=0.35)
+        a = sample_fiber(2, 4, seed=22, scale=0.4)
+        out = exp_map(sphere.chart, sphere.metric, xs, a, step=1e-2)
+        for x, ai, o in zip(xs, a, out):
+            np.testing.assert_array_equal(o, exp_map(sphere.chart, sphere.metric, x, ai, step=1e-2))
+
+    def test_lowest_failing_row_wins(self, euclidean2):
+        chart, metric = euclidean2.chart, euclidean2.metric
+        with pytest.raises(DomainExitError) as err:
+            exp_map(chart, metric, [0.0, 0.0], [[0.5, 0.0], [5.0, 0.0], [10.0, 0.0]])
+        with pytest.raises(DomainExitError) as single:
+            exp_map(chart, metric, [0.0, 0.0], [5.0, 0.0])
+        assert err.value.time == single.value.time
+        np.testing.assert_array_equal(err.value.path.xs, single.value.path.xs)
+
+
 class TestParallelTransport:
     def test_flat_transport_constant(self, euclidean2):
         path = geodesic_integrate(

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from algebroid import catalog
-from algebroid.charts import AVector
+from algebroid.charts import AlgebroidChart, AVector
+from algebroid.expressions import EvalDomainError
 from algebroid.metric import MetricField, christoffel
-from algebroid.paths import geodesic_integrate
-from algebroid.sampling import sample_box
+from algebroid.paths import DomainExitError, NonFiniteError, geodesic_integrate
+from algebroid.sampling import sample_box, sample_fiber
 from algebroid.variations import (
     VariationGrid,
     _midpoint_interp,
@@ -283,6 +284,110 @@ class TestGeodesicPencil:
             so3.chart, so3.metric, AVector([0.0], [0.3, 0.4, 0.1]), [0.2, -0.1, 0.5], step=2e-3
         )
         assert rep.deviation < 1e-6
+
+
+def sqrt_wall_chart():
+    """The line over the box [0, 2] with the metric sqrt(x1 + 0.05), which
+    cannot be evaluated at x1 <= -0.05, a little left of the box.  Rows of
+    a pencil that went on integrating after leaving the box on the left
+    would reach that wall and raise EvalDomainError."""
+    chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(0.0, 2.0)])
+    return chart, MetricField({(1, 1): "sqrt(x1 + 0.05)"}, 1, 1)
+
+
+def pencil_failure(chart, metric, a, u, eps, step):
+    with pytest.raises(Exception) as err:
+        make_geodesic_pencil(chart, metric, a, u, eps, (0.0, 1.0), step)
+    return err.value
+
+
+def row_failure(chart, metric, a, u, e, step):
+    """The error the per-row integration of the row a + e*u raises."""
+    with pytest.raises(Exception) as err:
+        geodesic_integrate(chart, metric, AVector(a.x, a.mu + e * np.asarray(u)), (0.0, 1.0), step)
+    return err.value
+
+
+def assert_same_failure(raised, expected):
+    assert type(raised) is type(expected)
+    assert str(raised) == str(expected)
+    if isinstance(expected, (DomainExitError, NonFiniteError)):
+        assert raised.time == expected.time
+        for field in ("ts", "xs", "mus", "dxs", "dmus"):
+            np.testing.assert_array_equal(getattr(raised.path, field), getattr(expected.path, field))
+
+
+class TestBatchedPencil:
+    """The pencil integrates all rows in one RK4 run; each row must be the
+    per-row geodesic, and a failure must be the one the per-row loop meets
+    first (the failing row with the lowest index)."""
+
+    @pytest.mark.parametrize("name", [*catalog.names(), "twisted"])
+    def test_rows_equal_single_geodesics(self, name, request):
+        if name == "twisted":
+            chart, metric = request.getfixturevalue("twisted_chart"), MetricField.identity(3, 2)
+        else:
+            chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        x = sample_box(chart.domain, 1, seed=3, shrink=0.3)[0]
+        a = AVector(x, sample_fiber(chart.r, 1, seed=3, scale=0.4)[0])
+        u = sample_fiber(chart.r, 1, seed=4, scale=0.5)[0]
+        eps = np.linspace(-0.05, 0.05, 5)
+        grid = make_geodesic_pencil(chart, metric, a, u, eps, (0.0, 1.0), 1e-2)
+        for i, e in enumerate(eps):
+            path = geodesic_integrate(chart, metric, AVector(a.x, a.mu + e * u), (0.0, 1.0), 1e-2)
+            np.testing.assert_array_equal(grid.x[i], path.xs)
+            np.testing.assert_array_equal(grid.mu[i], path.mus)
+        assert np.ptp(grid.x[:, -1], axis=0).max() > 1e-3 or chart.has_zero_anchor
+
+    def test_row_leaving_the_box(self, euclidean2):
+        chart, metric = euclidean2.chart, euclidean2.metric
+        a, u = AVector([0.0, 0.0], [0.0, 0.0]), [1.0, 0.0]
+        raised = pencil_failure(chart, metric, a, u, [0.5, 5.0, 1.0], 1e-3)
+        assert isinstance(raised, DomainExitError)
+        assert 0.59 < raised.time < 0.61  # x1 = 5 t leaves |x1| <= 3
+        assert_same_failure(raised, row_failure(chart, metric, a, u, 5.0, 1e-3))
+
+    def test_lowest_failing_row_wins(self, euclidean2):
+        # row 3 leaves the box first (t = 0.301); rows 1 and 2 leave it at
+        # the same node, t = 0.577; a row-by-row loop meets row 1 first
+        chart, metric = euclidean2.chart, euclidean2.metric
+        a, u = AVector([0.0, 0.0], [0.0, 0.0]), [1.0, 0.0]
+        raised = pencil_failure(chart, metric, a, u, [0.5, 5.2, 5.201, 10.0], 1e-3)
+        assert raised.time == pytest.approx(0.577)
+        assert_same_failure(raised, row_failure(chart, metric, a, u, 5.2, 1e-3))
+        assert row_failure(chart, metric, a, u, 5.201, 1e-3).time == raised.time
+
+    def test_non_finite_row(self, aff2):
+        # |mu| = 1e200 overflows the quadratic right side at once
+        chart, metric = aff2.chart, aff2.metric
+        a, u = AVector([0.0], [0.1, 0.1]), [1.0, 1.0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raised = pencil_failure(chart, metric, a, u, [0.0, 1e200, 0.5], 1e-3)
+            expected = row_failure(chart, metric, a, u, 1e200, 1e-3)
+        assert isinstance(raised, NonFiniteError)
+        assert_same_failure(raised, expected)
+
+    def test_frozen_rows_are_not_evaluated(self):
+        # row 1 leaves the box at t = 0.415; integrated any further it
+        # would hit the wall of the metric while row 0 runs on to t = 1
+        chart, metric = sqrt_wall_chart()
+        a, u = AVector([1.0], [0.0]), [1.0]
+        raised = pencil_failure(chart, metric, a, u, [-0.2, -2.0], 5e-3)
+        assert isinstance(raised, DomainExitError)
+        assert_same_failure(raised, row_failure(chart, metric, a, u, -2.0, 5e-3))
+
+    def test_right_side_errors_are_charged_to_their_row(self):
+        # with a coarse step the row mu = -2.5 samples a stage point beyond
+        # the wall (EvalDomainError) in the step after t = 0.3, its nodes
+        # still in the box; the row mu = 2.5 leaves the box later, at t = 0.45
+        chart, metric = sqrt_wall_chart()
+        a, u = AVector([1.0], [0.0]), [1.0]
+        wall = row_failure(chart, metric, a, u, -2.5, 5e-2)
+        exit_right = row_failure(chart, metric, a, u, 2.5, 5e-2)
+        assert isinstance(wall, EvalDomainError)
+        assert isinstance(exit_right, DomainExitError)
+        assert_same_failure(pencil_failure(chart, metric, a, u, [2.5, -2.5], 5e-2), exit_right)
+        assert_same_failure(pencil_failure(chart, metric, a, u, [-2.5, 2.5], 5e-2), wall)
 
 
 class TestGridCsv:
