@@ -12,6 +12,10 @@ pushed through the metric isomorphism to (x, mu) coordinates.  The route
 uses only the raw metric/anchor/bracket evaluations; it never touches the
 connection coefficients, which makes it an independent oracle for the
 primal geodesic equations.
+
+Points may carry leading batch axes, x (..., n) with xi or mu (..., r);
+every row of a batch goes through the same operations as a single point,
+so a batch returns bit for bit the rows a point-by-point loop would.
 """
 
 from __future__ import annotations
@@ -34,7 +38,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DualPoint:
-    """A point of the dual bundle: base x with covector coordinates xi."""
+    """A point of the dual bundle: base x with covector coordinates xi.
+
+    Both may carry the same leading batch axes, x (..., n) and xi (..., r).
+    """
 
     x: np.ndarray
     xi: np.ndarray
@@ -45,53 +52,70 @@ class DualPoint:
 
 
 def poisson_matrix(chart, p: DualPoint):
-    """The (n+r) x (n+r) bivector matrix Pi[a, b] = {z_a, z_b} at p."""
+    """The bivector matrix Pi[..., a, b] = {z_a, z_b} at p, (..., n+r, n+r)."""
     n, r = chart.n, chart.r
     B, _ = chart.eval_anchor(p.x)
     C, _ = chart.eval_bracket(p.x)
-    pi = np.zeros((n + r, n + r))
-    pi[:n, n:] = -B.T  # {x_i, xi_s} = -b^{si}
-    pi[n:, :n] = B
-    pi[n:, n:] = np.einsum("stu,u->st", C, p.xi)
+    pi = np.zeros(B.shape[:-2] + (n + r, n + r))
+    pi[..., :n, n:] = -B.swapaxes(-1, -2)  # {x_i, xi_s} = -b^{si}
+    pi[..., n:, :n] = B
+    pi[..., n:, n:] = np.einsum("...stu,...u->...st", C, p.xi)
     return pi
+
+
+def _matvec(M, v):
+    """M @ v over matching leading batch axes: M (..., a, b), v (..., b)."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _solve(M, v):
+    """M^{-1} v over matching leading batch axes."""
+    return np.linalg.solve(M, v[..., None])[..., 0]
 
 
 def metric_iso(chart, metric, p: DualPoint) -> AVector:
     """mu_k = sum_i g^{ki} xi_i (raise the index with the fiber metric)."""
     G, _, _ = metric.eval(p.x)
-    return AVector(p.x, np.linalg.solve(G, p.xi))
+    return AVector(p.x, _solve(G, p.xi))
 
 
 def metric_iso_inv(chart, metric, v: AVector) -> DualPoint:
     """xi_i = sum_k g_{ik} mu_k (lower the index)."""
     G, _, _ = metric.eval(v.x)
-    return DualPoint(v.x, G @ v.mu)
+    return DualPoint(v.x, _matvec(G, v.mu))
 
 
 def hamiltonian_field(chart, metric, v: AVector):
     """The geodesic field at v, computed on the dual side.
 
-    Returns (dx, dmu).  dE is exact: the x-gradient of E = 1/2 xi^T g^{-1} xi
-    uses d(g^{-1}) = -g^{-1} (dg) g^{-1} with dg from hyper-dual evaluation.
+    v.x (..., n) and v.mu (..., r) may carry the same leading batch axes;
+    returns (dx, dmu) with shapes (..., n) and (..., r).  dE is exact: the
+    x-gradient of E = 1/2 xi^T g^{-1} xi uses d(g^{-1}) = -g^{-1} (dg) g^{-1}
+    with dg from hyper-dual evaluation.  Every row of a batch is computed
+    by the same operations as a single point, so it rounds the same way.
     """
     n = chart.n
     x = np.asarray(v.x, dtype=float)
     mu = np.asarray(v.mu, dtype=float)
     G, dG, _ = metric.eval(x, order=1)
-    xi = G @ mu
+    xi = _matvec(G, mu)
     p = DualPoint(x, xi)
     pi = poisson_matrix(chart, p)
 
-    # gradient of E in (x, xi):  dE/dx_u = -1/2 mu^T (d_u g) mu,  dE/dxi = mu
-    grad_E = np.concatenate(
-        [-0.5 * np.einsum("s,stu,t->u", mu, dG, mu), mu]
-    )
-    zdot = pi.T @ grad_E
-    dx, dxi = zdot[:n], zdot[n:]
+    # gradient of E in (x, xi):  dE/dx_u = -1/2 mu^T (d_u g) mu,  dE/dxi = mu;
+    # the double sum runs s-major in a plain loop, which rounds every row of
+    # a batch alike (einsum's own order depends on the array layout)
+    quad = 0.0
+    for s in range(chart.r):
+        for t in range(chart.r):
+            quad = quad + mu[..., s, None] * dG[..., s, t, :] * mu[..., t, None]
+    grad_E = np.concatenate([-0.5 * quad, mu], axis=-1)
+    zdot = _matvec(pi.swapaxes(-1, -2), grad_E)
+    dx, dxi = zdot[..., :n], zdot[..., n:]
 
     # push xi-dot through the isomorphism: mu = g^{-1} xi
-    dGdt = np.einsum("ijm,m->ij", dG, dx)
-    dmu = np.linalg.solve(G, dxi - dGdt @ mu)
+    dGdt = np.einsum("...ijm,...m->...ij", dG, dx)
+    dmu = _solve(G, dxi - _matvec(dGdt, mu))
     return dx, dmu
 
 
@@ -101,10 +125,15 @@ def euler_identity_residual(chart, metric, v: AVector):
     The bracket identity of the Liouville field with the geodesic field
     forces degree 1 in mu on base components and degree 2 on fiber
     components; the residual compares the field at 2*mu against the scaled
-    field.
+    field.  One field evaluation covers v and 2v.  Returns a float for one
+    point and one residual per row, shape (...), for v with leading batch
+    axes.
     """
-    dx1, dmu1 = hamiltonian_field(chart, metric, v)
-    dx2, dmu2 = hamiltonian_field(chart, metric, AVector(v.x, 2.0 * v.mu))
-    return float(
-        max(np.max(np.abs(dx2 - 2.0 * dx1)), np.max(np.abs(dmu2 - 4.0 * dmu1)))
+    x = np.asarray(v.x, dtype=float)
+    mu = np.asarray(v.mu, dtype=float)
+    dx, dmu = hamiltonian_field(chart, metric, AVector(np.stack([x, x]), np.stack([mu, 2.0 * mu])))
+    res = np.maximum(
+        np.max(np.abs(dx[1] - 2.0 * dx[0]), axis=-1),
+        np.max(np.abs(dmu[1] - 4.0 * dmu[0]), axis=-1),
     )
+    return float(res) if res.ndim == 0 else res

@@ -20,6 +20,13 @@ transitive charts (anchor rank equals the base dimension) and to
 Lie-algebra charts (zero anchor); mixed-rank charts would need leaf
 coordinates the chart does not carry.  The divergence formula itself is
 pointwise and has no such restriction.
+
+Frames are built for many points at once: `_frames` runs one batched
+SVD and one g-Gram-Schmidt over an array of points and groups the frames
+by anchor rank, which may differ between points; `split` is its one-point
+case.  `divergence_terms` and `divergence_fd_lie_algebra` take fiber
+vectors with leading batch axes, and T and H on all pairs of frame
+vectors come from one contraction of Gamma.
 """
 
 from __future__ import annotations
@@ -62,9 +69,13 @@ class SplitError(ValueError):
 class SplitFrame:
     """g-orthonormal bases of ker(#_x) and of its g-orthogonal complement.
 
-    `vertical` has shape (r - q, r), `horizontal` (q, r); rows are fiber
-    vectors.  `warning` flags a singular value within a factor 10 of the
-    rank threshold (the rank may be unstable there).
+    `vertical` has shape (..., r - q, r), `horizontal` (..., q, r); rows are
+    fiber vectors.  A frame from `split` has no leading axes.  The frames
+    of a batch (`_frames`) carry one leading axis over points of equal
+    anchor rank: x (k, n), G (k, r, r) and `warning` a (k,) bool array.
+    `warning` flags a singular value within a factor 10 of the rank
+    threshold (the rank may be unstable there).  The projections take
+    fiber vectors (..., r) whose trailing batch axes match the frame's.
     """
 
     x: np.ndarray
@@ -75,68 +86,83 @@ class SplitFrame:
 
     @property
     def q(self):
-        return self.horizontal.shape[0]
+        return self.horizontal.shape[-2]
 
     @property
     def vertical_dim(self):
-        return self.vertical.shape[0]
+        return self.vertical.shape[-2]
+
+    def _project(self, rows, mu):
+        mu = np.asarray(mu, dtype=float)
+        if rows.shape[-2] == 0:
+            return np.zeros(np.broadcast_shapes(mu.shape, self.G.shape[:-1]))
+        coef = rows @ (self.G @ mu[..., None])
+        return (coef.swapaxes(-1, -2) @ rows)[..., 0, :]
 
     def project_vertical(self, mu):
-        if self.vertical_dim == 0:
-            return np.zeros_like(mu)
-        coef = self.vertical @ (self.G @ mu)
-        return coef @ self.vertical
+        return self._project(self.vertical, mu)
 
     def project_horizontal(self, mu):
-        if self.q == 0:
-            return np.zeros_like(mu)
-        coef = self.horizontal @ (self.G @ mu)
-        return coef @ self.horizontal
+        return self._project(self.horizontal, mu)
 
     def inner(self, u, v):
         return float(u @ self.G @ v)
 
 
+def _g_dot(u, G, w):
+    """u^T G w over leading batch axes: u, w (..., r), G (..., r, r)."""
+    return (u[..., None, :] @ G @ w[..., :, None])[..., 0, 0]
+
+
 def _g_orthonormalize(rows, G):
-    """Gram-Schmidt with respect to G; rows must be linearly independent."""
-    out = []
-    for v in rows:
-        w = v.copy()
-        for u in out:
-            w = w - (u @ G @ w) * u
-        norm = np.sqrt(w @ G @ w)
-        out.append(w / norm)
-    return np.array(out) if out else np.zeros((0, len(G)))
+    """Gram-Schmidt with respect to G over the rows of (..., k, r), in
+    order; the rows must be linearly independent."""
+    out = np.empty(rows.shape)
+    for k in range(rows.shape[-2]):
+        w = rows[..., k, :]
+        for j in range(k):
+            u = out[..., j, :]
+            w = w - _g_dot(u, G, w)[..., None] * u
+        out[..., k, :] = w / np.sqrt(_g_dot(w, G, w))[..., None]
+    return out
+
+
+def _frames(chart, metric, xs):
+    """Split frames at the points xs (E, n), grouped by anchor rank.
+
+    Returns a list of (rows, frame) pairs in increasing rank: `rows`
+    indexes xs, and `frame` is a SplitFrame with a leading axis over those
+    points.  One batched SVD of the anchor gives each point its rank (the
+    singular values above RANK_RTOL times the largest) and an orthonormal
+    basis whose last r - q rows span the kernel.  One g-Gram-Schmidt over
+    the kernel rows followed by the other rows then yields the vertical
+    frame and, g-orthogonal to it, the horizontal frame at every point.
+    """
+    xs = np.asarray(xs, dtype=float)
+    B, _ = chart.eval_anchor(xs)
+    G, _, _ = metric.eval(xs)
+    _, sigma, Vt = np.linalg.svd(B.swapaxes(-1, -2))
+    thresh = RANK_RTOL * sigma[:, :1]  # 0 for a zero anchor, so rank 0
+    q = (sigma > thresh).sum(axis=-1)
+    warning = ((sigma > thresh / 10.0) & (sigma < thresh * 10.0)).any(axis=-1)
+    r = chart.r
+    kernel_first = (np.arange(r) + q[:, None]) % r
+    basis = _g_orthonormalize(Vt[np.arange(len(xs))[:, None], kernel_first], G)
+    groups = []
+    for rank in sorted(set(q.tolist())):
+        rows = np.flatnonzero(q == rank)
+        pick = slice(None) if len(rows) == len(xs) else rows
+        p = r - rank
+        frame = SplitFrame(xs[pick], basis[pick, :p], basis[pick, p:], G[pick], warning[pick])
+        groups.append((rows, frame))
+    return groups
 
 
 def split(chart, metric, x) -> SplitFrame:
-    """Pointwise orthogonal decomposition of the fiber at x."""
+    """Pointwise orthogonal decomposition of the fiber at one point x."""
     x = np.asarray(x, dtype=float)
-    B, _ = chart.eval_anchor(x)
-    G, _, _ = metric.eval(x)
-    A = B.T  # (n, r): mu -> A mu are the tangent components of #(mu)
-    U, sigma, Vt = np.linalg.svd(A)
-    smax = sigma[0] if len(sigma) else 0.0
-    warning = False
-    if smax == 0.0:
-        q = 0
-    else:
-        thresh = RANK_RTOL * smax
-        q = int(np.sum(sigma > thresh))
-        near = (sigma > thresh / 10.0) & (sigma < thresh * 10.0)
-        warning = bool(np.any(near))
-    vertical_raw = Vt[q:]  # rows span ker(A)
-    row_raw = Vt[:q]
-    vertical = _g_orthonormalize(vertical_raw, G)
-    # complement: remove the vertical g-components, then orthonormalize
-    horiz = []
-    for v in row_raw:
-        w = v.copy()
-        for u in vertical:
-            w = w - (u @ G @ w) * u
-        horiz.append(w)
-    horizontal = _g_orthonormalize(horiz, G) if horiz else np.zeros((0, chart.r))
-    return SplitFrame(x=x, vertical=vertical, horizontal=horizontal, G=G, warning=warning)
+    [(_, f)] = _frames(chart, metric, x[None])
+    return SplitFrame(x, f.vertical[0], f.horizontal[0], f.G[0], bool(f.warning[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,116 +188,105 @@ def _pointwise_D(gamma, a, b):
     return np.einsum("...s,...t,...stu->...u", a, b, gamma)
 
 
-def oneill_T_apply(chart, metric, x, a, b, frame=None, gamma=None):
-    """T_a b for coordinate fiber vectors a, b at x."""
+def _oneill_apply(frame, gamma, a, b, project_a):
+    """(D_a' b^v)^h + (D_a' b^h)^v with a' = project_a(a), for fiber vectors
+    a, b (..., r): T_a b when project_a is frame.project_vertical, H_a b
+    when it is frame.project_horizontal."""
+    a = project_a(a)
+    bv = frame.project_vertical(b)
+    bh = frame.project_horizontal(b)
+    return frame.project_horizontal(_pointwise_D(gamma, a, bv)) + frame.project_vertical(
+        _pointwise_D(gamma, a, bh)
+    )
+
+
+def _frame_and_gamma(chart, metric, x, frame, gamma):
     frame = frame or split(chart, metric, x)
     if gamma is None:
         gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    av = frame.project_vertical(np.asarray(a, float))
-    bv = frame.project_vertical(np.asarray(b, float))
-    bh = frame.project_horizontal(np.asarray(b, float))
-    return frame.project_horizontal(_pointwise_D(gamma, av, bv)) + frame.project_vertical(
-        _pointwise_D(gamma, av, bh)
-    )
+    return frame, gamma
+
+
+def oneill_T_apply(chart, metric, x, a, b, frame=None, gamma=None):
+    """T_a b for coordinate fiber vectors a, b (..., r) at one point x."""
+    frame, gamma = _frame_and_gamma(chart, metric, x, frame, gamma)
+    return _oneill_apply(frame, gamma, a, b, frame.project_vertical)
 
 
 def oneill_H_apply(chart, metric, x, a, b, frame=None, gamma=None):
-    """H_a b for coordinate fiber vectors a, b at x."""
-    frame = frame or split(chart, metric, x)
-    if gamma is None:
-        gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    ah = frame.project_horizontal(np.asarray(a, float))
-    bv = frame.project_vertical(np.asarray(b, float))
-    bh = frame.project_horizontal(np.asarray(b, float))
-    return frame.project_horizontal(_pointwise_D(gamma, ah, bv)) + frame.project_vertical(
-        _pointwise_D(gamma, ah, bh)
+    """H_a b for coordinate fiber vectors a, b (..., r) at one point x."""
+    frame, gamma = _frame_and_gamma(chart, metric, x, frame, gamma)
+    return _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
+
+
+def _pairs(A, B):
+    """Rows of A and B laid out over all pairs: (a, b) with a[i, j] = A[i]
+    and b[i, j] = B[j], shape (len(A), len(B), r)."""
+    return (
+        np.repeat(A[:, None, :], len(B), axis=1),
+        np.repeat(B[None, :, :], len(A), axis=0),
     )
+
+
+def _on_frame_pairs(chart, metric, x):
+    """Frame and Gamma at x, the frame basis E (vertical rows first) and T,
+    H applied to every pair of frame vectors: TT[i, j] = T_{E_i} E_j and
+    HH[i, j] = H_{E_i} E_j in coordinates, each one batched contraction of
+    Gamma over the (r, r) pairs."""
+    frame = split(chart, metric, x)
+    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
+    basis = np.vstack([frame.vertical, frame.horizontal])
+    a, b = _pairs(basis, basis)
+    TT = _oneill_apply(frame, gamma, a, b, frame.project_vertical)
+    HH = _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
+    return frame, gamma, basis, TT, HH
 
 
 def oneill_tensors(chart, metric, x) -> OneillTensors:
     """T and H as component arrays on the split frame at x."""
-    frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    basis = np.vstack([frame.vertical, frame.horizontal])
-    r = chart.r
-    T = np.zeros((r, r, r))
-    H = np.zeros((r, r, r))
-    for i in range(r):
-        for j in range(r):
-            Tv = oneill_T_apply(chart, metric, x, basis[i], basis[j], frame, gamma)
-            Hv = oneill_H_apply(chart, metric, x, basis[i], basis[j], frame, gamma)
-            T[i, j] = basis @ (frame.G @ Tv)
-            H[i, j] = basis @ (frame.G @ Hv)
-    return OneillTensors(frame=frame, T=T, H=H)
+    frame, _, basis, TT, HH = _on_frame_pairs(chart, metric, x)
+
+    def components(vectors):
+        return (basis @ (frame.G @ vectors[..., None]))[..., 0]
+
+    return OneillTensors(frame=frame, T=components(TT), H=components(HH))
+
+
+def _worst(values):
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def oneill_identity_residuals(chart, metric, x):
     """Residuals of the algebraic identities of T and H at x.
 
     Checked on the frame basis (extended bilinearly this covers all
-    vectors).  Returns a dict name -> residual.
+    vectors), from T and H on all pairs of frame vectors.  Returns a dict
+    name -> residual.
     """
-    frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    C, _ = chart.eval_bracket(x)
+    frame, gamma, basis, TT, HH = _on_frame_pairs(chart, metric, x)
+    C, _ = chart.eval_bracket(np.asarray(x, dtype=float))
     G = frame.G
-    V, Hb = frame.vertical, frame.horizontal
+    p = frame.vertical_dim
+    V, Hb = basis[:p], basis[p:]
+    Tvv, Hhh = TT[:p, :p], HH[p:, p:]  # T_u v and H_h1 h2
+    half_bracket = 0.5 * frame.project_vertical(_pointwise_D(C, *_pairs(Hb, Hb)))
 
-    def T(a, b):
-        return oneill_T_apply(chart, metric, x, a, b, frame, gamma)
+    def pair(X, Y):
+        """<X[i, j], Y[k]> over all (i, j, k)."""
+        return _g_dot(X[:, :, None, :], G, Y[None, None, :, :])
 
-    def Hten(a, b):
-        return oneill_H_apply(chart, metric, x, a, b, frame, gamma)
-
-    res = {k: 0.0 for k in (
-        "T_horizontal_slot", "H_vertical_slot", "T_vertical_symmetry",
-        "H_horizontal_antisymmetry", "T_skew_adjoint", "H_skew_adjoint",
-        "H_half_bracket", "T_vertical_D_part",
-    )}
-
-    basis = np.vstack([V, Hb])
-    for h in Hb:
-        for b in basis:
-            res["T_horizontal_slot"] = max(res["T_horizontal_slot"], float(np.max(np.abs(T(h, b)))))
-    for v in V:
-        for b in basis:
-            res["H_vertical_slot"] = max(res["H_vertical_slot"], float(np.max(np.abs(Hten(v, b)))))
-    for u in V:
-        for v in V:
-            res["T_vertical_symmetry"] = max(
-                res["T_vertical_symmetry"], float(np.max(np.abs(T(u, v) - T(v, u))))
-            )
-            res["T_vertical_D_part"] = max(
-                res["T_vertical_D_part"],
-                float(np.max(np.abs(frame.project_horizontal(_pointwise_D(gamma, u, v)) - T(u, v)))),
-            )
-    for h1 in Hb:
-        for h2 in Hb:
-            res["H_horizontal_antisymmetry"] = max(
-                res["H_horizontal_antisymmetry"],
-                float(np.max(np.abs(Hten(h1, h2) + Hten(h2, h1)))),
-            )
-            half_bracket = 0.5 * frame.project_vertical(
-                np.einsum("s,t,stu->u", h1, h2, C)
-            )
-            res["H_half_bracket"] = max(
-                res["H_half_bracket"], float(np.max(np.abs(Hten(h1, h2) - half_bracket)))
-            )
-    for u in V:
-        for v in V:
-            for h in Hb:
-                res["T_skew_adjoint"] = max(
-                    res["T_skew_adjoint"],
-                    abs(float(T(u, v) @ G @ h) + float(T(u, h) @ G @ v)),
-                )
-    for h1 in Hb:
-        for h2 in Hb:
-            for v in V:
-                res["H_skew_adjoint"] = max(
-                    res["H_skew_adjoint"],
-                    abs(float(Hten(h1, h2) @ G @ v) + float(Hten(h1, v) @ G @ h2)),
-                )
-    return res
+    return {
+        "T_horizontal_slot": _worst(TT[p:]),
+        "H_vertical_slot": _worst(HH[:p]),
+        "T_vertical_symmetry": _worst(Tvv - Tvv.swapaxes(0, 1)),
+        "H_horizontal_antisymmetry": _worst(Hhh + Hhh.swapaxes(0, 1)),
+        "T_skew_adjoint": _worst(pair(Tvv, Hb) + pair(TT[:p, p:], V).swapaxes(1, 2)),
+        "H_skew_adjoint": _worst(pair(Hhh, V) + pair(HH[p:, :p], Hb).swapaxes(1, 2)),
+        "H_half_bracket": _worst(Hhh - half_bracket),
+        "T_vertical_D_part": _worst(
+            frame.project_horizontal(_pointwise_D(gamma, *_pairs(V, V))) - Tvv
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -279,40 +294,59 @@ def oneill_identity_residuals(chart, metric, x):
 # ---------------------------------------------------------------------------
 
 
+def _flat_rows(chart, v: AVector):
+    """Points and fiber vectors of v, which share their leading batch axes,
+    as rows (E, n) and (E, r), and the leading shape they came from."""
+    x = np.asarray(v.x, dtype=float)
+    mu = np.asarray(v.mu, dtype=float)
+    return x.reshape(-1, chart.n), mu.reshape(-1, chart.r), x.shape[:-1]
+
+
+def _unflatten(values, base):
+    return float(values[0]) if base == () else values.reshape(base)
+
+
 def divergence_terms(chart, metric, v: AVector):
     """(trace term, mean-curvature term) of div X_E at v.
 
     The trace term is Tr of u -> [a^v, u] on the vertical space; the
     second is <a^h, N> with N the sum of T over an orthonormal vertical
-    frame.  Constant extensions of kernel vectors have their bracket in
-    the kernel again; this is asserted.
+    frame.  v.x (..., n) and v.mu (..., r) may carry leading batch axes:
+    the terms are floats for one point and arrays of shape (...) for a
+    batch, whose frames come from one batched split.  Constant extensions
+    of kernel vectors have their bracket in the kernel again; this is
+    asserted, and the SplitError raised is that of the lowest-index point
+    that violates it, as a point-by-point loop would raise.
     """
-    x = np.asarray(v.x, float)
-    mu = np.asarray(v.mu, float)
-    frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    C, _ = chart.eval_bracket(x)
-    B, _ = chart.eval_anchor(x)
-    av = frame.project_vertical(mu)
-    ah = frame.project_horizontal(mu)
-
-    trace = 0.0
-    for vk in frame.vertical:
-        w = np.einsum("s,t,stu->u", av, vk, C)
-        push = np.einsum("u,ui->i", w, B)
-        if np.max(np.abs(push)) > KERNEL_TOL:
-            raise SplitError(
-                "bracket of kernel vectors left the kernel "
-                f"(anchor norm {float(np.max(np.abs(push))):.3e}); "
-                "chart data violates the algebroid axioms here"
-            )
-        trace += float(w @ frame.G @ vk)
-
-    N = np.zeros(chart.r)
-    for vk in frame.vertical:
-        N = N + oneill_T_apply(chart, metric, x, vk, vk, frame, gamma)
-    mean_curv = float(ah @ frame.G @ N)
-    return trace, mean_curv
+    xs, mus, base = _flat_rows(chart, v)
+    gamma = christoffel(chart, metric, xs, with_derivative=False).gamma
+    C, _ = chart.eval_bracket(xs)
+    B, _ = chart.eval_anchor(xs)
+    trace = np.zeros(len(xs))
+    mean_curv = np.zeros(len(xs))
+    leak = np.full(len(xs), np.nan)  # anchor norm of the first kernel vector
+    for rows, frame in _frames(chart, metric, xs):
+        av = frame.project_vertical(mus[rows])
+        ah = frame.project_horizontal(mus[rows])
+        tr = 0.0
+        N = np.zeros(ah.shape)
+        for vk in np.moveaxis(frame.vertical, -2, 0):
+            w = np.einsum("...s,...t,...stu->...u", av, vk, C[rows])
+            push = np.max(np.abs(np.einsum("...u,...ui->...i", w, B[rows])), axis=-1)
+            first = (push > KERNEL_TOL) & np.isnan(leak[rows])
+            leak[rows[first]] = push[first]
+            tr = tr + _g_dot(w, frame.G, vk)
+            N = N + _oneill_apply(frame, gamma[rows], vk, vk, frame.project_vertical)
+        trace[rows] = tr
+        mean_curv[rows] = _g_dot(ah, frame.G, N)
+    failed = np.flatnonzero(~np.isnan(leak))
+    if len(failed):
+        raise SplitError(
+            "bracket of kernel vectors left the kernel "
+            f"(anchor norm {leak[failed[0]]:.3e}); "
+            "chart data violates the algebroid axioms here"
+        )
+    return _unflatten(trace, base), _unflatten(mean_curv, base)
 
 
 def divergence_XE(chart, metric, v: AVector):
@@ -325,22 +359,23 @@ def divergence_fd_lie_algebra(chart, metric, v: AVector, step=1e-5):
     """Euclidean divergence of the fiber field of X_E by central differences.
 
     Valid for zero-anchor charts, where the Sasaki metric is the flat
-    fiber metric and the base does not move.
+    fiber metric and the base does not move.  v may carry leading batch
+    axes; the 2r shifted fiber vectors of every point go through one
+    batched `geodesic_rhs` call.  A float for one point, else shape (...).
     """
     if not chart.has_zero_anchor:
         raise SplitError("finite-difference divergence oracle needs a zero anchor")
     from .paths import geodesic_rhs  # local import to keep modules acyclic
 
-    x = np.asarray(v.x, float)
-    mu = np.asarray(v.mu, float)
+    xs, mus, base = _flat_rows(chart, v)
+    e = step * np.eye(chart.r)  # row j shifts component j
+    shifted = np.stack([mus[:, None, :] + e, mus[:, None, :] - e])  # (2, E, r, r)
+    at = np.broadcast_to(xs[:, None, :], shifted.shape[:-1] + (chart.n,))
+    _, dmu = geodesic_rhs(chart, metric, at, shifted)
     total = 0.0
     for j in range(chart.r):
-        e = np.zeros(chart.r)
-        e[j] = step
-        _, plus = geodesic_rhs(chart, metric, x, mu + e)
-        _, minus = geodesic_rhs(chart, metric, x, mu - e)
-        total += (plus[j] - minus[j]) / (2.0 * step)
-    return float(total)
+        total = total + (dmu[0, :, j, j] - dmu[1, :, j, j]) / (2.0 * step)
+    return _unflatten(total, base)
 
 
 # ---------------------------------------------------------------------------
@@ -526,28 +561,31 @@ class CurvatureCheckResult:
         return max(vals) if vals else 0.0
 
 
-def _covariant_T_derivative(chart, metric, x, frame, a, b, c, fd_step=1e-5):
-    """((D_a T)_b c at x: derivative of the T field minus connection terms."""
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    B, _ = chart.eval_anchor(x)
-    base_dir = np.einsum("s,si->i", a, B)
-
-    def Tfield(y):
-        return oneill_T_apply(chart, metric, y, b, c)
-
+def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c, fd_step=1e-5):
+    """((D_a T)_b c at x for fiber vectors a, b, c (P, r): the T field by
+    central differences over the frames at x +- fd_step e_m (one batched
+    split and one Gamma call for all 2n points), plus the connection terms
+    at x."""
     n = chart.n
-    dF = np.zeros((chart.r, n))
-    for m in range(n):
-        em = np.eye(n)[m] * fd_step
-        dF[:, m] = (Tfield(x + em) - Tfield(x - em)) / (2 * fd_step)
-    F0 = oneill_T_apply(chart, metric, x, b, c, frame, gamma)
-    DaF = dF @ base_dir + np.einsum("s,t,stu->u", a, F0, gamma)
+    B, _ = chart.eval_anchor(x)
+    base_dir = np.einsum("...s,si->...i", a, B)
+    steps = np.eye(n) * fd_step
+    ys = np.concatenate([x + steps, x - steps])
+    gamma_ys = christoffel(chart, metric, ys, with_derivative=False).gamma
+    T_ys = np.empty((2 * n,) + np.shape(b))
+    for rows, f in _frames(chart, metric, ys):
+        # one more axis on the frames, so that they broadcast over the P vectors
+        f = SplitFrame(f.x[:, None], f.vertical[:, None], f.horizontal[:, None], f.G[:, None])
+        T_ys[rows] = _oneill_apply(f, gamma_ys[rows, None], b, c, f.project_vertical)
+    dF = np.stack([(T_ys[m] - T_ys[n + m]) / (2 * fd_step) for m in range(n)], axis=-1)
+    F0 = _oneill_apply(frame, gamma, b, c, frame.project_vertical)
+    DaF = (dF @ base_dir[..., None])[..., 0] + _pointwise_D(gamma, a, F0)
     Dab = _pointwise_D(gamma, a, b)
     Dac = _pointwise_D(gamma, a, c)
     return (
         DaF
-        - oneill_T_apply(chart, metric, x, Dab, c, frame, gamma)
-        - oneill_T_apply(chart, metric, x, b, Dac, frame, gamma)
+        - _oneill_apply(frame, gamma, Dab, c, frame.project_vertical)
+        - _oneill_apply(frame, gamma, b, Dac, frame.project_vertical)
     )
 
 
@@ -560,6 +598,9 @@ def oneill_curvature_check(chart, metric, x, fd_step=1e-5) -> CurvatureCheckResu
         K(h,u) = <(D_h T)_u u, h> - |T_u h|^2 + |H_h u|^2
     horizontal pairs (needs a transitive chart with n >= 2):
         K(h1,h2) = Kleaf(#h1,#h2) - 3 |H_{h1} h2|^2
+
+    The frame and Gamma at x serve every pair; the pairs of each identity
+    are evaluated together.
     """
     x = np.asarray(x, dtype=float)
     frame = split(chart, metric, x)
@@ -568,44 +609,41 @@ def oneill_curvature_check(chart, metric, x, fd_step=1e-5) -> CurvatureCheckResu
     V, Hb = frame.vertical, frame.horizontal
     p, q = V.shape[0], Hb.shape[0]
 
+    def T(a, b):
+        return _oneill_apply(frame, gamma, a, b, frame.project_vertical)
+
+    def H(a, b):
+        return _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
+
     vertical_res = None
     if p >= 2:
         Khat = _vertical_algebra_curvature(chart, metric, frame)
-        vertical_res = 0.0
-        for i in range(p):
-            for j in range(i + 1, p):
-                K = sectional_curvature(chart, metric, x, V[i], V[j])
-                Tij = oneill_T_apply(chart, metric, x, V[i], V[j], frame, gamma)
-                Tii = oneill_T_apply(chart, metric, x, V[i], V[i], frame, gamma)
-                Tjj = oneill_T_apply(chart, metric, x, V[j], V[j], frame, gamma)
-                rhs = Khat[i, j] + Tij @ G @ Tij - Tii @ G @ Tjj
-                vertical_res = max(vertical_res, abs(K - rhs))
+        i, j = np.triu_indices(p, 1)
+        u, v = V[i], V[j]
+        K = sectional_curvature(chart, metric, x, u, v)
+        Tuv, Tuu, Tvv = T(u, v), T(u, u), T(v, v)
+        rhs = Khat[i, j] + _g_dot(Tuv, G, Tuv) - _g_dot(Tuu, G, Tvv)
+        vertical_res = _worst(K - rhs)
 
     mixed_res = None
     if p >= 1 and q >= 1:
-        mixed_res = 0.0
-        for h in Hb:
-            for u in V:
-                K = sectional_curvature(chart, metric, x, h, u)
-                DT = _covariant_T_derivative(chart, metric, x, frame, h, u, u, fd_step)
-                Tuh = oneill_T_apply(chart, metric, x, u, h, frame, gamma)
-                Hhu = oneill_H_apply(chart, metric, x, h, u, frame, gamma)
-                rhs = float(DT @ G @ h) - Tuh @ G @ Tuh + Hhu @ G @ Hhu
-                mixed_res = max(mixed_res, abs(K - rhs))
+        h, u = np.repeat(Hb, p, axis=0), np.tile(V, (q, 1))  # (h, u) pairs, h-major
+        K = sectional_curvature(chart, metric, x, h, u)
+        DT = _covariant_T_derivative(chart, metric, x, frame, gamma, h, u, u, fd_step)
+        Tuh, Hhu = T(u, h), H(h, u)
+        rhs = _g_dot(DT, G, h) - _g_dot(Tuh, G, Tuh) + _g_dot(Hhu, G, Hhu)
+        mixed_res = _worst(K - rhs)
 
     horizontal_res = None
     if q == chart.n and q >= 2:
-        horizontal_res = 0.0
         B, _ = chart.eval_anchor(x)
-        for i in range(q):
-            for j in range(i + 1, q):
-                h1, h2 = Hb[i], Hb[j]
-                K = sectional_curvature(chart, metric, x, h1, h2)
-                Kleaf = _classical_leaf_sectional(
-                    chart, metric, x, h1 @ B, h2 @ B
-                )
-                Hij = oneill_H_apply(chart, metric, x, h1, h2, frame, gamma)
-                rhs = Kleaf - 3.0 * float(Hij @ G @ Hij)
-                horizontal_res = max(horizontal_res, abs(K - rhs))
+        i, j = np.triu_indices(q, 1)
+        h1, h2 = Hb[i], Hb[j]
+        K = sectional_curvature(chart, metric, x, h1, h2)
+        Kleaf = np.array(
+            [_classical_leaf_sectional(chart, metric, x, a @ B, b @ B) for a, b in zip(h1, h2)]
+        )
+        H12 = H(h1, h2)
+        horizontal_res = _worst(K - (Kleaf - 3.0 * _g_dot(H12, G, H12)))
 
     return CurvatureCheckResult(vertical_res, mixed_res, horizontal_res)

@@ -7,7 +7,7 @@ import pytest
 
 from algebroid import catalog
 from algebroid.chartfile import dumps_chart
-from algebroid.cli import main
+from algebroid.cli import _VERBS, main
 from algebroid.metric import MetricField
 
 
@@ -259,7 +259,8 @@ def test_console_script_help():
         text=True,
     )
     assert out.returncode == 0
-    assert "validate" in out.stdout
+    for verb in _VERBS:
+        assert verb in out.stdout
 
 
 @pytest.mark.parametrize(
@@ -282,3 +283,32 @@ def test_variation_check_passes_on_every_catalog_chart(name, tmp_path, capsys):
     rc = main(["variation-check", "--catalog", name, "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 0
+
+
+POINTWISE_VERBS = ["validate", "curvature", "oneill", "divergence", "hamcheck"]
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["twisted"])
+@pytest.mark.parametrize("verb", POINTWISE_VERBS)
+def test_pointwise_verbs_pass_on_every_chart(verb, name, tmp_path, capsys):
+    source = ["--catalog", name]
+    if name == "twisted":
+        from conftest import build_twisted_chart
+
+        path = tmp_path / "twisted.chart"
+        path.write_text(dumps_chart(build_twisted_chart(), MetricField.identity(3, 2)))
+        source = ["--chart", str(path)]
+    rc = main([verb, *source, "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "overall_pass=true" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [[], ["--catalog", "euclidean2"], ["frobnicate"]])
+def test_missing_or_unknown_verb_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.startswith("usage: algebroid")
+    assert not (tmp_path / "report.txt").exists()
