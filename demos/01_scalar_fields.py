@@ -1,9 +1,9 @@
 """Analytic scalar fields: parsing and exact derivatives.
 
 Fields over a chart are plain text expressions in x1..xn.  One evaluation
-returns the value together with the exact gradient and Hessian (hyper-dual
-arithmetic), which is what keeps every curvature quantity downstream free
-of finite-difference tuning.
+returns the value together with the exact gradient and Hessian (exact
+second-order chain rules, one array per partial), which is what keeps
+every curvature quantity downstream free of finite-difference tuning.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """Connection coefficients and curvature.
 
 The coefficients follow the metric/bracket closed form; their space
-derivatives are exact (hyper-dual), so curvature carries no step-size
+derivatives are exact (second-order forward mode), so curvature carries no step-size
 parameter.  Two classical checks: the round-sphere chart has sectional
 curvature 1, and a bi-invariant metric halves the structure constants.
 """

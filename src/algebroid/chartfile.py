@@ -100,11 +100,8 @@ def loads_chart(text):
         raise ChartFileError(f"domain needs {n} 'lo,hi' pairs, got {len(pairs)}", dom_line)
     domain = []
     for p in pairs:
-        parts = p.split(",")
-        if len(parts) != 2:
-            raise ChartFileError(f"bad domain pair {p!r}", dom_line)
         try:
-            lo, hi = float(parts[0]), float(parts[1])
+            lo, hi = map(float, p.split(","))
         except ValueError:
             raise ChartFileError(f"bad domain pair {p!r}", dom_line) from None
         domain.append((lo, hi))
@@ -141,9 +138,7 @@ def loads_chart(text):
 
 
 def _parse_indices(idx, count, lineno, key):
-    if idx is None:
-        raise ChartFileError(f"{key} entry needs {count} indices", lineno)
-    parts = [p.strip() for p in idx.split(",")]
+    parts = [] if idx is None else [p.strip() for p in idx.split(",")]
     if len(parts) != count:
         raise ChartFileError(f"{key} entry needs {count} indices", lineno)
     try:

@@ -19,6 +19,13 @@ with a sign on evaluation, so the antisymmetry C_{st}^u = -C_{ts}^u holds
 to the bit.  A Lie algebra is encoded as a chart with n = 1 and zero
 anchor; every field is then constant and base paths degenerate to points.
 
+B and C are evaluated by one `~algebroid.expressions.Program` per chart,
+built on first use and shared with every connection of the chart:
+constant entries and constant partials sit in templates that every
+evaluation copies, the other entries are computed per call and scattered
+over them, and an array that no entry touches is known to vanish
+(`has_zero_anchor`, `is_constant`).
+
 Charts are immutable after construction and all operations here are pure.
 """
 
@@ -28,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import Expression, parse
+from .expressions import Expression, Program, parse
 from .sampling import sample_box
 
 __all__ = [
@@ -109,70 +116,39 @@ class AlgebroidChart:
         object.__setattr__(self, "b", tuple(rows))
         object.__setattr__(self, "c_upper", dict(entries))
         object.__setattr__(self, "domain", dom)
-        # constant parts of B and C, filled once; evaluation copies them and
-        # writes only the non-constant entries listed beside them
-        B0 = np.zeros((r, n))
-        b_var = []
-        for s, row in enumerate(rows):
-            for i, expr in enumerate(row):
-                if expr.is_constant:
-                    B0[s, i] = expr.root.value
-                else:
-                    b_var.append((s, i, expr))
-        C0 = np.zeros((r, r, r))
-        c_var = []
-        for (s, t, u), expr in entries.items():
-            if expr.is_constant:
-                C0[s, t, u] = expr.root.value
-                C0[t, s, u] = -expr.root.value
-            else:
-                c_var.append((s, t, u, expr))
-        object.__setattr__(self, "_B0", B0)
-        object.__setattr__(self, "_b_var", tuple(b_var))
-        object.__setattr__(self, "_C0", C0)
-        object.__setattr__(self, "_c_var", tuple(c_var))
 
     # -- evaluation ---------------------------------------------------------
 
+    def _declare(self, prog):
+        """Add the groups B (order 1) and C (order 1) to a program; returns
+        their group numbers."""
+        b = [(e, [((s, i), 1)]) for s, row in enumerate(self.b) for i, e in enumerate(row)]
+        c = [(e, [((s, t, u), 1), ((t, s, u), -1)]) for (s, t, u), e in self.c_upper.items()]
+        return (
+            prog.add_group((self.r, self.n), 1, b),
+            prog.add_group((self.r, self.r, self.r), 1, c),
+        )
+
     def eval_anchor(self, points, order=0):
         """Anchor matrix B (..., r, n) and optionally dB (..., r, n, n)."""
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        B = np.empty(base + (self.r, self.n))
-        B[...] = self._B0
-        dB = np.zeros(base + (self.r, self.n, self.n)) if order >= 1 else None
-        for s, i, expr in self._b_var:
-            t = expr.eval_raw(points, order=min(order, 1))
-            B[..., s, i] = t.v
-            if order >= 1:
-                dB[..., s, i, :] = t.g
+        B, dB, _ = Program.of(self).run(np.asarray(points, dtype=float), (order, None))[0]
         return B, dB
 
     def eval_bracket(self, points, order=0):
         """Coefficients C (..., r, r, r) and optionally dC (..., r, r, r, n)."""
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        C = np.empty(base + (self.r, self.r, self.r))
-        C[...] = self._C0
-        dC = np.zeros(base + (self.r, self.r, self.r, self.n)) if order >= 1 else None
-        for s, t, u, expr in self._c_var:
-            e = expr.eval_raw(points, order=min(order, 1))
-            C[..., s, t, u] = e.v
-            C[..., t, s, u] = -e.v
-            if order >= 1:
-                dC[..., s, t, u, :] = e.g
-                dC[..., t, s, u, :] = -e.g
+        C, dC, _ = Program.of(self).run(np.asarray(points, dtype=float), (None, order))[1]
         return C, dC
 
     # -- convenience --------------------------------------------------------
 
     @property
     def has_zero_anchor(self):
-        return not self._b_var and not self._B0.any()
+        return Program.of(self).is_zero(0)
 
     @property
     def is_constant(self):
-        return not self._b_var and not self._c_var
+        prog = Program.of(self)
+        return prog.constant(0) is not None and prog.constant(1) is not None
 
     def contains(self, x, margin=0.0):
         x = np.asarray(x, dtype=float)
@@ -222,16 +198,12 @@ class SectionField:
     def r(self):
         return len(self.components)
 
+    def _declare(self, prog):
+        prog.add_group((self.r,), 1, [(e, [((k,), 1)]) for k, e in enumerate(self.components)])
+
     def eval_raw(self, points, order=0):
-        points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        vals = np.empty(base + (self.r,))
-        grads = np.empty(base + (self.r, self.n)) if order >= 1 else None
-        for k, comp in enumerate(self.components):
-            t = comp.eval_raw(points, order=min(order, 1))
-            vals[..., k] = t.v
-            if order >= 1:
-                grads[..., k, :] = t.g
+        """Components (..., r) and optionally their gradients (..., r, n)."""
+        vals, grads, _ = Program.of(self).run(np.asarray(points, dtype=float), (order,))[0]
         return vals, grads
 
     def evaluate(self, x):
@@ -295,10 +267,6 @@ class ValidationReport:
         rows = [c for c in self.checks if c.name == name]
         return max(rows, key=lambda c: c.residual) if rows else None
 
-    def rows(self):
-        for c in self.checks:
-            yield (c.name, c.indices, c.residual, c.tolerance, c.passed, c.point)
-
     def to_csv(self, path):
         """One row per axiom at its worst sample point."""
         n = max((len(c.point) for c in self.checks), default=0)
@@ -343,52 +311,28 @@ def validate(chart, samples=200, seed=42, tol=1e-9) -> ValidationReport:
     B, dB = chart.eval_anchor(pts, order=1)
     C, dC = chart.eval_bracket(pts, order=1)
 
-    report = ValidationReport()
+    def worst(name, residuals, tolerance):
+        # the sample axis comes first; the indices of the others are 1-based
+        k = np.unravel_index(np.argmax(residuals), residuals.shape)
+        indices = tuple(int(i) + 1 for i in k[1:])
+        return ValidationCheck(name, indices, float(residuals[k]), tolerance, pts[k[0]])
 
-    anti = np.abs(C + np.swapaxes(C, -3, -2))
-    k = np.unravel_index(np.argmax(anti), anti.shape)
-    report.checks.append(
-        ValidationCheck(
-            "antisymmetry",
-            tuple(int(i) + 1 for i in k[1:]),
-            float(anti[k]),
-            1e-12,
-            pts[k[0]],
-        )
-    )
+    report = ValidationReport()
+    report.checks.append(worst("antisymmetry", np.abs(C + np.swapaxes(C, -3, -2)), 1e-12))
 
     # #[a_s,a_t] = [#a_s, #a_t] in coordinates
     push = np.einsum("...stu,...uk->...stk", C, B)
     lie = np.einsum("...sm,...tkm->...stk", B, dB) - np.einsum(
         "...tm,...skm->...stk", B, dB
     )
-    am = np.abs(push - lie)
-    k = np.unravel_index(np.argmax(am), am.shape)
-    report.checks.append(
-        ValidationCheck(
-            "anchor_morphism",
-            tuple(int(i) + 1 for i in k[1:]),
-            float(am[k]),
-            tol,
-            pts[k[0]],
-        )
-    )
+    report.checks.append(worst("anchor_morphism", np.abs(push - lie), tol))
 
     jac = np.abs(_jacobiator(B, dC, C))
     # only strict triples s < t < u carry information
-    mask = np.zeros(jac.shape[1:], dtype=bool)
-    r = chart.r
-    for s in range(r):
-        for t in range(s + 1, r):
-            for u in range(t + 1, r):
-                mask[s, t, u, :] = True
+    s, t, u = np.ogrid[: chart.r, : chart.r, : chart.r]
+    mask = np.broadcast_to(((s < t) & (t < u))[..., None], jac.shape[1:])
     if mask.any():
-        masked = np.where(mask, jac, 0.0)
-        k = np.unravel_index(np.argmax(masked), masked.shape)
-        residual = float(masked[k])
-        indices = tuple(int(i) + 1 for i in k[1:])
-        point = pts[k[0]]
+        report.checks.append(worst("jacobi", np.where(mask, jac, 0.0), tol))
     else:
-        residual, indices, point = 0.0, (), pts[0]
-    report.checks.append(ValidationCheck("jacobi", indices, residual, tol, point))
+        report.checks.append(ValidationCheck("jacobi", (), 0.0, tol, pts[0]))
     return report

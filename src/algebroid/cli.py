@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as _catalog
-from .charts import AVector, validate as validate_chart
+from .charts import AVector, ValidationCheck, validate as validate_chart
 from .chartfile import ChartFileError, dumps_chart, load_chart_file
 from .expressions import ExpressionError
 from .hamiltonian import euler_identity_residual, hamiltonian_field
@@ -47,7 +47,7 @@ from .paths import (
     jacobi_solve,
     parallel_transport,
 )
-from .sampling import sample_box, sample_fiber
+from .sampling import sample_box, sample_fiber, sample_states
 from .splitting import (
     SplitError,
     _frames,
@@ -84,10 +84,16 @@ def _fmt(v):
 
 
 def write_csv(path, header, rows):
+    """Header plus one line per row.  A row of floats only (rows of a float
+    array included) is printed by one %-format, with the bytes of `_fmt`."""
+    lines = [",".join(header)]
+    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        if set(map(type, row)) <= {float, np.float64}:
+            lines.append(",".join(["%.17g"] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 class Run:
@@ -190,16 +196,12 @@ def _in_domain(run, integrate, *args):
     return result, None
 
 
-def _default_state(chart, args, mu_scale=0.5):
+def _state_from_args(chart, args, mu_scale=0.5):
+    """--x and --mu, each defaulting to a sample drawn from --seed."""
     x = sample_box(chart.domain, 1, args.seed, shrink=0.3)[0]
     mu = sample_fiber(chart.r, 1, args.seed, scale=mu_scale)[0]
-    return AVector(x, mu)
-
-
-def _state_from_args(chart, args, mu_scale=0.5):
-    state = _default_state(chart, args, mu_scale)
-    x = _vector(args.x, chart.n, "--x") if args.x else state.x
-    mu = _vector(args.mu, chart.r, "--mu") if args.mu else state.mu
+    x = _vector(args.x, chart.n, "--x") if args.x else x
+    mu = _vector(args.mu, chart.r, "--mu") if args.mu else mu
     return AVector(x, mu)
 
 
@@ -221,39 +223,21 @@ def _mucols(r, stem="mu"):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args, out):
-    chart, metric = _load(args)
-    run = Run("validate", args)
+def _cmd_validate(args, out, run, chart, metric):
     samples = _flag(args, "samples", 200)
     run.note("samples", samples)
     tol = _flag(args, "tol", 1e-9)
     report = validate_chart(chart, samples=samples, seed=args.seed, tol=tol)
-    rows = []
-    for check in report.checks:
-        run.check(check.name, check.residual, check.tolerance)
-        idx = (list(check.indices) + [0, 0, 0])[:3]
-        rows.append(
-            [check.name, *idx, check.residual, check.tolerance, check.passed]
-            + list(check.point)
-        )
     margin = metric.spd_margin(chart, samples=samples, seed=args.seed)
     run.note("metric_spd_margin", margin)
-    run.check("metric_spd", max(0.0, SPD_EIGENVALUE_FLOOR - margin), 1e-15)
-    rows.append(
-        ["metric_spd", 0, 0, 0, max(0.0, SPD_EIGENVALUE_FLOOR - margin), 1e-15,
-         margin > SPD_EIGENVALUE_FLOOR] + [0.0] * chart.n
-    )
-    write_csv(
-        out / "validate.csv",
-        ["axiom", "i", "j", "k", "residual", "tolerance", "passed"] + _xcols(chart.n),
-        rows,
-    )
-    return run.finish(out)
+    spd = max(0.0, SPD_EIGENVALUE_FLOOR - margin)
+    report.checks.append(ValidationCheck("metric_spd", (), spd, 1e-15, np.zeros(chart.n)))
+    for check in report.checks:
+        run.check(check.name, check.residual, check.tolerance)
+    report.to_csv(out / "validate.csv")
 
 
-def _cmd_geodesic(args, out):
-    chart, metric = _load(args)
-    run = Run("geodesic", args)
+def _cmd_geodesic(args, out, run, chart, metric):
     start = _state_from_args(chart, args)
     step = _flag(args, "step", 1e-3)
     t1 = _flag(args, "t1", 1.0)
@@ -272,52 +256,38 @@ def _cmd_geodesic(args, out):
         [t, *x, *mu] for t, x, mu in zip(path.ts, path.xs, path.mus)
     ]
     write_csv(out / "geodesic.csv", ["t"] + _xcols(chart.n) + _mucols(chart.r), rows)
-    return run.finish(out)
 
 
-def _cmd_exp(args, out):
-    chart, metric = _load(args)
-    run = Run("exp", args)
+def _cmd_exp(args, out, run, chart, metric):
     start = _state_from_args(chart, args)
     step = _flag(args, "step", 1e-3)
     image, exited = _in_domain(run, exp_map, chart, metric, start.x, start.mu, step)
-    if exited:
-        write_csv(out / "exp.csv", _xcols(chart.n) + _mucols(chart.r, "a"), [[*start.x, *start.mu]])
-        return run.finish(out)
-    write_csv(
-        out / "exp.csv",
-        _xcols(chart.n) + _mucols(chart.r, "a") + [f"exp{i+1}" for i in range(chart.n)],
-        [[*start.x, *start.mu, *image]],
-    )
-    return run.finish(out)
+    head, row = _xcols(chart.n) + _mucols(chart.r, "a"), [*start.x, *start.mu]
+    if not exited:
+        head, row = head + [f"exp{i + 1}" for i in range(chart.n)], row + [*image]
+    write_csv(out / "exp.csv", head, [row])
 
 
-def _cmd_transport(args, out):
-    chart, metric = _load(args)
-    run = Run("transport", args)
+def _cmd_transport(args, out, run, chart, metric):
     start = _state_from_args(chart, args)
     s0 = _vector(args.s0, chart.r, "--s0") if args.s0 else sample_fiber(chart.r, 1, args.seed + 7)[0]
     step = _flag(args, "step", 1e-3)
     t1 = _flag(args, "t1", 1.0)
     tol = _flag(args, "tol", 1e-8)
     path, exited = _in_domain(run, geodesic_integrate, chart, metric, start, (0.0, t1), step)
-    if exited:
-        write_csv(out / "transport.csv", ["t"] + _mucols(chart.r, "s"), [])
-        return run.finish(out)
-    curve = parallel_transport(chart, metric, path, s0)
-    norms = fiber_inner(metric, path.xs, curve.values, curve.values)
-    scale = abs(norms[0]) if norms[0] != 0 else 1.0
-    run.check("norm_drift", float(np.max(np.abs(norms - norms[0])) / scale), tol)
-    back = parallel_transport(chart, metric, path.reversed(), curve.values[-1])
-    run.check("roundtrip_identity", float(np.max(np.abs(back.values[-1] - np.asarray(s0)))), tol)
-    rows = [[t, *s] for t, s in zip(curve.ts, curve.values)]
+    rows = []
+    if not exited:
+        curve = parallel_transport(chart, metric, path, s0)
+        norms = fiber_inner(metric, path.xs, curve.values, curve.values)
+        scale = abs(norms[0]) if norms[0] != 0 else 1.0
+        run.check("norm_drift", float(np.max(np.abs(norms - norms[0])) / scale), tol)
+        back = parallel_transport(chart, metric, path.reversed(), curve.values[-1])
+        run.check("roundtrip_identity", float(np.max(np.abs(back.values[-1] - np.asarray(s0)))), tol)
+        rows = [[t, *s] for t, s in zip(curve.ts, curve.values)]
     write_csv(out / "transport.csv", ["t"] + _mucols(chart.r, "s"), rows)
-    return run.finish(out)
 
 
-def _cmd_jacobi(args, out):
-    chart, metric = _load(args)
-    run = Run("jacobi", args)
+def _cmd_jacobi(args, out, run, chart, metric):
     start = _state_from_args(chart, args)
     step = _flag(args, "step", 1e-3)
     t1 = _flag(args, "t1", 1.0)
@@ -331,7 +301,7 @@ def _cmd_jacobi(args, out):
     path, exited = _in_domain(run, geodesic_integrate, chart, metric, start, (0.0, t1), step)
     if exited:
         write_csv(out / "jacobi.csv", ["t"] + _mucols(chart.r, "beta"), [])
-        return run.finish(out)
+        return
     run.check("geodesic_residual", geodesic_residual(chart, metric, path), 1e-6)
     curve = jacobi_solve(chart, metric, path, beta0, dbeta0)
 
@@ -345,7 +315,8 @@ def _cmd_jacobi(args, out):
     if frame.q == chart.n:
         u = sample_fiber(chart.r, 1, args.seed + 29, scale=0.5)[0]
         try:
-            d = dexp(chart, metric, start.x, start.mu, u, step=step)
+            # at t1 = 1 the verb's path is dexp's geodesic: same start and grid
+            d = dexp(chart, metric, start.x, start.mu, u, step, path if t1 == 1.0 else None)
             eps = 1e-4
             plus, minus = exp_map(
                 chart, metric, start.x, np.stack([start.mu + eps * u, start.mu - eps * u]), step=step
@@ -357,12 +328,9 @@ def _cmd_jacobi(args, out):
             run.note("dexp_vs_fd", "skipped: perturbed geodesic left the domain")
     rows = [[t, *b] for t, b in zip(curve.ts, curve.values)]
     write_csv(out / "jacobi.csv", ["t"] + _mucols(chart.r, "beta"), rows)
-    return run.finish(out)
 
 
-def _cmd_curvature(args, out):
-    chart, metric = _load(args)
-    run = Run("curvature", args)
+def _cmd_curvature(args, out, run, chart, metric):
     x = _vector(args.x, chart.n, "--x") if args.x else chart.center()
     ch = christoffel(chart, metric, x, with_derivative=False)
     R = curvature(chart, metric, x)
@@ -375,12 +343,9 @@ def _cmd_curvature(args, out):
     run.check("koszul_consistency", float(np.max(np.abs(two_low_gamma - kr))), 1e-10)
     write_csv(out / "christoffel.csv", ["i", "j", "k", "value"], _index_rows(ch.gamma))
     write_csv(out / "curvature.csv", ["i", "j", "k", "l", "value"], _index_rows(R))
-    return run.finish(out)
 
 
-def _cmd_oneill(args, out):
-    chart, metric = _load(args)
-    run = Run("oneill", args)
+def _cmd_oneill(args, out, run, chart, metric):
     x = _vector(args.x, chart.n, "--x") if args.x else chart.center()
     tol = _flag(args, "tol", 1e-9)
     tensors = oneill_tensors(chart, metric, x)
@@ -406,16 +371,12 @@ def _cmd_oneill(args, out):
     rows = [["T", *row] for row in _index_rows(tensors.T)]
     rows += [["H", *row] for row in _index_rows(tensors.H)]
     write_csv(out / "oneill.csv", ["tensor", "i", "j", "k", "value"], rows)
-    return run.finish(out)
 
 
-def _cmd_divergence(args, out):
-    chart, metric = _load(args)
-    run = Run("divergence", args)
+def _cmd_divergence(args, out, run, chart, metric):
     count = _flag(args, "samples", 50)
     tol = _flag(args, "tol", 1e-5)
-    xs = sample_box(chart.domain, count, args.seed, shrink=0.25)
-    mus = sample_fiber(chart.r, count, args.seed)
+    xs, mus = sample_states(chart, count, args.seed)
     if args.x or args.mu:
         pin = _state_from_args(chart, args)
         xs = np.vstack([pin.x[None, :], xs])
@@ -440,16 +401,12 @@ def _cmd_divergence(args, out):
         _xcols(chart.n) + _mucols(chart.r) + ["trace_term", "mean_curvature_term", "total"],
         np.column_stack([xs, mus, trace, mean_curv, total]),
     )
-    return run.finish(out)
 
 
-def _cmd_hamcheck(args, out):
-    chart, metric = _load(args)
-    run = Run("hamcheck", args)
+def _cmd_hamcheck(args, out, run, chart, metric):
     count = _flag(args, "samples", 100)
     tol = _flag(args, "tol", 1e-8)
-    xs = sample_box(chart.domain, count, args.seed, shrink=0.25)
-    mus = sample_fiber(chart.r, count, args.seed)
+    xs, mus = sample_states(chart, count, args.seed)
     run.note("samples", len(xs))
     states = AVector(xs, mus)
     dx_h, dmu_h = hamiltonian_field(chart, metric, states)
@@ -465,12 +422,9 @@ def _cmd_hamcheck(args, out):
         _xcols(chart.n) + _mucols(chart.r) + ["equivalence_residual", "homogeneity_residual"],
         np.column_stack([xs, mus, eq, hom]),
     )
-    return run.finish(out)
 
 
-def _cmd_variation_check(args, out):
-    chart, metric = _load(args)
-    run = Run("variation-check", args)
+def _cmd_variation_check(args, out, run, chart, metric):
     start = _state_from_args(chart, args, mu_scale=0.4)
     u = sample_fiber(chart.r, 1, args.seed + 17, scale=0.5)[0]
     step = _flag(args, "step", 2e-3)
@@ -523,11 +477,9 @@ def _cmd_variation_check(args, out):
         run.note("commutation_orders", ",".join(_fmt(o) for o in orders))
         run.check("commutation_convergence_order", 2.0 - min(orders), 0.2)
     write_csv(out / "variation-check.csv", ["check", "level", "value"], rows)
-    return run.finish(out)
 
 
-def _cmd_catalog(args, out):
-    run = Run("catalog", args)
+def _cmd_catalog(args, out, run):
     rows = []
     for name in _catalog.names():
         entry = _catalog.get(name)
@@ -545,7 +497,6 @@ def _cmd_catalog(args, out):
         run.note("written", f"{args.name}.chart")
     for name in _catalog.names():
         sys.stdout.write(name + "\n")
-    return run.finish(out)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +542,11 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _VERBS[args.verb](args, out)
-    except SystemExit2 as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except (ChartFileError, ExpressionError) as exc:
+        loaded = () if args.verb == "catalog" else _load(args)
+        run = Run(args.verb, args)
+        _VERBS[args.verb](args, out, run, *loaded)
+        return run.finish(out)
+    except (SystemExit2, ChartFileError, ExpressionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (MetricError, NonFiniteError, SplitError, ValueError) as exc:

@@ -1,9 +1,22 @@
 """Analytic scalar fields over chart coordinates.
 
 Expressions are parsed from a small text grammar over the variables
-``x1 .. x<n>`` and evaluated with second-order forward-mode (hyper-dual)
-arithmetic: a single pass yields the value together with the exact gradient
+``x1 .. x<n>`` and evaluated with exact second-order forward-mode
+derivatives: one pass yields the value together with the exact gradient
 and Hessian.  No finite differences are used anywhere in this module.
+
+Evaluation runs on a `Program`, a flat list of numpy calls built once from
+the parsed trees of one expression or of many (B and C of a chart, G of a
+metric), in which the value and every first and second partial of each
+node that does not vanish identically is its own array of the batch shape.
+Each is formed by the exact chain rules term by term in a fixed order,
+leaving out the terms that vanish identically; the Hessian is mirrored
+from m <= l, so it is symmetric to the bit.  A point outside the real
+domain of a node raises `EvalDomainError` naming that subexpression, also
+where the value of the node does not reach the result (``log(x1)^0``):
+division by zero, log or sqrt of a non-positive value, a non-positive base
+under a non-integer or variable exponent, a zero base under a negative
+integer exponent.
 
 Grammar (EBNF)::
 
@@ -27,8 +40,10 @@ can be shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +53,8 @@ __all__ = [
     "ExpressionError",
     "ParseError",
     "EvalDomainError",
+    "Jet",
+    "Program",
     "parse",
 ]
 
@@ -60,88 +77,6 @@ class EvalDomainError(ExpressionError):
     def __init__(self, message, node):
         super().__init__(f"{message} in subexpression '{node}'")
         self.node = node
-
-
-# ---------------------------------------------------------------------------
-# Second-order forward values.
-#
-# A _T2 carries f, df (…, n) and d2f (…, n, n) over an arbitrary batch of
-# evaluation points; `grad`/`hess` are None when not requested.  All rules
-# below are the exact second-order chain rules, and every Hessian update is
-# symmetric by construction, so H == H.T holds to the bit.
-# ---------------------------------------------------------------------------
-
-
-class _T2:
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v, g=None, h=None):
-        self.v = v
-        self.g = g
-        self.h = h
-
-
-def _outer_sym(a, b):
-    # a ⊗ b + b ⊗ a, exactly symmetric in floating point
-    return a[..., :, None] * b[..., None, :] + b[..., :, None] * a[..., None, :]
-
-
-def _t2_add(a, b):
-    return _T2(
-        a.v + b.v,
-        None if a.g is None else a.g + b.g,
-        None if a.h is None else a.h + b.h,
-    )
-
-
-def _t2_sub(a, b):
-    return _T2(
-        a.v - b.v,
-        None if a.g is None else a.g - b.g,
-        None if a.h is None else a.h - b.h,
-    )
-
-
-def _t2_neg(a):
-    return _T2(-a.v, None if a.g is None else -a.g, None if a.h is None else -a.h)
-
-
-def _t2_mul(a, b):
-    v = a.v * b.v
-    g = h = None
-    if a.g is not None:
-        g = a.g * b.v[..., None] + b.g * a.v[..., None]
-    if a.h is not None:
-        h = (
-            a.h * b.v[..., None, None]
-            + b.h * a.v[..., None, None]
-            + _outer_sym(a.g, b.g)
-        )
-    return _T2(v, g, h)
-
-
-def _t2_chain(a, fv, f1=None, f2=None):
-    """Apply a scalar function through its value/first/second derivatives."""
-    g = h = None
-    if a.g is not None:
-        g = f1[..., None] * a.g
-    if a.h is not None:
-        # g ⊗ g is exactly symmetric (float multiplication commutes)
-        gg = a.g[..., :, None] * a.g[..., None, :]
-        h = f1[..., None, None] * a.h + f2[..., None, None] * gg
-    return _T2(fv, g, h)
-
-
-_FUNCS = {
-    "sin": (np.sin, np.cos, lambda v: -np.sin(v)),
-    "cos": (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v)),
-    "tan": (np.tan, None, None),  # handled specially below
-    "exp": (np.exp, np.exp, np.exp),
-    "log": (np.log, None, None),
-    "sqrt": (np.sqrt, None, None),
-    "sinh": (np.sinh, np.cosh, np.sinh),
-    "cosh": (np.cosh, np.sinh, np.cosh),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +135,14 @@ class BinOp(_Node):
         return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[self.op]
 
     def __str__(self):
-        if self.op in "+-":
+        if self.op != "^":
             # parse is left-associative: a right operand at the same
             # precedence level must keep its parentheses
-            lhs = _wrap(self.lhs, _PREC_ADD)
-            rhs = _wrap(self.rhs, _PREC_ADD + 1)
-            return f"{lhs} {self.op} {rhs}"
-        if self.op in "*/":
-            lhs = _wrap(self.lhs, _PREC_MUL)
-            rhs = _wrap(self.rhs, _PREC_MUL + 1)
-            return f"{lhs} {self.op} {rhs}"
+            p = self.prec()
+            return f"{_wrap(self.lhs, p)} {self.op} {_wrap(self.rhs, p + 1)}"
         # power: base must be atomic, exponent parses as a unary
         lhs = _wrap(self.lhs, _PREC_ATOM)
-        rhs = self.rhs if self.rhs.prec() >= _PREC_NEG else _paren(self.rhs)
+        rhs = self.rhs if self.rhs.prec() >= _PREC_NEG else f"({self.rhs})"
         return f"{lhs} ^ {rhs}"
 
 
@@ -228,21 +158,8 @@ class Call(_Node):
         return f"{self.func}({self.arg})"
 
 
-def _paren(node):
-    return _Paren(node)
-
-
-class _Paren:
-    # printing helper only, never part of an AST
-    def __init__(self, node):
-        self.node = node
-
-    def __str__(self):
-        return f"({self.node})"
-
-
 def _wrap(node, min_prec):
-    return _paren(node) if node.prec() < min_prec else node
+    return f"({node})" if node.prec() < min_prec else node
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +167,17 @@ def _wrap(node, min_prec):
 # ---------------------------------------------------------------------------
 
 
+# the functions of the grammar, for folding constant arguments
+_MATH = {
+    name: getattr(math, name)
+    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
+}
+
+
 def _fold_unary(func, arg):
     if isinstance(arg, Const):
         try:
-            v = {
-                "sin": math.sin,
-                "cos": math.cos,
-                "tan": math.tan,
-                "exp": math.exp,
-                "log": math.log,
-                "sqrt": math.sqrt,
-                "sinh": math.sinh,
-                "cosh": math.cosh,
-            }[func](arg.value)
+            v = _MATH[func](arg.value)
         except (ValueError, OverflowError):
             return Call(func, arg)
         if math.isfinite(v):
@@ -276,16 +191,15 @@ def _fold_neg(arg):
     return Neg(arg)
 
 
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow
+}
+
+
 def _fold_binop(op, lhs, rhs):
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
-            v = {
-                "+": lambda a, b: a + b,
-                "-": lambda a, b: a - b,
-                "*": lambda a, b: a * b,
-                "/": lambda a, b: a / b,
-                "^": lambda a, b: a**b,
-            }[op](lhs.value, rhs.value)
+            v = _BINARY[op](lhs.value, rhs.value)
         except (ValueError, OverflowError, ZeroDivisionError):
             return BinOp(op, lhs, rhs)
         if isinstance(v, complex) or not math.isfinite(v):
@@ -342,19 +256,17 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "+-":
-            op = self.tok[1]
-            self._advance()
-            node = _fold_binop(op, node, self.term())
-        return node
+        return self._left_assoc(self.term, "+-")
 
     def term(self):
-        node = self.unary()
-        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in "*/":
+        return self._left_assoc(self.unary, "*/")
+
+    def _left_assoc(self, operand, ops):
+        node = operand()
+        while self.tok is not None and self.tok[0] == "op" and self.tok[1] in ops:
             op = self.tok[1]
             self._advance()
-            node = _fold_binop(op, node, self.unary())
+            node = _fold_binop(op, node, operand())
         return node
 
     def unary(self):
@@ -388,7 +300,7 @@ class _Parser:
                         f"variable x{idx} out of range for {self.n} variable(s)", pos
                     )
                 return Var(idx)
-            if value in _FUNCS:
+            if value in _MATH:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
@@ -403,111 +315,325 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Programs: per-component straight-line evaluation
+#
+# Slots 0 .. n-1 of a program's value list are the coordinates; every other
+# slot is a constant fixed at build time or the output of one op.  Ops are
+# hash-consed on (function, argument slots), so a subexpression shared
+# between entries runs once per evaluation, and arithmetic on constants is
+# folded.  The jet of a node maps () to the slot of its value, (m,) to that
+# of d_m and (m, l), m <= l, to that of d_m d_l; a partial that vanishes
+# identically has no slot (None).  Ops are closures over slot numbers, not
+# code compiled per program: every CLI verb builds its chart anew, and
+# compiling would cost more than that.
 # ---------------------------------------------------------------------------
 
+_ADD, _SUB, _MUL, _DIV, _NEG = (
+    operator.add, operator.sub, operator.mul, operator.truediv, operator.neg
+)
+_FOLDED = (_ADD, _SUB, _MUL, _DIV, _NEG)
 
-def _eval_node(node, xcols, order):
-    """Evaluate `node` on a batch; xcols is a list of n value arrays."""
-    if isinstance(node, Const):
-        shape = xcols[0].shape if xcols else ()
-        n = len(xcols)
-        v = np.full(shape, node.value)
-        g = np.zeros(shape + (n,)) if order >= 1 else None
-        h = np.zeros(shape + (n, n)) if order >= 2 else None
-        return _T2(v, g, h)
-    if isinstance(node, Var):
-        shape = xcols[0].shape
-        n = len(xcols)
-        v = xcols[node.index - 1]
-        g = h = None
-        if order >= 1:
-            g = np.zeros(shape + (n,))
-            g[..., node.index - 1] = 1.0
-        if order >= 2:
-            h = np.zeros(shape + (n, n))
-        return _T2(np.array(v, copy=True), g, h)
-    if isinstance(node, Neg):
-        return _t2_neg(_eval_node(node.arg, xcols, order))
-    if isinstance(node, Call):
-        a = _eval_node(node.arg, xcols, order)
-        return _eval_call(node, a, order)
-    if isinstance(node, BinOp):
+def _unary(f, out, a):
+    def op(vals):
+        vals[out] = f(vals[a])
+
+    return op
+
+
+def _binary(f, out, a, b):
+    def op(vals):
+        vals[out] = f(vals[a], vals[b])
+
+    return op
+
+
+def _checked(op, test, x, message, node):
+    """op, run only when test(x, 0) holds at no point."""
+
+    def checked(vals):
+        bad = test(vals[x], 0.0)
+        if bad.any() if isinstance(bad, np.ndarray) else bad:
+            raise EvalDomainError(message, node)
+        op(vals)
+
+    return checked
+
+
+class Jet(NamedTuple):
+    """Values (batch shape), first partials (..., n) and second partials
+    (..., n, n); a derivative above the order asked for is None."""
+
+    v: np.ndarray
+    g: np.ndarray | None
+    h: np.ndarray | None
+
+
+class Program:
+    """One straight-line program over n coordinates, built from expressions.
+
+    `add_group` declares a group of output arrays: values, partials and
+    second partials up to the group's order.  `run` evaluates the groups
+    asked for on a batch of points and runs only the ops they need, and
+    the domain checks of their expressions: a loop of plain numpy calls on
+    arrays of the batch shape.
+    """
+
+    @classmethod
+    def of(cls, owner):
+        """The program of an expression, section, chart or metric: built
+        from its `_declare` on first use and kept on it."""
+        prog = owner.__dict__.get("_program")
+        if prog is None:
+            prog = cls(owner.n)
+            owner._declare(prog)
+            object.__setattr__(owner, "_program", prog)
+        return prog
+
+    def __init__(self, n):
+        self.n = n
+        self._vals = [None] * n  # constants; None marks a per-point slot
+        self._ops = []  # (op, out slot, argument slots)
+        self._memo = {}
+        self._groups = []  # per group: (order, one spec per level, checked slots)
+        self._plans = {}
+
+    # -- building -----------------------------------------------------------
+
+    def _k(self, c):
+        key = float(c).hex()  # keeps -0.0 apart from 0.0
+        if key not in self._memo:
+            self._memo[key] = len(self._vals)
+            self._vals.append(float(c))
+        return self._memo[key]
+
+    def _f(self, f, *args, check=None):
+        """Slot of f(*args), an op run after the domain check (test, slot,
+        message, node) if one is given.  A None argument vanishes
+        identically: 0 * y = 0, x + 0 = x - 0 = x, 0 - y = -y.  Arithmetic
+        on constants is folded and a factor 1.0 dropped; both are exact."""
+        if None in args:
+            if f is _MUL or f is _NEG:
+                return None
+            a, b = args
+            return a if b is None else b if f is _ADD else self._f(_NEG, b)
+        ks = [self._vals[a] for a in args]
+        if f is _MUL and 1.0 in ks:
+            return args[1 - ks.index(1.0)]
+        if f in _FOLDED and None not in ks and not (f is _DIV and ks[1] == 0.0):
+            return self._k(f(*ks))
+        if f is _ADD or f is _MUL:
+            args = tuple(sorted(args))  # commutative: same bits either way
+        key = f, args, check and check[:3]
+        s = self._memo.get(key)
+        if s is None:
+            s = self._memo[key] = len(self._vals)
+            self._vals.append(None)
+            op = _unary(f, s, *args) if len(args) == 1 else _binary(f, s, *args)
+            self._ops.append((op if check is None else _checked(op, *check), s, args))
+        if check is not None:
+            self._checked.add(s)
+        return s
+
+    def _pow(self, a, e, check=None):
+        # pow(x, 0) = 1 for every x, NaN included, and pow(x, 1) = x
+        if e == 0 or e == 1:
+            return self._k(1.0) if e == 0 else a
+        return self._f(np.power, a, self._k(e), check=check)
+
+    def _map(self, f, *jets):
+        """The jet of a linear op, applied slot by slot."""
+        return {key: self._f(f, *(jet.get(key) for jet in jets)) for key in self._keys}
+
+    def _jet(self, node):
+        f = self._f
+        if isinstance(node, Const):
+            return {(): self._k(node.value)}
+        if isinstance(node, Var):
+            return {(): node.index - 1, (node.index - 1,): self._k(1.0)}
+        if isinstance(node, Neg):
+            return self._map(_NEG, self._jet(node.arg))
+        if isinstance(node, Call):
+            a = self._jet(node.arg)
+            return self._chain(a, *self._function(node.func, a[()], node))
         if node.op == "^":
-            return _eval_pow(node, xcols, order)
-        a = _eval_node(node.lhs, xcols, order)
-        b = _eval_node(node.rhs, xcols, order)
-        if node.op == "+":
-            return _t2_add(a, b)
-        if node.op == "-":
-            return _t2_sub(a, b)
+            return self._power(node)
+        a, b = self._jet(node.lhs), self._jet(node.rhs)
         if node.op == "*":
-            return _t2_mul(a, b)
-        if np.any(b.v == 0.0):
-            raise EvalDomainError("division by zero", node)
-        return _t2_mul(a, _t2_recip(b))
-    raise TypeError(f"unknown node type {type(node)!r}")
+            return self._product(a, b)
+        if node.op == "/":
+            # a * (1/b), with d(1/b) = -q^2 db and d2(1/b) = 2 q^3 (db)^2, q = 1/b
+            q = f(_DIV, self._k(1.0), b[()], check=(operator.eq, b[()], "division by zero", node))
+            q2 = f(_MUL, q, q)
+            return self._product(a, self._chain(
+                b, q, lambda: f(_NEG, q2), lambda: f(_MUL, self._k(2.0), f(_MUL, q2, q))
+            ))
+        return self._map(_ADD if node.op == "+" else _SUB, a, b)
 
+    def _product(self, a, b):
+        # d_m (ab) = a_m b + b_m a;
+        # d_m d_l (ab) = (a_ml b + b_ml a) + (a_m b_l + b_m a_l)
+        f, av, bv = self._f, a[()], b[()]
+        out = {(): f(_MUL, av, bv)}
+        for key in self._keys[1:]:
+            out[key] = f(_ADD, f(_MUL, a.get(key), bv), f(_MUL, b.get(key), av))
+            if len(key) == 2:
+                m, l = key[:1], key[1:]
+                cross = f(_ADD, f(_MUL, a.get(m), b.get(l)), f(_MUL, b.get(m), a.get(l)))
+                out[key] = f(_ADD, out[key], cross)
+        return out
 
-def _t2_recip(b):
-    inv = 1.0 / b.v
-    g = h = None
-    if b.g is not None:
-        g = -b.g * (inv * inv)[..., None]
-    if b.h is not None:
-        h = -b.h * (inv * inv)[..., None, None] + _outer_sym(b.g, b.g) * (
-            inv * inv * inv
-        )[..., None, None]
-    return _T2(inv, g, h)
+    def _chain(self, a, v, d1, d2):
+        """phi(a) from the slot v of phi(a) and thunks giving the slots of
+        phi'(a) and phi''(a); a thunk that is None stands for zero.
+        d_m = phi' a_m;  d_m d_l = phi' a_ml + phi'' (a_m a_l)."""
+        out = {(): v}
+        if all(a.get(key) is None for key in self._keys if len(key) == 1):
+            return out
+        f = self._f
+        d1 = d1 and d1()
+        d2 = d2() if d2 and self._order >= 2 else None
+        for key in self._keys[1:]:
+            out[key] = f(_MUL, d1, a.get(key))
+            if len(key) == 2:
+                square = f(_MUL, a.get(key[:1]), a.get(key[1:]))
+                out[key] = f(_ADD, out[key], f(_MUL, d2, square))
+        return out
 
+    def _function(self, name, x, node, message=None):
+        """Slot of name(x) and thunks of the slots of its first and second
+        derivatives; log and sqrt check their argument (with `message` if
+        given)."""
+        f, k, check = self._f, self._k, None
+        if name in ("log", "sqrt"):
+            check = operator.le, x, message or f"{name} of a non-positive value", node
+        v = f(getattr(np, name), x, check=check)
+        sec2 = lambda: f(_ADD, k(1.0), f(_MUL, v, v))
+        return (v,) + {
+            "sin": (lambda: f(np.cos, x), lambda: f(_NEG, v)),
+            "cos": (lambda: f(_NEG, f(np.sin, x)), lambda: f(_NEG, v)),
+            "tan": (sec2, lambda: f(_MUL, f(_MUL, k(2.0), v), sec2())),
+            "exp": (lambda: v, lambda: v),
+            "log": (lambda: f(_DIV, k(1.0), x), lambda: f(_DIV, k(-1.0), f(_MUL, x, x))),
+            "sqrt": (lambda: f(_DIV, k(0.5), v), lambda: f(_DIV, k(-0.25), f(_MUL, v, x))),
+            "sinh": (lambda: f(np.cosh, x), lambda: v),
+            "cosh": (lambda: f(np.sinh, x), lambda: v),
+        }[name]
 
-def _eval_call(node, a, order):
-    name = node.func
-    if name == "tan":
-        t = np.tan(a.v)
-        sec2 = 1.0 + t * t
-        return _t2_chain(a, t, sec2, 2.0 * t * sec2)
-    if name == "log":
-        if np.any(a.v <= 0.0):
-            raise EvalDomainError("log of a non-positive value", node)
-        return _t2_chain(a, np.log(a.v), 1.0 / a.v, -1.0 / (a.v * a.v))
-    if name == "sqrt":
-        if np.any(a.v <= 0.0):
-            raise EvalDomainError("sqrt of a non-positive value", node)
-        s = np.sqrt(a.v)
-        return _t2_chain(a, s, 0.5 / s, -0.25 / (s * a.v))
-    fv, f1, f2 = _FUNCS[name]
-    return _t2_chain(a, fv(a.v), f1(a.v), f2(a.v))
-
-
-def _eval_pow(node, xcols, order):
-    a = _eval_node(node.lhs, xcols, order)
-    if isinstance(node.rhs, Const):
-        c = node.rhs.value
-        if c == round(c) and abs(c) < 2**31:
-            k = int(c)
-            if k < 0 and np.any(a.v == 0.0):
-                raise EvalDomainError("zero base with negative exponent", node)
-            v = np.power(a.v, k)
-            f1 = k * np.power(a.v, k - 1) if k != 0 else np.zeros_like(a.v)
-            f2 = (
-                k * (k - 1) * np.power(a.v, k - 2)
-                if k not in (0, 1)
-                else np.zeros_like(a.v)
+    def _power(self, node):
+        a = self._jet(node.lhs)
+        x, f, k = a[()], self._f, self._k
+        if isinstance(node.rhs, Const):
+            c = node.rhs.value
+            check = None
+            if not (c == round(c) and abs(c) < 2**31):
+                check = operator.le, x, "non-positive base with non-integer exponent", node
+            elif c < 0:
+                check = operator.eq, x, "zero base with negative exponent", node
+            return self._chain(
+                a,
+                self._pow(x, c, check),
+                None if c == 0 else lambda: f(_MUL, k(c), self._pow(x, c - 1)),
+                None if c in (0, 1) else lambda: f(_MUL, k(c * (c - 1)), self._pow(x, c - 2)),
             )
-            return _t2_chain(a, v, f1, f2)
-        if np.any(a.v <= 0.0):
-            raise EvalDomainError("non-positive base with non-integer exponent", node)
-        v = np.power(a.v, c)
-        return _t2_chain(a, v, c * np.power(a.v, c - 1.0), c * (c - 1.0) * np.power(a.v, c - 2.0))
-    # general exponent: a^b = exp(b log a), requires a > 0
-    if np.any(a.v <= 0.0):
-        raise EvalDomainError("non-positive base with variable exponent", node)
-    b = _eval_node(node.rhs, xcols, order)
-    loga = _t2_chain(a, np.log(a.v), 1.0 / a.v, -1.0 / (a.v * a.v))
-    w = _t2_mul(b, loga)
-    e = np.exp(w.v)
-    return _t2_chain(w, e, e, e)
+        # a^b = exp(b log a), for a > 0
+        log_a = self._function("log", x, node, "non-positive base with variable exponent")
+        w = self._product(self._jet(node.rhs), self._chain(a, *log_a))
+        e = f(np.exp, w[()])
+        return self._chain(w, e, lambda: e, lambda: e)
+
+    # -- output groups ------------------------------------------------------
+
+    def add_group(self, shape, order, entries):
+        """Declare the arrays of shape `shape` (values), shape + (n,) and
+        shape + (n, n) (partials) up to `order`; returns the group number.
+
+        `entries` are (expression, places) pairs, a place being an (index,
+        sign) pair: the expression, negated for sign -1, sits at `index` of
+        the values and at index + (m,) / index + (m, l) of the partials.
+        Entries left out are zero.
+        """
+        n = self.n
+        self._order, self._checked = order, set()
+        self._keys = [()] + [(m,) for m in range(n) if order >= 1]
+        self._keys += [(m, l) for m in range(n) for l in range(m, n) if order >= 2]
+        tmpls = [np.zeros(tuple(shape) + (n,) * k) for k in range(order + 1)]
+        points = [[] for _ in tmpls]
+        zero = [True for _ in tmpls]
+        for expr, places in entries:
+            jet = self._jet(expr.root)
+            for index, sign in places:
+                signed = jet if sign > 0 else self._map(_NEG, jet)
+                for key in self._keys:
+                    s = signed.get(key)
+                    if s is None:
+                        continue
+                    level, c = len(key), self._vals[s]
+                    for cell in {index + key, index + key[::-1]}:
+                        if c is None:
+                            points[level].append((cell, (Ellipsis,) + cell, s))
+                        else:
+                            tmpls[level][cell] = c
+                        zero[level] = zero[level] and c == 0.0
+        for tmpl in tmpls:
+            tmpl.flags.writeable = False
+        specs = [(t, tuple(p), z) for t, p, z in zip(tmpls, points, zero)]
+        self._groups.append((order, specs, frozenset(self._checked)))
+        self._plans.clear()
+        return len(self._groups) - 1
+
+    def constant(self, group, level=0):
+        """The read-only array of a level that no point changes, else None."""
+        tmpl, point, _ = self._groups[group][1][level]
+        return None if point else tmpl
+
+    def is_zero(self, group, level=0):
+        """Whether a level vanishes identically."""
+        return self._groups[group][1][level][2]
+
+    def _plan(self, orders):
+        """(ops to run, coordinates they read, the levels to fill as (group,
+        level, template, per-point cells, vanishes)).  Every domain check of
+        a group asked for runs, also where the value it guards is folded
+        away, as in log(x1)^0."""
+        levels, need = [], set()
+        for g, ((top, specs, checked), order) in enumerate(zip(self._groups, orders)):
+            if order is not None:
+                need |= checked
+                for k, spec in enumerate(specs[: min(order, top) + 1]):
+                    levels.append((g, k) + spec)
+                    need.update(s for _, _, s in spec[1])
+        for _, out, args in reversed(self._ops):
+            if out in need:
+                need.update(args)
+        ops = tuple(op for op, out, _ in self._ops if out in need)
+        self._plans[orders] = plan = ops, [i for i in range(self.n) if i in need], levels
+        return plan
+
+    def run(self, points, orders):
+        """Evaluate on points (..., n) with one derivative order per group
+        (None skips the group).  Returns per group [values, partials,
+        second partials], None above the order asked for: fresh arrays with
+        the leading axes of points."""
+        ops, inputs, levels = self._plans.get(orders) or self._plan(orders)
+        base = points.shape[:-1]
+        vals = self._vals
+        if ops or inputs:
+            vals = vals.copy()
+            for i in inputs:
+                # contiguous columns: numpy's kernels take the same path as
+                # for any other array of the batch
+                vals[i] = points[..., i].copy() if base else points[i]
+            for op in ops:
+                op(vals)
+        out = [[None, None, None] for _ in orders]
+        for g, k, tmpl, point, _ in levels:
+            # a single point takes the cheaper copy and plain indices
+            a = out[g][k] = np.empty(base + tmpl.shape) if base else tmpl.copy()
+            if base:
+                a[...] = tmpl
+            for cell, index, s in point:
+                a[index if base else cell] = vals[s]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +655,8 @@ class Expression:
     """An analytic expression over chart variables ``x1 .. x<n>``.
 
     Immutable; printing with ``str()`` and re-parsing reproduces the same
-    tree (round-trip stability).
+    tree (round-trip stability).  Its one-entry program is built on the
+    first evaluation and kept on the instance.
     """
 
     root: _Node
@@ -550,8 +677,8 @@ class Expression:
         t = self.eval_raw(x, order=2)
         return EvalResult(float(t.v), t.g, t.h)
 
-    def eval_raw(self, points, order=0):
-        """Evaluate on points of shape (..., n); returns a _T2 batch.
+    def eval_raw(self, points, order=0) -> Jet:
+        """Evaluate on points of shape (..., n).
 
         order 0 fills only values, 1 adds gradients (..., n), 2 adds
         Hessians (..., n, n).
@@ -561,8 +688,10 @@ class Expression:
             raise ValueError(
                 f"expected points with last axis {self.n}, got {points.shape}"
             )
-        xcols = [points[..., i] for i in range(self.n)]
-        return _eval_node(self.root, xcols, order)
+        return Jet(*Program.of(self).run(points, (order,))[0])
+
+    def _declare(self, prog):
+        prog.add_group((), 2, [(self, [((), 1)])])
 
     def values(self, points):
         """Values only, on points of shape (..., n)."""
@@ -579,7 +708,3 @@ def parse(text: str, n: int) -> Expression:
         raise ValueError("variable count must be nonnegative")
     return Expression(_Parser(text, n).parse(), n)
 
-
-def const(value: float, n: int) -> Expression:
-    """A constant field over n variables."""
-    return Expression(Const(float(value)), n)

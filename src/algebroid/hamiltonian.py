@@ -91,7 +91,7 @@ def hamiltonian_field(chart, metric, v: AVector):
     v.x (..., n) and v.mu (..., r) may carry the same leading batch axes;
     returns (dx, dmu) with shapes (..., n) and (..., r).  dE is exact: the
     x-gradient of E = 1/2 xi^T g^{-1} xi uses d(g^{-1}) = -g^{-1} (dg) g^{-1}
-    with dg from hyper-dual evaluation.  Every row of a batch is computed
+    with dg from the metric's exact partials.  Every row of a batch is computed
     by the same operations as a single point, so it rounds the same way.
     """
     n = chart.n

@@ -9,9 +9,10 @@ The connection coefficients follow the closed form
 
 with u running over base coordinates in the first bracket and over fiber
 indices in the second.  The spatial derivative dGamma is obtained by
-differentiating this expression with hyper-dual evaluations of g, b and C
-(Hessians of g, gradients of b and C), never by finite differences, so the
-curvature tensor downstream carries no step-size parameter.
+differentiating this expression with the exact partials of g, b and C
+(Hessians of g, gradients of b and C) from their expression programs,
+never by finite differences, so the curvature tensor downstream carries
+no step-size parameter.
 
 Index conventions: ``gamma[i, j, k]`` is Gamma_{ij}^k (D_{a_i} a_j =
 sum_k gamma[i,j,k] a_k); ``dgamma[i, j, k, m]`` is d Gamma_{ij}^k / d x_m;
@@ -19,13 +20,17 @@ sum_k gamma[i,j,k] a_k); ``dgamma[i, j, k, m]`` is d Gamma_{ij}^k / d x_m;
 
 `christoffel` (and through it `curvature` and every flow) runs on one
 connection evaluator per (chart, metric) pair.  It is built on first use
-and kept in the metric's ``_cache``, keyed weakly by the chart.  What it
-holds is fixed by the pair, never by a point: which structure arrays
-vanish identically, and for a constant metric g, its inverse and its SPD
-verdict; for a constant chart with a constant metric also Gamma and
-dGamma.  A non-constant metric is evaluated and SPD-checked at every
-point asked for.  `koszul_rhs` reads only the raw evaluations of g, b and
-C, so it stays an independent check of the evaluator.
+and kept in the metric's ``_cache``, keyed weakly by the chart.  It
+evaluates B, dB, C and dC on the chart's `~algebroid.expressions.Program`
+and G, dG and d2G on the metric's: the programs that also serve
+`eval_anchor`, `eval_bracket` and `MetricField.eval`, each built once.
+What it holds is fixed by the pair, never by a point: which structure
+arrays vanish identically (the programs' static sparsity), and for a
+constant metric g, its inverse and its SPD verdict; for a constant metric
+with a constant bracket also Gamma and dGamma.  A non-constant metric is
+evaluated and SPD-checked at every point asked for.  `koszul_rhs` reads
+only the raw evaluations of g, b and C, so it stays an independent check
+of the evaluator.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import SectionField, _as_expression
+from .expressions import Program
 from .sampling import sample_box
 
 __all__ = [
@@ -64,14 +70,15 @@ class MetricField:
 
     Entries are stored for i <= j and mirrored, so g(x) is symmetric to
     the bit.  Positive definiteness is asserted lazily at every evaluation
-    point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``).  The
-    constant entries are laid out once in a template that every evaluation
-    copies; only the other entries are evaluated per call.
+    point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``).  Evaluation
+    runs on a program built on first use: the constant entries sit in
+    templates that every evaluation copies, and only the ops of the other
+    entries run per call.
 
-    The fields are frozen, but the instance is not immutable: ``_cache``
-    holds the connection evaluator (see `christoffel`) of every chart the
-    metric has been paired with, keyed weakly by the chart object, so an
-    entry lives exactly as long as its chart.
+    The fields are frozen, but the instance is not immutable: besides its
+    program, ``_cache`` holds the connection evaluator (see `christoffel`)
+    of every chart the metric has been paired with, keyed weakly by the
+    chart object, so an entry lives exactly as long as its chart.
     """
 
     entries: dict
@@ -90,18 +97,9 @@ class MetricField:
         for i in range(r):
             if (i, i) not in table:
                 raise MetricError(f"metric diagonal entry ({i + 1},{i + 1}) missing")
-        G0 = np.zeros((r, r))
-        var = []
-        for (i, j), expr in table.items():
-            if expr.is_constant:
-                G0[i, j] = G0[j, i] = expr.root.value
-            else:
-                var.append((i, j, expr))
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_G0", G0)
-        object.__setattr__(self, "_var", tuple(var))
         object.__setattr__(self, "_shift", SPD_EIGENVALUE_FLOOR * np.eye(r))
         object.__setattr__(self, "_cache", weakref.WeakKeyDictionary())
 
@@ -109,51 +107,40 @@ class MetricField:
     def identity(cls, r, n):
         return cls({(i, i): "1" for i in range(1, r + 1)}, r, n)
 
+    def _declare(self, prog):
+        """Add the group G (order 2) to a program; returns its number."""
+        places = lambda i, j: [((i, j), 1)] if i == j else [((i, j), 1), ((j, i), 1)]
+        return prog.add_group(
+            (self.r, self.r), 2, [(e, places(i, j)) for (i, j), e in self.entries.items()]
+        )
+
     @property
     def is_constant(self):
-        return not self._var
+        return Program.of(self).constant(0) is not None
 
     def eval(self, points, order=0, check_spd=True):
         """g (..., r, r), dg (..., r, r, n), d2g (..., r, r, n, n)."""
         points = np.asarray(points, dtype=float)
-        base = points.shape[:-1]
-        G = np.empty(base + (self.r, self.r))
-        G[...] = self._G0
-        dG = np.zeros(base + (self.r, self.r, self.n)) if order >= 1 else None
-        d2G = (
-            np.zeros(base + (self.r, self.r, self.n, self.n)) if order >= 2 else None
-        )
-        for i, j, expr in self._var:
-            t = expr.eval_raw(points, order=order)
-            G[..., i, j] = t.v
-            if i != j:
-                G[..., j, i] = t.v
-            if order >= 1:
-                dG[..., i, j, :] = t.g
-                if i != j:
-                    dG[..., j, i, :] = t.g
-            if order >= 2:
-                d2G[..., i, j, :, :] = t.h
-                if i != j:
-                    d2G[..., j, i, :, :] = t.h
-        if check_spd and not self._is_spd(G):
+        G, dG, d2G = Program.of(self).run(points, (order,))[0]
+        if check_spd and not _is_spd(G, self._shift):
             _raise_not_spd(G, points)
         return G, dG, d2G
-
-    def _is_spd(self, G):
-        """Whether every smallest eigenvalue of G exceeds the floor: exactly
-        when the Cholesky factorization of G - floor*I succeeds."""
-        try:
-            np.linalg.cholesky(G - self._shift)
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
     def spd_margin(self, chart, samples=200, seed=42):
         """Smallest eigenvalue of g over sampled points of the chart box."""
         pts = sample_box(chart.domain, samples, seed)
         G, _, _ = self.eval(pts, order=0, check_spd=False)
         return float(np.min(np.linalg.eigvalsh(G)))
+
+
+def _is_spd(G, shift):
+    """Whether every smallest eigenvalue of G exceeds the floor: exactly
+    when the Cholesky factorization of G - floor*I (= G - shift) succeeds."""
+    try:
+        np.linalg.cholesky(G - shift)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _raise_not_spd(G, points):
@@ -179,16 +166,18 @@ class Christoffel:
 class _Connection:
     """Levi-Civita coefficients of one (chart, metric) pair.
 
-    Built on first use and kept in ``metric._cache``.  Construction settles
-    what does not depend on the point:
+    Built on first use and kept in ``metric._cache``.  It runs the chart's
+    program for B and C and the metric's for G, and settles what does not
+    depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
-      and B or C may be zero outright); no term with such a factor is
-      formed;
+      and B or C may be zero outright): they are not evaluated, and no
+      term with such a factor is formed;
     * for a constant metric: g, its inverse and the SPD verdict; a negative
       verdict raises MetricError at every use, as an evaluation would;
-    * for a constant chart with a constant metric: Gamma and dGamma.
+    * for a constant metric and a constant bracket: Gamma and dGamma (with
+      dg = 0 the anchor does not enter).
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -196,27 +185,26 @@ class _Connection:
 
         S_{ijl} = P_{ijl} + P_{jil} - P_{lij} + Q_{ijl} + Q_{lij} + Q_{lji}
 
-    and dS is the same combination of their derivatives dP and dQ.  Chart
-    and metric are held weakly: the cache must not keep its key alive.
+    and dS is the same combination of their derivatives dP and dQ.  No
+    reference to the chart is kept: the cache must not keep its key alive.
     """
 
     def __init__(self, chart, metric):
-        self._chart = weakref.ref(chart)
-        self._metric = weakref.ref(metric)
-        b = [e for row in chart.b for e in row]
-        c = list(chart.c_upper.values())
-        self.zero_anchor = chart.has_zero_anchor
-        self.const_anchor = all(e.is_constant for e in b)
-        self.zero_bracket = all(e.is_constant and e.root.value == 0.0 for e in c)
-        self.const_bracket = all(e.is_constant for e in c)
+        self.chart, self.metric = Program.of(chart), Program.of(metric)
+        self._shift = metric._shift
+        # per order of Gamma's derivative: the orders to run B, C and G at
+        self.orders = [
+            ((_cap(self.chart, 0, k), _cap(self.chart, 1, k)), (_cap(self.metric, 0, k + 1),))
+            for k in (0, 1)
+        ]
         self.G = self.Gi = self.gamma = self.dgamma = None
         self.spd = True
-        if metric.is_constant:
-            self.G = metric._G0
-            self.spd = metric._is_spd(self.G)
+        G = self.metric.constant(0)
+        if G is not None:
+            self.G, self.spd = G, _is_spd(G, self._shift)
             if self.spd:
-                self.Gi = np.linalg.inv(self.G)
-                if chart.is_constant:
+                self.Gi = np.linalg.inv(G)
+                if all(self.chart.constant(1, k) is not None for k in (0, 1)):
                     self.gamma, self.dgamma = self._assemble(chart.center(), True)
 
     def christoffel(self, x, with_derivative):
@@ -231,28 +219,28 @@ class _Connection:
         return Christoffel(gamma, dgamma)
 
     def _assemble(self, x, with_derivative):
-        chart = self._chart()
         base = x.shape[:-1]
+        (ob, oc), og = self.orders[with_derivative]
         if self.G is None:
-            G, dG, d2G = self._metric().eval(x, order=2 if with_derivative else 1)
+            [(G, dG, d2G)] = self.metric.run(x, og)
+            if not _is_spd(G, self._shift):
+                _raise_not_spd(G, x)
             Gi = np.linalg.inv(G)
         else:
-            G, Gi, dG, d2G = self.G, self.Gi, None, None
+            G, Gi, dG, d2G, ob = self.G, self.Gi, None, None, None
             if not self.spd:
                 _raise_not_spd(np.broadcast_to(G, base + G.shape), x)
+        (B, dB, _), (C, dC, _) = self.chart.run(x, (ob, oc))
         r, n = G.shape[-1], x.shape[-1]
-        order = 1 if with_derivative else 0
 
         S = dS = None
-        use_anchor = dG is not None and not self.zero_anchor
+        use_anchor = dG is not None and B is not None
         if use_anchor:
-            B, dB = chart.eval_anchor(x, order=order)
             P = (B @ dG.reshape(base + (r * r, n)).swapaxes(-1, -2)).reshape(
                 base + (r, r, r)
             )
             S = (P + P.swapaxes(-3, -2)) - _perm(P, 1, 2, 0)
-        if not self.zero_bracket:
-            C, dC = chart.eval_bracket(x, order=order)
+        if C is not None:
             Q = C @ G[..., None, :, :]
             tc = (Q + _perm(Q, 1, 2, 0)) + Q.swapaxes(-3, -1)
             S = tc if S is None else S + tc
@@ -264,15 +252,17 @@ class _Connection:
 
         # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise
         if use_anchor:
-            dP = _perm(B[..., None, None, :, :] @ d2G, 2, 0, 1, 3)
-            if not self.const_anchor:
-                dP = (dG.reshape(base + (1, r * r, n)) @ dB).reshape(
-                    base + (r, r, r, n)
-                ) + dP
-            dS = (dP + dP.swapaxes(-4, -3)) - _perm(dP, 1, 2, 0, 3)
-        if not self.zero_bracket:
+            dP = None
+            if d2G is not None:
+                dP = _perm(B[..., None, None, :, :] @ d2G, 2, 0, 1, 3)
+            if dB is not None:
+                BdG = (dG.reshape(base + (1, r * r, n)) @ dB).reshape(base + (r, r, r, n))
+                dP = BdG if dP is None else BdG + dP
+            if dP is not None:
+                dS = (dP + dP.swapaxes(-4, -3)) - _perm(dP, 1, 2, 0, 3)
+        if C is not None:
             dQ = None
-            if not self.const_bracket:
+            if dC is not None:
                 dQ = (dC.swapaxes(-1, -2) @ G[..., None, None, :, :]).swapaxes(-1, -2)
             if dG is not None:
                 CdG = (C @ dG.reshape(base + (1, r, r * n))).reshape(base + (r, r, r, n))
@@ -289,6 +279,13 @@ class _Connection:
             SdGi = S.reshape(base + (1, r * r, r)) @ dGi
             dgamma = dgamma + _perm(SdGi.reshape(base + (n, r, r, r)), 1, 2, 3, 0)
         return gamma, 0.5 * dgamma
+
+
+def _cap(prog, group, order):
+    """`order`, lowered below the first level of the group that vanishes
+    identically; None when its values do."""
+    k = next((k for k in range(order + 1) if prog.is_zero(group, k)), order + 1)
+    return k - 1 if k else None
 
 
 def _perm(a, *axes):

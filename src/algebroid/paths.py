@@ -132,14 +132,6 @@ class APath:
     def r(self):
         return self.mus.shape[1]
 
-    @property
-    def t0(self):
-        return float(self.ts[0])
-
-    @property
-    def t1(self):
-        return float(self.ts[-1])
-
     def eval(self, t):
         """(x, mu) at time(s) t via per-component cubic Hermite."""
         x, _ = _hermite(self.ts, self.xs, self.dxs, t)
@@ -150,9 +142,6 @@ class APath:
         """d/dt of the interpolated base path at time(s) t."""
         _, v = _hermite(self.ts, self.xs, self.dxs, t)
         return v
-
-    def end_state(self) -> AVector:
-        return AVector(self.xs[-1], self.mus[-1])
 
     def reversed(self) -> "APath":
         """The reverse A-path t -> -alpha(t1 + t0 - t) on the same grid."""
@@ -444,22 +433,14 @@ def _grid_derivative(values, ts):
     out[2:-2] = (
         values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]
     ) / (12.0 * h)
-    out[0] = (
-        -25.0 * values[0] + 48.0 * values[1] - 36.0 * values[2]
-        + 16.0 * values[3] - 3.0 * values[4]
-    ) / (12.0 * h)
-    out[1] = (
-        -3.0 * values[0] - 10.0 * values[1] + 18.0 * values[2]
-        - 6.0 * values[3] + values[4]
-    ) / (12.0 * h)
-    out[-2] = -(
-        -3.0 * values[-1] - 10.0 * values[-2] + 18.0 * values[-3]
-        - 6.0 * values[-4] + values[-5]
-    ) / (12.0 * h)
-    out[-1] = -(
-        -25.0 * values[-1] + 48.0 * values[-2] - 36.0 * values[-3]
-        + 16.0 * values[-4] - 3.0 * values[-5]
-    ) / (12.0 * h)
+    # one-sided stencils at the first two nodes; the last two take them
+    # mirrored, with the opposite sign
+    for k, c in enumerate([(-25.0, 48.0, -36.0, 16.0, -3.0), (-3.0, -10.0, 18.0, -6.0, 1.0)]):
+        for node, v, sign in ((k, values, 1.0), (-1 - k, values[::-1], -1.0)):
+            acc = c[0] * v[0]
+            for j in range(1, 5):
+                acc = acc + c[j] * v[j]
+            out[node] = sign * acc / (12.0 * h)
     return out
 
 
@@ -504,10 +485,12 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0, geodesic_tol=1e-6):
     return FiberCurve(ts=alpha.ts, values=ys[:, :r], dvalues=ds[:, :r])
 
 
-def dexp(chart, metric, m, a, u, step=1e-3):
+def dexp(chart, metric, m, a, u, step=1e-3, path=None):
     """d_a exp_m(u) = #(beta(1)) for the Jacobi section with beta(0) = 0,
-    beta'(0) = u along the geodesic from (m, a)."""
-    path = geodesic_integrate(chart, metric, AVector(m, a), (0.0, 1.0), step)
+    beta'(0) = u along the geodesic from (m, a) over [0, 1]; `path` may
+    give that geodesic when it is already integrated with this step."""
+    if path is None:
+        path = geodesic_integrate(chart, metric, AVector(m, a), (0.0, 1.0), step)
     beta = jacobi_solve(chart, metric, path, np.zeros(chart.r), u)
     B, _ = chart.eval_anchor(path.xs[-1])
     return np.einsum("j,ji->i", beta.values[-1], B)

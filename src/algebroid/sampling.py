@@ -9,6 +9,8 @@ inverse inside [0, 1)).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["halton", "sample_box", "sample_fiber", "sample_states"]
@@ -19,10 +21,15 @@ _PRIMES = [
 ]
 
 
+@functools.lru_cache(maxsize=1024)
 def _digit_permutation(p, seed, dim):
+    """Digit permutation of one (prime, seed, dimension), memoized: seeding
+    a RandomState costs far more than the digits it draws.  The array is
+    read-only so that no caller can change the memo."""
     rng = np.random.RandomState((seed * 1_000_003 + dim * 7919) % (2**32))
-    perm = 1 + rng.permutation(p - 1)
-    return np.concatenate(([0], perm))
+    perm = np.concatenate(([0], 1 + rng.permutation(p - 1)))
+    perm.flags.writeable = False
+    return perm
 
 
 def halton(count, dim, seed=42):

@@ -471,7 +471,6 @@ def _vertical_algebra_curvature(chart, metric, frame):
     then the algebraic curvature of that product.  Returns Khat[i, j].
     """
     V = frame.vertical
-    p = V.shape[0]
     C, _ = chart.eval_bracket(frame.x)
     c = np.einsum("is,jt,stu,ku->ijk", V, V, C, V @ frame.G.T)
     # c[i,j,k] = <[v_i, v_j], v_k>; the frame is g-orthonormal
@@ -482,11 +481,8 @@ def _vertical_algebra_curvature(chart, metric, frame):
         - np.einsum("ikm,jml->ijkl", gh, gh)
         - np.einsum("ijm,mkl->ijkl", c, gh)
     )
-    Khat = np.zeros((p, p))
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                Khat[i, j] = -Rhat[i, j, i, j]
+    Khat = -np.einsum("ijij->ij", Rhat)
+    np.fill_diagonal(Khat, 0.0)
     return Khat
 
 
@@ -555,10 +551,6 @@ class CurvatureCheckResult:
     vertical: float | None
     mixed: float | None
     horizontal: float | None
-
-    def max_residual(self):
-        vals = [v for v in (self.vertical, self.mixed, self.horizontal) if v is not None]
-        return max(vals) if vals else 0.0
 
 
 def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c, fd_step=1e-5):

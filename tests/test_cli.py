@@ -24,6 +24,29 @@ def read_report(out_dir):
     return report
 
 
+class TestWriteCsv:
+    def test_float_rows_print_the_bytes_of_fmt(self, tmp_path):
+        from algebroid.cli import _fmt, write_csv
+
+        special = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+                   -2.2250738585072014e-308, 1e-310, 0.1, 1 / 3, 1e22, 1.7976931348623157e308]
+        rows = [
+            special,
+            [np.float64(v) for v in special],
+            np.array([special, special[::-1]]),
+            [1.5, np.int64(3), True, np.bool_(False), 7, -0.0, "name"],
+            [np.int32(-4), np.float64(2.5)],
+            [],
+        ]
+        for k, row in enumerate(rows):
+            path = tmp_path / f"{k}.csv"
+            write_csv(path, ["h"], row if isinstance(row, np.ndarray) else [row])
+            lines = row.tolist() if isinstance(row, np.ndarray) else [row]
+            want = "h\n" + "".join(",".join(_fmt(v) for v in r) + "\n" for r in lines)
+            assert path.read_bytes() == want.encode()
+        assert (tmp_path / "3.csv").read_text().splitlines()[1] == "1.5,3,true,false,7,-0,name"
+
+
 class TestValidateVerb:
     def test_catalog_entry_passes(self, tmp_path, capsys):
         rc = main(["validate", "--catalog", "so3_biinv", "--out", str(tmp_path)])
@@ -168,6 +191,25 @@ class TestOtherVerbs:
         report = read_report(tmp_path)
         assert report["check.scaling_solution.pass"] == "true"
         assert report["check.dexp_vs_fd.pass"] == "true"
+
+    def test_jacobi_integrates_its_geodesic_once(self, tmp_path, capsys, monkeypatch):
+        # at the default t1 = 1 the dexp check reuses the verb's own path
+        from algebroid import cli, paths
+
+        spans = []
+        integrate = paths.geodesic_integrate
+
+        def counted(chart, metric, start, t_span=(0.0, 1.0), step=1e-3):
+            spans.append(tuple(t_span))
+            return integrate(chart, metric, start, t_span, step)
+
+        monkeypatch.setattr(paths, "geodesic_integrate", counted)
+        monkeypatch.setattr(cli, "geodesic_integrate", counted)
+        rc = main(["jacobi", "--catalog", "sphere_chart", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert read_report(tmp_path)["check.dexp_vs_fd.pass"] == "true"
+        assert spans == [(0.0, 1.0)]
 
     def test_curvature(self, tmp_path, capsys):
         rc = main(["curvature", "--catalog", "heisenberg_central", "--out", str(tmp_path)])

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from algebroid.expressions import (
     EvalDomainError,
+    Expression,
     ParseError,
+    Program,
     parse,
 )
 
@@ -231,3 +234,240 @@ class TestRoundTrip:
             e2 = parse(str(e), 2)
             pts = rng.uniform(-1, 1, size=(100, 2))
             np.testing.assert_array_equal(e.values(pts), e2.values(pts))
+
+
+# ---------------------------------------------------------------------------
+# The program: exact derivatives against sympy, bitwise batch/point
+# agreement, symmetry, domain errors and static sparsity
+# ---------------------------------------------------------------------------
+
+_FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh"]
+
+_LEAVES = ["x1", "x2", "x3", "0.5", "1.5", "2", "3"]
+_EXPONENTS = ["-2", "-1", "0", "1", "2", "3", "0.5", "1.5"]
+
+
+@st.composite
+def _trees(draw, depth=3):
+    """Expression text over x1..x3 with every operator and function of the
+    grammar; below the top, a branch may end early in a leaf."""
+    if depth == 0 or (depth < 3 and draw(st.integers(0, 3)) == 0):
+        return draw(st.sampled_from(_LEAVES))
+    kind = draw(st.sampled_from(["binary", "call", "neg", "power"]))
+    a = draw(_trees(depth - 1))
+    if kind == "binary":
+        return f"({a} {draw(st.sampled_from('+-*/'))} {draw(_trees(depth - 1))})"
+    if kind == "call":
+        return f"{draw(st.sampled_from(_FUNCS))}({a})"
+    if kind == "neg":
+        return f"-({a})"
+    exponent = draw(st.one_of(st.sampled_from(_EXPONENTS), _trees(depth - 1)))
+    return f"({a})^({exponent})"
+
+
+_tree_strategy = _trees()
+
+_box_point = st.lists(st.floats(min_value=0.5, max_value=1.5), min_size=3, max_size=3).map(
+    np.array
+)
+
+
+def _subtrees(node):
+    yield node
+    for child in ("arg", "lhs", "rhs"):
+        if hasattr(node, child):
+            yield from _subtrees(getattr(node, child))
+
+
+def _well_conditioned(expr, x, bound=50.0):
+    """Whether every subexpression is defined at x with value, gradient and
+    Hessian below `bound`, so that rounding stays far below 1e-12."""
+    for node in _subtrees(expr.root):
+        try:
+            t = Expression(node, expr.n).eval_raw(x, order=2)
+        except EvalDomainError:
+            return False
+        parts = np.concatenate([np.ravel(t.v), t.g.ravel(), t.h.ravel()])
+        if not np.all(np.isfinite(parts)) or np.max(np.abs(parts)) > bound:
+            return False
+    return True
+
+
+def _sympy_jet(text, x):
+    sp = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    xs = sp.symbols("x1:4")
+    f = parse_expr(text.replace("^", "**"), local_dict={f"x{i + 1}": s for i, s in enumerate(xs)})
+    at = {s: sp.Float(float(v), 40) for s, v in zip(xs, x)}
+
+    def num(e):
+        return complex(e.evalf(30, subs=at))
+
+    grad = [sp.diff(f, s) for s in xs]
+    hess = [[sp.diff(g, s) for s in xs] for g in grad]
+    return num(f), [num(g) for g in grad], [[num(h) for h in row] for row in hess]
+
+
+def _ops(prog, orders):
+    """Number of ops, domain checks included, one run of `orders` performs."""
+    return len(prog._plan(orders)[0])
+
+
+def _close(got, want):
+    assert abs(want.imag) <= 1e-12 * max(1.0, abs(want.real))
+    assert abs(got - want.real) <= 1e-12 * max(1.0, abs(want.real)), (got, want)
+
+
+class TestProgram:
+    @given(_tree_strategy, _box_point)
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
+    def test_value_gradient_hessian_match_sympy(self, text, x):
+        e = parse(text, 3)
+        assume(_well_conditioned(e, x))
+        t = e.eval_raw(x, order=2)
+        v, g, h = _sympy_jet(str(e), x)
+        _close(float(t.v), v)
+        for m in range(3):
+            _close(t.g[m], g[m])
+            for l in range(3):
+                _close(t.h[m, l], h[m][l])
+
+    # batches up to 40 rows run numpy's vector loops as well as their tails
+    @given(_tree_strategy, st.lists(_box_point, min_size=1, max_size=40))
+    @settings(max_examples=100)
+    def test_point_equals_its_batch_row_bit_for_bit(self, text, rows):
+        e = parse(text, 3)
+        pts = np.array(rows)
+        try:
+            batch = e.eval_raw(pts, order=2)
+        except EvalDomainError:
+            assume(False)
+        for k, x in enumerate(pts):
+            one = e.eval_raw(x, order=2)
+            for a, b in zip(one, batch):
+                assert np.asarray(a).tobytes() == np.ascontiguousarray(b[k]).tobytes()
+
+    @given(_tree_strategy, st.lists(_box_point, min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_hessian_symmetric_to_the_bit(self, text, rows):
+        e = parse(text, 3)
+        try:
+            h = e.eval_raw(np.array(rows), order=2).h
+        except EvalDomainError:
+            assume(False)
+        assert h.tobytes() == np.ascontiguousarray(h.swapaxes(-1, -2)).tobytes()
+
+    @pytest.mark.parametrize(
+        "text,inner,x,message",
+        [
+            ("x1 + x2 / (x1 - 1)", "x2 / (x1 - 1.0)", [1.0, 2.0], "division by zero"),
+            ("2 * log(x1 - x2)", "log(x1 - x2)", [1.0, 2.0], "log of a non-positive value"),
+            ("x2 * sqrt(x1 - 1)", "sqrt(x1 - 1.0)", [0.5, 2.0], "sqrt of a non-positive value"),
+            (
+                "1 + (x1 - 1)^0.5",
+                "(x1 - 1.0) ^ 0.5",
+                [0.5, 2.0],
+                "non-positive base with non-integer exponent",
+            ),
+            (
+                "sin((x1 - 1)^x2)",
+                "(x1 - 1.0) ^ x2",
+                [1.0, 2.0],
+                "non-positive base with variable exponent",
+            ),
+            ("x2 - (x1 - 1)^-2", "(x1 - 1.0) ^ -2.0", [1.0, 2.0], "zero base with negative exponent"),
+            # a base whose power folds to the constant 1 is still checked
+            ("x2 + log(x1)^0", "log(x1)", [-1.0, 2.0], "log of a non-positive value"),
+            ("sqrt(x1 - 1)^0 * x2", "sqrt(x1 - 1.0)", [0.5, 2.0], "sqrt of a non-positive value"),
+            ("(x2 / (x1 - 1))^0", "x2 / (x1 - 1.0)", [1.0, 2.0], "division by zero"),
+        ],
+    )
+    def test_domain_errors_name_their_subexpression(self, text, inner, x, message):
+        e = parse(text, 2)
+        good = np.array([1.25, 0.5])
+        e.eval_raw(good, order=2)
+        for order in (0, 1, 2):
+            for pts in (np.array(x), np.array([good, x, good])):
+                # the check runs before the op that would warn
+                with warnings.catch_warnings(), pytest.raises(EvalDomainError, match=message) as err:
+                    warnings.simplefilter("error")
+                    e.eval_raw(pts, order=order)
+                assert str(err.value.node) == inner
+                assert f"'{inner}'" in str(err.value)
+
+    def test_domain_error_through_the_structure_arrays(self):
+        from algebroid.charts import AlgebroidChart
+        from algebroid.metric import MetricField, christoffel
+
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "2 + log(x1)"}, 1, 1)
+        christoffel(chart, metric, np.array([0.5]))
+        with pytest.raises(EvalDomainError, match=r"log\(x1\)"):
+            christoffel(chart, metric, np.array([[0.5], [-0.5]]))
+        with pytest.raises(EvalDomainError, match=r"log\(x1\)"):
+            metric.eval(np.array([-0.5]))
+
+    @pytest.mark.parametrize(
+        "name", ["aff2", "euclidean2", "foliation_xy", "heisenberg_central", "so3_biinv"]
+    )
+    def test_constant_chart_and_metric_run_no_op(self, name):
+        from algebroid import catalog
+        from algebroid.metric import _Connection
+
+        entry = catalog.get(name)
+        assert entry.chart.is_constant and entry.metric.is_constant
+        assert _ops(Program.of(entry.chart), (1, 1)) == 0
+        assert _ops(Program.of(entry.metric), (2,)) == 0
+        # Gamma and dGamma are settled once, at construction
+        assert _Connection(entry.chart, entry.metric).gamma is not None
+        sphere = catalog.get("sphere_chart")
+        assert _ops(Program.of(sphere.metric), (2,)) > 0
+
+    def test_subexpressions_are_shared_across_groups(self):
+        from algebroid.charts import AlgebroidChart
+
+        chart = AlgebroidChart(
+            n=1, r=2, b=[["sin(x1)"], ["1"]], c_upper={(1, 2, 1): "sin(x1)^2"}, domain=[(0.1, 1.0)]
+        )
+        # sin(x1) once, then its square and, for C[1, 0, 0], the negation
+        assert _ops(Program.of(chart), (0, 0)) == 3
+        assert _ops(Program.of(chart), (0, None)) == 1
+        B, _ = chart.eval_anchor(np.array([0.3]))
+        C, _ = chart.eval_bracket(np.array([0.3]))
+        assert C[0, 1, 0] == B[0, 0] ** 2
+
+    def test_partials_of_constants_live_in_the_template(self):
+        e = parse("2*x1 + x2^2", 2)
+        t = e.eval_raw(np.array([[1.0, 3.0], [2.0, -1.0]]), order=2)
+        np.testing.assert_array_equal(t.g, [[2.0, 6.0], [2.0, -2.0]])
+        np.testing.assert_array_equal(t.h, [[[0.0, 0.0], [0.0, 2.0]]] * 2)
+        # d/dx1 = 2 and d2/dx2^2 = 2 are constants: per point run only
+        # 2*x1, x2^2, their sum and 2*x2
+        assert _ops(Program.of(e), (2,)) == 4
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1 + x2 - x3",
+            "x1 * x2 / x3",
+            "sin(x1*x2) + cos(x1 - x3)",
+            "tan(x1/2) * exp(x2*x3)",
+            "log(x1 + x2) / sqrt(x1*x3)",
+            "sinh(x2) / cosh(x1)",
+            "x1^-2 * x2^3 - x3^0 + x1^1",
+            "x1^1.5 - x3^0.5",
+            "x1^x2 + (x1*x2)^(x3 - 1)",
+            "-x1^2 / (1 + x2^2)",
+        ],
+    )
+    def test_every_rule_matches_sympy(self, text):
+        e = parse(text, 3)
+        for x in (np.array([0.7, 1.1, 1.3]), np.array([1.4, 0.6, 0.9])):
+            t = e.eval_raw(x, order=2)
+            v, g, h = _sympy_jet(str(e), x)
+            _close(float(t.v), v)
+            for m in range(3):
+                _close(t.g[m], g[m])
+                for l in range(3):
+                    _close(t.h[m, l], h[m][l])

@@ -158,6 +158,58 @@ class TestConnectionEvaluator:
         assert all(ref() is None for ref in refs)
         assert len(metric._cache) == 0
 
+    @pytest.mark.parametrize(
+        "b,c",
+        [
+            # action algebroid of the affine group on the line: the anchor
+            # varies, the bracket is constant and nonzero
+            ([["1"], ["x1"]], {(1, 2, 1): "1"}),
+            # a bracket linear in x1: C varies, dC is constant
+            ([["1"], ["0"]], {(1, 2, 2): "x1"}),
+        ],
+    )
+    def test_constant_metric_over_a_varying_chart(self, b, c, tmp_path, capsys):
+        from algebroid.charts import validate
+        from algebroid.chartfile import dumps_chart
+        from algebroid.cli import main
+        from algebroid.paths import jacobi_solve, parallel_transport
+        from algebroid.splitting import divergence_terms
+
+        chart = AlgebroidChart(n=1, r=2, b=b, c_upper=c, domain=[(-1.0, 1.0)])
+        metric = MetricField.identity(2, 1)
+        assert validate(chart).passed
+        xs = sample_box(chart.domain, 7, seed=3)
+        for with_derivative in (False, True):
+            batch = christoffel(chart, metric, xs, with_derivative)
+            assert batch.gamma.shape == (7, 2, 2, 2)
+            for k, x in enumerate(xs):
+                one = christoffel(chart, metric, x, with_derivative)
+                assert one.gamma.tobytes() == np.ascontiguousarray(batch.gamma[k]).tobytes()
+                if with_derivative:
+                    assert batch.dgamma.shape == (7, 2, 2, 2, 1)
+                    want = np.ascontiguousarray(batch.dgamma[k]).tobytes()
+                    assert one.dgamma.tobytes() == want
+        R = curvature(chart, metric, xs)
+        for k, x in enumerate(xs):
+            assert curvature(chart, metric, x).tobytes() == R[k].tobytes()
+
+        path = geodesic_integrate(chart, metric, AVector([0.1], [0.3, -0.2]), (0.0, 0.5), 1e-3)
+        assert np.all(np.isfinite(parallel_transport(chart, metric, path, [1.0, 0.0]).values))
+        assert np.all(np.isfinite(jacobi_solve(chart, metric, path, [0.0, 0.0], [0.1, 0.2]).values))
+        mus = sample_box([(-1.0, 1.0)] * 2, 7, seed=5)
+        trace, mean_curv = divergence_terms(chart, metric, AVector(xs, mus))
+        assert trace.shape == mean_curv.shape == (7,)
+        for k in (0, 6):
+            one = divergence_terms(chart, metric, AVector(xs[k], mus[k]))
+            assert one == (trace[k], mean_curv[k])
+
+        chart_file = tmp_path / "action.chart"
+        chart_file.write_text(dumps_chart(chart, metric))
+        for verb in ("transport", "jacobi", "divergence"):
+            argv = [verb, "--chart", str(chart_file), "--out", str(tmp_path / verb)]
+            assert main(argv + ["--x", "0.1", "--mu", "0.3,-0.2"]) == 0, verb
+        capsys.readouterr()
+
     @pytest.mark.parametrize("anchor", ["1", "x1"])
     def test_constant_metric_that_is_not_spd_raises_on_every_use(self, anchor):
         chart = AlgebroidChart(n=1, r=1, b=[[anchor]], domain=[(0.5, 1.5)])
