@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 SPD_EIGENVALUE_FLOOR = 1e-10
+# smallest Gram determinant of a pair whose sectional curvature is asked for
+GRAM_FLOOR = 1e-12
 
 
 class MetricError(ValueError):
@@ -118,18 +120,18 @@ class MetricField:
     def is_constant(self):
         return Program.of(self).constant(0) is not None
 
-    def eval(self, points, order=0, check_spd=True):
+    def eval(self, points, order=0):
         """g (..., r, r), dg (..., r, r, n), d2g (..., r, r, n, n)."""
         points = np.asarray(points, dtype=float)
         G, dG, d2G = Program.of(self).run(points, (order,))[0]
-        if check_spd and not _is_spd(G, self._shift):
+        if not _is_spd(G, self._shift):
             _raise_not_spd(G, points)
         return G, dG, d2G
 
     def spd_margin(self, chart, samples=200, seed=42):
         """Smallest eigenvalue of g over sampled points of the chart box."""
         pts = sample_box(chart.domain, samples, seed)
-        G, _, _ = self.eval(pts, order=0, check_spd=False)
+        [(G, _, _)] = Program.of(self).run(pts, (0,))
         return float(np.min(np.linalg.eigvalsh(G)))
 
 
@@ -327,7 +329,12 @@ def curvature(chart, metric, x):
     exact dGamma, no finite differences.
     """
     x = np.asarray(x, dtype=float)
-    ch = christoffel(chart, metric, x, with_derivative=True)
+    return _curvature_of(chart, x, christoffel(chart, metric, x, with_derivative=True))
+
+
+def _curvature_of(chart, x, ch):
+    """R at the points x from their Christoffel `ch`, which must carry
+    dGamma: callers that need Gamma as well evaluate the connection once."""
     B, _ = chart.eval_anchor(x)
     C, _ = chart.eval_bracket(x)
     gamma, dgamma = ch.gamma, ch.dgamma
@@ -375,7 +382,7 @@ def koszul_rhs(chart, metric, x):
     return t
 
 
-def sectional_curvature(chart, metric, x, a, b, gram_floor=1e-12):
+def sectional_curvature(chart, metric, x, a, b):
     """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2)."""
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -385,7 +392,7 @@ def sectional_curvature(chart, metric, x, a, b, gram_floor=1e-12):
     bb = np.einsum("...i,...ij,...j->...", b, G, b)
     ab = np.einsum("...i,...ij,...j->...", a, G, b)
     gram = aa * bb - ab * ab
-    if np.any(gram <= gram_floor):
+    if np.any(gram <= GRAM_FLOOR):
         raise ValueError(
             "sectional curvature of a (nearly) dependent pair "
             f"(Gram determinant {float(np.min(gram)):.3e})"

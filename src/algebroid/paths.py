@@ -22,6 +22,9 @@ sections) therefore evaluate the path, Gamma and, for Jacobi, R once over
 all 2N - 1 half-grid times and integrate a linear system on those tracks.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch through `_geodesics`, which also serves single geodesics.
+The batch keeps only the success path: when a row fails a node check or
+the right side raises, the start rows are replayed one at a time, so the
+error raised is the one a row-by-row loop would raise first.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import christoffel, curvature, fiber_inner
+from .metric import _curvature_of, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -54,6 +57,7 @@ __all__ = [
 
 TOL_APATH_GENERATED = 1e-9
 TOL_APATH_SUPPLIED = 1e-6
+TOL_GEODESIC = 1e-6
 
 
 class DomainExitError(RuntimeError):
@@ -76,6 +80,10 @@ class NonFiniteError(FloatingPointError):
 
 class NonGeodesicError(ValueError):
     """An operation requiring a geodesic was fed a non-geodesic path."""
+
+
+class _RowFailed(Exception):
+    """A row of a batched geodesic run failed a node check."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +241,15 @@ def _interleave(nodes, mids):
 def _transport_track(chart, metric, alpha, with_curvature=False):
     """Transport operators L[j] s = -Gamma(alpha, s) on the half grid of
     alpha and, optionally, the Jacobi operators K[j] beta = R(alpha, beta)
-    alpha: one path evaluation and one batched Gamma (and R) call."""
+    alpha: one path evaluation and one batched connection call, with
+    dGamma when R is wanted."""
     ts = alpha.ts
     x, mu = alpha.eval(_interleave(ts, ts[:-1] + 0.5 * np.diff(ts)))
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    L = -np.einsum("ti,tiju->tuj", mu, gamma)
+    ch = christoffel(chart, metric, x, with_derivative=with_curvature)
+    L = -np.einsum("ti,tiju->tuj", mu, ch.gamma)
     if not with_curvature:
         return L
-    R = curvature(chart, metric, x)
+    R = _curvature_of(chart, x, ch)
     return L, np.einsum("tijkl,ti,tk->tlj", R, mu, mu)
 
 
@@ -274,86 +283,48 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     there: a non-finite coordinate raises NonFiniteError, a base point
     outside the chart box DomainExitError, with the time and the partial
     path of that row.  Rows run together, but the error raised is the one
-    a row-by-row loop would raise first: that of the lowest failing row.
-    So a failing row is frozen together with every row after it (their
-    right side is no longer evaluated) and only the rows before it go on;
-    an exception from the right side is charged to the lowest row that
-    raises it on its own.
+    a row-by-row loop would raise first: when any row fails a node check or
+    the right side raises on the batch, the start rows are replayed one at
+    a time as single geodesics, and the first that fails raises.  A batch
+    row is bit-identical to its row run alone, so the replay costs time only
+    on a failure: the rows before the failing one are integrated twice.
     """
     n = chart.n
     ts = _grid(t_span, step)
     box = chart.domain.tolist()
-    lower, upper = chart.domain[:, 0], chart.domain[:, 1]
     y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
-    live = len(y0) if y0.ndim == 2 else 1  # rows [0, live) are integrated
-    failure = None  # the error of row `live`, raised when the run ends
 
     def rhs(j, y):
         dx, dmu = geodesic_rhs(chart, metric, y[..., :n], y[..., n:])
         return np.concatenate([dx, dmu], axis=-1)
 
-    def freeze(row, error):
-        nonlocal live, failure
-        live, failure = row, error
-        if row == 0:
-            raise error
+    def guard(k, y, ys, ds):
+        if y.ndim == 2:
+            if not (np.isfinite(y).all() and chart.contains(y[:, :n])):
+                raise _RowFailed
+            return
+        # plain floats: a few comparisons cost less than numpy calls here;
+        # zip pairs the n base coordinates with the box
+        v = y.tolist()
+        finite = all(map(math.isfinite, v))
+        if finite and all(lo <= c <= hi for c, (lo, hi) in zip(v, box)):
+            return
+        error = DomainExitError if finite else NonFiniteError
+        done, ddone = ys[:k].copy(), ds[:k].copy()  # the nodes before k
+        partial = APath(ts[:k].copy(), done[:, :n], done[:, n:], ddone[:, :n], ddone[:, n:])
+        raise error(float(ts[k]), partial)
 
+    if y0.ndim == 1:
+        return (ts, *_rk4(rhs, ts, y0, on_node=guard))
     # what the right side raises at a bad point: EvalDomainError and
     # MetricError are ValueErrors, an overflow under np.errstate an
     # ArithmeticError
-    pointwise = (ValueError, ArithmeticError)
-
-    def batch_rhs(j, y):
-        try:
-            d = rhs(j, y[:live])
-        except pointwise:
-            for i in range(live):
-                try:
-                    rhs(j, y[i])
-                except pointwise as error:
-                    freeze(i, error)
-                    break
-            else:
-                raise
-            d = rhs(j, y[:live])
-        if live == len(y):
-            return d
-        out = np.zeros_like(y)
-        out[:live] = d
-        return out
-
-    def guard(k, y, ys, ds):
-        if y.ndim == 1:
-            # plain floats: a few comparisons cost less than numpy calls here;
-            # zip pairs the n base coordinates with the box
-            v = y.tolist()
-            finite = all(map(math.isfinite, v))
-            if finite and all(lo <= c <= hi for c, (lo, hi) in zip(v, box)):
-                return
-            i = 0
-        else:
-            x = y[:live, :n]
-            finite = np.isfinite(y[:live]).all(axis=1)
-            ok = finite & ((lower <= x) & (x <= upper)).all(axis=1)
-            if ok.all():
-                return
-            i = int(np.argmin(ok))  # the lowest failing row
-            finite = finite[i]
-        error = DomainExitError if finite else NonFiniteError
-        row = ys.reshape(len(ts), -1, y.shape[-1])[:k, i]
-        drow = ds.reshape(len(ts), -1, y.shape[-1])[:k, i]
-        partial = APath(
-            ts=ts[:k].copy(),
-            xs=row[:, :n].copy(),
-            mus=row[:, n:].copy(),
-            dxs=drow[:, :n].copy(),
-            dmus=drow[:, n:].copy(),
-        )
-        freeze(i, error(float(ts[k]), partial))
-
-    ys, ds = _rk4(batch_rhs if y0.ndim == 2 else rhs, ts, y0, on_node=guard)
-    if failure is not None:
-        raise failure
+    try:
+        ys, ds = _rk4(rhs, ts, y0, on_node=guard)
+    except (_RowFailed, ValueError, ArithmeticError):
+        for row in y0:
+            _rk4(rhs, ts, row, on_node=guard)
+        raise
     return ts, ys, ds
 
 
@@ -375,8 +346,9 @@ def exp_map(chart, metric, m, a, step=1e-3):
 
     `a` may carry leading batch axes; the geodesics from the rows of `a`
     (at m, or at the matching rows of m) then run as one batch and the
-    result has the same leading axes.  Errors are those of the lowest
-    failing row, as in `make_geodesic_pencil`.
+    result has the same leading axes.  On a failure the rows are replayed
+    one at a time and the first failing row raises, as in
+    `make_geodesic_pencil`.
     """
     a = np.asarray(a, dtype=float)
     lead = a.shape[:-1]
@@ -408,9 +380,7 @@ def transport_frame(chart, metric, alpha: APath):
     """Transport the full coordinate frame; returns S with S[k] mapping
     fiber coordinates at t0 to coordinates at ts[k] (columns are the
     transported basis vectors)."""
-    L = _transport_track(chart, metric, alpha)
-    ys, _ = _rk4(lambda j, S: L[j] @ S, alpha.ts, np.eye(alpha.r))
-    return ys
+    return parallel_transport(chart, metric, alpha, np.eye(alpha.r)).values
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +435,16 @@ def geodesic_residual(chart, metric, alpha: APath):
 # ---------------------------------------------------------------------------
 
 
-def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0, geodesic_tol=1e-6):
+def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
     """Solve the Jacobi equation beta'' - R(alpha, beta) alpha = 0 along a
-    geodesic, with beta'' the iterated nabla^alpha derivative.
+    geodesic, with beta'' the iterated nabla^alpha derivative.  A path whose
+    `geodesic_residual` exceeds TOL_GEODESIC raises NonGeodesicError.
 
     The state is (beta, w = nabla^alpha beta), reduced to first order:
     beta' = w - Gamma(alpha, beta), w' = R(alpha,beta)alpha - Gamma(alpha,w).
     """
     res = geodesic_residual(chart, metric, alpha)
-    if res > geodesic_tol:
+    if res > TOL_GEODESIC:
         raise NonGeodesicError(
             f"path is not a geodesic (derivative-along residual {res:.3e})"
         )

@@ -59,6 +59,8 @@ __all__ = [
 
 RANK_RTOL = 1e-10
 KERNEL_TOL = 1e-9
+FD_STEP = 1e-5  # central first differences: the T field, the divergence oracle
+LEAF_FD_STEP = 1e-4  # first and second differences of the leaf metric
 
 
 class SplitError(ValueError):
@@ -200,22 +202,17 @@ def _oneill_apply(frame, gamma, a, b, project_a):
     )
 
 
-def _frame_and_gamma(chart, metric, x, frame, gamma):
-    frame = frame or split(chart, metric, x)
-    if gamma is None:
-        gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    return frame, gamma
-
-
-def oneill_T_apply(chart, metric, x, a, b, frame=None, gamma=None):
+def oneill_T_apply(chart, metric, x, a, b):
     """T_a b for coordinate fiber vectors a, b (..., r) at one point x."""
-    frame, gamma = _frame_and_gamma(chart, metric, x, frame, gamma)
+    frame = split(chart, metric, x)
+    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
     return _oneill_apply(frame, gamma, a, b, frame.project_vertical)
 
 
-def oneill_H_apply(chart, metric, x, a, b, frame=None, gamma=None):
+def oneill_H_apply(chart, metric, x, a, b):
     """H_a b for coordinate fiber vectors a, b (..., r) at one point x."""
-    frame, gamma = _frame_and_gamma(chart, metric, x, frame, gamma)
+    frame = split(chart, metric, x)
+    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
     return _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
 
 
@@ -319,13 +316,22 @@ def divergence_terms(chart, metric, v: AVector):
     that violates it, as a point-by-point loop would raise.
     """
     xs, mus, base = _flat_rows(chart, v)
+    trace, mean_curv, _ = _divergence_rows(chart, metric, xs, mus)
+    return _unflatten(trace, base), _unflatten(mean_curv, base)
+
+
+def _divergence_rows(chart, metric, xs, mus):
+    """The two terms of `divergence_terms` at the rows of xs (E, n) and mus
+    (E, r), and the vertical dimension of the frame at each row."""
     gamma = christoffel(chart, metric, xs, with_derivative=False).gamma
     C, _ = chart.eval_bracket(xs)
     B, _ = chart.eval_anchor(xs)
     trace = np.zeros(len(xs))
     mean_curv = np.zeros(len(xs))
+    vertical_dim = np.zeros(len(xs), dtype=int)
     leak = np.full(len(xs), np.nan)  # anchor norm of the first kernel vector
     for rows, frame in _frames(chart, metric, xs):
+        vertical_dim[rows] = frame.vertical_dim
         av = frame.project_vertical(mus[rows])
         ah = frame.project_horizontal(mus[rows])
         tr = 0.0
@@ -346,7 +352,7 @@ def divergence_terms(chart, metric, v: AVector):
             f"(anchor norm {leak[failed[0]]:.3e}); "
             "chart data violates the algebroid axioms here"
         )
-    return _unflatten(trace, base), _unflatten(mean_curv, base)
+    return trace, mean_curv, vertical_dim
 
 
 def divergence_XE(chart, metric, v: AVector):
@@ -355,26 +361,27 @@ def divergence_XE(chart, metric, v: AVector):
     return tr + mc
 
 
-def divergence_fd_lie_algebra(chart, metric, v: AVector, step=1e-5):
+def divergence_fd_lie_algebra(chart, metric, v: AVector):
     """Euclidean divergence of the fiber field of X_E by central differences.
 
     Valid for zero-anchor charts, where the Sasaki metric is the flat
-    fiber metric and the base does not move.  v may carry leading batch
-    axes; the 2r shifted fiber vectors of every point go through one
-    batched `geodesic_rhs` call.  A float for one point, else shape (...).
+    fiber metric and the base does not move; the step is FD_STEP.  v may
+    carry leading batch axes; the 2r shifted fiber vectors of every point
+    go through one batched `geodesic_rhs` call.  A float for one point,
+    else shape (...).
     """
     if not chart.has_zero_anchor:
         raise SplitError("finite-difference divergence oracle needs a zero anchor")
     from .paths import geodesic_rhs  # local import to keep modules acyclic
 
     xs, mus, base = _flat_rows(chart, v)
-    e = step * np.eye(chart.r)  # row j shifts component j
+    e = FD_STEP * np.eye(chart.r)  # row j shifts component j
     shifted = np.stack([mus[:, None, :] + e, mus[:, None, :] - e])  # (2, E, r, r)
     at = np.broadcast_to(xs[:, None, :], shifted.shape[:-1] + (chart.n,))
     _, dmu = geodesic_rhs(chart, metric, at, shifted)
     total = 0.0
     for j in range(chart.r):
-        total = total + (dmu[0, :, j, j] - dmu[1, :, j, j]) / (2.0 * step)
+        total = total + (dmu[0, :, j, j] - dmu[1, :, j, j]) / (2.0 * FD_STEP)
     return _unflatten(total, base)
 
 
@@ -383,7 +390,7 @@ def divergence_fd_lie_algebra(chart, metric, v: AVector, step=1e-5):
 # ---------------------------------------------------------------------------
 
 
-def horizontal_lift(chart, metric, x, u, tol=KERNEL_TOL, frame=None):
+def horizontal_lift(chart, metric, x, u, frame=None):
     """The horizontal fiber vector alpha with #(alpha) = u; errors if u is
     not tangent to the leaf at x."""
     frame = frame or split(chart, metric, x)
@@ -391,13 +398,13 @@ def horizontal_lift(chart, metric, x, u, tol=KERNEL_TOL, frame=None):
     B, _ = chart.eval_anchor(x)
     A = B.T  # (n, r)
     if frame.q == 0:
-        if np.max(np.abs(u), initial=0.0) > tol:
+        if np.max(np.abs(u), initial=0.0) > KERNEL_TOL:
             raise SplitError("nonzero base vector over a zero-anchor chart")
         return np.zeros(chart.r)
     M = A @ frame.horizontal.T  # (n, q)
     coef, *_ = np.linalg.lstsq(M, u, rcond=None)
     residual = float(np.max(np.abs(M @ coef - u), initial=0.0))
-    if residual > tol:
+    if residual > KERNEL_TOL:
         raise SplitError(
             f"base vector not in the anchor image (residual {residual:.3e})"
         )
@@ -486,12 +493,13 @@ def _vertical_algebra_curvature(chart, metric, frame):
     return Khat
 
 
-def _classical_leaf_sectional(chart, metric, x, u, v, fd_step=1e-4):
+def _classical_leaf_sectional(chart, metric, x, u, v):
     """Sectional curvature of the induced leaf metric at x, classical route.
 
     The leaf metric matrix field is differentiated by central differences
-    (first and second order); curvature then follows the classical
-    coordinate formulas.  Independent of the connection code above.
+    (first and second order, step LEAF_FD_STEP); curvature then follows
+    the classical coordinate formulas.  Independent of the connection code
+    above.
     """
     n = chart.n
     x = np.asarray(x, float)
@@ -502,7 +510,7 @@ def _classical_leaf_sectional(chart, metric, x, u, v, fd_step=1e-4):
     G0 = GL(x)
     dG = np.zeros((n, n, n))  # dG[i,j,m]
     d2G = np.zeros((n, n, n, n))  # d2G[i,j,m1,m2]
-    h = fd_step
+    h = LEAF_FD_STEP
     for m in range(n):
         em = np.eye(n)[m] * h
         Gp, Gm = GL(x + em), GL(x - em)
@@ -553,15 +561,15 @@ class CurvatureCheckResult:
     horizontal: float | None
 
 
-def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c, fd_step=1e-5):
+def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c):
     """((D_a T)_b c at x for fiber vectors a, b, c (P, r): the T field by
-    central differences over the frames at x +- fd_step e_m (one batched
+    central differences over the frames at x +- FD_STEP e_m (one batched
     split and one Gamma call for all 2n points), plus the connection terms
     at x."""
     n = chart.n
     B, _ = chart.eval_anchor(x)
     base_dir = np.einsum("...s,si->...i", a, B)
-    steps = np.eye(n) * fd_step
+    steps = np.eye(n) * FD_STEP
     ys = np.concatenate([x + steps, x - steps])
     gamma_ys = christoffel(chart, metric, ys, with_derivative=False).gamma
     T_ys = np.empty((2 * n,) + np.shape(b))
@@ -569,7 +577,7 @@ def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c, fd_step=1e-
         # one more axis on the frames, so that they broadcast over the P vectors
         f = SplitFrame(f.x[:, None], f.vertical[:, None], f.horizontal[:, None], f.G[:, None])
         T_ys[rows] = _oneill_apply(f, gamma_ys[rows, None], b, c, f.project_vertical)
-    dF = np.stack([(T_ys[m] - T_ys[n + m]) / (2 * fd_step) for m in range(n)], axis=-1)
+    dF = np.stack([(T_ys[m] - T_ys[n + m]) / (2 * FD_STEP) for m in range(n)], axis=-1)
     F0 = _oneill_apply(frame, gamma, b, c, frame.project_vertical)
     DaF = (dF @ base_dir[..., None])[..., 0] + _pointwise_D(gamma, a, F0)
     Dab = _pointwise_D(gamma, a, b)
@@ -581,7 +589,7 @@ def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c, fd_step=1e-
     )
 
 
-def oneill_curvature_check(chart, metric, x, fd_step=1e-5) -> CurvatureCheckResult:
+def oneill_curvature_check(chart, metric, x) -> CurvatureCheckResult:
     """Residuals of the three curvature identities of the splitting at x.
 
     vertical pairs (needs >= 2 vertical directions):
@@ -621,7 +629,7 @@ def oneill_curvature_check(chart, metric, x, fd_step=1e-5) -> CurvatureCheckResu
     if p >= 1 and q >= 1:
         h, u = np.repeat(Hb, p, axis=0), np.tile(V, (q, 1))  # (h, u) pairs, h-major
         K = sectional_curvature(chart, metric, x, h, u)
-        DT = _covariant_T_derivative(chart, metric, x, frame, gamma, h, u, u, fd_step)
+        DT = _covariant_T_derivative(chart, metric, x, frame, gamma, h, u, u)
         Tuh, Hhu = T(u, h), H(h, u)
         rhs = _g_dot(DT, G, h) - _g_dot(Tuh, G, Tuh) + _g_dot(Hhu, G, Hhu)
         mixed_res = _worst(K - rhs)

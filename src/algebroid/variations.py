@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charts import AVector
-from .metric import christoffel, curvature, fiber_inner
+from .metric import _curvature_of, christoffel, fiber_inner
 from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, jacobi_solve
 
 __all__ = [
@@ -156,7 +156,11 @@ def delta(chart, metric, grid: VariationGrid):
     _check_mesh(grid)
     if grid.beta is None:
         raise ValueError("delta needs a transverse family on the grid")
-    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
+    return _defect(grid, christoffel(chart, metric, grid.x, with_derivative=False).gamma)
+
+
+def _defect(grid, gamma):
+    """Delta on a grid with beta, from Gamma at its nodes."""
     dbeta_dt = np.gradient(grid.beta, grid.ts, axis=1, edge_order=2)
     dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
     quad = np.einsum("eti,etj,etiju->etu", grid.mu, grid.beta, gamma) - np.einsum(
@@ -239,15 +243,16 @@ def _midpoint_interp(values):
     return mids
 
 
-def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid, tol=HOMOTOPY_TOL):
+def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid):
     """Solve the transverse family with zero initial rows and test whether
-    it also vanishes at the far end (the homotopy criterion).
+    it also vanishes at the far end, below HOMOTOPY_TOL (the homotopy
+    criterion).
 
     Returns (bool, max |beta(eps, t1)|)."""
     E = len(grid.eps)
     solved = solve_transverse(chart, metric, grid, np.zeros((E, _rank(grid))))
     end = float(np.max(np.abs(solved.beta[:, -1, :])))
-    return end < tol, end
+    return end < HOMOTOPY_TOL, end
 
 
 def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
@@ -263,7 +268,8 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     if grid.beta is None:
         raise ValueError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
-    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
+    ch = christoffel(chart, metric, grid.x, with_derivative=True)
+    gamma = ch.gamma
 
     def nabla_t(f):
         return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
@@ -276,8 +282,8 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
         )
 
     lhs = nabla_t(nabla_e(s)) - nabla_e(nabla_t(s))
-    R = curvature(chart, metric, grid.x)
-    d = delta(chart, metric, grid)
+    R = _curvature_of(chart, grid.x, ch)
+    d = _defect(grid, gamma)
     rhs = np.einsum("etijkl,eti,etj,etk->etl", R, grid.mu, grid.beta, s) + np.einsum(
         "eti,etj,etiju->etu", d, s, gamma
     )
@@ -311,7 +317,7 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     G, _, _ = metric.eval(grid.x)
     pair_beta_alpha = np.einsum("etu,etuv,etv->et", grid.beta, G, grid.mu)
     pair_beta_Dt = np.einsum("etu,etuv,etv->et", grid.beta, G, Dt_alpha)
-    d = delta(chart, metric, grid)
+    d = _defect(grid, gamma)
     pair_delta_alpha = np.einsum("etu,etuv,etv->et", d, G, grid.mu)
 
     boundary = pair_beta_alpha[mid, -1] - pair_beta_alpha[mid, 0]
@@ -331,11 +337,12 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
 def make_geodesic_pencil(chart, metric, a: AVector, u, eps_values, t_span=(0.0, 1.0), step=1e-3):
     """The family of geodesics from (x, a + eps*u), sharing one time grid.
 
-    All rows are integrated as one batch.  If rows leave the chart box or
-    reach a non-finite state, the error raised (DomainExitError or
-    NonFiniteError, with the time and partial path of its row) is that of
-    the failing row with the lowest index, as if the rows were integrated
-    one after another in the order of `eps_values`.
+    All rows are integrated as one batch.  If a row leaves the chart box,
+    reaches a non-finite state or makes the right side raise, the rows are
+    replayed one at a time in the order of `eps_values`, and the first
+    failing row raises its own error (DomainExitError or NonFiniteError
+    with its time and partial path, or the right side's error), as a
+    row-by-row loop would.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     mu0 = a.mu + eps_values[:, None] * np.asarray(u, dtype=float)

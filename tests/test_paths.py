@@ -457,7 +457,7 @@ class TestCoefficientTracks:
             return wrapper
 
         monkeypatch.setattr(paths, "christoffel", counting("christoffel", paths.christoffel))
-        monkeypatch.setattr(paths, "curvature", counting("curvature", paths.curvature))
+        monkeypatch.setattr(paths, "_curvature_of", counting("curvature", paths._curvature_of))
         monkeypatch.setattr(APath, "eval", counting("eval", APath.eval))
         parallel_transport(chart, metric, path, s0)
         transport_frame(chart, metric, path)
