@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charts import AVector
-from .metric import _curvature_of, christoffel, fiber_inner
+from .metric import christoffel, curvature, fiber_inner
 from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, jacobi_solve
 
 __all__ = [
@@ -268,8 +268,7 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     if grid.beta is None:
         raise ValueError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
-    ch = christoffel(chart, metric, grid.x, with_derivative=True)
-    gamma = ch.gamma
+    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
 
     def nabla_t(f):
         return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
@@ -282,7 +281,7 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
         )
 
     lhs = nabla_t(nabla_e(s)) - nabla_e(nabla_t(s))
-    R = _curvature_of(chart, grid.x, ch)
+    R = curvature(chart, metric, grid.x)
     d = _defect(grid, gamma)
     rhs = np.einsum("etijkl,eti,etj,etk->etl", R, grid.mu, grid.beta, s) + np.einsum(
         "eti,etj,etiju->etu", d, s, gamma

@@ -318,8 +318,8 @@ def test_variation_check_catches_a_broken_curvature(name, factor, tmp_path, caps
     # converging, and only the convergence check fails
     import algebroid.variations as variations
 
-    exact = variations._curvature_of
-    monkeypatch.setattr(variations, "_curvature_of", lambda *a: factor * exact(*a))
+    exact = variations.curvature
+    monkeypatch.setattr(variations, "curvature", lambda *a: factor * exact(*a))
     rc = main(["variation-check", "--catalog", name, "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 1
@@ -357,33 +357,15 @@ def twisted_source(tmp_path):
     return ["--chart", str(path)]
 
 
-@pytest.mark.parametrize("name", catalog.names())
-@pytest.mark.parametrize("verb", FLOW_VERBS)
-def test_flow_verbs_pass_on_every_catalog_chart(verb, name, tmp_path, capsys):
-    rc = main([verb, "--catalog", name, "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "overall_pass=true" in out.splitlines()
-
-
-@pytest.mark.parametrize("verb", FLOW_VERBS + ["variation-check"])
-def test_flow_verbs_on_the_twisted_chart(verb, tmp_path, capsys):
-    # the default seed's start leaves the small box of the twisted chart
-    # (at t = 0.757; the variation check's pencil at t = 0.946): a domain
-    # exit, reported as a failed check; a start that stays inside passes
+def test_variation_check_leaving_the_box_exits_1(tmp_path, capsys):
+    # the default seed's pencil leaves the small box of the twisted chart at
+    # t = 0.946: the domain exit is reported as a failed check, not a crash
     source = twisted_source(tmp_path)
-    rc = main([verb, *source, "--out", str(tmp_path / "seed")])
-    captured = capsys.readouterr()
+    rc = main(["variation-check", *source, "--out", str(tmp_path / "seed")])
     assert rc == 1
-    if verb == "variation-check":
-        assert captured.err.startswith("check failed: trajectory left the chart domain")
-    else:
-        report = read_report(tmp_path / "seed")
-        assert report["domain_exit_time"] == "0.75700000000000001"
-        failed = {k for k, v in report.items() if k.endswith(".pass") and v == "false"}
-        assert failed == {"check.stayed_in_domain.pass"}
+    assert capsys.readouterr().err.startswith("check failed: trajectory left the chart domain")
     pinned = ["--x", "1,1", "--mu", "0.2,0.1,0.3"]
-    rc = main([verb, *source, *pinned, "--out", str(tmp_path / "pinned")])
+    rc = main(["variation-check", *source, *pinned, "--out", str(tmp_path / "pinned")])
     assert rc == 0
     assert "overall_pass=true" in capsys.readouterr().out.splitlines()
 
@@ -391,10 +373,17 @@ def test_flow_verbs_on_the_twisted_chart(verb, tmp_path, capsys):
 POINTWISE_VERBS = ["validate", "curvature", "oneill", "divergence", "hamcheck"]
 
 
-@pytest.mark.parametrize("name", catalog.names() + ["twisted"])
-@pytest.mark.parametrize("verb", POINTWISE_VERBS)
+# every verb on every catalog chart and on the twisted chart; the flow
+# verbs start inside the twisted chart's small box, which the default
+# start leaves
+@pytest.mark.parametrize(
+    "verb, name",
+    [(v, n) for v in sorted(POINTWISE_VERBS + FLOW_VERBS) for n in catalog.names() + ["twisted"]],
+)
 def test_pointwise_verbs_pass_on_every_chart(verb, name, tmp_path, capsys):
     source = twisted_source(tmp_path) if name == "twisted" else ["--catalog", name]
+    if name == "twisted" and verb in FLOW_VERBS:
+        source += ["--x", "1,1", "--mu", "0.2,0.1,0.3"]
     rc = main([verb, *source, "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert rc == 0
