@@ -43,7 +43,7 @@ anchored = anchor_of_grid(chart, solved, d)
 print("anchor applied to the defect     :", np.max(np.abs(anchored[1:-1, 1:-1])))
 
 path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 2e-3)
-homotopy = make_fixed_endpoint_homotopy(chart, metric, path, [1.0, 0.5, 0.25], amplitude=0.05)
+homotopy = make_fixed_endpoint_homotopy(chart, metric, path, [1.0, 0.5, 0.25])
 res = first_variation_residual(chart, metric, homotopy)
 E = row_energies(chart, metric, homotopy)
 dE = np.gradient(E, homotopy.eps, edge_order=2)[len(homotopy.eps) // 2]

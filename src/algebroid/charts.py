@@ -150,12 +150,9 @@ class AlgebroidChart:
         prog = Program.of(self)
         return prog.constant(0) is not None and prog.constant(1) is not None
 
-    def contains(self, x, margin=0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.domain[:, 0] - margin)
-            and np.all(x <= self.domain[:, 1] + margin)
-        )
+        return bool(np.all(x >= self.domain[:, 0]) and np.all(x <= self.domain[:, 1]))
 
     def center(self):
         return 0.5 * (self.domain[:, 0] + self.domain[:, 1])

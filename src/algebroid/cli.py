@@ -29,8 +29,8 @@ from .hamiltonian import euler_identity_residual, hamiltonian_field
 from .metric import (
     MetricError,
     SPD_EIGENVALUE_FLOOR,
+    _curvature_of,
     christoffel,
-    curvature,
     fiber_inner,
     koszul_rhs,
 )
@@ -336,8 +336,8 @@ def _cmd_jacobi(args, out, run, chart, metric):
 
 def _cmd_curvature(args, out, run, chart, metric):
     x = _vector(args.x, chart.n, "--x") if args.x else chart.center()
-    ch = christoffel(chart, metric, x, with_derivative=False)
-    R = curvature(chart, metric, x)
+    ch = christoffel(chart, metric, x, with_derivative=True)
+    R = _curvature_of(chart, x, ch)
     G, _, _ = metric.eval(x)
     low = np.einsum("ijkl,lm->ijkm", R, G)
     run.check("antisymmetry_ab", float(np.max(np.abs(low + np.swapaxes(low, 0, 1)))), 1e-9)
@@ -446,7 +446,7 @@ def _cmd_variation_check(args, out, run, chart, metric):
     rows.append(["delta_anchor_kernel", 0, res_anchor])
 
     path = pencil.row_path(len(eps_values) // 2)
-    homotopy = make_fixed_endpoint_homotopy(chart, metric, path, direction=u, amplitude=0.05)
+    homotopy = make_fixed_endpoint_homotopy(chart, metric, path, direction=u)
     fv = first_variation_residual(chart, metric, homotopy)
     energies = row_energies(chart, metric, homotopy)
     dE = float(np.gradient(energies, homotopy.eps, edge_order=2)[len(homotopy.eps) // 2])

@@ -323,40 +323,18 @@ class _Parser:
 # between entries runs once per evaluation, and arithmetic on constants is
 # folded.  The jet of a node maps () to the slot of its value, (m,) to that
 # of d_m and (m, l), m <= l, to that of d_m d_l; a partial that vanishes
-# identically has no slot (None).  Ops are closures over slot numbers, not
-# code compiled per program: every CLI verb builds its chart anew, and
-# compiling would cost more than that.
+# identically has no slot (None).  An op is data: (function, out slot,
+# argument slots a and b, domain check or None), b None for a unary
+# function.  `Program.run` is its one interpreter, and a second one (over
+# intervals, say) can walk the same list.  Ops are interpreted, not compiled
+# per program: every CLI verb builds its chart anew, and compiling would
+# cost more than that.
 # ---------------------------------------------------------------------------
 
 _ADD, _SUB, _MUL, _DIV, _NEG = (
     operator.add, operator.sub, operator.mul, operator.truediv, operator.neg
 )
 _FOLDED = (_ADD, _SUB, _MUL, _DIV, _NEG)
-
-def _unary(f, out, a):
-    def op(vals):
-        vals[out] = f(vals[a])
-
-    return op
-
-
-def _binary(f, out, a, b):
-    def op(vals):
-        vals[out] = f(vals[a], vals[b])
-
-    return op
-
-
-def _checked(op, test, x, message, node):
-    """op, run only when test(x, 0) holds at no point."""
-
-    def checked(vals):
-        bad = test(vals[x], 0.0)
-        if bad.any() if isinstance(bad, np.ndarray) else bad:
-            raise EvalDomainError(message, node)
-        op(vals)
-
-    return checked
 
 
 class Jet(NamedTuple):
@@ -372,10 +350,11 @@ class Program:
     """One straight-line program over n coordinates, built from expressions.
 
     `add_group` declares a group of output arrays: values, partials and
-    second partials up to the group's order.  `run` evaluates the groups
-    asked for on a batch of points and runs only the ops they need, and
-    the domain checks of their expressions: a loop of plain numpy calls on
-    arrays of the batch shape.
+    second partials up to the group's order.  The ops are plain tuples
+    (function, out slot, a, b, check) over the slots of `_vals`, and `run`
+    is their interpreter: on a batch of points it runs only the ops the
+    groups asked for need, and the domain checks of their expressions, as
+    a loop of plain numpy calls on arrays of the batch shape.
     """
 
     @classmethod
@@ -392,7 +371,7 @@ class Program:
     def __init__(self, n):
         self.n = n
         self._vals = [None] * n  # constants; None marks a per-point slot
-        self._ops = []  # (op, out slot, argument slots)
+        self._ops = []  # (function, out slot, a, b or None, check or None)
         self._memo = {}
         self._groups = []  # per group: (order, one spec per level, checked slots)
         self._plans = {}
@@ -428,8 +407,8 @@ class Program:
         if s is None:
             s = self._memo[key] = len(self._vals)
             self._vals.append(None)
-            op = _unary(f, s, *args) if len(args) == 1 else _binary(f, s, *args)
-            self._ops.append((op if check is None else _checked(op, *check), s, args))
+            a, b = (*args, None)[:2]
+            self._ops.append((f, s, a, b, check))
         if check is not None:
             self._checked.add(s)
         return s
@@ -602,10 +581,10 @@ class Program:
                 for k, spec in enumerate(specs[: min(order, top) + 1]):
                     levels.append((g, k) + spec)
                     need.update(s for _, _, s in spec[1])
-        for _, out, args in reversed(self._ops):
+        for _, out, a, b, _ in reversed(self._ops):
             if out in need:
-                need.update(args)
-        ops = tuple(op for op, out, _ in self._ops if out in need)
+                need.update((a, b))
+        ops = tuple(op for op in self._ops if op[1] in need)
         self._plans[orders] = plan = ops, [i for i in range(self.n) if i in need], levels
         return plan
 
@@ -623,8 +602,13 @@ class Program:
                 # contiguous columns: numpy's kernels take the same path as
                 # for any other array of the batch
                 vals[i] = points[..., i].copy() if base else points[i]
-            for op in ops:
-                op(vals)
+            for f, out, a, b, check in ops:
+                if check is not None:
+                    test, x, message, node = check
+                    bad = test(vals[x], 0.0)
+                    if bad.any() if isinstance(bad, np.ndarray) else bad:
+                        raise EvalDomainError(message, node)
+                vals[out] = f(vals[a]) if b is None else f(vals[a], vals[b])
         out = [[None, None, None] for _ in orders]
         for g, k, tmpl, point, _ in levels:
             # a single point takes the cheaper copy and plain indices

@@ -37,6 +37,7 @@ import numpy as np
 
 from .charts import AVector
 from .metric import christoffel, curvature, sectional_curvature
+from .paths import geodesic_rhs
 
 __all__ = [
     "SplitFrame",
@@ -106,9 +107,6 @@ class SplitFrame:
 
     def project_horizontal(self, mu):
         return self._project(self.horizontal, mu)
-
-    def inner(self, u, v):
-        return float(u @ self.G @ v)
 
 
 def _g_dot(u, G, w):
@@ -372,7 +370,6 @@ def divergence_fd_lie_algebra(chart, metric, v: AVector):
     """
     if not chart.has_zero_anchor:
         raise SplitError("finite-difference divergence oracle needs a zero anchor")
-    from .paths import geodesic_rhs  # local import to keep modules acyclic
 
     xs, mus, base = _flat_rows(chart, v)
     e = FD_STEP * np.eye(chart.r)  # row j shifts component j
@@ -455,9 +452,9 @@ def leaf_metric(chart, metric, x, u, v, frame=None):
     return float(lu @ frame.G @ lv)
 
 
-def leaf_metric_matrix(chart, metric, x, frame=None):
+def leaf_metric_matrix(chart, metric, x):
     """Matrix of the induced leaf metric on a transitive chart."""
-    frame = frame or split(chart, metric, x)
+    frame = split(chart, metric, x)
     if frame.q != chart.n:
         raise SplitError("leaf metric matrix needs a transitive chart")
     lifts = np.column_stack(

@@ -49,6 +49,9 @@ __all__ = [
 TRANSVERSALITY_TOL = 1e-6
 TRANSVERSALITY_POSTERIOR_TOL = 1e-4
 HOMOTOPY_TOL = 1e-5
+PENCIL_EPS_STEP = 1e-3  # spacing of the five eps-rows of the Jacobi pencil
+HOMOTOPY_AMPLITUDE = 0.05  # scale of the prescribed transverse family
+HOMOTOPY_SUBSTEPS = 4  # RK4 steps in eps between consecutive eps-rows
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -365,19 +368,18 @@ class PencilReport:
         return float(np.max(np.abs(self.pencil_beta - self.ode_beta)))
 
 
-def jacobi_from_geodesic_pencil(
-    chart, metric, a: AVector, u, t_span=(0.0, 1.0), step=1e-3, eps_step=1e-3
-):
+def jacobi_from_geodesic_pencil(chart, metric, a: AVector, u, step=1e-3):
     """Compare the transverse family of a geodesic pencil against the
     Jacobi equation solved as an ODE.
 
     The pencil alpha(eps, t) flows a + eps*u; the transverse family with
     zero initial rows restricted to eps = 0 is a Jacobi section with
-    beta(0) = 0 and first derivative u, matched against `jacobi_solve`.
+    beta(0) = 0 and first derivative u, matched against `jacobi_solve`,
+    over t in [0, 1].
     """
     u = np.asarray(u, dtype=float)
-    eps_values = eps_step * np.arange(-2, 3)
-    grid = make_geodesic_pencil(chart, metric, a, u, eps_values, t_span, step)
+    eps_values = PENCIL_EPS_STEP * np.arange(-2, 3)
+    grid = make_geodesic_pencil(chart, metric, a, u, eps_values, (0.0, 1.0), step)
     E = len(eps_values)
     solved = solve_transverse(chart, metric, grid, np.zeros((E, chart.r)))
     mid = E // 2
@@ -393,17 +395,16 @@ def make_fixed_endpoint_homotopy(
     metric,
     alpha0: APath,
     direction,
-    amplitude=0.05,
     eps_values=(-2e-2, -1e-2, 0.0, 1e-2, 2e-2),
-    substeps=4,
 ):
     """Flow a given A-path into a fixed-endpoint family.
 
     The transverse family is prescribed analytically as
-    beta(eps, t) = amplitude * sin(pi * s(t)) * direction (s the normalized
-    time), which vanishes at both ends, and the family itself is obtained
-    by integrating the zero-defect flow in eps; every row then satisfies
-    the A-path constraint and the family is a fixed-endpoint homotopy.
+    beta(eps, t) = HOMOTOPY_AMPLITUDE * sin(pi * s(t)) * direction (s the
+    normalized time), which vanishes at both ends, and the family itself
+    is obtained by integrating the zero-defect flow in eps; every row then
+    satisfies the A-path constraint and the family is a fixed-endpoint
+    homotopy.
     The input path is the row at eps = 0, whether or not 0 is among the
     distinct, finite `eps_values`; every other row is flowed out from it.
     Returns a VariationGrid with beta filled in.
@@ -417,8 +418,8 @@ def make_fixed_endpoint_homotopy(
     profile = np.sin(np.pi * snorm)  # (N,)
     dprofile = (np.pi / (ts[-1] - ts[0])) * np.cos(np.pi * snorm)
 
-    beta_row = amplitude * profile[:, None] * direction[None, :]
-    dbeta_dt = amplitude * dprofile[:, None] * direction[None, :]
+    beta_row = HOMOTOPY_AMPLITUDE * profile[:, None] * direction[None, :]
+    dbeta_dt = HOMOTOPY_AMPLITUDE * dprofile[:, None] * direction[None, :]
 
     n = chart.n
 
@@ -434,8 +435,7 @@ def make_fixed_endpoint_homotopy(
         return np.concatenate([dX, dbeta_dt + comm], axis=1)
 
     # integrate outward from eps = 0 in both directions, one RK4 run per
-    # direction over `substeps` steps between consecutive eps-rows
-    nsub = max(1, substeps)
+    # direction over HOMOTOPY_SUBSTEPS steps between consecutive eps-rows
     order = np.argsort(eps_values)
     y0 = np.concatenate([alpha0.xs, alpha0.mus], axis=1)
     rows = {i: y0 for i in np.flatnonzero(eps_values == 0.0)}
@@ -447,12 +447,12 @@ def make_fixed_endpoint_homotopy(
             continue
         knots = [0.0] + [eps_values[i] for i in side]
         eps_grid = np.concatenate(
-            [np.linspace(a, b, nsub + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
+            [np.linspace(a, b, HOMOTOPY_SUBSTEPS + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
             + [knots[-1:]]
         )
         ys, _ = _rk4(flow_rhs, eps_grid, y0)
         for m, i in enumerate(side, start=1):
-            rows[i] = ys[m * nsub]
+            rows[i] = ys[m * HOMOTOPY_SUBSTEPS]
 
     E = len(eps_values)
     state = np.stack([rows[i] for i in range(E)])

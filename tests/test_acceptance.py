@@ -216,8 +216,7 @@ def test_06_jacobi_machinery():
 
     sphere = catalog.get("sphere_chart")
     pencil = jacobi_from_geodesic_pencil(
-        sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), [0.7, -0.3],
-        step=2e-3, eps_step=1e-3,
+        sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), [0.7, -0.3], step=2e-3
     )
 
     dexp_worst = 0.0
@@ -300,9 +299,7 @@ def test_08_variation_calculus():
         xs, mus = _seeded_states(entry.chart, 1, shrink=0.35, mu_scale=0.4)
         path = geodesic_integrate(entry.chart, entry.metric, AVector(xs[0], mus[0]), (0, 1), 2e-3)
         direction = np.linspace(1.0, 0.5, entry.chart.r)
-        homotopy = make_fixed_endpoint_homotopy(
-            entry.chart, entry.metric, path, direction, amplitude=0.05
-        )
+        homotopy = make_fixed_endpoint_homotopy(entry.chart, entry.metric, path, direction)
         fv_worst = max(fv_worst, first_variation_residual(entry.chart, entry.metric, homotopy))
         energies = row_energies(entry.chart, entry.metric, homotopy)
         dE = np.gradient(energies, homotopy.eps, edge_order=2)

@@ -314,6 +314,43 @@ def _ops(prog, orders):
     return len(prog._plan(orders)[0])
 
 
+def _walk(prog, x):
+    """A second interpreter of the op list, not `run`: every op in order at
+    the single point x, then each group's arrays up to its top order."""
+    vals = list(prog._vals)
+    vals[: prog.n] = x
+    for f, out, a, b, check in prog._ops:
+        if check is not None:
+            test, s, message, node = check
+            if test(vals[s], 0.0):
+                raise EvalDomainError(message, node)
+        vals[out] = f(vals[a]) if b is None else f(vals[a], vals[b])
+    groups = []
+    for _, specs, _ in prog._groups:
+        levels = [tmpl.copy() for tmpl, _, _ in specs]
+        for level, (_, points, _) in zip(levels, specs):
+            for cell, _, s in points:
+                level[cell] = vals[s]
+        groups.append(levels)
+    return groups
+
+
+def _same_as_run(prog, x):
+    """Whether `_walk` reproduces `run` at x bit for bit, errors included."""
+    try:
+        want = prog.run(x, tuple(top for top, _, _ in prog._groups))
+    except EvalDomainError as err:
+        with pytest.raises(EvalDomainError) as again:
+            _walk(prog, x)
+        return (str(again.value), again.value.node) == (str(err), err.node)
+    got = _walk(prog, x)
+    return all(
+        np.asarray(a).tobytes() == b.tobytes()
+        for g, w in zip(got, want)
+        for a, b in zip(g, w)
+    )
+
+
 def _close(got, want):
     assert abs(want.imag) <= 1e-12 * max(1.0, abs(want.real))
     assert abs(got - want.real) <= 1e-12 * max(1.0, abs(want.real)), (got, want)
@@ -395,6 +432,21 @@ class TestProgram:
                     e.eval_raw(pts, order=order)
                 assert str(err.value.node) == inner
                 assert f"'{inner}'" in str(err.value)
+
+    @given(_tree_strategy, _box_point)
+    @settings(max_examples=60)
+    def test_a_second_interpreter_walks_the_op_list(self, text, x):
+        assert _same_as_run(Program.of(parse(text, 3)), x)
+
+    def test_a_second_interpreter_walks_the_structure_programs(self, sphere, twisted_chart):
+        assert _same_as_run(Program.of(sphere.metric), np.array([1.0, 0.7]))
+        assert _same_as_run(Program.of(twisted_chart), np.array([0.8, 1.3]))
+        # a checked op raises in both, also where its value folds away
+        prog = Program.of(parse("x2 + log(x1)^0", 2))
+        assert _same_as_run(prog, np.array([1.5, 2.0]))
+        with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+            _walk(prog, np.array([-1.0, 2.0]))
+        assert _same_as_run(prog, np.array([-1.0, 2.0]))
 
     def test_domain_error_through_the_structure_arrays(self):
         from algebroid.charts import AlgebroidChart

@@ -239,7 +239,7 @@ class TestFirstVariation:
         mu0 = 0.35 * np.ones(chart.r)
         path = geodesic_integrate(chart, metric, AVector(x0, mu0), (0.0, 1.0), 2e-3)
         direction = np.linspace(1.0, 0.5, chart.r)
-        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, amplitude=0.05)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction)
         res = first_variation_residual(chart, metric, grid)
         assert res < 1e-5
         energies = row_energies(chart, metric, grid)
@@ -521,7 +521,7 @@ class TestBatchedFlows:
         path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
         direction = np.linspace(1.0, 0.5, chart.r)
         eps = (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)
-        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, 0.05, eps, substeps=4)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, eps_values=eps)
         X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
         assert np.max(np.abs(grid.x - X)) <= 1e-12
         assert np.max(np.abs(grid.mu - M)) <= 1e-12
@@ -533,7 +533,7 @@ class TestBatchedFlows:
         a = AVector(chart.center(), 0.3 * np.ones(chart.r))
         path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
         direction = np.linspace(1.0, 0.5, chart.r)
-        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, 0.05, eps, substeps=4)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, eps_values=eps)
         X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
         assert np.max(np.abs(grid.x - X)) <= 1e-12
         assert np.max(np.abs(grid.mu - M)) <= 1e-12
@@ -542,4 +542,4 @@ class TestBatchedFlows:
     def test_homotopy_rejects_repeated_eps(self, sphere):
         path = geodesic_integrate(sphere.chart, sphere.metric, AVector([1.2, 1.0], [0.3, 0.2]), (0.0, 1.0), 1e-2)
         with pytest.raises(ValueError, match="distinct"):
-            make_fixed_endpoint_homotopy(sphere.chart, sphere.metric, path, [1.0, 0.5], 0.05, (0.0, 0.0, 0.01))
+            make_fixed_endpoint_homotopy(sphere.chart, sphere.metric, path, [1.0, 0.5], eps_values=(0.0, 0.0, 0.01))
