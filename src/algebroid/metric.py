@@ -58,7 +58,8 @@ __all__ = [
 ]
 
 SPD_EIGENVALUE_FLOOR = 1e-10
-# smallest Gram determinant of a pair whose sectional curvature is asked for
+# smallest Gram determinant, relative to <a,a><b,b> (the squared sine of the
+# angle), of a pair whose sectional curvature is asked for
 GRAM_FLOOR = 1e-12
 
 
@@ -383,7 +384,8 @@ def koszul_rhs(chart, metric, x):
 
 
 def sectional_curvature(chart, metric, x, a, b):
-    """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2)."""
+    """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2); a pair whose Gram
+    determinant is at most GRAM_FLOOR <a,a><b,b> is rejected as dependent."""
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -392,10 +394,12 @@ def sectional_curvature(chart, metric, x, a, b):
     bb = np.einsum("...i,...ij,...j->...", b, G, b)
     ab = np.einsum("...i,...ij,...j->...", a, G, b)
     gram = aa * bb - ab * ab
-    if np.any(gram <= GRAM_FLOOR):
+    dependent = gram <= GRAM_FLOOR * aa * bb
+    if np.any(dependent):
+        first = np.argmax(dependent)  # flat index of the first dependent pair
         raise ValueError(
-            "sectional curvature of a (nearly) dependent pair "
-            f"(Gram determinant {float(np.min(gram)):.3e})"
+            "sectional curvature of a (nearly) dependent pair (Gram determinant "
+            f"{np.ravel(gram)[first]:.3e}, <a,a><b,b> = {np.ravel(aa * bb)[first]:.3e})"
         )
     R = curvature(chart, metric, x)
     rabab = np.einsum("...ijkl,...i,...j,...k,...lm,...m->...", R, a, b, a, G, b)

@@ -27,10 +27,16 @@ by anchor rank, which may differ between points; `split` is its one-point
 case.  `divergence_terms` and `divergence_fd_lie_algebra` take fiber
 vectors with leading batch axes, and T and H on all pairs of frame
 vectors come from one contraction of Gamma.
+
+`horizontal_lift` and `leaf_metric` go through the split frame, which also
+serves foliations; `leaf_metric_matrix` is the closed form (b^T g^-1 b)^-1
+on transitive charts, and the horizontal identity's classical leaf
+curvature differentiates it on one grid of points.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +67,7 @@ __all__ = [
 RANK_RTOL = 1e-10
 KERNEL_TOL = 1e-9
 FD_STEP = 1e-5  # central first differences: the T field, the divergence oracle
-LEAF_FD_STEP = 1e-4  # first and second differences of the leaf metric
+LEAF_FD_STEP = 2e-3  # fourth-order differences of the leaf metric
 
 
 class SplitError(ValueError):
@@ -453,14 +459,20 @@ def leaf_metric(chart, metric, x, u, v, frame=None):
 
 
 def leaf_metric_matrix(chart, metric, x):
-    """Matrix of the induced leaf metric on a transitive chart."""
-    frame = split(chart, metric, x)
-    if frame.q != chart.n:
+    """Induced leaf metric (b^T g^-1 b)^-1 at x (..., n), shape (..., n, n).
+
+    Horizontal lifts are the g-shortest anchor preimages, so b^T g^-1 b is
+    the leaf cometric; no frame or lift is formed.  Every point must be
+    transitive by the rank rule of `split` (n singular values of b above
+    RANK_RTOL times the largest).
+    """
+    x = np.asarray(x, dtype=float)
+    B, _ = chart.eval_anchor(x)  # (..., r, n)
+    G, _, _ = metric.eval(x)
+    sigma = np.linalg.svd(B, compute_uv=False)
+    if np.any((sigma > RANK_RTOL * sigma[..., :1]).sum(axis=-1) != chart.n):
         raise SplitError("leaf metric matrix needs a transitive chart")
-    lifts = np.column_stack(
-        [horizontal_lift(chart, metric, x, e, frame=frame) for e in np.eye(chart.n)]
-    )  # (r, n)
-    return lifts.T @ frame.G @ lifts
+    return np.linalg.inv(B.swapaxes(-1, -2) @ np.linalg.solve(G, B))
 
 
 # ---------------------------------------------------------------------------
@@ -490,45 +502,38 @@ def _vertical_algebra_curvature(chart, metric, frame):
     return Khat
 
 
-def _classical_leaf_sectional(chart, metric, x, u, v):
-    """Sectional curvature of the induced leaf metric at x, classical route.
+# Fourth-order central differences on the offsets -2..2, row = order of the
+# partial along one axis.  Integer weights difference a constant field to exactly
+# zero; the divisor, 12 h^order per differenced axis, is applied after the sum.
+_FD_WEIGHTS = np.array([[0, 0, 1, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]])
 
-    The leaf metric matrix field is differentiated by central differences
-    (first and second order, step LEAF_FD_STEP); curvature then follows
-    the classical coordinate formulas.  Independent of the connection code
-    above.
+
+def _classical_leaf_curvature(chart, metric, x):
+    """Leaf metric G0 and its curvature R at x, classical route.
+
+    One `leaf_metric_matrix` call covers the grid x + h k, k in {-2..2}^n,
+    h = LEAF_FD_STEP; fourth-order central differences on it (mixed: the
+    product of two first-order stencils) feed the classical coordinate
+    formulas.  Shares only raw b and g evaluations with the code above.
     """
     n = chart.n
-    x = np.asarray(x, float)
-
-    def GL(y):
-        return leaf_metric_matrix(chart, metric, y)
-
-    G0 = GL(x)
-    dG = np.zeros((n, n, n))  # dG[i,j,m]
-    d2G = np.zeros((n, n, n, n))  # d2G[i,j,m1,m2]
     h = LEAF_FD_STEP
-    for m in range(n):
-        em = np.eye(n)[m] * h
-        Gp, Gm = GL(x + em), GL(x - em)
-        dG[:, :, m] = (Gp - Gm) / (2 * h)
-        d2G[:, :, m, m] = (Gp - 2 * G0 + Gm) / (h * h)
-    for m1 in range(n):
-        for m2 in range(m1 + 1, n):
-            e1 = np.eye(n)[m1] * h
-            e2 = np.eye(n)[m2] * h
-            mixed = (
-                GL(x + e1 + e2) - GL(x + e1 - e2) - GL(x - e1 + e2) + GL(x - e1 - e2)
-            ) / (4 * h * h)
-            d2G[:, :, m1, m2] = mixed
-            d2G[:, :, m2, m1] = mixed
+    k = np.stack(np.meshgrid(*[np.arange(-2, 3)] * n, indexing="ij"), axis=-1)
+    GL = leaf_metric_matrix(chart, metric, np.asarray(x, float) + h * k)  # (5,)*n + (n, n)
+
+    def partial(orders):
+        W = functools.reduce(np.multiply.outer, [_FD_WEIGHTS[o] for o in orders])
+        return np.tensordot(W, GL, axes=n) / np.prod([12.0 * h**o for o in orders if o])
+
+    eye = np.eye(n, dtype=int)
+    G0 = GL[(2,) * n]
+    dG = np.stack([partial(e) for e in eye], axis=-1)  # dG[i,j,m]
+    d2G = np.stack([np.stack([partial(a + b) for b in eye], -1) for a in eye], -2)
     Gi = np.linalg.inv(G0)
     dGi = -np.einsum("la,abm,bk->lkm", Gi, dG, Gi)
     # Gamma[i,j,k] = 1/2 G^{kl} (d_i G_{jl} + d_j G_{il} - d_l G_{ij})
     A = np.einsum("jli->ijl", dG) + np.einsum("ilj->ijl", dG) - dG
-    dA = (
-        np.einsum("jlim->ijlm", d2G) + np.einsum("iljm->ijlm", d2G) - d2G
-    )
+    dA = np.einsum("jlim->ijlm", d2G) + np.einsum("iljm->ijlm", d2G) - d2G
     Gam = 0.5 * np.einsum("ijl,lk->ijk", A, Gi)
     dGam = 0.5 * (
         np.einsum("ijlm,lk->ijkm", dA, Gi) + np.einsum("ijl,lkm->ijkm", A, dGi)
@@ -539,14 +544,7 @@ def _classical_leaf_sectional(chart, metric, x, u, v):
         + np.einsum("jkm,iml->ijkl", Gam, Gam)
         - np.einsum("ikm,jml->ijkl", Gam, Gam)
     )
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    uu = u @ G0 @ u
-    vv = v @ G0 @ v
-    uv = u @ G0 @ v
-    gram = uu * vv - uv * uv
-    ruvuv = np.einsum("ijkl,i,j,k,lm,m->", R, u, v, u, G0, v)
-    return float(-ruvuv / gram)
+    return G0, R
 
 
 @dataclass
@@ -597,7 +595,7 @@ def oneill_curvature_check(chart, metric, x) -> CurvatureCheckResult:
         K(h1,h2) = Kleaf(#h1,#h2) - 3 |H_{h1} h2|^2
 
     The frame and Gamma at x serve every pair; the pairs of each identity
-    are evaluated together.
+    are evaluated together, the horizontal ones against one leaf R.
     """
     x = np.asarray(x, dtype=float)
     frame = split(chart, metric, x)
@@ -637,9 +635,10 @@ def oneill_curvature_check(chart, metric, x) -> CurvatureCheckResult:
         i, j = np.triu_indices(q, 1)
         h1, h2 = Hb[i], Hb[j]
         K = sectional_curvature(chart, metric, x, h1, h2)
-        Kleaf = np.array(
-            [_classical_leaf_sectional(chart, metric, x, a @ B, b @ B) for a, b in zip(h1, h2)]
-        )
+        GL, RL = _classical_leaf_curvature(chart, metric, x)
+        u, v = h1 @ B, h2 @ B  # the anchors of the pairs, tangent to the leaf
+        gram = _g_dot(u, GL, u) * _g_dot(v, GL, v) - _g_dot(u, GL, v) ** 2
+        Kleaf = -np.einsum("ijkl,pi,pj,pk,lm,pm->p", RL, u, v, u, GL, v) / gram
         H12 = H(h1, h2)
         horizontal_res = _worst(K - (Kleaf - 3.0 * _g_dot(H12, G, H12)))
 

@@ -232,6 +232,14 @@ class TestOtherVerbs:
         assert report["check.curvature_horizontal.pass"] == "true"
         assert report["anchor_rank"] == "2"
 
+    def test_oneill_sphere_off_centre(self, tmp_path, capsys):
+        # the round sphere satisfies the horizontal identity exactly; the
+        # leaf-curvature oracle must resolve it away from the default point
+        rc = main(["oneill", "--catalog", "sphere_chart", "--x", "0.7,1.3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert float(read_report(tmp_path)["check.curvature_horizontal.residual"]) < 1e-8
+
     def test_exp(self, tmp_path, capsys):
         rc = main(["exp", "--catalog", "euclidean2", "--x", "0,0", "--mu", "1,2",
                    "--out", str(tmp_path)])

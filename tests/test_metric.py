@@ -430,6 +430,17 @@ class TestSectionalCurvature:
                 sphere.chart, sphere.metric, [1.0, 1.0], [1.0, 2.0], [2.0, 4.0]
             )
 
+    def test_gram_floor_is_relative_to_the_lengths(self, heisenberg):
+        # the floor bounds sin^2 of the angle, not the Gram determinant:
+        # short orthogonal vectors are fine, long nearly parallel ones are not
+        e1, e2 = np.eye(3)[0], np.eye(3)[1]
+        K = sectional_curvature(heisenberg.chart, heisenberg.metric, [0.1, 0.2], 1e-3 * e1, 1e-3 * e2)
+        assert K == pytest.approx(-0.75, abs=1e-12)
+        with pytest.raises(ValueError, match="Gram"):
+            sectional_curvature(
+                heisenberg.chart, heisenberg.metric, [0.1, 0.2], 1e3 * e1, 1e3 * e1 + 1e-4 * e2
+            )
+
 
 class TestMetricField:
     def test_positive_definiteness_enforced(self):

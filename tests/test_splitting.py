@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from algebroid import catalog
-from algebroid.charts import AVector
-from algebroid.metric import fiber_inner, sectional_curvature
+from algebroid.charts import AlgebroidChart, AVector
+from algebroid.metric import MetricField, fiber_inner, sectional_curvature
 from algebroid.paths import geodesic_integrate, geodesic_rhs
 from algebroid.sampling import sample_box, sample_fiber
 from algebroid.splitting import (
@@ -23,9 +23,22 @@ from algebroid.splitting import (
     sasaki_metric,
     split,
 )
+from conftest import build_twisted_chart
 
 TRANSITIVE = ["euclidean2", "sphere_chart", "heisenberg_central"]
 LIE_ALGEBRAS = ["so3_biinv", "aff2"]
+
+
+def _leaf_pair(name):
+    """A catalog chart with its metric; "twisted" is the twisted chart with
+    the identity metric, "twisted_g" the same chart with a varying metric."""
+    if name == "twisted":
+        return build_twisted_chart(), MetricField.identity(3, 2)
+    if name == "twisted_g":
+        entries = {(1, 1): "2 + x1", (1, 2): "0.3*x2", (2, 2): "1 + x2^2", (3, 3): "1"}
+        return build_twisted_chart(), MetricField(entries, r=3, n=2)
+    entry = catalog.get(name)
+    return entry.chart, entry.metric
 
 
 class TestSplit:
@@ -272,6 +285,38 @@ class TestLeafMetric:
         G, _, _ = sphere.metric.eval(x)
         np.testing.assert_allclose(M, G, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "twisted", "twisted_g"])
+    def test_closed_form_matches_the_lift_route(self, name):
+        chart, metric = _leaf_pair(name)
+        rng = np.random.RandomState(3)
+        for x in sample_box(chart.domain, 5, seed=11, shrink=0.1):
+            M = leaf_metric_matrix(chart, metric, x)
+            for _ in range(3):
+                u, v = rng.randn(2, chart.n)
+                lifted = leaf_metric(chart, metric, x, u, v)
+                scale = np.sqrt((u @ M @ u) * (v @ M @ v))
+                assert abs(lifted - u @ M @ v) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "twisted_g"])
+    def test_batched_call_matches_single_points(self, name):
+        chart, metric = _leaf_pair(name)
+        xs = sample_box(chart.domain, 12, seed=4, shrink=0.1).reshape(3, 4, chart.n)
+        batch = leaf_metric_matrix(chart, metric, xs)
+        assert batch.shape == (3, 4, chart.n, chart.n)
+        for idx in np.ndindex(3, 4):
+            np.testing.assert_array_equal(batch[idx], leaf_metric_matrix(chart, metric, xs[idx]))
+
+    def test_rejects_charts_that_are_not_transitive(self, foliation, aff2):
+        with pytest.raises(SplitError, match="needs a transitive chart"):
+            leaf_metric_matrix(foliation.chart, foliation.metric, np.zeros(3))
+        with pytest.raises(SplitError, match="needs a transitive chart"):
+            leaf_metric_matrix(aff2.chart, aff2.metric, [0.0])
+        line = AlgebroidChart(n=1, r=1, b=[["x1"]], c_upper={}, domain=[(-1.0, 1.0)])
+        metric = MetricField.identity(1, 1)
+        assert leaf_metric_matrix(line, metric, [[0.5], [-0.25]]).shape == (2, 1, 1)
+        with pytest.raises(SplitError, match="needs a transitive chart"):
+            leaf_metric_matrix(line, metric, [[0.5], [0.0], [-0.25]])
+
 
 class TestCurvatureIdentities:
     def test_central_extension_horizontal_identity(self, heisenberg):
@@ -293,7 +338,16 @@ class TestCurvatureIdentities:
 
     def test_sphere_horizontal_identity(self, sphere):
         chk = oneill_curvature_check(sphere.chart, sphere.metric, [1.2, 1.0])
-        assert chk.horizontal is not None and chk.horizontal < 1e-5
+        assert chk.horizontal is not None and chk.horizontal < 1e-8
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_horizontal_identity_holds_across_the_box(self, name):
+        # the identity holds exactly on a transitive chart; the classical
+        # leaf route must resolve it below the CLI's 1e-8 at every point
+        chart, metric = _leaf_pair(name)
+        pts = np.vstack([chart.center(), sample_box(chart.domain, 40, seed=7, shrink=0.1)])
+        worst = max(oneill_curvature_check(chart, metric, x).horizontal for x in pts)
+        assert worst < 1e-8
 
     def test_rotation_algebra_vertical_identity(self, so3):
         chk = oneill_curvature_check(so3.chart, so3.metric, [0.0])
