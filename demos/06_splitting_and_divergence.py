@@ -37,7 +37,7 @@ tensors = oneill_tensors(heis.chart, heis.metric, x)
 print("  max |T| =", np.max(np.abs(tensors.T)), " (totally geodesic fibers)")
 print("  leaf metric:\n", leaf_metric_matrix(heis.chart, heis.metric, x))
 
-chk = oneill_curvature_check(heis.chart, heis.metric, x)
+chk = oneill_curvature_check(heis.chart, heis.metric, tensors)
 print("  curvature identity residuals: mixed =", chk.mixed,
       " horizontal =", chk.horizontal)
 

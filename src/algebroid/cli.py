@@ -356,11 +356,11 @@ def _cmd_oneill(args, out, run, chart, metric):
     if tensors.frame.warning:
         run.check("rank_stability", 1.0, 0.5)
     run.note("anchor_rank", tensors.frame.q)
-    residuals = oneill_identity_residuals(chart, metric, x)
+    residuals = oneill_identity_residuals(tensors)
     for name, value in sorted(residuals.items()):
         run.check(name, value, tol)
     try:
-        chk = oneill_curvature_check(chart, metric, x)
+        chk = oneill_curvature_check(chart, metric, tensors)
         for label, value in (
             ("curvature_vertical", chk.vertical),
             ("curvature_mixed", chk.mixed),

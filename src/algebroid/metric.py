@@ -384,12 +384,18 @@ def koszul_rhs(chart, metric, x):
 
 
 def sectional_curvature(chart, metric, x, a, b):
-    """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2); a pair whose Gram
-    determinant is at most GRAM_FLOOR <a,a><b,b> is rejected as dependent."""
+    """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2) at x."""
     x = np.asarray(x, dtype=float)
+    G, _, _ = metric.eval(x)
+    return _sectional_of(G, curvature(chart, metric, x), a, b)
+
+
+def _sectional_of(G, R, a, b):
+    """K(a, b) from the metric G and curvature R at the pairs' point; a pair
+    whose Gram determinant is at most GRAM_FLOOR <a,a><b,b> is rejected as
+    dependent."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    G, _, _ = metric.eval(x)
     aa = np.einsum("...i,...ij,...j->...", a, G, a)
     bb = np.einsum("...i,...ij,...j->...", b, G, b)
     ab = np.einsum("...i,...ij,...j->...", a, G, b)
@@ -401,6 +407,5 @@ def sectional_curvature(chart, metric, x, a, b):
             "sectional curvature of a (nearly) dependent pair (Gram determinant "
             f"{np.ravel(gram)[first]:.3e}, <a,a><b,b> = {np.ravel(aa * bb)[first]:.3e})"
         )
-    R = curvature(chart, metric, x)
     rabab = np.einsum("...ijkl,...i,...j,...k,...lm,...m->...", R, a, b, a, G, b)
     return -rabab / gram

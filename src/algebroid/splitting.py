@@ -21,12 +21,17 @@ Lie-algebra charts (zero anchor); mixed-rank charts would need leaf
 coordinates the chart does not carry.  The divergence formula itself is
 pointwise and has no such restriction.
 
-Frames are built for many points at once: `_frames` runs one batched
-SVD and one g-Gram-Schmidt over an array of points and groups the frames
-by anchor rank, which may differ between points; `split` is its one-point
-case.  `divergence_terms` and `divergence_fd_lie_algebra` take fiber
-vectors with leading batch axes, and T and H on all pairs of frame
-vectors come from one contraction of Gamma.
+The split frame is the one place where the structure at a point is
+evaluated: it carries b, C, g and Gamma next to its bases, and everything
+built on a frame reads them from it.  Frames are built for many points at
+once: `_frames` makes one call of each evaluator, one batched SVD and one
+g-Gram-Schmidt over an array of points and groups the frames by anchor
+rank, which may differ between points; `split` is its one-point case.
+`divergence_terms` and `divergence_fd_lie_algebra` take fiber vectors with
+leading batch axes.  `oneill_tensors` applies T and H to all pairs of
+frame vectors in one contraction of Gamma; both O'Neill checks take those
+tensors, so one frame at a point serves all its identities (the mixed one
+adds the frames at its 2n finite-difference points).
 
 `horizontal_lift` and `leaf_metric` go through the split frame, which also
 serves foliations; `leaf_metric_matrix` is the closed form (b^T g^-1 b)^-1
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import christoffel, curvature, sectional_curvature
+from .metric import _sectional_of, christoffel, curvature
 from .paths import geodesic_rhs
 
 __all__ = [
@@ -76,21 +81,28 @@ class SplitError(ValueError):
 
 @dataclass(eq=False)
 class SplitFrame:
-    """g-orthonormal bases of ker(#_x) and of its g-orthogonal complement.
+    """The structure at x and g-orthonormal bases of ker(#_x) and of its
+    g-orthogonal complement.
 
     `vertical` has shape (..., r - q, r), `horizontal` (..., q, r); rows are
-    fiber vectors.  A frame from `split` has no leading axes.  The frames
-    of a batch (`_frames`) carry one leading axis over points of equal
-    anchor rank: x (k, n), G (k, r, r) and `warning` a (k,) bool array.
-    `warning` flags a singular value within a factor 10 of the rank
-    threshold (the rank may be unstable there).  The projections take
-    fiber vectors (..., r) whose trailing batch axes match the frame's.
+    fiber vectors.  B (..., r, n), C (..., r, r, r), G (..., r, r) and
+    `gamma` (..., r, r, r) are the anchor, bracket, metric and Christoffel
+    arrays at x, evaluated once when the frame is built.  A frame from
+    `split` has no leading axes.  The frames of a batch (`_frames`) carry
+    one leading axis over points of equal anchor rank, x (k, n) and
+    `warning` a (k,) bool array among them.  `warning` flags a singular
+    value within a factor 10 of the rank threshold (the rank may be
+    unstable there).  The projections take fiber vectors (..., r) whose
+    trailing batch axes match the frame's.
     """
 
     x: np.ndarray
     vertical: np.ndarray
     horizontal: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
     G: np.ndarray
+    gamma: np.ndarray
     warning: bool = False
 
     @property
@@ -138,7 +150,8 @@ def _frames(chart, metric, xs):
 
     Returns a list of (rows, frame) pairs in increasing rank: `rows`
     indexes xs, and `frame` is a SplitFrame with a leading axis over those
-    points.  One batched SVD of the anchor gives each point its rank (the
+    points.  b, C, g and Gamma come from one evaluator call each over all
+    of xs.  One batched SVD of the anchor gives each point its rank (the
     singular values above RANK_RTOL times the largest) and an orthonormal
     basis whose last r - q rows span the kernel.  One g-Gram-Schmidt over
     the kernel rows followed by the other rows then yields the vertical
@@ -146,7 +159,9 @@ def _frames(chart, metric, xs):
     """
     xs = np.asarray(xs, dtype=float)
     B, _ = chart.eval_anchor(xs)
+    C, _ = chart.eval_bracket(xs)
     G, _, _ = metric.eval(xs)
+    gamma = christoffel(chart, metric, xs, with_derivative=False).gamma
     _, sigma, Vt = np.linalg.svd(B.swapaxes(-1, -2))
     thresh = RANK_RTOL * sigma[:, :1]  # 0 for a zero anchor, so rank 0
     q = (sigma > thresh).sum(axis=-1)
@@ -159,7 +174,8 @@ def _frames(chart, metric, xs):
         rows = np.flatnonzero(q == rank)
         pick = slice(None) if len(rows) == len(xs) else rows
         p = r - rank
-        frame = SplitFrame(xs[pick], basis[pick, :p], basis[pick, p:], G[pick], warning[pick])
+        structure = (a[pick] for a in (B, C, G, gamma))
+        frame = SplitFrame(xs[pick], basis[pick, :p], basis[pick, p:], *structure, warning[pick])
         groups.append((rows, frame))
     return groups
 
@@ -168,7 +184,8 @@ def split(chart, metric, x) -> SplitFrame:
     """Pointwise orthogonal decomposition of the fiber at one point x."""
     x = np.asarray(x, dtype=float)
     [(_, f)] = _frames(chart, metric, x[None])
-    return SplitFrame(x, f.vertical[0], f.horizontal[0], f.G[0], bool(f.warning[0]))
+    arrays = (f.vertical, f.horizontal, f.B, f.C, f.G, f.gamma)
+    return SplitFrame(x, *(a[0] for a in arrays), bool(f.warning[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +195,20 @@ def split(chart, metric, x) -> SplitFrame:
 
 @dataclass(eq=False)
 class OneillTensors:
-    """Component arrays of T and H on the split frame.
+    """T and H at one point, on its split frame.
 
-    Frame order is vertical rows first, then horizontal rows; `T[i, j, k]`
-    is the k-th frame component of T applied to frame vectors (i, j).
+    Frame order is vertical rows first, then horizontal rows.  `TT[i, j]`
+    and `HH[i, j]` are T_{E_i} E_j and H_{E_i} E_j in coordinates for the
+    frame basis E; `T[i, j, k]` and `H[i, j, k]` are their k-th frame
+    components.  The identity and curvature checks take these tensors and
+    read everything else at the point from `frame`.
     """
 
     frame: SplitFrame
     T: np.ndarray
     H: np.ndarray
+    TT: np.ndarray
+    HH: np.ndarray
 
 
 def _pointwise_D(gamma, a, b):
@@ -194,30 +216,28 @@ def _pointwise_D(gamma, a, b):
     return np.einsum("...s,...t,...stu->...u", a, b, gamma)
 
 
-def _oneill_apply(frame, gamma, a, b, project_a):
+def _oneill_apply(frame, a, b, project_a):
     """(D_a' b^v)^h + (D_a' b^h)^v with a' = project_a(a), for fiber vectors
     a, b (..., r): T_a b when project_a is frame.project_vertical, H_a b
     when it is frame.project_horizontal."""
     a = project_a(a)
     bv = frame.project_vertical(b)
     bh = frame.project_horizontal(b)
-    return frame.project_horizontal(_pointwise_D(gamma, a, bv)) + frame.project_vertical(
-        _pointwise_D(gamma, a, bh)
+    return frame.project_horizontal(_pointwise_D(frame.gamma, a, bv)) + frame.project_vertical(
+        _pointwise_D(frame.gamma, a, bh)
     )
 
 
 def oneill_T_apply(chart, metric, x, a, b):
     """T_a b for coordinate fiber vectors a, b (..., r) at one point x."""
     frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    return _oneill_apply(frame, gamma, a, b, frame.project_vertical)
+    return _oneill_apply(frame, a, b, frame.project_vertical)
 
 
 def oneill_H_apply(chart, metric, x, a, b):
     """H_a b for coordinate fiber vectors a, b (..., r) at one point x."""
     frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    return _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
+    return _oneill_apply(frame, a, b, frame.project_horizontal)
 
 
 def _pairs(A, B):
@@ -229,48 +249,38 @@ def _pairs(A, B):
     )
 
 
-def _on_frame_pairs(chart, metric, x):
-    """Frame and Gamma at x, the frame basis E (vertical rows first) and T,
-    H applied to every pair of frame vectors: TT[i, j] = T_{E_i} E_j and
-    HH[i, j] = H_{E_i} E_j in coordinates, each one batched contraction of
-    Gamma over the (r, r) pairs."""
+def oneill_tensors(chart, metric, x) -> OneillTensors:
+    """T and H on the split frame at x, each applied to every pair of frame
+    vectors in one batched contraction of Gamma."""
     frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
     basis = np.vstack([frame.vertical, frame.horizontal])
     a, b = _pairs(basis, basis)
-    TT = _oneill_apply(frame, gamma, a, b, frame.project_vertical)
-    HH = _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
-    return frame, gamma, basis, TT, HH
-
-
-def oneill_tensors(chart, metric, x) -> OneillTensors:
-    """T and H as component arrays on the split frame at x."""
-    frame, _, basis, TT, HH = _on_frame_pairs(chart, metric, x)
+    TT = _oneill_apply(frame, a, b, frame.project_vertical)
+    HH = _oneill_apply(frame, a, b, frame.project_horizontal)
 
     def components(vectors):
         return (basis @ (frame.G @ vectors[..., None]))[..., 0]
 
-    return OneillTensors(frame=frame, T=components(TT), H=components(HH))
+    return OneillTensors(frame, components(TT), components(HH), TT, HH)
 
 
 def _worst(values):
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def oneill_identity_residuals(chart, metric, x):
-    """Residuals of the algebraic identities of T and H at x.
+def oneill_identity_residuals(tensors: OneillTensors):
+    """Residuals of the algebraic identities of T and H at their point.
 
     Checked on the frame basis (extended bilinearly this covers all
     vectors), from T and H on all pairs of frame vectors.  Returns a dict
     name -> residual.
     """
-    frame, gamma, basis, TT, HH = _on_frame_pairs(chart, metric, x)
-    C, _ = chart.eval_bracket(np.asarray(x, dtype=float))
+    frame, TT, HH = tensors.frame, tensors.TT, tensors.HH
     G = frame.G
     p = frame.vertical_dim
-    V, Hb = basis[:p], basis[p:]
+    V, Hb = frame.vertical, frame.horizontal
     Tvv, Hhh = TT[:p, :p], HH[p:, p:]  # T_u v and H_h1 h2
-    half_bracket = 0.5 * frame.project_vertical(_pointwise_D(C, *_pairs(Hb, Hb)))
+    half_bracket = 0.5 * frame.project_vertical(_pointwise_D(frame.C, *_pairs(Hb, Hb)))
 
     def pair(X, Y):
         """<X[i, j], Y[k]> over all (i, j, k)."""
@@ -285,7 +295,7 @@ def oneill_identity_residuals(chart, metric, x):
         "H_skew_adjoint": _worst(pair(Hhh, V) + pair(HH[p:, :p], Hb).swapaxes(1, 2)),
         "H_half_bracket": _worst(Hhh - half_bracket),
         "T_vertical_D_part": _worst(
-            frame.project_horizontal(_pointwise_D(gamma, *_pairs(V, V))) - Tvv
+            frame.project_horizontal(_pointwise_D(frame.gamma, *_pairs(V, V))) - Tvv
         ),
     }
 
@@ -327,9 +337,6 @@ def divergence_terms(chart, metric, v: AVector):
 def _divergence_rows(chart, metric, xs, mus):
     """The two terms of `divergence_terms` at the rows of xs (E, n) and mus
     (E, r), and the vertical dimension of the frame at each row."""
-    gamma = christoffel(chart, metric, xs, with_derivative=False).gamma
-    C, _ = chart.eval_bracket(xs)
-    B, _ = chart.eval_anchor(xs)
     trace = np.zeros(len(xs))
     mean_curv = np.zeros(len(xs))
     vertical_dim = np.zeros(len(xs), dtype=int)
@@ -341,12 +348,12 @@ def _divergence_rows(chart, metric, xs, mus):
         tr = 0.0
         N = np.zeros(ah.shape)
         for vk in np.moveaxis(frame.vertical, -2, 0):
-            w = np.einsum("...s,...t,...stu->...u", av, vk, C[rows])
-            push = np.max(np.abs(np.einsum("...u,...ui->...i", w, B[rows])), axis=-1)
+            w = np.einsum("...s,...t,...stu->...u", av, vk, frame.C)
+            push = np.max(np.abs(np.einsum("...u,...ui->...i", w, frame.B)), axis=-1)
             first = (push > KERNEL_TOL) & np.isnan(leak[rows])
             leak[rows[first]] = push[first]
             tr = tr + _g_dot(w, frame.G, vk)
-            N = N + _oneill_apply(frame, gamma[rows], vk, vk, frame.project_vertical)
+            N = N + _oneill_apply(frame, vk, vk, frame.project_vertical)
         trace[rows] = tr
         mean_curv[rows] = _g_dot(ah, frame.G, N)
     failed = np.flatnonzero(~np.isnan(leak))
@@ -398,8 +405,7 @@ def horizontal_lift(chart, metric, x, u, frame=None):
     not tangent to the leaf at x."""
     frame = frame or split(chart, metric, x)
     u = np.asarray(u, dtype=float)
-    B, _ = chart.eval_anchor(x)
-    A = B.T  # (n, r)
+    A = frame.B.T  # (n, r)
     if frame.q == 0:
         if np.max(np.abs(u), initial=0.0) > KERNEL_TOL:
             raise SplitError("nonzero base vector over a zero-anchor chart")
@@ -421,10 +427,9 @@ def connector(chart, metric, a: AVector, Z, frame=None):
     horizontal lift of the base component of Z.
     """
     dx, dmu = Z
-    x = np.asarray(a.x, float)
-    alpha = horizontal_lift(chart, metric, x, dx, frame=frame)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    return np.asarray(dmu, float) + np.einsum("i,j,ijl->l", alpha, a.mu, gamma)
+    frame = frame or split(chart, metric, a.x)
+    alpha = horizontal_lift(chart, metric, a.x, dx, frame=frame)
+    return np.asarray(dmu, float) + np.einsum("i,j,ijl->l", alpha, a.mu, frame.gamma)
 
 
 def _require_sasaki_support(chart, metric, x):
@@ -480,15 +485,14 @@ def leaf_metric_matrix(chart, metric, x):
 # ---------------------------------------------------------------------------
 
 
-def _vertical_algebra_curvature(chart, metric, frame):
+def _vertical_algebra_curvature(frame):
     """Sectional curvature of the kernel Lie algebra in its orthonormal frame.
 
     Constant Koszul product 2<Duv,w> = <[u,v],w> + <[w,u],v> + <[w,v],u>,
     then the algebraic curvature of that product.  Returns Khat[i, j].
     """
     V = frame.vertical
-    C, _ = chart.eval_bracket(frame.x)
-    c = np.einsum("is,jt,stu,ku->ijk", V, V, C, V @ frame.G.T)
+    c = np.einsum("is,jt,stu,ku->ijk", V, V, frame.C, V @ frame.G.T)
     # c[i,j,k] = <[v_i, v_j], v_k>; the frame is g-orthonormal
     gh = 0.5 * (c + np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c))
     # gh[i,j,k] = coefficient of v_k in Dhat_{v_i} v_j
@@ -556,36 +560,34 @@ class CurvatureCheckResult:
     horizontal: float | None
 
 
-def _covariant_T_derivative(chart, metric, x, frame, gamma, a, b, c):
-    """((D_a T)_b c at x for fiber vectors a, b, c (P, r): the T field by
-    central differences over the frames at x +- FD_STEP e_m (one batched
-    split and one Gamma call for all 2n points), plus the connection terms
-    at x."""
+def _covariant_T_derivative(chart, metric, frame, a, b, c):
+    """((D_a T)_b c at the frame's point for fiber vectors a, b, c (P, r):
+    the T field by central differences over the frames at x +- FD_STEP e_m
+    (one `_frames` call for all 2n points, the P vectors on a leading
+    axis), plus the connection terms at x."""
     n = chart.n
-    B, _ = chart.eval_anchor(x)
-    base_dir = np.einsum("...s,si->...i", a, B)
+    gamma = frame.gamma
+    base_dir = np.einsum("...s,si->...i", a, frame.B)
     steps = np.eye(n) * FD_STEP
-    ys = np.concatenate([x + steps, x - steps])
-    gamma_ys = christoffel(chart, metric, ys, with_derivative=False).gamma
-    T_ys = np.empty((2 * n,) + np.shape(b))
+    ys = np.concatenate([frame.x + steps, frame.x - steps])
+    T_ys = np.empty((len(b), 2 * n, chart.r))
     for rows, f in _frames(chart, metric, ys):
-        # one more axis on the frames, so that they broadcast over the P vectors
-        f = SplitFrame(f.x[:, None], f.vertical[:, None], f.horizontal[:, None], f.G[:, None])
-        T_ys[rows] = _oneill_apply(f, gamma_ys[rows, None], b, c, f.project_vertical)
-    dF = np.stack([(T_ys[m] - T_ys[n + m]) / (2 * FD_STEP) for m in range(n)], axis=-1)
-    F0 = _oneill_apply(frame, gamma, b, c, frame.project_vertical)
+        T_ys[:, rows] = _oneill_apply(f, b[:, None], c[:, None], f.project_vertical)
+    dF = np.stack([(T_ys[:, m] - T_ys[:, n + m]) / (2 * FD_STEP) for m in range(n)], axis=-1)
+    F0 = _oneill_apply(frame, b, c, frame.project_vertical)
     DaF = (dF @ base_dir[..., None])[..., 0] + _pointwise_D(gamma, a, F0)
     Dab = _pointwise_D(gamma, a, b)
     Dac = _pointwise_D(gamma, a, c)
     return (
         DaF
-        - _oneill_apply(frame, gamma, Dab, c, frame.project_vertical)
-        - _oneill_apply(frame, gamma, b, Dac, frame.project_vertical)
+        - _oneill_apply(frame, Dab, c, frame.project_vertical)
+        - _oneill_apply(frame, b, Dac, frame.project_vertical)
     )
 
 
-def oneill_curvature_check(chart, metric, x) -> CurvatureCheckResult:
-    """Residuals of the three curvature identities of the splitting at x.
+def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCheckResult:
+    """Residuals of the three curvature identities of the splitting at the
+    point of `tensors`.
 
     vertical pairs (needs >= 2 vertical directions):
         K(u,v) = Khat(u,v) + |T_u v|^2 - <T_u u, T_v v>
@@ -594,52 +596,45 @@ def oneill_curvature_check(chart, metric, x) -> CurvatureCheckResult:
     horizontal pairs (needs a transitive chart with n >= 2):
         K(h1,h2) = Kleaf(#h1,#h2) - 3 |H_{h1} h2|^2
 
-    The frame and Gamma at x serve every pair; the pairs of each identity
+    T and H on frame pairs are read from the tensors, and one `curvature`
+    call gives R for every sectional curvature; the pairs of each identity
     are evaluated together, the horizontal ones against one leaf R.
     """
-    x = np.asarray(x, dtype=float)
-    frame = split(chart, metric, x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
+    frame, TT, HH = tensors.frame, tensors.TT, tensors.HH
     G = frame.G
     V, Hb = frame.vertical, frame.horizontal
     p, q = V.shape[0], Hb.shape[0]
-
-    def T(a, b):
-        return _oneill_apply(frame, gamma, a, b, frame.project_vertical)
-
-    def H(a, b):
-        return _oneill_apply(frame, gamma, a, b, frame.project_horizontal)
+    R = curvature(chart, metric, frame.x)
 
     vertical_res = None
     if p >= 2:
-        Khat = _vertical_algebra_curvature(chart, metric, frame)
+        Khat = _vertical_algebra_curvature(frame)
         i, j = np.triu_indices(p, 1)
-        u, v = V[i], V[j]
-        K = sectional_curvature(chart, metric, x, u, v)
-        Tuv, Tuu, Tvv = T(u, v), T(u, u), T(v, v)
+        K = _sectional_of(G, R, V[i], V[j])
+        Tuv, Tuu, Tvv = TT[i, j], TT[i, i], TT[j, j]
         rhs = Khat[i, j] + _g_dot(Tuv, G, Tuv) - _g_dot(Tuu, G, Tvv)
         vertical_res = _worst(K - rhs)
 
     mixed_res = None
     if p >= 1 and q >= 1:
-        h, u = np.repeat(Hb, p, axis=0), np.tile(V, (q, 1))  # (h, u) pairs, h-major
-        K = sectional_curvature(chart, metric, x, h, u)
-        DT = _covariant_T_derivative(chart, metric, x, frame, gamma, h, u, u)
-        Tuh, Hhu = T(u, h), H(h, u)
+        i, j = np.divmod(np.arange(q * p), p)  # (h, u) = (Hb[i], V[j]) pairs, h-major
+        h, u = Hb[i], V[j]
+        K = _sectional_of(G, R, h, u)
+        DT = _covariant_T_derivative(chart, metric, frame, h, u, u)
+        Tuh, Hhu = TT[j, p + i], HH[p + i, j]
         rhs = _g_dot(DT, G, h) - _g_dot(Tuh, G, Tuh) + _g_dot(Hhu, G, Hhu)
         mixed_res = _worst(K - rhs)
 
     horizontal_res = None
     if q == chart.n and q >= 2:
-        B, _ = chart.eval_anchor(x)
         i, j = np.triu_indices(q, 1)
         h1, h2 = Hb[i], Hb[j]
-        K = sectional_curvature(chart, metric, x, h1, h2)
-        GL, RL = _classical_leaf_curvature(chart, metric, x)
-        u, v = h1 @ B, h2 @ B  # the anchors of the pairs, tangent to the leaf
+        K = _sectional_of(G, R, h1, h2)
+        GL, RL = _classical_leaf_curvature(chart, metric, frame.x)
+        u, v = h1 @ frame.B, h2 @ frame.B  # the anchors of the pairs, tangent to the leaf
         gram = _g_dot(u, GL, u) * _g_dot(v, GL, v) - _g_dot(u, GL, v) ** 2
         Kleaf = -np.einsum("ijkl,pi,pj,pk,lm,pm->p", RL, u, v, u, GL, v) / gram
-        H12 = H(h1, h2)
+        H12 = HH[p + i, p + j]
         horizontal_res = _worst(K - (Kleaf - 3.0 * _g_dot(H12, G, H12)))
 
     return CurvatureCheckResult(vertical_res, mixed_res, horizontal_res)

@@ -208,10 +208,8 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     x = np.swapaxes(grid.x, 0, 1)
     mu = np.swapaxes(grid.mu, 0, 1)
     dmu_de = np.swapaxes(np.gradient(grid.mu, grid.eps, axis=0, edge_order=2), 0, 1)
-    gamma = _interleave(
-        christoffel(chart, metric, x, with_derivative=False).gamma,
-        christoffel(chart, metric, _midpoint_interp(x), with_derivative=False).gamma,
-    )
+    half_x = _interleave(x, _midpoint_interp(x))
+    gamma = christoffel(chart, metric, half_x, with_derivative=False).gamma
     mus = _interleave(mu, _midpoint_interp(mu))
     src = _interleave(dmu_de, _midpoint_interp(dmu_de))
     Q = np.einsum("tej,teiju->teui", mus, gamma - np.swapaxes(gamma, -3, -2))

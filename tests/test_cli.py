@@ -240,6 +240,32 @@ class TestOtherVerbs:
         assert rc == 0
         assert float(read_report(tmp_path)["check.curvature_horizontal.residual"]) < 1e-8
 
+    def test_oneill_evaluates_its_point_once(self, tmp_path, capsys, monkeypatch):
+        # one split frame at x serves the tensors and both checks, and one R
+        # serves every sectional curvature of the curvature identities
+        from algebroid import metric, splitting
+
+        frames, curvatures = [], []
+        split, curvature = splitting.split, metric.curvature
+
+        def counted_split(chart, metric_field, x):
+            frames.append(np.array(x, dtype=float))
+            return split(chart, metric_field, x)
+
+        def counted_curvature(chart, metric_field, x):
+            curvatures.append(np.array(x, dtype=float))
+            return curvature(chart, metric_field, x)
+
+        monkeypatch.setattr(splitting, "split", counted_split)
+        monkeypatch.setattr(splitting, "curvature", counted_curvature)
+        monkeypatch.setattr(metric, "curvature", counted_curvature)
+        rc = main(["oneill", "--catalog", "heisenberg_central", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        x = catalog.get("heisenberg_central").chart.center()
+        assert len(frames) == 1 and np.array_equal(frames[0], x)
+        assert len(curvatures) == 1 and np.array_equal(curvatures[0], x)
+
     def test_exp(self, tmp_path, capsys):
         rc = main(["exp", "--catalog", "euclidean2", "--x", "0,0", "--mu", "1,2",
                    "--out", str(tmp_path)])

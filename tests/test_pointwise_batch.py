@@ -17,7 +17,7 @@ from algebroid.hamiltonian import (
     metric_iso_inv,
     poisson_matrix,
 )
-from algebroid.metric import MetricField
+from algebroid.metric import MetricField, christoffel
 from algebroid.paths import geodesic_rhs
 from algebroid.sampling import sample_box, sample_fiber
 from algebroid.splitting import (
@@ -66,10 +66,15 @@ def _assert_frames_match_split(chart, metric, xs):
     for rows, frames in _frames(chart, metric, xs):
         for k, i in enumerate(rows):
             single = split(chart, metric, xs[i])
-            np.testing.assert_array_equal(frames.vertical[k], single.vertical)
-            np.testing.assert_array_equal(frames.horizontal[k], single.horizontal)
-            np.testing.assert_array_equal(frames.G[k], single.G)
+            for field in ("vertical", "horizontal", "B", "C", "G", "gamma"):
+                np.testing.assert_array_equal(getattr(frames, field)[k], getattr(single, field))
             assert bool(frames.warning[k]) is single.warning
+            # the frame carries the direct evaluations at its point
+            np.testing.assert_array_equal(single.B, chart.eval_anchor(xs[i])[0])
+            np.testing.assert_array_equal(single.C, chart.eval_bracket(xs[i])[0])
+            np.testing.assert_array_equal(
+                single.gamma, christoffel(chart, metric, xs[i], with_derivative=False).gamma
+            )
         seen.extend(rows)
     assert sorted(seen) == list(range(len(xs)))
 

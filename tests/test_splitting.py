@@ -97,7 +97,7 @@ class TestOneillTensors:
         entry = catalog.get(name)
         pts = sample_box(entry.chart.domain, 5, seed=11, shrink=0.1)
         for x in pts:
-            residuals = oneill_identity_residuals(entry.chart, entry.metric, x)
+            residuals = oneill_identity_residuals(oneill_tensors(entry.chart, entry.metric, x))
             worst = max(residuals.values())
             assert worst < 1e-9, residuals
 
@@ -108,7 +108,7 @@ class TestOneillTensors:
         chart = build_twisted_chart()
         metric = MetricField.identity(3, 2)
         x = np.array([0.9, 1.1])
-        residuals = oneill_identity_residuals(chart, metric, x)
+        residuals = oneill_identity_residuals(oneill_tensors(chart, metric, x))
         assert max(residuals.values()) < 1e-9, residuals
 
 
@@ -318,11 +318,15 @@ class TestLeafMetric:
             leaf_metric_matrix(line, metric, [[0.5], [0.0], [-0.25]])
 
 
+def _curvature_check(chart, metric, x):
+    return oneill_curvature_check(chart, metric, oneill_tensors(chart, metric, x))
+
+
 class TestCurvatureIdentities:
     def test_central_extension_horizontal_identity(self, heisenberg):
         # K(a1,a2) = Kleaf - 3|H|^2 = 0 - 3/4
         x = np.array([0.25, -0.6])
-        chk = oneill_curvature_check(heisenberg.chart, heisenberg.metric, x)
+        chk = _curvature_check(heisenberg.chart, heisenberg.metric, x)
         assert chk.vertical is None  # only one vertical direction
         assert chk.mixed is not None and chk.mixed < 1e-8
         assert chk.horizontal is not None and chk.horizontal < 1e-8
@@ -332,12 +336,12 @@ class TestCurvatureIdentities:
         assert K == pytest.approx(0.0 - 3.0 * float(H12 @ G @ H12), abs=1e-12)
 
     def test_flat_chart_all_zero(self, euclidean2):
-        chk = oneill_curvature_check(euclidean2.chart, euclidean2.metric, [0.2, 0.2])
+        chk = _curvature_check(euclidean2.chart, euclidean2.metric, [0.2, 0.2])
         assert chk.horizontal == pytest.approx(0.0, abs=1e-12)
         assert chk.vertical is None and chk.mixed is None
 
     def test_sphere_horizontal_identity(self, sphere):
-        chk = oneill_curvature_check(sphere.chart, sphere.metric, [1.2, 1.0])
+        chk = _curvature_check(sphere.chart, sphere.metric, [1.2, 1.0])
         assert chk.horizontal is not None and chk.horizontal < 1e-8
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
@@ -346,16 +350,27 @@ class TestCurvatureIdentities:
         # leaf route must resolve it below the CLI's 1e-8 at every point
         chart, metric = _leaf_pair(name)
         pts = np.vstack([chart.center(), sample_box(chart.domain, 40, seed=7, shrink=0.1)])
-        worst = max(oneill_curvature_check(chart, metric, x).horizontal for x in pts)
+        worst = max(_curvature_check(chart, metric, x).horizontal for x in pts)
+        assert worst < 1e-8
+
+    @pytest.mark.parametrize("name", ["twisted", "twisted_g"])
+    def test_mixed_identity_holds_across_the_box(self, name):
+        # T does not vanish on the twisted chart (on heisenberg T = 0), so the
+        # T terms of the mixed identity are exercised here
+        chart, metric = _leaf_pair(name)
+        pts = np.vstack([chart.center(), sample_box(chart.domain, 40, seed=7, shrink=0.1)])
+        tensors = [oneill_tensors(chart, metric, x) for x in pts]
+        assert max(np.max(np.abs(t.T)) for t in tensors) > 1.0
+        worst = max(oneill_curvature_check(chart, metric, t).mixed for t in tensors)
         assert worst < 1e-8
 
     def test_rotation_algebra_vertical_identity(self, so3):
-        chk = oneill_curvature_check(so3.chart, so3.metric, [0.0])
+        chk = _curvature_check(so3.chart, so3.metric, [0.0])
         assert chk.vertical is not None and chk.vertical < 1e-10
         assert chk.horizontal is None
 
     def test_affine_algebra_vertical_identity(self, aff2):
-        chk = oneill_curvature_check(aff2.chart, aff2.metric, [0.0])
+        chk = _curvature_check(aff2.chart, aff2.metric, [0.0])
         assert chk.vertical is not None and chk.vertical < 1e-10
 
 
