@@ -256,9 +256,7 @@ def _cmd_geodesic(args, out, run, chart, metric):
         scale = abs(E[0]) if E[0] != 0 else 1.0
         run.check("energy_drift", float(np.max(np.abs(E - E[0])) / scale), tol)
         run.check("apath_residual", path.constraint_residual(chart), TOL_APATH_GENERATED)
-    rows = [
-        [t, *x, *mu] for t, x, mu in zip(path.ts, path.xs, path.mus)
-    ]
+    rows = [[t, *x, *mu] for t, x, mu in zip(path.ts, path.xs, path.mus)]
     write_csv(out / "geodesic.csv", ["t"] + _xcols(chart.n) + _mucols(chart.r), rows)
 
 
@@ -337,8 +335,7 @@ def _cmd_jacobi(args, out, run, chart, metric):
 def _cmd_curvature(args, out, run, chart, metric):
     x = _vector(args.x, chart.n, "--x") if args.x else chart.center()
     ch = christoffel(chart, metric, x, with_derivative=True)
-    R = _curvature_of(chart, x, ch)
-    G, _, _ = metric.eval(x)
+    R, G = _curvature_of(ch), ch.G
     low = np.einsum("ijkl,lm->ijkm", R, G)
     run.check("antisymmetry_ab", float(np.max(np.abs(low + np.swapaxes(low, 0, 1)))), 1e-9)
     run.check("antisymmetry_cd", float(np.max(np.abs(low + np.swapaxes(low, 2, 3)))), 1e-9)

@@ -561,9 +561,10 @@ class Program:
         return len(self._groups) - 1
 
     def constant(self, group, level=0):
-        """The read-only array of a level that no point changes, else None."""
+        """The read-only array of a level that no point changes (no per-point
+        cell, no domain check in the group), else None."""
         tmpl, point, _ = self._groups[group][1][level]
-        return None if point else tmpl
+        return None if point or self._groups[group][2] else tmpl
 
     def is_zero(self, group, level=0):
         """Whether a level vanishes identically."""

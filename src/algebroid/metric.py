@@ -24,13 +24,15 @@ and kept in the metric's ``_cache``, keyed weakly by the chart.  It
 evaluates B, dB, C and dC on the chart's `~algebroid.expressions.Program`
 and G, dG and d2G on the metric's: the programs that also serve
 `eval_anchor`, `eval_bracket` and `MetricField.eval`, each built once.
-What it holds is fixed by the pair, never by a point: which structure
-arrays vanish identically (the programs' static sparsity), and for a
-constant metric g, its inverse and its SPD verdict; for a constant metric
-with a constant bracket also Gamma and dGamma.  A non-constant metric is
-evaluated and SPD-checked at every point asked for.  `koszul_rhs` reads
-only the raw evaluations of g, b and C, so it stays an independent check
-of the evaluator.
+It returns one `Christoffel` record of Gamma (and dGamma), B, C and G per
+point set, so no caller evaluates b, C or g there again.  What it holds is
+fixed by the pair, never by a point: which structure arrays vanish
+identically (the programs' static sparsity), a constant B or C (taken from
+its program template, never run), for a constant metric g, its inverse and
+SPD verdict, and with a constant bracket as well, Gamma and dGamma.  A
+non-constant metric is evaluated and SPD-checked at every point asked for.
+`koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
+independent check of the evaluator.
 """
 
 from __future__ import annotations
@@ -160,27 +162,31 @@ def _raise_not_spd(G, points):
 
 @dataclass
 class Christoffel:
-    """Connection coefficients at one point (or a batch of points)."""
+    """Gamma (dGamma if asked for) at some points, and the B, C, G it is formed from."""
 
     gamma: np.ndarray  # (..., r, r, r)
     dgamma: np.ndarray | None  # (..., r, r, r, n)
+    B: np.ndarray  # (..., r, n)
+    C: np.ndarray  # (..., r, r, r)
+    G: np.ndarray  # (..., r, r)
 
 
 class _Connection:
     """Levi-Civita coefficients of one (chart, metric) pair.
 
     Built on first use and kept in ``metric._cache``.  It runs the chart's
-    program for B and C and the metric's for G, and settles what does not
-    depend on the point:
+    program for B and C and the metric's for G, hands them back with Gamma
+    in one `Christoffel`, and settles what does not depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
       and B or C may be zero outright): they are not evaluated, and no
       term with such a factor is formed;
+    * a constant anchor or bracket, read from its template and not run;
     * for a constant metric: g, its inverse and the SPD verdict; a negative
       verdict raises MetricError at every use, as an evaluation would;
     * for a constant metric and a constant bracket: Gamma and dGamma (with
-      dg = 0 the anchor does not enter).
+      dg = 0 the anchor does not enter; a varying one runs at order 0).
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -195,55 +201,64 @@ class _Connection:
     def __init__(self, chart, metric):
         self.chart, self.metric = Program.of(chart), Program.of(metric)
         self._shift = metric._shift
-        # per order of Gamma's derivative: the orders to run B, C and G at
+        self.B, self.C = self.chart.constant(0), self.chart.constant(1)
+        self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
+        self.Gi = self.gamma = self.dgamma = None
+        self.held = {}  # per batch shape asked for: G, B, C, Gamma, dGamma as handed out (views)
+        self.G = G = self.metric.constant(0)
+        self.spd = G is None or _is_spd(G, self._shift)
+        # per order k of Gamma's derivative, the orders to run B, C and G at
+        cap = lambda g, k: None if (self.B, self.C)[g] is not None else _cap(self.chart, g, k)
         self.orders = [
-            ((_cap(self.chart, 0, k), _cap(self.chart, 1, k)), (_cap(self.metric, 0, k + 1),))
+            ((cap(0, k if G is None else 0), cap(1, k)), (_cap(self.metric, 0, k + 1),))
             for k in (0, 1)
         ]
-        self.G = self.Gi = self.gamma = self.dgamma = None
-        self.spd = True
-        G = self.metric.constant(0)
-        if G is not None:
-            self.G, self.spd = G, _is_spd(G, self._shift)
-            if self.spd:
-                self.Gi = np.linalg.inv(G)
-                if all(self.chart.constant(1, k) is not None for k in (0, 1)):
-                    self.gamma, self.dgamma = self._assemble(chart.center(), True)
+        if G is not None and self.spd:
+            self.Gi = np.linalg.inv(G)
+            self.Gi.flags.writeable = False
+            if self.C is not None:  # no chart run: B does not enter, as dG = 0
+                self.gamma, self.dgamma = self._assemble(
+                    chart.center(), True, None, None, self.C, None, G, self.Gi, None, None
+                )
+                self.gamma.flags.writeable = self.dgamma.flags.writeable = False
 
     def christoffel(self, x, with_derivative):
         x = np.asarray(x, dtype=float)
-        if self.gamma is None:
-            return Christoffel(*self._assemble(x, with_derivative))
         base = x.shape[:-1]
-        gamma = np.broadcast_to(self.gamma, base + self.gamma.shape)
-        dgamma = None
-        if with_derivative:
-            dgamma = np.broadcast_to(self.dgamma, base + self.dgamma.shape)
-        return Christoffel(gamma, dgamma)
-
-    def _assemble(self, x, with_derivative):
-        base = x.shape[:-1]
+        held = self.held.get(base)
+        if held is None:
+            held = self.held[base] = [
+                a if a is None or not base else np.broadcast_to(a, base + a.shape)
+                for a in (self.G, self.B, self.C, self.gamma, self.dgamma)
+            ]
+        G, B, C, gamma, dgamma = held
         (ob, oc), og = self.orders[with_derivative]
+        Gi, dG, d2G, dB, dC = self.Gi, None, None, None, None
         if self.G is None:
             [(G, dG, d2G)] = self.metric.run(x, og)
             if not _is_spd(G, self._shift):
                 _raise_not_spd(G, x)
             Gi = np.linalg.inv(G)
-        else:
-            G, Gi, dG, d2G, ob = self.G, self.Gi, None, None, None
-            if not self.spd:
-                _raise_not_spd(np.broadcast_to(G, base + G.shape), x)
-        (B, dB, _), (C, dC, _) = self.chart.run(x, (ob, oc))
-        r, n = G.shape[-1], x.shape[-1]
+        elif not self.spd:
+            _raise_not_spd(G, x)
+        if ob is not None or oc is not None:
+            (b, dB, _), (c, dC, _) = self.chart.run(x, (ob, oc))
+            B, C = (B if b is None else b), (C if c is None else c)
+        if gamma is None:
+            gamma, dgamma = self._assemble(x, with_derivative, B, dB, C, dC, G, Gi, dG, d2G)
+        return Christoffel(gamma, dgamma if with_derivative else None, B, C, G)
+
+    def _assemble(self, x, with_derivative, B, dB, C, dC, G, Gi, dG, d2G):
+        base, r, n = x.shape[:-1], G.shape[-1], x.shape[-1]
 
         S = dS = None
-        use_anchor = dG is not None and B is not None
+        use_anchor = dG is not None and self.anchor
         if use_anchor:
             P = (B @ dG.reshape(base + (r * r, n)).swapaxes(-1, -2)).reshape(
                 base + (r, r, r)
             )
             S = (P + P.swapaxes(-3, -2)) - _perm(P, 1, 2, 0)
-        if C is not None:
+        if self.bracket:
             Q = C @ G[..., None, :, :]
             tc = (Q + _perm(Q, 1, 2, 0)) + Q.swapaxes(-3, -1)
             S = tc if S is None else S + tc
@@ -263,7 +278,7 @@ class _Connection:
                 dP = BdG if dP is None else BdG + dP
             if dP is not None:
                 dS = (dP + dP.swapaxes(-4, -3)) - _perm(dP, 1, 2, 0, 3)
-        if C is not None:
+        if self.bracket:
             dQ = None
             if dC is not None:
                 dQ = (dC.swapaxes(-1, -2) @ G[..., None, None, :, :]).swapaxes(-1, -2)
@@ -285,10 +300,9 @@ class _Connection:
 
 
 def _cap(prog, group, order):
-    """`order`, lowered below the first level of the group that vanishes
-    identically; None when its values do."""
-    k = next((k for k in range(order + 1) if prog.is_zero(group, k)), order + 1)
-    return k - 1 if k else None
+    """`order`, lowered below the first level of the group's partials that
+    vanishes identically."""
+    return next((k - 1 for k in range(1, order + 1) if prog.is_zero(group, k)), order)
 
 
 def _perm(a, *axes):
@@ -301,9 +315,9 @@ def _perm(a, *axes):
 def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
     """Levi-Civita coefficients (and their exact space derivatives) at x.
 
-    Raises MetricError if g is not positive definite at a point of x.  For
-    a constant chart with a constant metric the arrays returned are
-    read-only broadcast views of the evaluator's constants.
+    Raises MetricError if g is not positive definite at a point of x.  An
+    array of the record that no point changes is the evaluator's own
+    read-only array at a single point, a read-only broadcast view on a batch.
     """
     ev = metric._cache.get(chart)
     if ev is None:
@@ -313,13 +327,11 @@ def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
 
 def covariant_derivative(chart, metric, f: SectionField, g: SectionField, x):
     """(D_f g)^u = sum_{s,t} f_s g_t Gamma_{st}^u + #(f)(g_u) at x."""
-    x = np.asarray(x, dtype=float)
     fv, _ = f.eval_raw(x)
     gv, gg = g.eval_raw(x, order=1)
-    B, _ = chart.eval_anchor(x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    return np.einsum("...s,...t,...stu->...u", fv, gv, gamma) + np.einsum(
-        "...s,...si,...ui->...u", fv, B, gg
+    ch = christoffel(chart, metric, x, with_derivative=False)
+    return np.einsum("...s,...t,...stu->...u", fv, gv, ch.gamma) + np.einsum(
+        "...s,...si,...ui->...u", fv, ch.B, gg
     )
 
 
@@ -329,16 +341,13 @@ def curvature(chart, metric, x):
     Assembled from R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the
     exact dGamma, no finite differences.
     """
-    x = np.asarray(x, dtype=float)
-    return _curvature_of(chart, x, christoffel(chart, metric, x, with_derivative=True))
+    return _curvature_of(christoffel(chart, metric, x, with_derivative=True))
 
 
-def _curvature_of(chart, x, ch):
-    """R at the points x from their Christoffel `ch`, which must carry
+def _curvature_of(ch):
+    """R at the points of the connection record `ch`, which must carry
     dGamma: callers that need Gamma as well evaluate the connection once."""
-    B, _ = chart.eval_anchor(x)
-    C, _ = chart.eval_bracket(x)
-    gamma, dgamma = ch.gamma, ch.dgamma
+    B, C, gamma, dgamma = ch.B, ch.C, ch.gamma, ch.dgamma
     return (
         np.einsum("...im,...jklm->...ijkl", B, dgamma)
         - np.einsum("...jm,...iklm->...ijkl", B, dgamma)
@@ -385,9 +394,8 @@ def koszul_rhs(chart, metric, x):
 
 def sectional_curvature(chart, metric, x, a, b):
     """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2) at x."""
-    x = np.asarray(x, dtype=float)
-    G, _, _ = metric.eval(x)
-    return _sectional_of(G, curvature(chart, metric, x), a, b)
+    ch = christoffel(chart, metric, x, with_derivative=True)
+    return _sectional_of(ch.G, _curvature_of(ch), a, b)
 
 
 def _sectional_of(G, R, a, b):

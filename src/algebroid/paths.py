@@ -249,7 +249,7 @@ def _transport_track(chart, metric, alpha, with_curvature=False):
     L = -np.einsum("ti,tiju->tuj", mu, ch.gamma)
     if not with_curvature:
         return L
-    R = _curvature_of(chart, x, ch)
+    R = _curvature_of(ch)
     return L, np.einsum("tijkl,ti,tk->tlj", R, mu, mu)
 
 
@@ -261,15 +261,14 @@ def _transport_track(chart, metric, alpha, with_curvature=False):
 def geodesic_rhs(chart, metric, x, mu):
     """Right side of the geodesic system at (x, mu); batch friendly."""
     mu = np.asarray(mu, dtype=float)
-    B, _ = chart.eval_anchor(x)
-    gamma = christoffel(chart, metric, x, with_derivative=False).gamma
-    r = gamma.shape[-1]
+    ch = christoffel(chart, metric, x, with_derivative=False)
+    r = chart.r
     # dmu_j = -sum over the pairs (s, u) of mu_s mu_u (Gamma_su^j + Gamma_us^j) / 2;
     # halving after the sum is exact, so it is done once
     mumu = mu[..., :, None] * mu[..., None, :]
     mumu = mumu.reshape(mumu.shape[:-2] + (1, r * r))
-    gsum = gamma + gamma.swapaxes(-3, -2)
-    dx = (mu[..., None, :] @ B)[..., 0, :]
+    gsum = ch.gamma + ch.gamma.swapaxes(-3, -2)
+    dx = (mu[..., None, :] @ ch.B)[..., 0, :]
     dmu = -0.5 * (mumu @ gsum.reshape(gsum.shape[:-3] + (r * r, r)))[..., 0, :]
     return dx, dmu
 

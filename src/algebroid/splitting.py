@@ -22,11 +22,12 @@ coordinates the chart does not carry.  The divergence formula itself is
 pointwise and has no such restriction.
 
 The split frame is the one place where the structure at a point is
-evaluated: it carries b, C, g and Gamma next to its bases, and everything
-built on a frame reads them from it.  Frames are built for many points at
-once: `_frames` makes one call of each evaluator, one batched SVD and one
-g-Gram-Schmidt over an array of points and groups the frames by anchor
-rank, which may differ between points; `split` is its one-point case.
+evaluated: it carries b, C, g and Gamma from one connection record next
+to its bases, and everything built on a frame reads them from it.  Frames
+are built for many points at once: `_frames` makes one connection call,
+one batched SVD and one g-Gram-Schmidt over an array of points, grouping
+the frames by anchor rank (it may differ between points); `split` is its
+one-point case.
 `divergence_terms` and `divergence_fd_lie_algebra` take fiber vectors with
 leading batch axes.  `oneill_tensors` applies T and H to all pairs of
 frame vectors in one contraction of Gamma; both O'Neill checks take those
@@ -87,7 +88,7 @@ class SplitFrame:
     `vertical` has shape (..., r - q, r), `horizontal` (..., q, r); rows are
     fiber vectors.  B (..., r, n), C (..., r, r, r), G (..., r, r) and
     `gamma` (..., r, r, r) are the anchor, bracket, metric and Christoffel
-    arrays at x, evaluated once when the frame is built.  A frame from
+    arrays at x, read from one connection record.  A frame from
     `split` has no leading axes.  The frames of a batch (`_frames`) carry
     one leading axis over points of equal anchor rank, x (k, n) and
     `warning` a (k,) bool array among them.  `warning` flags a singular
@@ -150,31 +151,28 @@ def _frames(chart, metric, xs):
 
     Returns a list of (rows, frame) pairs in increasing rank: `rows`
     indexes xs, and `frame` is a SplitFrame with a leading axis over those
-    points.  b, C, g and Gamma come from one evaluator call each over all
-    of xs.  One batched SVD of the anchor gives each point its rank (the
+    points.  b, C, g and Gamma come from one connection record over all of
+    xs.  One batched SVD of the anchor gives each point its rank (the
     singular values above RANK_RTOL times the largest) and an orthonormal
     basis whose last r - q rows span the kernel.  One g-Gram-Schmidt over
     the kernel rows followed by the other rows then yields the vertical
     frame and, g-orthogonal to it, the horizontal frame at every point.
     """
     xs = np.asarray(xs, dtype=float)
-    B, _ = chart.eval_anchor(xs)
-    C, _ = chart.eval_bracket(xs)
-    G, _, _ = metric.eval(xs)
-    gamma = christoffel(chart, metric, xs, with_derivative=False).gamma
-    _, sigma, Vt = np.linalg.svd(B.swapaxes(-1, -2))
+    ch = christoffel(chart, metric, xs, with_derivative=False)
+    _, sigma, Vt = np.linalg.svd(ch.B.swapaxes(-1, -2))
     thresh = RANK_RTOL * sigma[:, :1]  # 0 for a zero anchor, so rank 0
     q = (sigma > thresh).sum(axis=-1)
     warning = ((sigma > thresh / 10.0) & (sigma < thresh * 10.0)).any(axis=-1)
     r = chart.r
     kernel_first = (np.arange(r) + q[:, None]) % r
-    basis = _g_orthonormalize(Vt[np.arange(len(xs))[:, None], kernel_first], G)
+    basis = _g_orthonormalize(Vt[np.arange(len(xs))[:, None], kernel_first], ch.G)
     groups = []
     for rank in sorted(set(q.tolist())):
         rows = np.flatnonzero(q == rank)
         pick = slice(None) if len(rows) == len(xs) else rows
         p = r - rank
-        structure = (a[pick] for a in (B, C, G, gamma))
+        structure = (a[pick] for a in (ch.B, ch.C, ch.G, ch.gamma))
         frame = SplitFrame(xs[pick], basis[pick, :p], basis[pick, p:], *structure, warning[pick])
         groups.append((rows, frame))
     return groups

@@ -82,8 +82,7 @@ class VariationGrid:
 
     def apath_residual(self, chart):
         """max |#(alpha) - d(base)/dt| over the mesh (A-path rows check)."""
-        B, _ = chart.eval_anchor(self.x)
-        push = np.einsum("ets,etsi->eti", self.mu, B)
+        push = anchor_of_grid(chart, self, self.mu)
         dxdt = np.gradient(self.x, self.ts, axis=1, edge_order=2)
         return float(np.max(np.abs(push - dxdt)))
 
@@ -91,8 +90,7 @@ class VariationGrid:
         """max |#(beta) - d(base)/deps| at interior eps-rows."""
         if self.beta is None:
             raise ValueError("grid carries no transverse family")
-        B, _ = chart.eval_anchor(self.x)
-        push = np.einsum("ets,etsi->eti", self.beta, B)
+        push = anchor_of_grid(chart, self, self.beta)
         dxde = np.gradient(self.x, self.eps, axis=0, edge_order=2)
         return float(np.max(np.abs(push - dxde)[1:-1]))
 
@@ -310,11 +308,11 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     dE = np.gradient(energies, grid.eps, edge_order=2)
     mid = len(grid.eps) // 2
 
-    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
+    ch = christoffel(chart, metric, grid.x, with_derivative=False)
+    gamma, G = ch.gamma, ch.G
     Dt_alpha = np.gradient(grid.mu, grid.ts, axis=1, edge_order=2) + np.einsum(
         "eti,etj,etiju->etu", grid.mu, grid.mu, gamma
     )
-    G, _, _ = metric.eval(grid.x)
     pair_beta_alpha = np.einsum("etu,etuv,etv->et", grid.beta, G, grid.mu)
     pair_beta_Dt = np.einsum("etu,etuv,etv->et", grid.beta, G, Dt_alpha)
     d = _defect(grid, gamma)
@@ -424,11 +422,10 @@ def make_fixed_endpoint_homotopy(
     def flow_rhs(j, y):
         """d/deps of the (base row, fiber row) state; pointwise in t."""
         X, M = y[:, :n], y[:, n:]
-        B, _ = chart.eval_anchor(X)
-        gamma = christoffel(chart, metric, X, with_derivative=False).gamma
-        dX = np.einsum("ts,tsi->ti", beta_row, B)
-        comm = np.einsum("ti,tj,tiju->tu", M, beta_row, gamma) - np.einsum(
-            "ti,tj,tiju->tu", beta_row, M, gamma
+        ch = christoffel(chart, metric, X, with_derivative=False)
+        dX = np.einsum("ts,tsi->ti", beta_row, ch.B)
+        comm = np.einsum("ti,tj,tiju->tu", M, beta_row, ch.gamma) - np.einsum(
+            "ti,tj,tiju->tu", beta_row, M, ch.gamma
         )
         return np.concatenate([dX, dbeta_dt + comm], axis=1)
 

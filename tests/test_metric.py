@@ -221,6 +221,86 @@ class TestConnectionEvaluator:
         with pytest.raises(MetricError, match="positive definite"):
             geodesic_integrate(chart, metric, AVector([1.0], [0.1]), (0.0, 0.1), 1e-2)
 
+    @pytest.mark.parametrize(
+        "name,runs", [("sphere_chart", [(1,)]), ("heisenberg_central", []), ("twisted", [(0, 0)])]
+    )
+    def test_program_runs_per_geodesic_rhs(self, name, runs, twisted_chart, monkeypatch):
+        # sphere: the metric program only (the anchor is constant, the
+        # bracket zero); heisenberg: Gamma and B are held by the evaluator;
+        # twisted (identity metric): B and C in one chart run at order 0
+        from algebroid import expressions
+        from algebroid.paths import geodesic_rhs
+
+        if name == "twisted":
+            chart, metric = twisted_chart, MetricField.identity(3, 2)
+        else:
+            chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        x, mu = chart.center(), np.linspace(0.2, 0.4, chart.r)
+        geodesic_rhs(chart, metric, x, mu)
+        seen, run = [], expressions.Program.run
+
+        def counted(prog, points, orders):
+            seen.append(orders)
+            return run(prog, points, orders)
+
+        monkeypatch.setattr(expressions.Program, "run", counted)
+        geodesic_rhs(chart, metric, x, mu)
+        assert seen == runs
+
+    @pytest.mark.parametrize(
+        "name,keys",
+        [
+            ("heisenberg_central", ("gamma", "dgamma", "B", "C", "G")),
+            # the anchor is the identity, the bracket zero; g varies
+            ("sphere_chart", ("B", "C")),
+        ],
+    )
+    def test_shared_constants_are_read_only(self, name, keys):
+        chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        pts = sample_box(chart.domain, 3, seed=4)
+        for x in (pts[0], pts):
+            ch = christoffel(chart, metric, x, with_derivative=True)
+            before = {key: getattr(ch, key).tobytes() for key in keys}
+            for key in keys:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(ch, key)[...] = 0.0
+            again = christoffel(chart, metric, x, with_derivative=True)
+            assert {key: getattr(again, key).tobytes() for key in keys} == before
+
+    def test_a_checked_constant_anchor_is_run(self):
+        # log(x1)^0 folds to the constant 1 but keeps its domain check
+        from algebroid.expressions import EvalDomainError
+
+        chart = AlgebroidChart(n=1, r=1, b=[["log(x1)^0"]], domain=[(-1.0, 1.0)])
+        metric = MetricField.identity(1, 1)
+        assert christoffel(chart, metric, np.array([0.5])).B.tolist() == [[1.0]]
+        for x in (np.array([-0.5]), np.array([[0.5], [-0.5]])):
+            with pytest.raises(EvalDomainError, match=r"log\(x1\)"):
+                christoffel(chart, metric, x, with_derivative=False)
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "twisted"])
+    def test_oracles_do_not_read_the_connection(self, name, twisted_chart, monkeypatch):
+        from algebroid import charts, hamiltonian, metric as metric_module, splitting
+
+        if name == "twisted":
+            chart, metric = twisted_chart, MetricField.identity(3, 2)
+        else:
+            chart, metric = catalog.get(name).chart, catalog.get(name).metric
+
+        def refuse(*args):
+            raise AssertionError("the connection evaluator was called")
+
+        monkeypatch.setattr(metric_module._Connection, "christoffel", refuse)
+        x = chart.center()
+        with pytest.raises(AssertionError, match="evaluator was called"):
+            christoffel(chart, metric, x)
+        koszul_rhs(chart, metric, x)
+        hamiltonian.hamiltonian_field(chart, metric, AVector(x, np.linspace(0.2, 0.4, chart.r)))
+        # all three charts are transitive
+        splitting.leaf_metric_matrix(chart, metric, x)
+        splitting._classical_leaf_curvature(chart, metric, x)
+        charts.validate(chart, samples=8)
+
     def test_varying_metric_is_checked_at_every_point(self):
         chart = AlgebroidChart(n=1, r=2, b=[["1"], ["0"]], domain=[(-1.0, 1.0)])
         metric = MetricField({(1, 1): "x1", (2, 2): "1"}, r=2, n=1)
@@ -257,7 +337,7 @@ def reference_structure(chart, metric, pts, order):
 
 class TestTemplatedEvaluation:
     @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "twisted"])
     def test_matches_entry_by_entry_reference(self, name, order, twisted_chart):
         if name == "twisted":
             chart = twisted_chart
@@ -275,6 +355,11 @@ class TestTemplatedEvaluation:
             for key, arrays in want.items():
                 for w, g in zip(arrays, got[key]):
                     assert (w is None and g is None) or np.array_equal(w, g), key
+            # the connection record carries the values it was formed from
+            for d in (False, True):
+                ch = christoffel(chart, metric, x, with_derivative=d)
+                for key, g in (("anchor", ch.B), ("bracket", ch.C), ("metric", ch.G)):
+                    assert g.shape == want[key][0].shape and np.array_equal(want[key][0], g), key
 
 
 class TestCovariantDerivative:
