@@ -29,7 +29,6 @@ from .hamiltonian import euler_identity_residual, hamiltonian_field
 from .metric import (
     MetricError,
     SPD_EIGENVALUE_FLOOR,
-    _curvature_of,
     christoffel,
     fiber_inner,
     koszul_rhs,
@@ -334,8 +333,8 @@ def _cmd_jacobi(args, out, run, chart, metric):
 
 def _cmd_curvature(args, out, run, chart, metric):
     x = _vector(args.x, chart.n, "--x") if args.x else chart.center()
-    ch = christoffel(chart, metric, x, with_derivative=True)
-    R, G = _curvature_of(ch), ch.G
+    ch = christoffel(chart, metric, x)
+    R, G = ch.R, ch.G
     low = np.einsum("ijkl,lm->ijkm", R, G)
     run.check("antisymmetry_ab", float(np.max(np.abs(low + np.swapaxes(low, 0, 1)))), 1e-9)
     run.check("antisymmetry_cd", float(np.max(np.abs(low + np.swapaxes(low, 2, 3)))), 1e-9)

@@ -24,12 +24,10 @@ and kept in the metric's ``_cache``, keyed weakly by the chart.  It
 evaluates B, dB, C and dC on the chart's `~algebroid.expressions.Program`
 and G, dG and d2G on the metric's: the programs that also serve
 `eval_anchor`, `eval_bracket` and `MetricField.eval`, each built once.
-It returns one `Christoffel` record of Gamma (and dGamma), B, C and G per
-point set, so no caller evaluates b, C or g there again.  What it holds is
-fixed by the pair, never by a point: which structure arrays vanish
-identically (the programs' static sparsity), a constant B or C (taken from
-its program template, never run), for a constant metric g, its inverse and
-SPD verdict, and with a constant bracket as well, Gamma and dGamma.  A
+It returns one `Christoffel` record of Gamma, B, C and G per point set, so
+no caller evaluates b, C or g there again; the record forms dGamma and R
+when they are first read, so no caller says in advance what it needs.
+What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
 independent check of the evaluator.
@@ -37,6 +35,7 @@ independent check of the evaluator.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -132,43 +131,71 @@ class MetricField:
         return G, dG, d2G
 
     def spd_margin(self, chart, samples=200, seed=42):
-        """Smallest eigenvalue of g over sampled points of the chart box."""
+        """Smallest eigenvalue of g over sampled points of the chart box;
+        -inf when g is not finite at a sample."""
         pts = sample_box(chart.domain, samples, seed)
         [(G, _, _)] = Program.of(self).run(pts, (0,))
-        return float(np.min(np.linalg.eigvalsh(G)))
+        return float(np.min(np.linalg.eigvalsh(G))) if np.isfinite(G).all() else -np.inf
 
 
 def _is_spd(G, shift):
-    """Whether every smallest eigenvalue of G exceeds the floor: exactly
-    when the Cholesky factorization of G - floor*I (= G - shift) succeeds."""
+    """Whether G is finite and every smallest eigenvalue exceeds the floor,
+    that is, G - floor*I (= G - shift) has a Cholesky factor; numpy's
+    Cholesky factorization does not raise on NaN or inf."""
     try:
         np.linalg.cholesky(G - shift)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(G).all())
 
 
 def _raise_not_spd(G, points):
-    # eigvalsh runs only on this failure path
-    eig = np.linalg.eigvalsh(G)
-    smallest = eig[..., 0]
+    # runs only on this failure path, and eigvalsh only on a finite G
+    finite = np.isfinite(G).all(axis=(-2, -1))
+    smallest = np.linalg.eigvalsh(G)[..., 0] if finite.all() else finite
     k = np.unravel_index(np.argmin(smallest), np.shape(smallest))
     bad = points[k] if points.ndim > 1 else points
+    if not finite.all():
+        raise MetricError(f"metric not finite at x={bad}")
     raise MetricError(
         f"metric not positive definite at x={bad} "
         f"(smallest eigenvalue {float(np.min(smallest)):.3e})"
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class Christoffel:
-    """Gamma (dGamma if asked for) at some points, and the B, C, G it is formed from."""
+    """Gamma at some points and the B, C, G it is formed from; dGamma and R
+    are formed on first access and kept.  For dGamma the record keeps x and
+    what Gamma formed on the way (S, g^-1, dg): reading it runs the programs
+    once more, at derivative orders but only on groups already run for
+    Gamma, so it raises no new EvalDomainError."""
 
     gamma: np.ndarray  # (..., r, r, r)
-    dgamma: np.ndarray | None  # (..., r, r, r, n)
     B: np.ndarray  # (..., r, n)
     C: np.ndarray  # (..., r, r, r)
     G: np.ndarray  # (..., r, r)
+    _ev: _Connection
+    _at: tuple  # x, S, g^-1 and dg; S and dg may be None
+    dgamma = functools.cached_property(lambda self: self._ev._dgamma(self))  # (..., r, r, r, n)
+
+    @functools.cached_property
+    def R(self):
+        """R[i, j, k, l], the a_l component of R(a_i, a_j) a_k, from
+        R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the exact dGamma."""
+        B, C, gamma, dgamma = self.B, self.C, self.gamma, self.dgamma
+        return (
+            np.einsum("...im,...jklm->...ijkl", B, dgamma)
+            - np.einsum("...jm,...iklm->...ijkl", B, dgamma)
+            + np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+            - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
+            - np.einsum("...ijm,...mkl->...ijkl", C, gamma)
+        )
+
+    def _rows(self, pick):
+        """The record at the points `pick` of its leading batch axis."""
+        at = lambda arrays: [None if a is None else a[pick] for a in arrays]
+        return Christoffel(*at((self.gamma, self.B, self.C, self.G)), self._ev, tuple(at(self._at)))
 
 
 class _Connection:
@@ -176,7 +203,8 @@ class _Connection:
 
     Built on first use and kept in ``metric._cache``.  It runs the chart's
     program for B and C and the metric's for G, hands them back with Gamma
-    in one `Christoffel`, and settles what does not depend on the point:
+    in one `Christoffel` (whose dGamma it forms on request), and settles
+    what does not depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
@@ -185,8 +213,8 @@ class _Connection:
     * a constant anchor or bracket, read from its template and not run;
     * for a constant metric: g, its inverse and the SPD verdict; a negative
       verdict raises MetricError at every use, as an evaluation would;
-    * for a constant metric and a constant bracket: Gamma and dGamma (with
-      dg = 0 the anchor does not enter; a varying one runs at order 0).
+    * for a constant metric and a constant bracket: Gamma (with dg = 0 the
+      anchor does not enter); and dGamma = 0 wherever dS vanishes identically.
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -203,73 +231,77 @@ class _Connection:
         self._shift = metric._shift
         self.B, self.C = self.chart.constant(0), self.chart.constant(1)
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
-        self.Gi = self.gamma = self.dgamma = None
-        self.held = {}  # per batch shape asked for: G, B, C, Gamma, dGamma as handed out (views)
+        self.Gi = self.gamma = None
+        self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
+        self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
         self.G = G = self.metric.constant(0)
         self.spd = G is None or _is_spd(G, self._shift)
-        # per order k of Gamma's derivative, the orders to run B, C and G at
+        # the orders to run B, C, G at for Gamma (k = 0) and dGamma (k = 1: dB only with dg)
         cap = lambda g, k: None if (self.B, self.C)[g] is not None else _cap(self.chart, g, k)
         self.orders = [
-            ((cap(0, k if G is None else 0), cap(1, k)), (_cap(self.metric, 0, k + 1),))
+            ((cap(0, k) if G is None or not k else None, cap(1, k)), (_cap(self.metric, 0, k + 1),))
             for k in (0, 1)
         ]
         if G is not None and self.spd:
             self.Gi = np.linalg.inv(G)
             self.Gi.flags.writeable = False
             if self.C is not None:  # no chart run: B does not enter, as dG = 0
-                self.gamma, self.dgamma = self._assemble(
-                    chart.center(), True, None, None, self.C, None, G, self.Gi, None, None
-                )
-                self.gamma.flags.writeable = self.dgamma.flags.writeable = False
+                self.gamma = 0.5 * (self._koszul((), None, self.C, G, None) @ self.Gi[None])
+                self.gamma.flags.writeable = False
+        self.dgamma.flags.writeable = False
 
-    def christoffel(self, x, with_derivative):
+    def christoffel(self, x):
         x = np.asarray(x, dtype=float)
         base = x.shape[:-1]
         held = self.held.get(base)
         if held is None:
             held = self.held[base] = [
                 a if a is None or not base else np.broadcast_to(a, base + a.shape)
-                for a in (self.G, self.B, self.C, self.gamma, self.dgamma)
+                for a in (self.G, self.Gi, self.B, self.C, self.gamma)
             ]
-        G, B, C, gamma, dgamma = held
-        (ob, oc), og = self.orders[with_derivative]
-        Gi, dG, d2G, dB, dC = self.Gi, None, None, None, None
+        G, Gi, B, C, gamma = held
+        (ob, oc), og = self.orders[0]
+        dG = S = None
         if self.G is None:
-            [(G, dG, d2G)] = self.metric.run(x, og)
+            [(G, dG, _)] = self.metric.run(x, og)
             if not _is_spd(G, self._shift):
                 _raise_not_spd(G, x)
             Gi = np.linalg.inv(G)
         elif not self.spd:
             _raise_not_spd(G, x)
         if ob is not None or oc is not None:
-            (b, dB, _), (c, dC, _) = self.chart.run(x, (ob, oc))
+            (b, _, _), (c, _, _) = self.chart.run(x, (ob, oc))
             B, C = (B if b is None else b), (C if c is None else c)
         if gamma is None:
-            gamma, dgamma = self._assemble(x, with_derivative, B, dB, C, dC, G, Gi, dG, d2G)
-        return Christoffel(gamma, dgamma if with_derivative else None, B, C, G)
+            S = self._koszul(base, B, C, G, dG)
+            gamma = 0.5 * (S @ Gi[..., None, :, :])
+        return Christoffel(gamma, B, C, G, self, (x, S, Gi, dG))
 
-    def _assemble(self, x, with_derivative, B, dB, C, dC, G, Gi, dG, d2G):
-        base, r, n = x.shape[:-1], G.shape[-1], x.shape[-1]
-
-        S = dS = None
-        use_anchor = dG is not None and self.anchor
-        if use_anchor:
-            P = (B @ dG.reshape(base + (r * r, n)).swapaxes(-1, -2)).reshape(
-                base + (r, r, r)
-            )
+    def _koszul(self, base, B, C, G, dG):
+        r = G.shape[-1]
+        S = None
+        if dG is not None and self.anchor:
+            P = (B @ dG.reshape(base + (r * r, -1)).swapaxes(-1, -2)).reshape(base + (r, r, r))
             S = (P + P.swapaxes(-3, -2)) - _perm(P, 1, 2, 0)
         if self.bracket:
             Q = C @ G[..., None, :, :]
             tc = (Q + _perm(Q, 1, 2, 0)) + Q.swapaxes(-3, -1)
             S = tc if S is None else S + tc
-        if S is None:
-            S = np.zeros(base + (r, r, r))
-        gamma = 0.5 * (S @ Gi[..., None, :, :])
-        if not with_derivative:
-            return gamma, None
+        return np.zeros(base + (r, r, r)) if S is None else S
 
+    def _dgamma(self, ch):
+        """dGamma at the points of the record `ch`, from one program run."""
+        (x, S, Gi, dG), B, C, G = ch._at, ch.B, ch.C, ch.G
+        base, r, n = x.shape[:-1], G.shape[-1], x.shape[-1]
+        (ob, oc), og = self.orders[1]
+        dB = dC = d2G = None
+        if self.G is None:
+            [(_, _, d2G)] = self.metric.run(x, og)
+        if ob is not None or oc is not None:
+            (_, dB, _), (_, dC, _) = self.chart.run(x, (ob, oc))
         # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise
-        if use_anchor:
+        dS = None
+        if dG is not None and self.anchor:
             dP = None
             if d2G is not None:
                 dP = _perm(B[..., None, None, :, :] @ d2G, 2, 0, 1, 3)
@@ -289,14 +321,14 @@ class _Connection:
                 tc = (dQ + _perm(dQ, 1, 2, 0, 3)) + dQ.swapaxes(-4, -2)
                 dS = tc if dS is None else dS + tc
         if dS is None:
-            return gamma, np.zeros(base + (r, r, r, n))
+            return np.broadcast_to(self.dgamma, base + self.dgamma.shape) if base else self.dgamma
         dgamma = (dS.swapaxes(-1, -2) @ Gi[..., None, None, :, :]).swapaxes(-1, -2)
         if dG is not None:
             dGm = _perm(dG, 2, 0, 1)  # dGm[m, a, b] = d_m g_{ab}
             dGi = -(Gi[..., None, :, :] @ dGm @ Gi[..., None, :, :])
             SdGi = S.reshape(base + (1, r * r, r)) @ dGi
             dgamma = dgamma + _perm(SdGi.reshape(base + (n, r, r, r)), 1, 2, 3, 0)
-        return gamma, 0.5 * dgamma
+        return 0.5 * dgamma
 
 
 def _cap(prog, group, order):
@@ -312,8 +344,9 @@ def _perm(a, *axes):
     return a.transpose(tuple(range(lead)) + tuple(lead + k for k in axes))
 
 
-def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
-    """Levi-Civita coefficients (and their exact space derivatives) at x.
+def christoffel(chart, metric, x) -> Christoffel:
+    """Levi-Civita coefficients at x, with their exact space derivatives and
+    the curvature made on request by the record.
 
     Raises MetricError if g is not positive definite at a point of x.  An
     array of the record that no point changes is the evaluator's own
@@ -322,39 +355,22 @@ def christoffel(chart, metric, x, with_derivative=True) -> Christoffel:
     ev = metric._cache.get(chart)
     if ev is None:
         ev = metric._cache[chart] = _Connection(chart, metric)
-    return ev.christoffel(x, with_derivative)
+    return ev.christoffel(x)
 
 
 def covariant_derivative(chart, metric, f: SectionField, g: SectionField, x):
     """(D_f g)^u = sum_{s,t} f_s g_t Gamma_{st}^u + #(f)(g_u) at x."""
     fv, _ = f.eval_raw(x)
     gv, gg = g.eval_raw(x, order=1)
-    ch = christoffel(chart, metric, x, with_derivative=False)
+    ch = christoffel(chart, metric, x)
     return np.einsum("...s,...t,...stu->...u", fv, gv, ch.gamma) + np.einsum(
         "...s,...si,...ui->...u", fv, ch.B, gg
     )
 
 
 def curvature(chart, metric, x):
-    """Components R[i, j, k, l] of R(a_i, a_j) a_k = sum_l R[i,j,k,l] a_l.
-
-    Assembled from R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the
-    exact dGamma, no finite differences.
-    """
-    return _curvature_of(christoffel(chart, metric, x, with_derivative=True))
-
-
-def _curvature_of(ch):
-    """R at the points of the connection record `ch`, which must carry
-    dGamma: callers that need Gamma as well evaluate the connection once."""
-    B, C, gamma, dgamma = ch.B, ch.C, ch.gamma, ch.dgamma
-    return (
-        np.einsum("...im,...jklm->...ijkl", B, dgamma)
-        - np.einsum("...jm,...iklm->...ijkl", B, dgamma)
-        + np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
-        - np.einsum("...ijm,...mkl->...ijkl", C, gamma)
-    )
+    """R[i, j, k, l] at x, the `Christoffel.R` of the connection record there."""
+    return christoffel(chart, metric, x).R
 
 
 def fiber_inner(metric, x, u, v):
@@ -394,16 +410,14 @@ def koszul_rhs(chart, metric, x):
 
 def sectional_curvature(chart, metric, x, a, b):
     """K(a, b) = -<R(a,b)a, b> / (<a,a><b,b> - <a,b>^2) at x."""
-    ch = christoffel(chart, metric, x, with_derivative=True)
-    return _sectional_of(ch.G, _curvature_of(ch), a, b)
+    return _sectional_of(christoffel(chart, metric, x), a, b)
 
 
-def _sectional_of(G, R, a, b):
-    """K(a, b) from the metric G and curvature R at the pairs' point; a pair
+def _sectional_of(ch, a, b):
+    """K(a, b) from the connection record `ch` at the pairs' point; a pair
     whose Gram determinant is at most GRAM_FLOOR <a,a><b,b> is rejected as
-    dependent."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    dependent before R is formed."""
+    G, a, b = ch.G, np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     aa = np.einsum("...i,...ij,...j->...", a, G, a)
     bb = np.einsum("...i,...ij,...j->...", b, G, b)
     ab = np.einsum("...i,...ij,...j->...", a, G, b)
@@ -415,5 +429,5 @@ def _sectional_of(G, R, a, b):
             "sectional curvature of a (nearly) dependent pair (Gram determinant "
             f"{np.ravel(gram)[first]:.3e}, <a,a><b,b> = {np.ravel(aa * bb)[first]:.3e})"
         )
-    rabab = np.einsum("...ijkl,...i,...j,...k,...lm,...m->...", R, a, b, a, G, b)
+    rabab = np.einsum("...ijkl,...i,...j,...k,...lm,...m->...", ch.R, a, b, a, G, b)
     return -rabab / gram

@@ -18,7 +18,7 @@ is called as f(j, y) with j a half-grid index: node k of the grid is
 j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the only times
 an RK4 step samples.  The state y may carry batch axes.  Flows along an
 already fixed path (parallel transport, the transported frame, Jacobi
-sections) therefore evaluate the path, Gamma and, for Jacobi, R once over
+sections) therefore make one path evaluation and one connection record over
 all 2N - 1 half-grid times and integrate a linear system on those tracks.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch through `_geodesics`, which also serves single geodesics.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import _curvature_of, christoffel, fiber_inner
+from .metric import christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -238,19 +238,15 @@ def _interleave(nodes, mids):
     return out
 
 
-def _transport_track(chart, metric, alpha, with_curvature=False):
+def _transport_track(chart, metric, alpha):
     """Transport operators L[j] s = -Gamma(alpha, s) on the half grid of
-    alpha and, optionally, the Jacobi operators K[j] beta = R(alpha, beta)
-    alpha: one path evaluation and one batched connection call, with
-    dGamma when R is wanted."""
+    alpha, with the fiber values of alpha there and the connection record
+    (Jacobi reads R from it): one path evaluation and one batched
+    connection call."""
     ts = alpha.ts
     x, mu = alpha.eval(_interleave(ts, ts[:-1] + 0.5 * np.diff(ts)))
-    ch = christoffel(chart, metric, x, with_derivative=with_curvature)
-    L = -np.einsum("ti,tiju->tuj", mu, ch.gamma)
-    if not with_curvature:
-        return L
-    R = _curvature_of(ch)
-    return L, np.einsum("tijkl,ti,tk->tlj", R, mu, mu)
+    ch = christoffel(chart, metric, x)
+    return -np.einsum("ti,tiju->tuj", mu, ch.gamma), mu, ch
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +257,7 @@ def _transport_track(chart, metric, alpha, with_curvature=False):
 def geodesic_rhs(chart, metric, x, mu):
     """Right side of the geodesic system at (x, mu); batch friendly."""
     mu = np.asarray(mu, dtype=float)
-    ch = christoffel(chart, metric, x, with_derivative=False)
+    ch = christoffel(chart, metric, x)
     r = chart.r
     # dmu_j = -sum over the pairs (s, u) of mu_s mu_u (Gamma_su^j + Gamma_us^j) / 2;
     # halving after the sum is exact, so it is done once
@@ -370,7 +366,7 @@ def energy_along(chart, metric, path: APath):
 
 def parallel_transport(chart, metric, alpha: APath, s0):
     """Solve ds^u/dt + sum alpha^i s^j Gamma_{ij}^u = 0 along alpha."""
-    L = _transport_track(chart, metric, alpha)
+    L, _, _ = _transport_track(chart, metric, alpha)
     ys, ds = _rk4(lambda j, s: L[j] @ s, alpha.ts, np.asarray(s0, dtype=float))
     return FiberCurve(ts=alpha.ts, values=ys, dvalues=ds)
 
@@ -418,7 +414,7 @@ def derivative_along(chart, metric, alpha: APath, s: FiberCurve):
     if len(s.ts) != len(alpha.ts) or not np.allclose(s.ts, alpha.ts):
         raise ValueError("fiber curve grid does not match the path grid")
     sdot = _grid_derivative(s.values, alpha.ts)
-    gamma = christoffel(chart, metric, alpha.xs, with_derivative=False).gamma
+    gamma = christoffel(chart, metric, alpha.xs).gamma
     corr = np.einsum("ti,tj,tiju->tu", alpha.mus, s.values, gamma)
     return FiberCurve(ts=alpha.ts, values=sdot + corr)
 
@@ -448,7 +444,8 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
             f"path is not a geodesic (derivative-along residual {res:.3e})"
         )
     r = alpha.r
-    L, K = _transport_track(chart, metric, alpha, with_curvature=True)
+    L, mu, ch = _transport_track(chart, metric, alpha)
+    K = np.einsum("tijkl,ti,tk->tlj", ch.R, mu, mu)
     ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
     ys, ds = _rk4(lambda j, y: ops[j] @ y, alpha.ts, y0)

@@ -22,12 +22,12 @@ coordinates the chart does not carry.  The divergence formula itself is
 pointwise and has no such restriction.
 
 The split frame is the one place where the structure at a point is
-evaluated: it carries b, C, g and Gamma from one connection record next
-to its bases, and everything built on a frame reads them from it.  Frames
-are built for many points at once: `_frames` makes one connection call,
-one batched SVD and one g-Gram-Schmidt over an array of points, grouping
-the frames by anchor rank (it may differ between points); `split` is its
-one-point case.
+evaluated: it holds the connection record (b, C, g, Gamma; dGamma and R
+on request) next to its bases, and everything built on a frame reads
+them from it.  Frames are built for many points at once: `_frames` makes
+one connection call, one batched SVD and one g-Gram-Schmidt over an array
+of points, grouping the frames by anchor rank (it may differ between
+points); `split` is its one-point case.
 `divergence_terms` and `divergence_fd_lie_algebra` take fiber vectors with
 leading batch axes.  `oneill_tensors` applies T and H to all pairs of
 frame vectors in one contraction of Gamma; both O'Neill checks take those
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import _sectional_of, christoffel, curvature
+from .metric import Christoffel, _sectional_of, christoffel
 from .paths import geodesic_rhs
 
 __all__ = [
@@ -86,10 +86,10 @@ class SplitFrame:
     g-orthogonal complement.
 
     `vertical` has shape (..., r - q, r), `horizontal` (..., q, r); rows are
-    fiber vectors.  B (..., r, n), C (..., r, r, r), G (..., r, r) and
-    `gamma` (..., r, r, r) are the anchor, bracket, metric and Christoffel
-    arrays at x, read from one connection record.  A frame from
-    `split` has no leading axes.  The frames of a batch (`_frames`) carry
+    fiber vectors.  `connection` is the connection record at x; B, C, G and
+    `gamma` read the anchor, bracket, metric and Christoffel arrays from it,
+    and its R is formed only when read.  A frame from `split` has no
+    leading axes.  The frames of a batch (`_frames`) carry
     one leading axis over points of equal anchor rank, x (k, n) and
     `warning` a (k,) bool array among them.  `warning` flags a singular
     value within a factor 10 of the rank threshold (the rank may be
@@ -100,11 +100,13 @@ class SplitFrame:
     x: np.ndarray
     vertical: np.ndarray
     horizontal: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    G: np.ndarray
-    gamma: np.ndarray
+    connection: Christoffel
     warning: bool = False
+
+    B = property(lambda self: self.connection.B)
+    C = property(lambda self: self.connection.C)
+    G = property(lambda self: self.connection.G)
+    gamma = property(lambda self: self.connection.gamma)
 
     @property
     def q(self):
@@ -151,15 +153,15 @@ def _frames(chart, metric, xs):
 
     Returns a list of (rows, frame) pairs in increasing rank: `rows`
     indexes xs, and `frame` is a SplitFrame with a leading axis over those
-    points.  b, C, g and Gamma come from one connection record over all of
-    xs.  One batched SVD of the anchor gives each point its rank (the
+    points, whose connection record holds those rows of one record over
+    all of xs.  One batched SVD of the anchor gives each point its rank (the
     singular values above RANK_RTOL times the largest) and an orthonormal
     basis whose last r - q rows span the kernel.  One g-Gram-Schmidt over
     the kernel rows followed by the other rows then yields the vertical
     frame and, g-orthogonal to it, the horizontal frame at every point.
     """
     xs = np.asarray(xs, dtype=float)
-    ch = christoffel(chart, metric, xs, with_derivative=False)
+    ch = christoffel(chart, metric, xs)
     _, sigma, Vt = np.linalg.svd(ch.B.swapaxes(-1, -2))
     thresh = RANK_RTOL * sigma[:, :1]  # 0 for a zero anchor, so rank 0
     q = (sigma > thresh).sum(axis=-1)
@@ -172,8 +174,7 @@ def _frames(chart, metric, xs):
         rows = np.flatnonzero(q == rank)
         pick = slice(None) if len(rows) == len(xs) else rows
         p = r - rank
-        structure = (a[pick] for a in (ch.B, ch.C, ch.G, ch.gamma))
-        frame = SplitFrame(xs[pick], basis[pick, :p], basis[pick, p:], *structure, warning[pick])
+        frame = SplitFrame(xs[pick], basis[pick, :p], basis[pick, p:], ch._rows(pick), warning[pick])
         groups.append((rows, frame))
     return groups
 
@@ -182,8 +183,7 @@ def split(chart, metric, x) -> SplitFrame:
     """Pointwise orthogonal decomposition of the fiber at one point x."""
     x = np.asarray(x, dtype=float)
     [(_, f)] = _frames(chart, metric, x[None])
-    arrays = (f.vertical, f.horizontal, f.B, f.C, f.G, f.gamma)
-    return SplitFrame(x, *(a[0] for a in arrays), bool(f.warning[0]))
+    return SplitFrame(x, f.vertical[0], f.horizontal[0], f.connection._rows(0), bool(f.warning[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -594,21 +594,20 @@ def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCh
     horizontal pairs (needs a transitive chart with n >= 2):
         K(h1,h2) = Kleaf(#h1,#h2) - 3 |H_{h1} h2|^2
 
-    T and H on frame pairs are read from the tensors, and one `curvature`
-    call gives R for every sectional curvature; the pairs of each identity
-    are evaluated together, the horizontal ones against one leaf R.
+    T and H on frame pairs are read from the tensors and R from the frame's
+    connection record (formed only where an identity applies); the pairs of
+    each identity are evaluated together, the horizontal ones against one leaf R.
     """
     frame, TT, HH = tensors.frame, tensors.TT, tensors.HH
-    G = frame.G
+    G, ch = frame.G, frame.connection
     V, Hb = frame.vertical, frame.horizontal
     p, q = V.shape[0], Hb.shape[0]
-    R = curvature(chart, metric, frame.x)
 
     vertical_res = None
     if p >= 2:
         Khat = _vertical_algebra_curvature(frame)
         i, j = np.triu_indices(p, 1)
-        K = _sectional_of(G, R, V[i], V[j])
+        K = _sectional_of(ch, V[i], V[j])
         Tuv, Tuu, Tvv = TT[i, j], TT[i, i], TT[j, j]
         rhs = Khat[i, j] + _g_dot(Tuv, G, Tuv) - _g_dot(Tuu, G, Tvv)
         vertical_res = _worst(K - rhs)
@@ -617,7 +616,7 @@ def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCh
     if p >= 1 and q >= 1:
         i, j = np.divmod(np.arange(q * p), p)  # (h, u) = (Hb[i], V[j]) pairs, h-major
         h, u = Hb[i], V[j]
-        K = _sectional_of(G, R, h, u)
+        K = _sectional_of(ch, h, u)
         DT = _covariant_T_derivative(chart, metric, frame, h, u, u)
         Tuh, Hhu = TT[j, p + i], HH[p + i, j]
         rhs = _g_dot(DT, G, h) - _g_dot(Tuh, G, Tuh) + _g_dot(Hhu, G, Hhu)
@@ -627,7 +626,7 @@ def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCh
     if q == chart.n and q >= 2:
         i, j = np.triu_indices(q, 1)
         h1, h2 = Hb[i], Hb[j]
-        K = _sectional_of(G, R, h1, h2)
+        K = _sectional_of(ch, h1, h2)
         GL, RL = _classical_leaf_curvature(chart, metric, frame.x)
         u, v = h1 @ frame.B, h2 @ frame.B  # the anchors of the pairs, tangent to the leaf
         gram = _g_dot(u, GL, u) * _g_dot(v, GL, v) - _g_dot(u, GL, v) ** 2

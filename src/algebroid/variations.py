@@ -157,7 +157,7 @@ def delta(chart, metric, grid: VariationGrid):
     _check_mesh(grid)
     if grid.beta is None:
         raise ValueError("delta needs a transverse family on the grid")
-    return _defect(grid, christoffel(chart, metric, grid.x, with_derivative=False).gamma)
+    return _defect(grid, christoffel(chart, metric, grid.x).gamma)
 
 
 def _defect(grid, gamma):
@@ -207,7 +207,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     mu = np.swapaxes(grid.mu, 0, 1)
     dmu_de = np.swapaxes(np.gradient(grid.mu, grid.eps, axis=0, edge_order=2), 0, 1)
     half_x = _interleave(x, _midpoint_interp(x))
-    gamma = christoffel(chart, metric, half_x, with_derivative=False).gamma
+    gamma = christoffel(chart, metric, half_x).gamma
     mus = _interleave(mu, _midpoint_interp(mu))
     src = _interleave(dmu_de, _midpoint_interp(dmu_de))
     Q = np.einsum("tej,teiju->teui", mus, gamma - np.swapaxes(gamma, -3, -2))
@@ -267,7 +267,7 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     if grid.beta is None:
         raise ValueError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
-    gamma = christoffel(chart, metric, grid.x, with_derivative=False).gamma
+    gamma = christoffel(chart, metric, grid.x).gamma
 
     def nabla_t(f):
         return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
@@ -308,7 +308,7 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     dE = np.gradient(energies, grid.eps, edge_order=2)
     mid = len(grid.eps) // 2
 
-    ch = christoffel(chart, metric, grid.x, with_derivative=False)
+    ch = christoffel(chart, metric, grid.x)
     gamma, G = ch.gamma, ch.G
     Dt_alpha = np.gradient(grid.mu, grid.ts, axis=1, edge_order=2) + np.einsum(
         "eti,etj,etiju->etu", grid.mu, grid.mu, gamma
@@ -422,7 +422,7 @@ def make_fixed_endpoint_homotopy(
     def flow_rhs(j, y):
         """d/deps of the (base row, fiber row) state; pointwise in t."""
         X, M = y[:, :n], y[:, n:]
-        ch = christoffel(chart, metric, X, with_derivative=False)
+        ch = christoffel(chart, metric, X)
         dX = np.einsum("ts,tsi->ti", beta_row, ch.B)
         comm = np.einsum("ti,tj,tiju->tu", M, beta_row, ch.gamma) - np.einsum(
             "ti,tj,tiju->tu", beta_row, M, ch.gamma

@@ -92,7 +92,7 @@ def test_01_hamiltonian_geodesic_equivalence():
 def test_02_biinvariant_lie_algebra():
     entry = catalog.get("so3_biinv")
     x = np.array([0.0])
-    ch = christoffel(entry.chart, entry.metric, x, with_derivative=False)
+    ch = christoffel(entry.chart, entry.metric, x)
     C, _ = entry.chart.eval_bracket(x)
     gamma_err = float(np.max(np.abs(ch.gamma - 0.5 * C)))
     drift = 0.0
@@ -252,7 +252,7 @@ def test_07_connector_and_homogeneity():
             K = connector(chart, metric, AVector(x, mu), (dx, dmu))
             frame = split(chart, metric, x)
             av = frame.project_vertical(mu)
-            gamma = christoffel(chart, metric, x, with_derivative=False).gamma
+            gamma = christoffel(chart, metric, x).gamma
             expected = -np.einsum("s,t,stu->u", av, mu, gamma)
             connector_worst = max(connector_worst, float(np.max(np.abs(K - expected))))
     homogeneity_worst = 0.0

@@ -73,6 +73,19 @@ class TestValidateVerb:
         bad_bracket_report = read_report(tmp_path / "bad_bracket")
         assert float(bad_bracket_report["check.jacobi.residual"]) >= 0.9
 
+    @pytest.mark.parametrize("g11", ["exp(800*x1) - exp(800*x1) + 1", "cosh(800*x1)"])
+    def test_non_finite_metric_fails_metric_spd(self, g11, tmp_path, capsys):
+        # g is NaN (inf - inf) or inf near the right end of the box
+        f = tmp_path / "overflow.chart"
+        f.write_text(f"[algebroid]\nn = 1\nr = 1\ndomain = -1,1\nb = 1\n[metric]\ng 1,1 = {g11}\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["validate", "--chart", str(f), "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert rc == 1
+        report = read_report(tmp_path / "o")
+        assert report["metric_spd_margin"] == "-inf"
+        assert report["check.metric_spd.pass"] == "false"
+
     def test_malformed_chart_exits_2(self, tmp_path, capsys):
         f = tmp_path / "bad.chart"
         f.write_text("[algebroid]\nn = 2\nr = oops\n")
@@ -241,30 +254,46 @@ class TestOtherVerbs:
         assert float(read_report(tmp_path)["check.curvature_horizontal.residual"]) < 1e-8
 
     def test_oneill_evaluates_its_point_once(self, tmp_path, capsys, monkeypatch):
-        # one split frame at x serves the tensors and both checks, and one R
-        # serves every sectional curvature of the curvature identities
+        # one split frame at x serves the tensors and both checks, and its
+        # connection record forms dGamma (for R) once, only where an identity
+        # applies: none does on foliation_xy.  The second connection call on
+        # heisenberg_central makes the frames at the mixed identity's 2n
+        # difference points.
         from algebroid import metric, splitting
 
-        frames, curvatures = [], []
-        split, curvature = splitting.split, metric.curvature
+        frames, calls = [], {}
+        split = splitting.split
 
         def counted_split(chart, metric_field, x):
             frames.append(np.array(x, dtype=float))
             return split(chart, metric_field, x)
 
-        def counted_curvature(chart, metric_field, x):
-            curvatures.append(np.array(x, dtype=float))
-            return curvature(chart, metric_field, x)
+        def counted(method):
+            fn = getattr(metric._Connection, method)
+
+            def wrapper(*args):
+                calls[method] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(metric._Connection, method, wrapper)
 
         monkeypatch.setattr(splitting, "split", counted_split)
-        monkeypatch.setattr(splitting, "curvature", counted_curvature)
-        monkeypatch.setattr(metric, "curvature", counted_curvature)
-        rc = main(["oneill", "--catalog", "heisenberg_central", "--out", str(tmp_path)])
-        capsys.readouterr()
-        assert rc == 0
-        x = catalog.get("heisenberg_central").chart.center()
-        assert len(frames) == 1 and np.array_equal(frames[0], x)
-        assert len(curvatures) == 1 and np.array_equal(curvatures[0], x)
+        counted("christoffel")
+        counted("_dgamma")
+        for name, connection_calls, dgamma_runs in [
+            ("heisenberg_central", 2, 1),
+            ("sphere_chart", 1, 1),
+            ("so3_biinv", 1, 1),
+            ("foliation_xy", 1, 0),
+        ]:
+            frames.clear()
+            calls.update(christoffel=0, _dgamma=0)
+            rc = main(["oneill", "--catalog", name, "--out", str(tmp_path / name)])
+            capsys.readouterr()
+            assert rc == 0, name
+            x = catalog.get(name).chart.center()
+            assert len(frames) == 1 and np.array_equal(frames[0], x), name
+            assert calls == {"christoffel": connection_calls, "_dgamma": dgamma_runs}, name
 
     def test_exp(self, tmp_path, capsys):
         rc = main(["exp", "--catalog", "euclidean2", "--x", "0,0", "--mu", "1,2",

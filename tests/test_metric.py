@@ -103,7 +103,7 @@ class TestChristoffel:
         # independently assembled (no inverse metric on that route)
         entry = catalog.get(name)
         pts = sample_box(entry.chart.domain, 25, seed=3, shrink=0.05)
-        ch = christoffel(entry.chart, entry.metric, pts, with_derivative=False)
+        ch = christoffel(entry.chart, entry.metric, pts)
         G, _, _ = entry.metric.eval(pts)
         lhs = 2.0 * np.einsum("...ijl,...lk->...ijk", ch.gamma, G)
         rhs = koszul_rhs(entry.chart, entry.metric, pts)
@@ -116,8 +116,8 @@ class TestChristoffel:
         for m in range(2):
             e = np.zeros(2)
             e[m] = h
-            gp = christoffel(sphere.chart, sphere.metric, x + e, False).gamma
-            gm = christoffel(sphere.chart, sphere.metric, x - e, False).gamma
+            gp = christoffel(sphere.chart, sphere.metric, x + e).gamma
+            gm = christoffel(sphere.chart, sphere.metric, x - e).gamma
             fd = (gp - gm) / (2 * h)
             np.testing.assert_allclose(ch.dgamma[..., m], fd, atol=1e-8)
 
@@ -136,10 +136,10 @@ class TestChristoffel:
                 c_upper={(1, 2, 3): c, (2, 3, 1): c, (1, 3, 2): "-" + c},
             )
             fresh = MetricField.identity(3, 1)
-            for with_derivative in (False, True):
-                got = christoffel(chart, metric, x, with_derivative).gamma
-                want = christoffel(chart, fresh, x, with_derivative).gamma
-                wrong += not np.array_equal(got, want)
+            got = christoffel(chart, metric, x)
+            want = christoffel(chart, fresh, x)
+            wrong += not np.array_equal(got.gamma, want.gamma)
+            wrong += not np.array_equal(got.dgamma, want.dgamma)
         assert wrong == 0
 
 
@@ -179,16 +179,13 @@ class TestConnectionEvaluator:
         metric = MetricField.identity(2, 1)
         assert validate(chart).passed
         xs = sample_box(chart.domain, 7, seed=3)
-        for with_derivative in (False, True):
-            batch = christoffel(chart, metric, xs, with_derivative)
-            assert batch.gamma.shape == (7, 2, 2, 2)
-            for k, x in enumerate(xs):
-                one = christoffel(chart, metric, x, with_derivative)
-                assert one.gamma.tobytes() == np.ascontiguousarray(batch.gamma[k]).tobytes()
-                if with_derivative:
-                    assert batch.dgamma.shape == (7, 2, 2, 2, 1)
-                    want = np.ascontiguousarray(batch.dgamma[k]).tobytes()
-                    assert one.dgamma.tobytes() == want
+        batch = christoffel(chart, metric, xs)
+        assert batch.gamma.shape == (7, 2, 2, 2)
+        assert batch.dgamma.shape == (7, 2, 2, 2, 1)
+        for k, x in enumerate(xs):
+            one = christoffel(chart, metric, x)
+            assert one.gamma.tobytes() == np.ascontiguousarray(batch.gamma[k]).tobytes()
+            assert one.dgamma.tobytes() == np.ascontiguousarray(batch.dgamma[k]).tobytes()
         R = curvature(chart, metric, xs)
         for k, x in enumerate(xs):
             assert curvature(chart, metric, x).tobytes() == R[k].tobytes()
@@ -215,9 +212,8 @@ class TestConnectionEvaluator:
         chart = AlgebroidChart(n=1, r=1, b=[[anchor]], domain=[(0.5, 1.5)])
         metric = MetricField({(1, 1): "-1"}, r=1, n=1)
         for x in (np.array([1.0]), np.array([[0.9], [1.1]])):
-            for with_derivative in (False, True):
-                with pytest.raises(MetricError, match="positive definite"):
-                    christoffel(chart, metric, x, with_derivative)
+            with pytest.raises(MetricError, match="positive definite"):
+                christoffel(chart, metric, x)
         with pytest.raises(MetricError, match="positive definite"):
             geodesic_integrate(chart, metric, AVector([1.0], [0.1]), (0.0, 0.1), 1e-2)
 
@@ -259,12 +255,12 @@ class TestConnectionEvaluator:
         chart, metric = catalog.get(name).chart, catalog.get(name).metric
         pts = sample_box(chart.domain, 3, seed=4)
         for x in (pts[0], pts):
-            ch = christoffel(chart, metric, x, with_derivative=True)
+            ch = christoffel(chart, metric, x)
             before = {key: getattr(ch, key).tobytes() for key in keys}
             for key in keys:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(ch, key)[...] = 0.0
-            again = christoffel(chart, metric, x, with_derivative=True)
+            again = christoffel(chart, metric, x)
             assert {key: getattr(again, key).tobytes() for key in keys} == before
 
     def test_a_checked_constant_anchor_is_run(self):
@@ -276,7 +272,7 @@ class TestConnectionEvaluator:
         assert christoffel(chart, metric, np.array([0.5])).B.tolist() == [[1.0]]
         for x in (np.array([-0.5]), np.array([[0.5], [-0.5]])):
             with pytest.raises(EvalDomainError, match=r"log\(x1\)"):
-                christoffel(chart, metric, x, with_derivative=False)
+                christoffel(chart, metric, x)
 
     @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "twisted"])
     def test_oracles_do_not_read_the_connection(self, name, twisted_chart, monkeypatch):
@@ -306,7 +302,82 @@ class TestConnectionEvaluator:
         metric = MetricField({(1, 1): "x1", (2, 2): "1"}, r=2, n=1)
         christoffel(chart, metric, np.array([0.5]))
         with pytest.raises(MetricError, match="positive definite"):
-            christoffel(chart, metric, np.array([[0.5], [-0.5]]), with_derivative=False)
+            christoffel(chart, metric, np.array([[0.5], [-0.5]]))
+
+
+def structure_case(name, twisted_chart):
+    """Chart, metric and a geodesic start: a catalog entry or the twisted chart."""
+    if name == "twisted":
+        return twisted_chart, MetricField.identity(3, 2), AVector([1.0, 0.9], [0.3, -0.2, 0.4])
+    entry = catalog.get(name)
+    return entry.chart, entry.metric, AVector([1.1, 0.4], [0.5, 0.3])
+
+
+def record_runs(monkeypatch):
+    """Wrap Program.run; returns the list of (program, orders) it is called with."""
+    from algebroid.expressions import Program
+
+    runs, run = [], Program.run
+
+    def recorded(prog, points, orders):
+        runs.append((prog, orders))
+        return run(prog, points, orders)
+
+    monkeypatch.setattr(Program, "run", recorded)
+    return runs
+
+
+class TestDerivativeOnRequest:
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_R_read_twice_runs_the_derivative_programs_once(self, name, twisted_chart, monkeypatch):
+        chart, metric, _ = structure_case(name, twisted_chart)
+        runs = record_runs(monkeypatch)
+        for x in (chart.center(), sample_box(chart.domain, 4, seed=2)):
+            ch = christoffel(chart, metric, x)
+            before = len(runs)
+            R = ch.R
+            assert len(runs) == before + 1
+            assert ch.R is R and ch.dgamma is ch.dgamma
+            assert len(runs) == before + 1
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_gamma_only_callers_run_no_derivative_orders(self, name, twisted_chart, monkeypatch):
+        from algebroid.paths import geodesic_rhs, parallel_transport, transport_frame
+        from algebroid.variations import (
+            make_fixed_endpoint_homotopy,
+            make_geodesic_pencil,
+            solve_transverse,
+        )
+
+        chart, metric, start = structure_case(name, twisted_chart)
+        eps = [-1e-2, 0.0, 1e-2]
+        path = geodesic_integrate(chart, metric, start, (0.0, 0.5), 1e-2)
+        u = 0.1 * np.ones(chart.r)
+        grid = make_geodesic_pencil(chart, metric, start, u, eps, (0.0, 0.5), 1e-2)
+        runs = record_runs(monkeypatch)
+        ch = christoffel(chart, metric, start.x)
+        del runs[:]
+        ch.dgamma
+        [(prog, derivative_orders)] = runs  # the dGamma run
+        del runs[:]
+        geodesic_rhs(chart, metric, start.x, start.mu)
+        parallel_transport(chart, metric, path, start.mu)
+        transport_frame(chart, metric, path)
+        solve_transverse(chart, metric, grid, np.zeros((len(eps), chart.r)))
+        make_fixed_endpoint_homotopy(chart, metric, path, u, eps)
+        assert any(p is prog for p, _ in runs)
+        for p, orders in runs:
+            if p is prog:
+                below = (d is None or o is None or o < d for o, d in zip(orders, derivative_orders))
+                assert all(below), orders
+
+    @pytest.mark.parametrize("name", [*catalog.names(), "twisted"])
+    def test_curvature_is_the_record_R(self, name, twisted_chart):
+        chart, metric, _ = structure_case(name, twisted_chart)
+        pts = sample_box(chart.domain, 4, seed=6)
+        for x in (pts[0], pts, pts.reshape(2, 2, -1)):
+            R = christoffel(chart, metric, x).R
+            assert curvature(chart, metric, x).tobytes() == R.tobytes()
 
 
 def reference_structure(chart, metric, pts, order):
@@ -355,18 +426,20 @@ class TestTemplatedEvaluation:
             for key, arrays in want.items():
                 for w, g in zip(arrays, got[key]):
                     assert (w is None and g is None) or np.array_equal(w, g), key
-            # the connection record carries the values it was formed from
-            for d in (False, True):
-                ch = christoffel(chart, metric, x, with_derivative=d)
+            # the connection record carries the values it was formed from,
+            # before and after it forms dGamma and R
+            ch = christoffel(chart, metric, x)
+            for _ in range(2):
                 for key, g in (("anchor", ch.B), ("bracket", ch.C), ("metric", ch.G)):
                     assert g.shape == want[key][0].shape and np.array_equal(want[key][0], g), key
+                ch.R
 
 
 class TestCovariantDerivative:
     def test_basis_sections_give_gamma_column(self, heisenberg):
         chart, metric = heisenberg.chart, heisenberg.metric
         x = np.array([0.2, 0.8])
-        ch = christoffel(chart, metric, x, with_derivative=False)
+        ch = christoffel(chart, metric, x)
         for i in range(3):
             for j in range(3):
                 out = covariant_derivative(
@@ -526,12 +599,57 @@ class TestSectionalCurvature:
                 heisenberg.chart, heisenberg.metric, [0.1, 0.2], 1e3 * e1, 1e3 * e1 + 1e-4 * e2
             )
 
+    @pytest.mark.parametrize(
+        "name,x,a,b,message",
+        [
+            (
+                "sphere_chart",
+                [1.0, 1.0],
+                [1.0, 2.0],
+                [2.0, 4.0],
+                "0.000e+00, <a,a><b,b> = 5.875e+01",
+            ),
+            (
+                "heisenberg_central",
+                [0.1, 0.2],
+                [1e3, 0, 0],
+                [1e3, 1e-4, 0],
+                "1.001e-02, <a,a><b,b> = 1.000e+12",
+            ),
+        ],
+    )
+    def test_dependent_pair_rejected_before_R(self, name, x, a, b, message, monkeypatch):
+        from algebroid import metric as metric_module
+
+        def refuse(*args):
+            raise AssertionError("dGamma was formed")
+
+        monkeypatch.setattr(metric_module._Connection, "_dgamma", refuse)
+        entry = catalog.get(name)
+        want = f"sectional curvature of a (nearly) dependent pair (Gram determinant {message})"
+        with pytest.raises(ValueError) as exc:
+            sectional_curvature(entry.chart, entry.metric, x, a, b)
+        assert str(exc.value) == want
+
 
 class TestMetricField:
     def test_positive_definiteness_enforced(self):
         metric = MetricField({(1, 1): "x1", (2, 2): "1"}, r=2, n=1)
         with pytest.raises(MetricError, match="positive definite"):
             metric.eval(np.array([-1.0]))
+
+    @pytest.mark.parametrize("g11", ["exp(800*x1) - exp(800*x1) + 1", "cosh(800*x1)"])
+    def test_non_finite_metric_is_not_spd(self, g11):
+        # NaN (inf - inf) or inf near x1 = 1: Cholesky alone does not raise there
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): g11}, r=1, n=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (np.array([0.95]), np.array([[0.1], [0.95]])):
+                with pytest.raises(MetricError, match=r"metric not finite at x=\[0.95\]"):
+                    metric.eval(x)
+                with pytest.raises(MetricError, match=r"metric not finite at x=\[0.95\]"):
+                    christoffel(chart, metric, x)
+            assert metric.spd_margin(chart) == -np.inf
 
     def test_symmetric_storage(self, sphere):
         G, _, _ = sphere.metric.eval(np.array([1.2, 0.3]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algebroid import catalog, paths
+from algebroid import metric as metric_module
 from algebroid.charts import AVector, SectionField
 from algebroid.metric import MetricField, christoffel, covariant_derivative, curvature, fiber_inner
 from algebroid.paths import (
@@ -376,7 +377,7 @@ def _per_stage_rk4(f, ts, y0):
 
 def _gamma_at(chart, metric, alpha, t):
     x, mu = alpha.eval(t)
-    return x, mu, christoffel(chart, metric, x, with_derivative=False).gamma
+    return x, mu, christoffel(chart, metric, x).gamma
 
 
 def reference_transport(chart, metric, alpha, s0):
@@ -457,12 +458,14 @@ class TestCoefficientTracks:
             return wrapper
 
         monkeypatch.setattr(paths, "christoffel", counting("christoffel", paths.christoffel))
-        monkeypatch.setattr(paths, "_curvature_of", counting("curvature", paths._curvature_of))
+        dgamma = metric_module._Connection._dgamma
+        monkeypatch.setattr(metric_module._Connection, "_dgamma", counting("dgamma", dgamma))
         monkeypatch.setattr(APath, "eval", counting("eval", APath.eval))
         parallel_transport(chart, metric, path, s0)
         transport_frame(chart, metric, path)
         assert calls == {"christoffel": 2, "eval": 2}
         calls.clear()
         jacobi_solve(chart, metric, path, np.zeros(chart.r), dbeta0)
-        # one Gamma call of the geodesic check on the nodes, one on the track
-        assert calls == {"christoffel": 2, "curvature": 1, "eval": 1}
+        # one Gamma call of the geodesic check on the nodes, one on the track,
+        # whose record forms dGamma once for R
+        assert calls == {"christoffel": 2, "dgamma": 1, "eval": 1}

@@ -73,7 +73,7 @@ def _assert_frames_match_split(chart, metric, xs):
             np.testing.assert_array_equal(single.B, chart.eval_anchor(xs[i])[0])
             np.testing.assert_array_equal(single.C, chart.eval_bracket(xs[i])[0])
             np.testing.assert_array_equal(
-                single.gamma, christoffel(chart, metric, xs[i], with_derivative=False).gamma
+                single.gamma, christoffel(chart, metric, xs[i]).gamma
             )
         seen.extend(rows)
     assert sorted(seen) == list(range(len(xs)))

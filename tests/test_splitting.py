@@ -174,7 +174,7 @@ class TestConnector:
             K = connector(chart, metric, AVector(x, mu), (dx, dmu))
             frame = split(chart, metric, x)
             av = frame.project_vertical(mu)
-            gamma = christoffel(chart, metric, x, with_derivative=False).gamma
+            gamma = christoffel(chart, metric, x).gamma
             expected = -np.einsum("s,t,stu->u", av, mu, gamma)
             assert np.max(np.abs(K - expected)) < 1e-9
 
@@ -205,7 +205,7 @@ class TestConnector:
             dmu = rng.randn(chart.r)
             K = connector(chart, metric, AVector(x, mu), (dx, dmu))
             alpha = horizontal_lift(chart, metric, x, dx)
-            gamma = christoffel(chart, metric, x, with_derivative=False).gamma
+            gamma = christoffel(chart, metric, x).gamma
             rebuilt = K - np.einsum("i,j,ijl->l", alpha, mu, gamma)
             assert np.max(np.abs(rebuilt - dmu)) < 1e-9
 

@@ -439,8 +439,8 @@ def reference_transverse_row(chart, metric, ts, xs, mus, dmu_de, b0):
     """One eps-row of the transverse solve, integrated on its own with
     RK4 and Gamma sampled at the nodes and interpolated midpoints."""
     xm, mum, dm = (_midpoint_interp(v) for v in (xs, mus, dmu_de))
-    gam_nodes = christoffel(chart, metric, xs, with_derivative=False).gamma
-    gam_mids = christoffel(chart, metric, xm, with_derivative=False).gamma
+    gam_nodes = christoffel(chart, metric, xs).gamma
+    gam_mids = christoffel(chart, metric, xm).gamma
 
     def rhs(mu, gam, dmu, b):
         return dmu + np.einsum("i,j,iju->u", b, mu, gam) - np.einsum("i,j,iju->u", mu, b, gam)
@@ -466,7 +466,7 @@ def reference_homotopy_rows(chart, metric, alpha0, direction, amplitude, eps_val
 
     def rhs(X, M):
         B, _ = chart.eval_anchor(X)
-        gamma = christoffel(chart, metric, X, with_derivative=False).gamma
+        gamma = christoffel(chart, metric, X).gamma
         comm = np.einsum("ti,tj,tiju->tu", M, beta, gamma) - np.einsum(
             "ti,tj,tiju->tu", beta, M, gamma
         )
