@@ -28,7 +28,8 @@ It returns one `Christoffel` record of Gamma, B, C and G per point set, so
 no caller evaluates b, C or g there again; the record forms dGamma and R
 when they are first read, so no caller says in advance what it needs.
 What the evaluator settles once per pair is listed at `_Connection`; a
-non-constant metric is evaluated and SPD-checked at every point asked for.
+non-constant metric is evaluated and SPD-checked at every point asked for,
+and the derivatives of g it computes there must be finite.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
 independent check of the evaluator.
 """
@@ -74,7 +75,8 @@ class MetricField:
 
     Entries are stored for i <= j and mirrored, so g(x) is symmetric to
     the bit.  Positive definiteness is asserted lazily at every evaluation
-    point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``).  Evaluation
+    point (smallest eigenvalue above ``SPD_EIGENVALUE_FLOOR``), and the
+    partials it computes must be finite (MetricError otherwise).  Evaluation
     runs on a program built on first use: the constant entries sit in
     templates that every evaluation copies, and only the ops of the other
     entries run per call.
@@ -128,14 +130,16 @@ class MetricField:
         G, dG, d2G = Program.of(self).run(points, (order,))[0]
         if not _is_spd(G, self._shift):
             _raise_not_spd(G, points)
+        _check_finite(points, dG, d2G)
         return G, dG, d2G
 
     def spd_margin(self, chart, samples=200, seed=42):
         """Smallest eigenvalue of g over sampled points of the chart box;
-        -inf when g is not finite at a sample."""
+        -inf when g, dg or d2g is not finite at a sample."""
         pts = sample_box(chart.domain, samples, seed)
-        [(G, _, _)] = Program.of(self).run(pts, (0,))
-        return float(np.min(np.linalg.eigvalsh(G))) if np.isfinite(G).all() else -np.inf
+        [(G, dG, d2G)] = Program.of(self).run(pts, (2,))
+        finite = all(np.isfinite(a).all() for a in (G, dG, d2G))
+        return float(np.min(np.linalg.eigvalsh(G))) if finite else -np.inf
 
 
 def _is_spd(G, shift):
@@ -161,6 +165,16 @@ def _raise_not_spd(G, points):
         f"metric not positive definite at x={bad} "
         f"(smallest eigenvalue {float(np.min(smallest)):.3e})"
     )
+
+
+def _check_finite(points, *derivatives):
+    """Raise MetricError if a derivative of g (None where not computed) is
+    not finite, naming the first point where it is not."""
+    for d in derivatives:
+        if d is not None and not np.isfinite(d).all():
+            bad = ~np.isfinite(d).reshape(points.shape[:-1] + (-1,)).all(axis=-1)
+            k = np.unravel_index(np.argmax(bad), bad.shape)
+            raise MetricError(f"metric derivative not finite at x={points[k]}")
 
 
 @dataclass(eq=False)
@@ -266,6 +280,7 @@ class _Connection:
             [(G, dG, _)] = self.metric.run(x, og)
             if not _is_spd(G, self._shift):
                 _raise_not_spd(G, x)
+            _check_finite(x, dG)
             Gi = np.linalg.inv(G)
         elif not self.spd:
             _raise_not_spd(G, x)
@@ -297,6 +312,7 @@ class _Connection:
         dB = dC = d2G = None
         if self.G is None:
             [(_, _, d2G)] = self.metric.run(x, og)
+            _check_finite(x, d2G)
         if ob is not None or oc is not None:
             (_, dB, _), (_, dC, _) = self.chart.run(x, (ob, oc))
         # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise

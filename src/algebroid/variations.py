@@ -4,13 +4,16 @@ A variation is a rectangular (eps, t) mesh of fiber states whose t-rows
 are A-paths over a common leaf; a transverse family beta matched to it
 pushes the base in the eps direction.  The defect
 
-    Delta = D_t beta - D_eps alpha
+    Delta = D_t beta - D_eps alpha = d_t beta - d_eps alpha + C(alpha, beta)
 
-is anchored in the kernel for any transverse family and vanishes exactly
-for the distinguished one, which this module constructs two ways: by
-integrating the linear Delta = 0 equation along t (given initial rows),
-and by flowing a whole A-path in eps to produce fixed-endpoint families
-around a given path.
+(the same for every torsion-free connection) is anchored in the kernel
+for any transverse family and vanishes exactly for the distinguished one,
+which this module constructs two ways: by integrating the linear
+Delta = 0 equation along t (given initial rows), and by flowing a whole
+A-path in eps to produce fixed-endpoint families around a given path.
+Both read only the anchor and the bracket; the metric and its
+Levi-Civita connection enter only the commutation and first-variation
+checks.
 
 All mesh derivatives are second-order centered differences (one-sided at
 the boundary), matching what discrete user-supplied grids can support;
@@ -142,32 +145,32 @@ def grid_from_csv(path, n, r) -> VariationGrid:
     )
 
 
-def _check_mesh(grid):
-    if len(grid.eps) < 3 or len(grid.ts) < 3:
-        raise ValueError("mesh too coarse: need at least 3 nodes per direction")
+def _check_mesh(grid, nodes=3):
+    if len(grid.eps) < nodes or len(grid.ts) < nodes:
+        raise ValueError(f"mesh too coarse: need at least {nodes} nodes per direction")
 
 
 def delta(chart, metric, grid: VariationGrid):
     """Delta = D_t beta - D_eps alpha on the mesh, shape (E, N, r).
 
-    The torsion term of the general defect vanishes for the Levi-Civita
-    connection.  Partial derivatives are centered mesh differences, so
-    boundary rows/columns are one order less accurate.
+    For a torsion-free connection this is d_t beta - d_eps alpha +
+    C(alpha, beta), so only the bracket is read; the metric is not.
+    Partial derivatives are centered mesh differences, so boundary
+    rows/columns are one order less accurate.
     """
     _check_mesh(grid)
     if grid.beta is None:
         raise ValueError("delta needs a transverse family on the grid")
-    return _defect(grid, christoffel(chart, metric, grid.x).gamma)
+    C, _ = chart.eval_bracket(grid.x)
+    return _defect(grid, C)
 
 
-def _defect(grid, gamma):
-    """Delta on a grid with beta, from Gamma at its nodes."""
+def _defect(grid, C):
+    """Delta = d_t beta - d_eps alpha + C(alpha, beta) on a grid with beta,
+    from the bracket C at its nodes."""
     dbeta_dt = np.gradient(grid.beta, grid.ts, axis=1, edge_order=2)
     dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
-    quad = np.einsum("eti,etj,etiju->etu", grid.mu, grid.beta, gamma) - np.einsum(
-        "eti,etj,etiju->etu", grid.beta, grid.mu, gamma
-    )
-    return dbeta_dt - dalpha_de + quad
+    return dbeta_dt - dalpha_de + np.einsum("eti,etj,etiju->etu", grid.mu, grid.beta, C)
 
 
 def anchor_of_grid(chart, grid, values):
@@ -178,7 +181,8 @@ def anchor_of_grid(chart, grid, values):
 
 def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid:
     """Integrate the unique transverse family with Delta = 0 and given
-    initial rows beta(eps, t0) = beta0(eps).
+    initial rows beta(eps, t0) = beta0(eps).  The equation reads only the
+    bracket; the metric is not read.
 
     beta0 must anchor onto the eps-velocity of the base at t0 (checked).
     The result grid carries beta; its a-posteriori transversality residual
@@ -201,16 +205,15 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
             f"{TRANSVERSALITY_TOL:g})"
         )
 
-    # d beta/dt = d alpha/d eps + Q beta, Q^u_i = sum_j mu_j (Gamma_ij^u -
-    # Gamma_ji^u), on time-first (t, eps) tracks over the half grid
+    # d beta/dt = d alpha/d eps + Q beta, Q^u_i = sum_j mu_j C_ij^u, on
+    # time-first (t, eps) tracks over the half grid
     x = np.swapaxes(grid.x, 0, 1)
     mu = np.swapaxes(grid.mu, 0, 1)
     dmu_de = np.swapaxes(np.gradient(grid.mu, grid.eps, axis=0, edge_order=2), 0, 1)
-    half_x = _interleave(x, _midpoint_interp(x))
-    gamma = christoffel(chart, metric, half_x).gamma
+    C, _ = chart.eval_bracket(_interleave(x, _midpoint_interp(x)))
     mus = _interleave(mu, _midpoint_interp(mu))
     src = _interleave(dmu_de, _midpoint_interp(dmu_de))
-    Q = np.einsum("tej,teiju->teui", mus, gamma - np.swapaxes(gamma, -3, -2))
+    Q = np.einsum("tej,teiju->teui", mus, C)
     ys, _ = _rk4(lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + src[j], grid.ts, beta0)
     beta = np.ascontiguousarray(np.swapaxes(ys, 0, 1))
     out = replace(grid, beta=beta)
@@ -245,7 +248,7 @@ def _midpoint_interp(values):
 def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid):
     """Solve the transverse family with zero initial rows and test whether
     it also vanishes at the far end, below HOMOTOPY_TOL (the homotopy
-    criterion).
+    criterion).  The metric is not read.
 
     Returns (bool, max |beta(eps, t1)|)."""
     E = len(grid.eps)
@@ -261,29 +264,29 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
             = R(alpha, beta) s + nabla_{Delta(alpha,beta)} s
 
     for a fiber mesh s, everything by centered differences; max norm over
-    the doubly-interior nodes.
+    the doubly-interior nodes, so the mesh needs 5 nodes per direction.
     """
-    _check_mesh(grid)
+    _check_mesh(grid, 5)
     if grid.beta is None:
         raise ValueError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
-    gamma = christoffel(chart, metric, grid.x).gamma
+    ch = christoffel(chart, metric, grid.x)
 
     def nabla_t(f):
         return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
-            "eti,etj,etiju->etu", grid.mu, f, gamma
+            "eti,etj,etiju->etu", grid.mu, f, ch.gamma
         )
 
     def nabla_e(f):
         return np.gradient(f, grid.eps, axis=0, edge_order=2) + np.einsum(
-            "eti,etj,etiju->etu", grid.beta, f, gamma
+            "eti,etj,etiju->etu", grid.beta, f, ch.gamma
         )
 
     lhs = nabla_t(nabla_e(s)) - nabla_e(nabla_t(s))
     R = curvature(chart, metric, grid.x)
-    d = _defect(grid, gamma)
+    d = _defect(grid, ch.C)
     rhs = np.einsum("etijkl,eti,etj,etk->etl", R, grid.mu, grid.beta, s) + np.einsum(
-        "eti,etj,etiju->etu", d, s, gamma
+        "eti,etj,etiju->etu", d, s, ch.gamma
     )
     core = (lhs - rhs)[2:-2, 2:-2]
     return float(np.max(np.abs(core)))
@@ -315,7 +318,7 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     )
     pair_beta_alpha = np.einsum("etu,etuv,etv->et", grid.beta, G, grid.mu)
     pair_beta_Dt = np.einsum("etu,etuv,etv->et", grid.beta, G, Dt_alpha)
-    d = _defect(grid, gamma)
+    d = _defect(grid, ch.C)
     pair_delta_alpha = np.einsum("etu,etuv,etv->et", d, G, grid.mu)
 
     boundary = pair_beta_alpha[mid, -1] - pair_beta_alpha[mid, 0]
@@ -400,7 +403,8 @@ def make_fixed_endpoint_homotopy(
     normalized time), which vanishes at both ends, and the family itself
     is obtained by integrating the zero-defect flow in eps; every row then
     satisfies the A-path constraint and the family is a fixed-endpoint
-    homotopy.
+    homotopy.  The flow reads only the anchor and the bracket; the metric is
+    not read.
     The input path is the row at eps = 0, whether or not 0 is among the
     distinct, finite `eps_values`; every other row is flowed out from it.
     Returns a VariationGrid with beta filled in.
@@ -422,11 +426,10 @@ def make_fixed_endpoint_homotopy(
     def flow_rhs(j, y):
         """d/deps of the (base row, fiber row) state; pointwise in t."""
         X, M = y[:, :n], y[:, n:]
-        ch = christoffel(chart, metric, X)
-        dX = np.einsum("ts,tsi->ti", beta_row, ch.B)
-        comm = np.einsum("ti,tj,tiju->tu", M, beta_row, ch.gamma) - np.einsum(
-            "ti,tj,tiju->tu", beta_row, M, ch.gamma
-        )
+        B, _ = chart.eval_anchor(X)
+        C, _ = chart.eval_bracket(X)
+        dX = np.einsum("ts,tsi->ti", beta_row, B)
+        comm = np.einsum("ti,tj,tiju->tu", M, beta_row, C)
         return np.concatenate([dX, dbeta_dt + comm], axis=1)
 
     # integrate outward from eps = 0 in both directions, one RK4 run per

@@ -73,9 +73,12 @@ class TestValidateVerb:
         bad_bracket_report = read_report(tmp_path / "bad_bracket")
         assert float(bad_bracket_report["check.jacobi.residual"]) >= 0.9
 
-    @pytest.mark.parametrize("g11", ["exp(800*x1) - exp(800*x1) + 1", "cosh(800*x1)"])
+    @pytest.mark.parametrize(
+        "g11", ["exp(800*x1) - exp(800*x1) + 1", "cosh(800*x1)", "1 + 1/cosh(800*x1)"]
+    )
     def test_non_finite_metric_fails_metric_spd(self, g11, tmp_path, capsys):
-        # g is NaN (inf - inf) or inf near the right end of the box
+        # g is NaN (inf - inf) or inf near the right end of the box, or g is
+        # finite there and its derivatives are not
         f = tmp_path / "overflow.chart"
         f.write_text(f"[algebroid]\nn = 1\nr = 1\ndomain = -1,1\nb = 1\n[metric]\ng 1,1 = {g11}\n")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,6 +239,17 @@ class TestOtherVerbs:
         gam = read_csv(tmp_path / "christoffel.csv")
         gtab = {(r["i"], r["j"], r["k"]): float(r["value"]) for r in gam}
         assert gtab[("1", "2", "3")] == pytest.approx(0.5)
+
+    def test_curvature_names_a_non_finite_metric_derivative(self, tmp_path, capsys):
+        # g = 1 at x1 = 0.95, but its derivatives there are inf/inf
+        f = tmp_path / "steep.chart"
+        f.write_text("[algebroid]\nn = 1\nr = 1\ndomain = -1,1\nb = 1\n[metric]\n"
+                     "g 1,1 = 1 + 1/cosh(800*x1)\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["curvature", "--chart", str(f), "--x", "0.95", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "check failed: metric derivative not finite at x=[0.95]\n"
 
     def test_oneill(self, tmp_path, capsys):
         rc = main(["oneill", "--catalog", "heisenberg_central", "--out", str(tmp_path)])

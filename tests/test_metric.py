@@ -468,6 +468,23 @@ class TestCovariantDerivative:
             rhs = bracket_sections(chart, f, g, x)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
+    @pytest.mark.parametrize("name", [*catalog.names(), "twisted", "twisted_varying_metric"])
+    def test_antisymmetric_part_is_the_bracket(self, name, twisted_chart):
+        # torsion-free: Gamma_ij^k - Gamma_ji^k = C_ij^k, the identity that
+        # lets the defect of a variation read C in place of Gamma
+        if name == "twisted":
+            chart, metric = twisted_chart, MetricField.identity(3, 2)
+        elif name == "twisted_varying_metric":
+            entries = {(1, 1): "2 + x1", (1, 2): "0.1*x2", (2, 2): "1 + x2^2", (3, 3): "1.5"}
+            chart, metric = twisted_chart, MetricField(entries, 3, 2)
+        else:
+            chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        pts = sample_box(chart.domain, 300, seed=17)
+        gamma = christoffel(chart, metric, pts).gamma
+        C, _ = chart.eval_bracket(pts)
+        torsion = gamma - np.swapaxes(gamma, -3, -2) - C
+        assert np.max(np.abs(torsion)) <= 1e-14 * max(1.0, np.max(np.abs(C)))
+
     @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central"])
     def test_metric_compatibility(self, name, rng):
         # #(f)<g,h> = <D_f g, h> + <g, D_f h>
@@ -649,6 +666,28 @@ class TestMetricField:
                     metric.eval(x)
                 with pytest.raises(MetricError, match=r"metric not finite at x=\[0.95\]"):
                     christoffel(chart, metric, x)
+            assert metric.spd_margin(chart) == -np.inf
+
+    def test_non_finite_metric_derivative_raises(self):
+        # g = 1 + 1/cosh(800 x1) is finite everywhere; at x1 = 0.95 its
+        # derivatives are inf/inf, at x1 = 0.6 only the second one is
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "1 + 1/cosh(800*x1)"}, r=1, n=1)
+        at = lambda x: rf"^metric derivative not finite at x=\[{x}\]$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (np.array([0.95]), np.array([[0.1], [0.95]])):
+                assert np.all(metric.eval(x)[0] == 1.0)
+                with pytest.raises(MetricError, match=at(0.95)):
+                    metric.eval(x, order=1)
+                with pytest.raises(MetricError, match=at(0.95)):
+                    christoffel(chart, metric, x)
+            metric.eval(np.array([0.6]), order=1)
+            with pytest.raises(MetricError, match=at(0.6)):
+                metric.eval(np.array([0.6]), order=2)
+            ch = christoffel(chart, metric, np.array([[0.1], [0.6]]))
+            assert np.isfinite(ch.gamma).all()
+            with pytest.raises(MetricError, match=at(0.6)):
+                ch.dgamma
             assert metric.spd_margin(chart) == -np.inf
 
     def test_symmetric_storage(self, sphere):

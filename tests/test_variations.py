@@ -193,6 +193,17 @@ class TestCommutationIdentity:
         res = curvature_commutation_residual(sphere.chart, sphere.metric, solved, s)
         assert res < 1e-3
 
+    @pytest.mark.parametrize("rows, cols", [(3, slice(None)), (9, slice(0, 4))], ids=["3xN", "Ex4"])
+    def test_mesh_too_coarse_rejected(self, sphere, rows, cols):
+        # the residual is read at doubly-interior nodes: 5 per direction
+        a = AVector([1.2, 1.0], [0.35, 0.3])
+        eps = np.linspace(-0.05, 0.05, rows)
+        pencil = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.4, -0.2], eps, (0.0, 1.0), 1.0 / 40)
+        solved = solve_transverse(sphere.chart, sphere.metric, pencil, np.zeros((rows, 2)))
+        grid = VariationGrid(eps, solved.ts[cols], solved.x[:, cols], solved.mu[:, cols], solved.beta[:, cols])
+        with pytest.raises(ValueError, match="^mesh too coarse: need at least 5 nodes per direction$"):
+            curvature_commutation_residual(sphere.chart, sphere.metric, grid, np.ones_like(grid.mu))
+
     @pytest.mark.parametrize("name", ["heisenberg_central", "sphere_chart"])
     def test_second_order_convergence(self, name):
         entry = catalog.get(name)
@@ -538,6 +549,38 @@ class TestBatchedFlows:
         assert np.max(np.abs(grid.x - X)) <= 1e-12
         assert np.max(np.abs(grid.mu - M)) <= 1e-12
         assert np.max(np.abs(grid.mu[0] - path.mus)) > 1e-4
+
+    def test_defect_transverse_solve_and_homotopy_read_no_metric(self, chart_metric, monkeypatch):
+        # Delta = d_t beta - d_eps alpha + C(alpha, beta) for every torsion-free
+        # connection: with the connection and the metric refused, the A-homotopy
+        # layer returns the same bytes
+        from algebroid import metric as metric_module
+
+        chart, metric = chart_metric
+        a = AVector(chart.center(), 0.3 * np.ones(chart.r))
+        path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
+        direction = np.linspace(1.0, 0.5, chart.r)
+
+        def layer():
+            grid = make_fixed_endpoint_homotopy(chart, metric, path, direction)
+            solved = solve_transverse(chart, metric, grid, np.zeros((len(grid.eps), chart.r)))
+            ok, end = is_fixed_endpoint_homotopy(chart, metric, grid)
+            return [grid.x, grid.mu, grid.beta, delta(chart, metric, grid), solved.beta, np.array([ok, end])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the metric was read")
+
+        before = layer()
+        monkeypatch.setattr(metric_module._Connection, "christoffel", refuse)
+        monkeypatch.setattr(MetricField, "eval", refuse)
+        with pytest.raises(AssertionError, match="metric was read"):
+            christoffel(chart, metric, chart.center())
+        with pytest.raises(AssertionError, match="metric was read"):
+            metric.eval(chart.center())
+        after = layer()
+        for old, new in zip(before, after):
+            assert (old.dtype, old.shape, old.tobytes()) == (new.dtype, new.shape, new.tobytes())
+        assert before[-1][0] == 1.0  # a fixed-endpoint homotopy, found as one
 
     def test_homotopy_rejects_repeated_eps(self, sphere):
         path = geodesic_integrate(sphere.chart, sphere.metric, AVector([1.2, 1.0], [0.3, 0.2]), (0.0, 1.0), 1e-2)
