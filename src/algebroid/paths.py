@@ -383,17 +383,25 @@ def transport_frame(chart, metric, alpha: APath):
 # ---------------------------------------------------------------------------
 
 
+def _uniform_step(ts):
+    """The step of a uniform time grid; raises ValueError when a step differs
+    from the first by more than 1e-9 of it (generated grids: ~1e-12)."""
+    h = ts[1] - ts[0]
+    if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * abs(h):
+        raise ValueError("time grid is not uniform")
+    return h
+
+
 def _grid_derivative(values, ts):
     """Time derivative of node values; centered stencils on the dense grid.
 
     Fourth-order five-point stencils (one-sided at the ends), falling back
-    to np.gradient for very short grids.  Assumes uniform spacing, which
-    every generated grid has.
+    to np.gradient for very short grids.  The grid must be uniform.
     """
     N = len(ts)
     if N < 5:
         return np.gradient(values, ts, axis=0)
-    h = ts[1] - ts[0]
+    h = _uniform_step(ts)
     out = np.empty_like(values)
     out[2:-2] = (
         values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]

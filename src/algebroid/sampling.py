@@ -76,8 +76,9 @@ def sample_fiber(r, count, seed=42, scale=1.0):
     return scale * (2.0 * u - 1.0)
 
 
-def sample_states(chart, count, seed=42, shrink=0.25, mu_scale=1.0):
-    """Paired (base point, fiber vector) samples for a chart."""
-    xs = sample_box(chart.domain, count, seed, shrink=shrink)
-    mus = sample_fiber(chart.r, count, seed, scale=mu_scale)
+def sample_states(chart, count, seed=42):
+    """Paired (base point, fiber vector) samples for a chart: base points in
+    the box shrunk by a quarter at each end, fiber vectors in [-1, 1]^r."""
+    xs = sample_box(chart.domain, count, seed, shrink=0.25)
+    mus = sample_fiber(chart.r, count, seed)
     return xs, mus

@@ -17,8 +17,9 @@ checks.
 
 All mesh derivatives are second-order centered differences (one-sided at
 the boundary), matching what discrete user-supplied grids can support;
-the integrators themselves are the RK4 core of `paths`, run on all eps-rows
-at once.
+the time grid must be uniform.  Every family is one batched run of the
+RK4 core of `paths`: the transverse solve carries all eps-rows, the
+homotopy flow both eps-sides.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .charts import AVector
 from .metric import christoffel, curvature, fiber_inner
-from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, jacobi_solve
+from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, _uniform_step, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -55,6 +56,7 @@ HOMOTOPY_TOL = 1e-5
 PENCIL_EPS_STEP = 1e-3  # spacing of the five eps-rows of the Jacobi pencil
 HOMOTOPY_AMPLITUDE = 0.05  # scale of the prescribed transverse family
 HOMOTOPY_SUBSTEPS = 4  # RK4 steps in eps between consecutive eps-rows
+HOMOTOPY_EPS = (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)  # eps-rows of the homotopy, symmetric
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -165,12 +167,13 @@ def delta(chart, metric, grid: VariationGrid):
     return _defect(grid, C)
 
 
-def _defect(grid, C):
-    """Delta = d_t beta - d_eps alpha + C(alpha, beta) on a grid with beta,
-    from the bracket C at its nodes."""
-    dbeta_dt = np.gradient(grid.beta, grid.ts, axis=1, edge_order=2)
-    dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
-    return dbeta_dt - dalpha_de + np.einsum("eti,etj,etiju->etu", grid.mu, grid.beta, C)
+def _defect(grid, C, rows=slice(None)):
+    """Delta = d_t beta - d_eps alpha + C(alpha, beta) on the eps-rows `rows`
+    (a slice) of a grid with beta, from the bracket C at their nodes."""
+    mu, beta = grid.mu[rows], grid.beta[rows]
+    dbeta_dt = np.gradient(beta, grid.ts, axis=1, edge_order=2)
+    dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)[rows]
+    return dbeta_dt - dalpha_de + np.einsum("eti,etj,etiju->etu", mu, beta, C)
 
 
 def anchor_of_grid(chart, grid, values):
@@ -189,6 +192,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     is re-verified and a warning is issued when the mesh is too coarse.
     """
     _check_mesh(grid)
+    _uniform_step(grid.ts)  # the midpoint interpolation has uniform weights
     beta0 = np.asarray(beta0, dtype=float)
     E, N = grid.shape
     if beta0.shape != (E, _rank(grid)):
@@ -311,22 +315,20 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     dE = np.gradient(energies, grid.eps, edge_order=2)
     mid = len(grid.eps) // 2
 
-    ch = christoffel(chart, metric, grid.x)
-    gamma, G = ch.gamma, ch.G
-    Dt_alpha = np.gradient(grid.mu, grid.ts, axis=1, edge_order=2) + np.einsum(
-        "eti,etj,etiju->etu", grid.mu, grid.mu, gamma
+    # the connection and the pairings on the middle row only
+    row = slice(mid, mid + 1)
+    mu, beta = grid.mu[row], grid.beta[row]
+    ch = christoffel(chart, metric, grid.x[row])
+    Dt_alpha = np.gradient(mu, grid.ts, axis=1, edge_order=2) + np.einsum(
+        "eti,etj,etiju->etu", mu, mu, ch.gamma
     )
-    pair_beta_alpha = np.einsum("etu,etuv,etv->et", grid.beta, G, grid.mu)
-    pair_beta_Dt = np.einsum("etu,etuv,etv->et", grid.beta, G, Dt_alpha)
-    d = _defect(grid, ch.C)
-    pair_delta_alpha = np.einsum("etu,etuv,etv->et", d, G, grid.mu)
+    pair_beta_alpha = np.einsum("etu,etuv,etv->et", beta, ch.G, mu)[0]
+    pair_beta_Dt = np.einsum("etu,etuv,etv->et", beta, ch.G, Dt_alpha)[0]
+    d = _defect(grid, ch.C, row)
+    pair_delta_alpha = np.einsum("etu,etuv,etv->et", d, ch.G, mu)[0]
 
-    boundary = pair_beta_alpha[mid, -1] - pair_beta_alpha[mid, 0]
-    rhs = (
-        boundary
-        - _trapz(pair_beta_Dt[mid], grid.ts)
-        - _trapz(pair_delta_alpha[mid], grid.ts)
-    )
+    boundary = pair_beta_alpha[-1] - pair_beta_alpha[0]
+    rhs = boundary - _trapz(pair_beta_Dt, grid.ts) - _trapz(pair_delta_alpha, grid.ts)
     return float(abs(dE[mid] - rhs))
 
 
@@ -389,14 +391,9 @@ def jacobi_from_geodesic_pencil(chart, metric, a: AVector, u, step=1e-3):
     )
 
 
-def make_fixed_endpoint_homotopy(
-    chart,
-    metric,
-    alpha0: APath,
-    direction,
-    eps_values=(-2e-2, -1e-2, 0.0, 1e-2, 2e-2),
-):
-    """Flow a given A-path into a fixed-endpoint family.
+def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
+    """Flow a given A-path into a fixed-endpoint family with the eps-rows
+    HOMOTOPY_EPS.
 
     The transverse family is prescribed analytically as
     beta(eps, t) = HOMOTOPY_AMPLITUDE * sin(pi * s(t)) * direction (s the
@@ -404,15 +401,12 @@ def make_fixed_endpoint_homotopy(
     is obtained by integrating the zero-defect flow in eps; every row then
     satisfies the A-path constraint and the family is a fixed-endpoint
     homotopy.  The flow reads only the anchor and the bracket; the metric is
-    not read.
-    The input path is the row at eps = 0, whether or not 0 is among the
-    distinct, finite `eps_values`; every other row is flowed out from it.
-    Returns a VariationGrid with beta filled in.
+    not read.  The input path is the row at eps = 0; both eps-sides flow
+    out of it as one batch of two states, in |eps| with HOMOTOPY_SUBSTEPS
+    RK4 steps between consecutive rows, the negative side with its right
+    side negated.  Returns a VariationGrid with beta filled in.
     """
     direction = np.asarray(direction, dtype=float)
-    eps_values = np.asarray(eps_values, dtype=float)
-    if not np.all(np.isfinite(eps_values)) or len(np.unique(eps_values)) < len(eps_values):
-        raise ValueError(f"eps_values must be finite and distinct, got {eps_values}")
     ts = alpha0.ts
     snorm = (ts - ts[0]) / (ts[-1] - ts[0])
     profile = np.sin(np.pi * snorm)  # (N,)
@@ -422,38 +416,26 @@ def make_fixed_endpoint_homotopy(
     dbeta_dt = HOMOTOPY_AMPLITUDE * dprofile[:, None] * direction[None, :]
 
     n = chart.n
+    sign = np.array([-1.0, 1.0])[:, None, None]
 
     def flow_rhs(j, y):
-        """d/deps of the (base row, fiber row) state; pointwise in t."""
-        X, M = y[:, :n], y[:, n:]
+        """d/d|eps| of the (base row, fiber row) state of each side."""
+        X, M = y[..., :n], y[..., n:]
         B, _ = chart.eval_anchor(X)
         C, _ = chart.eval_bracket(X)
-        dX = np.einsum("ts,tsi->ti", beta_row, B)
-        comm = np.einsum("ti,tj,tiju->tu", M, beta_row, C)
-        return np.concatenate([dX, dbeta_dt + comm], axis=1)
+        dX = np.einsum("ts,wtsi->wti", beta_row, B)
+        comm = np.einsum("wti,tj,wtiju->wtu", M, beta_row, C)
+        return sign * np.concatenate([dX, dbeta_dt + comm], axis=-1)
 
-    # integrate outward from eps = 0 in both directions, one RK4 run per
-    # direction over HOMOTOPY_SUBSTEPS steps between consecutive eps-rows
-    order = np.argsort(eps_values)
+    knots = HOMOTOPY_EPS[len(HOMOTOPY_EPS) // 2 :]  # 0 and the positive rows
+    eps_grid = np.concatenate(
+        [np.linspace(a, b, HOMOTOPY_SUBSTEPS + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
+        + [knots[-1:]]
+    )
     y0 = np.concatenate([alpha0.xs, alpha0.mus], axis=1)
-    rows = {i: y0 for i in np.flatnonzero(eps_values == 0.0)}
-    for side in (
-        [i for i in order if eps_values[i] > 0.0],
-        [i for i in order[::-1] if eps_values[i] < 0.0],
-    ):
-        if not side:
-            continue
-        knots = [0.0] + [eps_values[i] for i in side]
-        eps_grid = np.concatenate(
-            [np.linspace(a, b, HOMOTOPY_SUBSTEPS + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
-            + [knots[-1:]]
-        )
-        ys, _ = _rk4(flow_rhs, eps_grid, y0)
-        for m, i in enumerate(side, start=1):
-            rows[i] = ys[m * HOMOTOPY_SUBSTEPS]
-
-    E = len(eps_values)
-    state = np.stack([rows[i] for i in range(E)])
-    xarr, muarr = state[..., :n], state[..., n:]
-    beta = np.broadcast_to(beta_row, (E,) + alpha0.mus.shape).copy()
-    return VariationGrid(eps=eps_values, ts=ts, x=xarr, mu=muarr, beta=beta)
+    ys, _ = _rk4(flow_rhs, eps_grid, np.stack([y0, y0]))
+    rows = ys[::HOMOTOPY_SUBSTEPS]  # (knot, side, N, n + r)
+    state = np.concatenate([rows[:0:-1, 0], rows[:, 1]])
+    beta = np.broadcast_to(beta_row, (len(HOMOTOPY_EPS),) + beta_row.shape).copy()
+    eps = np.array(HOMOTOPY_EPS)
+    return VariationGrid(eps=eps, ts=ts, x=state[..., :n], mu=state[..., n:], beta=beta)

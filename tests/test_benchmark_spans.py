@@ -1,11 +1,17 @@
 """Every per-layer figure of BENCHMARK.json named `<module>.<function>.<stat>`
 needs a span of that function.  The traced benchmark run aborts with
 "benchmark computes no value" when a traced public function is renamed or
-made private; this test catches that in the default suite."""
+made private; this test catches that in the default suite, and the calls
+the workloads make into the package are bound against its signatures."""
 
+import ast
 import importlib.util
+import inspect
 import json
 from pathlib import Path
+
+from algebroid import catalog, chartfile, cli, paths, sampling, variations
+from algebroid import metric as geometry
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +34,39 @@ def test_every_per_layer_function_has_a_span():
     finally:
         tracer.uninstall()
     assert sorted(wanted - spans) == []
+
+
+def test_benchmark_calls_bind_to_the_package():
+    """Every call the benchmark workloads make into the package, read from
+    their source without importing it, binds to the current signature: a
+    dropped parameter or a renamed keyword fails here, not in the run."""
+    modules = {
+        "paths": paths,
+        "variations": variations,
+        "geometry": geometry,
+        "sampling": sampling,
+        "catalog": catalog,
+        "chartfile": chartfile,
+        "cli": cli,
+    }
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    seen = 0
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ):
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(k.arg is not None for k in node.keywords), ast.unparse(node)
+        fn = getattr(modules[func.value.id], func.attr)
+        signature = inspect.signature(fn)
+        try:
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"line {node.lineno}: {ast.unparse(node)}: {exc}") from None
+        seen += 1
+    assert seen >= 20

@@ -364,7 +364,7 @@ class TestDerivativeOnRequest:
         parallel_transport(chart, metric, path, start.mu)
         transport_frame(chart, metric, path)
         solve_transverse(chart, metric, grid, np.zeros((len(eps), chart.r)))
-        make_fixed_endpoint_homotopy(chart, metric, path, u, eps)
+        make_fixed_endpoint_homotopy(chart, metric, path, u)
         assert any(p is prog for p, _ in runs)
         for p, orders in runs:
             if p is prog:

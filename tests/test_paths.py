@@ -259,6 +259,21 @@ class TestDerivativeAlong:
         with pytest.raises(ValueError, match="grid"):
             derivative_along(sphere.chart, sphere.metric, path, bad)
 
+    def test_non_uniform_grid_rejected(self, sphere):
+        # the five-point stencils assume one step: a geodesic kept at every
+        # node up to t = 0.5 and every second node after it read a residual
+        # of 0.12, and the Jacobi precondition called it a non-geodesic
+        path = geodesic_integrate(
+            sphere.chart, sphere.metric, AVector([1.2, 1.0], [0.3, 0.8]), (0, 1), 1e-3
+        )
+        assert geodesic_residual(sphere.chart, sphere.metric, path.reversed()) < 1e-10
+        keep = np.r_[0:500, 500 : len(path.ts) : 2]
+        thinned = APath(path.ts[keep], path.xs[keep], path.mus[keep], path.dxs[keep], path.dmus[keep])
+        with pytest.raises(ValueError, match="time grid is not uniform"):
+            geodesic_residual(sphere.chart, sphere.metric, thinned)
+        with pytest.raises(ValueError, match="time grid is not uniform"):
+            jacobi_solve(sphere.chart, sphere.metric, thinned, [0.0, 0.0], [1.0, 0.0])
+
 
 class TestJacobi:
     def test_flat_linear_solution(self, euclidean2):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from algebroid import catalog
+from algebroid import catalog, variations
 from algebroid.charts import AlgebroidChart, AVector
 from algebroid.expressions import EvalDomainError
 from algebroid.metric import MetricField, christoffel
-from algebroid.paths import DomainExitError, NonFiniteError, geodesic_integrate
+from algebroid.paths import DomainExitError, NonFiniteError, _rk4, geodesic_integrate
 from algebroid.sampling import sample_box, sample_fiber
 from algebroid.variations import (
+    HOMOTOPY_EPS,
     VariationGrid,
     _midpoint_interp,
     anchor_of_grid,
@@ -166,6 +167,21 @@ class TestSolveTransverse:
         grid = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.5, -0.2], eps, (0.0, 1.0), 5e-3)
         with pytest.raises(ValueError, match="transverse"):
             solve_transverse(sphere.chart, sphere.metric, grid, np.ones((5, 2)))
+
+    def test_non_uniform_time_grid_rejected(self, sphere):
+        # the midpoint interpolation has uniform weights: this pencil at
+        # t-step 1/200, kept at every node up to t = 0.5 and every second one
+        # after it, missed the fine solution at t = 1 by 2.4e-7, where a
+        # uniform grid twice as coarse misses it by 8.6e-11
+        a = AVector([1.2, 1.0], [0.3, 0.8])
+        eps = np.linspace(-0.02, 0.02, 9)
+        grid = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.2, -0.1], eps, (0.0, 1.0), 1.0 / 200)
+        keep = np.r_[0:100, 100 : len(grid.ts) : 2]
+        thinned = VariationGrid(eps=grid.eps, ts=grid.ts[keep], x=grid.x[:, keep], mu=grid.mu[:, keep])
+        with pytest.raises(ValueError, match="time grid is not uniform"):
+            solve_transverse(sphere.chart, sphere.metric, thinned, np.zeros((len(eps), 2)))
+        with pytest.raises(ValueError, match="time grid is not uniform"):
+            is_fixed_endpoint_homotopy(sphere.chart, sphere.metric, thinned)
 
 
 class TestCommutationIdentity:
@@ -532,23 +548,44 @@ class TestBatchedFlows:
         path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
         direction = np.linspace(1.0, 0.5, chart.r)
         eps = (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)
-        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, eps_values=eps)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction)
         X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
         assert np.max(np.abs(grid.x - X)) <= 1e-12
         assert np.max(np.abs(grid.mu - M)) <= 1e-12
 
-    @pytest.mark.parametrize("eps", [(0.01, 0.02, 0.03), (-0.03, -0.01)])
-    def test_homotopy_without_zero_row_flows_from_the_input_path(self, chart_metric, eps):
-        # the input path is the eps = 0 row even when 0 is not requested
+    def test_homotopy_is_one_batched_rk4_run(self, chart_metric, monkeypatch):
+        # both eps-sides flow as one batch of two states: 8 steps in |eps|,
+        # 4 right-side calls per step plus the one at the first node
+        chart, metric = chart_metric
+        a = AVector(chart.center(), 0.3 * np.ones(chart.r))
+        path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
+        runs = []
+
+        def counting_rk4(f, ts, y0, on_node=None):
+            def counted(j, y):
+                runs[-1]["rhs"] += 1
+                return f(j, y)
+
+            runs.append({"shape": np.shape(y0), "rhs": 0})
+            return _rk4(counted, ts, y0, on_node)
+
+        monkeypatch.setattr(variations, "_rk4", counting_rk4)
+        grid = make_fixed_endpoint_homotopy(chart, metric, path, np.linspace(1.0, 0.5, chart.r))
+        assert runs == [{"shape": (2, len(path.ts), chart.n + chart.r), "rhs": 33}]
+        assert grid.eps.tolist() == list(HOMOTOPY_EPS)
+
+    def test_homotopy_reflects_under_negated_direction(self, chart_metric):
+        # flowing along -d is flowing along d in -eps: rows swap ends, beta flips
         chart, metric = chart_metric
         a = AVector(chart.center(), 0.3 * np.ones(chart.r))
         path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
         direction = np.linspace(1.0, 0.5, chart.r)
-        grid = make_fixed_endpoint_homotopy(chart, metric, path, direction, eps_values=eps)
-        X, M = reference_homotopy_rows(chart, metric, path, direction, 0.05, eps, 4)
-        assert np.max(np.abs(grid.x - X)) <= 1e-12
-        assert np.max(np.abs(grid.mu - M)) <= 1e-12
-        assert np.max(np.abs(grid.mu[0] - path.mus)) > 1e-4
+        plus = make_fixed_endpoint_homotopy(chart, metric, path, direction)
+        minus = make_fixed_endpoint_homotopy(chart, metric, path, -direction)
+        assert minus.x.tobytes() == np.ascontiguousarray(plus.x[::-1]).tobytes()
+        assert minus.mu.tobytes() == np.ascontiguousarray(plus.mu[::-1]).tobytes()
+        assert minus.beta.tobytes() == (-plus.beta).tobytes()
+        assert np.max(np.abs(plus.x[0] - plus.x[-1])) > 1e-4
 
     def test_defect_transverse_solve_and_homotopy_read_no_metric(self, chart_metric, monkeypatch):
         # Delta = d_t beta - d_eps alpha + C(alpha, beta) for every torsion-free
@@ -581,8 +618,3 @@ class TestBatchedFlows:
         for old, new in zip(before, after):
             assert (old.dtype, old.shape, old.tobytes()) == (new.dtype, new.shape, new.tobytes())
         assert before[-1][0] == 1.0  # a fixed-endpoint homotopy, found as one
-
-    def test_homotopy_rejects_repeated_eps(self, sphere):
-        path = geodesic_integrate(sphere.chart, sphere.metric, AVector([1.2, 1.0], [0.3, 0.2]), (0.0, 1.0), 1e-2)
-        with pytest.raises(ValueError, match="distinct"):
-            make_fixed_endpoint_homotopy(sphere.chart, sphere.metric, path, [1.0, 0.5], eps_values=(0.0, 0.0, 0.01))
