@@ -6,9 +6,12 @@ Integration is classical fixed-step RK4 on the coupled base/fiber system
     dmu_j/dt = - sum_{s,u} mu_s mu_u Gamma_{su}^j(x)
 
 with dense cubic-Hermite output (node states plus node derivatives).  The
-quadratic right side is contracted against the symmetrized coefficients,
-so charts whose Gamma is antisymmetric in the lower pair (bi-invariant
-Lie algebras) keep the fiber coordinates constant to the bit.
+quadratic right side is the spray of the connection record
+(`Christoffel.spray`): the Koszul form contracted with mu (x) mu and
+solved against g, so Gamma is never formed on the way.  Where Gamma is
+held constant it is contracted against the symmetrized coefficients, so
+charts whose Gamma is antisymmetric in the lower pair (bi-invariant Lie
+algebras) keep the fiber coordinates constant to the bit.
 
 Grids are deterministic: a requested span and step always produce the same
 nodes, which the transport / Jacobi / variation machinery reuses.
@@ -192,6 +195,9 @@ class FiberCurve:
 
 
 def _grid(t_span, step):
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     t0, t1 = map(float, t_span)
     span = t1 - t0
     if span == 0.0:
@@ -255,18 +261,13 @@ def _transport_track(chart, metric, alpha):
 
 
 def geodesic_rhs(chart, metric, x, mu):
-    """Right side of the geodesic system at (x, mu); batch friendly."""
+    """Right side of the geodesic system at (x, mu): dx = mu B and the
+    spray dmu = -Gamma(mu, mu), which one connection record forms from the
+    Koszul form without forming Gamma.  x (..., n) and mu (..., r) may
+    carry leading batch axes, which broadcast."""
     mu = np.asarray(mu, dtype=float)
     ch = christoffel(chart, metric, x)
-    r = chart.r
-    # dmu_j = -sum over the pairs (s, u) of mu_s mu_u (Gamma_su^j + Gamma_us^j) / 2;
-    # halving after the sum is exact, so it is done once
-    mumu = mu[..., :, None] * mu[..., None, :]
-    mumu = mumu.reshape(mumu.shape[:-2] + (1, r * r))
-    gsum = ch.gamma + ch.gamma.swapaxes(-3, -2)
-    dx = (mu[..., None, :] @ ch.B)[..., 0, :]
-    dmu = -0.5 * (mumu @ gsum.reshape(gsum.shape[:-3] + (r * r, r)))[..., 0, :]
-    return dx, dmu
+    return (mu[..., None, :] @ ch.B)[..., 0, :], ch.spray(mu)
 
 
 def _geodesics(chart, metric, x0, mu0, t_span, step):

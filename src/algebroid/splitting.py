@@ -22,7 +22,7 @@ coordinates the chart does not carry.  The divergence formula itself is
 pointwise and has no such restriction.
 
 The split frame is the one place where the structure at a point is
-evaluated: it holds the connection record (b, C, g, Gamma; dGamma and R
+evaluated: it holds the connection record (b, C, g; Gamma, dGamma and R
 on request) next to its bases, and everything built on a frame reads
 them from it.  Frames are built for many points at once: `_frames` makes
 one connection call, one batched SVD and one g-Gram-Schmidt over an array
@@ -88,7 +88,7 @@ class SplitFrame:
     `vertical` has shape (..., r - q, r), `horizontal` (..., q, r); rows are
     fiber vectors.  `connection` is the connection record at x; B, C, G and
     `gamma` read the anchor, bracket, metric and Christoffel arrays from it,
-    and its R is formed only when read.  A frame from `split` has no
+    and its Gamma and R are formed only when read.  A frame from `split` has no
     leading axes.  The frames of a batch (`_frames`) carry
     one leading axis over points of equal anchor rank, x (k, n) and
     `warning` a (k,) bool array among them.  `warning` flags a singular

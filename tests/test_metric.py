@@ -7,7 +7,7 @@ import pytest
 from algebroid import catalog
 from algebroid.charts import AlgebroidChart, AVector, SectionField
 from algebroid.expressions import parse
-from algebroid.paths import geodesic_integrate
+from algebroid.paths import geodesic_integrate, geodesic_rhs
 from algebroid.metric import (
     MetricError,
     MetricField,
@@ -18,7 +18,7 @@ from algebroid.metric import (
     koszul_rhs,
     sectional_curvature,
 )
-from algebroid.sampling import sample_box
+from algebroid.sampling import sample_box, sample_fiber
 
 
 def gauss_curvature_diagonal(E_expr, G_expr, x):
@@ -378,6 +378,90 @@ class TestDerivativeOnRequest:
         for x in (pts[0], pts, pts.reshape(2, 2, -1)):
             R = christoffel(chart, metric, x).R
             assert curvature(chart, metric, x).tobytes() == R.tobytes()
+
+
+SPRAY_CASES = [*catalog.names(), "twisted", "aff2_varying", "abelian_varying"]
+
+
+def spray_case(name, twisted_chart):
+    """Chart and metric of a spray case: a catalog entry, the twisted chart,
+    or a varying metric over a zero anchor, with the aff2 bracket or with
+    none (Gamma = 0)."""
+    if name in ("aff2_varying", "abelian_varying"):
+        metric = MetricField({(1, 1): "2 + x1", (1, 2): "x1/4", (2, 2): "1 + x1^2"}, r=2, n=1)
+        if name == "aff2_varying":
+            return catalog.get("aff2").chart, metric
+        return AlgebroidChart(n=1, r=2, b=[["0"], ["0"]], domain=[(-1.0, 1.0)]), metric
+    return structure_case(name, twisted_chart)[:2]
+
+
+class TestSpray:
+    """The geodesic spray -Gamma(mu, mu) is contracted from the Koszul form
+    without forming Gamma; these tests compare it with Gamma itself."""
+
+    @pytest.mark.parametrize("name", SPRAY_CASES)
+    def test_equals_minus_gamma_mu_mu(self, name, twisted_chart):
+        chart, metric = spray_case(name, twisted_chart)
+        xs, mus = sample_box(chart.domain, 12, seed=8), sample_fiber(chart.r, 12, seed=9)
+        gamma = christoffel(chart, metric, xs).gamma
+        ref = -np.einsum("ti,tj,tijk->tk", mus, mus, gamma)
+        # relative to |Gamma| |mu|^2, as Gamma(mu, mu) may vanish (so3_biinv)
+        scale = np.max(np.abs(gamma), axis=(1, 2, 3)) * np.sum(mus * mus, axis=1)
+        batch = christoffel(chart, metric, xs).spray(mus)
+        _, dmu = geodesic_rhs(chart, metric, xs, mus)
+        assert dmu.tobytes() == batch.tobytes()
+        assert np.all(np.abs(batch - ref) <= 1e-14 * scale[:, None])
+        for k in range(len(xs)):
+            one = christoffel(chart, metric, xs[k]).spray(mus[k])
+            assert one.tobytes() == batch[k].tobytes()
+            assert geodesic_rhs(chart, metric, xs[k], mus[k])[1].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(set(catalog.names()) - {"sphere_chart"}))
+    def test_constant_gamma_is_contracted_symmetrized(self, name):
+        # the sum over mu_s mu_u (Gamma_su + Gamma_us) / 2: bi-invariant
+        # fibers stay constant to the bit, and the numbers are those of
+        # contracting Gamma itself in this form
+        entry = catalog.get(name)
+        chart, metric, r = entry.chart, entry.metric, entry.chart.r
+        xs, mus = sample_box(chart.domain, 20, seed=1), sample_fiber(r, 20, seed=2)
+        gamma = christoffel(chart, metric, xs).gamma
+        mumu = (mus[:, :, None] * mus[:, None, :]).reshape(-1, 1, r * r)
+        gsum = (gamma + gamma.swapaxes(-3, -2)).reshape(-1, r * r, r)
+        ref = -0.5 * (mumu @ gsum)[:, 0, :]
+        assert christoffel(chart, metric, xs).spray(mus).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", SPRAY_CASES)
+    def test_one_point_with_a_batch_of_fiber_vectors(self, name, twisted_chart):
+        chart, metric = spray_case(name, twisted_chart)
+        x, mus = sample_box(chart.domain, 1, seed=3)[0], sample_fiber(chart.r, 4, seed=4)
+        dx, dmu = geodesic_rhs(chart, metric, x, mus)
+        assert dx.shape == dmu.shape[:-1] + (chart.n,) and dmu.shape == (4, chart.r)
+        for k in range(4):
+            one_dx, one_dmu = geodesic_rhs(chart, metric, x, mus[k])
+            assert (one_dx.tobytes(), one_dmu.tobytes()) == (dx[k].tobytes(), dmu[k].tobytes())
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_geodesic_rhs_forms_no_koszul_sum(self, name, twisted_chart, monkeypatch):
+        from algebroid import metric as metric_module
+        chart, metric = spray_case(name, twisted_chart)
+        calls, koszul = [], metric_module._Connection._koszul
+
+        def counted(*args):
+            calls.append(args)
+            return koszul(*args)
+
+        monkeypatch.setattr(metric_module._Connection, "_koszul", counted)
+        pts, mus = sample_box(chart.domain, 3, seed=5), sample_fiber(chart.r, 3, seed=6)
+        for x, mu in ((pts[0], mus[0]), (pts, mus)):
+            geodesic_rhs(chart, metric, x, mu)
+            assert calls == []
+            ch = christoffel(chart, metric, x)
+            gamma = ch.gamma
+            assert len(calls) == 1
+            assert ch.gamma is gamma
+            ch.dgamma
+            assert len(calls) == 1
+            del calls[:]
 
 
 def reference_structure(chart, metric, pts, order):

@@ -104,6 +104,19 @@ class TestGeodesics:
         assert len(exc.path.ts) == 3
         assert np.all(np.isfinite(exc.path.xs)) and np.all(np.isfinite(exc.path.mus))
 
+    @pytest.mark.parametrize("step", [-1e-3, 0.0, np.inf, -np.inf, np.nan])
+    def test_step_must_be_finite_and_positive(self, sphere, step):
+        from algebroid.variations import make_geodesic_pencil
+
+        chart, metric, start = sphere.chart, sphere.metric, AVector([1.0, 1.0], [0.2, 0.3])
+        match = "step must be finite and positive"
+        with pytest.raises(ValueError, match=match):
+            geodesic_integrate(chart, metric, start, (0.0, 1.0), step)
+        with pytest.raises(ValueError, match=match):
+            exp_map(chart, metric, start.x, [start.mu, -start.mu], step=step)
+        with pytest.raises(ValueError, match=match):
+            make_geodesic_pencil(chart, metric, start, [0.1, 0.0], [0.0, 0.1], (0.0, 1.0), step)
+
     def test_geodesic_residual_detects_non_geodesic(self, sphere):
         path = geodesic_integrate(
             sphere.chart, sphere.metric, AVector([1.0, 1.0], [0.2, 0.3]), (0, 1), 2e-3
