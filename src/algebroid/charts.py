@@ -264,21 +264,6 @@ class ValidationReport:
         rows = [c for c in self.checks if c.name == name]
         return max(rows, key=lambda c: c.residual) if rows else None
 
-    def to_csv(self, path):
-        """One row per axiom at its worst sample point."""
-        n = max((len(c.point) for c in self.checks), default=0)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            head = ["axiom", "i", "j", "k", "residual", "tolerance", "passed"]
-            head += [f"x{i + 1}" for i in range(n)]
-            fh.write(",".join(head) + "\n")
-            for c in self.checks:
-                idx = (list(c.indices) + [0, 0, 0])[:3]
-                cells = [c.name, *[str(i) for i in idx]]
-                cells += [f"{c.residual:.17g}", f"{c.tolerance:.17g}"]
-                cells += ["true" if c.passed else "false"]
-                cells += [f"{v:.17g}" for v in c.point]
-                fh.write(",".join(cells) + "\n")
-
 
 def _jacobiator(B, dC, C):
     """J[..., s, t, u, v] of the cyclic bracket identity on basis triples.

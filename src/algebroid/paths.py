@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 TOL_APATH_GENERATED = 1e-9
-TOL_APATH_SUPPLIED = 1e-6
 TOL_GEODESIC = 1e-6
 
 
@@ -181,12 +180,6 @@ class FiberCurve:
     ts: np.ndarray
     values: np.ndarray  # (N, r)
     dvalues: np.ndarray | None = None
-
-    def eval(self, t):
-        if self.dvalues is None:
-            raise ValueError("curve has no stored derivatives to interpolate with")
-        v, _ = _hermite(self.ts, self.values, self.dvalues, t)
-        return v
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,6 @@ from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, _uniform_st
 
 __all__ = [
     "VariationGrid",
-    "grid_to_csv",
-    "grid_from_csv",
     "delta",
     "anchor_of_grid",
     "solve_transverse",
@@ -98,53 +96,6 @@ class VariationGrid:
         push = anchor_of_grid(chart, self, self.beta)
         dxde = np.gradient(self.x, self.eps, axis=0, edge_order=2)
         return float(np.max(np.abs(push - dxde)[1:-1]))
-
-
-def grid_to_csv(grid: VariationGrid, path):
-    """Store a grid as rows (eps, t, x*, mu* [, beta*]), row-major in eps."""
-    E, N = grid.shape
-    n = grid.x.shape[2]
-    r = grid.mu.shape[2]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        head = ["eps", "t"]
-        head += [f"x{i + 1}" for i in range(n)]
-        head += [f"mu{i + 1}" for i in range(r)]
-        if grid.beta is not None:
-            head += [f"beta{i + 1}" for i in range(r)]
-        fh.write(",".join(head) + "\n")
-        for i in range(E):
-            for k in range(N):
-                cells = [grid.eps[i], grid.ts[k], *grid.x[i, k], *grid.mu[i, k]]
-                if grid.beta is not None:
-                    cells += list(grid.beta[i, k])
-                fh.write(",".join(f"{v:.17g}" for v in cells) + "\n")
-
-
-def grid_from_csv(path, n, r) -> VariationGrid:
-    """Load a grid stored by `grid_to_csv`; the mesh must be rectangular."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    has_beta = f"beta{r}" in names
-    eps_col = data["eps"]
-    ts_col = data["t"]
-    eps = np.unique(eps_col)
-    ts = np.unique(ts_col)
-    E, N = len(eps), len(ts)
-    if E * N != len(eps_col):
-        raise ValueError("grid file is not a rectangular (eps, t) mesh")
-    order = np.lexsort((ts_col, eps_col))
-
-    def gather(stem, count):
-        cols = [data[f"{stem}{i + 1}"][order] for i in range(count)]
-        return np.stack(cols, axis=-1).reshape(E, N, count)
-
-    return VariationGrid(
-        eps=eps,
-        ts=ts,
-        x=gather("x", n),
-        mu=gather("mu", r),
-        beta=gather("beta", r) if has_beta else None,
-    )
 
 
 def _check_mesh(grid, nodes=3):

@@ -153,15 +153,3 @@ class TestChartConstruction:
     def test_contains(self, sphere):
         assert sphere.chart.contains([1.0, 1.0])
         assert not sphere.chart.contains([0.0, 1.0])
-
-
-def test_validation_report_to_csv(tmp_path, heisenberg):
-    import csv
-
-    report = validate(heisenberg.chart, samples=50)
-    path = tmp_path / "validate.csv"
-    report.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert {r["axiom"] for r in rows} == {"antisymmetry", "anchor_morphism", "jacobi"}
-    assert all(r["passed"] == "true" for r in rows)

@@ -1,13 +1,14 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from algebroid import catalog
 from algebroid.chartfile import dumps_chart
-from algebroid.cli import _VERBS, main
+from algebroid.cli import _VERBS, CHECKS, main
 from algebroid.metric import MetricField
 
 
@@ -22,6 +23,24 @@ def read_report(out_dir):
         key, _, value = line.partition("=")
         report[key] = value
     return report
+
+
+def assert_table_tolerances(verb, out_dir, tol=None):
+    """Every check of the report has a row of the verb's check table, and its
+    tolerance is the row's, or `tol` (--tol) where the row says --tol
+    replaces it.  Returns the names of the checks --tol replaced."""
+    report = read_report(out_dir)
+    replaced = set()
+    for key, value in report.items():
+        if key.startswith("check.") and key.endswith(".tolerance"):
+            name = key[len("check."):-len(".tolerance")]
+            assert name in CHECKS[verb], (verb, name)
+            tolerance, by_tol = CHECKS[verb][name]
+            if by_tol and tol is not None:
+                tolerance = tol
+                replaced.add(name)
+            assert float(value) == tolerance, (verb, name)
+    return replaced
 
 
 class TestWriteCsv:
@@ -88,6 +107,21 @@ class TestValidateVerb:
         report = read_report(tmp_path / "o")
         assert report["metric_spd_margin"] == "-inf"
         assert report["check.metric_spd.pass"] == "false"
+
+    def test_csv_has_one_row_per_check(self, tmp_path, capsys):
+        rc = main(["validate", "--catalog", "heisenberg_central", "--samples", "50",
+                   "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        lines = (tmp_path / "validate.csv").read_text().splitlines()
+        assert lines[0] == "axiom,i,j,k,residual,tolerance,passed,x1,x2"
+        rows = read_csv(tmp_path / "validate.csv")
+        assert [r["axiom"] for r in rows] == ["antisymmetry", "anchor_morphism", "jacobi", "metric_spd"]
+        assert all(r["passed"] == "true" for r in rows)
+        report = read_report(tmp_path)
+        for r in rows:
+            assert r["residual"] == report[f"check.{r['axiom']}.residual"]
+            assert r["tolerance"] == report[f"check.{r['axiom']}.tolerance"]
 
     def test_malformed_chart_exits_2(self, tmp_path, capsys):
         f = tmp_path / "bad.chart"
@@ -207,6 +241,20 @@ class TestOtherVerbs:
         report = read_report(tmp_path)
         assert report["check.scaling_solution.pass"] == "true"
         assert report["check.dexp_vs_fd.pass"] == "true"
+
+    def test_jacobi_on_a_coarse_path_fails_the_geodesic_check(self, tmp_path, capsys):
+        # at step 0.1 the sphere path misses the geodesic tolerance: the verb
+        # reports the failed check and writes an empty CSV
+        rc = main(["jacobi", "--catalog", "sphere_chart", "--step", "0.1", "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ""
+        report = read_report(tmp_path)
+        assert report["check.geodesic_residual.pass"] == "false"
+        assert float(report["check.geodesic_residual.residual"]) > 1e-6
+        assert report["overall_pass"] == "false"
+        assert "check.scaling_solution.pass" not in report
+        assert (tmp_path / "jacobi.csv").read_text() == "t,beta1,beta2\n"
 
     def test_jacobi_integrates_its_geodesic_once(self, tmp_path, capsys, monkeypatch):
         # at the default t1 = 1 the dexp check reuses the verb's own path
@@ -354,6 +402,7 @@ class TestOtherVerbs:
         ["geodesic", "--step", "-0.5"],
         ["geodesic", "--step", "nan"],
         ["validate", "--tol", "0"],
+        ["geodesic", "--tol", "-1", "--mu", "10,0"],  # rejected before the domain exit
         ["divergence", "--samples", "-3"],
         ["geodesic", "--t1", "0"],
         ["geodesic", "--x", "nan,0"],
@@ -387,6 +436,7 @@ def test_variation_check_passes_on_every_catalog_chart(name, tmp_path, capsys):
     rc = main(["variation-check", "--catalog", name, "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 0
+    assert_table_tolerances("variation-check", tmp_path)
 
 
 @pytest.mark.parametrize("name, factor", [("sphere_chart", 0.0), ("heisenberg_central", 0.5)])
@@ -465,6 +515,31 @@ def test_pointwise_verbs_pass_on_every_chart(verb, name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "overall_pass=true" in out.splitlines()
+    assert_table_tolerances(verb, tmp_path / "out")
+
+
+def test_tol_replaces_the_marked_checks(tmp_path, capsys):
+    # aff2 has a zero anchor, so the divergence verb reports its fd check
+    replaced = set()
+    for verb in CHECKS:
+        rc = main([verb, "--catalog", "aff2", "--tol", "1e-3", "--out", str(tmp_path / verb)])
+        capsys.readouterr()
+        assert rc == 0, verb
+        replaced |= assert_table_tolerances(verb, tmp_path / verb, tol=1e-3)
+    assert replaced == {c for rows in CHECKS.values() for c, (_, by_tol) in rows.items() if by_tol}
+
+
+def test_docs_check_table_matches_the_code():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "chart_format.md").read_text()
+    section = text.split("### Checks and tolerances", 1)[1].split("\n#", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            verb, check, tolerance, by_tol = (c.strip().strip("`") for c in line.strip("|").split("|"))
+            assert by_tol in ("yes", "no"), line
+            documented[verb, check] = (float(tolerance), by_tol == "yes")
+    code = {(verb, c): row for verb, rows in CHECKS.items() for c, row in rows.items()}
+    assert documented == code
 
 
 @pytest.mark.parametrize("argv", [[], ["--catalog", "euclidean2"], ["frobnicate"]])

@@ -435,33 +435,6 @@ class TestBatchedPencil:
         assert_same_failure(pencil_failure(chart, metric, a, u, [-2.5, 2.5], 5e-2), wall)
 
 
-class TestGridCsv:
-    def test_round_trip(self, sphere, tmp_path):
-        from algebroid.variations import grid_from_csv, grid_to_csv
-
-        a = AVector([1.3, 1.0], [0.4, 0.3])
-        eps = np.linspace(-1e-2, 1e-2, 5)
-        grid = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.5, -0.2], eps, (0.0, 1.0), 1e-2)
-        solved = solve_transverse(sphere.chart, sphere.metric, grid, np.zeros((5, 2)))
-        path = tmp_path / "grid.csv"
-        grid_to_csv(solved, path)
-        back = grid_from_csv(path, n=2, r=2)
-        np.testing.assert_allclose(back.eps, solved.eps, atol=1e-15)
-        np.testing.assert_allclose(back.x, solved.x, atol=1e-15)
-        np.testing.assert_allclose(back.mu, solved.mu, atol=1e-15)
-        np.testing.assert_allclose(back.beta, solved.beta, atol=1e-15)
-
-    def test_beta_optional(self, euclidean2, tmp_path):
-        from algebroid.variations import grid_from_csv, grid_to_csv
-
-        grid = straight_line_variation(n_eps=3, n_t=11)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, path)
-        back = grid_from_csv(path, n=2, r=2)
-        assert back.beta is None
-        np.testing.assert_allclose(back.mu, grid.mu, atol=1e-15)
-
-
 def reference_transverse_row(chart, metric, ts, xs, mus, dmu_de, b0):
     """One eps-row of the transverse solve, integrated on its own with
     RK4 and Gamma sampled at the nodes and interpolated midpoints."""
