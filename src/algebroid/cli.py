@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as _catalog
-from .charts import AVector, validate as validate_chart
+from .charts import TOL_ANTISYMMETRY, TOL_AXIOMS, AVector, validate as validate_chart
 from .chartfile import ChartFileError, dumps_chart, load_chart_file
 from .expressions import ExpressionError
 from .hamiltonian import euler_identity_residual, hamiltonian_field
@@ -81,8 +81,9 @@ _ONEILL_IDENTITIES = ("T_horizontal_slot", "T_vertical_symmetry", "T_skew_adjoin
                       "H_skew_adjoint", "H_half_bracket")
 _ONEILL_CURVATURE = ("curvature_vertical", "curvature_mixed", "curvature_horizontal")
 CHECKS = {
-    "validate": {"antisymmetry": (1e-12, False), "anchor_morphism": (1e-9, True),
-                 "jacobi": (1e-9, True), "metric_spd": (1e-15, False)},
+    "validate": {"antisymmetry": (TOL_ANTISYMMETRY, False),
+                 "anchor_morphism": (TOL_AXIOMS, True), "jacobi": (TOL_AXIOMS, True),
+                 "metric_spd": (1e-15, False)},
     "geodesic": {**_IN_DOMAIN, "energy_drift": (1e-8, True),
                  "apath_residual": (TOL_APATH_GENERATED, False)},
     "exp": _IN_DOMAIN,

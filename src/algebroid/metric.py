@@ -243,15 +243,18 @@ class Christoffel:
     @functools.cached_property
     def R(self):
         """R[i, j, k, l], the a_l component of R(a_i, a_j) a_k, from
-        R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the exact dGamma."""
+        R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the exact dGamma:
+        three matmuls, P[i, j, k, l] = b^{im} d_m Gamma_{jk}^l,
+        GG[i, j, k, l] = Gamma_{jk}^m Gamma_{im}^l and
+        CG[i, j, k, l] = C_{ij}^m Gamma_{mk}^l, each of the first two taken
+        minus its transpose in (i, j)."""
         B, C, gamma, dgamma = self.B, self.C, self.gamma, self.dgamma
-        return (
-            np.einsum("...im,...jklm->...ijkl", B, dgamma)
-            - np.einsum("...jm,...iklm->...ijkl", B, dgamma)
-            + np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-            - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
-            - np.einsum("...ijm,...mkl->...ijkl", C, gamma)
-        )
+        lead, r = gamma.shape[:-3], gamma.shape[-1]
+        P = B @ dgamma.reshape(dgamma.shape[:-4] + (r**3, -1)).swapaxes(-1, -2)
+        GG = gamma.reshape(lead + (1, r * r, r)) @ gamma
+        CG = C.reshape(lead + (r * r, r)) @ gamma.reshape(lead + (r, r * r))
+        P, GG, CG = (a.reshape(lead + (r,) * 4) for a in (P, GG, CG))
+        return (P - P.swapaxes(-4, -3)) + (GG - GG.swapaxes(-4, -3)) - CG
 
     def _rows(self, pick):
         """The record at the points `pick` of its leading batch axis, with

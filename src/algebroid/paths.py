@@ -16,13 +16,15 @@ algebras) keep the fiber coordinates constant to the bit.
 Grids are deterministic: a requested span and step always produce the same
 nodes, which the transport / Jacobi / variation machinery reuses.
 
-Every flow in the package runs on the one RK4 core `_rk4`.  Its right side
-is called as f(j, y) with j a half-grid index: node k of the grid is
-j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the only times
-an RK4 step samples.  The state y may carry batch axes.  Flows along an
+Nonlinear flows step through the one RK4 core `_rk4`.  Its right side is
+called as f(j, y) with j a half-grid index: node k of the grid is j = 2k
+and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the only times an RK4
+step samples.  The state y may carry batch axes.  Linear flows along an
 already fixed path (parallel transport, the transported frame, Jacobi
-sections) therefore make one path evaluation and one connection record over
-all 2N - 1 half-grid times and integrate a linear system on those tracks.
+sections) make one path evaluation and one connection record over all
+2N - 1 half-grid times; `_linear_flow` then forms the RK4 step map of
+every step at once from the same increment `_increment` and chains the
+maps with one matmul per step.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch through `_geodesics`, which also serves single geodesics.
 The batch keeps only the success path: when a row fails a node check or
@@ -199,6 +201,17 @@ def _grid(t_span, step):
     return np.linspace(t0, t1, nsteps + 1)
 
 
+def _increment(f, h, y, k1, mid, end):
+    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4) of a step from y with
+    slope k1 there; f is sampled twice at the half-grid index `mid` and
+    once at `end`.  h, y, k1 and the indices may cover several steps at once
+    where f reads its coefficients by the indices."""
+    k2 = f(mid, y + 0.5 * h * k1)
+    k3 = f(mid, y + 0.5 * h * k2)
+    k4 = f(end, y + h * k3)
+    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4(f, ts, y0, on_node=None):
     """Classical RK4 over the given nodes; returns states and derivatives.
 
@@ -216,17 +229,44 @@ def _rk4(f, ts, y0, on_node=None):
         on_node(0, ys[0], ys, ds)
     ds[0] = f(0, ys[0])
     for k in range(len(ts) - 1):
-        h = ts[k + 1] - ts[k]
-        y = ys[k]
-        k1 = ds[k]
-        k2 = f(2 * k + 1, y + 0.5 * h * k1)
-        k3 = f(2 * k + 1, y + 0.5 * h * k2)
-        k4 = f(2 * k + 2, y + h * k3)
-        ys[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys[k + 1] = ys[k] + _increment(f, ts[k + 1] - ts[k], ys[k], ds[k], 2 * k + 1, 2 * k + 2)
         if on_node is not None:
             on_node(k + 1, ys[k + 1], ys, ds)
         ds[k + 1] = f(2 * k + 2, ys[k + 1])
     return ys, ds
+
+
+def _linear_flow(A, ts, y0, c=None):
+    """RK4 for the linear flow y' = A[j] y (+ c[j]) along a fixed path, with
+    the same increments as `_rk4`; returns states and derivatives.
+
+    A (2N - 1, ..., m, m) and c (2N - 1, ..., m) hold the coefficients on
+    the half grid of ts, batch axes included; y0 is a vector (..., m) or a
+    matrix (..., m, k) of states.  The step maps minus the identity,
+    D_k = M_k - I, are formed for all steps at once from the RK4 increment
+    taken from Y = I, and the offsets of a source from Y = 0.  The states
+    are chained in increment form, y_{k+1} = y_k + (D_k y_k + v_k), which
+    rounds like `_rk4` rather than drifting with the rounding of 1 + D_k.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    vector = y0.ndim == A.ndim - 2
+    y = y0[..., None] if vector else y0
+    h = np.diff(ts).reshape((-1,) + (1,) * (A.ndim - 1))
+    mid, end = slice(1, None, 2), slice(2, None, 2)
+    D = _increment(lambda j, Y: A[j] @ Y, h, np.eye(A.shape[-1]), A[:-1:2], mid, end)
+    ys = np.empty((len(ts),) + y.shape)
+    ys[0] = y
+    if c is None:
+        for k in range(len(ts) - 1):
+            ys[k + 1] = ys[k] + D[k] @ ys[k]
+        ds = A[::2] @ ys
+    else:
+        c = c[..., None]
+        v = _increment(lambda j, Y: A[j] @ Y + c[j], h, 0.0, c[:-1:2], mid, end)
+        for k in range(len(ts) - 1):
+            ys[k + 1] = ys[k] + (D[k] @ ys[k] + v[k])
+        ds = A[::2] @ ys + c[::2]
+    return (ys[..., 0], ds[..., 0]) if vector else (ys, ds)
 
 
 def _interleave(nodes, mids):
@@ -361,7 +401,7 @@ def energy_along(chart, metric, path: APath):
 def parallel_transport(chart, metric, alpha: APath, s0):
     """Solve ds^u/dt + sum alpha^i s^j Gamma_{ij}^u = 0 along alpha."""
     L, _, _ = _transport_track(chart, metric, alpha)
-    ys, ds = _rk4(lambda j, s: L[j] @ s, alpha.ts, np.asarray(s0, dtype=float))
+    ys, ds = _linear_flow(L, alpha.ts, s0)
     return FiberCurve(ts=alpha.ts, values=ys, dvalues=ds)
 
 
@@ -450,7 +490,7 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
     K = np.einsum("tijkl,ti,tk->tlj", ch.R, mu, mu)
     ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
-    ys, ds = _rk4(lambda j, y: ops[j] @ y, alpha.ts, y0)
+    ys, ds = _linear_flow(ops, alpha.ts, y0)
     return FiberCurve(ts=alpha.ts, values=ys[:, :r], dvalues=ds[:, :r])
 
 

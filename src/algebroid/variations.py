@@ -17,9 +17,10 @@ checks.
 
 All mesh derivatives are second-order centered differences (one-sided at
 the boundary), matching what discrete user-supplied grids can support;
-the time grid must be uniform.  Every family is one batched run of the
-RK4 core of `paths`: the transverse solve carries all eps-rows, the
-homotopy flow both eps-sides.
+the time grid must be uniform.  Every family is one batched run of RK4:
+the transverse solve, linear along fixed mesh tracks, carries all
+eps-rows through the precomputed step maps of `paths._linear_flow`; the
+nonlinear homotopy flow carries both eps-sides through the core `_rk4`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ import numpy as np
 
 from .charts import AVector
 from .metric import christoffel, curvature, fiber_inner
-from .paths import APath, FiberCurve, _geodesics, _interleave, _rk4, _uniform_step, jacobi_solve
+from .paths import (
+    APath,
+    FiberCurve,
+    _geodesics,
+    _interleave,
+    _linear_flow,
+    _rk4,
+    _uniform_step,
+    jacobi_solve,
+)
 
 __all__ = [
     "VariationGrid",
@@ -169,7 +179,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     mus = _interleave(mu, _midpoint_interp(mu))
     src = _interleave(dmu_de, _midpoint_interp(dmu_de))
     Q = np.einsum("tej,teiju->teui", mus, C)
-    ys, _ = _rk4(lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + src[j], grid.ts, beta0)
+    ys, _ = _linear_flow(Q, grid.ts, beta0, src)
     beta = np.ascontiguousarray(np.swapaxes(ys, 0, 1))
     out = replace(grid, beta=beta)
     post = out.transversality_residual(chart)

@@ -132,6 +132,16 @@ class TestValidate:
         report = validate(twisted_chart, samples=50)
         assert report.worst("antisymmetry").residual == 0.0
 
+    def test_tolerances_are_the_cli_check_rows(self, twisted_chart):
+        from algebroid.cli import CHECKS
+
+        report = validate(twisted_chart, samples=10)
+        rows = CHECKS["validate"]
+        assert {c.name: c.tolerance for c in report.checks} == {
+            name: rows[name][0] for name in ("antisymmetry", "anchor_morphism", "jacobi")
+        }
+        assert (rows["antisymmetry"][0], rows["jacobi"][0]) == (1e-12, 1e-9)
+
 
 class TestChartConstruction:
     def test_rejects_lower_triangle_bracket_entries(self):

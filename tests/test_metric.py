@@ -637,6 +637,26 @@ class TestCurvature:
         # <R(a1,a2)a1, a2> = 3/4 from the product table
         assert R[0, 1, 0, 1] == pytest.approx(0.75, abs=1e-14)
 
+    @pytest.mark.parametrize("name", [*catalog.names(), "twisted"])
+    def test_matmul_assembly_matches_five_term_einsum(self, name, twisted_chart):
+        """R from the three matmuls of `Christoffel.R` against the five
+        broadcast einsums of R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s."""
+        chart, metric, _ = structure_case(name, twisted_chart)
+        pts = sample_box(chart.domain, 7, seed=8, shrink=0.05)
+        for x in (pts[0], pts):
+            ch = christoffel(chart, metric, x)
+            B, C, gamma, dgamma = ch.B, ch.C, ch.gamma, ch.dgamma
+            oracle = (
+                np.einsum("...im,...jklm->...ijkl", B, dgamma)
+                - np.einsum("...jm,...iklm->...ijkl", B, dgamma)
+                + np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+                - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
+                - np.einsum("...ijm,...mkl->...ijkl", C, gamma)
+            )
+            assert ch.R.shape == oracle.shape
+            scale = max(1.0, float(np.max(np.abs(oracle))))
+            assert np.max(np.abs(ch.R - oracle)) <= 1e-12 * scale
+
     @pytest.mark.parametrize("name", catalog.names())
     def test_curvature_antisymmetries(self, name):
         entry = catalog.get(name)

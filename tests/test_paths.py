@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from algebroid import catalog, paths
+from algebroid import catalog, paths, variations
 from algebroid import metric as metric_module
 from algebroid.charts import AVector, SectionField
 from algebroid.metric import MetricField, christoffel, covariant_derivative, curvature, fiber_inner
@@ -22,6 +22,7 @@ from algebroid.paths import (
     jacobi_solve,
     parallel_transport,
     _interleave,
+    _linear_flow,
     _rk4,
     transport_frame,
 )
@@ -387,6 +388,96 @@ class TestRK4Core:
         np.testing.assert_array_equal(merged, [0.0, 0.5, 1.0, 2.0, 3.0])
 
 
+    def test_bit_identical_to_the_per_stage_reference(self, sphere):
+        """The stages of `_rk4` run in the order of `_per_stage_rk4`, so a
+        nonlinear flow and a geodesic agree with it to the bit."""
+
+        def f(y):
+            a, b, c = y[..., 0], y[..., 1], y[..., 2]
+            return np.stack([b * c, -np.sin(a), a**2 - c], -1)
+
+        ts = np.linspace(0.0, 1.5, 61)
+        y0 = np.array([[0.3, -0.2, 0.5], [1.0, 0.4, -0.7]])
+        ys, ds = _rk4(lambda j, y: f(y), ts, y0)
+        ref_ys, ref_ds = _per_stage_rk4(lambda t, y: f(y), ts, y0)
+        np.testing.assert_array_equal(ys, ref_ys)
+        np.testing.assert_array_equal(ds, ref_ds)
+
+        chart, metric = sphere.chart, sphere.metric
+        path = geodesic_integrate(chart, metric, AVector([1.1, 0.4], [0.5, 0.3]), (0.0, 1.0), 1e-2)
+
+        def spray(t, y):
+            dx, dmu = paths.geodesic_rhs(chart, metric, y[:2], y[2:])
+            return np.concatenate([dx, dmu])
+
+        ys, ds = _per_stage_rk4(spray, path.ts, np.array([1.1, 0.4, 0.5, 0.3]))
+        np.testing.assert_array_equal(np.hstack([path.xs, path.mus]), ys)
+        np.testing.assert_array_equal(np.hstack([path.dxs, path.dmus]), ds)
+
+
+def _half_grid(ts):
+    return _interleave(ts, ts[:-1] + 0.5 * np.diff(ts))
+
+
+class TestLinearFlow:
+    """`_linear_flow` chains precomputed RK4 step maps; on the same right
+    side it must give what `_rk4` gives, up to rounding."""
+
+    GRIDS = {
+        "uniform": np.linspace(0.0, 1.2, 41),
+        "non_uniform": 1.2 * np.linspace(0.0, 1.0, 41) ** 1.5,
+        "decreasing": np.linspace(1.2, 0.0, 41),
+    }
+
+    @staticmethod
+    def track(ts, rng, shape):
+        """A smooth coefficient track A(t) = A0 + sin(3t) A1 + t^2 A2 on the half grid."""
+        A0, A1, A2 = rng.normal(size=(3,) + shape)
+        t = _half_grid(ts).reshape((-1,) + (1,) * len(shape))
+        return A0 + np.sin(3.0 * t) * A1 + t**2 * A2
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_matches_rk4(self, grid, rng):
+        ts = self.GRIDS[grid]
+        A = self.track(ts, rng, (3, 3))
+        cases = [
+            (A, rng.normal(size=3), None, lambda j, y: A[j] @ y),  # a vector
+            (A, np.eye(3), None, lambda j, y: A[j] @ y),  # a frame
+        ]
+        E = 4
+        Q = self.track(ts, rng, (E, 3, 3))
+        c = self.track(ts, rng, (E, 3))
+        rhs = lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + c[j]
+        cases.append((Q, rng.normal(size=(E, 3)), c, rhs))  # a batch with a source
+        for A, y0, src, f in cases:
+            ys, ds = _linear_flow(A, ts, y0, src)
+            ref_ys, ref_ds = _rk4(f, ts, y0)
+            assert ys.shape == ref_ys.shape and ds.shape == ref_ds.shape
+            np.testing.assert_allclose(ys, ref_ys, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(ds, ref_ds, rtol=0, atol=1e-13)
+
+    def test_matches_rk4_on_the_reversed_path_grid(self, sphere):
+        chart, metric = sphere.chart, sphere.metric
+        path = geodesic_integrate(chart, metric, AVector([1.1, 0.4], [0.5, 0.3]), (0.0, 1.0), 1e-2)
+        back = path.reversed()
+        L, _, _ = paths._transport_track(chart, metric, back)
+        s0 = np.array([0.2, -0.7])
+        for got, ref in zip(_linear_flow(L, back.ts, s0), _rk4(lambda j, s: L[j] @ s, back.ts, s0)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+
+    def test_fourth_order(self, rng):
+        A = TestRK4Core.A
+        w, V = np.linalg.eig(A)
+        flow = ((V * np.exp(2.0 * w)) @ np.linalg.inv(V)).real  # exp(2A)
+        y0 = rng.normal(size=3)
+        errors = []
+        for steps in (20, 40):
+            ts = np.linspace(0.0, 2.0, steps + 1)
+            ys, _ = _linear_flow(np.broadcast_to(A, (2 * steps + 1, 3, 3)), ts, y0)
+            errors.append(np.max(np.abs(ys[-1] - flow @ y0)))
+        assert 14.0 < errors[0] / errors[1] < 18.0
+
+
 def _per_stage_rk4(f, ts, y0):
     """Reference RK4 whose right side takes the time, not a track index."""
     ys = np.empty((len(ts),) + np.shape(y0))
@@ -497,3 +588,37 @@ class TestCoefficientTracks:
         # one Gamma call of the geodesic check on the nodes, one on the track,
         # whose record forms dGamma once for R
         assert calls == {"christoffel": 2, "dgamma": 1, "eval": 1}
+
+    def test_linear_flows_make_no_per_stage_calls(self, flow_case, monkeypatch):
+        """Transport, the frame, Jacobi and the transverse solve step by
+        precomputed RK4 maps: with the per-stage core refused they still run,
+        each with its one connection call on the track."""
+        chart, metric, path, s0, dbeta0 = flow_case
+        start = AVector(path.xs[0], path.mus[0])
+        eps = np.linspace(-0.02, 0.02, 5)
+        grid = variations.make_geodesic_pencil(chart, metric, start, dbeta0, eps, (0.0, 1.0), 0.05)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-stage RK4 run")
+
+        calls = collections.Counter()
+
+        def counting(chart, metric, x):
+            calls[np.shape(x)[:-1]] += 1
+            return christoffel(chart, metric, x)
+
+        monkeypatch.setattr(paths, "_rk4", refuse)
+        monkeypatch.setattr(variations, "_rk4", refuse)
+        monkeypatch.setattr(paths, "christoffel", counting)
+        monkeypatch.setattr(variations, "christoffel", counting)
+        N = len(path.ts)
+        parallel_transport(chart, metric, path, s0)
+        transport_frame(chart, metric, path)
+        assert calls == {(2 * N - 1,): 2}
+        calls.clear()
+        jacobi_solve(chart, metric, path, np.zeros(chart.r), dbeta0)
+        assert calls == {(N,): 1, (2 * N - 1,): 1}  # the geodesic check, the track
+        calls.clear()
+        solved = variations.solve_transverse(chart, metric, grid, np.zeros((5, chart.r)))
+        assert not calls  # the transverse solve reads the bracket only
+        assert solved.beta.shape == grid.mu.shape
