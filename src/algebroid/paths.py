@@ -5,16 +5,18 @@ Integration is classical fixed-step RK4 on the coupled base/fiber system
     dx_i/dt  = sum_j  mu_j b^{ji}(x)
     dmu_j/dt = - sum_{s,u} mu_s mu_u Gamma_{su}^j(x)
 
-with dense cubic-Hermite output (node states plus node derivatives).  The
-quadratic right side is the spray of the connection record
-(`Christoffel.spray`): the Koszul form contracted with mu (x) mu and
-solved against g, so Gamma is never formed on the way.  Where Gamma is
-held constant it is contracted against the symmetrized coefficients, so
-charts whose Gamma is antisymmetric in the lower pair (bi-invariant Lie
-algebras) keep the fiber coordinates constant to the bit.
+with dense cubic-Hermite output (node states plus node derivatives); an
+`APath` keeps the (x, mu) rows as RK4 steps them.  The quadratic right
+side is the spray of the connection record (`Christoffel.spray`): the
+Koszul form contracted with mu (x) mu and solved against g, so Gamma is
+never formed on the way.  Where Gamma is held constant it is contracted
+against the symmetrized coefficients, so charts whose Gamma is
+antisymmetric in the lower pair (bi-invariant Lie algebras) keep the
+fiber coordinates constant to the bit.
 
 Grids are deterministic: a requested span and step always produce the same
-nodes, which the transport / Jacobi / variation machinery reuses.
+nodes, which the transport / Jacobi / variation machinery reuses.  A span
+with t1 < t0 gives a decreasing grid, and every flow runs backwards on it.
 
 Nonlinear flows step through the one RK4 core `_rk4`.  Its right side is
 called as f(j, y) with j a half-grid index: node k of the grid is j = 2k
@@ -96,9 +98,13 @@ class _RowFailed(Exception):
 
 
 def _hermite(ts, ys, ds, t):
-    """Evaluate the Hermite interpolant (and its derivative) at times t."""
+    """Evaluate the Hermite interpolant (and its derivative) at times t.
+
+    ts is strictly monotone, increasing or decreasing; the interval search
+    runs in the grid's own direction."""
     t = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    sign = 1.0 if ts[-1] > ts[0] else -1.0
+    idx = np.clip(np.searchsorted(sign * ts, sign * t, side="right") - 1, 0, len(ts) - 2)
     t0 = ts[idx]
     h = ts[idx + 1] - t0
     s = ((t - t0) / h)[..., None]
@@ -124,55 +130,43 @@ def _hermite(ts, ys, ds, t):
 
 @dataclass(eq=False)
 class APath:
-    """Time-discretized A-path with dense interpolation.
+    """Time-discretized A-path with dense interpolation: the RK4 track.
 
-    `ts` is strictly increasing; `xs`/`mus` hold node states and
-    `dxs`/`dmus` the node time-derivatives produced by the integrator.
+    `ts` is strictly monotone (a grid run backwards in time decreases);
+    `ys` (N, n + r) holds the node states with the base point x and the
+    fiber point mu side by side, as the integrator steps them, and `ds`
+    their time-derivatives.  `xs`, `mus`, `dxs` and `dmus` are column
+    views of them; every query interpolates the whole row at once.
     """
 
     ts: np.ndarray
-    xs: np.ndarray
-    mus: np.ndarray
-    dxs: np.ndarray
-    dmus: np.ndarray
+    ys: np.ndarray
+    ds: np.ndarray
+    n: int
 
-    @property
-    def n(self):
-        return self.xs.shape[1]
-
-    @property
-    def r(self):
-        return self.mus.shape[1]
+    r = property(lambda self: self.ys.shape[1] - self.n)
+    xs = property(lambda self: self.ys[:, : self.n])
+    mus = property(lambda self: self.ys[:, self.n :])
+    dxs = property(lambda self: self.ds[:, : self.n])
+    dmus = property(lambda self: self.ds[:, self.n :])
 
     def eval(self, t):
         """(x, mu) at time(s) t via per-component cubic Hermite."""
-        x, _ = _hermite(self.ts, self.xs, self.dxs, t)
-        mu, _ = _hermite(self.ts, self.mus, self.dmus, t)
-        return x, mu
-
-    def base_velocity(self, t):
-        """d/dt of the interpolated base path at time(s) t."""
-        _, v = _hermite(self.ts, self.xs, self.dxs, t)
-        return v
+        y, _ = _hermite(self.ts, self.ys, self.ds, t)
+        return y[..., : self.n], y[..., self.n :]
 
     def reversed(self) -> "APath":
         """The reverse A-path t -> -alpha(t1 + t0 - t) on the same grid."""
         ts = self.ts[0] + self.ts[-1] - self.ts[::-1]
-        return APath(
-            ts=ts,
-            xs=self.xs[::-1].copy(),
-            mus=-self.mus[::-1],
-            dxs=-self.dxs[::-1],
-            dmus=self.dmus[::-1].copy(),
-        )
+        flip = np.repeat([1.0, -1.0], [self.n, self.r])  # x stays, mu turns
+        return APath(ts, self.ys[::-1] * flip, self.ds[::-1] * -flip, self.n)
 
     def constraint_residual(self, chart):
         """max |#(alpha) - d/dt base| over interval midpoints (Def of A-path)."""
-        tm = 0.5 * (self.ts[:-1] + self.ts[1:])
-        x, mu = self.eval(tm)
-        vel = self.base_velocity(tm)
-        B, _ = chart.eval_anchor(x)
-        return float(np.max(np.abs(np.einsum("ts,tsi->ti", mu, B) - vel)))
+        y, dy = _hermite(self.ts, self.ys, self.ds, 0.5 * (self.ts[:-1] + self.ts[1:]))
+        B, _ = chart.eval_anchor(y[:, : self.n])
+        push = np.einsum("ts,tsi->ti", y[:, self.n :], B)
+        return float(np.max(np.abs(push - dy[:, : self.n])))
 
 
 @dataclass(eq=False)
@@ -339,8 +333,7 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
         if finite and all(lo <= c <= hi for c, (lo, hi) in zip(v, box)):
             return
         error = DomainExitError if finite else NonFiniteError
-        done, ddone = ys[:k].copy(), ds[:k].copy()  # the nodes before k
-        partial = APath(ts[:k].copy(), done[:, :n], done[:, n:], ddone[:, :n], ddone[:, n:])
+        partial = APath(ts[:k].copy(), ys[:k].copy(), ds[:k].copy(), n)  # the nodes before k
         raise error(float(ts[k]), partial)
 
     if y0.ndim == 1:
@@ -365,9 +358,7 @@ def geodesic_integrate(chart, metric, start: AVector, t_span=(0.0, 1.0), step=1e
     the chart box DomainExitError; both carry the time and the partial
     path of the nodes before it.
     """
-    n = chart.n
-    ts, ys, ds = _geodesics(chart, metric, start.x, start.mu, t_span, step)
-    return APath(ts=ts, xs=ys[:, :n], mus=ys[:, n:], dxs=ds[:, :n], dmus=ds[:, n:])
+    return APath(*_geodesics(chart, metric, start.x, start.mu, t_span, step), chart.n)
 
 
 def exp_map(chart, metric, m, a, step=1e-3):

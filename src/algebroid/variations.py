@@ -89,9 +89,8 @@ class VariationGrid:
 
     def row_path(self, i) -> APath:
         """The i-th eps-row as an APath (derivatives by mesh differences)."""
-        dxs = np.gradient(self.x[i], self.ts, axis=0, edge_order=2)
-        dmus = np.gradient(self.mu[i], self.ts, axis=0, edge_order=2)
-        return APath(ts=self.ts, xs=self.x[i], mus=self.mu[i], dxs=dxs, dmus=dmus)
+        ys = np.concatenate([self.x[i], self.mu[i]], axis=1)
+        return APath(self.ts, ys, np.gradient(ys, self.ts, axis=0, edge_order=2), self.x.shape[2])
 
     def apath_residual(self, chart):
         """max |#(alpha) - d(base)/dt| over the mesh (A-path rows check)."""
@@ -156,8 +155,8 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     _uniform_step(grid.ts)  # the midpoint interpolation has uniform weights
     beta0 = np.asarray(beta0, dtype=float)
     E, N = grid.shape
-    if beta0.shape != (E, _rank(grid)):
-        raise ValueError(f"beta0 must have shape (E, r) = ({E}, {_rank(grid)})")
+    if beta0.shape != (E, chart.r):
+        raise ValueError(f"beta0 must have shape (E, r) = ({E}, {chart.r})")
 
     # precondition: #(beta0) matches the eps-derivative of the base at t0
     B0, _ = chart.eval_anchor(grid.x[:, 0])
@@ -192,10 +191,6 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     return out
 
 
-def _rank(grid):
-    return grid.mu.shape[2]
-
-
 def _midpoint_interp(values):
     """Values at interval midpoints of a uniform grid, 4-point cubic
     interpolation (3-point parabola at the end intervals)."""
@@ -216,8 +211,7 @@ def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid):
     criterion).  The metric is not read.
 
     Returns (bool, max |beta(eps, t1)|)."""
-    E = len(grid.eps)
-    solved = solve_transverse(chart, metric, grid, np.zeros((E, _rank(grid))))
+    solved = solve_transverse(chart, metric, grid, np.zeros((len(grid.eps), chart.r)))
     end = float(np.max(np.abs(solved.beta[:, -1, :])))
     return end < HOMOTOPY_TOL, end
 
@@ -393,8 +387,7 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
         [np.linspace(a, b, HOMOTOPY_SUBSTEPS + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
         + [knots[-1:]]
     )
-    y0 = np.concatenate([alpha0.xs, alpha0.mus], axis=1)
-    ys, _ = _rk4(flow_rhs, eps_grid, np.stack([y0, y0]))
+    ys, _ = _rk4(flow_rhs, eps_grid, np.stack([alpha0.ys, alpha0.ys]))
     rows = ys[::HOMOTOPY_SUBSTEPS]  # (knot, side, N, n + r)
     state = np.concatenate([rows[:0:-1, 0], rows[:, 1]])
     beta = np.broadcast_to(beta_row, (len(HOMOTOPY_EPS),) + beta_row.shape).copy()

@@ -518,6 +518,20 @@ def test_pointwise_verbs_pass_on_every_chart(verb, name, tmp_path, capsys):
     assert_table_tolerances(verb, tmp_path / "out")
 
 
+# a negative end time integrates backwards on a decreasing grid: the
+# transport, reverse transport and Jacobi tracks read the path there too
+@pytest.mark.parametrize(
+    "verb, name", [(v, n) for v in ["geodesic", "transport", "jacobi"] for n in catalog.names()]
+)
+def test_backward_flows_pass_on_every_catalog_chart(verb, name, tmp_path, capsys):
+    rc = main([verb, "--catalog", name, "--t1", "-1", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "overall_pass=true" in out.splitlines()
+    rows = read_csv(tmp_path / f"{verb}.csv")
+    assert float(rows[-1]["t"]) == -1.0
+
+
 def test_tol_replaces_the_marked_checks(tmp_path, capsys):
     # aff2 has a zero anchor, so the divergence verb reports its fd check
     replaced = set()

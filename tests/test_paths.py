@@ -1,4 +1,5 @@
 import collections
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestGeodesics:
         # feed a perturbed fiber curve back as if it were the path's own speed
         from dataclasses import replace
 
-        fake = replace(path, mus=bent.values)
+        fake = replace(path, ys=np.hstack([path.xs, bent.values]))
         assert geodesic_residual(sphere.chart, sphere.metric, fake) > 1e-3
 
 
@@ -282,7 +283,7 @@ class TestDerivativeAlong:
         )
         assert geodesic_residual(sphere.chart, sphere.metric, path.reversed()) < 1e-10
         keep = np.r_[0:500, 500 : len(path.ts) : 2]
-        thinned = APath(path.ts[keep], path.xs[keep], path.mus[keep], path.dxs[keep], path.dmus[keep])
+        thinned = APath(path.ts[keep], path.ys[keep], path.ds[keep], path.n)
         with pytest.raises(ValueError, match="time grid is not uniform"):
             geodesic_residual(sphere.chart, sphere.metric, thinned)
         with pytest.raises(ValueError, match="time grid is not uniform"):
@@ -325,7 +326,7 @@ class TestJacobi:
         )
         from dataclasses import replace
 
-        fake = replace(path, mus=path.mus + 0.05)
+        fake = replace(path, ys=np.hstack([path.xs, path.mus + 0.05]))
         with pytest.raises(NonGeodesicError):
             jacobi_solve(sphere.chart, sphere.metric, fake, [0.0, 0.0], [1.0, 0.0])
 
@@ -622,3 +623,129 @@ class TestCoefficientTracks:
         solved = variations.solve_transverse(chart, metric, grid, np.zeros((5, chart.r)))
         assert not calls  # the transverse solve reads the bracket only
         assert solved.beta.shape == grid.mu.shape
+
+
+class FourArrayPath:
+    """Reference: an A-path kept as four node arrays, each interpolated on
+    its own (one Hermite call for x and one for mu per query)."""
+
+    def __init__(self, path):
+        self.ts = path.ts
+        self.xs, self.mus = path.xs.copy(), path.mus.copy()
+        self.dxs, self.dmus = path.dxs.copy(), path.dmus.copy()
+
+    def eval(self, t):
+        x, _ = paths._hermite(self.ts, self.xs, self.dxs, t)
+        mu, _ = paths._hermite(self.ts, self.mus, self.dmus, t)
+        return x, mu
+
+    def constraint_residual(self, chart):
+        tm = 0.5 * (self.ts[:-1] + self.ts[1:])
+        x, mu = self.eval(tm)
+        _, vel = paths._hermite(self.ts, self.xs, self.dxs, tm)
+        B, _ = chart.eval_anchor(x)
+        return float(np.max(np.abs(np.einsum("ts,tsi->ti", mu, B) - vel)))
+
+    def reversed_arrays(self):
+        ts = self.ts[0] + self.ts[-1] - self.ts[::-1]
+        return ts, self.xs[::-1], -self.mus[::-1], -self.dxs[::-1], self.dmus[::-1]
+
+
+def _unguarded_geodesic(chart, metric, start, t_span, step):
+    """The geodesic RK4 run without node checks: grid, states, derivatives."""
+    n = chart.n
+    ts = paths._grid(t_span, step)
+
+    def rhs(j, y):
+        return np.concatenate(paths.geodesic_rhs(chart, metric, y[:n], y[n:]))
+
+    return (ts, *_rk4(rhs, ts, np.concatenate([start.x, start.mu])))
+
+
+class TestOneTrackPath:
+    """An APath is the RK4 track (ts, ys, ds, n); every query interpolates
+    the whole (x, mu) row and gives what the four-array layout gave."""
+
+    def test_fields(self):
+        assert [f.name for f in fields(APath)] == ["ts", "ys", "ds", "n"]
+        assert not hasattr(APath, "base_velocity")
+
+    def test_queries_match_the_four_array_reference(self, flow_case):
+        chart, _, path, _, _ = flow_case
+        ref = FourArrayPath(path)
+        ts = path.ts
+        inner = np.random.RandomState(2).uniform(ts[0], ts[-1], 50)
+        times = np.concatenate([_half_grid(ts), inner])
+        for t in (times, 0.37):
+            x, mu = path.eval(t)
+            ref_x, ref_mu = ref.eval(t)
+            np.testing.assert_array_equal(x, ref_x)
+            np.testing.assert_array_equal(mu, ref_mu)
+        assert path.constraint_residual(chart) == ref.constraint_residual(chart)
+        back = path.reversed()
+        got = (back.ts, back.xs, back.mus, back.dxs, back.dmus)
+        for array, want in zip(got, ref.reversed_arrays()):
+            np.testing.assert_array_equal(array, want)
+        assert back.n == path.n and back.r == path.r
+
+    def test_one_hermite_call_per_query(self, flow_case, monkeypatch):
+        chart, _, path, _, _ = flow_case
+        calls = []
+        hermite = paths._hermite
+
+        def counting(*args):
+            calls.append(args)
+            return hermite(*args)
+
+        monkeypatch.setattr(paths, "_hermite", counting)
+        path.eval(_half_grid(path.ts))
+        assert len(calls) == 1
+        path.constraint_residual(chart)
+        assert len(calls) == 2
+
+    def test_domain_exit_keeps_the_rows_before_the_failing_node(self, euclidean2):
+        chart, metric, start = euclidean2.chart, euclidean2.metric, AVector([0, 0], [10.0, 0.0])
+        with pytest.raises(DomainExitError) as err:
+            geodesic_integrate(chart, metric, start, (0, 1), 1e-3)
+        partial = err.value.path
+        ts, ys, ds = _unguarded_geodesic(chart, metric, start, (0, 1), 1e-3)
+        k = len(partial.ts)
+        assert ts[k] == err.value.time and partial.n == chart.n
+        np.testing.assert_array_equal(partial.ts, ts[:k])
+        np.testing.assert_array_equal(partial.ys, ys[:k])
+        np.testing.assert_array_equal(partial.ds, ds[:k])
+
+    def test_non_finite_state_keeps_the_rows_before_the_failing_node(self, aff2):
+        chart, metric, start = aff2.chart, aff2.metric, AVector([0.0], [10.0, 10.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError) as err:
+                geodesic_integrate(chart, metric, start, (0, 20), 1.0)
+            _, ys, ds = _unguarded_geodesic(chart, metric, start, (0, 3), 1.0)
+        partial = err.value.path
+        assert len(partial.ts) == 3 and partial.n == chart.n
+        np.testing.assert_array_equal(partial.ys, ys[:3])
+        np.testing.assert_array_equal(partial.ds, ds[:3])
+
+
+class TestBackwardFlows:
+    """A span with t1 < t0 runs on a decreasing grid.  The geodesic system
+    is odd in mu and time, so the geodesic from (x0, mu0) over [0, -1] is
+    the one from (x0, -mu0) over [0, 1] with mu negated, to the bit."""
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "aff2"])
+    def test_geodesic_mirrors_the_forward_flow(self, name):
+        entry = catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        x = sample_box(chart.domain, 1, seed=6, shrink=0.35)[0]
+        mu = sample_fiber(chart.r, 1, seed=6, scale=0.5)[0]
+        back = geodesic_integrate(chart, metric, AVector(x, mu), (0.0, -1.0), 1e-2)
+        forth = geodesic_integrate(chart, metric, AVector(x, -mu), (0.0, 1.0), 1e-2)
+        np.testing.assert_array_equal(back.ts, -forth.ts)
+        np.testing.assert_array_equal(back.xs, forth.xs)
+        np.testing.assert_array_equal(back.mus, -forth.mus)
+        t = np.concatenate([_half_grid(forth.ts), np.random.RandomState(3).uniform(0, 1, 40)])
+        x_back, mu_back = back.eval(-t)
+        x_forth, mu_forth = forth.eval(t)
+        np.testing.assert_array_equal(x_back, x_forth)
+        np.testing.assert_array_equal(mu_back, -mu_forth)
+        assert back.constraint_residual(chart) < paths.TOL_APATH_GENERATED
