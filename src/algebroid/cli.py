@@ -47,7 +47,7 @@ from .paths import (
     jacobi_solve,
     parallel_transport,
 )
-from .sampling import sample_box, sample_fiber, sample_states
+from .sampling import fit_to_box, sample_box, sample_fiber, sample_states
 from .splitting import (
     SplitError,
     _divergence_rows,
@@ -250,13 +250,27 @@ def _geodesic(run, args, chart, metric, start):
 
 
 def _state_from_args(chart, args, mu_scale=0.5):
-    """The start of the flow verbs (and the divergence verb's pinned state):
+    """The state of `_flow_start` and the divergence verb's pinned state:
     --x and --mu, each defaulting to a sample drawn from --seed."""
     x = sample_box(chart.domain, 1, args.seed, shrink=0.3)[0]
     mu = sample_fiber(chart.r, 1, args.seed, scale=mu_scale)[0]
     x = _vector(args.x, chart.n, "--x") if args.x else x
     mu = _vector(args.mu, chart.r, "--mu") if args.mu else mu
     return AVector(x, mu)
+
+
+def _flow_start(run, args, chart, metric, span, mu_scale=0.5):
+    """The start of a flow over a time `span`: `_state_from_args`, with a
+    default mu scaled down by `fit_to_box` so that its geodesic cannot leave
+    the box within the span; the factor is noted as default_mu_scale.  A
+    given --mu is never rescaled, nor is the mu of an --x outside the box,
+    whose run exits the domain at its first node."""
+    start = _state_from_args(chart, args, mu_scale)
+    if args.mu or not chart.contains(start.x):
+        return start
+    factor = float(fit_to_box(chart, metric, start.x[None], start.mu[None], span)[0])
+    run.note("default_mu_scale", factor)
+    return AVector(start.x, factor * start.mu)
 
 
 def _index_rows(array):
@@ -295,7 +309,7 @@ def _cmd_validate(args, out, run, chart, metric):
 
 
 def _cmd_geodesic(args, out, run, chart, metric):
-    start = _state_from_args(chart, args)
+    start = _flow_start(run, args, chart, metric, abs(_flag(args, "t1", 1.0)))
     run.note("x0", ",".join(_fmt(v) for v in start.x))
     run.note("mu0", ",".join(_fmt(v) for v in start.mu))
     path, exited, _, _ = _geodesic(run, args, chart, metric, start)
@@ -309,7 +323,7 @@ def _cmd_geodesic(args, out, run, chart, metric):
 
 
 def _cmd_exp(args, out, run, chart, metric):
-    start = _state_from_args(chart, args)
+    start = _flow_start(run, args, chart, metric, 1.0)
     step = _flag(args, "step", FLOW_STEP)
     image, exited = _in_domain(run, exp_map, chart, metric, start.x, start.mu, step)
     head, row = _xcols(chart.n) + _mucols(chart.r, "a"), [*start.x, *start.mu]
@@ -319,7 +333,7 @@ def _cmd_exp(args, out, run, chart, metric):
 
 
 def _cmd_transport(args, out, run, chart, metric):
-    start = _state_from_args(chart, args)
+    start = _flow_start(run, args, chart, metric, abs(_flag(args, "t1", 1.0)))
     s0 = _vector(args.s0, chart.r, "--s0") if args.s0 else sample_fiber(chart.r, 1, args.seed + 7)[0]
     path, exited, _, _ = _geodesic(run, args, chart, metric, start)
     rows = []
@@ -335,7 +349,7 @@ def _cmd_transport(args, out, run, chart, metric):
 
 
 def _cmd_jacobi(args, out, run, chart, metric):
-    start = _state_from_args(chart, args)
+    start = _flow_start(run, args, chart, metric, abs(_flag(args, "t1", 1.0)))
     beta0 = _vector(args.beta0, chart.r, "--beta0") if args.beta0 else np.zeros(chart.r)
     dbeta0 = sample_fiber(chart.r, 1, args.seed + 13)[0]
     dbeta0 = _vector(args.dbeta0, chart.r, "--dbeta0") if args.dbeta0 else dbeta0
@@ -455,7 +469,7 @@ def _cmd_hamcheck(args, out, run, chart, metric):
 
 
 def _cmd_variation_check(args, out, run, chart, metric):
-    start = _state_from_args(chart, args, mu_scale=0.4)
+    start = _flow_start(run, args, chart, metric, 1.0, mu_scale=0.4)
     u = sample_fiber(chart.r, 1, args.seed + 17, scale=0.5)[0]
     step = _flag(args, "step", 2e-3)
     rows = []

@@ -23,10 +23,11 @@ called as f(j, y) with j a half-grid index: node k of the grid is j = 2k
 and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the only times an RK4
 step samples.  The state y may carry batch axes.  Linear flows along an
 already fixed path (parallel transport, the transported frame, Jacobi
-sections) make one path evaluation and one connection record over all
-2N - 1 half-grid times; `_linear_flow` then forms the RK4 step map of
-every step at once from the same increment `_increment` and chains the
-maps with one matmul per step.
+sections, the transverse solve of `variations`) read their coefficients
+on all 2N - 1 half-grid times off `_half_grid` of the track, on any
+monotone grid, with one connection record there; `_linear_flow` then
+forms the RK4 step map of every step at once from the same increment
+`_increment` and chains the maps with one matmul per step.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch through `_geodesics`, which also serves single geodesics.
 The batch keeps only the success path: when a row fails a node check or
@@ -175,7 +176,6 @@ class FiberCurve:
 
     ts: np.ndarray
     values: np.ndarray  # (N, r)
-    dvalues: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _rk4(f, ts, y0, on_node=None):
 
 def _linear_flow(A, ts, y0, c=None):
     """RK4 for the linear flow y' = A[j] y (+ c[j]) along a fixed path, with
-    the same increments as `_rk4`; returns states and derivatives.
+    the same increments as `_rk4`; returns the node states.
 
     A (2N - 1, ..., m, m) and c (2N - 1, ..., m) hold the coefficients on
     the half grid of ts, batch axes included; y0 is a vector (..., m) or a
@@ -253,31 +253,34 @@ def _linear_flow(A, ts, y0, c=None):
     if c is None:
         for k in range(len(ts) - 1):
             ys[k + 1] = ys[k] + D[k] @ ys[k]
-        ds = A[::2] @ ys
     else:
         c = c[..., None]
         v = _increment(lambda j, Y: A[j] @ Y + c[j], h, 0.0, c[:-1:2], mid, end)
         for k in range(len(ts) - 1):
             ys[k + 1] = ys[k] + (D[k] @ ys[k] + v[k])
-        ds = A[::2] @ ys + c[::2]
-    return (ys[..., 0], ds[..., 0]) if vector else (ys, ds)
+    return ys[..., 0] if vector else ys
 
 
-def _interleave(nodes, mids):
-    """Node and interval-midpoint values merged onto the half grid."""
-    out = np.empty((2 * len(nodes) - 1,) + np.shape(nodes)[1:])
-    out[0::2] = nodes
-    out[1::2] = mids
+def _half_grid(ts, ys, ds):
+    """Rows ys (N, ...) with time-derivatives ds on the half grid of ts:
+    (2N - 1, ...), the node rows at the even indices and at index 2k + 1
+    the cubic-Hermite midpoint of [ts[k], ts[k+1]],
+    (y_k + y_{k+1}) / 2 + (h_k / 8)(d_k - d_{k+1}), summed term by term
+    like `_hermite` at s = 1/2.  ts may increase or decrease and need not
+    be uniform."""
+    q = np.diff(ts).reshape((-1,) + (1,) * (ys.ndim - 1)) / 8.0
+    out = np.empty((2 * len(ts) - 1,) + ys.shape[1:])
+    out[0::2] = ys
+    out[1::2] = 0.5 * ys[:-1] + q * ds[:-1] + 0.5 * ys[1:] - q * ds[1:]
     return out
 
 
 def _transport_track(chart, metric, alpha):
     """Transport operators L[j] s = -Gamma(alpha, s) on the half grid of
     alpha, with the fiber values of alpha there and the connection record
-    (Jacobi reads R from it): one path evaluation and one batched
+    (Jacobi reads R from it): one read of the track and one batched
     connection call."""
-    ts = alpha.ts
-    x, mu = alpha.eval(_interleave(ts, ts[:-1] + 0.5 * np.diff(ts)))
+    x, mu = np.split(_half_grid(alpha.ts, alpha.ys, alpha.ds), [alpha.n], axis=1)
     ch = christoffel(chart, metric, x)
     return -np.einsum("ti,tiju->tuj", mu, ch.gamma), mu, ch
 
@@ -392,8 +395,7 @@ def energy_along(chart, metric, path: APath):
 def parallel_transport(chart, metric, alpha: APath, s0):
     """Solve ds^u/dt + sum alpha^i s^j Gamma_{ij}^u = 0 along alpha."""
     L, _, _ = _transport_track(chart, metric, alpha)
-    ys, ds = _linear_flow(L, alpha.ts, s0)
-    return FiberCurve(ts=alpha.ts, values=ys, dvalues=ds)
+    return FiberCurve(ts=alpha.ts, values=_linear_flow(L, alpha.ts, s0))
 
 
 def transport_frame(chart, metric, alpha: APath):
@@ -481,8 +483,8 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
     K = np.einsum("tijkl,ti,tk->tlj", ch.R, mu, mu)
     ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
-    ys, ds = _linear_flow(ops, alpha.ts, y0)
-    return FiberCurve(ts=alpha.ts, values=ys[:, :r], dvalues=ds[:, :r])
+    ys = _linear_flow(ops, alpha.ts, y0)
+    return FiberCurve(ts=alpha.ts, values=ys[:, :r])
 
 
 def dexp(chart, metric, m, a, u, step=1e-3, path=None):

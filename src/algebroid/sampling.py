@@ -13,12 +13,14 @@ import functools
 
 import numpy as np
 
-__all__ = ["halton", "sample_box", "sample_fiber", "sample_states"]
+__all__ = ["halton", "sample_box", "sample_fiber", "sample_states", "fit_to_box"]
 
 _PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
 ]
+
+BALL_SAMPLES = 32  # points per start when `fit_to_box` bounds the base speed
 
 
 @functools.lru_cache(maxsize=1024)
@@ -82,3 +84,30 @@ def sample_states(chart, count, seed=42):
     xs = sample_box(chart.domain, count, seed, shrink=0.25)
     mus = sample_fiber(chart.r, count, seed)
     return xs, mus
+
+
+def fit_to_box(chart, metric, xs, mus, span):
+    """Factors (at most 1) that scale each fiber vector mus[k] so that the
+    geodesic from (xs[k], mus[k]) cannot leave the box within a time `span`.
+
+    Energy is conserved along a geodesic, so |mu|_g stays at its start
+    value and the base speed |B^T mu| is at most K |mu|_g, with K^2 the
+    largest eigenvalue of g^{-1} B B^T.  With K the largest value sampled
+    over the sub-box of half-width rho (half the distance from x to the
+    nearest face), the path cannot reach the sub-box border before
+    rho / (K |mu|_g); the fiber vector is scaled down until that is at
+    least `span`.  K is sampled, not bounded, so this is no proof.
+    """
+    lo, hi = chart.domain[:, 0], chart.domain[:, 1]
+    rho = 0.5 * np.min(np.minimum(xs - lo, hi - xs), axis=1)
+    offsets = np.vstack([np.zeros(chart.n), 2.0 * halton(BALL_SAMPLES, chart.n) - 1.0])
+    pts = xs[:, None, :] + rho[:, None, None] * offsets[None]
+    B, _ = chart.eval_anchor(pts)
+    G, _, _ = metric.eval(pts)
+    M = np.linalg.solve(G, np.einsum("...si,...ti->...st", B, B))
+    K = np.max(np.sqrt(np.max(np.real(np.linalg.eigvals(M)), axis=-1)), axis=1)
+    G0, _, _ = metric.eval(xs)
+    norm = np.sqrt(np.einsum("ks,kst,kt->k", mus, G0, mus))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.minimum(1.0, rho / (span * K * norm))
+    return np.where(np.isnan(scale), 1.0, scale)

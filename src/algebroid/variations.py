@@ -15,12 +15,16 @@ Both read only the anchor and the bracket; the metric and its
 Levi-Civita connection enter only the commutation and first-variation
 checks.
 
-All mesh derivatives are second-order centered differences (one-sided at
-the boundary), matching what discrete user-supplied grids can support;
-the time grid must be uniform.  Every family is one batched run of RK4:
-the transverse solve, linear along fixed mesh tracks, carries all
-eps-rows through the precomputed step maps of `paths._linear_flow`; the
-nonlinear homotopy flow carries both eps-sides through the core `_rk4`.
+All mesh derivatives are second-order differences (one-sided at the
+boundary, `np.gradient` with edge_order=2), matching what discrete
+user-supplied grids can support; the grids may be non-uniform.  Every
+family is one batched run of RK4: the transverse solve, linear along
+fixed mesh tracks, reads its coefficients off `paths._half_grid` of the
+mesh rows with these differences as their t-derivatives (the rule of
+`VariationGrid.row_path`, so each eps-row gets what a flow along that
+row's A-path would) and carries all eps-rows through the precomputed
+step maps of `paths._linear_flow`; the nonlinear homotopy flow carries
+both eps-sides through the core `_rk4`.
 """
 
 from __future__ import annotations
@@ -32,16 +36,7 @@ import numpy as np
 
 from .charts import AVector
 from .metric import christoffel, curvature, fiber_inner
-from .paths import (
-    APath,
-    FiberCurve,
-    _geodesics,
-    _interleave,
-    _linear_flow,
-    _rk4,
-    _uniform_step,
-    jacobi_solve,
-)
+from .paths import APath, _geodesics, _half_grid, _linear_flow, _rk4, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -152,7 +147,6 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     is re-verified and a warning is issued when the mesh is too coarse.
     """
     _check_mesh(grid)
-    _uniform_step(grid.ts)  # the midpoint interpolation has uniform weights
     beta0 = np.asarray(beta0, dtype=float)
     E, N = grid.shape
     if beta0.shape != (E, chart.r):
@@ -170,15 +164,13 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
         )
 
     # d beta/dt = d alpha/d eps + Q beta, Q^u_i = sum_j mu_j C_ij^u, on
-    # time-first (t, eps) tracks over the half grid
-    x = np.swapaxes(grid.x, 0, 1)
-    mu = np.swapaxes(grid.mu, 0, 1)
-    dmu_de = np.swapaxes(np.gradient(grid.mu, grid.eps, axis=0, edge_order=2), 0, 1)
-    C, _ = chart.eval_bracket(_interleave(x, _midpoint_interp(x)))
-    mus = _interleave(mu, _midpoint_interp(mu))
-    src = _interleave(dmu_de, _midpoint_interp(dmu_de))
-    Q = np.einsum("tej,teiju->teui", mus, C)
-    ys, _ = _linear_flow(Q, grid.ts, beta0, src)
+    # time-first (t, eps) tracks of (x, mu, d mu/d eps) over the half grid
+    dmu_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
+    rows = np.concatenate([np.swapaxes(a, 0, 1) for a in (grid.x, grid.mu, dmu_de)], axis=-1)
+    half = _half_grid(grid.ts, rows, np.gradient(rows, grid.ts, axis=0, edge_order=2))
+    x, mu, src = np.split(half, [chart.n, chart.n + chart.r], axis=-1)
+    C, _ = chart.eval_bracket(x)
+    ys = _linear_flow(np.einsum("tej,teiju->teui", mu, C), grid.ts, beta0, src)
     beta = np.ascontiguousarray(np.swapaxes(ys, 0, 1))
     out = replace(grid, beta=beta)
     post = out.transversality_residual(chart)
@@ -189,20 +181,6 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
             stacklevel=2,
         )
     return out
-
-
-def _midpoint_interp(values):
-    """Values at interval midpoints of a uniform grid, 4-point cubic
-    interpolation (3-point parabola at the end intervals)."""
-    v = values
-    mids = np.empty((len(v) - 1,) + v.shape[1:])
-    if len(v) >= 4:
-        mids[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
-        mids[0] = (3.0 * v[0] + 6.0 * v[1] - v[2]) / 8.0
-        mids[-1] = (3.0 * v[-1] + 6.0 * v[-2] - v[-3]) / 8.0
-    else:
-        mids[:] = 0.5 * (v[:-1] + v[1:])
-    return mids
 
 
 def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid):

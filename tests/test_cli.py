@@ -10,6 +10,7 @@ from algebroid import catalog
 from algebroid.chartfile import dumps_chart
 from algebroid.cli import _VERBS, CHECKS, main
 from algebroid.metric import MetricField
+from algebroid.sampling import sample_fiber
 
 
 def read_csv(path):
@@ -243,9 +244,11 @@ class TestOtherVerbs:
         assert report["check.dexp_vs_fd.pass"] == "true"
 
     def test_jacobi_on_a_coarse_path_fails_the_geodesic_check(self, tmp_path, capsys):
-        # at step 0.1 the sphere path misses the geodesic tolerance: the verb
-        # reports the failed check and writes an empty CSV
-        rc = main(["jacobi", "--catalog", "sphere_chart", "--step", "0.1", "--out", str(tmp_path)])
+        # at step 0.1 the sphere path from the seed's unscaled mu misses the
+        # geodesic tolerance: the verb reports the failed check and writes an
+        # empty CSV
+        mu = ",".join("%.17g" % v for v in sample_fiber(2, 1, 42, scale=0.5)[0])
+        rc = main(["jacobi", "--catalog", "sphere_chart", f"--mu={mu}", "--step", "0.1", "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == ""
@@ -485,32 +488,60 @@ def twisted_source(tmp_path):
 
 
 def test_variation_check_leaving_the_box_exits_1(tmp_path, capsys):
-    # the default seed's pencil leaves the small box of the twisted chart at
-    # t = 0.946: the domain exit is reported as a failed check, not a crash
+    # the default start fits the small box of the twisted chart; a given
+    # --mu is not rescaled, and this one's pencil leaves the box: the
+    # domain exit is reported as a failed check, not a crash
     source = twisted_source(tmp_path)
     rc = main(["variation-check", *source, "--out", str(tmp_path / "seed")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("check failed: trajectory left the chart domain")
-    pinned = ["--x", "1,1", "--mu", "0.2,0.1,0.3"]
-    rc = main(["variation-check", *source, *pinned, "--out", str(tmp_path / "pinned")])
     assert rc == 0
     assert "overall_pass=true" in capsys.readouterr().out.splitlines()
+    rc = main(["variation-check", *source, "--mu", "1,0.5,0", "--out", str(tmp_path / "given")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("check failed: trajectory left the chart domain")
+
+
+@pytest.mark.parametrize("verb", FLOW_VERBS)
+def test_a_given_mu_is_never_rescaled(verb, tmp_path, capsys):
+    # at the default seed the twisted chart scales the default mu by 0.15;
+    # the same mu given with --mu runs as given and leaves the box
+    source = twisted_source(tmp_path)
+    rc = main([verb, *source, "--out", str(tmp_path / "default")])
+    capsys.readouterr()
+    assert rc == 0
+    assert float(read_report(tmp_path / "default")["default_mu_scale"]) < 0.2
+    mu = ",".join("%.17g" % v for v in sample_fiber(3, 1, 42, scale=0.5)[0])
+    rc = main([verb, *source, f"--mu={mu}", "--out", str(tmp_path / "given")])
+    capsys.readouterr()
+    assert rc == 1
+    report = read_report(tmp_path / "given")
+    assert "default_mu_scale" not in report and "domain_exit_time" in report
+    if verb == "geodesic":
+        assert report["mu0"] == mu
+
+
+def test_a_start_outside_the_box_keeps_the_drawn_mu(tmp_path, capsys):
+    # there is no room to fit a mu into: the run exits the domain at its
+    # first node, and the CSV shows the mu drawn from the seed
+    rc = main(["exp", "--catalog", "sphere_chart", "--x", "5,0", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 1
+    report = read_report(tmp_path)
+    assert report["domain_exit_time"] == "0" and "default_mu_scale" not in report
+    row = read_csv(tmp_path / "exp.csv")[0]
+    assert [float(row["a1"]), float(row["a2"])] == sample_fiber(2, 1, 42, scale=0.5)[0].tolist()
 
 
 POINTWISE_VERBS = ["validate", "curvature", "oneill", "divergence", "hamcheck"]
 
 
-# every verb on every catalog chart and on the twisted chart; the flow
-# verbs start inside the twisted chart's small box, which the default
-# start leaves
+# every verb on every catalog chart and on the twisted chart, whose small
+# box the flow verbs' default start fits
 @pytest.mark.parametrize(
     "verb, name",
     [(v, n) for v in sorted(POINTWISE_VERBS + FLOW_VERBS) for n in catalog.names() + ["twisted"]],
 )
 def test_pointwise_verbs_pass_on_every_chart(verb, name, tmp_path, capsys):
     source = twisted_source(tmp_path) if name == "twisted" else ["--catalog", name]
-    if name == "twisted" and verb in FLOW_VERBS:
-        source += ["--x", "1,1", "--mu", "0.2,0.1,0.3"]
     rc = main([verb, *source, "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert rc == 0

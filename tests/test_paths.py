@@ -22,7 +22,7 @@ from algebroid.paths import (
     geodesic_residual,
     jacobi_solve,
     parallel_transport,
-    _interleave,
+    _half_grid,
     _linear_flow,
     _rk4,
     transport_frame,
@@ -385,8 +385,8 @@ class TestRK4Core:
         _rk4(f, np.linspace(0.0, 1.0, 4), np.zeros(2))
         # one evaluation at node 0, then midpoint twice and node twice per step
         assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
-        merged = _interleave(np.array([0.0, 1.0, 3.0]), [0.5, 2.0])
-        np.testing.assert_array_equal(merged, [0.0, 0.5, 1.0, 2.0, 3.0])
+        times = _half_grid_times(np.array([0.0, 1.0, 3.0]))
+        np.testing.assert_array_equal(times, [0.0, 0.5, 1.0, 2.0, 3.0])
 
 
     def test_bit_identical_to_the_per_stage_reference(self, sphere):
@@ -416,8 +416,9 @@ class TestRK4Core:
         np.testing.assert_array_equal(np.hstack([path.dxs, path.dmus]), ds)
 
 
-def _half_grid(ts):
-    return _interleave(ts, ts[:-1] + 0.5 * np.diff(ts))
+def _half_grid_times(ts):
+    """The half-grid times: a straight line is its own Hermite midpoint."""
+    return _half_grid(ts, ts, np.ones_like(ts))
 
 
 class TestLinearFlow:
@@ -434,7 +435,7 @@ class TestLinearFlow:
     def track(ts, rng, shape):
         """A smooth coefficient track A(t) = A0 + sin(3t) A1 + t^2 A2 on the half grid."""
         A0, A1, A2 = rng.normal(size=(3,) + shape)
-        t = _half_grid(ts).reshape((-1,) + (1,) * len(shape))
+        t = _half_grid_times(ts).reshape((-1,) + (1,) * len(shape))
         return A0 + np.sin(3.0 * t) * A1 + t**2 * A2
 
     @pytest.mark.parametrize("grid", GRIDS)
@@ -451,11 +452,10 @@ class TestLinearFlow:
         rhs = lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + c[j]
         cases.append((Q, rng.normal(size=(E, 3)), c, rhs))  # a batch with a source
         for A, y0, src, f in cases:
-            ys, ds = _linear_flow(A, ts, y0, src)
-            ref_ys, ref_ds = _rk4(f, ts, y0)
-            assert ys.shape == ref_ys.shape and ds.shape == ref_ds.shape
+            ys = _linear_flow(A, ts, y0, src)
+            ref_ys, _ = _rk4(f, ts, y0)
+            assert ys.shape == ref_ys.shape
             np.testing.assert_allclose(ys, ref_ys, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(ds, ref_ds, rtol=0, atol=1e-13)
 
     def test_matches_rk4_on_the_reversed_path_grid(self, sphere):
         chart, metric = sphere.chart, sphere.metric
@@ -463,8 +463,8 @@ class TestLinearFlow:
         back = path.reversed()
         L, _, _ = paths._transport_track(chart, metric, back)
         s0 = np.array([0.2, -0.7])
-        for got, ref in zip(_linear_flow(L, back.ts, s0), _rk4(lambda j, s: L[j] @ s, back.ts, s0)):
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        ref, _ = _rk4(lambda j, s: L[j] @ s, back.ts, s0)
+        np.testing.assert_allclose(_linear_flow(L, back.ts, s0), ref, rtol=0, atol=1e-13)
 
     def test_fourth_order(self, rng):
         A = TestRK4Core.A
@@ -474,7 +474,7 @@ class TestLinearFlow:
         errors = []
         for steps in (20, 40):
             ts = np.linspace(0.0, 2.0, steps + 1)
-            ys, _ = _linear_flow(np.broadcast_to(A, (2 * steps + 1, 3, 3)), ts, y0)
+            ys = _linear_flow(np.broadcast_to(A, (2 * steps + 1, 3, 3)), ts, y0)
             errors.append(np.max(np.abs(ys[-1] - flow @ y0)))
         assert 14.0 < errors[0] / errors[1] < 18.0
 
@@ -549,9 +549,8 @@ class TestCoefficientTracks:
     def test_transport_matches_per_stage_reference(self, flow_case):
         chart, metric, path, s0, _ = flow_case
         curve = parallel_transport(chart, metric, path, s0)
-        ys, ds = reference_transport(chart, metric, path, s0)
+        ys, _ = reference_transport(chart, metric, path, s0)
         assert np.max(np.abs(curve.values - ys)) <= 1e-12
-        assert np.max(np.abs(curve.dvalues - ds)) <= 1e-12
 
     def test_frame_matches_per_stage_reference(self, flow_case):
         chart, metric, path, _, _ = flow_case
@@ -561,10 +560,8 @@ class TestCoefficientTracks:
     def test_jacobi_matches_per_stage_reference(self, flow_case):
         chart, metric, path, beta0, dbeta0 = flow_case
         beta = jacobi_solve(chart, metric, path, beta0, dbeta0)
-        ys, ds = reference_jacobi(chart, metric, path, beta0, dbeta0)
-        r = chart.r
-        assert np.max(np.abs(beta.values - ys[:, :r])) <= 1e-12
-        assert np.max(np.abs(beta.dvalues - ds[:, :r])) <= 1e-12
+        ys, _ = reference_jacobi(chart, metric, path, beta0, dbeta0)
+        assert np.max(np.abs(beta.values - ys[:, : chart.r])) <= 1e-12
 
     def test_coefficients_evaluated_once(self, flow_case, monkeypatch):
         chart, metric, path, s0, dbeta0 = flow_case
@@ -583,12 +580,13 @@ class TestCoefficientTracks:
         monkeypatch.setattr(APath, "eval", counting("eval", APath.eval))
         parallel_transport(chart, metric, path, s0)
         transport_frame(chart, metric, path)
-        assert calls == {"christoffel": 2, "eval": 2}
+        # the half grid is read off the track's rows: no Hermite query
+        assert calls == {"christoffel": 2}
         calls.clear()
         jacobi_solve(chart, metric, path, np.zeros(chart.r), dbeta0)
         # one Gamma call of the geodesic check on the nodes, one on the track,
         # whose record forms dGamma once for R
-        assert calls == {"christoffel": 2, "dgamma": 1, "eval": 1}
+        assert calls == {"christoffel": 2, "dgamma": 1}
 
     def test_linear_flows_make_no_per_stage_calls(self, flow_case, monkeypatch):
         """Transport, the frame, Jacobi and the transverse solve step by
@@ -675,7 +673,7 @@ class TestOneTrackPath:
         ref = FourArrayPath(path)
         ts = path.ts
         inner = np.random.RandomState(2).uniform(ts[0], ts[-1], 50)
-        times = np.concatenate([_half_grid(ts), inner])
+        times = np.concatenate([_half_grid_times(ts), inner])
         for t in (times, 0.37):
             x, mu = path.eval(t)
             ref_x, ref_mu = ref.eval(t)
@@ -698,10 +696,21 @@ class TestOneTrackPath:
             return hermite(*args)
 
         monkeypatch.setattr(paths, "_hermite", counting)
-        path.eval(_half_grid(path.ts))
+        path.eval(_half_grid_times(path.ts))
         assert len(calls) == 1
         path.constraint_residual(chart)
         assert len(calls) == 2
+
+    def test_half_grid_is_the_hermite_midpoint(self, flow_case):
+        # what the linear flows read off the track: the nodes, and at the
+        # midpoints what `eval` gives there, on any grid
+        _, _, path, _, _ = flow_case
+        keep = np.r_[0:50, 50 : len(path.ts) : 2]
+        for alpha in (path, path.reversed(), APath(path.ts[keep], path.ys[keep], path.ds[keep], path.n)):
+            half = _half_grid(alpha.ts, alpha.ys, alpha.ds)
+            np.testing.assert_array_equal(half[::2], alpha.ys)
+            x, mu = alpha.eval(_half_grid_times(alpha.ts))
+            assert np.max(np.abs(half - np.hstack([x, mu]))) <= 1e-15 * np.max(np.abs(alpha.ys))
 
     def test_domain_exit_keeps_the_rows_before_the_failing_node(self, euclidean2):
         chart, metric, start = euclidean2.chart, euclidean2.metric, AVector([0, 0], [10.0, 0.0])
@@ -743,7 +752,7 @@ class TestBackwardFlows:
         np.testing.assert_array_equal(back.ts, -forth.ts)
         np.testing.assert_array_equal(back.xs, forth.xs)
         np.testing.assert_array_equal(back.mus, -forth.mus)
-        t = np.concatenate([_half_grid(forth.ts), np.random.RandomState(3).uniform(0, 1, 40)])
+        t = np.concatenate([_half_grid_times(forth.ts), np.random.RandomState(3).uniform(0, 1, 40)])
         x_back, mu_back = back.eval(-t)
         x_forth, mu_forth = forth.eval(t)
         np.testing.assert_array_equal(x_back, x_forth)

@@ -1,7 +1,15 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from algebroid import sampling
+from algebroid import catalog, sampling
+from algebroid.charts import AVector
+from algebroid.metric import MetricField
+from algebroid.paths import geodesic_integrate
 from algebroid.sampling import halton
 
 
@@ -36,3 +44,30 @@ def test_memoized_permutations_are_read_only():
     with pytest.raises(ValueError):
         perm[1] = 0
     assert sorted(perm) == list(range(5)) and perm[0] == 0
+
+
+@functools.cache
+def _perfbench_workloads():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["twisted"])
+def test_fit_to_box_keeps_the_geodesics_in_the_box(name, twisted_chart):
+    if name == "twisted":
+        chart, metric = twisted_chart, MetricField.identity(3, 2)
+    else:
+        chart, metric = catalog.get(name).chart, catalog.get(name).metric
+    xs, mus = sampling.sample_states(chart, 8, seed=42)
+    for span in (1.0, 2.5):
+        scale = sampling.fit_to_box(chart, metric, xs, mus, span)
+        assert np.all((0.0 < scale) & (scale <= 1.0))
+        # the bound perfbench keeps its own copy of, without the pencil spread
+        ref = _perfbench_workloads().fit_to_box(chart, metric, xs, mus, span)
+        assert scale.tobytes() == ref.tobytes()
+        for x, mu in zip(xs, scale[:, None] * mus):
+            geodesic_integrate(chart, metric, AVector(x, mu), (0.0, span), 1e-2)

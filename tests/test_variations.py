@@ -5,12 +5,11 @@ from algebroid import catalog, variations
 from algebroid.charts import AlgebroidChart, AVector
 from algebroid.expressions import EvalDomainError
 from algebroid.metric import MetricField, christoffel
-from algebroid.paths import DomainExitError, NonFiniteError, _rk4, geodesic_integrate
+from algebroid.paths import DomainExitError, NonFiniteError, _half_grid, _rk4, geodesic_integrate
 from algebroid.sampling import sample_box, sample_fiber
 from algebroid.variations import (
     HOMOTOPY_EPS,
     VariationGrid,
-    _midpoint_interp,
     anchor_of_grid,
     curvature_commutation_residual,
     delta,
@@ -168,20 +167,22 @@ class TestSolveTransverse:
         with pytest.raises(ValueError, match="transverse"):
             solve_transverse(sphere.chart, sphere.metric, grid, np.ones((5, 2)))
 
-    def test_non_uniform_time_grid_rejected(self, sphere):
-        # the midpoint interpolation has uniform weights: this pencil at
-        # t-step 1/200, kept at every node up to t = 0.5 and every second one
-        # after it, missed the fine solution at t = 1 by 2.4e-7, where a
-        # uniform grid twice as coarse misses it by 8.6e-11
+    def test_non_uniform_time_grid_accuracy(self, sphere):
+        # this pencil at t-step 1/200, kept at every node up to t = 0.5 and
+        # every second one after it, meets the solution on the full grid at
+        # t = 1 within 3.1e-11; a uniform grid twice as coarse misses it by
+        # 8.6e-11, and a midpoint rule with uniform weights by 2.4e-7
+        chart, metric = sphere.chart, sphere.metric
         a = AVector([1.2, 1.0], [0.3, 0.8])
         eps = np.linspace(-0.02, 0.02, 9)
-        grid = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.2, -0.1], eps, (0.0, 1.0), 1.0 / 200)
+        grid = make_geodesic_pencil(chart, metric, a, [0.2, -0.1], eps, (0.0, 1.0), 1.0 / 200)
         keep = np.r_[0:100, 100 : len(grid.ts) : 2]
         thinned = VariationGrid(eps=grid.eps, ts=grid.ts[keep], x=grid.x[:, keep], mu=grid.mu[:, keep])
-        with pytest.raises(ValueError, match="time grid is not uniform"):
-            solve_transverse(sphere.chart, sphere.metric, thinned, np.zeros((len(eps), 2)))
-        with pytest.raises(ValueError, match="time grid is not uniform"):
-            is_fixed_endpoint_homotopy(sphere.chart, sphere.metric, thinned)
+        zeros = np.zeros((len(eps), 2))
+        fine = solve_transverse(chart, metric, grid, zeros).beta[:, -1]
+        coarse = solve_transverse(chart, metric, thinned, zeros).beta[:, -1]
+        assert np.max(np.abs(coarse - fine)) < 1e-10
+        assert is_fixed_endpoint_homotopy(chart, metric, thinned) == (False, np.max(np.abs(coarse)))
 
 
 class TestCommutationIdentity:
@@ -435,10 +436,26 @@ class TestBatchedPencil:
         assert_same_failure(pencil_failure(chart, metric, a, u, [-2.5, 2.5], 5e-2), wall)
 
 
+def four_point_midpoints(values):
+    """Values at interval midpoints of a uniform grid, 4-point cubic
+    interpolation (3-point parabola at the end intervals); on 3 nodes the
+    linear midpoints."""
+    v = values
+    mids = np.empty((len(v) - 1,) + v.shape[1:])
+    if len(v) >= 4:
+        mids[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
+        mids[0] = (3.0 * v[0] + 6.0 * v[1] - v[2]) / 8.0
+        mids[-1] = (3.0 * v[-1] + 6.0 * v[-2] - v[-3]) / 8.0
+    else:
+        mids[:] = 0.5 * (v[:-1] + v[1:])
+    return mids
+
+
 def reference_transverse_row(chart, metric, ts, xs, mus, dmu_de, b0):
-    """One eps-row of the transverse solve, integrated on its own with
-    RK4 and Gamma sampled at the nodes and interpolated midpoints."""
-    xm, mum, dm = (_midpoint_interp(v) for v in (xs, mus, dmu_de))
+    """One eps-row of the transverse solve on a uniform grid, integrated on
+    its own with RK4 and Gamma sampled at the nodes and at 4-point cubic
+    midpoints."""
+    xm, mum, dm = (four_point_midpoints(v) for v in (xs, mus, dmu_de))
     gam_nodes = christoffel(chart, metric, xs).gamma
     gam_mids = christoffel(chart, metric, xm).gamma
 
@@ -591,3 +608,68 @@ class TestBatchedFlows:
         for old, new in zip(before, after):
             assert (old.dtype, old.shape, old.tobytes()) == (new.dtype, new.shape, new.tobytes())
         assert before[-1][0] == 1.0  # a fixed-endpoint homotopy, found as one
+
+
+class TestHalfGridMeshes:
+    """The transverse solve reads its coefficients off `paths._half_grid` of
+    the mesh rows, with `np.gradient` t-derivatives: the rule of
+    `VariationGrid.row_path`, on any time grid."""
+
+    @pytest.mark.parametrize("N", [4, 5, 41])
+    @pytest.mark.parametrize("span", [(0.0, 1.0), (1.0, -0.5)])
+    def test_half_grid_matches_the_four_point_cubic(self, N, span):
+        ts = np.linspace(*span, N)
+        rng = np.random.RandomState(N)
+        ys = 3.0 * np.sin(rng.uniform(0.5, 3.0, (1, 4, 2)) * ts[:, None, None] + rng.uniform(size=(1, 4, 2)))
+        half = _half_grid(ts, ys, np.gradient(ys, ts, axis=0, edge_order=2))
+        np.testing.assert_array_equal(half[::2], ys)
+        assert np.max(np.abs(half[1::2] - four_point_midpoints(ys))) <= 1e-15 * np.max(np.abs(ys))
+
+    def test_three_nodes_give_the_parabola(self):
+        # the old rule took linear midpoints on three nodes
+        ts = np.array([0.0, 0.5, 1.0])
+        q = lambda t: 1.0 - 2.0 * t + 3.0 * t**2
+        half = _half_grid(ts, q(ts), np.gradient(q(ts), ts, edge_order=2))
+        np.testing.assert_allclose(half, q(np.linspace(0.0, 1.0, 5)), rtol=0, atol=1e-15)
+        assert np.max(np.abs(half[1::2] - four_point_midpoints(q(ts)))) > 0.1
+
+    def test_transverse_solve_reads_each_row_paths_half_grid(self, chart_metric, monkeypatch):
+        chart, metric = chart_metric
+        a = AVector(chart.center(), 0.4 * np.linspace(1.0, -0.5, chart.r))
+        eps = np.linspace(-0.05, 0.05, 5)
+        grid = make_geodesic_pencil(chart, metric, a, np.linspace(0.3, -0.2, chart.r), eps, (0.0, 1.0), 1.0 / 40)
+        seen = []
+
+        def recording(ts, ys, ds):
+            seen.append(_half_grid(ts, ys, ds))
+            return seen[-1]
+
+        monkeypatch.setattr(variations, "_half_grid", recording)
+        solve_transverse(chart, metric, grid, np.zeros((len(eps), chart.r)))
+        (half,) = seen
+        width = chart.n + chart.r
+        for i in range(len(eps)):
+            row = grid.row_path(i)
+            np.testing.assert_array_equal(half[:, i, :width], _half_grid(row.ts, row.ys, row.ds))
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central", "aff2", "so3_biinv"])
+    def test_backward_mesh_mirrors_the_forward_mesh(self, name):
+        # the pencil from (x, mu) along u over [0, -1] is the one from
+        # (x, -mu) along -u over [0, 1] with mu negated, and the transverse
+        # family of both is the same, to the bit
+        entry = catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        x = sample_box(chart.domain, 1, seed=6, shrink=0.35)[0]
+        mu = sample_fiber(chart.r, 1, seed=6, scale=0.5)[0]
+        u = sample_fiber(chart.r, 1, seed=8, scale=0.5)[0]
+        eps = np.linspace(-0.02, 0.02, 5)
+        back = make_geodesic_pencil(chart, metric, AVector(x, mu), u, eps, (0.0, -1.0), 1.0 / 50)
+        forth = make_geodesic_pencil(chart, metric, AVector(x, -mu), -u, eps, (0.0, 1.0), 1.0 / 50)
+        np.testing.assert_array_equal(back.ts, -forth.ts)
+        np.testing.assert_array_equal(back.x, forth.x)
+        np.testing.assert_array_equal(back.mu, -forth.mu)
+        zeros = np.zeros((len(eps), chart.r))
+        beta_back = solve_transverse(chart, metric, back, zeros).beta
+        beta_forth = solve_transverse(chart, metric, forth, zeros).beta
+        assert beta_back.tobytes() == beta_forth.tobytes()
+        assert np.max(np.abs(beta_back)) > 1e-3
