@@ -275,6 +275,16 @@ def _half_grid(ts, ys, ds):
     return out
 
 
+def _quad(a, b, T):
+    """sum_ij a_i b_j T[..., i, j, :] for fiber arrays a, b (..., r) and T
+    (..., r, r, m): the outer product a b^T, flattened, times T with its
+    (i, j) pair flattened, as one matmul over the batch axes (which
+    broadcast)."""
+    r = T.shape[-2]
+    ab = a[..., :, None] * b[..., None, :]
+    return (ab.reshape(ab.shape[:-2] + (1, r * r)) @ T.reshape(T.shape[:-3] + (r * r, -1)))[..., 0, :]
+
+
 def _transport_track(chart, metric, alpha):
     """Transport operators L[j] s = -Gamma(alpha, s) on the half grid of
     alpha, with the fiber values of alpha there and the connection record
@@ -450,8 +460,7 @@ def derivative_along(chart, metric, alpha: APath, s: FiberCurve):
         raise ValueError("fiber curve grid does not match the path grid")
     sdot = _grid_derivative(s.values, alpha.ts)
     gamma = christoffel(chart, metric, alpha.xs).gamma
-    corr = np.einsum("ti,tj,tiju->tu", alpha.mus, s.values, gamma)
-    return FiberCurve(ts=alpha.ts, values=sdot + corr)
+    return FiberCurve(ts=alpha.ts, values=sdot + _quad(alpha.mus, s.values, gamma))
 
 
 def geodesic_residual(chart, metric, alpha: APath):
@@ -480,7 +489,9 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
         )
     r = alpha.r
     L, mu, ch = _transport_track(chart, metric, alpha)
-    K = np.einsum("tijkl,ti,tk->tlj", ch.R, mu, mu)
+    # K[l, j] = sum_ik mu_i mu_k R[i, j, k, l]: contract i, then k
+    Ri = (mu[:, None, :] @ ch.R.reshape(len(mu), r, -1)).reshape((len(mu),) + (r,) * 3)
+    K = (mu[:, None, None, :] @ Ri)[:, :, 0, :].swapaxes(-1, -2)
     ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
     ys = _linear_flow(ops, alpha.ts, y0)

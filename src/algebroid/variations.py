@@ -24,7 +24,16 @@ mesh rows with these differences as their t-derivatives (the rule of
 `VariationGrid.row_path`, so each eps-row gets what a flow along that
 row's A-path would) and carries all eps-rows through the precomputed
 step maps of `paths._linear_flow`; the nonlinear homotopy flow carries
-both eps-sides through the core `_rk4`.
+both eps-sides through the core `_rk4`, with B and C from one run of the
+chart's program per right side.
+
+Every mesh contraction is a single matmul over the mesh axes: the
+quadratic forms sum_ij a_i b_j T[..., i, j, :] (the defect's C(alpha,
+beta), the connection terms Gamma(alpha, s) and Gamma(beta, s), the
+homotopy's commutator, R(alpha, beta) as a matrix) flatten the outer
+product a b^T against T with `paths._quad`, and the anchor, the
+transverse coefficients and the metric pairings are batched
+vector-matrix products.
 """
 
 from __future__ import annotations
@@ -35,8 +44,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charts import AVector
+from .expressions import Program
 from .metric import christoffel, curvature, fiber_inner
-from .paths import APath, _geodesics, _half_grid, _linear_flow, _rk4, jacobi_solve
+from .paths import APath, _geodesics, _half_grid, _linear_flow, _quad, _rk4, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -128,13 +138,13 @@ def _defect(grid, C, rows=slice(None)):
     mu, beta = grid.mu[rows], grid.beta[rows]
     dbeta_dt = np.gradient(beta, grid.ts, axis=1, edge_order=2)
     dalpha_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)[rows]
-    return dbeta_dt - dalpha_de + np.einsum("eti,etj,etiju->etu", mu, beta, C)
+    return dbeta_dt - dalpha_de + _quad(mu, beta, C)
 
 
 def anchor_of_grid(chart, grid, values):
     """#(values) over the mesh for fiber arrays of shape (E, N, r)."""
     B, _ = chart.eval_anchor(grid.x)
-    return np.einsum("ets,etsi->eti", values, B)
+    return (values[..., None, :] @ B)[..., 0, :]
 
 
 def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid:
@@ -154,7 +164,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
 
     # precondition: #(beta0) matches the eps-derivative of the base at t0
     B0, _ = chart.eval_anchor(grid.x[:, 0])
-    push = np.einsum("es,esi->ei", beta0, B0)
+    push = (beta0[:, None, :] @ B0)[:, 0, :]
     dxde0 = np.gradient(grid.x[:, 0], grid.eps, axis=0, edge_order=2)
     pre = float(np.max(np.abs(push - dxde0)[1:-1]))
     if pre > TRANSVERSALITY_TOL:
@@ -170,7 +180,8 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     half = _half_grid(grid.ts, rows, np.gradient(rows, grid.ts, axis=0, edge_order=2))
     x, mu, src = np.split(half, [chart.n, chart.n + chart.r], axis=-1)
     C, _ = chart.eval_bracket(x)
-    ys = _linear_flow(np.einsum("tej,teiju->teui", mu, C), grid.ts, beta0, src)
+    Q = (mu[..., None, None, :] @ C)[..., 0, :].swapaxes(-1, -2)
+    ys = _linear_flow(Q, grid.ts, beta0, src)
     beta = np.ascontiguousarray(np.swapaxes(ys, 0, 1))
     out = replace(grid, beta=beta)
     post = out.transversality_residual(chart)
@@ -207,24 +218,23 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     if grid.beta is None:
         raise ValueError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
+    E, N = grid.shape
+    r = chart.r
+    if s.shape != (E, N, r):
+        raise ValueError(f"s must have shape (E, N, r) = ({E}, {N}, {r}), got {s.shape}")
     ch = christoffel(chart, metric, grid.x)
 
     def nabla_t(f):
-        return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
-            "eti,etj,etiju->etu", grid.mu, f, ch.gamma
-        )
+        return np.gradient(f, grid.ts, axis=1, edge_order=2) + _quad(grid.mu, f, ch.gamma)
 
     def nabla_e(f):
-        return np.gradient(f, grid.eps, axis=0, edge_order=2) + np.einsum(
-            "eti,etj,etiju->etu", grid.beta, f, ch.gamma
-        )
+        return np.gradient(f, grid.eps, axis=0, edge_order=2) + _quad(grid.beta, f, ch.gamma)
 
     lhs = nabla_t(nabla_e(s)) - nabla_e(nabla_t(s))
     R = curvature(chart, metric, grid.x)
-    d = _defect(grid, ch.C)
-    rhs = np.einsum("etijkl,eti,etj,etk->etl", R, grid.mu, grid.beta, s) + np.einsum(
-        "eti,etj,etiju->etu", d, s, ch.gamma
-    )
+    # R(alpha, beta) as a matrix [k, l] at every node, then applied to s
+    Rab = _quad(grid.mu, grid.beta, R.reshape((E, N, r, r, r * r))).reshape((E, N, r, r))
+    rhs = (s[..., None, :] @ Rab)[..., 0, :] + _quad(_defect(grid, ch.C), s, ch.gamma)
     core = (lhs - rhs)[2:-2, 2:-2]
     return float(np.max(np.abs(core)))
 
@@ -252,13 +262,14 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     row = slice(mid, mid + 1)
     mu, beta = grid.mu[row], grid.beta[row]
     ch = christoffel(chart, metric, grid.x[row])
-    Dt_alpha = np.gradient(mu, grid.ts, axis=1, edge_order=2) + np.einsum(
-        "eti,etj,etiju->etu", mu, mu, ch.gamma
-    )
-    pair_beta_alpha = np.einsum("etu,etuv,etv->et", beta, ch.G, mu)[0]
-    pair_beta_Dt = np.einsum("etu,etuv,etv->et", beta, ch.G, Dt_alpha)[0]
-    d = _defect(grid, ch.C, row)
-    pair_delta_alpha = np.einsum("etu,etuv,etv->et", d, ch.G, mu)[0]
+    Dt_alpha = np.gradient(mu, grid.ts, axis=1, edge_order=2) + _quad(mu, mu, ch.gamma)
+
+    def pairing(u, v):
+        return (u[..., None, :] @ ch.G @ v[..., None])[0, :, 0, 0]
+
+    pair_beta_alpha = pairing(beta, mu)
+    pair_beta_Dt = pairing(beta, Dt_alpha)
+    pair_delta_alpha = pairing(_defect(grid, ch.C, row), mu)
 
     boundary = pair_beta_alpha[-1] - pair_beta_alpha[0]
     rhs = boundary - _trapz(pair_beta_Dt, grid.ts) - _trapz(pair_delta_alpha, grid.ts)
@@ -340,6 +351,8 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
     side negated.  Returns a VariationGrid with beta filled in.
     """
     direction = np.asarray(direction, dtype=float)
+    if direction.shape != (chart.r,):
+        raise ValueError(f"direction must have shape (r,) = ({chart.r},)")
     ts = alpha0.ts
     snorm = (ts - ts[0]) / (ts[-1] - ts[0])
     profile = np.sin(np.pi * snorm)  # (N,)
@@ -350,14 +363,15 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
 
     n = chart.n
     sign = np.array([-1.0, 1.0])[:, None, None]
+    program = Program.of(chart)
 
     def flow_rhs(j, y):
-        """d/d|eps| of the (base row, fiber row) state of each side."""
+        """d/d|eps| of the (base row, fiber row) state of each side, from
+        one run of the chart's program for B and C."""
         X, M = y[..., :n], y[..., n:]
-        B, _ = chart.eval_anchor(X)
-        C, _ = chart.eval_bracket(X)
-        dX = np.einsum("ts,wtsi->wti", beta_row, B)
-        comm = np.einsum("wti,tj,wtiju->wtu", M, beta_row, C)
+        (B, _, _), (C, _, _) = program.run(X, (0, 0))
+        dX = (beta_row[:, None, :] @ B)[..., 0, :]
+        comm = _quad(M, beta_row, C)
         return sign * np.concatenate([dX, dbeta_dt + comm], axis=-1)
 
     knots = HOMOTOPY_EPS[len(HOMOTOPY_EPS) // 2 :]  # 0 and the positive rows

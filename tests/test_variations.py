@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from algebroid import catalog, variations
+from algebroid import catalog, paths, variations
 from algebroid.charts import AlgebroidChart, AVector
-from algebroid.expressions import EvalDomainError
-from algebroid.metric import MetricField, christoffel
-from algebroid.paths import DomainExitError, NonFiniteError, _half_grid, _rk4, geodesic_integrate
+from algebroid.expressions import EvalDomainError, Program
+from algebroid.metric import MetricField, christoffel, curvature
+from algebroid.paths import (
+    DomainExitError,
+    NonFiniteError,
+    _grid_derivative,
+    _half_grid,
+    _quad,
+    _rk4,
+    _transport_track,
+    derivative_along,
+    geodesic_integrate,
+    jacobi_solve,
+)
 from algebroid.sampling import sample_box, sample_fiber
 from algebroid.variations import (
+    HOMOTOPY_AMPLITUDE,
     HOMOTOPY_EPS,
     VariationGrid,
     anchor_of_grid,
@@ -220,6 +232,16 @@ class TestCommutationIdentity:
         grid = VariationGrid(eps, solved.ts[cols], solved.x[:, cols], solved.mu[:, cols], solved.beta[:, cols])
         with pytest.raises(ValueError, match="^mesh too coarse: need at least 5 nodes per direction$"):
             curvature_commutation_residual(sphere.chart, sphere.metric, grid, np.ones_like(grid.mu))
+
+    @pytest.mark.parametrize("shape", [(9, 41, 1), (9, 41, 3), (9, 40, 2), (41, 9, 2)])
+    def test_s_of_the_wrong_shape_is_rejected(self, sphere, shape):
+        # a size-1 fiber axis would broadcast like an all-ones mesh
+        a = AVector([1.2, 1.0], [0.35, 0.3])
+        eps = np.linspace(-0.05, 0.05, 9)
+        grid = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.4, -0.2], eps, (0.0, 1.0), 1.0 / 40)
+        solved = solve_transverse(sphere.chart, sphere.metric, grid, np.zeros((9, 2)))
+        with pytest.raises(ValueError, match=r"^s must have shape \(E, N, r\) = \(9, 41, 2\)"):
+            curvature_commutation_residual(sphere.chart, sphere.metric, solved, np.ones(shape))
 
     @pytest.mark.parametrize("name", ["heisenberg_central", "sphere_chart"])
     def test_second_order_convergence(self, name):
@@ -564,6 +586,39 @@ class TestBatchedFlows:
         assert runs == [{"shape": (2, len(path.ts), chart.n + chart.r), "rhs": 33}]
         assert grid.eps.tolist() == list(HOMOTOPY_EPS)
 
+    def test_homotopy_makes_one_chart_run_per_evaluation(self, chart_metric, monkeypatch):
+        # B and C come from one run of the chart's program per right side
+        chart, metric = chart_metric
+        a = AVector(chart.center(), 0.3 * np.ones(chart.r))
+        path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
+        program, run = Program.of(chart), Program.run
+        orders = []
+
+        def counting(self, points, asked):
+            if self is program:
+                orders.append(asked)
+            return run(self, points, asked)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("B or C evaluated on its own")
+
+        monkeypatch.setattr(Program, "run", counting)
+        monkeypatch.setattr(AlgebroidChart, "eval_anchor", refuse)
+        monkeypatch.setattr(AlgebroidChart, "eval_bracket", refuse)
+        make_fixed_endpoint_homotopy(chart, metric, path, np.linspace(1.0, 0.5, chart.r))
+        assert orders == [(0, 0)] * 33
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_direction_of_the_wrong_length_is_rejected(self, name, extra):
+        # a length-1 direction would broadcast against the r fiber axes
+        entry = catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        path = geodesic_integrate(chart, metric, AVector(chart.center(), 0.3 * np.ones(chart.r)), (0.0, 1.0), 1e-2)
+        direction = np.ones(1 if extra < 0 else chart.r + 1)
+        with pytest.raises(ValueError, match=rf"^direction must have shape \(r,\) = \({chart.r},\)$"):
+            make_fixed_endpoint_homotopy(chart, metric, path, direction)
+
     def test_homotopy_reflects_under_negated_direction(self, chart_metric):
         # flowing along -d is flowing along d in -eps: rows swap ends, beta flips
         chart, metric = chart_metric
@@ -673,3 +728,196 @@ class TestHalfGridMeshes:
         beta_forth = solve_transverse(chart, metric, forth, zeros).beta
         assert beta_back.tobytes() == beta_forth.tobytes()
         assert np.max(np.abs(beta_back)) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Matmul contractions against the einsum formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def assert_close(new, old, scale=None):
+    """|new - old| <= 1e-13 of `scale`, by default the oracle's largest entry."""
+    scale = np.max(np.abs(old)) if scale is None else scale
+    assert np.max(np.abs(np.asarray(new) - old)) <= 1e-13 * scale
+
+
+def defect_terms(grid, C, rows=slice(None)):
+    """d_t beta, d_eps alpha and C(alpha, beta) on the eps-rows `rows`."""
+    mu, beta = grid.mu[rows], grid.beta[rows]
+    return (
+        np.gradient(beta, grid.ts, axis=1, edge_order=2),
+        np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)[rows],
+        np.einsum("eti,etj,etiju->etu", mu, beta, C),
+    )
+
+
+def commutation_oracle(chart, metric, grid, s):
+    """The commutation residual by einsum, with the largest of its terms."""
+    ch = christoffel(chart, metric, grid.x)
+
+    def nabla_t(f):
+        return np.gradient(f, grid.ts, axis=1, edge_order=2) + np.einsum(
+            "eti,etj,etiju->etu", grid.mu, f, ch.gamma
+        )
+
+    def nabla_e(f):
+        return np.gradient(f, grid.eps, axis=0, edge_order=2) + np.einsum(
+            "eti,etj,etiju->etu", grid.beta, f, ch.gamma
+        )
+
+    te, et = nabla_t(nabla_e(s)), nabla_e(nabla_t(s))
+    dbeta_dt, dalpha_de, quad = defect_terms(grid, ch.C)
+    R = curvature(chart, metric, grid.x)
+    rterm = np.einsum("etijkl,eti,etj,etk->etl", R, grid.mu, grid.beta, s)
+    dterm = np.einsum("eti,etj,etiju->etu", dbeta_dt - dalpha_de + quad, s, ch.gamma)
+    core = ((te - et) - (rterm + dterm))[2:-2, 2:-2]
+    return float(np.max(np.abs(core))), max(np.max(np.abs(a)) for a in (te, et, rterm, dterm))
+
+
+def first_variation_oracle(chart, metric, grid):
+    """The first-variation residual by einsum, with the largest of its terms."""
+    dE = np.gradient(row_energies(chart, metric, grid), grid.eps, edge_order=2)
+    mid = len(grid.eps) // 2
+    row = slice(mid, mid + 1)
+    mu, beta = grid.mu[row], grid.beta[row]
+    ch = christoffel(chart, metric, grid.x[row])
+    Dt_alpha = np.gradient(mu, grid.ts, axis=1, edge_order=2) + np.einsum(
+        "eti,etj,etiju->etu", mu, mu, ch.gamma
+    )
+    pair_beta_alpha = np.einsum("etu,etuv,etv->et", beta, ch.G, mu)[0]
+    pair_beta_Dt = np.einsum("etu,etuv,etv->et", beta, ch.G, Dt_alpha)[0]
+    dbeta_dt, dalpha_de, quad = defect_terms(grid, ch.C, row)
+    pair_delta_alpha = np.einsum("etu,etuv,etv->et", dbeta_dt - dalpha_de + quad, ch.G, mu)[0]
+    boundary = pair_beta_alpha[-1] - pair_beta_alpha[0]
+    rhs = boundary - variations._trapz(pair_beta_Dt, grid.ts) - variations._trapz(pair_delta_alpha, grid.ts)
+    pairs = (pair_beta_alpha, pair_beta_Dt, pair_delta_alpha)
+    return float(abs(dE[mid] - rhs)), max([abs(dE[mid])] + [np.max(np.abs(p)) for p in pairs])
+
+
+def spy(monkeypatch, module, name):
+    """Replace module.name by a pass-through that records its arguments."""
+    calls, real = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+ORACLE_CHARTS = sorted(catalog.names()) + ["twisted"]
+
+
+@pytest.fixture(params=ORACLE_CHARTS)
+def oracle_case(request):
+    """A chart, its metric, a 5 x 21 geodesic pencil with its transverse
+    family, a fiber mesh s on it, and the geodesic of its middle row."""
+    if request.param == "twisted":
+        chart, metric = request.getfixturevalue("twisted_chart"), MetricField.identity(3, 2)
+    else:
+        entry = catalog.get(request.param)
+        chart, metric = entry.chart, entry.metric
+    a = AVector(chart.center(), 0.4 * np.linspace(1.0, -0.5, chart.r))
+    eps = np.linspace(-0.05, 0.05, 5)
+    grid = make_geodesic_pencil(chart, metric, a, np.linspace(0.3, -0.2, chart.r), eps, (0.0, 1.0), 1.0 / 20)
+    solved = solve_transverse(chart, metric, grid, np.zeros((len(eps), chart.r)))
+    tt, ee = np.meshgrid(grid.ts, eps)
+    s = np.stack([np.sin(1 + 0.7 * k + tt + 0.5 * ee) for k in range(chart.r)], axis=-1)
+    path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
+    return chart, metric, solved, s, path
+
+
+class TestMatmulContractions:
+    """Every mesh and path contraction that was a multi-operand einsum is a
+    matmul now; each is held to the einsum it replaced, on full meshes and
+    on single rows."""
+
+    def test_quad_on_the_mesh_operands(self, oracle_case):
+        chart, metric, grid, s, _ = oracle_case
+        ch = christoffel(chart, metric, grid.x)
+        for a, b, T in [(grid.mu, s, ch.gamma), (grid.beta, s, ch.gamma), (grid.mu, grid.beta, ch.C), (grid.mu, grid.mu, ch.gamma)]:
+            assert_close(_quad(a, b, T), np.einsum("eti,etj,etiju->etu", a, b, T))
+            for i in range(len(grid.eps)):
+                assert_close(_quad(a[i], b[i], T[i]), np.einsum("ti,tj,tiju->tu", a[i], b[i], T[i]))
+        # the homotopy's two eps-sides against one shared transverse row
+        M, beta_row, C = grid.mu[:2], grid.beta[2], ch.C[:2]
+        assert_close(_quad(M, beta_row, C), np.einsum("wti,tj,wtiju->wtu", M, beta_row, C))
+
+    def test_defect(self, oracle_case):
+        chart, _, grid, _, _ = oracle_case
+        C, _ = chart.eval_bracket(grid.x)
+        terms = defect_terms(grid, C)
+        scale = max(np.max(np.abs(t)) for t in terms)
+        assert_close(delta(chart, None, grid), terms[0] - terms[1] + terms[2], scale)
+        mid = len(grid.eps) // 2
+        row = slice(mid, mid + 1)
+        terms = defect_terms(grid, C[row], row)
+        assert_close(variations._defect(grid, C[row], row), terms[0] - terms[1] + terms[2], scale)
+
+    def test_anchor_of_grid(self, oracle_case):
+        chart, _, grid, _, _ = oracle_case
+        B, _ = chart.eval_anchor(grid.x)
+        for values in (grid.mu, grid.beta):
+            assert_close(anchor_of_grid(chart, grid, values), np.einsum("ets,etsi->eti", values, B))
+            row = VariationGrid(grid.eps[:1], grid.ts, grid.x[:1], grid.mu[:1])
+            assert_close(anchor_of_grid(chart, row, values[:1]), np.einsum("ets,etsi->eti", values[:1], B[:1]))
+
+    def test_transverse_coefficients(self, oracle_case, monkeypatch):
+        chart, metric, grid, _, _ = oracle_case
+        flows = spy(monkeypatch, variations, "_linear_flow")
+        solve_transverse(chart, metric, grid, np.zeros((len(grid.eps), chart.r)))
+        [(Q, *_)] = flows
+        dmu_de = np.gradient(grid.mu, grid.eps, axis=0, edge_order=2)
+        rows = np.concatenate([np.swapaxes(a, 0, 1) for a in (grid.x, grid.mu, dmu_de)], axis=-1)
+        half = _half_grid(grid.ts, rows, np.gradient(rows, grid.ts, axis=0, edge_order=2))
+        x, mu = half[..., : chart.n], half[..., chart.n : chart.n + chart.r]
+        C, _ = chart.eval_bracket(x)
+        assert_close(Q, np.einsum("tej,teiju->teui", mu, C))
+
+    def test_commutation_residual(self, oracle_case):
+        chart, metric, grid, s, _ = oracle_case
+        residual, scale = commutation_oracle(chart, metric, grid, s)
+        assert_close(curvature_commutation_residual(chart, metric, grid, s), residual, scale)
+
+    def test_first_variation_residual(self, oracle_case):
+        chart, metric, grid, _, _ = oracle_case
+        residual, scale = first_variation_oracle(chart, metric, grid)
+        assert_close(first_variation_residual(chart, metric, grid), residual, scale)
+
+    def test_homotopy_right_side(self, oracle_case, monkeypatch):
+        chart, metric, _, _, path = oracle_case
+        direction = np.linspace(1.0, 0.5, chart.r)
+        runs = spy(monkeypatch, variations, "_rk4")
+        make_fixed_endpoint_homotopy(chart, metric, path, direction)
+        [(flow_rhs, _, y0)] = runs
+        ts = path.ts
+        snorm = (ts - ts[0]) / (ts[-1] - ts[0])
+        beta_row = HOMOTOPY_AMPLITUDE * np.sin(np.pi * snorm)[:, None] * direction
+        dbeta_dt = HOMOTOPY_AMPLITUDE * (np.pi / (ts[-1] - ts[0])) * np.cos(np.pi * snorm)[:, None] * direction
+        y = y0 + 1e-3 * np.cos(np.arange(y0.size)).reshape(y0.shape)
+        X, M = y[..., : chart.n], y[..., chart.n :]
+        B, _ = chart.eval_anchor(X)
+        C, _ = chart.eval_bracket(X)
+        dX = np.einsum("ts,wtsi->wti", beta_row, B)
+        comm = np.einsum("wti,tj,wtiju->wtu", M, beta_row, C)
+        sign = np.array([-1.0, 1.0])[:, None, None]
+        assert_close(flow_rhs(1, y), sign * np.concatenate([dX, dbeta_dt + comm], axis=-1))
+
+    def test_jacobi_operator(self, oracle_case, monkeypatch):
+        chart, metric, _, _, path = oracle_case
+        r = chart.r
+        flows = spy(monkeypatch, paths, "_linear_flow")
+        jacobi_solve(chart, metric, path, np.zeros(r), np.linspace(0.3, -0.2, r))
+        [(ops, *_)] = flows
+        _, mu, ch = _transport_track(chart, metric, path)
+        assert_close(ops[:, r:, :r], np.einsum("tijkl,ti,tk->tlj", ch.R, mu, mu))
+
+    def test_derivative_along(self, oracle_case):
+        chart, metric, _, _, path = oracle_case
+        values = np.sin(path.ts[:, None] + np.arange(chart.r))
+        gamma = christoffel(chart, metric, path.xs).gamma
+        corr = np.einsum("ti,tj,tiju->tu", path.mus, values, gamma)
+        sdot = _grid_derivative(values, path.ts)
+        new = derivative_along(chart, metric, path, paths.FiberCurve(path.ts, values))
+        assert_close(new.values, sdot + corr, max(np.max(np.abs(sdot)), np.max(np.abs(corr))))
