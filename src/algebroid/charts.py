@@ -112,8 +112,8 @@ class AlgebroidChart:
         if domain is None:
             domain = [(-1.0, 1.0)] * n
         dom = np.asarray(domain, dtype=float)
-        if dom.shape != (n, 2) or np.any(dom[:, 0] >= dom[:, 1]):
-            raise ChartError("domain must be n pairs lo < hi")
+        if dom.shape != (n, 2) or not np.all(np.isfinite(dom)) or np.any(dom[:, 0] >= dom[:, 1]):
+            raise ChartError("domain must be n pairs of finite lo < hi")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "b", tuple(rows))

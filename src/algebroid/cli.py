@@ -565,27 +565,30 @@ _VERBS = {
 }
 
 
+# built once: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="algebroid",
+    description="Numerical Riemannian geometry on Lie algebroid charts.",
+)
+_PARSER.add_argument("verb", choices=_VERBS)
+_PARSER.add_argument("--chart", help="chart file to load")
+_PARSER.add_argument("--catalog", help="built-in catalog entry name")
+_PARSER.add_argument("--seed", type=int, default=42)
+_PARSER.add_argument("--out", default="algebroid_out", help="output directory")
+_PARSER.add_argument("--samples", type=int, default=None)
+_PARSER.add_argument("--step", type=float, default=None)
+_PARSER.add_argument("--tol", type=float, default=None, help="replace the tolerance of the checks marked so in the check table")
+_PARSER.add_argument("--x", help="base point, comma separated")
+_PARSER.add_argument("--mu", help="fiber vector, comma separated")
+_PARSER.add_argument("--s0", help="transported vector (transport verb)")
+_PARSER.add_argument("--beta0", help="initial Jacobi value (jacobi verb)")
+_PARSER.add_argument("--dbeta0", help="initial Jacobi derivative (jacobi verb)")
+_PARSER.add_argument("--t1", type=float, default=None, help="integration end time (default 1)")
+_PARSER.add_argument("--name", help="catalog entry to write (catalog verb)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="algebroid",
-        description="Numerical Riemannian geometry on Lie algebroid charts.",
-    )
-    parser.add_argument("verb", choices=_VERBS)
-    parser.add_argument("--chart", help="chart file to load")
-    parser.add_argument("--catalog", help="built-in catalog entry name")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", default="algebroid_out", help="output directory")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--step", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None, help="replace the tolerance of the checks marked so in the check table")
-    parser.add_argument("--x", help="base point, comma separated")
-    parser.add_argument("--mu", help="fiber vector, comma separated")
-    parser.add_argument("--s0", help="transported vector (transport verb)")
-    parser.add_argument("--beta0", help="initial Jacobi value (jacobi verb)")
-    parser.add_argument("--dbeta0", help="initial Jacobi derivative (jacobi verb)")
-    parser.add_argument("--t1", type=float, default=None, help="integration end time (default 1)")
-    parser.add_argument("--name", help="catalog entry to write (catalog verb)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -35,6 +35,8 @@ non-constant metric is evaluated and SPD-checked at every point asked for,
 and the derivatives of g it computes there must be finite.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
 independent check of the evaluator.
+`paths`, `variations`, `splitting` and `covariant_derivative` contract
+fibers through the two matmul forms here, `_quad` and `_g_dot`.
 """
 
 from __future__ import annotations
@@ -429,14 +431,29 @@ def christoffel(chart, metric, x) -> Christoffel:
     return ev.christoffel(x)
 
 
+def _quad(a, b, T):
+    """sum_ij a_i b_j T[..., i, j, :] for fiber arrays a, b (..., r) and T
+    (..., r, r, m): the outer product a b^T, flattened, times T with its
+    (i, j) pair flattened, as one matmul over the batch axes (which
+    broadcast)."""
+    r = T.shape[-2]
+    ab = a[..., :, None] * b[..., None, :]
+    return (ab.reshape(ab.shape[:-2] + (1, r * r)) @ T.reshape(T.shape[:-3] + (r * r, -1)))[..., 0, :]
+
+
+def _g_dot(u, G, w):
+    """u^T G w over leading batch axes (which broadcast): u, w (..., r),
+    G (..., r, r)."""
+    return (u[..., None, :] @ G @ w[..., :, None])[..., 0, 0]
+
+
 def covariant_derivative(chart, metric, f: SectionField, g: SectionField, x):
     """(D_f g)^u = sum_{s,t} f_s g_t Gamma_{st}^u + #(f)(g_u) at x."""
     fv, _ = f.eval_raw(x)
     gv, gg = g.eval_raw(x, order=1)
     ch = christoffel(chart, metric, x)
-    return np.einsum("...s,...t,...stu->...u", fv, gv, ch.gamma) + np.einsum(
-        "...s,...si,...ui->...u", fv, ch.B, gg
-    )
+    push = fv[..., None, :] @ ch.B  # #(f) as a row, (..., 1, n)
+    return _quad(fv, gv, ch.gamma) + (gg @ push.swapaxes(-1, -2))[..., 0]
 
 
 def curvature(chart, metric, x):
@@ -489,9 +506,7 @@ def _sectional_of(ch, a, b):
     whose Gram determinant is at most GRAM_FLOOR <a,a><b,b> is rejected as
     dependent before R is formed."""
     G, a, b = ch.G, np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    aa = np.einsum("...i,...ij,...j->...", a, G, a)
-    bb = np.einsum("...i,...ij,...j->...", b, G, b)
-    ab = np.einsum("...i,...ij,...j->...", a, G, b)
+    aa, bb, ab = _g_dot(a, G, a), _g_dot(b, G, b), _g_dot(a, G, b)
     gram = aa * bb - ab * ab
     dependent = gram <= GRAM_FLOOR * aa * bb
     if np.any(dependent):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import christoffel, fiber_inner
+from .metric import _quad, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -273,16 +273,6 @@ def _half_grid(ts, ys, ds):
     out[0::2] = ys
     out[1::2] = 0.5 * ys[:-1] + q * ds[:-1] + 0.5 * ys[1:] - q * ds[1:]
     return out
-
-
-def _quad(a, b, T):
-    """sum_ij a_i b_j T[..., i, j, :] for fiber arrays a, b (..., r) and T
-    (..., r, r, m): the outer product a b^T, flattened, times T with its
-    (i, j) pair flattened, as one matmul over the batch axes (which
-    broadcast)."""
-    r = T.shape[-2]
-    ab = a[..., :, None] * b[..., None, :]
-    return (ab.reshape(ab.shape[:-2] + (1, r * r)) @ T.reshape(T.shape[:-3] + (r * r, -1)))[..., 0, :]
 
 
 def _transport_track(chart, metric, alpha):

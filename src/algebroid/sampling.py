@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["halton", "sample_box", "sample_fiber", "sample_states", "fit_to_box"]
+__all__ = ["halton", "sample_box", "sample_fiber", "sample_states", "fit_to_box", "AnchorError"]
 
 _PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -21,6 +21,10 @@ _PRIMES = [
 ]
 
 BALL_SAMPLES = 32  # points per start when `fit_to_box` bounds the base speed
+
+
+class AnchorError(ValueError):
+    """Anchor not finite where a bound needs it."""
 
 
 @functools.lru_cache(maxsize=1024)
@@ -97,6 +101,8 @@ def fit_to_box(chart, metric, xs, mus, span):
     nearest face), the path cannot reach the sub-box border before
     rho / (K |mu|_g); the fiber vector is scaled down until that is at
     least `span`.  K is sampled, not bounded, so this is no proof.
+    Raises AnchorError, naming the first such point, where b b^T is not
+    finite (the anchor, or its square, overflows).
     """
     lo, hi = chart.domain[:, 0], chart.domain[:, 1]
     rho = 0.5 * np.min(np.minimum(xs - lo, hi - xs), axis=1)
@@ -104,7 +110,11 @@ def fit_to_box(chart, metric, xs, mus, span):
     pts = xs[:, None, :] + rho[:, None, None] * offsets[None]
     B, _ = chart.eval_anchor(pts)
     G, _, _ = metric.eval(pts)
-    M = np.linalg.solve(G, np.einsum("...si,...ti->...st", B, B))
+    BBt = np.einsum("...si,...ti->...st", B, B)
+    bad = ~np.isfinite(BBt).all(axis=(-2, -1))
+    if np.any(bad):
+        raise AnchorError(f"anchor product b b^T not finite at x={pts[bad][0]}")
+    M = np.linalg.solve(G, BBt)
     K = np.max(np.sqrt(np.max(np.real(np.linalg.eigvals(M)), axis=-1)), axis=1)
     G0, _, _ = metric.eval(xs)
     norm = np.sqrt(np.einsum("ks,kst,kt->k", mus, G0, mus))

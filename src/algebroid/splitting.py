@@ -34,10 +34,13 @@ frame vectors in one contraction of Gamma; both O'Neill checks take those
 tensors, so one frame at a point serves all its identities (the mixed one
 adds the frames at its 2n finite-difference points).
 
-`horizontal_lift` and `leaf_metric` go through the split frame, which also
-serves foliations; `leaf_metric_matrix` is the closed form (b^T g^-1 b)^-1
-on transitive charts, and the horizontal identity's classical leaf
-curvature differentiates it on one grid of points.
+`horizontal_lift`, `connector` and `leaf_metric` each split at their
+point, which also serves foliations.  Fiber contractions go through
+`metric._quad` (Gamma(a, b), C(a, b)) and `metric._g_dot` (pairings).  The
+independent routes keep their own code: `leaf_metric_matrix`, the closed
+form (b^T g^-1 b)^-1 on transitive charts; `_classical_leaf_curvature`,
+which differentiates it on one grid of points; `_vertical_algebra_curvature`
+and `divergence_fd_lie_algebra`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import Christoffel, _sectional_of, christoffel
+from .metric import Christoffel, _g_dot, _quad, _sectional_of, christoffel
 from .paths import geodesic_rhs
 
 __all__ = [
@@ -117,10 +120,7 @@ class SplitFrame:
         return self.vertical.shape[-2]
 
     def _project(self, rows, mu):
-        mu = np.asarray(mu, dtype=float)
-        if rows.shape[-2] == 0:
-            return np.zeros(np.broadcast_shapes(mu.shape, self.G.shape[:-1]))
-        coef = rows @ (self.G @ mu[..., None])
+        coef = rows @ (self.G @ np.asarray(mu, dtype=float)[..., None])
         return (coef.swapaxes(-1, -2) @ rows)[..., 0, :]
 
     def project_vertical(self, mu):
@@ -128,11 +128,6 @@ class SplitFrame:
 
     def project_horizontal(self, mu):
         return self._project(self.horizontal, mu)
-
-
-def _g_dot(u, G, w):
-    """u^T G w over leading batch axes: u, w (..., r), G (..., r, r)."""
-    return (u[..., None, :] @ G @ w[..., :, None])[..., 0, 0]
 
 
 def _g_orthonormalize(rows, G):
@@ -209,11 +204,6 @@ class OneillTensors:
     HH: np.ndarray
 
 
-def _pointwise_D(gamma, a, b):
-    """Covariant derivative of constant extensions: (D_a b)^u = a^s b^t G_st^u."""
-    return np.einsum("...s,...t,...stu->...u", a, b, gamma)
-
-
 def _oneill_apply(frame, a, b, project_a):
     """(D_a' b^v)^h + (D_a' b^h)^v with a' = project_a(a), for fiber vectors
     a, b (..., r): T_a b when project_a is frame.project_vertical, H_a b
@@ -221,8 +211,8 @@ def _oneill_apply(frame, a, b, project_a):
     a = project_a(a)
     bv = frame.project_vertical(b)
     bh = frame.project_horizontal(b)
-    return frame.project_horizontal(_pointwise_D(frame.gamma, a, bv)) + frame.project_vertical(
-        _pointwise_D(frame.gamma, a, bh)
+    return frame.project_horizontal(_quad(a, bv, frame.gamma)) + frame.project_vertical(
+        _quad(a, bh, frame.gamma)
     )
 
 
@@ -238,21 +228,12 @@ def oneill_H_apply(chart, metric, x, a, b):
     return _oneill_apply(frame, a, b, frame.project_horizontal)
 
 
-def _pairs(A, B):
-    """Rows of A and B laid out over all pairs: (a, b) with a[i, j] = A[i]
-    and b[i, j] = B[j], shape (len(A), len(B), r)."""
-    return (
-        np.repeat(A[:, None, :], len(B), axis=1),
-        np.repeat(B[None, :, :], len(A), axis=0),
-    )
-
-
 def oneill_tensors(chart, metric, x) -> OneillTensors:
     """T and H on the split frame at x, each applied to every pair of frame
     vectors in one batched contraction of Gamma."""
     frame = split(chart, metric, x)
     basis = np.vstack([frame.vertical, frame.horizontal])
-    a, b = _pairs(basis, basis)
+    a, b = basis[:, None], basis[None]
     TT = _oneill_apply(frame, a, b, frame.project_vertical)
     HH = _oneill_apply(frame, a, b, frame.project_horizontal)
 
@@ -278,7 +259,7 @@ def oneill_identity_residuals(tensors: OneillTensors):
     p = frame.vertical_dim
     V, Hb = frame.vertical, frame.horizontal
     Tvv, Hhh = TT[:p, :p], HH[p:, p:]  # T_u v and H_h1 h2
-    half_bracket = 0.5 * frame.project_vertical(_pointwise_D(frame.C, *_pairs(Hb, Hb)))
+    half_bracket = 0.5 * frame.project_vertical(_quad(Hb[:, None], Hb[None], frame.C))
 
     def pair(X, Y):
         """<X[i, j], Y[k]> over all (i, j, k)."""
@@ -293,7 +274,7 @@ def oneill_identity_residuals(tensors: OneillTensors):
         "H_skew_adjoint": _worst(pair(Hhh, V) + pair(HH[p:, :p], Hb).swapaxes(1, 2)),
         "H_half_bracket": _worst(Hhh - half_bracket),
         "T_vertical_D_part": _worst(
-            frame.project_horizontal(_pointwise_D(frame.gamma, *_pairs(V, V))) - Tvv
+            frame.project_horizontal(_quad(V[:, None], V[None], frame.gamma)) - Tvv
         ),
     }
 
@@ -346,7 +327,7 @@ def _divergence_rows(chart, metric, xs, mus):
         tr = 0.0
         N = np.zeros(ah.shape)
         for vk in np.moveaxis(frame.vertical, -2, 0):
-            w = np.einsum("...s,...t,...stu->...u", av, vk, frame.C)
+            w = _quad(av, vk, frame.C)
             push = np.max(np.abs(np.einsum("...u,...ui->...i", w, frame.B)), axis=-1)
             first = (push > KERNEL_TOL) & np.isnan(leak[rows])
             leak[rows[first]] = push[first]
@@ -398,10 +379,10 @@ def divergence_fd_lie_algebra(chart, metric, v: AVector):
 # ---------------------------------------------------------------------------
 
 
-def horizontal_lift(chart, metric, x, u, frame=None):
+def horizontal_lift(chart, metric, x, u):
     """The horizontal fiber vector alpha with #(alpha) = u; errors if u is
     not tangent to the leaf at x."""
-    frame = frame or split(chart, metric, x)
+    frame = split(chart, metric, x)
     u = np.asarray(u, dtype=float)
     A = frame.B.T  # (n, r)
     if frame.q == 0:
@@ -418,47 +399,37 @@ def horizontal_lift(chart, metric, x, u, frame=None):
     return coef @ frame.horizontal
 
 
-def connector(chart, metric, a: AVector, Z, frame=None):
+def connector(chart, metric, a: AVector, Z):
     """K(Z) for a tangent vector Z = (dx, dmu) at the fiber point a.
 
     K(Z)^l = Z^l + sum_{i,j} alpha_i mu_j Gamma_{ij}^l with alpha the
     horizontal lift of the base component of Z.
     """
     dx, dmu = Z
-    frame = frame or split(chart, metric, a.x)
-    alpha = horizontal_lift(chart, metric, a.x, dx, frame=frame)
-    return np.asarray(dmu, float) + np.einsum("i,j,ijl->l", alpha, a.mu, frame.gamma)
+    alpha = horizontal_lift(chart, metric, a.x, dx)
+    gamma = split(chart, metric, a.x).gamma
+    return np.asarray(dmu, float) + _quad(alpha, np.asarray(a.mu, float), gamma)
 
 
-def _require_sasaki_support(chart, metric, x):
-    frame = split(chart, metric, x)
+def sasaki_metric(chart, metric, a: AVector, Z1, Z2):
+    """g_Sasaki(Z1, Z2) = <dp Z1, dp Z2>_leaf + <K(Z1), K(Z2)>."""
+    frame = split(chart, metric, a.x)
     if frame.q not in (0, chart.n):
         raise SplitError(
             "Sasaki-metric operations support transitive charts and "
             f"zero-anchor charts only (anchor rank {frame.q} of base dim {chart.n})"
         )
-    return frame
-
-
-def sasaki_metric(chart, metric, a: AVector, Z1, Z2):
-    """g_Sasaki(Z1, Z2) = <dp Z1, dp Z2>_leaf + <K(Z1), K(Z2)>."""
-    x = np.asarray(a.x, float)
-    frame = _require_sasaki_support(chart, metric, x)
-    K1 = connector(chart, metric, a, Z1, frame=frame)
-    K2 = connector(chart, metric, a, Z2, frame=frame)
-    fiber_part = float(K1 @ frame.G @ K2)
+    K1, K2 = (connector(chart, metric, a, Z) for Z in (Z1, Z2))
+    fiber_part = float(_g_dot(K1, frame.G, K2))
     if frame.q == 0:
         return fiber_part
-    base_part = leaf_metric(chart, metric, x, Z1[0], Z2[0], frame=frame)
-    return base_part + fiber_part
+    return leaf_metric(chart, metric, a.x, Z1[0], Z2[0]) + fiber_part
 
 
-def leaf_metric(chart, metric, x, u, v, frame=None):
+def leaf_metric(chart, metric, x, u, v):
     """<u, v>_leaf: pull base vectors back through the restricted anchor."""
-    frame = frame or split(chart, metric, x)
-    lu = horizontal_lift(chart, metric, x, u, frame=frame)
-    lv = horizontal_lift(chart, metric, x, v, frame=frame)
-    return float(lu @ frame.G @ lv)
+    lu, lv = (horizontal_lift(chart, metric, x, w) for w in (u, v))
+    return float(_g_dot(lu, split(chart, metric, x).G, lv))
 
 
 def leaf_metric_matrix(chart, metric, x):
@@ -511,12 +482,14 @@ _FD_WEIGHTS = np.array([[0, 0, 1, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1
 
 
 def _classical_leaf_curvature(chart, metric, x):
-    """Leaf metric G0 and its curvature R at x, classical route.
+    """Sectional curvature of the leaf metric at x, classical route: the
+    function Kleaf(u, v) of base vectors u, v (P, n) tangent to the leaf.
 
     One `leaf_metric_matrix` call covers the grid x + h k, k in {-2..2}^n,
     h = LEAF_FD_STEP; fourth-order central differences on it (mixed: the
     product of two first-order stencils) feed the classical coordinate
-    formulas.  Shares only raw b and g evaluations with the code above.
+    formulas for the leaf metric G0 and its curvature R.  Shares only raw
+    b and g evaluations with the code above.
     """
     n = chart.n
     h = LEAF_FD_STEP
@@ -546,7 +519,12 @@ def _classical_leaf_curvature(chart, metric, x):
         + np.einsum("jkm,iml->ijkl", Gam, Gam)
         - np.einsum("ikm,jml->ijkl", Gam, Gam)
     )
-    return G0, R
+
+    def sectional(u, v):
+        gram = _g_dot(u, G0, u) * _g_dot(v, G0, v) - _g_dot(u, G0, v) ** 2
+        return -np.einsum("ijkl,pi,pj,pk,lm,pm->p", R, u, v, u, G0, v) / gram
+
+    return sectional
 
 
 @dataclass
@@ -565,7 +543,7 @@ def _covariant_T_derivative(chart, metric, frame, a, b, c):
     axis), plus the connection terms at x."""
     n = chart.n
     gamma = frame.gamma
-    base_dir = np.einsum("...s,si->...i", a, frame.B)
+    base_dir = a @ frame.B
     steps = np.eye(n) * FD_STEP
     ys = np.concatenate([frame.x + steps, frame.x - steps])
     T_ys = np.empty((len(b), 2 * n, chart.r))
@@ -573,9 +551,9 @@ def _covariant_T_derivative(chart, metric, frame, a, b, c):
         T_ys[:, rows] = _oneill_apply(f, b[:, None], c[:, None], f.project_vertical)
     dF = np.stack([(T_ys[:, m] - T_ys[:, n + m]) / (2 * FD_STEP) for m in range(n)], axis=-1)
     F0 = _oneill_apply(frame, b, c, frame.project_vertical)
-    DaF = (dF @ base_dir[..., None])[..., 0] + _pointwise_D(gamma, a, F0)
-    Dab = _pointwise_D(gamma, a, b)
-    Dac = _pointwise_D(gamma, a, c)
+    DaF = (dF @ base_dir[..., None])[..., 0] + _quad(a, F0, gamma)
+    Dab = _quad(a, b, gamma)
+    Dac = _quad(a, c, gamma)
     return (
         DaF
         - _oneill_apply(frame, Dab, c, frame.project_vertical)
@@ -627,10 +605,8 @@ def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCh
         i, j = np.triu_indices(q, 1)
         h1, h2 = Hb[i], Hb[j]
         K = _sectional_of(ch, h1, h2)
-        GL, RL = _classical_leaf_curvature(chart, metric, frame.x)
-        u, v = h1 @ frame.B, h2 @ frame.B  # the anchors of the pairs, tangent to the leaf
-        gram = _g_dot(u, GL, u) * _g_dot(v, GL, v) - _g_dot(u, GL, v) ** 2
-        Kleaf = -np.einsum("ijkl,pi,pj,pk,lm,pm->p", RL, u, v, u, GL, v) / gram
+        # the anchors of the pairs, tangent to the leaf
+        Kleaf = _classical_leaf_curvature(chart, metric, frame.x)(h1 @ frame.B, h2 @ frame.B)
         H12 = HH[p + i, p + j]
         horizontal_res = _worst(K - (Kleaf - 3.0 * _g_dot(H12, G, H12)))
 

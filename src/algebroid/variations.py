@@ -31,9 +31,9 @@ Every mesh contraction is a single matmul over the mesh axes: the
 quadratic forms sum_ij a_i b_j T[..., i, j, :] (the defect's C(alpha,
 beta), the connection terms Gamma(alpha, s) and Gamma(beta, s), the
 homotopy's commutator, R(alpha, beta) as a matrix) flatten the outer
-product a b^T against T with `paths._quad`, and the anchor, the
-transverse coefficients and the metric pairings are batched
-vector-matrix products.
+product a b^T against T with `metric._quad`, the metric pairings are
+`metric._g_dot`, and the anchor and the transverse coefficients are
+batched vector-matrix products.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ import numpy as np
 
 from .charts import AVector
 from .expressions import Program
-from .metric import christoffel, curvature, fiber_inner
-from .paths import APath, _geodesics, _half_grid, _linear_flow, _quad, _rk4, jacobi_solve
+from .metric import _g_dot, _quad, christoffel, curvature, fiber_inner
+from .paths import APath, _geodesics, _half_grid, _linear_flow, _rk4, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -263,13 +263,9 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     mu, beta = grid.mu[row], grid.beta[row]
     ch = christoffel(chart, metric, grid.x[row])
     Dt_alpha = np.gradient(mu, grid.ts, axis=1, edge_order=2) + _quad(mu, mu, ch.gamma)
-
-    def pairing(u, v):
-        return (u[..., None, :] @ ch.G @ v[..., None])[0, :, 0, 0]
-
-    pair_beta_alpha = pairing(beta, mu)
-    pair_beta_Dt = pairing(beta, Dt_alpha)
-    pair_delta_alpha = pairing(_defect(grid, ch.C, row), mu)
+    pair_beta_alpha = _g_dot(beta, ch.G, mu)[0]
+    pair_beta_Dt = _g_dot(beta, ch.G, Dt_alpha)[0]
+    pair_delta_alpha = _g_dot(_defect(grid, ch.C, row), ch.G, mu)[0]
 
     boundary = pair_beta_alpha[-1] - pair_beta_alpha[0]
     rhs = boundary - _trapz(pair_beta_Dt, grid.ts) - _trapz(pair_delta_alpha, grid.ts)

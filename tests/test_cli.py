@@ -1,3 +1,4 @@
+import argparse
 import csv
 import subprocess
 import sys
@@ -131,6 +132,15 @@ class TestValidateVerb:
         captured = capsys.readouterr()
         assert rc == 2
         assert "line 3" in captured.err
+
+    @pytest.mark.parametrize("domain", ["nan,1", "-inf,inf", "0,inf"])
+    def test_non_finite_domain_exits_2(self, domain, tmp_path, capsys):
+        f = tmp_path / "box.chart"
+        f.write_text(f"[algebroid]\nn = 1\nr = 1\ndomain = {domain}\nb = 1\n[metric]\ng 1,1 = 1\n")
+        rc = main(["validate", "--chart", str(f), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "finite lo < hi" in captured.err
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         rc = main(["validate", "--out", str(tmp_path)])
@@ -432,6 +442,21 @@ def test_console_script_help():
     assert out.returncode == 0
     for verb in _VERBS:
         assert verb in out.stdout
+
+
+def test_the_parser_is_built_once_and_keeps_no_flag(tmp_path, capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_argument", lambda self, *a, **k: added.append(a) or add_argument(self, *a, **k)
+    )
+    argv = ["validate", "--catalog", "euclidean2", "--samples", "8"]
+    assert main([*argv, "--tol", "1e-300", "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    assert added == []
+    assert float(read_report(tmp_path / "a")["check.jacobi.tolerance"]) == 1e-300
+    assert float(read_report(tmp_path / "b")["check.jacobi.tolerance"]) == CHECKS["validate"]["jacobi"][0]
 
 
 @pytest.mark.parametrize("name", catalog.names())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from algebroid import catalog, sampling
-from algebroid.charts import AVector
+from algebroid.charts import AlgebroidChart, AVector
 from algebroid.metric import MetricField
 from algebroid.paths import geodesic_integrate
 from algebroid.sampling import halton
@@ -71,3 +71,12 @@ def test_fit_to_box_keeps_the_geodesics_in_the_box(name, twisted_chart):
         assert scale.tobytes() == ref.tobytes()
         for x, mu in zip(xs, scale[:, None] * mus):
             geodesic_integrate(chart, metric, AVector(x, mu), (0.0, span), 1e-2)
+
+
+def test_fit_to_box_names_an_overflowing_anchor():
+    # b b^T overflows on the sub-box around the center, where x2 != 0
+    chart = AlgebroidChart(n=2, r=2, b=[["1", "0"], ["0", "(x2 / 1e-6) * 1e150"]])
+    metric = MetricField.identity(2, 2)
+    xs, mus = chart.center()[None], np.ones((1, 2))
+    with pytest.raises(sampling.AnchorError, match=r"anchor product b b\^T not finite at x=\["):
+        sampling.fit_to_box(chart, metric, xs, mus, 1.0)

@@ -4,13 +4,12 @@ import pytest
 from algebroid import catalog, paths, variations
 from algebroid.charts import AlgebroidChart, AVector
 from algebroid.expressions import EvalDomainError, Program
-from algebroid.metric import MetricField, christoffel, curvature
+from algebroid.metric import MetricField, _quad, christoffel, curvature
 from algebroid.paths import (
     DomainExitError,
     NonFiniteError,
     _grid_derivative,
     _half_grid,
-    _quad,
     _rk4,
     _transport_track,
     derivative_along,
