@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .charts import AlgebroidChart
 from .metric import MetricField
 
-__all__ = ["CatalogEntry", "get", "names", "mutants"]
+__all__ = ["CatalogEntry", "get", "names", "mutants", "twisted"]
 
 _PI = 3.141592653589793
 
@@ -165,6 +165,32 @@ def get(name) -> CatalogEntry:
             f"unknown catalog entry {name!r}; available: {', '.join(names())}"
         ) from None
     return builder()
+
+
+def twisted() -> CatalogEntry:
+    """The twisted chart with the identity metric.
+
+    Kept out of `names()` and `get()`: the acceptance criteria, the CLI's
+    `--catalog` and the benchmark's task set read those.
+    """
+    chart = AlgebroidChart(
+        n=2,
+        r=3,
+        b=[["1", "0"], ["x1", "1"], ["0", "0"]],
+        c_upper={(1, 2, 1): "1", (1, 3, 3): "x2", (2, 3, 3): "x1*x2 + x1"},
+        domain=[(0.5, 1.5), (0.5, 1.5)],
+    )
+    return CatalogEntry(
+        "twisted",
+        chart,
+        MetricField.identity(3, 2),
+        "Rank-3 algebroid over the plane with non-constant anchor and "
+        "bracket: the frame a1 = d/dx1, a2 = x1 d/dx1 + d/dx2 of the tangent "
+        "bundle plus a central line rescaled by exp(x1*x2), so that "
+        "[a1, a2] = a1, [a1, a3] = x2 a3 and [a2, a3] = (x1*x2 + x1) a3.  "
+        "Its Jacobi identity balances the quadratic terms against the anchor "
+        "derivatives of the structure functions.  No closed-form flows.",
+    )
 
 
 def mutants():

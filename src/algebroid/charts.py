@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import Expression, Program, parse
-from .sampling import sample_box
+from .sampling import AnchorError, sample_box
 
 __all__ = [
     "AlgebroidChart",
     "AVector",
+    "BracketError",
     "SectionField",
     "ValidationCheck",
     "ValidationReport",
@@ -55,6 +56,10 @@ TOL_AXIOMS = 1e-9  # the anchor morphism and the Jacobi identity
 
 class ChartError(ValueError):
     """Structural problems in chart data."""
+
+
+class BracketError(ValueError):
+    """Bracket products not finite where a check needs them."""
 
 
 def _as_expression(obj, n):
@@ -268,14 +273,23 @@ class ValidationReport:
         return max(rows, key=lambda c: c.residual) if rows else None
 
 
-def _jacobiator(B, dC, C):
+def _finite(error, name, product, pts):
+    """`product` (one row per sample point), checked before any residual is
+    formed from it: raises `error` naming the product and the first sample
+    point where it is not finite (an entry or a product of two overflows)."""
+    bad = ~np.isfinite(product.reshape(len(pts), -1)).all(axis=1)
+    if bad.any():
+        raise error(f"{name} not finite at x={pts[bad][0]}")
+    return product
+
+
+def _jacobiator(quad, adv):
     """J[..., s, t, u, v] of the cyclic bracket identity on basis triples.
 
     One cyclic slot is [[a_s, a_t], a_u]^v expanded through the Leibniz
-    rule: sum_m C_{st}^m C_{mu}^v - #(a_u)(C_{st}^v).
+    rule: quad - adv, with quad = sum_m C_{st}^m C_{mu}^v and
+    adv = #(a_u)(C_{st}^v).
     """
-    quad = np.einsum("...stm,...muv->...stuv", C, C)
-    adv = np.einsum("...ui,...stvi->...stuv", B, dC)
     t0 = quad - adv
     t1 = np.einsum("...abcv->...cabv", t0)  # slot (t, u, s)
     t2 = np.einsum("...abcv->...bcav", t0)  # slot (u, s, t)
@@ -288,13 +302,21 @@ def validate(chart, samples=200, seed=42) -> ValidationReport:
     Reports the worst residual over the samples for (a) antisymmetry of C,
     (b) the anchor being a bracket morphism, (c) the Jacobi identity on
     basis triples.  The report passes iff (a) is below TOL_ANTISYMMETRY
-    and (b) and (c) below TOL_AXIOMS.
+    and (b) and (c) below TOL_AXIOMS.  Raises AnchorError (a product of
+    (b)) or BracketError (a product of (c)), naming the product and the
+    first such point, where a structure product is not finite.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     pts = sample_box(chart.domain, samples, seed)
     B, dB = chart.eval_anchor(pts, order=1)
     C, dC = chart.eval_bracket(pts, order=1)
+    # #[a_s,a_t] = [#a_s, #a_t] in coordinates
+    push = _finite(AnchorError, "anchor product C b", np.einsum("...stu,...uk->...stk", C, B), pts)
+    lie_st = _finite(AnchorError, "anchor product b db", np.einsum("...sm,...tkm->...stk", B, dB), pts)
+    lie_ts = np.einsum("...tm,...skm->...stk", B, dB)  # lie_st with s, t swapped
+    quad = _finite(BracketError, "bracket product C C", np.einsum("...stm,...muv->...stuv", C, C), pts)
+    adv = _finite(BracketError, "bracket product b dC", np.einsum("...ui,...stvi->...stuv", B, dC), pts)
 
     def worst(name, residuals, tolerance):
         # the sample axis comes first; the indices of the others are 1-based
@@ -305,15 +327,9 @@ def validate(chart, samples=200, seed=42) -> ValidationReport:
     report = ValidationReport()
     antisymmetry = np.abs(C + np.swapaxes(C, -3, -2))
     report.checks.append(worst("antisymmetry", antisymmetry, TOL_ANTISYMMETRY))
+    report.checks.append(worst("anchor_morphism", np.abs(push - (lie_st - lie_ts)), TOL_AXIOMS))
 
-    # #[a_s,a_t] = [#a_s, #a_t] in coordinates
-    push = np.einsum("...stu,...uk->...stk", C, B)
-    lie = np.einsum("...sm,...tkm->...stk", B, dB) - np.einsum(
-        "...tm,...skm->...stk", B, dB
-    )
-    report.checks.append(worst("anchor_morphism", np.abs(push - lie), TOL_AXIOMS))
-
-    jac = np.abs(_jacobiator(B, dC, C))
+    jac = np.abs(_jacobiator(quad, adv))
     # only strict triples s < t < u carry information
     s, t, u = np.ogrid[: chart.r, : chart.r, : chart.r]
     mask = np.broadcast_to(((s < t) & (t < u))[..., None], jac.shape[1:])

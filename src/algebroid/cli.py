@@ -47,7 +47,7 @@ from .paths import (
     jacobi_solve,
     parallel_transport,
 )
-from .sampling import fit_to_box, sample_box, sample_fiber, sample_states
+from .sampling import DimensionError, fit_to_box, sample_box, sample_fiber, sample_states
 from .splitting import (
     SplitError,
     _divergence_rows,
@@ -596,7 +596,7 @@ def main(argv=None) -> int:
         run = Run(args.verb, args)
         _VERBS[args.verb](args, out, run, *loaded)
         return run.finish(out)
-    except (SystemExit2, ChartFileError, ExpressionError) as exc:
+    except (SystemExit2, ChartFileError, ExpressionError, DimensionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (DomainExitError, MetricError, NonFiniteError, SplitError, ValueError) as exc:

@@ -32,9 +32,12 @@ Grammar (EBNF)::
 (1-based).  Functions: ``sin cos tan exp log sqrt sinh cosh``.  Numbers are
 decimal literals with optional exponent (``2``, ``0.5``, ``1e-3``).
 
-Constant subtrees are folded at parse time, so fields made of literals
-evaluate in O(1).  Expressions are immutable and evaluation is pure; they
-can be shared freely between threads.
+The parser builds the tree as written.  Constants are folded once, when
+a program is built (`Program._f`): an operation whose arguments are all
+constants, whose domain check passes and whose function gives a finite
+value is that value.  A field made of literals runs no op per point.
+Expressions are immutable and evaluation is pure; they can be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class Const(_Node):
     value: float
 
     def prec(self):
-        return _PREC_ATOM if self.value >= 0 else _PREC_NEG
+        return _PREC_ATOM
 
     def __str__(self):
         return repr(self.value)
@@ -163,54 +166,10 @@ def _wrap(node, min_prec):
 
 
 # ---------------------------------------------------------------------------
-# Constant folding
-# ---------------------------------------------------------------------------
-
-
-# the functions of the grammar, for folding constant arguments
-_MATH = {
-    name: getattr(math, name)
-    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
-}
-
-
-def _fold_unary(func, arg):
-    if isinstance(arg, Const):
-        try:
-            v = _MATH[func](arg.value)
-        except (ValueError, OverflowError):
-            return Call(func, arg)
-        if math.isfinite(v):
-            return Const(v)
-    return Call(func, arg)
-
-
-def _fold_neg(arg):
-    if isinstance(arg, Const):
-        return Const(-arg.value)
-    return Neg(arg)
-
-
-_BINARY = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow
-}
-
-
-def _fold_binop(op, lhs, rhs):
-    if isinstance(lhs, Const) and isinstance(rhs, Const):
-        try:
-            v = _BINARY[op](lhs.value, rhs.value)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return BinOp(op, lhs, rhs)
-        if isinstance(v, complex) or not math.isfinite(v):
-            return BinOp(op, lhs, rhs)
-        return Const(float(v))
-    return BinOp(op, lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
+
+_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")  # run as numpy's
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -266,20 +225,20 @@ class _Parser:
         while self.tok is not None and self.tok[0] == "op" and self.tok[1] in ops:
             op = self.tok[1]
             self._advance()
-            node = _fold_binop(op, node, operand())
+            node = BinOp(op, node, operand())
         return node
 
     def unary(self):
         if self.tok == ("op", "-"):
             self._advance()
-            return _fold_neg(self.unary())
+            return Neg(self.unary())
         return self.power()
 
     def power(self):
         node = self.atom()
         if self.tok == ("op", "^"):
             self._advance()
-            node = _fold_binop("^", node, self.unary())
+            node = BinOp("^", node, self.unary())
         return node
 
     def atom(self):
@@ -300,11 +259,11 @@ class _Parser:
                         f"variable x{idx} out of range for {self.n} variable(s)", pos
                     )
                 return Var(idx)
-            if value in _MATH:
+            if value in _FUNCTIONS:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
-                return _fold_unary(value, arg)
+                return Call(value, arg)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if value == "(":
             self._advance()
@@ -320,21 +279,22 @@ class _Parser:
 # Slots 0 .. n-1 of a program's value list are the coordinates; every other
 # slot is a constant fixed at build time or the output of one op.  Ops are
 # hash-consed on (function, argument slots), so a subexpression shared
-# between entries runs once per evaluation, and arithmetic on constants is
-# folded.  The jet of a node maps () to the slot of its value, (m,) to that
-# of d_m and (m, l), m <= l, to that of d_m d_l; a partial that vanishes
-# identically has no slot (None).  An op is data: (function, out slot,
-# argument slots a and b, domain check or None), b None for a unary
-# function.  `Program.run` is its one interpreter, and a second one (over
-# intervals, say) can walk the same list.  Ops are interpreted, not compiled
-# per program: every CLI verb builds its chart anew, and compiling would
+# between entries runs once per evaluation.  Folding happens here and only
+# here: an op whose arguments are all constants, whose domain check passes
+# and whose function gives a finite value is that constant.  The jet of a
+# node maps () to the slot of its value, (m,) to that of d_m and (m, l),
+# m <= l, to that of d_m d_l; a partial that vanishes identically has no
+# slot (None).  An op is data: (function, out slot, argument slots a and b,
+# domain check or None), b None for a unary function.  `Program.run` is its
+# one interpreter, and a second one (over intervals, say) can walk the same
+# list.  Ops are interpreted, not compiled per program: every CLI verb
+# builds its chart anew, and compiling would
 # cost more than that.
 # ---------------------------------------------------------------------------
 
 _ADD, _SUB, _MUL, _DIV, _NEG = (
     operator.add, operator.sub, operator.mul, operator.truediv, operator.neg
 )
-_FOLDED = (_ADD, _SUB, _MUL, _DIV, _NEG)
 
 
 class Jet(NamedTuple):
@@ -386,10 +346,13 @@ class Program:
         return self._memo[key]
 
     def _f(self, f, *args, check=None):
-        """Slot of f(*args), an op run after the domain check (test, slot,
-        message, node) if one is given.  A None argument vanishes
-        identically: 0 * y = 0, x + 0 = x - 0 = x, 0 - y = -y.  Arithmetic
-        on constants is folded and a factor 1.0 dropped; both are exact."""
+        """Slot of f(*args), an op run after the domain check (test, slot of
+        an argument, message, node) if one is given.  A None argument
+        vanishes identically: 0 * y = 0, x + 0 = x - 0 = x, 0 - y = -y, and
+        a factor 1.0 is dropped; both are exact.  The one folding rule:
+        where every argument is a constant, the check passes and f gives a
+        finite value there, the slot is that constant, the bits the op
+        would give at every point."""
         if None in args:
             if f is _MUL or f is _NEG:
                 return None
@@ -398,8 +361,11 @@ class Program:
         ks = [self._vals[a] for a in args]
         if f is _MUL and 1.0 in ks:
             return args[1 - ks.index(1.0)]
-        if f in _FOLDED and None not in ks and not (f is _DIV and ks[1] == 0.0):
-            return self._k(f(*ks))
+        if None not in ks and not (check and check[0](self._vals[check[1]], 0.0)):
+            with np.errstate(all="ignore"):
+                v = f(*ks)
+            if math.isfinite(v):
+                return self._k(v)
         if f is _ADD or f is _MUL:
             args = tuple(sorted(args))  # commutative: same bits either way
         key = f, args, check and check[:3]
@@ -499,10 +465,9 @@ class Program:
         }[name]
 
     def _power(self, node):
-        a = self._jet(node.lhs)
-        x, f, k = a[()], self._f, self._k
-        if isinstance(node.rhs, Const):
-            c = node.rhs.value
+        a, b = self._jet(node.lhs), self._jet(node.rhs)
+        x, c, f, k = a[()], self._vals[b[()]], self._f, self._k
+        if c is not None:
             check = None
             if not (c == round(c) and abs(c) < 2**31):
                 check = operator.le, x, "non-positive base with non-integer exponent", node
@@ -516,7 +481,7 @@ class Program:
             )
         # a^b = exp(b log a), for a > 0
         log_a = self._function("log", x, node, "non-positive base with variable exponent")
-        w = self._product(self._jet(node.rhs), self._chain(a, *log_a))
+        w = self._product(b, self._chain(a, *log_a))
         e = f(np.exp, w[()])
         return self._chain(w, e, lambda: e, lambda: e)
 
@@ -560,10 +525,10 @@ class Program:
         self._plans.clear()
         return len(self._groups) - 1
 
-    def constant(self, group, level=0):
-        """The read-only array of a level that no point changes (no per-point
-        cell, no domain check in the group), else None."""
-        tmpl, point, _ = self._groups[group][1][level]
+    def constant(self, group):
+        """The read-only values of a group if no point changes them (no
+        per-point cell, no domain check in the group), else None."""
+        tmpl, point, _ = self._groups[group][1][0]
         return None if point or self._groups[group][2] else tmpl
 
     def is_zero(self, group, level=0):
@@ -652,7 +617,7 @@ class Expression:
 
     @property
     def is_constant(self):
-        return isinstance(self.root, Const)
+        return Program.of(self).constant(0) is not None
 
     def evaluate(self, x) -> EvalResult:
         """Evaluate at a single point with exact gradient and Hessian."""

@@ -13,7 +13,10 @@ import functools
 
 import numpy as np
 
-__all__ = ["halton", "sample_box", "sample_fiber", "sample_states", "fit_to_box", "AnchorError"]
+__all__ = [
+    "halton", "sample_box", "sample_fiber", "sample_states", "fit_to_box", "AnchorError",
+    "DimensionError",
+]
 
 _PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -25,6 +28,10 @@ BALL_SAMPLES = 32  # points per start when `fit_to_box` bounds the base speed
 
 class AnchorError(ValueError):
     """Anchor not finite where a bound needs it."""
+
+
+class DimensionError(ValueError):
+    """More dimensions than the sampler has primes for."""
 
 
 @functools.lru_cache(maxsize=1024)
@@ -43,23 +50,24 @@ def halton(count, dim, seed=42):
 
     The seed both permutes digits per dimension and offsets the start
     index (small primes admit few digit permutations on their own).
+    Raises DimensionError above 30 dimensions.  The radical inverse of a
+    dimension takes every digit of every index in one array step, the
+    digit scales made by repeated division by p and summed from the
+    lowest digit up.
     """
     if dim > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+        raise DimensionError(f"point sampling supports at most {len(_PRIMES)} dimensions, got {dim}")
     out = np.empty((count, dim))
     start = 1 + (seed % 65_536)
-    idx = np.arange(start, count + start, dtype=np.int64)
+    idx = np.arange(start, count + start, dtype=np.int64)[:, None]
     for d in range(dim):
         p = _PRIMES[d]
-        perm = _digit_permutation(p, seed, d)
-        i = idx.copy()
-        value = np.zeros(count)
-        scale = 1.0 / p
-        while np.any(i > 0):
-            value += perm[i % p] * scale
-            i //= p
-            scale /= p
-        out[:, d] = value
+        powers, scales = [1], [1.0 / p]
+        while powers[-1] * p <= start + count - 1:
+            powers.append(powers[-1] * p)
+            scales.append(scales[-1] / p)
+        digits = _digit_permutation(p, seed, d)[idx // np.array(powers) % p]
+        out[:, d] = np.cumsum(digits * np.array(scales), axis=1)[:, -1]
     return out
 
 

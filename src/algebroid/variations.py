@@ -46,7 +46,7 @@ import numpy as np
 from .charts import AVector
 from .expressions import Program
 from .metric import _g_dot, _quad, christoffel, curvature, fiber_inner
-from .paths import APath, _geodesics, _half_grid, _linear_flow, _rk4, jacobi_solve
+from .paths import APath, _geodesics, _half_grid, _increment, _linear_flow, _rk4, jacobi_solve
 
 __all__ = [
     "VariationGrid",
@@ -375,8 +375,12 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
         [np.linspace(a, b, HOMOTOPY_SUBSTEPS + 1)[:-1] for a, b in zip(knots[:-1], knots[1:])]
         + [knots[-1:]]
     )
-    ys, _ = _rk4(flow_rhs, eps_grid, np.stack([alpha0.ys, alpha0.ys]))
-    rows = ys[::HOMOTOPY_SUBSTEPS]  # (knot, side, N, n + r)
+    # the last step is taken apart, from the slope _rk4 returns at the
+    # node before it, so that no right side runs at the final state
+    ys, ds = _rk4(flow_rhs, eps_grid[:-1], np.stack([alpha0.ys, alpha0.ys]))
+    k, h = len(eps_grid) - 2, eps_grid[-1] - eps_grid[-2]
+    last = ys[-1] + _increment(flow_rhs, h, ys[-1], ds[-1], 2 * k + 1, 2 * k + 2)
+    rows = np.concatenate([ys[::HOMOTOPY_SUBSTEPS], last[None]])  # (knot, side, N, n + r)
     state = np.concatenate([rows[:0:-1, 0], rows[:, 1]])
     beta = np.broadcast_to(beta_row, (len(HOMOTOPY_EPS),) + beta_row.shape).copy()
     eps = np.array(HOMOTOPY_EPS)

@@ -1,3 +1,8 @@
+import functools
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -24,6 +29,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("-", "acceptance criteria")
     for _, line in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+@functools.cache
+def perfbench_workloads():
+    """The benchmark's `perfbench/workloads.py`, which keeps frozen copies of
+    package code for the tests to pin."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -61,30 +78,6 @@ def rng():
     return np.random.RandomState(1234)
 
 
-def build_twisted_chart():
-    """Rank-3 algebroid over the plane with non-constant bracket functions.
-
-    Frame a1 = d/dx1, a2 = x1 d/dx1 + d/dx2 of the tangent bundle plus a
-    central line rescaled by exp(x1*x2):
-        [a1,a2] = a1,  [a1,a3] = x2 a3,  [a2,a3] = (x1*x2 + x1) a3.
-    A genuine Lie algebroid whose Jacobi identity balances the quadratic
-    terms against the anchor derivatives of the structure functions.
-    """
-    from algebroid.charts import AlgebroidChart
-
-    return AlgebroidChart(
-        n=2,
-        r=3,
-        b=[["1", "0"], ["x1", "1"], ["0", "0"]],
-        c_upper={
-            (1, 2, 1): "1",
-            (1, 3, 3): "x2",
-            (2, 3, 3): "x1*x2 + x1",
-        },
-        domain=[(0.5, 1.5), (0.5, 1.5)],
-    )
-
-
 @pytest.fixture
 def twisted_chart():
-    return build_twisted_chart()
+    return catalog.twisted().chart

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from algebroid import catalog
+from algebroid.chartfile import dumps_chart
 from algebroid.charts import validate
+from conftest import perfbench_workloads
 
 
 def test_names_are_stable():
@@ -19,6 +21,23 @@ def test_names_are_stable():
 def test_unknown_name_lists_alternatives():
     with pytest.raises(KeyError, match="aff2"):
         catalog.get("nope")
+
+
+def test_twisted_is_an_entry_outside_names_and_get():
+    entry = catalog.twisted()
+    assert entry.name == "twisted" and entry.name not in catalog.names()
+    with pytest.raises(KeyError):
+        catalog.get("twisted")
+    assert not entry.chart.is_constant and entry.metric.is_constant
+    report = validate(entry.chart, samples=200, seed=7)
+    assert report.passed and max(c.residual for c in report.checks) < 1e-12
+
+
+def test_perfbench_twisted_is_the_package_twisted():
+    # the benchmark keeps a frozen copy; the chart file text pins it
+    entry = catalog.twisted()
+    frozen = perfbench_workloads().twisted_chart()
+    assert dumps_chart(*frozen) == dumps_chart(entry.chart, entry.metric)
 
 
 @pytest.mark.parametrize("name", catalog.names())

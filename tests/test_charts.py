@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from algebroid import catalog
 from algebroid.charts import (
     AlgebroidChart,
     AVector,
+    BracketError,
     ChartError,
     SectionField,
     anchor_apply,
     bracket_sections,
     validate,
 )
+from algebroid.sampling import AnchorError, sample_box
 
 
 class TestAnchor:
@@ -127,6 +131,23 @@ class TestValidate:
         assert am.residual == pytest.approx(1.0, abs=1e-12)
         assert am.indices[:2] == (1, 2)
         assert report.worst("jacobi").residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "b,c_upper,error,product",
+        [
+            # the anchor fields commute, but b db overflows
+            ([["1", "0"], ["0", "(x2 / 1e-6) * 1e150"]], {}, AnchorError, "anchor product b db"),
+            # C is finite, C C overflows
+            ([["1", "0"], ["0", "1"]], {(1, 2, 1): "(x2 / 1e-6) * 1e150"}, BracketError, "bracket product C C"),
+        ],
+    )
+    def test_an_overflowing_structure_product_is_named(self, b, c_upper, error, product):
+        chart = AlgebroidChart(n=2, r=2, b=b, c_upper=c_upper)
+        with warnings.catch_warnings(), pytest.raises(error) as err:
+            warnings.simplefilter("error")
+            validate(chart, samples=200, seed=42)
+        first = sample_box(chart.domain, 200, 42)[0]
+        assert str(err.value) == f"{product} not finite at x={first}"
 
     def test_antisymmetry_structural(self, twisted_chart):
         report = validate(twisted_chart, samples=50)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,21 @@ class TestValidateVerb:
         captured = capsys.readouterr()
         assert rc == 2
         assert "finite lo < hi" in captured.err
+
+    def test_overflowing_anchor_product_is_named(self, tmp_path, capsys):
+        # finite anchor, commuting anchor fields, b db overflows
+        f = tmp_path / "overflow.chart"
+        f.write_text(
+            "[algebroid]\nn = 2\nr = 2\ndomain = -1,1 ; -1,1\nb = 1, 0 ; 0, (x2 / 1e-6) * 1e150\n"
+            "[metric]\ng 1,1 = 1\ng 2,2 = 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["validate", "--chart", str(f), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("check failed: anchor product b db not finite at x=[")
+        assert "Warning" not in err
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         rc = main(["validate", "--out", str(tmp_path)])
@@ -433,6 +449,31 @@ def test_bad_numeric_flag_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
+def _wide_chart(n, r):
+    """Anchor a1 = d/dx1 and zeros, identity metric, box [-1, 1]^n."""
+    rows = " ; ".join(", ".join(["1" if s == i == 0 else "0" for i in range(n)]) for s in range(r))
+    diagonal = "".join(f"g {s},{s} = 1\n" for s in range(1, r + 1))
+    return f"[algebroid]\nn = {n}\nr = {r}\ndomain = {' ; '.join(['-1,1'] * n)}\nb = {rows}\n[metric]\n{diagonal}"
+
+
+@pytest.mark.parametrize(
+    "n, r, argv, code",
+    [(31, 1, verb, 2) for verb in ("validate", "divergence", "hamcheck", "geodesic")]
+    + [(1, 31, verb, 2) for verb in ("divergence", "hamcheck", "geodesic")]
+    # samples only the 1-dimensional base; one sample keeps the r^4
+    # Jacobi array small
+    + [(1, 31, "validate --samples 1", 0)],
+)
+def test_a_chart_beyond_the_samplers_dimensions_exits_2(n, r, argv, code, tmp_path, capsys):
+    f = tmp_path / "wide.chart"
+    f.write_text(_wide_chart(n, r))
+    rc = main([*argv.split(), "--chart", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code == 2:
+        assert err == "error: point sampling supports at most 30 dimensions, got 31\n"
+
+
 def test_console_script_help():
     out = subprocess.run(
         [sys.executable, "-m", "algebroid.cli", "--help"],
@@ -505,10 +546,9 @@ FLOW_VERBS = ["geodesic", "exp", "transport", "jacobi"]
 
 
 def twisted_source(tmp_path):
-    from conftest import build_twisted_chart
-
+    entry = catalog.twisted()
     path = tmp_path / "twisted.chart"
-    path.write_text(dumps_chart(build_twisted_chart(), MetricField.identity(3, 2)))
+    path.write_text(dumps_chart(entry.chart, entry.metric))
     return ["--chart", str(path)]
 
 

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from algebroid.expressions import (
+    BinOp,
+    Const,
     EvalDomainError,
     Expression,
+    Neg,
     ParseError,
     Program,
     parse,
@@ -88,6 +91,16 @@ class TestParsing:
     def test_constant_folding(self):
         assert parse("2*3 + 1", 1).is_constant
         assert not parse("2*x1", 1).is_constant
+        # the program folds what the parser leaves as written
+        assert parse("x1^0", 1).is_constant
+        assert parse("sin(x1^0) + 2^0.5", 1).is_constant
+
+    def test_the_parser_keeps_constant_arithmetic_as_written(self):
+        e = parse("2*3 + 1", 1)
+        assert e.root == BinOp("+", BinOp("*", Const(2.0), Const(3.0)), Const(1.0))
+        assert str(e) == "2.0 * 3.0 + 1.0"
+        assert parse("-2", 1).root == Neg(Const(2.0))
+        assert parse("6", 1) != e and e.values(np.array([0.5])) == 7.0
 
     def test_division_left_associative(self):
         e = parse("8/4/2", 1)
@@ -121,6 +134,27 @@ class TestEvaluation:
     def test_sqrt_domain_error(self):
         with pytest.raises(EvalDomainError):
             parse("sqrt(x1)", 1).evaluate(np.array([-1.0]))
+
+    def test_constant_domain_error_names_the_subexpression_as_written(self):
+        # log(2 - 3) stays an op: its check fails at build time and runs at
+        # every point
+        e = parse("x1 + log(2 - 3)", 1)
+        assert not e.is_constant
+        with pytest.raises(EvalDomainError, match=r"'log\(2\.0 - 3\.0\)'"):
+            e.evaluate(np.array([1.0]))
+
+    @pytest.mark.parametrize("text", ["exp(1000)", "1e300 * 1e300"])
+    def test_a_constant_that_is_not_finite_stays_an_op(self, text):
+        e = parse(text, 1)
+        assert not e.is_constant
+        with np.errstate(over="ignore"):
+            assert e.values(np.array([0.5])) == np.inf
+
+    def test_a_function_of_a_constant_folds_to_numpys_value(self):
+        for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh"):
+            e = parse(f"{name}(0.7)", 1)
+            assert e.is_constant
+            assert e.values(np.array([0.0])).tobytes() == np.float64(getattr(np, name)(0.7)).tobytes()
 
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError, match="division by zero"):
@@ -432,6 +466,12 @@ class TestProgram:
                     e.eval_raw(pts, order=order)
                 assert str(err.value.node) == inner
                 assert f"'{inner}'" in str(err.value)
+
+    @given(_tree_strategy)
+    @settings(max_examples=200)
+    def test_is_constant_is_the_programs_verdict(self, text):
+        e = parse(text, 3)
+        assert e.is_constant == (Program.of(e).constant(0) is not None)
 
     @given(_tree_strategy, _box_point)
     @settings(max_examples=60)

@@ -145,10 +145,8 @@ class TestChristoffel:
 
 class TestConnectionEvaluator:
     def test_cache_releases_its_charts(self):
-        from conftest import build_twisted_chart
-
         metric = MetricField.identity(3, 2)
-        charts = [build_twisted_chart(), catalog.get("heisenberg_central").chart]
+        charts = [catalog.twisted().chart, catalog.get("heisenberg_central").chart]
         for chart in charts:
             christoffel(chart, metric, np.array([0.8, 1.1]))
         assert len(metric._cache) == 2

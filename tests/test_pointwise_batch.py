@@ -27,7 +27,6 @@ from algebroid.splitting import (
     divergence_terms,
     split,
 )
-from conftest import build_twisted_chart
 
 CHARTS = catalog.names() + ["twisted"]
 
@@ -42,9 +41,7 @@ g 1,1 = 1
 
 
 def _pair(name):
-    if name == "twisted":
-        return build_twisted_chart(), MetricField.identity(3, 2)
-    entry = catalog.get(name)
+    entry = catalog.twisted() if name == "twisted" else catalog.get(name)
     return entry.chart, entry.metric
 
 

@@ -1,8 +1,3 @@
-import functools
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -11,6 +6,7 @@ from algebroid.charts import AlgebroidChart, AVector
 from algebroid.metric import MetricField
 from algebroid.paths import geodesic_integrate
 from algebroid.sampling import halton
+from conftest import perfbench_workloads
 
 
 def fresh_halton(count, dim, seed):
@@ -38,22 +34,28 @@ def test_points_are_bit_identical_to_fresh_permutations(count, dim, seed):
         assert halton(count, dim, seed).tobytes() == fresh_halton(count, dim, seed).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 65535, 70000])
+def test_array_digits_match_the_digit_loop(seed):
+    # `fresh_halton` is the digit-by-digit loop that `halton` replaced
+    for count in (0, 1, 7, 200, 1000):
+        for dim in (1, 2, 3, 5, 30):
+            got, want = halton(count, dim, seed), fresh_halton(count, dim, seed)
+            assert got.shape == want.shape == (count, dim)
+            assert got.tobytes() == want.tobytes(), (count, dim)
+
+
+def test_more_dimensions_than_primes_is_a_dimension_error():
+    halton(3, 30)
+    with pytest.raises(sampling.DimensionError, match="at most 30 dimensions, got 31"):
+        halton(3, 31)
+
+
 def test_memoized_permutations_are_read_only():
     perm = sampling._digit_permutation(5, 42, 2)
     assert perm is sampling._digit_permutation(5, 42, 2)
     with pytest.raises(ValueError):
         perm[1] = 0
     assert sorted(perm) == list(range(5)) and perm[0] == 0
-
-
-@functools.cache
-def _perfbench_workloads():
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", catalog.names() + ["twisted"])
@@ -67,7 +69,7 @@ def test_fit_to_box_keeps_the_geodesics_in_the_box(name, twisted_chart):
         scale = sampling.fit_to_box(chart, metric, xs, mus, span)
         assert np.all((0.0 < scale) & (scale <= 1.0))
         # the bound perfbench keeps its own copy of, without the pencil spread
-        ref = _perfbench_workloads().fit_to_box(chart, metric, xs, mus, span)
+        ref = perfbench_workloads().fit_to_box(chart, metric, xs, mus, span)
         assert scale.tobytes() == ref.tobytes()
         for x, mu in zip(xs, scale[:, None] * mus):
             geodesic_integrate(chart, metric, AVector(x, mu), (0.0, span), 1e-2)

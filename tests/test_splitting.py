@@ -23,7 +23,6 @@ from algebroid.splitting import (
     sasaki_metric,
     split,
 )
-from conftest import build_twisted_chart
 
 TRANSITIVE = ["euclidean2", "sphere_chart", "heisenberg_central"]
 LIE_ALGEBRAS = ["so3_biinv", "aff2"]
@@ -33,10 +32,11 @@ def _leaf_pair(name):
     """A catalog chart with its metric; "twisted" is the twisted chart with
     the identity metric, "twisted_g" the same chart with a varying metric."""
     if name == "twisted":
-        return build_twisted_chart(), MetricField.identity(3, 2)
+        entry = catalog.twisted()
+        return entry.chart, entry.metric
     if name == "twisted_g":
         entries = {(1, 1): "2 + x1", (1, 2): "0.3*x2", (2, 2): "1 + x2^2", (3, 3): "1"}
-        return build_twisted_chart(), MetricField(entries, r=3, n=2)
+        return catalog.twisted().chart, MetricField(entries, r=3, n=2)
     entry = catalog.get(name)
     return entry.chart, entry.metric
 
@@ -102,11 +102,8 @@ class TestOneillTensors:
             assert worst < 1e-9, residuals
 
     def test_identities_on_nonconstant_chart(self):
-        from conftest import build_twisted_chart
-        from algebroid.metric import MetricField
-
-        chart = build_twisted_chart()
-        metric = MetricField.identity(3, 2)
+        entry = catalog.twisted()
+        chart, metric = entry.chart, entry.metric
         x = np.array([0.9, 1.1])
         residuals = oneill_identity_residuals(oneill_tensors(chart, metric, x))
         assert max(residuals.values()) < 1e-9, residuals

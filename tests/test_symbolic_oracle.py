@@ -64,16 +64,14 @@ def symbolic_connection(chart, metric):
 
 
 def _cases():
-    from conftest import build_twisted_chart
-
     for name in catalog.names():
         entry = catalog.get(name)
         yield name, entry.chart, entry.metric
-    yield "twisted", build_twisted_chart(), MetricField.identity(3, 2)
+    yield "twisted", catalog.twisted().chart, catalog.twisted().metric
     # non-constant anchor and bracket under a non-constant, non-diagonal
     # metric: the only case in which every term of dGamma is nonzero
     varying = {(1, 1): "2 + x1*x2", (1, 2): "0.3*x2", (2, 2): "1.5", (3, 3): "exp(x1)"}
-    yield "twisted_varying_metric", build_twisted_chart(), MetricField(varying, 3, 2)
+    yield "twisted_varying_metric", catalog.twisted().chart, MetricField(varying, 3, 2)
 
 
 CASES = {name: (chart, metric) for name, chart, metric in _cases()}

@@ -3,13 +3,13 @@
     PYTHONPATH=src python tools/outputs.py --save DIR
     python tools/outputs.py --diff A B
 
-`--save` runs the ten verbs on the six catalog charts and on the twisted
-chart of `tests/conftest.py` (identity metric, written to DIR as a chart
-file), all in one process.  Each run gets the directory DIR/VERB/CHART
-with the files the CLI wrote, `report.txt` without its `wall_time_s` line,
-what the run wrote to stderr, and its exit code in `exit`.  The runs go
-through `algebroid.cli.main` from inside DIR, so no path of the machine
-reaches the files.
+`--save` runs the ten verbs on the six catalog charts and on
+`algebroid.catalog.twisted` (written to DIR as a chart file), all in one
+process.  Each run gets the directory DIR/VERB/CHART with the files the
+CLI wrote, `report.txt` without its `wall_time_s` line, what the run
+wrote to stderr, and its exit code in `exit`.  The runs go through
+`algebroid.cli.main` from inside DIR, so no path of the machine reaches
+the files.
 
 `--diff` prints one line per file of A or B: identical, the largest
 |difference| of a numeric file (absolute, and relative to the largest
@@ -28,7 +28,6 @@ import sys
 import warnings
 from pathlib import Path
 
-TESTS = Path(__file__).resolve().parents[1] / "tests"
 VERBS = (
     "validate", "geodesic", "exp", "transport", "jacobi",
     "curvature", "oneill", "divergence", "hamcheck", "variation-check",
@@ -41,17 +40,13 @@ def save(out, charts=None, verbs=VERBS):
     the catalog and the twisted chart) and write the runs under `out`."""
     from algebroid import catalog, cli
     from algebroid.chartfile import dumps_chart
-    from algebroid.metric import MetricField
-
-    if str(TESTS) not in sys.path:
-        sys.path.append(str(TESTS))
-    from conftest import build_twisted_chart
 
     charts = list(catalog.names()) + [TWISTED] if charts is None else charts
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     if TWISTED in charts:
-        text = dumps_chart(build_twisted_chart(), MetricField.identity(3, 2))
+        entry = catalog.twisted()
+        text = dumps_chart(entry.chart, entry.metric)
         (out / f"{TWISTED}.chart").write_text(text, encoding="utf-8")
     here = os.getcwd()
     os.chdir(out)
