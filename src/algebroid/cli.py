@@ -594,9 +594,11 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         loaded = () if args.verb == "catalog" else _load(args)
         run = Run(args.verb, args)
-        _VERBS[args.verb](args, out, run, *loaded)
+        # an overflow is reported by the check that meets it, never as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _VERBS[args.verb](args, out, run, *loaded)
         return run.finish(out)
-    except (SystemExit2, ChartFileError, ExpressionError, DimensionError) as exc:
+    except (SystemExit2, ExpressionError, DimensionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
     except (DomainExitError, MetricError, NonFiniteError, SplitError, ValueError) as exc:

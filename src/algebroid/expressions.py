@@ -30,7 +30,8 @@ Grammar (EBNF)::
 ``^`` is right-associative and binds tighter than unary minus; ``*``, ``/``,
 ``+`` and ``-`` are left-associative.  Variables are ``x1`` .. ``x<n>``
 (1-based).  Functions: ``sin cos tan exp log sqrt sinh cosh``.  Numbers are
-decimal literals with optional exponent (``2``, ``0.5``, ``1e-3``).
+decimal literals with optional exponent (``2``, ``0.5``, ``1e-3``); a
+literal that overflows a double (``1e999``) is a `ParseError`.
 
 The parser builds the tree as written.  Constants are folded once, when
 a program is built (`Program._f`): an operation whose arguments are all
@@ -247,8 +248,11 @@ class _Parser:
         kind, value = self.tok
         pos = self.tok_pos
         if kind == "num":
+            number = float(value)
+            if math.isinf(number):  # its printed form could not be read back
+                raise ParseError(f"number {value!r} out of range", pos)
             self._advance()
-            return Const(float(value))
+            return Const(number)
         if kind == "name":
             self._advance()
             m = _VAR_RE.match(value)

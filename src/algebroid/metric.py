@@ -191,13 +191,11 @@ class Christoffel:
     derivative orders but only on groups already run for B, C and G, so it
     raises no new EvalDomainError."""
 
-    def __init__(self, ev, x, B, C, G, dG, S=None, Gi=None, gamma=None):
+    def __init__(self, ev, x, B, C, G, dG, Gi=None, gamma=None):
         self._ev, self._x, self._dG = ev, x, dG  # dG is None where not computed
         self.B, self.C, self.G = B, C, G  # (..., r, n), (..., r, r, r), (..., r, r)
         # what is already at hand: the evaluator's g^-1 and Gamma of a
         # constant pair, or the rows of a record that formed them
-        if S is not None:
-            self._S = S
         if Gi is not None:
             self._Gi = Gi
         if gamma is not None:
@@ -260,9 +258,9 @@ class Christoffel:
 
     def _rows(self, pick):
         """The record at the points `pick` of its leading batch axis, with
-        the rows of S, g^-1 and Gamma where they are already formed."""
+        the rows of g^-1 and Gamma where they are already formed."""
         at = lambda a: None if a is None else a[pick]
-        formed = (self.__dict__.get(k) for k in ("_S", "_Gi", "gamma"))
+        formed = (self.__dict__.get(k) for k in ("_Gi", "gamma"))
         arrays = (self._x, self.B, self.C, self.G, self._dG, *formed)
         return Christoffel(self._ev, *map(at, arrays))
 
@@ -344,7 +342,7 @@ class _Connection:
         if ob is not None or oc is not None:
             (b, _, _), (c, _, _) = self.chart.run(x, (ob, oc))
             B, C = (B if b is None else b), (C if c is None else c)
-        return Christoffel(self, x, B, C, G, dG, None, Gi, gamma)
+        return Christoffel(self, x, B, C, G, dG, Gi, gamma)
 
     def _koszul(self, base, B, C, G, dG):
         r = G.shape[-1]

@@ -50,9 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import AVector
+from .charts import AVector, BracketError, _finite
 from .metric import Christoffel, _g_dot, _quad, _sectional_of, christoffel
 from .paths import geodesic_rhs
+from .sampling import AnchorError
 
 __all__ = [
     "SplitFrame",
@@ -154,9 +155,13 @@ def _frames(chart, metric, xs):
     basis whose last r - q rows span the kernel.  One g-Gram-Schmidt over
     the kernel rows followed by the other rows then yields the vertical
     frame and, g-orthogonal to it, the horizontal frame at every point.
+    Raises AnchorError or BracketError, naming the first point, where b or
+    C is not finite.
     """
     xs = np.asarray(xs, dtype=float)
     ch = christoffel(chart, metric, xs)
+    _finite(AnchorError, "anchor", ch.B, xs)
+    _finite(BracketError, "bracket", ch.C, xs)
     _, sigma, Vt = np.linalg.svd(ch.B.swapaxes(-1, -2))
     thresh = RANK_RTOL * sigma[:, :1]  # 0 for a zero anchor, so rank 0
     q = (sigma > thresh).sum(axis=-1)

@@ -10,6 +10,7 @@ from algebroid.charts import (
     BracketError,
     ChartError,
     SectionField,
+    ValidationCheck,
     anchor_apply,
     bracket_sections,
     validate,
@@ -162,6 +163,84 @@ class TestValidate:
             name: rows[name][0] for name in ("antisymmetry", "anchor_morphism", "jacobi")
         }
         assert (rows["antisymmetry"][0], rows["jacobi"][0]) == (1e-12, 1e-9)
+
+
+def _full_tensor_checks(chart, samples, seed):
+    """The axiom checks as the full-tensor route forms them: the morphism on
+    every (s, t, k), the Jacobiator on every (s, t, u, v) from one cyclic
+    slot and its two permuted copies, masked to s < t < u."""
+    pts = sample_box(chart.domain, samples, seed)
+    B, dB = chart.eval_anchor(pts, order=1)
+    C, dC = chart.eval_bracket(pts, order=1)
+    push = np.einsum("...stu,...uk->...stk", C, B)
+    lie_st = np.einsum("...sm,...tkm->...stk", B, dB)
+    lie_ts = np.einsum("...tm,...skm->...stk", B, dB)
+    t0 = np.einsum("...stm,...muv->...stuv", C, C) - np.einsum("...ui,...stvi->...stuv", B, dC)
+    jac = np.abs(t0 + np.einsum("...abcv->...cabv", t0) + np.einsum("...abcv->...bcav", t0))
+    s, t, u = np.ogrid[: chart.r, : chart.r, : chart.r]
+    mask = np.broadcast_to(((s < t) & (t < u))[..., None], jac.shape[1:])
+
+    def worst(name, residuals):
+        k = np.unravel_index(np.argmax(residuals), residuals.shape)
+        return ValidationCheck(name, tuple(int(i) + 1 for i in k[1:]), float(residuals[k]), 0.0, pts[k[0]])
+
+    checks = [worst("antisymmetry", np.abs(C + np.swapaxes(C, -3, -2))),
+              worst("anchor_morphism", np.abs(push - (lie_st - lie_ts)))]
+    if mask.any():
+        checks.append(worst("jacobi", np.where(mask, jac, 0.0)))
+    else:
+        checks.append(ValidationCheck("jacobi", (), 0.0, 0.0, pts[0]))
+    return checks
+
+
+def _random_chart(seed, n=2, r=6):
+    """Structure functions with no relation between them: every axiom has
+    nonzero residuals at distinct indices."""
+    rng = np.random.RandomState(seed)
+
+    def entry():
+        a, b, c = rng.uniform(-1.0, 1.0, 3)
+        return f"{a:.3f} * x1 + {b:.3f} * x2^2 + {c:.3f} * sin(x1 * x2)"
+
+    b = [[entry() for _ in range(n)] for _ in range(r)]
+    c_upper = {(s, t, u): entry() for s in range(1, r + 1) for t in range(s + 1, r + 1)
+               for u in range(1, r + 1) if rng.rand() < 0.6}
+    return AlgebroidChart(n=n, r=r, b=b, c_upper=c_upper)
+
+
+def _oracle_chart(name):
+    if name == "twisted":
+        return catalog.twisted().chart
+    if name == "random_r6":
+        return _random_chart(0)
+    return catalog.mutants()[name] if name.startswith("bad_") else catalog.get(name).chart
+
+
+@pytest.mark.parametrize("name", catalog.names() + ["twisted", "bad_bracket", "bad_anchor", "random_r6"])
+def test_validate_matches_the_full_tensor_oracle(name):
+    # the pairs s < t and triples s < t < u give the same worst residuals
+    # and points to the bit; the indices agree wherever a residual is
+    # nonzero (an all-zero axiom names its first informative entry)
+    chart = _oracle_chart(name)
+    report = validate(chart, samples=200, seed=42)
+    oracle = _full_tensor_checks(chart, 200, 42)
+    assert [c.name for c in report.checks] == [c.name for c in oracle]
+    for got, want in zip(report.checks, oracle):
+        assert got.residual == want.residual, got.name
+        assert np.array_equal(got.point, want.point), got.name
+        if want.residual != 0.0:
+            assert got.indices == want.indices, got.name
+    if name in ("bad_bracket", "random_r6"):
+        assert min(c.residual for c in report.checks[1:]) > 0.1
+
+
+@pytest.mark.parametrize("r, morphism, jacobi", [(1, (), ()), (2, (1, 2, 1), ()), (3, (1, 2, 1), (1, 2, 3, 1))])
+def test_an_axiom_without_entries_reports_zero(r, morphism, jacobi):
+    # r = 1 has no pair s < t, r < 3 no triple s < t < u
+    chart = AlgebroidChart(n=1, r=r, b=[["0"]] * r)
+    report = validate(chart, samples=5, seed=42)
+    assert [(c.indices, c.residual) for c in report.checks[1:]] == [(morphism, 0.0), (jacobi, 0.0)]
+    assert report.passed
 
 
 class TestChartConstruction:

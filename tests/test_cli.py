@@ -660,3 +660,125 @@ def test_missing_or_unknown_verb_exits_2(argv, tmp_path, capsys):
     assert info.value.code == 2
     assert err.startswith("usage: algebroid")
     assert not (tmp_path / "report.txt").exists()
+
+
+# charts whose anchor (A) or bracket (B) overflows at every point of the box
+# but the box's edge: the split frame names the array before its SVD
+_SPLIT_FRAME_CHARTS = {
+    "anchor": "[algebroid]\nn = 1\nr = 2\ndomain = 0.2,1.5\nb = 0 ; cosh(1e150 * x1)\n"
+              "[metric]\ng 1,1 = 1\ng 2,2 = 1\n",
+    "bracket": "[algebroid]\nn = 2\nr = 2\ndomain = 0.2,1.5 ; 0.2,1.5\nb = 1, 1 ; -2, 1\n"
+               "C 1,2,2 = sinh(1e150 * x2)\n[metric]\ng 1,1 = 1\ng 2,2 = 1\n",
+}
+
+
+@pytest.mark.parametrize("array", sorted(_SPLIT_FRAME_CHARTS))
+@pytest.mark.parametrize("verb", ["divergence", "oneill"])
+def test_a_non_finite_split_frame_is_named(verb, array, tmp_path, capsys):
+    f = tmp_path / "overflow.chart"
+    f.write_text(_SPLIT_FRAME_CHARTS[array])
+    rc = main([verb, "--chart", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"check failed: {array} not finite at x=[")
+    assert err.count("\n") == 1
+
+
+def test_an_overflowing_literal_exits_2(tmp_path, capsys):
+    f = tmp_path / "literal.chart"
+    f.write_text("[algebroid]\nn = 1\nr = 1\ndomain = -1,1\nb = x1 + 1e999\n[metric]\ng 1,1 = 1\n")
+    rc = main(["validate", "--chart", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: malformed chart file: ")
+    assert "number '1e999' out of range (at position 5)" in err
+
+
+# g overflows at every point of the box
+_COSH_METRIC = ("[algebroid]\nn = 2\nr = 2\ndomain = 1,2 ; -1,1\nb = 1, 0 ; 0, 1\n"
+                "[metric]\ng 1,1 = 1\ng 2,2 = cosh(1000 * x1)\n")
+
+
+@pytest.mark.parametrize("verb", ["validate", "curvature", "oneill", "divergence", "hamcheck", "geodesic"])
+def test_no_numpy_warning_reaches_stderr(verb, tmp_path, capsys):
+    f = tmp_path / "cosh.chart"
+    f.write_text(_COSH_METRIC)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([verb, "--chart", str(f), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if verb == "validate":  # reported as a failed check, not raised
+        assert err == ""
+        assert read_report(tmp_path / "o")["check.metric_spd.pass"] == "false"
+    else:
+        assert err.startswith("check failed: metric not finite at x=[")
+        assert err.count("\n") == 1
+
+
+# A seeded fuzz of the chart input: random expressions over the grammar,
+# fixed generator and seed.  Overflowing constants, poles, branch points
+# and indefinite metrics all occur; a case that breaks a rule below is a
+# bug to mend, never one to leave out.
+_FUZZ_CONSTANTS = ("0", "0.5", "2", "3", "1e-6", "1e150", "1e300")
+_FUZZ_FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
+
+
+def _fuzz_expression(rng, n, depth=3):
+    if depth == 0 or rng.rand() < 0.3:
+        if rng.rand() < 0.6:
+            return f"x{rng.randint(1, n + 1)}"
+        return _FUZZ_CONSTANTS[rng.randint(len(_FUZZ_CONSTANTS))]
+    a = _fuzz_expression(rng, n, depth - 1)
+    kind = rng.randint(3)
+    if kind == 0:
+        return f"{_FUZZ_FUNCTIONS[rng.randint(len(_FUZZ_FUNCTIONS))]}({a})"
+    if kind == 1:
+        return f"({a} {'+-*/'[rng.randint(4)]} {_fuzz_expression(rng, n, depth - 1)})"
+    return f"({a})^{('2', '3', '-1')[rng.randint(3)]}"
+
+
+def _fuzz_chart(rng):
+    """n, r in 1..3 over a random box; anchor entries 0, 1 or random, each
+    bracket entry random with probability 0.3, each metric diagonal entry 1
+    or (probability 0.3) random."""
+    n, r = rng.randint(1, 4), rng.randint(1, 4)
+    lo = np.round(rng.uniform(-2.0, 1.0, n), 2)
+    hi = np.round(lo + rng.uniform(0.2, 2.0, n), 2)
+    entry = lambda: _fuzz_expression(rng, n) if rng.rand() < 0.5 else "01"[rng.randint(2)]
+    lines = ["[algebroid]", f"n = {n}", f"r = {r}",
+             "domain = " + " ; ".join(f"{a},{b}" for a, b in zip(lo, hi)),
+             "b = " + " ; ".join(", ".join(entry() for _ in range(n)) for _ in range(r))]
+    lines += [f"C {s},{t},{u} = {_fuzz_expression(rng, n)}" for s in range(1, r + 1)
+              for t in range(s + 1, r + 1) for u in range(1, r + 1) if rng.rand() < 0.3]
+    lines.append("[metric]")
+    lines += [f"g {s},{s} = {_fuzz_expression(rng, n) if rng.rand() < 0.3 else '1'}" for s in range(1, r + 1)]
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_RNG = np.random.RandomState(20261019)
+_FUZZ_CHARTS = {
+    **{f"random{k:02d}": _fuzz_chart(_FUZZ_RNG) for k in range(40)},
+    **{f"non_finite_{array}": text for array, text in _SPLIT_FRAME_CHARTS.items()},
+    "cosh_metric": _COSH_METRIC,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_CHARTS))
+def test_fuzzed_charts_exit_cleanly(name, tmp_path, capsys):
+    # every run exits 0, 1 or 2 with no exception and no numpy warning, and
+    # a run that passes wrote no nan or inf CSV cell
+    f = tmp_path / "fuzz.chart"
+    f.write_text(_FUZZ_CHARTS[name])
+    for verb in POINTWISE_VERBS:
+        out = tmp_path / verb
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([verb, "--chart", str(f), "--out", str(out), "--samples", "20"])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (verb, rc)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], (verb, err)
+        if rc == 0:
+            cells = {cell for path in out.glob("*.csv") for row in read_csv(path) for cell in row.values()}
+            assert not cells & {"nan", "inf", "-inf"}, verb

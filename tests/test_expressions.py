@@ -71,6 +71,16 @@ class TestParsing:
             parse("x1 + ", 2)
         assert err.value.position == 5
 
+    def test_an_overflowing_literal_is_a_parse_error(self):
+        # its printed form, inf, could not be read back
+        with pytest.raises(ParseError) as err:
+            parse("x1 + 1e999", 1)
+        assert str(err.value) == "number '1e999' out of range (at position 5)"
+        assert err.value.position == 5
+        # an underflowing literal is 0.0, which prints and reads back
+        e = parse("x1 + 1e-999", 1)
+        assert str(e) == "x1 + 0.0" and str(parse(str(e), 1)) == str(e)
+
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("sin(x1", 1)

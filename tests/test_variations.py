@@ -334,6 +334,22 @@ class TestGeodesicPencil:
         )
         assert rep.deviation < 1e-6
 
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central"])
+    def test_pencil_rows_are_a_paths(self, name):
+        # each row's base moves along the anchor of its fiber curve, up to the
+        # O(dt^2) of the mesh differences; a base moved off it by a bump of
+        # 1e-3 sin(pi t) in x1 is caught at about pi * 1e-3
+        entry = catalog.get(name)
+        chart, r = entry.chart, entry.chart.r
+        a = AVector(chart.center(), np.linspace(0.3, -0.2, r))
+        grid = make_geodesic_pencil(chart, entry.metric, a, np.linspace(0.5, -0.2, r),
+                                    np.linspace(-1e-2, 1e-2, 5), (0.0, 1.0), 2e-3)
+        assert grid.apath_residual(chart) < 1e-6
+        bumped = grid.x.copy()
+        bumped[..., 0] += 1e-3 * np.sin(np.pi * grid.ts)
+        moved = VariationGrid(grid.eps, grid.ts, bumped, grid.mu)
+        assert moved.apath_residual(chart) == pytest.approx(np.pi * 1e-3, rel=1e-3)
+
 
 def sqrt_wall_chart():
     """The line over the box [0, 2] with the metric sqrt(x1 + 0.05), which
