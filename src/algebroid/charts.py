@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import Expression, Program, parse
-from .sampling import AnchorError, sample_box
+from .sampling import AnchorError, _finite, sample_box
 
 __all__ = [
     "AlgebroidChart",
@@ -53,6 +53,7 @@ __all__ = [
 
 TOL_ANTISYMMETRY = 1e-12  # exact by construction: the bracket is stored for s < t and mirrored
 TOL_AXIOMS = 1e-9  # the anchor morphism and the Jacobi identity
+VALIDATE_FLOATS = 2**22  # floats a chunk of `validate`'s samples may take per structure product
 
 
 class ChartError(ValueError):
@@ -274,16 +275,6 @@ class ValidationReport:
         return max(rows, key=lambda c: c.residual) if rows else None
 
 
-def _finite(error, name, product, pts):
-    """`product` (one row per sample point), checked before any residual is
-    formed from it: raises `error` naming the product and the first sample
-    point where it is not finite (an entry or a product of two overflows)."""
-    bad = ~np.isfinite(product.reshape(len(pts), -1)).all(axis=1)
-    if bad.any():
-        raise error(f"{name} not finite at x={pts[bad][0]}")
-    return product
-
-
 def validate(chart, samples=200, seed=42) -> ValidationReport:
     """Check the algebroid axioms on quasi-random sample points.
 
@@ -296,40 +287,49 @@ def validate(chart, samples=200, seed=42) -> ValidationReport:
     TOL_AXIOMS.  Raises AnchorError (a product of (b)) or BracketError (a
     product of (c)), naming the product and the first such point, where a
     structure product is not finite.
+
+    The samples are taken in order, in chunks of VALIDATE_FLOATS / (r^3 (r + n))
+    points, so no product holds much more than VALIDATE_FLOATS floats; an
+    axiom keeps its first worst entry, as one pass over all samples would,
+    and a non-finite product is named in the first chunk that has one.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     pts = sample_box(chart.domain, samples, seed)
-    B, dB = chart.eval_anchor(pts, order=1)
-    C, dC = chart.eval_bracket(pts, order=1)
     r = chart.r
     s, t = np.triu_indices(r, 1)
-    # #[a_s,a_t] = [#a_s, #a_t] in coordinates
-    push = _finite(AnchorError, "anchor product C b", np.einsum("...stu,...uk->...stk", C, B), pts)
-    lie = _finite(AnchorError, "anchor product b db", np.einsum("...sm,...tkm->...stk", B, dB), pts)
-    # one cyclic slot [[a_s, a_t], a_u]^v per pair s < t, through the Leibniz
-    # rule: sum_m C_{st}^m C_{mu}^v - #(a_u)(C_{st}^v)
-    slot = _finite(BracketError, "bracket product C C", np.einsum("...pm,...muv->...puv", C[:, s, t], C), pts)
-    slot -= _finite(BracketError, "bracket product b dC", np.einsum("...ui,...pvi->...puv", B, dC[:, s, t]), pts)
-
-    def worst(name, residuals, tolerance, tuples):
-        # residuals (P, tuples, last); the indices are 1-based
-        if residuals.size == 0:
-            return ValidationCheck(name, (), 0.0, tolerance, pts[0])
-        p, e, k = np.unravel_index(np.argmax(residuals), residuals.shape)
-        indices = tuple(int(i) + 1 for i in (*tuples[e], k))
-        return ValidationCheck(name, indices, float(residuals[p, e, k]), tolerance, pts[p])
-
-    report = ValidationReport()
-    antisymmetry = np.abs(C + np.swapaxes(C, -3, -2)).reshape(len(pts), r * r, r)
-    report.checks.append(worst("antisymmetry", antisymmetry, TOL_ANTISYMMETRY, list(np.ndindex(r, r))))
-    morphism = np.abs(push[:, s, t] - (lie[:, s, t] - lie[:, t, s]))
-    report.checks.append(worst("anchor_morphism", morphism, TOL_AXIOMS, list(zip(s, t))))
-    # slot(u, s, t) = -slot(s, u, t) to the bit, as C is mirrored with its sign
     triples = list(itertools.combinations(range(r), 3))
     i, j, k = np.array(triples, dtype=int).reshape(-1, 3).T
     pair = np.zeros((r, r), dtype=int)
     pair[s, t] = np.arange(len(s))
-    jacobi = np.abs((slot[:, pair[i, j], k] + slot[:, pair[j, k], i]) - slot[:, pair[i, k], j])
-    report.checks.append(worst("jacobi", jacobi, TOL_AXIOMS, triples))
+    tuples = (list(np.ndindex(r, r)), list(zip(s, t)), triples)
+    worst = ([], [], [])  # per axiom, one (residual, sample, 0-based indices) per chunk
+    chunk = max(1, VALIDATE_FLOATS // (r**3 * (r + chart.n)))
+    for lo in range(0, samples, chunk):
+        x = pts[lo:lo + chunk]
+        B, dB = chart.eval_anchor(x, order=1)
+        C, dC = chart.eval_bracket(x, order=1)
+        # #[a_s,a_t] = [#a_s, #a_t] in coordinates
+        push = _finite(AnchorError, "anchor product C b", np.einsum("...stu,...uk->...stk", C, B), x)
+        lie = _finite(AnchorError, "anchor product b db", np.einsum("...sm,...tkm->...stk", B, dB), x)
+        # one cyclic slot [[a_s, a_t], a_u]^v per pair s < t, through the Leibniz
+        # rule: sum_m C_{st}^m C_{mu}^v - #(a_u)(C_{st}^v)
+        slot = _finite(BracketError, "bracket product C C", np.einsum("...pm,...muv->...puv", C[:, s, t], C), x)
+        slot -= _finite(BracketError, "bracket product b dC", np.einsum("...ui,...pvi->...puv", B, dC[:, s, t]), x)
+        antisymmetry = np.abs(C + np.swapaxes(C, -3, -2)).reshape(len(x), r * r, r)
+        morphism = np.abs(push[:, s, t] - (lie[:, s, t] - lie[:, t, s]))
+        # slot(u, s, t) = -slot(s, u, t) to the bit, as C is mirrored with its sign
+        jacobi = np.abs((slot[:, pair[i, j], k] + slot[:, pair[j, k], i]) - slot[:, pair[i, k], j])
+        for rows, residuals, tup in zip(worst, (antisymmetry, morphism, jacobi), tuples):
+            if residuals.size:  # (samples, tuples, last index)
+                p, e, m = np.unravel_index(np.argmax(residuals), residuals.shape)
+                rows.append((float(residuals[p, e, m]), lo + p, (*tup[e], m)))
+
+    report = ValidationReport()
+    names = ("antisymmetry", "anchor_morphism", "jacobi")
+    for name, tolerance, rows in zip(names, (TOL_ANTISYMMETRY, TOL_AXIOMS, TOL_AXIOMS), worst):
+        # max keeps the first of equal residuals; the indices are 1-based
+        residual, p, indices = max(rows, key=lambda row: row[0], default=(0.0, 0, ()))
+        indices = tuple(int(v) + 1 for v in indices)
+        report.checks.append(ValidationCheck(name, indices, residual, tolerance, pts[p]))
     return report

@@ -263,12 +263,15 @@ def _flow_start(run, args, chart, metric, span, mu_scale=0.5):
     """The start of a flow over a time `span`: `_state_from_args`, with a
     default mu scaled down by `fit_to_box` so that its geodesic cannot leave
     the box within the span; the factor is noted as default_mu_scale.  A
-    given --mu is never rescaled, nor is the mu of an --x outside the box,
-    whose run exits the domain at its first node."""
+    factor of 0 (an --x on a face of the box) is an input error that asks
+    for --mu.  A given --mu is never rescaled, nor is the mu of an --x
+    outside the box, whose run exits the domain at its first node."""
     start = _state_from_args(chart, args, mu_scale)
     if args.mu or not chart.contains(start.x):
         return start
     factor = float(fit_to_box(chart, metric, start.x[None], start.mu[None], span)[0])
+    if factor == 0.0:
+        raise SystemExit2(f"no default mu fits the box at x={start.x} (no room to its nearest face): give --mu")
     run.note("default_mu_scale", factor)
     return AVector(start.x, factor * start.mu)
 
@@ -295,10 +298,10 @@ def _cmd_validate(args, out, run, chart, metric):
     samples = _flag(args, "samples", 200)
     run.note("samples", samples)
     report = validate_chart(chart, samples=samples, seed=args.seed)
-    margin = metric.spd_margin(chart, samples=samples, seed=args.seed)
+    margin, at = metric.spd_margin(chart, samples=samples, seed=args.seed)
     run.note("metric_spd_margin", margin)
     worst = [(c.name, c.indices, c.residual, c.point) for c in report.checks]
-    worst.append(("metric_spd", (), max(0.0, SPD_EIGENVALUE_FLOOR - margin), np.zeros(chart.n)))
+    worst.append(("metric_spd", (), max(0.0, SPD_EIGENVALUE_FLOOR - margin), at))
     rows = []  # one per axiom at its worst sample point
     for name, indices, residual, point in worst:
         run.check(name, residual)
@@ -367,7 +370,9 @@ def _cmd_jacobi(args, out, run, chart, metric):
 
     # differential of exp against central differences, transitive charts only
     frame = split(chart, metric, start.x)
-    if frame.q == chart.n:
+    if frame.q < chart.n:
+        run.note("dexp_vs_fd", "not_applicable")
+    else:
         u = sample_fiber(chart.r, 1, args.seed + 29, scale=0.5)[0]
         try:
             # at t1 = 1 the verb's path is dexp's geodesic: same start and grid

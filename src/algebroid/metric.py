@@ -49,7 +49,7 @@ import numpy as np
 
 from .charts import SectionField, _as_expression
 from .expressions import Program
-from .sampling import sample_box
+from .sampling import _finite, _not_finite_at, sample_box
 
 __all__ = [
     "MetricField",
@@ -135,16 +135,18 @@ class MetricField:
         G, dG, d2G = Program.of(self).run(points, (order,))[0]
         if not _is_spd(G, self._shift):
             _raise_not_spd(G, points)
-        _check_finite(points, dG, d2G)
+        for d in (dG, d2G):
+            _finite(MetricError, "metric derivative", d, points)
         return G, dG, d2G
 
     def spd_margin(self, chart, samples=200, seed=42):
-        """Smallest eigenvalue of g over sampled points of the chart box;
-        -inf when g, dg or d2g is not finite at a sample."""
+        """(margin, x): the smallest eigenvalue of g over sampled points of
+        the chart box and the first sample where it is attained; (-inf, x)
+        with x the first sample where g, dg or d2g is not finite."""
         pts = sample_box(chart.domain, samples, seed)
         [(G, dG, d2G)] = Program.of(self).run(pts, (2,))
-        finite = all(np.isfinite(a).all() for a in (G, dG, d2G))
-        return float(np.min(np.linalg.eigvalsh(G))) if finite else -np.inf
+        x = _not_finite_at(np.concatenate([a.reshape(len(pts), -1) for a in (G, dG, d2G)], axis=1), pts)
+        return (-np.inf, x) if x is not None else _smallest_eigenvalue(G, pts)
 
 
 def _is_spd(G, shift):
@@ -158,28 +160,19 @@ def _is_spd(G, shift):
     return bool(np.isfinite(G).all())
 
 
+def _smallest_eigenvalue(G, points):
+    """(value, x): the smallest eigenvalue of a finite g at the points
+    (..., n) and the first point that attains it."""
+    smallest = np.linalg.eigvalsh(G)[..., 0]
+    k = np.unravel_index(np.argmin(smallest), smallest.shape)
+    return float(smallest[k]), points[k]
+
+
 def _raise_not_spd(G, points):
     # runs only on this failure path, and eigvalsh only on a finite G
-    finite = np.isfinite(G).all(axis=(-2, -1))
-    smallest = np.linalg.eigvalsh(G)[..., 0] if finite.all() else finite
-    k = np.unravel_index(np.argmin(smallest), np.shape(smallest))
-    bad = points[k] if points.ndim > 1 else points
-    if not finite.all():
-        raise MetricError(f"metric not finite at x={bad}")
-    raise MetricError(
-        f"metric not positive definite at x={bad} "
-        f"(smallest eigenvalue {float(np.min(smallest)):.3e})"
-    )
-
-
-def _check_finite(points, *derivatives):
-    """Raise MetricError if a derivative of g (None where not computed) is
-    not finite, naming the first point where it is not."""
-    for d in derivatives:
-        if d is not None and not np.isfinite(d).all():
-            bad = ~np.isfinite(d).reshape(points.shape[:-1] + (-1,)).all(axis=-1)
-            k = np.unravel_index(np.argmax(bad), bad.shape)
-            raise MetricError(f"metric derivative not finite at x={points[k]}")
+    _finite(MetricError, "metric", G, points)
+    value, x = _smallest_eigenvalue(G, points)
+    raise MetricError(f"metric not positive definite at x={x} (smallest eigenvalue {value:.3e})")
 
 
 class Christoffel:
@@ -336,7 +329,7 @@ class _Connection:
             [(G, dG, _)] = self.metric.run(x, og)
             if not _is_spd(G, self._shift):
                 _raise_not_spd(G, x)
-            _check_finite(x, dG)
+            _finite(MetricError, "metric derivative", dG, x)
         elif not self.spd:
             _raise_not_spd(G, x)
         if ob is not None or oc is not None:
@@ -364,7 +357,7 @@ class _Connection:
         dB = dC = d2G = None
         if self.G is None:
             [(_, _, d2G)] = self.metric.run(x, og)
-            _check_finite(x, d2G)
+            _finite(MetricError, "metric derivative", d2G, x)
         if ob is not None or oc is not None:
             (_, dB, _), (_, dC, _) = self.chart.run(x, (ob, oc))
         # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise

@@ -4,7 +4,9 @@ All sampling in the package goes through a scrambled Halton sequence: for a
 fixed (seed, dimension) the points are a deterministic function of the
 index, so every report is bit-reproducible.  The seed drives one digit
 permutation per dimension (the zero digit stays fixed, keeping the radical
-inverse inside [0, 1)).
+inverse inside [0, 1)).  `_finite` is the package's one rule that names a
+non-finite array at sampled points (here, as this module imports nothing
+from the package).
 """
 
 from __future__ import annotations
@@ -118,10 +120,7 @@ def fit_to_box(chart, metric, xs, mus, span):
     pts = xs[:, None, :] + rho[:, None, None] * offsets[None]
     B, _ = chart.eval_anchor(pts)
     G, _, _ = metric.eval(pts)
-    BBt = np.einsum("...si,...ti->...st", B, B)
-    bad = ~np.isfinite(BBt).all(axis=(-2, -1))
-    if np.any(bad):
-        raise AnchorError(f"anchor product b b^T not finite at x={pts[bad][0]}")
+    BBt = _finite(AnchorError, "anchor product b b^T", np.einsum("...si,...ti->...st", B, B), pts)
     M = np.linalg.solve(G, BBt)
     K = np.max(np.sqrt(np.max(np.real(np.linalg.eigvals(M)), axis=-1)), axis=1)
     G0, _, _ = metric.eval(xs)
@@ -129,3 +128,19 @@ def fit_to_box(chart, metric, xs, mus, span):
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.minimum(1.0, rho / (span * K * norm))
     return np.where(np.isnan(scale), 1.0, scale)
+
+
+def _not_finite_at(values, points):
+    """The first of the points (..., n), in C order, where `values` (None:
+    not computed) has an entry that is not finite, or None."""
+    if values is not None and not np.isfinite(values).all():
+        return points[~np.isfinite(values.reshape(points.shape[:-1] + (-1,))).all(axis=-1)][0]
+
+
+def _finite(error, name, values, points):
+    """`values`, checked before any result is formed from it: raises `error`
+    naming `name` and the first point where it is not finite."""
+    x = _not_finite_at(values, points)
+    if x is not None:
+        raise error(f"{name} not finite at x={x}")
+    return values

@@ -50,10 +50,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import AVector, BracketError, _finite
+from .charts import AVector, BracketError
 from .metric import Christoffel, _g_dot, _quad, _sectional_of, christoffel
 from .paths import geodesic_rhs
-from .sampling import AnchorError
+from .sampling import AnchorError, _finite
 
 __all__ = [
     "SplitFrame",

@@ -46,7 +46,7 @@ def test_every_entry_validates_tightly(name):
     report = validate(entry.chart, samples=200, seed=7)
     assert report.passed
     assert max(c.residual for c in report.checks) < 1e-12
-    assert entry.metric.spd_margin(entry.chart) > 1e-10
+    assert entry.metric.spd_margin(entry.chart)[0] > 1e-10
     assert entry.notes
 
 

@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from algebroid import catalog
+from algebroid import catalog, charts
 from algebroid.charts import (
     AlgebroidChart,
     AVector,
@@ -241,6 +242,32 @@ def test_an_axiom_without_entries_reports_zero(r, morphism, jacobi):
     report = validate(chart, samples=5, seed=42)
     assert [(c.indices, c.residual) for c in report.checks[1:]] == [(morphism, 0.0), (jacobi, 0.0)]
     assert report.passed
+
+
+def test_validate_in_chunks_is_one_pass(monkeypatch):
+    # r = 6, n = 2: r^3 (r + n) = 1728 floats a sample, so these budgets take
+    # 1 and 7 samples a chunk; the defaults take all 50 in one
+    chart = _random_chart(1)
+    whole = validate(chart, samples=50, seed=3)
+    for floats in (1728, 7 * 1728 + 5):
+        monkeypatch.setattr(charts, "VALIDATE_FLOATS", floats)
+        chunked = validate(chart, samples=50, seed=3)
+        for got, want in zip(chunked.checks, whole.checks, strict=True):
+            assert (got.name, got.indices, got.residual) == (want.name, want.indices, want.residual)
+            assert got.point.tobytes() == want.point.tobytes(), got.name
+    assert whole.worst("antisymmetry").residual == 0.0 < whole.worst("jacobi").residual
+
+
+def test_validate_holds_one_chunk_of_samples():
+    # one pass over 200 samples of this r = 16 chart peaks near 170 MB
+    chart = AlgebroidChart(n=1, r=16, b=[["1"]] + [["0"]] * 15)
+    tracemalloc.start()
+    try:
+        assert validate(chart, samples=200).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 class TestChartConstruction:

@@ -10,9 +10,9 @@ import pytest
 
 from algebroid import catalog
 from algebroid.chartfile import dumps_chart
-from algebroid.cli import _VERBS, CHECKS, main
+from algebroid.cli import _VERBS, CHECKS, _xcols, main
 from algebroid.metric import MetricField
-from algebroid.sampling import sample_fiber
+from algebroid.sampling import sample_box, sample_fiber
 
 
 def read_csv(path):
@@ -110,6 +110,20 @@ class TestValidateVerb:
         report = read_report(tmp_path / "o")
         assert report["metric_spd_margin"] == "-inf"
         assert report["check.metric_spd.pass"] == "false"
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_metric_spd_names_the_sample_of_the_margin(self, name, tmp_path, capsys):
+        rc = main(["validate", "--catalog", name, "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        entry = catalog.get(name)
+        [row] = [r for r in read_csv(tmp_path / "validate.csv") if r["axiom"] == "metric_spd"]
+        x = np.array([float(row[c]) for c in _xcols(entry.chart.n)])
+        assert entry.chart.contains(x)
+        pts = sample_box(entry.chart.domain, 200, 42)
+        smallest = np.linalg.eigvalsh(entry.metric.eval(pts)[0])[:, 0]
+        assert x.tolist() == pts[np.argmin(smallest)].tolist()
+        assert float(read_report(tmp_path)["metric_spd_margin"]) == smallest.min()
 
     def test_csv_has_one_row_per_check(self, tmp_path, capsys):
         rc = main(["validate", "--catalog", "heisenberg_central", "--samples", "50",
@@ -414,6 +428,33 @@ class TestOtherVerbs:
         report = read_report(tmp_path)
         assert report["dexp_vs_fd"] == "skipped: perturbed geodesic left the domain"
 
+    def test_jacobi_notes_dexp_vs_fd_where_the_chart_is_not_transitive(self, tmp_path, capsys):
+        # the anchor rank is below n on the first three, n on the sphere
+        for name in ("so3_biinv", "aff2", "foliation_xy", "sphere_chart"):
+            rc = main(["jacobi", "--catalog", name, "--out", str(tmp_path / name)])
+            capsys.readouterr()
+            assert rc == 0
+            report = read_report(tmp_path / name)
+            if name == "sphere_chart":
+                assert "dexp_vs_fd" not in report and report["check.dexp_vs_fd.pass"] == "true"
+            else:
+                assert report["dexp_vs_fd"] == "not_applicable", name
+                assert "check.dexp_vs_fd.pass" not in report
+
+    def test_oneill_notes_skipped_curvature_identities(self, tmp_path, capsys):
+        # the leaf stencil around x1 = 0.004 (step 2e-3, two steps each way)
+        # reaches x1 = 0, where the anchor diag(x1, 1) drops rank
+        f = tmp_path / "leaf.chart"
+        f.write_text("[algebroid]\nn = 2\nr = 2\ndomain = -1,1 ; -1,1\nb = x1, 0 ; 0, 1\n"
+                     "[metric]\ng 1,1 = 1\ng 2,2 = 1\n")
+        rc = main(["oneill", "--chart", str(f), "--x", "0.004,0", "--out", str(tmp_path / "o")])
+        capsys.readouterr()
+        assert rc == 0
+        report = read_report(tmp_path / "o")
+        assert report["anchor_rank"] == "2"
+        assert report["curvature_identities"] == "skipped: leaf metric matrix needs a transitive chart"
+        assert not any(key.startswith("check.curvature_") for key in report)
+
     def test_variation_check_flat(self, tmp_path, capsys):
         rc = main(["variation-check", "--catalog", "euclidean2", "--out", str(tmp_path)])
         capsys.readouterr()
@@ -582,6 +623,17 @@ def test_a_given_mu_is_never_rescaled(verb, tmp_path, capsys):
     assert "default_mu_scale" not in report and "domain_exit_time" in report
     if verb == "geodesic":
         assert report["mu0"] == mu
+
+
+@pytest.mark.parametrize("verb", FLOW_VERBS + ["variation-check"])
+@pytest.mark.parametrize("name, x", [("sphere_chart", "0.1,1"), ("euclidean2", "3,0")])
+def test_a_default_start_on_a_face_exits_2(verb, name, x, tmp_path, capsys):
+    # on a face of the box no default mu fits: it would scale to 0
+    rc = main([verb, "--catalog", name, "--x", x, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: no default mu fits the box at x=[") and err.endswith(": give --mu\n")
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_a_start_outside_the_box_keeps_the_drawn_mu(tmp_path, capsys):

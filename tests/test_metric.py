@@ -768,7 +768,7 @@ class TestMetricField:
                     metric.eval(x)
                 with pytest.raises(MetricError, match=r"metric not finite at x=\[0.95\]"):
                     christoffel(chart, metric, x)
-            assert metric.spd_margin(chart) == -np.inf
+            assert metric.spd_margin(chart)[0] == -np.inf
 
     def test_non_finite_metric_derivative_raises(self):
         # g = 1 + 1/cosh(800 x1) is finite everywhere; at x1 = 0.95 its
@@ -790,7 +790,20 @@ class TestMetricField:
             assert np.isfinite(ch.gamma).all()
             with pytest.raises(MetricError, match=at(0.6)):
                 ch.dgamma
-            assert metric.spd_margin(chart) == -np.inf
+            assert metric.spd_margin(chart)[0] == -np.inf
+
+    def test_spd_margin_names_the_first_non_finite_sample(self):
+        # g = cosh(800 x1) and its partials overflow near both ends of the box
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "cosh(800*x1)"}, r=1, n=1)
+        with np.errstate(over="ignore"):
+            margin, x = metric.spd_margin(chart, samples=50, seed=5)
+            pts = sample_box(chart.domain, 50, 5)
+            a = 800 * pts[:, 0]
+            finite = np.isfinite(np.cosh(a)) & np.isfinite(800 * np.sinh(a)) & np.isfinite(640000 * np.cosh(a))
+        assert margin == -np.inf
+        assert not finite.all()
+        assert x.tolist() == pts[np.argmin(finite)].tolist()
 
     def test_symmetric_storage(self, sphere):
         G, _, _ = sphere.metric.eval(np.array([1.2, 0.3]))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,3 +85,41 @@ def test_fit_to_box_names_an_overflowing_anchor():
     xs, mus = chart.center()[None], np.ones((1, 2))
     with pytest.raises(sampling.AnchorError, match=r"anchor product b b\^T not finite at x=\["):
         sampling.fit_to_box(chart, metric, xs, mus, 1.0)
+
+
+class _Named(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["point", "rows", "mesh"])
+def test_the_finiteness_rule_names_the_first_point_in_c_order(lead):
+    # points (..., n) and values (..., 2, 2) over the same leading axes; two
+    # points are spoilt, the later one first
+    points = np.arange(2 * int(np.prod(lead)), dtype=float).reshape(lead + (2,)) / 4
+    values = np.ones(lead + (2, 2))
+    assert sampling._finite(_Named, "g", values, points) is values
+    assert sampling._finite(_Named, "g", None, points) is None
+    flat = values.reshape(-1, 2, 2)
+    last, middle = len(flat) - 1, len(flat) // 2
+    flat[last, 1, 0], flat[middle, 0, 1] = np.inf, np.nan
+    with pytest.raises(_Named) as err:
+        sampling._finite(_Named, "g", values, points)
+    assert str(err.value) == f"g not finite at x={points.reshape(-1, 2)[min(last, middle)]}"
+
+
+def test_not_finite_at_x_is_formed_by_the_rule_alone():
+    # every "<array> not finite at x=..." error of the package is raised by
+    # `sampling._finite`: the text is formed in one f-string, inside it
+    src = Path(sampling.__file__).parent
+    formed, rule = [], None
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and path.name == "sampling.py" and node.name == "_finite":
+                rule = range(node.lineno, node.end_lineno + 1)
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+                if "not finite at x=" in text:
+                    formed.append((path.name, node.lineno))
+    assert len(formed) == 1, formed
+    assert formed[0][0] == "sampling.py" and formed[0][1] in rule
