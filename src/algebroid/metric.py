@@ -32,7 +32,10 @@ from the Koszul form contracted with mu (x) mu: O(r^2 n) work per point
 against O(r^3 n) for Gamma, which it never forms.
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
-and the derivatives of g it computes there must be finite.
+and the derivatives of g it computes there must be finite.  Every caller
+gets that check on each call except the geodesic integrator, which keeps
+g at its stage points unchecked and checks them in batches
+(`_check_stages`, see `paths`) with the same verdict and the same error.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
 independent check of the evaluator.
 `paths`, `variations`, `splitting` and `covariant_derivative` contract
@@ -133,11 +136,8 @@ class MetricField:
         """g (..., r, r), dg (..., r, r, n), d2g (..., r, r, n, n)."""
         points = np.asarray(points, dtype=float)
         G, dG, d2G = Program.of(self).run(points, (order,))[0]
-        if not _is_spd(G, self._shift):
-            _raise_not_spd(G, points)
-        for d in (dG, d2G):
-            _finite(MetricError, "metric derivative", d, points)
-        return G, dG, d2G
+        _check_metric(G, dG, points, self._shift)
+        return G, dG, _finite(MetricError, "metric derivative", d2G, points)
 
     def spd_margin(self, chart, samples=200, seed=42):
         """(margin, x): the smallest eigenvalue of g over sampled points of
@@ -173,6 +173,30 @@ def _raise_not_spd(G, points):
     _finite(MetricError, "metric", G, points)
     value, x = _smallest_eigenvalue(G, points)
     raise MetricError(f"metric not positive definite at x={x} (smallest eigenvalue {value:.3e})")
+
+
+def _check_metric(G, dG, points, shift):
+    """The check of g at the points (..., n) where it was evaluated: G SPD
+    (`_is_spd`) and dG (None: not computed) finite, else MetricError."""
+    if not _is_spd(G, shift):
+        _raise_not_spd(G, points)
+    _finite(MetricError, "metric derivative", dG, points)
+
+
+def _check_stages(stages, shift):
+    """`_check_metric` over the (x, G, dG) records a run kept unchecked
+    (see `christoffel`), in one batched pass; empties `stages`.  All
+    records share one shape.  When the batch fails, the records are walked
+    in the order they were kept, so the first failing one raises the
+    error its own check would have raised."""
+    if not stages:
+        return
+    xs, Gs, dGs = zip(*stages)
+    stages.clear()
+    if _is_spd(np.array(Gs), shift) and (dGs[0] is None or np.isfinite(np.array(dGs)).all()):
+        return
+    for x, G, dG in zip(xs, Gs, dGs):
+        _check_metric(G, dG, x, shift)
 
 
 class Christoffel:
@@ -278,6 +302,10 @@ class _Connection:
       symmetrized in its lower pair and flattened to (r*r, r); and
       dGamma = 0 wherever dS vanishes identically.
 
+    A non-constant g is checked at the points of each call
+    (`_check_metric`), unless the caller passes a stage list: then g and
+    dg are appended to it unchecked, for the caller to check in a batch.
+
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
     and Q[a, b, c] = C_{ab}^u g_{uc}:
@@ -313,7 +341,7 @@ class _Connection:
                 self.gamma.flags.writeable = self.sym.flags.writeable = False
         self.dgamma.flags.writeable = False
 
-    def christoffel(self, x):
+    def christoffel(self, x, stages=None):
         x = np.asarray(x, dtype=float)
         base = x.shape[:-1]
         held = self.held.get(base)
@@ -327,9 +355,10 @@ class _Connection:
         dG = None
         if self.G is None:
             [(G, dG, _)] = self.metric.run(x, og)
-            if not _is_spd(G, self._shift):
-                _raise_not_spd(G, x)
-            _finite(MetricError, "metric derivative", dG, x)
+            if stages is None:
+                _check_metric(G, dG, x, self._shift)
+            else:
+                stages.append((x, G, dG))
         elif not self.spd:
             _raise_not_spd(G, x)
         if ob is not None or oc is not None:
@@ -407,19 +436,25 @@ def _perm(a, *axes):
     return a.transpose(tuple(range(lead)) + tuple(lead + k for k in axes))
 
 
-def christoffel(chart, metric, x) -> Christoffel:
+def christoffel(chart, metric, x, _stages=None) -> Christoffel:
     """The connection record at x: b, C and g, with the Levi-Civita
     coefficients, their exact space derivatives, the curvature and the
     geodesic spray made on request.
 
-    Raises MetricError if g is not positive definite at a point of x.  An
-    array of the record that no point changes is the evaluator's own
-    read-only array at a single point, a read-only broadcast view on a batch.
+    Raises MetricError if g is not positive definite at a point of x, or
+    its partials there are not finite.  An array of the record that no
+    point changes is the evaluator's own read-only array at a single point,
+    a read-only broadcast view on a batch.
+
+    `_stages`, a list, defers that check for a non-constant metric: the
+    record's (x, G, dG) is appended to it, unchecked, for the caller to
+    check with `_check_stages` before any result of it leaves the caller.
+    Only the geodesic integrator passes it.
     """
     ev = metric._cache.get(chart)
     if ev is None:
         ev = metric._cache[chart] = _Connection(chart, metric)
-    return ev.christoffel(x)
+    return ev.christoffel(x, _stages)
 
 
 def _quad(a, b, T):

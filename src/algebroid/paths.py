@@ -33,6 +33,12 @@ run as one batch through `_geodesics`, which also serves single geodesics.
 The batch keeps only the success path: when a row fails a node check or
 the right side raises, the start rows are replayed one at a time, so the
 error raised is the one a row-by-row loop would raise first.
+A geodesic run checks a non-constant g at all its stage points, but not
+one stage at a time: the right side keeps each stage's g, and the run
+checks the kept stages in one batched pass every STAGE_CHECK_NODES nodes,
+at its end and before any exception leaves it; the first failing stage
+raises the MetricError a check at that stage would raise.  Every other
+connection call checks g at its own points.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
-from .metric import _quad, christoffel, fiber_inner
+from .metric import _check_stages, _quad, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -65,6 +71,9 @@ __all__ = [
 
 TOL_APATH_GENERATED = 1e-9
 TOL_GEODESIC = 1e-6
+# nodes of a geodesic run between two batched checks of g at its stage
+# points; bounds the stage records kept to about four per node
+STAGE_CHECK_NODES = 256
 
 
 class DomainExitError(RuntimeError):
@@ -290,13 +299,14 @@ def _transport_track(chart, metric, alpha):
 # ---------------------------------------------------------------------------
 
 
-def geodesic_rhs(chart, metric, x, mu):
+def geodesic_rhs(chart, metric, x, mu, _stages=None):
     """Right side of the geodesic system at (x, mu): dx = mu B and the
     spray dmu = -Gamma(mu, mu), which one connection record forms from the
     Koszul form without forming Gamma.  x (..., n) and mu (..., r) may
-    carry leading batch axes, which broadcast."""
+    carry leading batch axes, which broadcast.  `_stages` defers the check
+    of g to the caller, as in `christoffel`."""
     mu = np.asarray(mu, dtype=float)
-    ch = christoffel(chart, metric, x)
+    ch = christoffel(chart, metric, x, _stages)
     return (mu[..., None, :] @ ch.B)[..., 0, :], ch.spray(mu)
 
 
@@ -314,17 +324,37 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     a time as single geodesics, and the first that fails raises.  A batch
     row is bit-identical to its row run alone, so the replay costs time only
     on a failure: the rows before the failing one are integrated twice.
+
+    A non-constant g is checked at every stage point, but not stage by
+    stage: the right side keeps each stage's (x, G, dG) unchecked, and
+    `_check_stages` checks the kept stages in one batched pass every
+    STAGE_CHECK_NODES nodes, at the end of the run and before any
+    exception leaves it.  A failing pass raises the MetricError of the
+    first failing stage, as a check at every stage would, even where the
+    run went on past that stage and then failed otherwise.
     """
     n = chart.n
     ts = _grid(t_span, step)
     box = chart.domain.tolist()
     y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
+    stages = []  # the stage records since the last check of g
 
     def rhs(j, y):
-        dx, dmu = geodesic_rhs(chart, metric, y[..., :n], y[..., n:])
+        dx, dmu = geodesic_rhs(chart, metric, y[..., :n], y[..., n:], _stages=stages)
         return np.concatenate([dx, dmu], axis=-1)
 
+    def run(start):
+        try:
+            ys, ds = _rk4(rhs, ts, start, on_node=guard)
+        except Exception:
+            _check_stages(stages, metric._shift)
+            raise
+        _check_stages(stages, metric._shift)
+        return ys, ds
+
     def guard(k, y, ys, ds):
+        if k % STAGE_CHECK_NODES == 0:
+            _check_stages(stages, metric._shift)
         if y.ndim == 2:
             if not (np.isfinite(y).all() and chart.contains(y[:, :n])):
                 raise _RowFailed
@@ -340,15 +370,15 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
         raise error(float(ts[k]), partial)
 
     if y0.ndim == 1:
-        return (ts, *_rk4(rhs, ts, y0, on_node=guard))
-    # what the right side raises at a bad point: EvalDomainError and
-    # MetricError are ValueErrors, an overflow under np.errstate an
+        return (ts, *run(y0))
+    # what the right side raises at a bad point: EvalDomainError, MetricError
+    # and LinAlgError are ValueErrors, an overflow under np.errstate an
     # ArithmeticError
     try:
-        ys, ds = _rk4(rhs, ts, y0, on_node=guard)
+        ys, ds = run(y0)
     except (_RowFailed, ValueError, ArithmeticError):
         for row in y0:
-            _rk4(rhs, ts, row, on_node=guard)
+            run(row)
         raise
     return ts, ys, ds
 

@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from algebroid import catalog, paths, variations
 from algebroid import metric as metric_module
-from algebroid.charts import AVector, SectionField
-from algebroid.metric import MetricField, christoffel, covariant_derivative, curvature, fiber_inner
+from algebroid.charts import AlgebroidChart, AVector, SectionField
+from algebroid.metric import MetricError, MetricField, christoffel, covariant_derivative, curvature, fiber_inner
 from algebroid.paths import (
     APath,
     DomainExitError,
@@ -479,11 +480,13 @@ class TestLinearFlow:
         assert 14.0 < errors[0] / errors[1] < 18.0
 
 
-def _per_stage_rk4(f, ts, y0):
-    """Reference RK4 whose right side takes the time, not a track index."""
+def _per_stage_rk4(f, ts, y0, on_node=lambda k, y: None):
+    """Reference RK4 whose right side takes the time, not a track index;
+    `on_node(k, y)` sees node k before the right side is evaluated there."""
     ys = np.empty((len(ts),) + np.shape(y0))
     ds = np.empty_like(ys)
     ys[0] = y0
+    on_node(0, ys[0])
     ds[0] = f(ts[0], ys[0])
     for k in range(len(ts) - 1):
         t, h, y = ts[k], ts[k + 1] - ts[k], ys[k]
@@ -491,6 +494,7 @@ def _per_stage_rk4(f, ts, y0):
         k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = f(t + h, y + h * k3)
         ys[k + 1] = y + (h / 6.0) * (ds[k] + 2.0 * k2 + 2.0 * k3 + k4)
+        on_node(k + 1, ys[k + 1])
         ds[k + 1] = f(ts[k + 1], ys[k + 1])
     return ys, ds
 
@@ -758,3 +762,129 @@ class TestBackwardFlows:
         np.testing.assert_array_equal(x_back, x_forth)
         np.testing.assert_array_equal(mu_back, -mu_forth)
         assert back.constraint_residual(chart) < paths.TOL_APATH_GENERATED
+
+
+def _checked_geodesic_error(chart, metric, x0, mu0, step):
+    """The error of the geodesic over [0, 1] from (x0, mu0) run by the
+    reference RK4 with g checked at every stage, by the checked
+    `christoffel` inside `geodesic_rhs`, and every node checked as the
+    integrator checks it; None if it runs through."""
+    n = chart.n
+    ts = paths._grid((0.0, 1.0), step)
+
+    def node(k, y):
+        if not np.isfinite(y).all():
+            raise NonFiniteError(float(ts[k]), None)
+        if not chart.contains(y[:n]):
+            raise DomainExitError(float(ts[k]), None)
+
+    def f(t, y):
+        return np.concatenate(paths.geodesic_rhs(chart, metric, y[:n], y[n:]))
+
+    try:
+        _per_stage_rk4(f, ts, np.concatenate([x0, mu0]), on_node=node)
+    except Exception as err:
+        return err
+
+
+def _raised(run):
+    with pytest.raises(Exception) as err:
+        run()
+    return err.value
+
+
+class TestStagePointChecks:
+    """A geodesic run checks g at its stage points in batches and may run on
+    past a failing stage; the error must still be the one a check at every
+    stage raises, for a single geodesic and for the first failing row of a
+    batch.  One chart, the line with b = 1 over [-1, 1], under metrics that
+    fail inside the box."""
+
+    CASES = {
+        # g = x1 is not SPD at x1 <= 0: the run goes on to t = 1
+        "not_spd": ("x1", 0.5, -0.5, 1e-2),
+        # ... and leaves the box at t = 0.21
+        "not_spd_then_exit": ("x1", 0.3, -1.0, 1e-2),
+        # ... found by a check of a later batch of nodes than the first
+        "not_spd_after_a_checked_batch": ("x1", 0.5, -0.5, 1e-3),
+        # a stage at x1 = 0, where solving against g raises LinAlgError
+        "singular": ("x1", 0.1, -2.0, 0.1),
+        # g overflows at a stage point, then a node is not finite
+        "g_not_finite": ("cosh(800*x1)", 0.5, -0.5, 1e-2),
+        # g stays finite, dg does not at x1 = 0.88
+        "dg_not_finite": ("1 + 1/cosh(800*x1)", 0.5, 0.5, 1e-2),
+    }
+
+    @staticmethod
+    def case(name):
+        g, x0, mu, step = TestStagePointChecks.CASES[name]
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        return chart, MetricField({(1, 1): g}, r=1, n=1), np.array([x0]), mu, step
+
+    @staticmethod
+    def assert_same(raised, expected):
+        assert isinstance(expected, MetricError)
+        assert type(raised) is type(expected)
+        assert str(raised) == str(expected)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_single_geodesic(self, name):
+        chart, metric, x0, mu, step = self.case(name)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            raised = _raised(lambda: geodesic_integrate(chart, metric, AVector(x0, [mu]), (0.0, 1.0), step))
+            expected = _checked_geodesic_error(chart, metric, x0, np.array([mu]), step)
+        self.assert_same(raised, expected)
+        if name == "not_spd_then_exit":  # the run went on past the stage
+            assert isinstance(raised.__context__, DomainExitError)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_first_failing_row_of_a_batch(self, name):
+        # row 0 (mu = 0) stays at x0; rows 1 and 2 fail, row 1 first
+        chart, metric, x0, mu, step = self.case(name)
+        rows = np.array([0.0, mu, 2.0 * mu])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            errors = [_checked_geodesic_error(chart, metric, x0, np.array([m]), step) for m in rows]
+            assert errors[0] is None
+            runs = [
+                lambda: exp_map(chart, metric, x0, rows[:, None], step),
+                lambda: variations.make_geodesic_pencil(
+                    chart, metric, AVector(x0, [0.0]), [1.0], rows, (0.0, 1.0), step
+                ),
+            ]
+            for run in runs:
+                self.assert_same(_raised(run), errors[1])
+
+
+class TestStageCheckCost:
+    """The check of g along a run: one batched Cholesky factorization per
+    run of up to STAGE_CHECK_NODES nodes, and stage records kept for at
+    most that many nodes."""
+
+    def test_a_200_step_geodesic_factors_g_once(self, sphere, monkeypatch):
+        # one factorization per stage would be 4 * 200 + 1 = 801
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        start = AVector(sphere.chart.center(), [0.3, 0.2])
+        geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 0.2), 1e-3)
+        assert calls == [(801, 2, 2)]
+
+    def test_a_long_geodesic_keeps_a_bounded_stage_log(self, sphere):
+        # 4000 steps: the track takes 0.3 MB, the records of 256 nodes about
+        # 0.8 MB, and records kept for the whole run 12 MB.  (20 000 steps
+        # take 15 s under tracemalloc, against 4 s here.)
+        start = AVector(sphere.chart.center(), [0.3, 0.2])
+        geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 0.01), 1e-3)  # warm the caches
+        tracemalloc.start()
+        try:
+            path = geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 1.0), 2.5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path.ts) == 4001
+        assert peak < 3e6

@@ -412,9 +412,9 @@ class TestBatchedPencil:
         shapes = []
         rhs = paths.geodesic_rhs
 
-        def counting(chart, metric, x, mu):
+        def counting(chart, metric, x, mu, **private):
             shapes.append(np.shape(x))
-            return rhs(chart, metric, x, mu)
+            return rhs(chart, metric, x, mu, **private)
 
         monkeypatch.setattr(paths, "geodesic_rhs", counting)
         a = AVector([1.3, 1.0], [0.4, 0.3])
