@@ -18,6 +18,7 @@ from .charts import (
     bracket_sections,
     validate,
 )
+from .errors import CheckFailure, InputError
 from .expressions import EvalDomainError, EvalResult, Expression, ParseError, parse
 from .hamiltonian import (
     DualPoint,

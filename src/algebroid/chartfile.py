@@ -27,13 +27,13 @@ from __future__ import annotations
 import re
 
 from .charts import AlgebroidChart
-from .expressions import ExpressionError
+from .errors import InputError
 from .metric import MetricField
 
 __all__ = ["ChartFileError", "load_chart_file", "loads_chart", "dumps_chart"]
 
 
-class ChartFileError(ValueError):
+class ChartFileError(InputError):
     def __init__(self, message, line=None):
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
@@ -125,14 +125,14 @@ def loads_chart(text):
             c_upper={k: v for k, (v, _) in c_entries.items()},
             domain=domain,
         )
-    except (ExpressionError, ValueError) as exc:
+    except InputError as exc:
         raise ChartFileError(f"bad algebroid data: {exc}") from exc
 
     if not g_entries:
         raise ChartFileError("missing [metric] section with g entries")
     try:
         metric = MetricField({k: v for k, (v, _) in g_entries.items()}, r=r, n=n)
-    except (ExpressionError, ValueError) as exc:
+    except InputError as exc:
         raise ChartFileError(f"bad metric data: {exc}") from exc
     return chart, metric
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import CheckFailure, InputError
 from .expressions import Expression, Program, parse
 from .sampling import AnchorError, _finite, sample_box
 
@@ -56,11 +57,11 @@ TOL_AXIOMS = 1e-9  # the anchor morphism and the Jacobi identity
 VALIDATE_FLOATS = 2**22  # floats a chunk of `validate`'s samples may take per structure product
 
 
-class ChartError(ValueError):
+class ChartError(InputError):
     """Structural problems in chart data."""
 
 
-class BracketError(ValueError):
+class BracketError(CheckFailure, ValueError):
     """Bracket products not finite where a check needs them."""
 
 
@@ -294,7 +295,7 @@ def validate(chart, samples=200, seed=42) -> ValidationReport:
     and a non-finite product is named in the first chunk that has one.
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InputError("need at least one sample")
     pts = sample_box(chart.domain, samples, seed)
     r = chart.r
     s, t = np.triu_indices(r, 1)

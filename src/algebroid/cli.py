@@ -4,8 +4,8 @@ Verbs: validate, geodesic, exp, transport, jacobi, curvature, oneill,
 divergence, hamcheck, variation-check, catalog.  Every verb loads a chart
 (--chart FILE or --catalog NAME), writes `<verb>.csv` plus a `report.txt`
 of key=value lines into --out, and exits 0 iff all its checks pass, 1 on
-a check failure (including a domain exit, which keeps the partial CSV),
-2 on input errors.
+a failed check or a CheckFailure (a domain exit keeps the partial CSV), 2
+on an InputError; any other exception is a bug and leaves with its traceback.
 
 CSV files are byte-deterministic for identical argv + seed: all floats
 are printed with 17 significant digits and row order is fixed.  The
@@ -23,11 +23,10 @@ import numpy as np
 
 from . import catalog as _catalog
 from .charts import TOL_ANTISYMMETRY, TOL_AXIOMS, AVector, validate as validate_chart
-from .chartfile import ChartFileError, dumps_chart, load_chart_file
-from .expressions import ExpressionError
+from .chartfile import dumps_chart, load_chart_file
+from .errors import CheckFailure, InputError
 from .hamiltonian import euler_identity_residual, hamiltonian_field
 from .metric import (
-    MetricError,
     SPD_EIGENVALUE_FLOOR,
     christoffel,
     fiber_inner,
@@ -35,7 +34,6 @@ from .metric import (
 )
 from .paths import (
     DomainExitError,
-    NonFiniteError,
     TOL_APATH_GENERATED,
     TOL_GEODESIC,
     energy_along,
@@ -47,7 +45,7 @@ from .paths import (
     jacobi_solve,
     parallel_transport,
 )
-from .sampling import DimensionError, fit_to_box, sample_box, sample_fiber, sample_states
+from .sampling import fit_to_box, sample_box, sample_fiber, sample_states
 from .splitting import (
     SplitError,
     _divergence_rows,
@@ -186,33 +184,29 @@ def _vector(text, length, name):
     try:
         values = np.array([float(p) for p in text.split(",")], dtype=float)
     except ValueError:
-        raise SystemExit2(f"cannot parse {name} {text!r} as comma-separated reals")
+        raise InputError(f"cannot parse {name} {text!r} as comma-separated reals")
     if len(values) != length:
-        raise SystemExit2(f"{name} needs {length} components, got {len(values)}")
+        raise InputError(f"{name} needs {length} components, got {len(values)}")
     if not np.all(np.isfinite(values)):
-        raise SystemExit2(f"{name} must be finite, got {text!r}")
+        raise InputError(f"{name} must be finite, got {text!r}")
     return values
-
-
-class SystemExit2(Exception):
-    """Input error; translated to exit code 2."""
 
 
 def _load(args):
     if bool(args.catalog) == bool(args.chart):
-        raise SystemExit2("give exactly one of --catalog NAME or --chart FILE")
+        raise InputError("give exactly one of --catalog NAME or --chart FILE")
     if args.catalog:
         try:
             entry = _catalog.get(args.catalog)
         except KeyError as exc:
-            raise SystemExit2(str(exc)) from exc
+            raise InputError(str(exc)) from exc
         return entry.chart, entry.metric
     try:
         return load_chart_file(args.chart)
     except FileNotFoundError as exc:
-        raise SystemExit2(f"chart file not found: {args.chart}") from exc
-    except (ChartFileError, ExpressionError) as exc:
-        raise SystemExit2(f"malformed chart file: {exc}") from exc
+        raise InputError(f"chart file not found: {args.chart}") from exc
+    except InputError as exc:
+        raise InputError(f"malformed chart file: {exc}") from exc
 
 
 def _flag(args, name, default):
@@ -223,7 +217,7 @@ def _flag(args, name, default):
         return default
     if not np.isfinite(value) or (value == 0 if name == "t1" else value <= 0):
         rule = "finite and nonzero" if name == "t1" else "finite and positive"
-        raise SystemExit2(f"--{name} must be {rule}, got {value}")
+        raise InputError(f"--{name} must be {rule}, got {value}")
     return value
 
 
@@ -271,7 +265,7 @@ def _flow_start(run, args, chart, metric, span, mu_scale=0.5):
         return start
     factor = float(fit_to_box(chart, metric, start.x[None], start.mu[None], span)[0])
     if factor == 0.0:
-        raise SystemExit2(f"no default mu fits the box at x={start.x} (no room to its nearest face): give --mu")
+        raise InputError(f"no default mu fits the box at x={start.x} (no room to its nearest face): give --mu")
     run.note("default_mu_scale", factor)
     return AVector(start.x, factor * start.mu)
 
@@ -543,7 +537,7 @@ def _cmd_catalog(args, out, run):
         try:
             entry = _catalog.get(args.name)
         except KeyError as exc:
-            raise SystemExit2(str(exc)) from exc
+            raise InputError(str(exc)) from exc
         text = dumps_chart(entry.chart, entry.metric)
         (Path(out) / f"{args.name}.chart").write_text(text, encoding="utf-8")
         run.note("written", f"{args.name}.chart")
@@ -603,10 +597,10 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             _VERBS[args.verb](args, out, run, *loaded)
         return run.finish(out)
-    except (SystemExit2, ExpressionError, DimensionError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except (DomainExitError, MetricError, NonFiniteError, SplitError, ValueError) as exc:
+    except CheckFailure as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -51,6 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InputError
+
 __all__ = [
     "Expression",
     "EvalResult",
@@ -63,7 +65,7 @@ __all__ = [
 ]
 
 
-class ExpressionError(ValueError):
+class ExpressionError(InputError):
     """Base class for expression parsing and evaluation failures."""
 
 
@@ -627,7 +629,7 @@ class Expression:
         """Evaluate at a single point with exact gradient and Hessian."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
-            raise ValueError(f"expected a point of dimension {self.n}, got {x.shape}")
+            raise InputError(f"expected a point of dimension {self.n}, got {x.shape}")
         t = self.eval_raw(x, order=2)
         return EvalResult(float(t.v), t.g, t.h)
 
@@ -639,7 +641,7 @@ class Expression:
         """
         points = np.asarray(points, dtype=float)
         if points.shape[-1] != self.n:
-            raise ValueError(
+            raise InputError(
                 f"expected points with last axis {self.n}, got {points.shape}"
             )
         return Jet(*Program.of(self).run(points, (order,))[0])
@@ -659,6 +661,6 @@ def parse(text: str, n: int) -> Expression:
     and variable indices above `n`.
     """
     if n < 0:
-        raise ValueError("variable count must be nonnegative")
+        raise InputError("variable count must be nonnegative")
     return Expression(_Parser(text, n).parse(), n)
 

@@ -50,7 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import SectionField, _as_expression
+from .charts import ChartError, SectionField, _as_expression
+from .errors import CheckFailure, InputError
 from .expressions import Program
 from .sampling import _finite, _not_finite_at, sample_box
 
@@ -73,7 +74,7 @@ SPD_EIGENVALUE_FLOOR = 1e-10
 GRAM_FLOOR = 1e-12
 
 
-class MetricError(ValueError):
+class MetricError(CheckFailure, ValueError):
     """Metric not symmetric positive definite where required."""
 
 
@@ -104,13 +105,13 @@ class MetricField:
         for key, value in entries.items():
             i, j = key
             if not (1 <= i <= r and 1 <= j <= r):
-                raise MetricError(f"metric index {key} out of range for rank {r}")
+                raise ChartError(f"metric index {key} out of range for rank {r}")
             if i > j:
-                raise MetricError(f"metric entry {key}: give the upper triangle only")
+                raise ChartError(f"metric entry {key}: give the upper triangle only")
             table[(i - 1, j - 1)] = _as_expression(value, n)
         for i in range(r):
             if (i, i) not in table:
-                raise MetricError(f"metric diagonal entry ({i + 1},{i + 1}) missing")
+                raise ChartError(f"metric diagonal entry ({i + 1},{i + 1}) missing")
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
@@ -537,7 +538,7 @@ def _sectional_of(ch, a, b):
     dependent = gram <= GRAM_FLOOR * aa * bb
     if np.any(dependent):
         first = np.argmax(dependent)  # flat index of the first dependent pair
-        raise ValueError(
+        raise InputError(
             "sectional curvature of a (nearly) dependent pair (Gram determinant "
             f"{np.ravel(gram)[first]:.3e}, <a,a><b,b> = {np.ravel(aa * bb)[first]:.3e})"
         )

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector
+from .errors import CheckFailure, InputError
 from .metric import _check_stages, _quad, christoffel, fiber_inner
 
 __all__ = [
@@ -76,7 +77,7 @@ TOL_GEODESIC = 1e-6
 STAGE_CHECK_NODES = 256
 
 
-class DomainExitError(RuntimeError):
+class DomainExitError(CheckFailure, RuntimeError):
     """Trajectory left the chart box; carries the exit time and the partial path."""
 
     def __init__(self, time, path):
@@ -85,7 +86,7 @@ class DomainExitError(RuntimeError):
         self.path = path
 
 
-class NonFiniteError(FloatingPointError):
+class NonFiniteError(CheckFailure, FloatingPointError):
     """Trajectory reached a non-finite state; carries the time and the partial path."""
 
     def __init__(self, time, path):
@@ -94,7 +95,7 @@ class NonFiniteError(FloatingPointError):
         self.path = path
 
 
-class NonGeodesicError(ValueError):
+class NonGeodesicError(CheckFailure, ValueError):
     """An operation requiring a geodesic was fed a non-geodesic path."""
 
 
@@ -195,11 +196,11 @@ class FiberCurve:
 def _grid(t_span, step):
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+        raise InputError(f"step must be finite and positive, got {step}")
     t0, t1 = map(float, t_span)
     span = t1 - t0
     if span == 0.0:
-        raise ValueError("empty integration span")
+        raise InputError("empty integration span")
     nsteps = max(1, int(round(abs(span) / step)))
     return np.linspace(t0, t1, nsteps + 1)
 
@@ -371,12 +372,9 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
 
     if y0.ndim == 1:
         return (ts, *run(y0))
-    # what the right side raises at a bad point: EvalDomainError, MetricError
-    # and LinAlgError are ValueErrors, an overflow under np.errstate an
-    # ArithmeticError
     try:
         ys, ds = run(y0)
-    except (_RowFailed, ValueError, ArithmeticError):
+    except Exception:
         for row in y0:
             run(row)
         raise
@@ -441,11 +439,11 @@ def transport_frame(chart, metric, alpha: APath):
 
 
 def _uniform_step(ts):
-    """The step of a uniform time grid; raises ValueError when a step differs
+    """The step of a uniform time grid; raises InputError when a step differs
     from the first by more than 1e-9 of it (generated grids: ~1e-12)."""
     h = ts[1] - ts[0]
     if np.max(np.abs(np.diff(ts) - h)) > 1e-9 * abs(h):
-        raise ValueError("time grid is not uniform")
+        raise InputError("time grid is not uniform")
     return h
 
 
@@ -477,7 +475,7 @@ def _grid_derivative(values, ts):
 def derivative_along(chart, metric, alpha: APath, s: FiberCurve):
     """(nabla^alpha s)^u = ds^u/dt + sum alpha^i s^j Gamma_{ij}^u on the grid."""
     if len(s.ts) != len(alpha.ts) or not np.allclose(s.ts, alpha.ts):
-        raise ValueError("fiber curve grid does not match the path grid")
+        raise InputError("fiber curve grid does not match the path grid")
     sdot = _grid_derivative(s.values, alpha.ts)
     gamma = christoffel(chart, metric, alpha.xs).gamma
     return FiberCurve(ts=alpha.ts, values=sdot + _quad(alpha.mus, s.values, gamma))

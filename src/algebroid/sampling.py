@@ -5,8 +5,8 @@ fixed (seed, dimension) the points are a deterministic function of the
 index, so every report is bit-reproducible.  The seed drives one digit
 permutation per dimension (the zero digit stays fixed, keeping the radical
 inverse inside [0, 1)).  `_finite` is the package's one rule that names a
-non-finite array at sampled points (here, as this module imports nothing
-from the package).
+non-finite array at sampled points (here, as this module imports only
+the error bases from the package).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import CheckFailure, InputError
 
 __all__ = [
     "halton", "sample_box", "sample_fiber", "sample_states", "fit_to_box", "AnchorError",
@@ -28,11 +30,11 @@ _PRIMES = [
 BALL_SAMPLES = 32  # points per start when `fit_to_box` bounds the base speed
 
 
-class AnchorError(ValueError):
+class AnchorError(CheckFailure, ValueError):
     """Anchor not finite where a bound needs it."""
 
 
-class DimensionError(ValueError):
+class DimensionError(InputError):
     """More dimensions than the sampler has primes for."""
 
 

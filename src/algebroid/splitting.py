@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import AVector, BracketError
+from .errors import CheckFailure
 from .metric import Christoffel, _g_dot, _quad, _sectional_of, christoffel
 from .paths import geodesic_rhs
 from .sampling import AnchorError, _finite
@@ -80,7 +81,7 @@ FD_STEP = 1e-5  # central first differences: the T field, the divergence oracle
 LEAF_FD_STEP = 2e-3  # fourth-order differences of the leaf metric
 
 
-class SplitError(ValueError):
+class SplitError(CheckFailure, ValueError):
     """Raised when a requested operation is not defined for the chart/point."""
 
 

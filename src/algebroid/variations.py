@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charts import AVector
+from .errors import InputError
 from .expressions import Program
 from .metric import _g_dot, _quad, christoffel, curvature, fiber_inner
 from .paths import APath, _geodesics, _half_grid, _increment, _linear_flow, _rk4, jacobi_solve
@@ -106,7 +107,7 @@ class VariationGrid:
     def transversality_residual(self, chart):
         """max |#(beta) - d(base)/deps| at interior eps-rows."""
         if self.beta is None:
-            raise ValueError("grid carries no transverse family")
+            raise InputError("grid carries no transverse family")
         push = anchor_of_grid(chart, self, self.beta)
         dxde = np.gradient(self.x, self.eps, axis=0, edge_order=2)
         return float(np.max(np.abs(push - dxde)[1:-1]))
@@ -114,7 +115,7 @@ class VariationGrid:
 
 def _check_mesh(grid, nodes=3):
     if len(grid.eps) < nodes or len(grid.ts) < nodes:
-        raise ValueError(f"mesh too coarse: need at least {nodes} nodes per direction")
+        raise InputError(f"mesh too coarse: need at least {nodes} nodes per direction")
 
 
 def delta(chart, metric, grid: VariationGrid):
@@ -127,7 +128,7 @@ def delta(chart, metric, grid: VariationGrid):
     """
     _check_mesh(grid)
     if grid.beta is None:
-        raise ValueError("delta needs a transverse family on the grid")
+        raise InputError("delta needs a transverse family on the grid")
     C, _ = chart.eval_bracket(grid.x)
     return _defect(grid, C)
 
@@ -160,7 +161,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     beta0 = np.asarray(beta0, dtype=float)
     E, N = grid.shape
     if beta0.shape != (E, chart.r):
-        raise ValueError(f"beta0 must have shape (E, r) = ({E}, {chart.r})")
+        raise InputError(f"beta0 must have shape (E, r) = ({E}, {chart.r})")
 
     # precondition: #(beta0) matches the eps-derivative of the base at t0
     B0, _ = chart.eval_anchor(grid.x[:, 0])
@@ -168,7 +169,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     dxde0 = np.gradient(grid.x[:, 0], grid.eps, axis=0, edge_order=2)
     pre = float(np.max(np.abs(push - dxde0)[1:-1]))
     if pre > TRANSVERSALITY_TOL:
-        raise ValueError(
+        raise InputError(
             f"initial rows are not transverse (residual {pre:.3e} > "
             f"{TRANSVERSALITY_TOL:g})"
         )
@@ -216,12 +217,12 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     """
     _check_mesh(grid, 5)
     if grid.beta is None:
-        raise ValueError("commutation check needs a transverse family")
+        raise InputError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
     E, N = grid.shape
     r = chart.r
     if s.shape != (E, N, r):
-        raise ValueError(f"s must have shape (E, N, r) = ({E}, {N}, {r}), got {s.shape}")
+        raise InputError(f"s must have shape (E, N, r) = ({E}, {N}, {r}), got {s.shape}")
     ch = christoffel(chart, metric, grid.x)
 
     def nabla_t(f):
@@ -253,7 +254,7 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     """
     _check_mesh(grid)
     if grid.beta is None:
-        raise ValueError("first variation needs a transverse family")
+        raise InputError("first variation needs a transverse family")
     energies = row_energies(chart, metric, grid)
     dE = np.gradient(energies, grid.eps, edge_order=2)
     mid = len(grid.eps) // 2
@@ -348,7 +349,7 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (chart.r,):
-        raise ValueError(f"direction must have shape (r,) = ({chart.r},)")
+        raise InputError(f"direction must have shape (r,) = ({chart.r},)")
     ts = alpha0.ts
     snorm = (ts - ts[0]) / (ts[-1] - ts[0])
     profile = np.sin(np.pi * snorm)  # (N,)

@@ -746,6 +746,30 @@ def test_an_overflowing_literal_exits_2(tmp_path, capsys):
     assert "number '1e999' out of range (at position 5)" in err
 
 
+def test_an_internal_fault_propagates(tmp_path, capsys, monkeypatch):
+    # numpy's broadcasting error is a ValueError, but neither an input error
+    # nor a failed check: main lets it out with its traceback, no report
+    import algebroid.cli as cli
+
+    def broken(chart, metric, x):
+        return np.ones(2) + np.ones(3)
+
+    monkeypatch.setattr(cli, "koszul_rhs", broken)
+    with pytest.raises(ValueError, match="operands could not be broadcast"):
+        main(["curvature", "--catalog", "sphere_chart", "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("step", ["1", "0.6667"])
+def test_variation_check_on_a_too_coarse_mesh_exits_2(step, tmp_path, capsys):
+    # a step above 2/3 leaves fewer than 3 time nodes on [0, 1]
+    rc = main(["variation-check", "--catalog", "sphere_chart", "--step", step, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: mesh too coarse: need at least 3 nodes per direction\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
 # g overflows at every point of the box
 _COSH_METRIC = ("[algebroid]\nn = 2\nr = 2\ndomain = 1,2 ; -1,1\nb = 1, 0 ; 0, 1\n"
                 "[metric]\ng 1,1 = 1\ng 2,2 = cosh(1000 * x1)\n")
@@ -819,18 +843,26 @@ _FUZZ_CHARTS = {
 
 @pytest.mark.parametrize("name", sorted(_FUZZ_CHARTS))
 def test_fuzzed_charts_exit_cleanly(name, tmp_path, capsys):
-    # every run exits 0, 1 or 2 with no exception and no numpy warning, and
-    # a run that passes wrote no nan or inf CSV cell
+    # every run exits 0, 1 or 2 with no exception and no numpy warning; an
+    # input error says `error: `, a failed check says `check failed: ` or
+    # nothing (the failed check is in report.txt); a run that passes wrote
+    # no nan or inf CSV cell.  The flows take a coarse step to stay fast.
     f = tmp_path / "fuzz.chart"
     f.write_text(_FUZZ_CHARTS[name])
-    for verb in POINTWISE_VERBS:
+    for verb in POINTWISE_VERBS + FLOW_VERBS:
         out = tmp_path / verb
+        extra = ["--samples", "20"] if verb in POINTWISE_VERBS else ["--step", "0.01"]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = main([verb, "--chart", str(f), "--out", str(out), "--samples", "20"])
+            rc = main([verb, "--chart", str(f), "--out", str(out), *extra])
         err = capsys.readouterr().err
         assert rc in (0, 1, 2), (verb, rc)
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == [], (verb, err)
+        if rc == 2:
+            assert err.startswith("error: "), (verb, err)
+        if rc == 1:
+            assert err == "" or err.startswith("check failed: "), (verb, err)
+            assert (err == "") == (out / "report.txt").exists(), (verb, err)
         if rc == 0:
             cells = {cell for path in out.glob("*.csv") for row in read_csv(path) for cell in row.values()}
             assert not cells & {"nan", "inf", "-inf"}, verb

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from algebroid import catalog
-from algebroid.charts import AlgebroidChart, AVector, SectionField
+from algebroid.charts import AlgebroidChart, AVector, ChartError, SectionField
 from algebroid.expressions import parse
 from algebroid.paths import geodesic_integrate, geodesic_rhs
 from algebroid.metric import (
@@ -810,7 +810,7 @@ class TestMetricField:
         assert np.array_equal(G, G.T)
 
     def test_missing_diagonal_rejected(self):
-        with pytest.raises(MetricError, match="diagonal"):
+        with pytest.raises(ChartError, match="diagonal"):
             MetricField({(1, 2): "1", (1, 1): "1"}, r=2, n=1)
 
     def test_fiber_inner_batch(self, sphere):
