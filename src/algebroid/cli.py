@@ -36,6 +36,7 @@ from .paths import (
     DomainExitError,
     TOL_APATH_GENERATED,
     TOL_GEODESIC,
+    _grid,
     energy_along,
     dexp,
     exp_map,
@@ -56,6 +57,7 @@ from .splitting import (
     split,
 )
 from .variations import (
+    _check_mesh,
     anchor_of_grid,
     curvature_commutation_residual,
     delta,
@@ -471,6 +473,7 @@ def _cmd_variation_check(args, out, run, chart, metric):
     start = _flow_start(run, args, chart, metric, 1.0, mu_scale=0.4)
     u = sample_fiber(chart.r, 1, args.seed + 17, scale=0.5)[0]
     step = _flag(args, "step", 2e-3)
+    _check_mesh(_grid((0.0, 1.0), step))  # before any flow: the pencils' time grid
     rows = []
 
     report = jacobi_from_geodesic_pencil(chart, metric, start, u, step=step)

@@ -27,7 +27,9 @@ sections, the transverse solve of `variations`) read their coefficients
 on all 2N - 1 half-grid times off `_half_grid` of the track, on any
 monotone grid, with one connection record there; `_linear_flow` then
 forms the RK4 step map of every step at once from the same increment
-`_increment` and chains the maps with one matmul per step.
+`_increment` and chains the maps as a prefix composition in about
+sqrt(N) blocks of sqrt(N) steps, in increment form, so that 1 + D is
+never rounded.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch through `_geodesics`, which also serves single geodesics.
 The batch keeps only the success path: when a row fails a node check or
@@ -248,26 +250,48 @@ def _linear_flow(A, ts, y0, c=None):
     the half grid of ts, batch axes included; y0 is a vector (..., m) or a
     matrix (..., m, k) of states.  The step maps minus the identity,
     D_k = M_k - I, are formed for all steps at once from the RK4 increment
-    taken from Y = I, and the offsets of a source from Y = 0.  The states
-    are chained in increment form, y_{k+1} = y_k + (D_k y_k + v_k), which
-    rounds like `_rk4` rather than drifting with the rounding of 1 + D_k.
+    taken from Y = I, and the offsets v_k of a source from Y = 0; a source
+    rides as the last column of D_k on the state (y, 1).
+
+    The maps y -> y + D_k y are chained as a prefix composition in about
+    sqrt(N) blocks of about sqrt(N) steps, the last block padded with zero
+    maps, which are exact identities.  Within every block at once, the
+    composed increments E_j = D_j + E_{j-1} + D_j E_{j-1} take one matmul
+    per position; one step per block carries the state Y_i across the block
+    starts, and one batched matmul forms every node as Y_i + E_j Y_i.  That
+    is about 2 sqrt(N) numpy calls where a step-by-step chain makes N, and
+    every product stays in increment form: 1 + D_k is never rounded, so the
+    nodes keep the bits a small D_k carries, as `_rk4` does.
     """
     y0 = np.asarray(y0, dtype=float)
     vector = y0.ndim == A.ndim - 2
     y = y0[..., None] if vector else y0
+    m = A.shape[-1]
     h = np.diff(ts).reshape((-1,) + (1,) * (A.ndim - 1))
     mid, end = slice(1, None, 2), slice(2, None, 2)
-    D = _increment(lambda j, Y: A[j] @ Y, h, np.eye(A.shape[-1]), A[:-1:2], mid, end)
-    ys = np.empty((len(ts),) + y.shape)
-    ys[0] = y
-    if c is None:
-        for k in range(len(ts) - 1):
-            ys[k + 1] = ys[k] + D[k] @ ys[k]
-    else:
+    steps = len(ts) - 1
+    size = math.isqrt(steps - 1) + 1 if steps else 1  # ceil(sqrt(steps))
+    blocks = -(-steps // size)
+    E = np.zeros((blocks * size,) + A.shape[1:-2] + (m + (c is not None),) * 2)
+    E[:steps, ..., :m, :m] = _increment(lambda j, Y: A[j] @ Y, h, np.eye(m), A[:-1:2], mid, end)
+    if c is not None:
         c = c[..., None]
-        v = _increment(lambda j, Y: A[j] @ Y + c[j], h, 0.0, c[:-1:2], mid, end)
-        for k in range(len(ts) - 1):
-            ys[k + 1] = ys[k] + (D[k] @ ys[k] + v[k])
+        E[:steps, ..., :m, m:] = _increment(lambda j, Y: A[j] @ Y + c[j], h, 0.0, c[:-1:2], mid, end)
+        y = np.concatenate([y, np.ones(y.shape[:-2] + (1, y.shape[-1]))], axis=-2)
+    # E[j, i] is step i * size + j, then the steps i * size .. i * size + j composed
+    E = np.ascontiguousarray(E.reshape((blocks, size) + E.shape[1:]).swapaxes(0, 1))
+    for j in range(1, size):
+        E[j] += E[j - 1] + E[j] @ E[j - 1]
+    Y = np.empty((blocks + 1,) + y.shape)  # the block starts, then the last node
+    Y[0] = y
+    for i in range(blocks):
+        Y[i + 1] = Y[i] + E[-1, i] @ Y[i]
+    ys = np.empty((blocks * size + 1,) + y.shape)
+    nodes = ys[:-1].reshape((blocks, size) + y.shape)
+    nodes[:, 0] = Y[:-1]
+    nodes[:, 1:] = (Y[:-1] + E[:-1] @ Y[:-1]).swapaxes(0, 1)
+    ys[steps] = Y[-1]
+    ys = ys[: steps + 1, ..., :m, :]
     return ys[..., 0] if vector else ys
 
 

@@ -113,8 +113,9 @@ class VariationGrid:
         return float(np.max(np.abs(push - dxde)[1:-1]))
 
 
-def _check_mesh(grid, nodes=3):
-    if len(grid.eps) < nodes or len(grid.ts) < nodes:
+def _check_mesh(*axes, nodes=3):
+    """Raise InputError unless every axis (eps, ts) of a mesh has `nodes` nodes."""
+    if any(len(axis) < nodes for axis in axes):
         raise InputError(f"mesh too coarse: need at least {nodes} nodes per direction")
 
 
@@ -126,7 +127,7 @@ def delta(chart, metric, grid: VariationGrid):
     Partial derivatives are centered mesh differences, so boundary
     rows/columns are one order less accurate.
     """
-    _check_mesh(grid)
+    _check_mesh(grid.eps, grid.ts)
     if grid.beta is None:
         raise InputError("delta needs a transverse family on the grid")
     C, _ = chart.eval_bracket(grid.x)
@@ -157,7 +158,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
     The result grid carries beta; its a-posteriori transversality residual
     is re-verified and a warning is issued when the mesh is too coarse.
     """
-    _check_mesh(grid)
+    _check_mesh(grid.eps, grid.ts)
     beta0 = np.asarray(beta0, dtype=float)
     E, N = grid.shape
     if beta0.shape != (E, chart.r):
@@ -215,7 +216,7 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
     for a fiber mesh s, everything by centered differences; max norm over
     the doubly-interior nodes, so the mesh needs 5 nodes per direction.
     """
-    _check_mesh(grid, 5)
+    _check_mesh(grid.eps, grid.ts, nodes=5)
     if grid.beta is None:
         raise InputError("commutation check needs a transverse family")
     s = np.asarray(s, dtype=float)
@@ -252,7 +253,7 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     The left side is the centered difference of the row energies; the
     right side is boundary pairing minus the two trapezoid integrals.
     """
-    _check_mesh(grid)
+    _check_mesh(grid.eps, grid.ts)
     if grid.beta is None:
         raise InputError("first variation needs a transverse family")
     energies = row_energies(chart, metric, grid)

@@ -762,8 +762,16 @@ def test_an_internal_fault_propagates(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("step", ["1", "0.6667"])
-def test_variation_check_on_a_too_coarse_mesh_exits_2(step, tmp_path, capsys):
-    # a step above 2/3 leaves fewer than 3 time nodes on [0, 1]
+def test_variation_check_on_a_too_coarse_mesh_exits_2(step, tmp_path, capsys, monkeypatch):
+    # a step above 2/3 leaves fewer than 3 time nodes on [0, 1]; it is
+    # rejected before any flow runs
+    import algebroid.cli as cli
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(cli, "make_geodesic_pencil", no_flow)
+    monkeypatch.setattr(cli, "jacobi_from_geodesic_pencil", no_flow)
     rc = main(["variation-check", "--catalog", "sphere_chart", "--step", step, "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: mesh too coarse: need at least 3 nodes per direction\n"

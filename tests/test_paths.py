@@ -24,6 +24,7 @@ from algebroid.paths import (
     jacobi_solve,
     parallel_transport,
     _half_grid,
+    _increment,
     _linear_flow,
     _rk4,
     transport_frame,
@@ -426,11 +427,15 @@ class TestLinearFlow:
     """`_linear_flow` chains precomputed RK4 step maps; on the same right
     side it must give what `_rk4` gives, up to rounding."""
 
-    GRIDS = {
-        "uniform": np.linspace(0.0, 1.2, 41),
-        "non_uniform": 1.2 * np.linspace(0.0, 1.0, 41) ** 1.5,
-        "decreasing": np.linspace(1.2, 0.0, 41),
+    GRIDS = {  # grids of `nodes` nodes over [0, 1.2]
+        "uniform": lambda nodes: np.linspace(0.0, 1.2, nodes),
+        "non_uniform": lambda nodes: 1.2 * np.linspace(0.0, 1.0, nodes) ** 1.5,
+        "decreasing": lambda nodes: np.linspace(1.2, 0.0, nodes),
     }
+    # 40 steps first, on the draws it has always had; then the edges of the
+    # sqrt(N) blocks: no step (one node), blocks of one step, a prime (a
+    # padded last block), a square, and the CLI's default
+    STEPS = (40, 0, 1, 2, 3, 37, 49, 1000)
 
     @staticmethod
     def track(ts, rng, shape):
@@ -441,22 +446,58 @@ class TestLinearFlow:
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_matches_rk4(self, grid, rng):
-        ts = self.GRIDS[grid]
-        A = self.track(ts, rng, (3, 3))
-        cases = [
-            (A, rng.normal(size=3), None, lambda j, y: A[j] @ y),  # a vector
-            (A, np.eye(3), None, lambda j, y: A[j] @ y),  # a frame
-        ]
-        E = 4
-        Q = self.track(ts, rng, (E, 3, 3))
-        c = self.track(ts, rng, (E, 3))
-        rhs = lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + c[j]
-        cases.append((Q, rng.normal(size=(E, 3)), c, rhs))  # a batch with a source
-        for A, y0, src, f in cases:
-            ys = _linear_flow(A, ts, y0, src)
-            ref_ys, _ = _rk4(f, ts, y0)
-            assert ys.shape == ref_ys.shape
-            np.testing.assert_allclose(ys, ref_ys, rtol=0, atol=1e-13)
+        for steps in self.STEPS:
+            ts = self.GRIDS[grid](steps + 1)
+            A = self.track(ts, rng, (3, 3))
+            cases = [
+                (A, rng.normal(size=3), None, lambda j, y: A[j] @ y),  # a vector
+                (A, np.eye(3), None, lambda j, y: A[j] @ y),  # a frame
+            ]
+            E = 4
+            Q = self.track(ts, rng, (E, 3, 3))
+            c = self.track(ts, rng, (E, 3))
+            rhs = lambda j, b: np.einsum("eui,ei->eu", Q[j], b) + c[j]
+            cases.append((Q, rng.normal(size=(E, 3)), c, rhs))  # a batch with a source
+            for A, y0, src, f in cases:
+                ys = _linear_flow(A, ts, y0, src)
+                ref_ys, _ = _rk4(f, ts, y0)
+                assert ys.shape == ref_ys.shape
+                if steps == 0:
+                    np.testing.assert_array_equal(ys[0], y0)
+                # the states grow along the 1000-step chain: relative to the largest there
+                atol = 1e-13 * (np.max(np.abs(ref_ys)) if steps > 49 else 1.0)
+                np.testing.assert_allclose(ys, ref_ys, rtol=0, atol=atol, err_msg=f"{steps} steps")
+
+    def test_tiny_step_maps_keep_their_bits(self, rng):
+        """A long chain of tiny step maps (|A| ~ 1e-9, |y| ~ 1) against the
+        same maps chained in 40-digit arithmetic: the increment form never
+        rounds 1 + D_k, so the nodes stay within a few ulp of |y|, where a
+        product of the rounded maps I + D_k drops D_k's low bits every step."""
+        mpmath = pytest.importorskip("mpmath")
+        steps, m = 1000, 3
+        ts = np.linspace(0.0, 1.2, steps + 1)
+        A = 1e-9 * self.track(ts, rng, (m, m))
+        y0 = rng.normal(size=m)
+        ys = _linear_flow(A, ts, y0)
+        # the step maps minus I as `_linear_flow` forms them
+        h = np.diff(ts)[:, None, None]
+        D = _increment(lambda j, Y: A[j] @ Y, h, np.eye(m), A[:-1:2], slice(1, None, 2), slice(2, None, 2))
+        product = [y0]
+        for Dk in np.eye(m) + D:
+            product.append(Dk @ product[-1])
+        with mpmath.workdps(40):
+            y = [mpmath.mpf(v) for v in y0]
+            ref = [y]
+            for Dk in D:
+                y = [y[u] + mpmath.fsum(mpmath.mpf(d) * v for d, v in zip(row, y)) for u, row in enumerate(Dk)]
+                ref.append(y)
+
+            def error(nodes):
+                return float(max(abs(mpmath.mpf(float(v)) - r) for node, row in zip(nodes, ref) for v, r in zip(node, row)))
+
+            bound = 2e-15
+            assert error(ys) < bound
+            assert error(product) > bound  # the bound tells the two forms apart
 
     def test_matches_rk4_on_the_reversed_path_grid(self, sphere):
         chart, metric = sphere.chart, sphere.metric
