@@ -38,8 +38,8 @@ print("  max |T| =", np.max(np.abs(tensors.T)), " (totally geodesic fibers)")
 print("  leaf metric:\n", leaf_metric_matrix(heis.chart, heis.metric, x))
 
 chk = oneill_curvature_check(heis.chart, heis.metric, tensors)
-print("  curvature identity residuals: mixed =", chk.mixed,
-      " horizontal =", chk.horizontal)
+print("  curvature identity residuals: mixed =", chk["curvature_mixed"],
+      " horizontal =", chk["curvature_horizontal"])
 
 print("\ndivergence of the geodesic field (trace term + mean curvature term):")
 for name, mu in (("aff2", [1.0, 0.0]), ("so3_biinv", [0.4, 0.2, -0.1]),

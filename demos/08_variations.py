@@ -31,8 +31,8 @@ chart, metric = heis.chart, heis.metric
 a = AVector([-0.3, 0.1], [0.5, 0.4, 0.2])
 u = np.array([0.2, -0.3, 0.4])
 
-rep = jacobi_from_geodesic_pencil(chart, metric, a, u, step=2e-3)
-print("geodesic pencil vs Jacobi equation: max deviation =", rep.deviation)
+deviation = jacobi_from_geodesic_pencil(chart, metric, a, u, step=2e-3)
+print("geodesic pencil vs Jacobi equation: max deviation =", deviation)
 
 eps = np.linspace(-2e-2, 2e-2, 5)
 pencil = make_geodesic_pencil(chart, metric, a, u, eps, (0.0, 1.0), 2e-3)

@@ -48,6 +48,8 @@ from .paths import (
 )
 from .sampling import fit_to_box, sample_box, sample_fiber, sample_states
 from .splitting import (
+    ONEILL_CURVATURE,
+    ONEILL_IDENTITIES,
     SplitError,
     _divergence_rows,
     divergence_fd_lie_algebra,
@@ -76,14 +78,10 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR = 0, 1, 2
 # --tol only if it has a check that --tol replaces.  The check table of
 # docs/chart_format.md lists the same rows.
 _IN_DOMAIN = {"stayed_in_domain": (0.5, False)}  # residual 1 on a domain exit, else 0
-_ONEILL_IDENTITIES = ("T_horizontal_slot", "T_vertical_symmetry", "T_skew_adjoint",
-                      "T_vertical_D_part", "H_vertical_slot", "H_horizontal_antisymmetry",
-                      "H_skew_adjoint", "H_half_bracket")
-_ONEILL_CURVATURE = ("curvature_vertical", "curvature_mixed", "curvature_horizontal")
 CHECKS = {
     "validate": {"antisymmetry": (TOL_ANTISYMMETRY, False),
                  "anchor_morphism": (TOL_AXIOMS, True), "jacobi": (TOL_AXIOMS, True),
-                 "metric_spd": (1e-15, False)},
+                 "metric_spd": (1.0, False)},  # floor / smallest eigenvalue
     "geodesic": {**_IN_DOMAIN, "energy_drift": (1e-8, True),
                  "apath_residual": (TOL_APATH_GENERATED, False)},
     "exp": _IN_DOMAIN,
@@ -93,12 +91,13 @@ CHECKS = {
     "curvature": {"antisymmetry_ab": (1e-9, False), "antisymmetry_cd": (1e-9, False),
                   "koszul_consistency": (1e-10, False)},
     "oneill": {"rank_stability": (0.5, False),  # residual 1 when the anchor rank is unstable
-               **dict.fromkeys(_ONEILL_IDENTITIES, (1e-9, True)),
-               **dict.fromkeys(_ONEILL_CURVATURE, (1e-8, False))},
+               **dict.fromkeys(ONEILL_IDENTITIES, (1e-9, True)),
+               **dict.fromkeys(ONEILL_CURVATURE, (1e-8, False))},
     "divergence": {"fd_divergence_agreement": (1e-5, True), "liouville_zero": (1e-9, False)},
     "hamcheck": {"hamiltonian_geodesic_equivalence": (1e-8, True),
                  "field_homogeneity": (1e-12, False)},
-    "variation-check": {"pencil_vs_jacobi_ode": (1e-4, True), "delta_anchor_kernel": (1e-5, False),
+    "variation-check": {"geodesic_residual": (TOL_GEODESIC, False),
+                        "pencil_vs_jacobi_ode": (1e-4, True), "delta_anchor_kernel": (1e-5, False),
                         "first_variation_identity": (1e-5, False),
                         "geodesic_energy_criticality": (1e-5, False),
                         "commutation_convergence_order": (0.2, False)},
@@ -297,7 +296,8 @@ def _cmd_validate(args, out, run, chart, metric):
     margin, at = metric.spd_margin(chart, samples=samples, seed=args.seed)
     run.note("metric_spd_margin", margin)
     worst = [(c.name, c.indices, c.residual, c.point) for c in report.checks]
-    worst.append(("metric_spd", (), max(0.0, SPD_EIGENVALUE_FLOOR - margin), at))
+    # the rule of `metric._is_spd`: a margin above the floor; -inf (g not finite) fails
+    worst.append(("metric_spd", (), SPD_EIGENVALUE_FLOOR / margin if margin > 0 else np.inf, at))
     rows = []  # one per axiom at its worst sample point
     for name, indices, residual, point in worst:
         run.check(name, residual)
@@ -407,17 +407,15 @@ def _cmd_oneill(args, out, run, chart, metric):
         run.check("rank_stability", 1.0)
     run.note("anchor_rank", tensors.frame.q)
     residuals = oneill_identity_residuals(tensors)
-    for name, value in sorted(residuals.items()):
-        run.check(name, value)
     try:
-        chk = oneill_curvature_check(chart, metric, tensors)
-        for label, value in zip(_ONEILL_CURVATURE, (chk.vertical, chk.mixed, chk.horizontal)):
-            if value is None:
-                run.note(label, "not_applicable")
-            else:
-                run.check(label, value)
+        residuals.update(oneill_curvature_check(chart, metric, tensors))
     except SplitError as exc:
         run.note("curvature_identities", f"skipped: {exc}")
+    for name, value in residuals.items():
+        if value is None:
+            run.note(name, "not_applicable")
+        else:
+            run.check(name, value)
     rows = [["T", *row] for row in _index_rows(tensors.T)]
     rows += [["H", *row] for row in _index_rows(tensors.H)]
     write_csv(out / "oneill.csv", ["tensor", "i", "j", "k", "value"], rows)
@@ -474,14 +472,22 @@ def _cmd_variation_check(args, out, run, chart, metric):
     u = sample_fiber(chart.r, 1, args.seed + 17, scale=0.5)[0]
     step = _flag(args, "step", 2e-3)
     _check_mesh(_grid((0.0, 1.0), step))  # before any flow: the pencils' time grid
-    rows = []
 
-    report = jacobi_from_geodesic_pencil(chart, metric, start, u, step=step)
-    run.check("pencil_vs_jacobi_ode", report.deviation)
-    rows.append(["pencil_vs_jacobi_ode", 0, report.deviation])
-
+    # the Jacobi comparison's precondition, checked on this pencil's middle
+    # row: bit-identical to the row jacobi_from_geodesic_pencil checks
     eps_values = 1e-2 * np.arange(-2, 3)
     pencil = make_geodesic_pencil(chart, metric, start, u, eps_values, (0.0, 1.0), step)
+    path = pencil.row_path(len(eps_values) // 2)
+    residual = geodesic_residual(chart, metric, path)
+    rows = [["geodesic_residual", 0, residual]]
+    if not run.check("geodesic_residual", residual):
+        write_csv(out / "variation-check.csv", ["check", "level", "value"], rows)
+        return
+
+    deviation = jacobi_from_geodesic_pencil(chart, metric, start, u, step=step)
+    run.check("pencil_vs_jacobi_ode", deviation)
+    rows.append(["pencil_vs_jacobi_ode", 0, deviation])
+
     solved = solve_transverse(chart, metric, pencil, np.zeros((len(eps_values), chart.r)))
     d = delta(chart, metric, solved)
     anchored = anchor_of_grid(chart, solved, d)
@@ -489,7 +495,6 @@ def _cmd_variation_check(args, out, run, chart, metric):
     run.check("delta_anchor_kernel", res_anchor)
     rows.append(["delta_anchor_kernel", 0, res_anchor])
 
-    path = pencil.row_path(len(eps_values) // 2)
     homotopy = make_fixed_endpoint_homotopy(chart, metric, path, direction=u)
     fv = first_variation_residual(chart, metric, homotopy)
     energies = row_energies(chart, metric, homotopy)

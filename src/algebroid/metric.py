@@ -115,7 +115,6 @@ class MetricField:
         object.__setattr__(self, "entries", table)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_shift", SPD_EIGENVALUE_FLOOR * np.eye(r))
         object.__setattr__(self, "_cache", weakref.WeakKeyDictionary())
 
     @classmethod
@@ -137,7 +136,7 @@ class MetricField:
         """g (..., r, r), dg (..., r, r, n), d2g (..., r, r, n, n)."""
         points = np.asarray(points, dtype=float)
         G, dG, d2G = Program.of(self).run(points, (order,))[0]
-        _check_metric(G, dG, points, self._shift)
+        _check_metric(G, dG, points)
         return G, dG, _finite(MetricError, "metric derivative", d2G, points)
 
     def spd_margin(self, chart, samples=200, seed=42):
@@ -150,12 +149,19 @@ class MetricField:
         return (-np.inf, x) if x is not None else _smallest_eigenvalue(G, pts)
 
 
-def _is_spd(G, shift):
-    """Whether G is finite and every smallest eigenvalue exceeds the floor,
-    that is, G - floor*I (= G - shift) has a Cholesky factor; numpy's
-    Cholesky factorization does not raise on NaN or inf."""
+@functools.cache
+def _floor(r):
+    """SPD_EIGENVALUE_FLOOR * I (r, r), once per rank: built per call, it
+    costs the flows along a path about 4 % of their time."""
+    return SPD_EIGENVALUE_FLOOR * np.eye(r)
+
+
+def _is_spd(G):
+    """The one rule for g: whether G is finite and every smallest eigenvalue
+    exceeds SPD_EIGENVALUE_FLOOR, that is, G - floor*I has a Cholesky
+    factor; numpy's Cholesky factorization does not raise on NaN or inf."""
     try:
-        np.linalg.cholesky(G - shift)
+        np.linalg.cholesky(G - _floor(G.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(G).all())
@@ -173,18 +179,19 @@ def _raise_not_spd(G, points):
     # runs only on this failure path, and eigvalsh only on a finite G
     _finite(MetricError, "metric", G, points)
     value, x = _smallest_eigenvalue(G, points)
-    raise MetricError(f"metric not positive definite at x={x} (smallest eigenvalue {value:.3e})")
+    raise MetricError(f"metric not positive definite at x={x} "
+                      f"(smallest eigenvalue {value:.3e}, floor {SPD_EIGENVALUE_FLOOR:g})")
 
 
-def _check_metric(G, dG, points, shift):
+def _check_metric(G, dG, points):
     """The check of g at the points (..., n) where it was evaluated: G SPD
     (`_is_spd`) and dG (None: not computed) finite, else MetricError."""
-    if not _is_spd(G, shift):
+    if not _is_spd(G):
         _raise_not_spd(G, points)
     _finite(MetricError, "metric derivative", dG, points)
 
 
-def _check_stages(stages, shift):
+def _check_stages(stages):
     """`_check_metric` over the (x, G, dG) records a run kept unchecked
     (see `christoffel`), in one batched pass; empties `stages`.  All
     records share one shape.  When the batch fails, the records are walked
@@ -194,10 +201,10 @@ def _check_stages(stages, shift):
         return
     xs, Gs, dGs = zip(*stages)
     stages.clear()
-    if _is_spd(np.array(Gs), shift) and (dGs[0] is None or np.isfinite(np.array(dGs)).all()):
+    if _is_spd(np.array(Gs)) and (dGs[0] is None or np.isfinite(np.array(dGs)).all()):
         return
     for x, G, dG in zip(xs, Gs, dGs):
-        _check_metric(G, dG, x, shift)
+        _check_metric(G, dG, x)
 
 
 class Christoffel:
@@ -319,14 +326,13 @@ class _Connection:
 
     def __init__(self, chart, metric):
         self.chart, self.metric = Program.of(chart), Program.of(metric)
-        self._shift = metric._shift
         self.B, self.C = self.chart.constant(0), self.chart.constant(1)
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
         self.Gi = self.gamma = self.sym = None
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
         self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
         self.G = G = self.metric.constant(0)
-        self.spd = G is None or _is_spd(G, self._shift)
+        self.spd = G is None or _is_spd(G)
         # the orders to run B, C, G at for Gamma (k = 0) and dGamma (k = 1: dB only with dg)
         cap = lambda g, k: None if (self.B, self.C)[g] is not None else _cap(self.chart, g, k)
         self.orders = [
@@ -357,7 +363,7 @@ class _Connection:
         if self.G is None:
             [(G, dG, _)] = self.metric.run(x, og)
             if stages is None:
-                _check_metric(G, dG, x, self._shift)
+                _check_metric(G, dG, x)
             else:
                 stages.append((x, G, dG))
         elif not self.spd:

@@ -372,14 +372,14 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
         try:
             ys, ds = _rk4(rhs, ts, start, on_node=guard)
         except Exception:
-            _check_stages(stages, metric._shift)
+            _check_stages(stages)
             raise
-        _check_stages(stages, metric._shift)
+        _check_stages(stages)
         return ys, ds
 
     def guard(k, y, ys, ds):
         if k % STAGE_CHECK_NODES == 0:
-            _check_stages(stages, metric._shift)
+            _check_stages(stages)
         if y.ndim == 2:
             if not (np.isfinite(y).all() and chart.contains(y[:, :n])):
                 raise _RowFailed

@@ -79,6 +79,12 @@ RANK_RTOL = 1e-10
 KERNEL_TOL = 1e-9
 FD_STEP = 1e-5  # central first differences: the T field, the divergence oracle
 LEAF_FD_STEP = 2e-3  # fourth-order differences of the leaf metric
+# the keys of `oneill_identity_residuals` and `oneill_curvature_check`,
+# in the order the CLI reports them
+ONEILL_IDENTITIES = ("H_half_bracket", "H_horizontal_antisymmetry", "H_skew_adjoint",
+                     "H_vertical_slot", "T_horizontal_slot", "T_skew_adjoint",
+                     "T_vertical_D_part", "T_vertical_symmetry")
+ONEILL_CURVATURE = ("curvature_vertical", "curvature_mixed", "curvature_horizontal")
 
 
 class SplitError(CheckFailure, ValueError):
@@ -258,7 +264,7 @@ def oneill_identity_residuals(tensors: OneillTensors):
 
     Checked on the frame basis (extended bilinearly this covers all
     vectors), from T and H on all pairs of frame vectors.  Returns a dict
-    name -> residual.
+    name -> residual, keyed by ONEILL_IDENTITIES.
     """
     frame, TT, HH = tensors.frame, tensors.TT, tensors.HH
     G = frame.G
@@ -271,18 +277,17 @@ def oneill_identity_residuals(tensors: OneillTensors):
         """<X[i, j], Y[k]> over all (i, j, k)."""
         return _g_dot(X[:, :, None, :], G, Y[None, None, :, :])
 
-    return {
-        "T_horizontal_slot": _worst(TT[p:]),
-        "H_vertical_slot": _worst(HH[:p]),
-        "T_vertical_symmetry": _worst(Tvv - Tvv.swapaxes(0, 1)),
-        "H_horizontal_antisymmetry": _worst(Hhh + Hhh.swapaxes(0, 1)),
-        "T_skew_adjoint": _worst(pair(Tvv, Hb) + pair(TT[:p, p:], V).swapaxes(1, 2)),
-        "H_skew_adjoint": _worst(pair(Hhh, V) + pair(HH[p:, :p], Hb).swapaxes(1, 2)),
-        "H_half_bracket": _worst(Hhh - half_bracket),
-        "T_vertical_D_part": _worst(
-            frame.project_horizontal(_quad(V[:, None], V[None], frame.gamma)) - Tvv
-        ),
-    }
+    defects = (
+        Hhh - half_bracket,
+        Hhh + Hhh.swapaxes(0, 1),
+        pair(Hhh, V) + pair(HH[p:, :p], Hb).swapaxes(1, 2),
+        HH[:p],
+        TT[p:],
+        pair(Tvv, Hb) + pair(TT[:p, p:], V).swapaxes(1, 2),
+        frame.project_horizontal(_quad(V[:, None], V[None], frame.gamma)) - Tvv,
+        Tvv - Tvv.swapaxes(0, 1),
+    )
+    return dict(zip(ONEILL_IDENTITIES, map(_worst, defects)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +538,6 @@ def _classical_leaf_curvature(chart, metric, x):
     return sectional
 
 
-@dataclass
-class CurvatureCheckResult:
-    """Residuals of the three submersion curvature identities (None = n/a)."""
-
-    vertical: float | None
-    mixed: float | None
-    horizontal: float | None
-
-
 def _covariant_T_derivative(chart, metric, frame, a, b, c):
     """((D_a T)_b c at the frame's point for fiber vectors a, b, c (P, r):
     the T field by central differences over the frames at x +- FD_STEP e_m
@@ -567,9 +563,10 @@ def _covariant_T_derivative(chart, metric, frame, a, b, c):
     )
 
 
-def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCheckResult:
+def oneill_curvature_check(chart, metric, tensors: OneillTensors):
     """Residuals of the three curvature identities of the splitting at the
-    point of `tensors`.
+    point of `tensors`: a dict name -> residual, keyed by ONEILL_CURVATURE,
+    with None where an identity does not apply.
 
     vertical pairs (needs >= 2 vertical directions):
         K(u,v) = Khat(u,v) + |T_u v|^2 - <T_u u, T_v v>
@@ -616,4 +613,4 @@ def oneill_curvature_check(chart, metric, tensors: OneillTensors) -> CurvatureCh
         H12 = HH[p + i, p + j]
         horizontal_res = _worst(K - (Kleaf - 3.0 * _g_dot(H12, G, H12)))
 
-    return CurvatureCheckResult(vertical_res, mixed_res, horizontal_res)
+    return dict(zip(ONEILL_CURVATURE, (vertical_res, mixed_res, horizontal_res)))

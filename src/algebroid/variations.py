@@ -61,7 +61,6 @@ __all__ = [
     "make_geodesic_pencil",
     "make_fixed_endpoint_homotopy",
     "jacobi_from_geodesic_pencil",
-    "PencilReport",
 ]
 
 TRANSVERSALITY_TOL = 1e-6
@@ -108,9 +107,16 @@ class VariationGrid:
         """max |#(beta) - d(base)/deps| at interior eps-rows."""
         if self.beta is None:
             raise InputError("grid carries no transverse family")
-        push = anchor_of_grid(chart, self, self.beta)
-        dxde = np.gradient(self.x, self.eps, axis=0, edge_order=2)
-        return float(np.max(np.abs(push - dxde)[1:-1]))
+        return _transversality(chart, self.x, self.beta, self.eps)
+
+
+def _transversality(chart, x, beta, eps):
+    """max |#(beta) - dx/deps| at the interior eps-rows, for base points x
+    (E, ..., n) and fiber vectors beta (E, ..., r) on the eps-nodes (E,)."""
+    B, _ = chart.eval_anchor(x)
+    push = (beta[..., None, :] @ B)[..., 0, :]
+    dxde = np.gradient(x, eps, axis=0, edge_order=2)
+    return float(np.max(np.abs(push - dxde)[1:-1]))
 
 
 def _check_mesh(*axes, nodes=3):
@@ -165,10 +171,7 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
         raise InputError(f"beta0 must have shape (E, r) = ({E}, {chart.r})")
 
     # precondition: #(beta0) matches the eps-derivative of the base at t0
-    B0, _ = chart.eval_anchor(grid.x[:, 0])
-    push = (beta0[:, None, :] @ B0)[:, 0, :]
-    dxde0 = np.gradient(grid.x[:, 0], grid.eps, axis=0, edge_order=2)
-    pre = float(np.max(np.abs(push - dxde0)[1:-1]))
+    pre = _transversality(chart, grid.x[:, 0], beta0, grid.eps)
     if pre > TRANSVERSALITY_TOL:
         raise InputError(
             f"initial rows are not transverse (residual {pre:.3e} > "
@@ -300,17 +303,6 @@ def make_geodesic_pencil(chart, metric, a: AVector, u, eps_values, t_span=(0.0, 
     return VariationGrid(eps=eps_values, ts=ts, x=x, mu=mu)
 
 
-@dataclass(eq=False)
-class PencilReport:
-    ts: np.ndarray
-    pencil_beta: np.ndarray
-    ode_beta: np.ndarray
-
-    @property
-    def deviation(self):
-        return float(np.max(np.abs(self.pencil_beta - self.ode_beta)))
-
-
 def jacobi_from_geodesic_pencil(chart, metric, a: AVector, u, step=1e-3):
     """Compare the transverse family of a geodesic pencil against the
     Jacobi equation solved as an ODE.
@@ -318,7 +310,8 @@ def jacobi_from_geodesic_pencil(chart, metric, a: AVector, u, step=1e-3):
     The pencil alpha(eps, t) flows a + eps*u; the transverse family with
     zero initial rows restricted to eps = 0 is a Jacobi section with
     beta(0) = 0 and first derivative u, matched against `jacobi_solve`,
-    over t in [0, 1].
+    over t in [0, 1].  Returns the deviation max |beta_pencil - beta_ode|
+    over that row.
     """
     u = np.asarray(u, dtype=float)
     eps_values = PENCIL_EPS_STEP * np.arange(-2, 3)
@@ -328,9 +321,7 @@ def jacobi_from_geodesic_pencil(chart, metric, a: AVector, u, step=1e-3):
     mid = E // 2
     mid_path = grid.row_path(mid)
     ode = jacobi_solve(chart, metric, mid_path, np.zeros(chart.r), u)
-    return PencilReport(
-        ts=grid.ts, pencil_beta=solved.beta[mid], ode_beta=ode.values
-    )
+    return float(np.max(np.abs(solved.beta[mid] - ode.values)))
 
 
 def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):

@@ -215,7 +215,7 @@ def test_06_jacobi_machinery():
         )
 
     sphere = catalog.get("sphere_chart")
-    pencil = jacobi_from_geodesic_pencil(
+    pencil_deviation = jacobi_from_geodesic_pencil(
         sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), [0.7, -0.3], step=2e-3
     )
 
@@ -232,11 +232,11 @@ def test_06_jacobi_machinery():
         scale = max(1.0, float(np.max(np.abs(fd))))
         dexp_worst = max(dexp_worst, float(np.max(np.abs(d - fd))) / scale)
 
-    ok = scaling_worst < 1e-8 and pencil.deviation < 1e-4 and dexp_worst < 1e-4
+    ok = scaling_worst < 1e-8 and pencil_deviation < 1e-4 and dexp_worst < 1e-4
     _finish(
         6,
         f"Jacobi machinery: scaling solution {scaling_worst:.1e} < 1e-8, pencil vs "
-        f"ODE {pencil.deviation:.1e} < 1e-4, d(exp) vs FD {dexp_worst:.1e} < 1e-4 (rel)",
+        f"ODE {pencil_deviation:.1e} < 1e-4, d(exp) vs FD {dexp_worst:.1e} < 1e-4 (rel)",
         ok,
     )
 

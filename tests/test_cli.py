@@ -111,6 +111,35 @@ class TestValidateVerb:
         assert report["metric_spd_margin"] == "-inf"
         assert report["check.metric_spd.pass"] == "false"
 
+    def test_a_metric_at_the_floor_fails_every_verb(self, tmp_path, capsys):
+        # validate judges g by the rule of the flows: smallest eigenvalue above
+        # SPD_EIGENVALUE_FLOOR = 1e-10, with no slack
+        f = tmp_path / "floor.chart"
+        f.write_text("[algebroid]\nn = 1\nr = 1\ndomain = -1,1\nb = 1\n[metric]\ng 1,1 = 1e-10\n")
+        rc = main(["validate", "--chart", str(f), "--out", str(tmp_path / "validate")])
+        capsys.readouterr()
+        assert rc == 1
+        report = read_report(tmp_path / "validate")
+        assert report["check.metric_spd.pass"] == "false"
+        assert float(report["check.metric_spd.residual"]) == 1.0
+        for verb in ("geodesic", "curvature", "hamcheck"):
+            rc = main([verb, "--chart", str(f), "--out", str(tmp_path / verb)])
+            err = capsys.readouterr().err
+            assert rc == 1, verb
+            assert err.startswith("check failed: metric not positive definite at x=")
+            assert err.endswith("(smallest eigenvalue 1.000e-10, floor 1e-10)\n")
+
+    def test_a_metric_above_the_floor_passes(self, tmp_path, capsys):
+        f = tmp_path / "above.chart"
+        f.write_text("[algebroid]\nn = 1\nr = 1\ndomain = -1,1\nb = 1\n[metric]\ng 1,1 = 2e-10\n")
+        for verb in ("validate", "geodesic"):
+            rc = main([verb, "--chart", str(f), "--out", str(tmp_path / verb)])
+            capsys.readouterr()
+            assert rc == 0, verb
+        report = read_report(tmp_path / "validate")
+        assert float(report["check.metric_spd.residual"]) == pytest.approx(0.5, rel=1e-15)
+        assert report["check.metric_spd.pass"] == "true"
+
     @pytest.mark.parametrize("name", catalog.names())
     def test_metric_spd_names_the_sample_of_the_margin(self, name, tmp_path, capsys):
         rc = main(["validate", "--catalog", name, "--out", str(tmp_path)])
@@ -776,6 +805,22 @@ def test_variation_check_on_a_too_coarse_mesh_exits_2(step, tmp_path, capsys, mo
     assert rc == 2
     assert capsys.readouterr().err == "error: mesh too coarse: need at least 3 nodes per direction\n"
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_variation_check_on_a_non_geodesic_pencil_exits_1(tmp_path, capsys):
+    # at step 0.6 the pencil's middle row misses the geodesic tolerance: the
+    # verb reports that check, as jacobi does, and runs no further flow
+    rc = main(["variation-check", "--catalog", "sphere_chart", "--step", "0.6", "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+    assert rc == 1
+    report = read_report(tmp_path)
+    assert report["check.geodesic_residual.pass"] == "false"
+    assert float(report["check.geodesic_residual.tolerance"]) == CHECKS["variation-check"]["geodesic_residual"][0]
+    assert [k for k in report if k.startswith("check.")] == [
+        f"check.geodesic_residual.{key}" for key in ("residual", "tolerance", "pass")
+    ]
+    rows = read_csv(tmp_path / "variation-check.csv")
+    assert rows == [{"check": "geodesic_residual", "level": "0", "value": report["check.geodesic_residual.residual"]}]
 
 
 # g overflows at every point of the box

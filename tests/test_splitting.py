@@ -320,13 +320,22 @@ def _curvature_check(chart, metric, x):
 
 
 class TestCurvatureIdentities:
+    def test_residual_keys_are_the_cli_check_rows(self, heisenberg):
+        from algebroid.cli import CHECKS
+
+        tensors = oneill_tensors(heisenberg.chart, heisenberg.metric, [0.25, -0.6])
+        identities = oneill_identity_residuals(tensors)
+        chk = oneill_curvature_check(heisenberg.chart, heisenberg.metric, tensors)
+        rows = [name for name in CHECKS["oneill"] if name != "rank_stability"]
+        assert list(identities) + list(chk) == rows
+
     def test_central_extension_horizontal_identity(self, heisenberg):
         # K(a1,a2) = Kleaf - 3|H|^2 = 0 - 3/4
         x = np.array([0.25, -0.6])
         chk = _curvature_check(heisenberg.chart, heisenberg.metric, x)
-        assert chk.vertical is None  # only one vertical direction
-        assert chk.mixed is not None and chk.mixed < 1e-8
-        assert chk.horizontal is not None and chk.horizontal < 1e-8
+        assert chk["curvature_vertical"] is None  # only one vertical direction
+        assert chk["curvature_mixed"] is not None and chk["curvature_mixed"] < 1e-8
+        assert chk["curvature_horizontal"] is not None and chk["curvature_horizontal"] < 1e-8
         K = sectional_curvature(heisenberg.chart, heisenberg.metric, x, [1, 0, 0], [0, 1, 0])
         H12 = oneill_H_apply(heisenberg.chart, heisenberg.metric, x, [1, 0, 0], [0, 1, 0])
         G, _, _ = heisenberg.metric.eval(x)
@@ -334,12 +343,12 @@ class TestCurvatureIdentities:
 
     def test_flat_chart_all_zero(self, euclidean2):
         chk = _curvature_check(euclidean2.chart, euclidean2.metric, [0.2, 0.2])
-        assert chk.horizontal == pytest.approx(0.0, abs=1e-12)
-        assert chk.vertical is None and chk.mixed is None
+        assert chk["curvature_horizontal"] == pytest.approx(0.0, abs=1e-12)
+        assert chk["curvature_vertical"] is None and chk["curvature_mixed"] is None
 
     def test_sphere_horizontal_identity(self, sphere):
         chk = _curvature_check(sphere.chart, sphere.metric, [1.2, 1.0])
-        assert chk.horizontal is not None and chk.horizontal < 1e-8
+        assert chk["curvature_horizontal"] is not None and chk["curvature_horizontal"] < 1e-8
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
     def test_horizontal_identity_holds_across_the_box(self, name):
@@ -347,7 +356,7 @@ class TestCurvatureIdentities:
         # leaf route must resolve it below the CLI's 1e-8 at every point
         chart, metric = _leaf_pair(name)
         pts = np.vstack([chart.center(), sample_box(chart.domain, 40, seed=7, shrink=0.1)])
-        worst = max(_curvature_check(chart, metric, x).horizontal for x in pts)
+        worst = max(_curvature_check(chart, metric, x)["curvature_horizontal"] for x in pts)
         assert worst < 1e-8
 
     @pytest.mark.parametrize("name", ["twisted", "twisted_g"])
@@ -358,17 +367,17 @@ class TestCurvatureIdentities:
         pts = np.vstack([chart.center(), sample_box(chart.domain, 40, seed=7, shrink=0.1)])
         tensors = [oneill_tensors(chart, metric, x) for x in pts]
         assert max(np.max(np.abs(t.T)) for t in tensors) > 1.0
-        worst = max(oneill_curvature_check(chart, metric, t).mixed for t in tensors)
+        worst = max(oneill_curvature_check(chart, metric, t)["curvature_mixed"] for t in tensors)
         assert worst < 1e-8
 
     def test_rotation_algebra_vertical_identity(self, so3):
         chk = _curvature_check(so3.chart, so3.metric, [0.0])
-        assert chk.vertical is not None and chk.vertical < 1e-10
-        assert chk.horizontal is None
+        assert chk["curvature_vertical"] is not None and chk["curvature_vertical"] < 1e-10
+        assert chk["curvature_horizontal"] is None
 
     def test_affine_algebra_vertical_identity(self, aff2):
         chk = _curvature_check(aff2.chart, aff2.metric, [0.0])
-        assert chk.vertical is not None and chk.vertical < 1e-10
+        assert chk["curvature_vertical"] is not None and chk["curvature_vertical"] < 1e-10
 
 
 class TestLeafGeodesicCorrespondence:

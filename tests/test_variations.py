@@ -14,6 +14,7 @@ from algebroid.paths import (
     _transport_track,
     derivative_along,
     geodesic_integrate,
+    geodesic_residual,
     jacobi_solve,
 )
 from algebroid.sampling import sample_box, sample_fiber
@@ -317,22 +318,38 @@ class TestFirstVariation:
 
 class TestGeodesicPencil:
     def test_flat(self, euclidean2):
-        rep = jacobi_from_geodesic_pencil(
+        deviation = jacobi_from_geodesic_pencil(
             euclidean2.chart, euclidean2.metric, AVector([0, 0], [0.5, 0.3]), [0.2, -0.4], step=2e-3
         )
-        assert rep.deviation < 1e-8
+        assert deviation < 1e-8
 
     def test_sphere(self, sphere):
-        rep = jacobi_from_geodesic_pencil(
+        deviation = jacobi_from_geodesic_pencil(
             sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), [0.7, -0.3], step=2e-3
         )
-        assert rep.deviation < 1e-4
+        assert deviation < 1e-4
 
     def test_rotation_algebra(self, so3):
-        rep = jacobi_from_geodesic_pencil(
+        deviation = jacobi_from_geodesic_pencil(
             so3.chart, so3.metric, AVector([0.0], [0.3, 0.4, 0.1]), [0.2, -0.1, 0.5], step=2e-3
         )
-        assert rep.deviation < 1e-6
+        assert deviation < 1e-6
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_the_middle_row_does_not_depend_on_the_spacing(self, name):
+        # variation-check judges the geodesic precondition on the middle row
+        # of its eps = 1e-2 pencil, for the row jacobi_from_geodesic_pencil
+        # solves along: the two rows must agree to the bit
+        entry = catalog.twisted() if name == "twisted" else catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        a = AVector(chart.center(), 0.3 * np.ones(chart.r))
+        u = sample_fiber(chart.r, 1, 3, scale=0.5)[0]
+        rows = [
+            make_geodesic_pencil(chart, metric, a, u, spacing * np.arange(-2, 3), (0.0, 1.0), 2e-3).row_path(2)
+            for spacing in (1e-2, variations.PENCIL_EPS_STEP)
+        ]
+        assert np.array_equal(rows[0].ys, rows[1].ys)
+        assert geodesic_residual(chart, metric, rows[0]) == geodesic_residual(chart, metric, rows[1])
 
     @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central"])
     def test_pencil_rows_are_a_paths(self, name):
