@@ -13,6 +13,7 @@ from algebroid import catalog
 from algebroid.charts import AVector
 from algebroid.paths import geodesic_integrate
 from algebroid.variations import (
+    PENCIL_EPS_STEP,
     anchor_of_grid,
     curvature_commutation_residual,
     delta,
@@ -31,12 +32,12 @@ chart, metric = heis.chart, heis.metric
 a = AVector([-0.3, 0.1], [0.5, 0.4, 0.2])
 u = np.array([0.2, -0.3, 0.4])
 
-deviation = jacobi_from_geodesic_pencil(chart, metric, a, u, step=2e-3)
-print("geodesic pencil vs Jacobi equation: max deviation =", deviation)
-
-eps = np.linspace(-2e-2, 2e-2, 5)
+eps = PENCIL_EPS_STEP * np.arange(-2, 3)
 pencil = make_geodesic_pencil(chart, metric, a, u, eps, (0.0, 1.0), 2e-3)
 solved = solve_transverse(chart, metric, pencil, np.zeros((5, 3)))
+deviation = jacobi_from_geodesic_pencil(chart, metric, solved, u)
+print("geodesic pencil vs Jacobi equation: max deviation =", deviation)
+
 d = delta(chart, metric, solved)
 print("defect of the distinguished family:", np.max(np.abs(d[1:-1, 1:-1])))
 anchored = anchor_of_grid(chart, solved, d)

@@ -59,6 +59,7 @@ from .splitting import (
     split,
 )
 from .variations import (
+    PENCIL_EPS_STEP,
     _check_mesh,
     anchor_of_grid,
     curvature_commutation_residual,
@@ -471,11 +472,9 @@ def _cmd_variation_check(args, out, run, chart, metric):
     start = _flow_start(run, args, chart, metric, 1.0, mu_scale=0.4)
     u = sample_fiber(chart.r, 1, args.seed + 17, scale=0.5)[0]
     step = _flag(args, "step", 2e-3)
-    _check_mesh(_grid((0.0, 1.0), step))  # before any flow: the pencils' time grid
+    _check_mesh(_grid((0.0, 1.0), step))  # before any flow: the pencil's time grid
 
-    # the Jacobi comparison's precondition, checked on this pencil's middle
-    # row: bit-identical to the row jacobi_from_geodesic_pencil checks
-    eps_values = 1e-2 * np.arange(-2, 3)
+    eps_values = PENCIL_EPS_STEP * np.arange(-2, 3)
     pencil = make_geodesic_pencil(chart, metric, start, u, eps_values, (0.0, 1.0), step)
     path = pencil.row_path(len(eps_values) // 2)
     residual = geodesic_residual(chart, metric, path)
@@ -484,11 +483,11 @@ def _cmd_variation_check(args, out, run, chart, metric):
         write_csv(out / "variation-check.csv", ["check", "level", "value"], rows)
         return
 
-    deviation = jacobi_from_geodesic_pencil(chart, metric, start, u, step=step)
+    solved = solve_transverse(chart, metric, pencil, np.zeros((len(eps_values), chart.r)))
+    deviation = jacobi_from_geodesic_pencil(chart, metric, solved, u)
     run.check("pencil_vs_jacobi_ode", deviation)
     rows.append(["pencil_vs_jacobi_ode", 0, deviation])
 
-    solved = solve_transverse(chart, metric, pencil, np.zeros((len(eps_values), chart.r)))
     d = delta(chart, metric, solved)
     anchored = anchor_of_grid(chart, solved, d)
     res_anchor = float(np.max(np.abs(anchored[1:-1, 1:-1])))

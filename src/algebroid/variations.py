@@ -66,7 +66,7 @@ __all__ = [
 TRANSVERSALITY_TOL = 1e-6
 TRANSVERSALITY_POSTERIOR_TOL = 1e-4
 HOMOTOPY_TOL = 1e-5
-PENCIL_EPS_STEP = 1e-3  # spacing of the five eps-rows of the Jacobi pencil
+PENCIL_EPS_STEP = 1e-3  # spacing of the five eps-rows of variation-check's pencil
 HOMOTOPY_AMPLITUDE = 0.05  # scale of the prescribed transverse family
 HOMOTOPY_SUBSTEPS = 4  # RK4 steps in eps between consecutive eps-rows
 HOMOTOPY_EPS = (-2e-2, -1e-2, 0.0, 1e-2, 2e-2)  # eps-rows of the homotopy, symmetric
@@ -303,25 +303,22 @@ def make_geodesic_pencil(chart, metric, a: AVector, u, eps_values, t_span=(0.0, 
     return VariationGrid(eps=eps_values, ts=ts, x=x, mu=mu)
 
 
-def jacobi_from_geodesic_pencil(chart, metric, a: AVector, u, step=1e-3):
-    """Compare the transverse family of a geodesic pencil against the
-    Jacobi equation solved as an ODE.
+def jacobi_from_geodesic_pencil(chart, metric, pencil: VariationGrid, u):
+    """Compare the transverse family of a solved geodesic pencil against
+    the Jacobi equation solved as an ODE.
 
-    The pencil alpha(eps, t) flows a + eps*u; the transverse family with
-    zero initial rows restricted to eps = 0 is a Jacobi section with
-    beta(0) = 0 and first derivative u, matched against `jacobi_solve`,
-    over t in [0, 1].  Returns the deviation max |beta_pencil - beta_ode|
+    `pencil` flows a + eps*u (`make_geodesic_pencil`) with beta solved from
+    zero initial rows; its middle row is a Jacobi section with beta(0) = 0
+    and first derivative u, matched against `jacobi_solve` along that
+    row's geodesic.  Returns the deviation max |beta_pencil - beta_ode|
     over that row.
     """
+    if pencil.beta is None:
+        raise InputError("pencil carries no transverse family")
+    mid = len(pencil.eps) // 2
     u = np.asarray(u, dtype=float)
-    eps_values = PENCIL_EPS_STEP * np.arange(-2, 3)
-    grid = make_geodesic_pencil(chart, metric, a, u, eps_values, (0.0, 1.0), step)
-    E = len(eps_values)
-    solved = solve_transverse(chart, metric, grid, np.zeros((E, chart.r)))
-    mid = E // 2
-    mid_path = grid.row_path(mid)
-    ode = jacobi_solve(chart, metric, mid_path, np.zeros(chart.r), u)
-    return float(np.max(np.abs(solved.beta[mid] - ode.values)))
+    ode = jacobi_solve(chart, metric, pencil.row_path(mid), np.zeros(chart.r), u)
+    return float(np.max(np.abs(pencil.beta[mid] - ode.values)))
 
 
 def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):

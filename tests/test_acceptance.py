@@ -42,6 +42,7 @@ from algebroid.splitting import (
     split,
 )
 from algebroid.variations import (
+    PENCIL_EPS_STEP,
     anchor_of_grid,
     curvature_commutation_residual,
     delta,
@@ -215,9 +216,15 @@ def test_06_jacobi_machinery():
         )
 
     sphere = catalog.get("sphere_chart")
-    pencil_deviation = jacobi_from_geodesic_pencil(
-        sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), [0.7, -0.3], step=2e-3
+    u = [0.7, -0.3]
+    eps_values = PENCIL_EPS_STEP * np.arange(-2, 3)
+    pencil = make_geodesic_pencil(
+        sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), u, eps_values, (0.0, 1.0), 2e-3
     )
+    solved = solve_transverse(
+        sphere.chart, sphere.metric, pencil, np.zeros((len(eps_values), sphere.chart.r))
+    )
+    pencil_deviation = jacobi_from_geodesic_pencil(sphere.chart, sphere.metric, solved, u)
 
     dexp_worst = 0.0
     for name in TRANSITIVE:

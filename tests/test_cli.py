@@ -612,6 +612,34 @@ def test_variation_check_flat_cutoff_scales_with_the_mesh(tmp_path, capsys, monk
     assert "commutation_orders" not in read_report(tmp_path)
 
 
+def test_variation_check_integrates_one_family_per_job(tmp_path, capsys, monkeypatch):
+    # one five-row pencil serves the geodesic precondition, the Jacobi
+    # comparison and the defect; the commutation ladder adds one pencil per
+    # rung, and each pencil gets one transverse solve
+    import algebroid.cli as cli
+    import algebroid.variations as variations
+
+    rows, solves = [], []
+
+    def counted_geodesics(chart, metric, x0, mu0, *rest):
+        rows.append(len(mu0))
+        return geodesics(chart, metric, x0, mu0, *rest)
+
+    def counted_solve(chart, metric, grid, beta0):
+        solves.append(len(grid.eps))
+        return solve(chart, metric, grid, beta0)
+
+    geodesics, solve = variations._geodesics, variations.solve_transverse
+    monkeypatch.setattr(variations, "_geodesics", counted_geodesics)
+    monkeypatch.setattr(variations, "solve_transverse", counted_solve)
+    monkeypatch.setattr(cli, "solve_transverse", counted_solve)
+    rc = main(["variation-check", "--catalog", "sphere_chart", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert rows == [5, *cli.COMMUTATION_LADDER]
+    assert solves == [5, *cli.COMMUTATION_LADDER]
+
+
 FLOW_VERBS = ["geodesic", "exp", "transport", "jacobi"]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from algebroid import catalog, paths, variations
 from algebroid.charts import AlgebroidChart, AVector
+from algebroid.errors import InputError
 from algebroid.expressions import EvalDomainError, Program
 from algebroid.metric import MetricField, _quad, christoffel, curvature
 from algebroid.paths import (
@@ -316,30 +317,42 @@ class TestFirstVariation:
         assert res < 1e-4
 
 
+def solved_pencil(chart, metric, a, u, step):
+    """The five-row pencil of variation-check from (a, u), its transverse
+    family solved from zero initial rows."""
+    eps_values = variations.PENCIL_EPS_STEP * np.arange(-2, 3)
+    pencil = make_geodesic_pencil(chart, metric, a, u, eps_values, (0.0, 1.0), step)
+    return solve_transverse(chart, metric, pencil, np.zeros((len(eps_values), chart.r)))
+
+
 class TestGeodesicPencil:
     def test_flat(self, euclidean2):
-        deviation = jacobi_from_geodesic_pencil(
-            euclidean2.chart, euclidean2.metric, AVector([0, 0], [0.5, 0.3]), [0.2, -0.4], step=2e-3
-        )
-        assert deviation < 1e-8
+        chart, metric, u = euclidean2.chart, euclidean2.metric, [0.2, -0.4]
+        pencil = solved_pencil(chart, metric, AVector([0, 0], [0.5, 0.3]), u, 2e-3)
+        assert jacobi_from_geodesic_pencil(chart, metric, pencil, u) < 1e-8
 
     def test_sphere(self, sphere):
-        deviation = jacobi_from_geodesic_pencil(
-            sphere.chart, sphere.metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), [0.7, -0.3], step=2e-3
-        )
-        assert deviation < 1e-4
+        chart, metric, u = sphere.chart, sphere.metric, [0.7, -0.3]
+        pencil = solved_pencil(chart, metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), u, 2e-3)
+        assert jacobi_from_geodesic_pencil(chart, metric, pencil, u) < 1e-4
 
     def test_rotation_algebra(self, so3):
-        deviation = jacobi_from_geodesic_pencil(
-            so3.chart, so3.metric, AVector([0.0], [0.3, 0.4, 0.1]), [0.2, -0.1, 0.5], step=2e-3
-        )
-        assert deviation < 1e-6
+        chart, metric, u = so3.chart, so3.metric, [0.2, -0.1, 0.5]
+        pencil = solved_pencil(chart, metric, AVector([0.0], [0.3, 0.4, 0.1]), u, 2e-3)
+        assert jacobi_from_geodesic_pencil(chart, metric, pencil, u) < 1e-6
+
+    def test_a_pencil_without_a_transverse_family_is_rejected(self, sphere):
+        chart, metric, u = sphere.chart, sphere.metric, [0.7, -0.3]
+        eps_values = variations.PENCIL_EPS_STEP * np.arange(-2, 3)
+        pencil = make_geodesic_pencil(chart, metric, AVector([np.pi / 2, 0.5], [0.2, 0.9]), u, eps_values)
+        with pytest.raises(InputError, match="no transverse family"):
+            jacobi_from_geodesic_pencil(chart, metric, pencil, u)
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
     def test_the_middle_row_does_not_depend_on_the_spacing(self, name):
-        # variation-check judges the geodesic precondition on the middle row
-        # of its eps = 1e-2 pencil, for the row jacobi_from_geodesic_pencil
-        # solves along: the two rows must agree to the bit
+        # the middle row of a pencil is the eps = 0 geodesic whatever the
+        # spacing of the other rows: a row of the batch does not read its
+        # neighbours, so the rows agree to the bit
         entry = catalog.twisted() if name == "twisted" else catalog.get(name)
         chart, metric = entry.chart, entry.metric
         a = AVector(chart.center(), 0.3 * np.ones(chart.r))
