@@ -29,7 +29,8 @@ monotone grid, with one connection record there; `_linear_flow` then
 forms the RK4 step map of every step at once from the same increment
 `_increment` and chains the maps as a prefix composition in about
 sqrt(N) blocks of sqrt(N) steps, in increment form, so that 1 + D is
-never rounded.
+never rounded.  Parallel transport and Jacobi sections take a matrix
+of initial columns, which run through the one flow together.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch through `_geodesics`, which also serves single geodesics.
 The batch keeps only the success path: when a row fails a node check or
@@ -187,7 +188,7 @@ class FiberCurve:
     """Fiber coordinates over the base path of a host APath (same grid)."""
 
     ts: np.ndarray
-    values: np.ndarray  # (N, r)
+    values: np.ndarray  # (N, r), or (N, r, k) for k columns
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +249,10 @@ def _linear_flow(A, ts, y0, c=None):
 
     A (2N - 1, ..., m, m) and c (2N - 1, ..., m) hold the coefficients on
     the half grid of ts, batch axes included; y0 is a vector (..., m) or a
-    matrix (..., m, k) of states.  The step maps minus the identity,
-    D_k = M_k - I, are formed for all steps at once from the RK4 increment
-    taken from Y = I, and the offsets v_k of a source from Y = 0; a source
-    rides as the last column of D_k on the state (y, 1).
+    matrix (..., m, k) of states.  A source joins the operator as
+    [[A, c], [0, 0]] on the state (y, 1).  The step maps minus the
+    identity, D_k = M_k - I, are formed for all steps at once from the RK4
+    increment taken from Y = I.
 
     The maps y -> y + D_k y are chained as a prefix composition in about
     sqrt(N) blocks of about sqrt(N) steps, the last block padded with zero
@@ -267,17 +268,17 @@ def _linear_flow(A, ts, y0, c=None):
     vector = y0.ndim == A.ndim - 2
     y = y0[..., None] if vector else y0
     m = A.shape[-1]
+    if c is not None:
+        A, A0 = np.zeros(A.shape[:-2] + (m + 1, m + 1)), A
+        A[..., :m, :m], A[..., :m, m] = A0, c
+        y = np.concatenate([y, np.ones(y.shape[:-2] + (1, y.shape[-1]))], axis=-2)
     h = np.diff(ts).reshape((-1,) + (1,) * (A.ndim - 1))
     mid, end = slice(1, None, 2), slice(2, None, 2)
     steps = len(ts) - 1
     size = math.isqrt(steps - 1) + 1 if steps else 1  # ceil(sqrt(steps))
     blocks = -(-steps // size)
-    E = np.zeros((blocks * size,) + A.shape[1:-2] + (m + (c is not None),) * 2)
-    E[:steps, ..., :m, :m] = _increment(lambda j, Y: A[j] @ Y, h, np.eye(m), A[:-1:2], mid, end)
-    if c is not None:
-        c = c[..., None]
-        E[:steps, ..., :m, m:] = _increment(lambda j, Y: A[j] @ Y + c[j], h, 0.0, c[:-1:2], mid, end)
-        y = np.concatenate([y, np.ones(y.shape[:-2] + (1, y.shape[-1]))], axis=-2)
+    E = np.zeros((blocks * size,) + A.shape[1:])
+    E[:steps] = _increment(lambda j, Y: A[j] @ Y, h, np.eye(A.shape[-1]), A[:-1:2], mid, end)
     # E[j, i] is step i * size + j, then the steps i * size .. i * size + j composed
     E = np.ascontiguousarray(E.reshape((blocks, size) + E.shape[1:]).swapaxes(0, 1))
     for j in range(1, size):
@@ -496,19 +497,22 @@ def _grid_derivative(values, ts):
     return out
 
 
+def _nabla(alpha: APath, values, gamma):
+    """nabla^alpha of node values (N, r) along alpha, given Gamma at its nodes."""
+    return _grid_derivative(values, alpha.ts) + _quad(alpha.mus, values, gamma)
+
+
 def derivative_along(chart, metric, alpha: APath, s: FiberCurve):
     """(nabla^alpha s)^u = ds^u/dt + sum alpha^i s^j Gamma_{ij}^u on the grid."""
     if len(s.ts) != len(alpha.ts) or not np.allclose(s.ts, alpha.ts):
         raise InputError("fiber curve grid does not match the path grid")
-    sdot = _grid_derivative(s.values, alpha.ts)
     gamma = christoffel(chart, metric, alpha.xs).gamma
-    return FiberCurve(ts=alpha.ts, values=sdot + _quad(alpha.mus, s.values, gamma))
+    return FiberCurve(ts=alpha.ts, values=_nabla(alpha, s.values, gamma))
 
 
 def geodesic_residual(chart, metric, alpha: APath):
     """max |nabla^alpha alpha| over the grid; zero for geodesics."""
-    mu_curve = FiberCurve(ts=alpha.ts, values=alpha.mus)
-    return float(np.max(np.abs(derivative_along(chart, metric, alpha, mu_curve).values)))
+    return float(np.max(np.abs(_nabla(alpha, alpha.mus, christoffel(chart, metric, alpha.xs).gamma))))
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +522,20 @@ def geodesic_residual(chart, metric, alpha: APath):
 
 def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
     """Solve the Jacobi equation beta'' - R(alpha, beta) alpha = 0 along a
-    geodesic, with beta'' the iterated nabla^alpha derivative.  A path whose
-    `geodesic_residual` exceeds TOL_GEODESIC raises NonGeodesicError.
+    geodesic, with beta'' the iterated nabla^alpha derivative.  beta0 and
+    dbeta0 of shape (r,) give values (N, r); k columns (r, k) give (N, r, k).
+    The track's connection record gives R and, on its nodes (the even
+    rows), the `geodesic_residual`; one above TOL_GEODESIC raises
+    NonGeodesicError.
 
     The state is (beta, w = nabla^alpha beta), reduced to first order:
     beta' = w - Gamma(alpha, beta), w' = R(alpha,beta)alpha - Gamma(alpha,w).
     """
-    res = geodesic_residual(chart, metric, alpha)
-    if res > TOL_GEODESIC:
-        raise NonGeodesicError(
-            f"path is not a geodesic (derivative-along residual {res:.3e})"
-        )
     r = alpha.r
     L, mu, ch = _transport_track(chart, metric, alpha)
+    res = float(np.max(np.abs(_nabla(alpha, alpha.mus, ch.gamma[::2]))))
+    if res > TOL_GEODESIC:
+        raise NonGeodesicError(f"path is not a geodesic (derivative-along residual {res:.3e})")
     # K[l, j] = sum_ik mu_i mu_k R[i, j, k, l]: contract i, then k
     Ri = (mu[:, None, :] @ ch.R.reshape(len(mu), r, -1)).reshape((len(mu),) + (r,) * 3)
     K = (mu[:, None, None, :] @ Ri)[:, :, 0, :].swapaxes(-1, -2)
@@ -540,12 +545,10 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
     return FiberCurve(ts=alpha.ts, values=ys[:, :r])
 
 
-def dexp(chart, metric, m, a, u, step=1e-3, path=None):
+def dexp(chart, metric, m, a, u, step=1e-3):
     """d_a exp_m(u) = #(beta(1)) for the Jacobi section with beta(0) = 0,
-    beta'(0) = u along the geodesic from (m, a) over [0, 1]; `path` may
-    give that geodesic when it is already integrated with this step."""
-    if path is None:
-        path = geodesic_integrate(chart, metric, AVector(m, a), (0.0, 1.0), step)
+    beta'(0) = u along the geodesic from (m, a) over [0, 1] at this step."""
+    path = geodesic_integrate(chart, metric, AVector(m, a), (0.0, 1.0), step)
     beta = jacobi_solve(chart, metric, path, np.zeros(chart.r), u)
     B, _ = chart.eval_anchor(path.xs[-1])
     return np.einsum("j,ji->i", beta.values[-1], B)

@@ -328,24 +328,54 @@ class TestOtherVerbs:
         assert "check.scaling_solution.pass" not in report
         assert (tmp_path / "jacobi.csv").read_text() == "t,beta1,beta2\n"
 
-    def test_jacobi_integrates_its_geodesic_once(self, tmp_path, capsys, monkeypatch):
-        # at the default t1 = 1 the dexp check reuses the verb's own path
+    @pytest.mark.parametrize("t1", [1.0, 0.5, -1.0])
+    def test_jacobi_integrates_its_geodesic_once(self, t1, tmp_path, capsys, monkeypatch):
+        # the verb integrates its geodesic over (0, t1) once and solves along
+        # it once: its field, the scaling solution and the dexp check's field
+        # are the three columns of one jacobi_solve, and the dexp check reads
+        # d(exp) at t1 off that path, with no time-1 geodesic of its own.
+        # Two connection calls span the path: the reported geodesic_residual
+        # on its N nodes and the solve's track on its 2N - 1 half-grid points
         from algebroid import cli, paths
 
-        spans = []
-        integrate = paths.geodesic_integrate
+        spans, solves, batches = [], [], []
+        integrate, solve, christoffel = paths.geodesic_integrate, cli.jacobi_solve, paths.christoffel
 
         def counted(chart, metric, start, t_span=(0.0, 1.0), step=1e-3):
             spans.append(tuple(t_span))
             return integrate(chart, metric, start, t_span, step)
 
+        def counted_solve(*args):
+            solves.append(np.shape(args[-1]))
+            return solve(*args)
+
+        def counted_christoffel(chart, metric, x, *rest):
+            batches.append(np.shape(x)[:-1])
+            return christoffel(chart, metric, x, *rest)
+
         monkeypatch.setattr(paths, "geodesic_integrate", counted)
         monkeypatch.setattr(cli, "geodesic_integrate", counted)
-        rc = main(["jacobi", "--catalog", "sphere_chart", "--out", str(tmp_path)])
+        monkeypatch.setattr(cli, "jacobi_solve", counted_solve)
+        monkeypatch.setattr(paths, "christoffel", counted_christoffel)
+        rc = main(["jacobi", "--catalog", "sphere_chart", "--t1", str(t1), "--out", str(tmp_path)])
         capsys.readouterr()
         assert rc == 0
         assert read_report(tmp_path)["check.dexp_vs_fd.pass"] == "true"
-        assert spans == [(0.0, 1.0)]
+        assert spans == [(0.0, t1)]
+        assert solves == [(2, 3)]
+        # the other calls are the RK4 stages of one geodesic and of the two
+        # rows of the dexp check's pencil
+        N = round(abs(t1) / 1e-3) + 1
+        assert sorted(b for b in batches if b not in {(), (2,)}) == [(N,), (2 * N - 1,)]
+
+    @pytest.mark.parametrize("t1", ["0.5", "-1", "2"])
+    def test_jacobi_checks_dexp_along_its_own_path(self, t1, tmp_path, capsys):
+        for name in ("sphere_chart", "heisenberg_central", "euclidean2", "twisted"):
+            source = twisted_source(tmp_path) if name == "twisted" else ["--catalog", name]
+            rc = main(["jacobi", *source, "--t1", t1, "--out", str(tmp_path / name)])
+            capsys.readouterr()
+            assert rc == 0, name
+            assert read_report(tmp_path / name)["check.dexp_vs_fd.pass"] == "true", name
 
     def test_curvature(self, tmp_path, capsys):
         rc = main(["curvature", "--catalog", "heisenberg_central", "--out", str(tmp_path)])
@@ -448,14 +478,25 @@ class TestOtherVerbs:
         assert chart.r == 3
 
     def test_jacobi_notes_a_skipped_dexp_check(self, tmp_path, capsys):
-        # the path to t1 = 0.5 stays in the box, the time-1 geodesics of the
-        # dexp check leave it
+        # the check's geodesics run over the verb's own span: to t1 = 0.5
+        # they stay in the box with the path
         rc = main(["jacobi", "--catalog", "euclidean2", "--x", "0,0", "--mu", "4,0",
-                   "--t1", "0.5", "--out", str(tmp_path)])
+                   "--t1", "0.5", "--out", str(tmp_path / "inside")])
         capsys.readouterr()
         assert rc == 0
-        report = read_report(tmp_path)
+        report = read_report(tmp_path / "inside")
+        assert "dexp_vs_fd" not in report and report["check.dexp_vs_fd.pass"] == "true"
+        # at step 0.375 every RK4 increment of the flat path is exact: it ends
+        # at x1 = 3 on the face of the box, which the geodesic from mu1 + eps u1
+        # (u1 > 0 at the default seed) passes
+        rc = main(["jacobi", "--catalog", "euclidean2", "--x", "0,0", "--mu", "2,0",
+                   "--t1", "1.5", "--step", "0.375", "--out", str(tmp_path / "face")])
+        capsys.readouterr()
+        assert rc == 0
+        report = read_report(tmp_path / "face")
+        assert report["check.stayed_in_domain.pass"] == "true"
         assert report["dexp_vs_fd"] == "skipped: perturbed geodesic left the domain"
+        assert "check.dexp_vs_fd.pass" not in report
 
     def test_jacobi_notes_dexp_vs_fd_where_the_chart_is_not_transitive(self, tmp_path, capsys):
         # the anchor rank is below n on the first three, n on the sphere

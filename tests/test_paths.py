@@ -608,6 +608,17 @@ class TestCoefficientTracks:
         ys, _ = reference_jacobi(chart, metric, path, beta0, dbeta0)
         assert np.max(np.abs(beta.values - ys[:, : chart.r])) <= 1e-12
 
+    def test_jacobi_columns_are_single_solves(self, flow_case):
+        # (r, 3) initial columns give (N, r, 3) values; each column is its
+        # single-column solve up to rounding
+        chart, metric, path, beta0, dbeta0 = flow_case
+        starts = np.stack([beta0, np.zeros(chart.r), dbeta0], 1), np.stack([dbeta0, path.mus[0], beta0], 1)
+        beta = jacobi_solve(chart, metric, path, *starts).values
+        assert beta.shape == (len(path.ts), chart.r, 3)
+        for k in range(3):
+            single = jacobi_solve(chart, metric, path, starts[0][:, k], starts[1][:, k]).values
+            assert np.max(np.abs(beta[..., k] - single)) <= 1e-15 * np.max(np.abs(single))
+
     def test_coefficients_evaluated_once(self, flow_case, monkeypatch):
         chart, metric, path, s0, dbeta0 = flow_case
         calls = collections.Counter()
@@ -629,9 +640,9 @@ class TestCoefficientTracks:
         assert calls == {"christoffel": 2}
         calls.clear()
         jacobi_solve(chart, metric, path, np.zeros(chart.r), dbeta0)
-        # one Gamma call of the geodesic check on the nodes, one on the track,
-        # whose record forms dGamma once for R
-        assert calls == {"christoffel": 2, "dgamma": 1}
+        # one connection call on the track: its record forms dGamma once for
+        # R, and its Gamma on the nodes serves the geodesic check
+        assert calls == {"christoffel": 1, "dgamma": 1}
 
     def test_linear_flows_make_no_per_stage_calls(self, flow_case, monkeypatch):
         """Transport, the frame, Jacobi and the transverse solve step by
@@ -661,7 +672,7 @@ class TestCoefficientTracks:
         assert calls == {(2 * N - 1,): 2}
         calls.clear()
         jacobi_solve(chart, metric, path, np.zeros(chart.r), dbeta0)
-        assert calls == {(N,): 1, (2 * N - 1,): 1}  # the geodesic check, the track
+        assert calls == {(2 * N - 1,): 1}  # the track, which serves the geodesic check too
         calls.clear()
         solved = variations.solve_transverse(chart, metric, grid, np.zeros((5, chart.r)))
         assert not calls  # the transverse solve reads the bracket only
