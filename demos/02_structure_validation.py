@@ -7,8 +7,6 @@ correct chart sits at machine zero, a broken one is flagged with the
 offending indices.
 """
 
-import numpy as np
-
 from algebroid import catalog
 from algebroid.charts import validate
 

@@ -5,8 +5,8 @@ expressions, builds the Levi-Civita A-connection of a fiber metric,
 integrates geodesic / parallel-transport / Jacobi equations, cross-checks
 the geodesic flow against its Hamiltonian realization on the dual Poisson
 structure, and evaluates the vertical/horizontal splitting machinery
-(fundamental tensors, connector, Sasaki metric, divergence of the
-geodesic field, submersion curvature identities).
+(fundamental tensors, connector, leaf metric, divergence of the geodesic
+field, submersion curvature identities).
 """
 
 from .charts import (
@@ -24,8 +24,6 @@ from .hamiltonian import (
     DualPoint,
     euler_identity_residual,
     hamiltonian_field,
-    metric_iso,
-    metric_iso_inv,
     poisson_matrix,
 )
 from .metric import (
@@ -35,7 +33,6 @@ from .metric import (
     christoffel,
     covariant_derivative,
     curvature,
-    energy,
     fiber_inner,
     sectional_curvature,
 )
@@ -66,9 +63,7 @@ from .splitting import (
     leaf_metric_matrix,
     oneill_curvature_check,
     oneill_H_apply,
-    oneill_T_apply,
     oneill_tensors,
-    sasaki_metric,
 )
 from .variations import (
     VariationGrid,

@@ -37,12 +37,12 @@ from .paths import (
     TOL_APATH_GENERATED,
     TOL_GEODESIC,
     _grid,
+    _jacobi,
     energy_along,
     exp_map,
     geodesic_integrate,
     geodesic_rhs,
     geodesic_residual,
-    jacobi_solve,
     parallel_transport,
 )
 from .sampling import fit_to_box, sample_box, sample_fiber, sample_states
@@ -353,15 +353,17 @@ def _cmd_jacobi(args, out, run, chart, metric):
     dbeta0 = sample_fiber(chart.r, 1, args.seed + 13)[0]
     dbeta0 = _vector(args.dbeta0, chart.r, "--dbeta0") if args.dbeta0 else dbeta0
     path, exited, step, t1 = _geodesic(run, args, chart, metric, start)
-    # a path that left the box, or is no geodesic at this step, gets an empty CSV
-    if exited or not run.check("geodesic_residual", geodesic_residual(chart, metric, path)):
-        write_csv(out / "jacobi.csv", ["t"] + _mucols(chart.r, "beta"), [])
-        return
     # one solve, three columns: the verb's field, the scaling solution
-    # beta = t alpha (beta(0) = 0, beta'(0) = alpha(0)) and dexp's field along u
+    # beta = t alpha (beta(0) = 0, beta'(0) = alpha(0)) and dexp's field along
+    # u; it reports the geodesic residual from its own connection record
     u, zero = sample_fiber(chart.r, 1, args.seed + 29, scale=0.5)[0], np.zeros(chart.r)
     columns = np.stack([beta0, zero, zero], 1), np.stack([dbeta0, start.mu, u], 1)
-    beta = jacobi_solve(chart, metric, path, *columns).values
+    if not exited:
+        residual, beta = _jacobi(chart, metric, path, *columns)
+    # a path that left the box, or is no geodesic at this step, gets an empty CSV
+    if exited or not run.check("geodesic_residual", residual):
+        write_csv(out / "jacobi.csv", ["t"] + _mucols(chart.r, "beta"), [])
+        return
     expected = path.ts[:, None] * path.mus
     run.check("scaling_solution", float(np.max(np.abs(beta[..., 1] - expected))))
 

@@ -621,10 +621,6 @@ class Expression:
     def __str__(self):
         return str(self.root)
 
-    @property
-    def is_constant(self):
-        return Program.of(self).constant(0) is not None
-
     def evaluate(self, x) -> EvalResult:
         """Evaluate at a single point with exact gradient and Hessian."""
         x = np.asarray(x, dtype=float)

@@ -29,8 +29,6 @@ from .charts import AVector
 __all__ = [
     "DualPoint",
     "poisson_matrix",
-    "metric_iso",
-    "metric_iso_inv",
     "hamiltonian_field",
     "euler_identity_residual",
 ]
@@ -71,18 +69,6 @@ def _matvec(M, v):
 def _solve(M, v):
     """M^{-1} v over matching leading batch axes."""
     return np.linalg.solve(M, v[..., None])[..., 0]
-
-
-def metric_iso(chart, metric, p: DualPoint) -> AVector:
-    """mu_k = sum_i g^{ki} xi_i (raise the index with the fiber metric)."""
-    G, _, _ = metric.eval(p.x)
-    return AVector(p.x, _solve(G, p.xi))
-
-
-def metric_iso_inv(chart, metric, v: AVector) -> DualPoint:
-    """xi_i = sum_k g_{ik} mu_k (lower the index)."""
-    G, _, _ = metric.eval(v.x)
-    return DualPoint(v.x, _matvec(G, v.mu))
 
 
 def hamiltonian_field(chart, metric, v: AVector):

@@ -64,7 +64,6 @@ __all__ = [
     "curvature",
     "sectional_curvature",
     "fiber_inner",
-    "energy",
     "koszul_rhs",
 ]
 
@@ -127,10 +126,6 @@ class MetricField:
         return prog.add_group(
             (self.r, self.r), 2, [(e, places(i, j)) for (i, j), e in self.entries.items()]
         )
-
-    @property
-    def is_constant(self):
-        return Program.of(self).constant(0) is not None
 
     def eval(self, points, order=0):
         """g (..., r, r), dg (..., r, r, n), d2g (..., r, r, n, n)."""
@@ -498,11 +493,6 @@ def fiber_inner(metric, x, u, v):
     """<u, v>_x for fiber vectors (batched on leading axes)."""
     G, _, _ = metric.eval(x)
     return np.einsum("...i,...ij,...j->...", u, G, v)
-
-
-def energy(metric, x, mu):
-    """E = 1/2 <mu, mu>_x, the energy of a fiber vector."""
-    return 0.5 * fiber_inner(metric, x, mu, mu)
 
 
 def koszul_rhs(chart, metric, x):

@@ -165,7 +165,8 @@ class APath:
     dmus = property(lambda self: self.ds[:, self.n :])
 
     def eval(self, t):
-        """(x, mu) at time(s) t via per-component cubic Hermite."""
+        """(x, mu) at time(s) t via per-component cubic Hermite; perfbench's
+        tracer wraps it as a span."""
         y, _ = _hermite(self.ts, self.ys, self.ds, t)
         return y[..., : self.n], y[..., self.n :]
 
@@ -520,13 +521,13 @@ def geodesic_residual(chart, metric, alpha: APath):
 # ---------------------------------------------------------------------------
 
 
-def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
-    """Solve the Jacobi equation beta'' - R(alpha, beta) alpha = 0 along a
-    geodesic, with beta'' the iterated nabla^alpha derivative.  beta0 and
-    dbeta0 of shape (r,) give values (N, r); k columns (r, k) give (N, r, k).
-    The track's connection record gives R and, on its nodes (the even
-    rows), the `geodesic_residual`; one above TOL_GEODESIC raises
-    NonGeodesicError.
+def _jacobi(chart, metric, alpha: APath, beta0, dbeta0):
+    """(geodesic residual of alpha, Jacobi values) from one connection call,
+    on the half grid of alpha's track: the record gives R and, on its nodes
+    (the even rows), the `geodesic_residual`.  The values are None, and the
+    flow does not run, when the residual is above TOL_GEODESIC.  The record
+    checks g at the track's Hermite midpoints first, so a MetricError there
+    comes before the residual.
 
     The state is (beta, w = nabla^alpha beta), reduced to first order:
     beta' = w - Gamma(alpha, beta), w' = R(alpha,beta)alpha - Gamma(alpha,w).
@@ -535,14 +536,25 @@ def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
     L, mu, ch = _transport_track(chart, metric, alpha)
     res = float(np.max(np.abs(_nabla(alpha, alpha.mus, ch.gamma[::2]))))
     if res > TOL_GEODESIC:
-        raise NonGeodesicError(f"path is not a geodesic (derivative-along residual {res:.3e})")
+        return res, None
     # K[l, j] = sum_ik mu_i mu_k R[i, j, k, l]: contract i, then k
     Ri = (mu[:, None, :] @ ch.R.reshape(len(mu), r, -1)).reshape((len(mu),) + (r,) * 3)
     K = (mu[:, None, None, :] @ Ri)[:, :, 0, :].swapaxes(-1, -2)
     ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
-    ys = _linear_flow(ops, alpha.ts, y0)
-    return FiberCurve(ts=alpha.ts, values=ys[:, :r])
+    return res, _linear_flow(ops, alpha.ts, y0)[:, :r]
+
+
+def jacobi_solve(chart, metric, alpha: APath, beta0, dbeta0):
+    """Solve the Jacobi equation beta'' - R(alpha, beta) alpha = 0 along a
+    geodesic, with beta'' the iterated nabla^alpha derivative.  beta0 and
+    dbeta0 of shape (r,) give values (N, r); k columns (r, k) give (N, r, k).
+    A `geodesic_residual` above TOL_GEODESIC raises NonGeodesicError, after
+    any MetricError of the track (see `_jacobi`)."""
+    res, values = _jacobi(chart, metric, alpha, beta0, dbeta0)
+    if values is None:
+        raise NonGeodesicError(f"path is not a geodesic (derivative-along residual {res:.3e})")
+    return FiberCurve(ts=alpha.ts, values=values)
 
 
 def dexp(chart, metric, m, a, u, step=1e-3):

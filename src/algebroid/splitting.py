@@ -11,14 +11,13 @@ extensions of frame vectors,
 
 which is well defined because both expressions are tensorial in a and b.
 On top of the splitting sit the connector of the horizontal-lift
-distribution, the Sasaki metric, the induced leaf metric, the divergence
-of the geodesic field (trace of the vertical adjoint plus the mean
-curvature pairing) and the three submersion curvature identities.
+distribution, the induced leaf metric, the divergence of the geodesic
+field (trace of the vertical adjoint plus the mean curvature pairing) and
+the three submersion curvature identities.
 
-The Sasaki metric and the curvature identities are restricted to
-transitive charts (anchor rank equals the base dimension) and to
-Lie-algebra charts (zero anchor); mixed-rank charts would need leaf
-coordinates the chart does not carry.  The divergence formula itself is
+The curvature identities are restricted to transitive charts (anchor rank
+equals the base dimension) and to Lie-algebra charts (zero anchor);
+mixed-rank charts would need leaf coordinates the chart does not carry.  The divergence formula itself is
 pointwise and has no such restriction.
 
 The split frame is the one place where the structure at a point is
@@ -61,14 +60,12 @@ __all__ = [
     "OneillTensors",
     "split",
     "oneill_tensors",
-    "oneill_T_apply",
     "oneill_H_apply",
     "divergence_terms",
     "divergence_XE",
     "divergence_fd_lie_algebra",
     "horizontal_lift",
     "connector",
-    "sasaki_metric",
     "leaf_metric",
     "leaf_metric_matrix",
     "oneill_curvature_check",
@@ -228,12 +225,6 @@ def _oneill_apply(frame, a, b, project_a):
     )
 
 
-def oneill_T_apply(chart, metric, x, a, b):
-    """T_a b for coordinate fiber vectors a, b (..., r) at one point x."""
-    frame = split(chart, metric, x)
-    return _oneill_apply(frame, a, b, frame.project_vertical)
-
-
 def oneill_H_apply(chart, metric, x, a, b):
     """H_a b for coordinate fiber vectors a, b (..., r) at one point x."""
     frame = split(chart, metric, x)
@@ -386,7 +377,7 @@ def divergence_fd_lie_algebra(chart, metric, v: AVector):
 
 
 # ---------------------------------------------------------------------------
-# Connector, Sasaki metric, leaf metric
+# Connector, leaf metric
 # ---------------------------------------------------------------------------
 
 
@@ -420,21 +411,6 @@ def connector(chart, metric, a: AVector, Z):
     alpha = horizontal_lift(chart, metric, a.x, dx)
     gamma = split(chart, metric, a.x).gamma
     return np.asarray(dmu, float) + _quad(alpha, np.asarray(a.mu, float), gamma)
-
-
-def sasaki_metric(chart, metric, a: AVector, Z1, Z2):
-    """g_Sasaki(Z1, Z2) = <dp Z1, dp Z2>_leaf + <K(Z1), K(Z2)>."""
-    frame = split(chart, metric, a.x)
-    if frame.q not in (0, chart.n):
-        raise SplitError(
-            "Sasaki-metric operations support transitive charts and "
-            f"zero-anchor charts only (anchor rank {frame.q} of base dim {chart.n})"
-        )
-    K1, K2 = (connector(chart, metric, a, Z) for Z in (Z1, Z2))
-    fiber_part = float(_g_dot(K1, frame.G, K2))
-    if frame.q == 0:
-        return fiber_part
-    return leaf_metric(chart, metric, a.x, Z1[0], Z2[0]) + fiber_part
 
 
 def leaf_metric(chart, metric, x, u, v):

@@ -54,7 +54,6 @@ __all__ = [
     "delta",
     "anchor_of_grid",
     "solve_transverse",
-    "is_fixed_endpoint_homotopy",
     "curvature_commutation_residual",
     "first_variation_residual",
     "row_energies",
@@ -65,7 +64,6 @@ __all__ = [
 
 TRANSVERSALITY_TOL = 1e-6
 TRANSVERSALITY_POSTERIOR_TOL = 1e-4
-HOMOTOPY_TOL = 1e-5
 PENCIL_EPS_STEP = 1e-3  # spacing of the five eps-rows of variation-check's pencil
 HOMOTOPY_AMPLITUDE = 0.05  # scale of the prescribed transverse family
 HOMOTOPY_SUBSTEPS = 4  # RK4 steps in eps between consecutive eps-rows
@@ -197,17 +195,6 @@ def solve_transverse(chart, metric, grid: VariationGrid, beta0) -> VariationGrid
             stacklevel=2,
         )
     return out
-
-
-def is_fixed_endpoint_homotopy(chart, metric, grid: VariationGrid):
-    """Solve the transverse family with zero initial rows and test whether
-    it also vanishes at the far end, below HOMOTOPY_TOL (the homotopy
-    criterion).  The metric is not read.
-
-    Returns (bool, max |beta(eps, t1)|)."""
-    solved = solve_transverse(chart, metric, grid, np.zeros((len(grid.eps), chart.r)))
-    end = float(np.max(np.abs(solved.beta[:, -1, :])))
-    return end < HOMOTOPY_TOL, end
 
 
 def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):

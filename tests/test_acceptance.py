@@ -6,7 +6,6 @@ ordered; shared heavy computations sit in module-scoped fixtures.
 """
 
 import numpy as np
-import pytest
 
 from conftest import record_acceptance
 
@@ -38,7 +37,6 @@ from algebroid.splitting import (
     horizontal_lift,
     leaf_metric_matrix,
     oneill_H_apply,
-    oneill_T_apply,
     split,
 )
 from algebroid.variations import (

@@ -4,6 +4,7 @@ import pytest
 from algebroid import catalog
 from algebroid.chartfile import dumps_chart
 from algebroid.charts import validate
+from algebroid.expressions import Program
 from conftest import perfbench_workloads
 
 
@@ -28,7 +29,9 @@ def test_twisted_is_an_entry_outside_names_and_get():
     assert entry.name == "twisted" and entry.name not in catalog.names()
     with pytest.raises(KeyError):
         catalog.get("twisted")
-    assert not entry.chart.is_constant and entry.metric.is_constant
+    chart_prog = Program.of(entry.chart)
+    assert chart_prog.constant(0) is None and chart_prog.constant(1) is None
+    assert Program.of(entry.metric).constant(0) is not None
     report = validate(entry.chart, samples=200, seed=7)
     assert report.passed and max(c.residual for c in report.checks) < 1e-12
 

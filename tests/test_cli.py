@@ -332,14 +332,14 @@ class TestOtherVerbs:
     def test_jacobi_integrates_its_geodesic_once(self, t1, tmp_path, capsys, monkeypatch):
         # the verb integrates its geodesic over (0, t1) once and solves along
         # it once: its field, the scaling solution and the dexp check's field
-        # are the three columns of one jacobi_solve, and the dexp check reads
+        # are the three columns of one Jacobi solve, and the dexp check reads
         # d(exp) at t1 off that path, with no time-1 geodesic of its own.
-        # Two connection calls span the path: the reported geodesic_residual
-        # on its N nodes and the solve's track on its 2N - 1 half-grid points
+        # One connection call spans the path: the solve's track on its 2N - 1
+        # half-grid points, whose nodes give the reported geodesic_residual
         from algebroid import cli, paths
 
         spans, solves, batches = [], [], []
-        integrate, solve, christoffel = paths.geodesic_integrate, cli.jacobi_solve, paths.christoffel
+        integrate, solve, christoffel = paths.geodesic_integrate, cli._jacobi, paths.christoffel
 
         def counted(chart, metric, start, t_span=(0.0, 1.0), step=1e-3):
             spans.append(tuple(t_span))
@@ -355,7 +355,7 @@ class TestOtherVerbs:
 
         monkeypatch.setattr(paths, "geodesic_integrate", counted)
         monkeypatch.setattr(cli, "geodesic_integrate", counted)
-        monkeypatch.setattr(cli, "jacobi_solve", counted_solve)
+        monkeypatch.setattr(cli, "_jacobi", counted_solve)
         monkeypatch.setattr(paths, "christoffel", counted_christoffel)
         rc = main(["jacobi", "--catalog", "sphere_chart", "--t1", str(t1), "--out", str(tmp_path)])
         capsys.readouterr()
@@ -366,7 +366,7 @@ class TestOtherVerbs:
         # the other calls are the RK4 stages of one geodesic and of the two
         # rows of the dexp check's pencil
         N = round(abs(t1) / 1e-3) + 1
-        assert sorted(b for b in batches if b not in {(), (2,)}) == [(N,), (2 * N - 1,)]
+        assert sorted(b for b in batches if b not in {(), (2,)}) == [(2 * N - 1,)]
 
     @pytest.mark.parametrize("t1", ["0.5", "-1", "2"])
     def test_jacobi_checks_dexp_along_its_own_path(self, t1, tmp_path, capsys):

@@ -99,11 +99,11 @@ class TestParsing:
         assert e.evaluate(np.array([2.0])).value == 0.25
 
     def test_constant_folding(self):
-        assert parse("2*3 + 1", 1).is_constant
-        assert not parse("2*x1", 1).is_constant
+        assert Program.of(parse("2*3 + 1", 1)).constant(0) is not None
+        assert Program.of(parse("2*x1", 1)).constant(0) is None
         # the program folds what the parser leaves as written
-        assert parse("x1^0", 1).is_constant
-        assert parse("sin(x1^0) + 2^0.5", 1).is_constant
+        assert Program.of(parse("x1^0", 1)).constant(0) is not None
+        assert Program.of(parse("sin(x1^0) + 2^0.5", 1)).constant(0) is not None
 
     def test_the_parser_keeps_constant_arithmetic_as_written(self):
         e = parse("2*3 + 1", 1)
@@ -149,21 +149,21 @@ class TestEvaluation:
         # log(2 - 3) stays an op: its check fails at build time and runs at
         # every point
         e = parse("x1 + log(2 - 3)", 1)
-        assert not e.is_constant
+        assert Program.of(e).constant(0) is None
         with pytest.raises(EvalDomainError, match=r"'log\(2\.0 - 3\.0\)'"):
             e.evaluate(np.array([1.0]))
 
     @pytest.mark.parametrize("text", ["exp(1000)", "1e300 * 1e300"])
     def test_a_constant_that_is_not_finite_stays_an_op(self, text):
         e = parse(text, 1)
-        assert not e.is_constant
+        assert Program.of(e).constant(0) is None
         with np.errstate(over="ignore"):
             assert e.values(np.array([0.5])) == np.inf
 
     def test_a_function_of_a_constant_folds_to_numpys_value(self):
         for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh"):
             e = parse(f"{name}(0.7)", 1)
-            assert e.is_constant
+            assert Program.of(e).constant(0) is not None
             assert e.values(np.array([0.0])).tobytes() == np.float64(getattr(np, name)(0.7)).tobytes()
 
     def test_division_by_zero(self):
@@ -477,12 +477,6 @@ class TestProgram:
                 assert str(err.value.node) == inner
                 assert f"'{inner}'" in str(err.value)
 
-    @given(_tree_strategy)
-    @settings(max_examples=200)
-    def test_is_constant_is_the_programs_verdict(self, text):
-        e = parse(text, 3)
-        assert e.is_constant == (Program.of(e).constant(0) is not None)
-
     @given(_tree_strategy, _box_point)
     @settings(max_examples=60)
     def test_a_second_interpreter_walks_the_op_list(self, text, x):
@@ -518,9 +512,11 @@ class TestProgram:
         from algebroid.metric import _Connection
 
         entry = catalog.get(name)
-        assert entry.chart.is_constant and entry.metric.is_constant
-        assert _ops(Program.of(entry.chart), (1, 1)) == 0
-        assert _ops(Program.of(entry.metric), (2,)) == 0
+        chart_prog, metric_prog = Program.of(entry.chart), Program.of(entry.metric)
+        assert chart_prog.constant(0) is not None and chart_prog.constant(1) is not None
+        assert metric_prog.constant(0) is not None
+        assert _ops(chart_prog, (1, 1)) == 0
+        assert _ops(metric_prog, (2,)) == 0
         # Gamma and dGamma are settled once, at construction
         assert _Connection(entry.chart, entry.metric).gamma is not None
         sphere = catalog.get("sphere_chart")

@@ -7,8 +7,6 @@ from algebroid.hamiltonian import (
     DualPoint,
     euler_identity_residual,
     hamiltonian_field,
-    metric_iso,
-    metric_iso_inv,
     poisson_matrix,
 )
 from algebroid.paths import geodesic_rhs
@@ -41,37 +39,6 @@ class TestPoissonMatrix:
         assert pi[0, 4] == 0.0  # {x1, xi_3}: a3 has zero anchor
         assert pi[1, 4] == 0.0
         assert pi[2, 3] == pytest.approx(xi[2])  # {xi_1, xi_2} = xi_3
-
-
-class TestMetricIso:
-    def test_identity_metric_is_identity(self, so3):
-        p = DualPoint([0.0], [0.4, -0.2, 0.9])
-        v = metric_iso(so3.chart, so3.metric, p)
-        np.testing.assert_allclose(v.mu, p.xi)
-
-    def test_round_trip(self, sphere, rng):
-        for _ in range(10):
-            x = sample_box(sphere.chart.domain, 1, seed=rng.randint(10**6))[0]
-            xi = rng.randn(2)
-            p = DualPoint(x, xi)
-            back = metric_iso_inv(sphere.chart, sphere.metric, metric_iso(sphere.chart, sphere.metric, p))
-            np.testing.assert_allclose(back.xi, xi, atol=1e-12)
-
-    def test_sphere_equator_is_identity(self, sphere):
-        p = DualPoint([np.pi / 2, 1.0], [0.7, -0.4])
-        v = metric_iso(sphere.chart, sphere.metric, p)
-        np.testing.assert_allclose(v.mu, p.xi, atol=1e-12)
-
-    def test_fiberwise_isometry(self, sphere, rng):
-        # <iso(xi), iso(xi)> = xi^T g^{-1} xi
-        for _ in range(10):
-            x = sample_box(sphere.chart.domain, 1, seed=rng.randint(10**6))[0]
-            xi = rng.randn(2)
-            v = metric_iso(sphere.chart, sphere.metric, DualPoint(x, xi))
-            G, _, _ = sphere.metric.eval(x)
-            lhs = v.mu @ G @ v.mu
-            rhs = xi @ np.linalg.solve(G, xi)
-            assert abs(lhs - rhs) < 1e-10
 
 
 class TestHamiltonianField:

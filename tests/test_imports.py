@@ -1,13 +1,15 @@
-"""Every name a module of the package imports is used in it."""
+"""Every name a module of the package, a test, a demo or a tool imports is
+used in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "algebroid"
+ROOT = Path(__file__).resolve().parents[1]
 # the package's __init__ imports to make its namespace: it uses none of them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (ROOT / "src" / "algebroid").glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for d in ("tests", "demos", "tools") for p in (ROOT / d).glob("*.py"))
 
 
 def unused_imports(source):
@@ -34,6 +36,6 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["b", "system"]
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_import_is_used(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []

@@ -927,16 +927,15 @@ class TestStageCheckCost:
         assert calls == [(801, 2, 2)]
 
     def test_a_long_geodesic_keeps_a_bounded_stage_log(self, sphere):
-        # 4000 steps: the track takes 0.3 MB, the records of 256 nodes about
-        # 0.8 MB, and records kept for the whole run 12 MB.  (20 000 steps
-        # take 15 s under tracemalloc, against 4 s here.)
+        # 1500 steps: the track takes 0.1 MB, the records of 256 nodes about
+        # 0.8 MB, and records kept for the whole run about 3 KB a step, 4.5 MB
         start = AVector(sphere.chart.center(), [0.3, 0.2])
         geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 0.01), 1e-3)  # warm the caches
         tracemalloc.start()
         try:
-            path = geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 1.0), 2.5e-4)
+            path = geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 0.375), 2.5e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(path.ts) == 4001
+        assert len(path.ts) == 1501
         assert peak < 3e6

@@ -13,8 +13,6 @@ from algebroid.hamiltonian import (
     DualPoint,
     euler_identity_residual,
     hamiltonian_field,
-    metric_iso,
-    metric_iso_inv,
     poisson_matrix,
 )
 from algebroid.metric import MetricField, christoffel
@@ -89,14 +87,11 @@ class TestRowsEqualSinglePoints:
             np.testing.assert_array_equal(dx[i], sx)
             np.testing.assert_array_equal(dmu[i], smu)
             assert hom[i] == euler_identity_residual(chart, metric, one)
-        xis = metric_iso_inv(chart, metric, AVector(xs, mus)).xi
+        G, _, _ = metric.eval(xs)
+        xis = (G @ mus[..., None])[..., 0]  # xi = g mu
         pis = poisson_matrix(chart, DualPoint(xs, xis))
-        back = metric_iso(chart, metric, DualPoint(xs, xis)).mu
         for i in range(len(xs)):
-            p = metric_iso_inv(chart, metric, AVector(xs[i], mus[i]))
-            np.testing.assert_array_equal(xis[i], p.xi)
-            np.testing.assert_array_equal(pis[i], poisson_matrix(chart, p))
-            np.testing.assert_array_equal(back[i], metric_iso(chart, metric, p).mu)
+            np.testing.assert_array_equal(pis[i], poisson_matrix(chart, DualPoint(xs[i], xis[i])))
         # two leading axes give the same rows again
         grid = AVector(xs.reshape(4, 10, -1), mus.reshape(4, 10, -1))
         gx, gmu = hamiltonian_field(chart, metric, grid)

@@ -3,7 +3,7 @@ import pytest
 
 from algebroid import catalog
 from algebroid.charts import AlgebroidChart, AVector
-from algebroid.metric import MetricField, fiber_inner, sectional_curvature
+from algebroid.metric import MetricField, sectional_curvature
 from algebroid.paths import geodesic_integrate, geodesic_rhs
 from algebroid.sampling import sample_box, sample_fiber
 from algebroid.splitting import (
@@ -18,9 +18,7 @@ from algebroid.splitting import (
     oneill_curvature_check,
     oneill_H_apply,
     oneill_identity_residuals,
-    oneill_T_apply,
     oneill_tensors,
-    sasaki_metric,
     split,
 )
 
@@ -82,10 +80,9 @@ class TestOneillTensors:
 
     def test_central_extension_T_vanishes(self, heisenberg):
         x = np.array([0.2, -0.1])
-        for u in np.eye(3):
-            for v in np.eye(3):
-                out = oneill_T_apply(heisenberg.chart, heisenberg.metric, x, u, v)
-                assert np.max(np.abs(out)) < 1e-14
+        # T on every pair of frame vectors, a basis of the fiber
+        T = oneill_tensors(heisenberg.chart, heisenberg.metric, x).T
+        assert np.max(np.abs(T)) < 1e-14
 
     def test_flat_chart_both_vanish(self, euclidean2):
         tensors = oneill_tensors(euclidean2.chart, euclidean2.metric, [0.1, 0.1])
@@ -205,53 +202,6 @@ class TestConnector:
             gamma = christoffel(chart, metric, x).gamma
             rebuilt = K - np.einsum("i,j,ijl->l", alpha, mu, gamma)
             assert np.max(np.abs(rebuilt - dmu)) < 1e-9
-
-
-class TestSasakiMetric:
-    @pytest.mark.parametrize("name", LIE_ALGEBRAS)
-    def test_lie_algebra_flat_fiber_metric(self, name, rng):
-        entry = catalog.get(name)
-        chart, metric = entry.chart, entry.metric
-        a = AVector([0.0], rng.randn(chart.r))
-        for _ in range(5):
-            z1 = rng.randn(chart.r)
-            z2 = rng.randn(chart.r)
-            out = sasaki_metric(
-                chart, metric, a, (np.zeros(1), z1), (np.zeros(1), z2)
-            )
-            expected = fiber_inner(metric, a.x, z1, z2)
-            assert out == pytest.approx(float(expected), abs=1e-12)
-
-    def test_flat_chart_horizontal_lift_is_unit(self, euclidean2):
-        a = AVector([0.0, 0.0], [0.3, 0.1])
-        # horizontal tangent lift of e1: base moves, connector vanishes
-        out = sasaki_metric(
-            euclidean2.chart, euclidean2.metric, a, (np.array([1.0, 0.0]), np.zeros(2)),
-            (np.array([1.0, 0.0]), np.zeros(2)),
-        )
-        assert out == pytest.approx(1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("name", TRANSITIVE + LIE_ALGEBRAS)
-    def test_positive_definite(self, name, rng):
-        entry = catalog.get(name)
-        chart, metric = entry.chart, entry.metric
-        x = sample_box(chart.domain, 1, seed=3, shrink=0.2)[0]
-        a = AVector(x, rng.randn(chart.r))
-        for _ in range(10):
-            dx = np.zeros(chart.n) if chart.has_zero_anchor else rng.randn(chart.n)
-            dmu = rng.randn(chart.r)
-            if np.max(np.abs(dx)) == 0 and np.max(np.abs(dmu)) == 0:
-                continue
-            val = sasaki_metric(chart, metric, a, (dx, dmu), (dx, dmu))
-            assert val > 0
-
-    def test_mixed_rank_chart_rejected(self, foliation):
-        a = AVector([0.0, 0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(SplitError, match="transitive"):
-            sasaki_metric(
-                foliation.chart, foliation.metric, a,
-                (np.zeros(3), np.ones(2)), (np.zeros(3), np.ones(2)),
-            )
 
 
 class TestLeafMetric:
