@@ -38,7 +38,7 @@ solved = solve_transverse(chart, metric, pencil, np.zeros((5, 3)))
 deviation = jacobi_from_geodesic_pencil(chart, metric, solved, u)
 print("geodesic pencil vs Jacobi equation: max deviation =", deviation)
 
-d = delta(chart, metric, solved)
+d = delta(chart, solved)
 print("defect of the distinguished family:", np.max(np.abs(d[1:-1, 1:-1])))
 anchored = anchor_of_grid(chart, solved, d)
 print("anchor applied to the defect     :", np.max(np.abs(anchored[1:-1, 1:-1])))

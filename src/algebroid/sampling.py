@@ -1,12 +1,14 @@
 """Seeded quasi-random point sampling.
 
-All sampling in the package goes through a scrambled Halton sequence: for a
-fixed (seed, dimension) the points are a deterministic function of the
-index, so every report is bit-reproducible.  The seed drives one digit
-permutation per dimension (the zero digit stays fixed, keeping the radical
-inverse inside [0, 1)).  `_finite` is the package's one rule that names a
-non-finite array at sampled points (here, as this module imports only
-the error bases from the package).
+All sampling in the package goes through a scrambled Halton sequence but
+one: the variation-check verb draws the frequencies of its commutation
+test field from `np.random.RandomState(seed)`.  For a fixed (seed,
+dimension) the points are a deterministic function of the index, so every
+report is bit-reproducible.  The seed drives one digit permutation per
+dimension (the zero digit stays fixed, keeping the radical inverse inside
+[0, 1)).  `_finite` is the package's one rule that names a non-finite
+array at sampled points (here, as this module imports only the error
+bases from the package).
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def fit_to_box(chart, metric, xs, mus, span):
     BBt = _finite(AnchorError, "anchor product b b^T", np.einsum("...si,...ti->...st", B, B), pts)
     M = np.linalg.solve(G, BBt)
     K = np.max(np.sqrt(np.max(np.real(np.linalg.eigvals(M)), axis=-1)), axis=1)
-    G0, _, _ = metric.eval(xs)
-    norm = np.sqrt(np.einsum("ks,kst,kt->k", mus, G0, mus))
+    # offset row 0 is zero: g at the starts is the ball's first row
+    norm = np.sqrt(np.einsum("ks,kst,kt->k", mus, G[:, 0], mus))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.minimum(1.0, rho / (span * K * norm))
     return np.where(np.isnan(scale), 1.0, scale)

@@ -123,11 +123,11 @@ def _check_mesh(*axes, nodes=3):
         raise InputError(f"mesh too coarse: need at least {nodes} nodes per direction")
 
 
-def delta(chart, metric, grid: VariationGrid):
+def delta(chart, grid: VariationGrid):
     """Delta = D_t beta - D_eps alpha on the mesh, shape (E, N, r).
 
     For a torsion-free connection this is d_t beta - d_eps alpha +
-    C(alpha, beta), so only the bracket is read; the metric is not.
+    C(alpha, beta), so only the bracket is read.
     Partial derivatives are centered mesh differences, so boundary
     rows/columns are one order less accurate.
     """

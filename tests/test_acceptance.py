@@ -293,7 +293,7 @@ def test_08_variation_calculus():
     perturbed = type(solved)(
         eps=grid.eps, ts=grid.ts, x=grid.x, mu=grid.mu, beta=solved.beta + vertical
     )
-    d = delta(chart, metric, perturbed)
+    d = delta(chart, perturbed)
     anchored = float(np.max(np.abs(anchor_of_grid(chart, perturbed, d)[1:-1, 1:-1])))
 
     # first variation on fixed-endpoint families around geodesics

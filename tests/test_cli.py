@@ -723,6 +723,47 @@ def test_a_given_mu_is_never_rescaled(verb, tmp_path, capsys):
         assert report["mu0"] == mu
 
 
+# connection records of path length per flow verb at default argv: each
+# verb's path has N nodes, and a solve's track has 2N - 1 half-grid points.
+# transport's second track is the round trip's reversed path
+PATH_RECORDS = {"geodesic": [], "exp": [], "transport": ["track", "track"],
+                "jacobi": ["track"], "variation-check": ["track"]}
+
+
+@pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+def test_flow_verbs_make_their_ledger_of_path_records(name, tmp_path, capsys, monkeypatch):
+    # the default start is fitted to the box from one metric evaluation,
+    # on its ball of 1 + BALL_SAMPLES points; the start alone is not evaluated
+    from algebroid import paths
+    from algebroid.sampling import BALL_SAMPLES
+
+    batches, evaluated = [], []
+    christoffel, evaluate = paths.christoffel, MetricField.eval
+
+    def counted_christoffel(chart, metric, x, *rest):
+        batches.append(np.shape(x)[:-1])
+        return christoffel(chart, metric, x, *rest)
+
+    def counted_eval(self, points, *rest, **kwargs):
+        evaluated.append(np.shape(points))
+        return evaluate(self, points, *rest, **kwargs)
+
+    monkeypatch.setattr(paths, "christoffel", counted_christoffel)
+    monkeypatch.setattr(MetricField, "eval", counted_eval)
+    source = twisted_source(tmp_path) if name == "twisted" else ["--catalog", name]
+    n = catalog.twisted().chart.n if name == "twisted" else catalog.get(name).chart.n
+    for verb, records in PATH_RECORDS.items():
+        batches.clear()
+        evaluated.clear()
+        rc = main([verb, *source, "--out", str(tmp_path / verb)])
+        capsys.readouterr()
+        assert rc == 0, verb
+        N = 501 if verb == "variation-check" else 1001  # default --step 2e-3 / 1e-3 over [0, 1]
+        sizes = {"nodes": (N,), "track": (2 * N - 1,)}
+        assert [b for b in batches if b in sizes.values()] == [sizes[k] for k in records], verb
+        assert (1, n) not in evaluated and (1, 1 + BALL_SAMPLES, n) in evaluated, verb
+
+
 @pytest.mark.parametrize("verb", FLOW_VERBS + ["variation-check"])
 @pytest.mark.parametrize("name, x", [("sphere_chart", "0.1,1"), ("euclidean2", "3,0")])
 def test_a_default_start_on_a_face_exits_2(verb, name, x, tmp_path, capsys):
@@ -869,7 +910,7 @@ def test_variation_check_on_a_too_coarse_mesh_exits_2(step, tmp_path, capsys, mo
         raise AssertionError("a flow ran")
 
     monkeypatch.setattr(cli, "make_geodesic_pencil", no_flow)
-    monkeypatch.setattr(cli, "jacobi_from_geodesic_pencil", no_flow)
+    monkeypatch.setattr(cli, "_jacobi", no_flow)
     rc = main(["variation-check", "--catalog", "sphere_chart", "--step", step, "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == "error: mesh too coarse: need at least 3 nodes per direction\n"

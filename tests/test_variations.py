@@ -71,7 +71,7 @@ class TestDelta:
         grid.beta = np.broadcast_to(
             grid.ts[:, None] * w[None, :], grid.mu.shape
         ).copy()
-        d = delta(euclidean2.chart, euclidean2.metric, grid)
+        d = delta(euclidean2.chart, grid)
         assert np.max(np.abs(d[1:-1, 1:-1])) < 1e-12
 
     def test_anchor_annihilates_delta(self, heisenberg):
@@ -90,7 +90,7 @@ class TestDelta:
             eps=grid.eps, ts=grid.ts, x=grid.x, mu=grid.mu, beta=solved.beta + vertical
         )
         assert perturbed.transversality_residual(chart) < 1e-6
-        d = delta(chart, metric, perturbed)
+        d = delta(chart, perturbed)
         assert np.max(np.abs(d[1:-1, 1:-1])) > 0.1  # genuinely nonzero
         anchored = anchor_of_grid(chart, perturbed, d)
         assert np.max(np.abs(anchored[1:-1, 1:-1])) < 1e-5
@@ -100,7 +100,7 @@ class TestDelta:
         eps = np.linspace(-2e-3, 2e-3, 5)
         grid = make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.5, -0.2], eps, (0.0, 1.0), 1e-3)
         solved = solve_transverse(sphere.chart, sphere.metric, grid, np.zeros((5, 2)))
-        d = delta(sphere.chart, sphere.metric, solved)
+        d = delta(sphere.chart, solved)
         assert np.max(np.abs(d[1:-1, 1:-1])) < 1e-6
 
     def test_linearity_in_beta(self, sphere, rng):
@@ -112,13 +112,13 @@ class TestDelta:
         g1 = VariationGrid(grid.eps, grid.ts, grid.x, grid.mu, b1)
         g2 = VariationGrid(grid.eps, grid.ts, grid.x, grid.mu, b2)
         g12 = VariationGrid(grid.eps, grid.ts, grid.x, grid.mu, b1 + b2)
-        d1 = delta(sphere.chart, sphere.metric, g1)
-        d2 = delta(sphere.chart, sphere.metric, g2)
-        d12 = delta(sphere.chart, sphere.metric, g12)
+        d1 = delta(sphere.chart, g1)
+        d2 = delta(sphere.chart, g2)
+        d12 = delta(sphere.chart, g12)
         # the defect is affine in beta; differences cancel the alpha part
         lhs = d12 - d1
         base = VariationGrid(grid.eps, grid.ts, grid.x, grid.mu, np.zeros_like(b1))
-        d0 = delta(sphere.chart, sphere.metric, base)
+        d0 = delta(sphere.chart, base)
         rhs = d2 - d0
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -126,7 +126,7 @@ class TestDelta:
         grid = straight_line_variation(n_eps=2, n_t=50)
         grid.beta = np.zeros_like(grid.mu)
         with pytest.raises(ValueError, match="coarse"):
-            delta(euclidean2.chart, euclidean2.metric, grid)
+            delta(euclidean2.chart, grid)
 
 
 class TestSolveTransverse:
@@ -695,7 +695,7 @@ class TestBatchedFlows:
         def layer():
             grid = make_fixed_endpoint_homotopy(chart, metric, path, direction)
             solved = solve_transverse(chart, metric, grid, np.zeros((len(grid.eps), chart.r)))
-            return [grid.x, grid.mu, grid.beta, delta(chart, metric, grid), solved.beta]
+            return [grid.x, grid.mu, grid.beta, delta(chart, grid), solved.beta]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the metric was read")
@@ -898,7 +898,7 @@ class TestMatmulContractions:
         C, _ = chart.eval_bracket(grid.x)
         terms = defect_terms(grid, C)
         scale = max(np.max(np.abs(t)) for t in terms)
-        assert_close(delta(chart, None, grid), terms[0] - terms[1] + terms[2], scale)
+        assert_close(delta(chart, grid), terms[0] - terms[1] + terms[2], scale)
         mid = len(grid.eps) // 2
         row = slice(mid, mid + 1)
         terms = defect_terms(grid, C[row], row)
