@@ -131,14 +131,14 @@ class AlgebroidChart:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _declare(self, prog):
-        """Add the groups B (order 1) and C (order 1) to a program; returns
-        their group numbers."""
+    def _declare(self, prog, order=1):
+        """Add the groups B and C, of order 1 or `order`, to a program;
+        returns their group numbers."""
         b = [(e, [((s, i), 1)]) for s, row in enumerate(self.b) for i, e in enumerate(row)]
         c = [(e, [((s, t, u), 1), ((t, s, u), -1)]) for (s, t, u), e in self.c_upper.items()]
         return (
-            prog.add_group((self.r, self.n), 1, b),
-            prog.add_group((self.r, self.r, self.r), 1, c),
+            prog.add_group((self.r, self.n), order, b),
+            prog.add_group((self.r, self.r, self.r), order, c),
         )
 
     def eval_anchor(self, points, order=0):

@@ -282,12 +282,13 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Programs: per-component straight-line evaluation
 #
-# Slots 0 .. n-1 of a program's value list are the coordinates; every other
-# slot is a constant fixed at build time or the output of one op.  Ops are
-# hash-consed on (function, argument slots), so a subexpression shared
-# between entries runs once per evaluation.  Folding happens here and only
-# here: an op whose arguments are all constants, whose domain check passes
-# and whose function gives a finite value is that constant.  The jet of a
+# Slots 0 .. n-1 of a program's value list are the coordinates, followed by
+# any value-only coordinates; every other slot is a constant fixed at build
+# time or the output of one op.  Ops are hash-consed on (function,
+# argument slots), so a subexpression shared between entries runs once per
+# evaluation.  Folding happens here and only here: an op whose arguments
+# are all constants, whose domain check passes and whose function gives a
+# finite value is that constant.  The jet of a
 # node maps () to the slot of its value, (m,) to that of d_m and (m, l),
 # m <= l, to that of d_m d_l; a partial that vanishes identically has no
 # slot (None).  An op is data: (function, out slot, argument slots a and b,
@@ -321,6 +322,16 @@ class Program:
     is their interpreter: on a batch of points it runs only the ops the
     groups asked for need, and the domain checks of their expressions, as
     a loop of plain numpy calls on arrays of the batch shape.
+
+    `values` more coordinates may follow the n: slots n .. n + values - 1,
+    read for their values only (no partial is taken along them, and no
+    expression names them).  A group can also be built from slots rather
+    than expressions: `slots` gives the slots of a declared group and
+    `const` those of constants, `op` combines slots through the same
+    folding rule, and `add_group` takes the resulting slots as entries of
+    a values-only group.  The geodesic
+    field of `~algebroid.metric` is such a group, over the base point x
+    and the fiber point mu.
     """
 
     @classmethod
@@ -334,9 +345,10 @@ class Program:
             object.__setattr__(owner, "_program", prog)
         return prog
 
-    def __init__(self, n):
-        self.n = n
-        self._vals = [None] * n  # constants; None marks a per-point slot
+    def __init__(self, n, values=0):
+        self.n = n  # the coordinates with partials
+        self._width = n + values  # all coordinates, the value-only ones last
+        self._vals = [None] * self._width  # constants; None marks a per-point slot
         self._ops = []  # (function, out slot, a, b or None, check or None)
         self._memo = {}
         self._groups = []  # per group: (order, one spec per level, checked slots)
@@ -384,6 +396,23 @@ class Program:
         if check is not None:
             self._checked.add(s)
         return s
+
+    def const(self, c):
+        """Slot of the constant c, or None (zero) for c = 0.0."""
+        return self._k(c) if c else None
+
+    def op(self, f, a, b):
+        """Slot of f(a, b), f one of operator.add, operator.sub and
+        operator.mul, for slots a and b of this program (None: zero),
+        through the folding rule of `_f`.  A constant 0.0 counts as zero
+        here, so a term with a factor that cancels to 0.0 is left out:
+        exact wherever the other factor is finite."""
+        vals = self._vals
+        if a is not None and vals[a] == 0.0:
+            a = None
+        if b is not None and vals[b] == 0.0:
+            b = None
+        return self._f(f, a, b)
 
     def _pow(self, a, e, check=None):
         # pow(x, 0) = 1 for every x, NaN included, and pow(x, 1) = x
@@ -493,24 +522,27 @@ class Program:
 
     # -- output groups ------------------------------------------------------
 
-    def add_group(self, shape, order, entries):
+    def add_group(self, shape, order, entries, reads=()):
         """Declare the arrays of shape `shape` (values), shape + (n,) and
         shape + (n, n) (partials) up to `order`; returns the group number.
 
         `entries` are (expression, places) pairs, a place being an (index,
         sign) pair: the expression, negated for sign -1, sits at `index` of
         the values and at index + (m,) / index + (m, l) of the partials.
-        Entries left out are zero.
+        Entries left out are zero.  In a group of order 0 an entry may give
+        a slot of this program (an int) for the expression; the domain
+        checks of the groups `reads`, whose slots it is built from, are
+        then its own too, so it checks what running them would.
         """
         n = self.n
-        self._order, self._checked = order, set()
+        self._order, self._checked = order, set().union(*(self._groups[g][2] for g in reads))
         self._keys = [()] + [(m,) for m in range(n) if order >= 1]
         self._keys += [(m, l) for m in range(n) for l in range(m, n) if order >= 2]
         tmpls = [np.zeros(tuple(shape) + (n,) * k) for k in range(order + 1)]
         points = [[] for _ in tmpls]
         zero = [True for _ in tmpls]
         for expr, places in entries:
-            jet = self._jet(expr.root)
+            jet = {(): expr} if isinstance(expr, int) else self._jet(expr.root)
             for index, sign in places:
                 signed = jet if sign > 0 else self._map(_NEG, jet)
                 for key in self._keys:
@@ -530,6 +562,18 @@ class Program:
         self._groups.append((order, specs, frozenset(self._checked)))
         self._plans.clear()
         return len(self._groups) - 1
+
+    def slots(self, group, level=0):
+        """The slots of a level of a group, as nested lists of its shape:
+        the slot of a cell that points change, a constant slot for any
+        other nonzero cell, None for a zero cell."""
+        tmpl, point, _ = self._groups[group][1][level]
+        out = np.full(tmpl.shape, None, dtype=object)
+        for cell in zip(*np.nonzero(tmpl)):
+            out[cell] = self._k(tmpl[cell])
+        for cell, _, s in point:
+            out[cell] = s
+        return out.tolist()
 
     def constant(self, group):
         """The read-only values of a group if no point changes them (no
@@ -557,14 +601,14 @@ class Program:
             if out in need:
                 need.update((a, b))
         ops = tuple(op for op in self._ops if op[1] in need)
-        self._plans[orders] = plan = ops, [i for i in range(self.n) if i in need], levels
+        self._plans[orders] = plan = ops, [i for i in range(self._width) if i in need], levels
         return plan
 
     def run(self, points, orders):
-        """Evaluate on points (..., n) with one derivative order per group
-        (None skips the group).  Returns per group [values, partials,
-        second partials], None above the order asked for: fresh arrays with
-        the leading axes of points."""
+        """Evaluate on points (..., n + values) with one derivative order
+        per group (None skips the group).  Returns per group [values,
+        partials, second partials], None above the order asked for: fresh
+        arrays with the leading axes of points."""
         ops, inputs, levels = self._plans.get(orders) or self._plan(orders)
         base = points.shape[:-1]
         vals = self._vals

@@ -18,18 +18,26 @@ Index conventions: ``gamma[i, j, k]`` is Gamma_{ij}^k (D_{a_i} a_j =
 sum_k gamma[i,j,k] a_k); ``dgamma[i, j, k, m]`` is d Gamma_{ij}^k / d x_m;
 ``R[i, j, k, l]`` is the a_l component of R(a_i, a_j) a_k.
 
-`christoffel` (and through it `curvature` and every flow) runs on one
-connection evaluator per (chart, metric) pair.  It is built on first use
-and kept in the metric's ``_cache``, keyed weakly by the chart.  It
+`christoffel` (and through it `curvature` and every linear flow) runs on
+one connection evaluator per (chart, metric) pair.  It is built on first
+use and kept in the metric's ``_cache``, keyed weakly by the chart.  It
 evaluates B, dB, C and dC on the chart's `~algebroid.expressions.Program`
 and G, dG and d2G on the metric's: the programs that also serve
 `eval_anchor`, `eval_bracket` and `MetricField.eval`, each built once.
 It returns one `Christoffel` record of B, C and G per point set, so no
 caller evaluates b, C or g there again; the record forms Gamma, dGamma and
 R when they are first read, so no caller says in advance what it needs.
-Its `spray` gives -Gamma(mu, mu), the right side of the geodesic equation,
-from the Koszul form contracted with mu (x) mu: O(r^2 n) work per point
-against O(r^3 n) for Gamma, which it never forms.
+
+The geodesic field lives on the same evaluator, as a program of its own
+(`_geodesic_field`).  On the first geodesic use of the pair it builds one
+straight-line `Program` over the state y = (x, mu), mu read for its values
+only, whose one output group is dy = (B^T mu, F): F is the Koszul form
+contracted with mu (x) mu, as sum_{i<=j} mu_i mu_j K^{ij}(x), built from
+the slots of B, C, G and dG (`_Connection._build_field`).  Coefficients
+that cancel fold to exact zeros there, and a constant g^-1 folds into K;
+a non-constant g is solved against once per run.  Every batch width (one
+state, a pencil, exp of many fiber vectors) is one run of that program,
+which gives a row of a batch the bits of its run alone.
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
 and the derivatives of g it computes there must be finite.  Every caller
@@ -37,7 +45,8 @@ gets that check on each call except the geodesic integrator, which keeps
 g at its stage points unchecked and checks them in batches
 (`_check_stages`, see `paths`) with the same verdict and the same error.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
-independent check of the evaluator.
+independent check of the evaluator, and the record's Gamma (Koszul form
+and g^-1) one of the field.
 `paths`, `variations`, `splitting` and `covariant_derivative` contract
 fibers through the two matmul forms here, `_quad` and `_g_dot`.
 """
@@ -45,6 +54,8 @@ fibers through the two matmul forms here, `_quad` and `_g_dot`.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -52,7 +63,7 @@ import numpy as np
 
 from .charts import ChartError, SectionField, _as_expression
 from .errors import CheckFailure, InputError
-from .expressions import Program
+from .expressions import EvalDomainError, Program
 from .sampling import _finite, _not_finite_at, sample_box
 
 __all__ = [
@@ -120,11 +131,12 @@ class MetricField:
     def identity(cls, r, n):
         return cls({(i, i): "1" for i in range(1, r + 1)}, r, n)
 
-    def _declare(self, prog):
-        """Add the group G (order 2) to a program; returns its number."""
+    def _declare(self, prog, order=2):
+        """Add the group G, of order 2 or `order`, to a program; returns its
+        number."""
         places = lambda i, j: [((i, j), 1)] if i == j else [((i, j), 1), ((j, i), 1)]
         return prog.add_group(
-            (self.r, self.r), 2, [(e, places(i, j)) for (i, j), e in self.entries.items()]
+            (self.r, self.r), order, [(e, places(i, j)) for (i, j), e in self.entries.items()]
         )
 
     def eval(self, points, order=0):
@@ -186,9 +198,18 @@ def _check_metric(G, dG, points):
     _finite(MetricError, "metric derivative", dG, points)
 
 
+def _check_stage(x, G, dG, stages):
+    """`_check_metric` at the points x, or with `stages` a list, the record
+    (x, G, dG) appended to it unchecked for `_check_stages`."""
+    if stages is None:
+        _check_metric(G, dG, x)
+    else:
+        stages.append((x, G, dG))
+
+
 def _check_stages(stages):
     """`_check_metric` over the (x, G, dG) records a run kept unchecked
-    (see `christoffel`), in one batched pass; empties `stages`.  All
+    (see `_Connection.geodesic`), in one batched pass; empties `stages`.  All
     records share one shape.  When the batch fails, the records are walked
     in the order they were kept, so the first failing one raises the
     error its own check would have raised."""
@@ -205,8 +226,7 @@ def _check_stages(stages):
 class Christoffel:
     """The Levi-Civita connection at some points: the B, C, G it is formed
     from, evaluated at once, and Gamma, dGamma and R, formed on first
-    access and kept.  `spray` contracts the Koszul form with mu (x) mu and
-    forms none of them.  The record keeps x and dg for what it forms, and
+    access and kept.  The record keeps x and dg for what it forms, and
     S and g^-1 once formed: reading dGamma runs the programs once more, at
     derivative orders but only on groups already run for B, C and G, so it
     raises no new EvalDomainError."""
@@ -227,38 +247,6 @@ class Christoffel:
     _Gi = functools.cached_property(lambda self: np.linalg.inv(self.G))  # (..., r, r)
     gamma = functools.cached_property(lambda self: 0.5 * (self._S @ self._Gi[..., None, :, :]))
     dgamma = functools.cached_property(lambda self: self._ev._dgamma(self))  # (..., r, r, r, n)
-
-    def spray(self, mu):
-        """-Gamma(mu, mu), the fiber part of the geodesic field at (x, mu),
-        without forming Gamma; mu (..., r) broadcasts against the points.
-
-        Q(mu, mu, .) = 0 as C is antisymmetric, so -Gamma(mu, mu) =
-        g^-1 F with F = -1/2 S(mu, mu, .):
-
-            F_l = -(d_v g mu)_l + 1/2 b^{lu} mu^T d_u g mu + C_{mu l}^u (g mu)_u,
-
-        v = B^T mu the base velocity.  With T[b, u] = (d_u g mu)_b and
-        N = T B^T the anchor part is (N^T/2 - N) mu.  A constant Gamma is
-        contracted with mu (x) mu against its symmetrized form instead."""
-        ev, mu = self._ev, np.asarray(mu, dtype=float)
-        r, row, col = mu.shape[-1], mu[..., None, :], mu[..., :, None]
-        if ev.sym is not None:
-            mumu = (col * row).reshape(mu.shape[:-1] + (1, r * r))
-            return -0.5 * (mumu @ ev.sym)[..., 0, :]
-        F = None
-        if self._dG is not None and ev.anchor:
-            T = row @ self._dG.reshape(self._dG.shape[:-3] + (r, -1))
-            N = T.reshape(T.shape[:-2] + (r, -1)) @ self.B.swapaxes(-1, -2)
-            F = (0.5 * N.swapaxes(-1, -2) - N) @ col
-        if ev.bracket:
-            K = row @ self.C.reshape(self.C.shape[:-3] + (r, -1))  # K[l, u] = C_{mu l}^u
-            Fc = K.reshape(K.shape[:-2] + (r, r)) @ (self.G @ col)
-            F = Fc if F is None else F + Fc
-        if F is None:
-            return np.zeros(np.broadcast_shapes(mu.shape, self.G.shape[:-1]))
-        if ev.G is None:
-            return np.linalg.solve(self.G, F)[..., 0]
-        return (self._Gi @ F)[..., 0]
 
     @functools.cached_property
     def R(self):
@@ -290,7 +278,8 @@ class _Connection:
 
     Built on first use and kept in ``metric._cache``.  It runs the chart's
     program for B and C and the metric's for G and hands them back in one
-    `Christoffel` (whose S, Gamma, dGamma and spray it forms on request),
+    `Christoffel` (whose S, Gamma and dGamma it forms on request), holds
+    the geodesic field program once a geodesic asks for it (`geodesic`),
     and settles what does not depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
@@ -301,13 +290,13 @@ class _Connection:
     * for a constant metric: g, its inverse and the SPD verdict; a negative
       verdict raises MetricError at every use, as an evaluation would;
     * for a constant metric and a constant bracket: Gamma (with dg = 0 the
-      anchor does not enter) and the spray's quadratic form, Gamma
-      symmetrized in its lower pair and flattened to (r*r, r); and
-      dGamma = 0 wherever dS vanishes identically.
+      anchor does not enter); and dGamma = 0 wherever dS vanishes
+      identically.  The geodesic field folds the same constants into its
+      program when it is built.
 
     A non-constant g is checked at the points of each call
-    (`_check_metric`), unless the caller passes a stage list: then g and
-    dg are appended to it unchecked, for the caller to check in a batch.
+    (`_check_metric`); the geodesic field alone may hand g and dg to a
+    stage list unchecked instead, for its caller to check in a batch.
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -320,10 +309,12 @@ class _Connection:
     """
 
     def __init__(self, chart, metric):
+        self.n = chart.n
         self.chart, self.metric = Program.of(chart), Program.of(metric)
         self.B, self.C = self.chart.constant(0), self.chart.constant(1)
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
-        self.Gi = self.gamma = self.sym = None
+        self.Gi = self.gamma = None
+        self.field = None  # (program, orders) of the geodesic field, built on first use
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
         self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
         self.G = G = self.metric.constant(0)
@@ -339,11 +330,10 @@ class _Connection:
             self.Gi.flags.writeable = False
             if self.C is not None:  # no chart run: B does not enter, as dG = 0
                 self.gamma = 0.5 * (self._koszul((), None, self.C, G, None) @ self.Gi[None])
-                self.sym = (self.gamma + self.gamma.swapaxes(0, 1)).reshape(-1, chart.r)
-                self.gamma.flags.writeable = self.sym.flags.writeable = False
+                self.gamma.flags.writeable = False
         self.dgamma.flags.writeable = False
 
-    def christoffel(self, x, stages=None):
+    def christoffel(self, x):
         x = np.asarray(x, dtype=float)
         base = x.shape[:-1]
         held = self.held.get(base)
@@ -357,16 +347,127 @@ class _Connection:
         dG = None
         if self.G is None:
             [(G, dG, _)] = self.metric.run(x, og)
-            if stages is None:
-                _check_metric(G, dG, x)
-            else:
-                stages.append((x, G, dG))
+            _check_metric(G, dG, x)
         elif not self.spd:
             _raise_not_spd(G, x)
         if ob is not None or oc is not None:
             (b, _, _), (c, _, _) = self.chart.run(x, (ob, oc))
             B, C = (B if b is None else b), (C if c is None else c)
         return Christoffel(self, x, B, C, G, dG, Gi, gamma)
+
+    def geodesic(self, y, stages=None):
+        """The geodesic field at the states y (..., n + r), x and mu side
+        by side: dy = (B^T mu, -Gamma(mu, mu)), from one run of the field
+        program (`_build_field`), and for a non-constant g one solve of
+        its F against G.  g is checked at the points of y (`_check_metric`)
+        before the solve, unless `stages` is given: then (x, G, dG) is
+        appended to it unchecked, for the caller to check with
+        `_check_stages` before any result leaves it, and a singular G
+        raises LinAlgError here, for the caller's check of the stages to
+        turn into the MetricError of that stage.  Where the chart's part
+        of the run raises EvalDomainError, g is evaluated alone and
+        checked (or kept) first, so a g that fails there speaks first, as
+        in `christoffel`.  A constant g that is not SPD raises MetricError
+        before any program runs."""
+        x = y[..., : self.n]
+        if not self.spd:
+            _raise_not_spd(self.G, x)
+        prog, orders = self.field
+        try:
+            out = prog.run(y, orders)
+        except EvalDomainError:
+            if self.G is None:  # g's own verdict comes first, as in `christoffel`
+                [(G, dG, _)] = self.metric.run(x, self.orders[0][1])
+                _check_stage(x, G, dG, stages)
+            raise
+        dy = out[-1][0]
+        if self.G is not None:
+            return dy
+        G, dG, _ = out[0]
+        _check_stage(x, G, dG, stages)
+        dy[..., self.n :] = np.linalg.solve(G, dy[..., self.n :, None])[..., 0]
+        return dy
+
+    def _build_field(self, chart, metric):
+        """Build the geodesic field program: over the n coordinates x and
+        the r value-only coordinates mu, the groups G (order 1, only for a
+        non-constant g, whose record the stages keep) and B and C (order 0,
+        only where the evaluator holds no constants for them), and from
+        their slots or those constants the field group dy = (B^T mu, F),
+        with
+
+            F_l = -(d_v g mu)_l + 1/2 b^{lu} mu^T d_u g mu + C_{mu l}^u (g mu)_u
+
+        and v = B^T mu: -Gamma(mu, mu) = g^-1 F, as Q(mu, mu, .) = 0 for C
+        antisymmetric.  With P[a, b, c] = b^{au} d_u g_{bc} and
+        Q[a, b, c] = C_{ab}^u g_{uc}, F = sum_{i<=j} mu_i mu_j K^{ij} with
+
+            K^{ij}_l = P_{lij} + Q_{ilj} + Q_{jli} - (P_{ilj} + P_{jli})  (i < j)
+            K^{ii}_l = 1/2 P_{lii} + Q_{ili} - P_{ili}.
+
+        A constant g^-1 other than the identity multiplies K at build
+        time.  Every op goes through the program's folding rule, so
+        coefficients that cancel (the symmetrized Gamma of a bi-invariant
+        metric) are exact zeros and their terms are left out."""
+        n, r = chart.n, chart.r
+        R = range(r)
+        prog = Program(n, r)
+
+        def constants(A):  # the slots of nested lists of floats, None for zeros
+            return [constants(a) for a in A] if isinstance(A, list) else prog.const(A)
+
+        groups = []
+        if self.G is None:  # declared first: its domain checks run first
+            groups.append(metric._declare(prog, 1))
+            G, dG = prog.slots(groups[0], 0), prog.slots(groups[0], 1)
+        else:
+            G, dG = constants(self.G.tolist()), None
+        if self.B is None or self.C is None:
+            groups += chart._declare(prog, 0)
+            B, C = prog.slots(groups[-2]), prog.slots(groups[-1])
+        else:  # the constants the evaluator holds, as `christoffel` reads them
+            B, C = constants(self.B.tolist()), constants(self.C.tolist())
+        op, add, sub, mul = prog.op, operator.add, operator.sub, operator.mul
+
+        def total(*slots):  # the sum of the slots that are not None
+            acc = None
+            for s in slots:
+                if s is not None:
+                    acc = op(add, acc, s)
+            return acc
+
+        def dot(u, v):  # sum_k u_k v_k over the terms with no factor None
+            acc = None
+            for a, b in zip(u, v):
+                if a is not None and b is not None:
+                    acc = op(add, acc, op(mul, a, b))
+            return acc
+
+        some = lambda row: any(s is not None for s in row)
+        zero = [[None] * r for _ in R]
+        P = [[[dot(B[a], dG[b][c]) for c in R] for b in R] if dG and some(B[a]) else zero for a in R]
+        columns = list(zip(*G))
+        Q = [[[dot(C[a][b], columns[c]) for c in R] if some(C[a][b]) else zero[0] for b in R] for a in R]
+        Gi = None if self.Gi is None or (self.Gi == np.eye(r)).all() else constants(self.Gi.tolist())
+        K, half = {}, prog.const(0.5)
+        for i, j in itertools.combinations_with_replacement(R, 2):
+            if i == j:
+                Kij = [op(sub, total(op(mul, half, P[l][i][i]), Q[i][l][i]), P[i][l][i]) for l in R]
+            else:
+                Kij = [
+                    op(sub, total(P[l][i][j], Q[i][l][j], Q[j][l][i]), total(P[i][l][j], P[j][l][i]))
+                    for l in R
+                ]
+            K[i, j] = Kij if Gi is None else [dot(row, Kij) for row in Gi]
+        mu = range(n, n + r)
+        mumu = [op(mul, mu[i], mu[j]) for i, j in K]
+        dx = [dot(mu, [row[m] for row in B]) for m in range(n)]
+        F = [dot(mumu, [Kij[k] for Kij in K.values()]) for k in R]
+        entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dx + F) if slot is not None]
+        orders = [None] * prog.add_group((n + r,), 0, entries, reads=groups) + [0]
+        if self.G is None:
+            orders[0] = 1  # G and dG, for the check of g
+        self.field = prog, tuple(orders)
 
     def _koszul(self, base, B, C, G, dG):
         r = G.shape[-1]
@@ -438,25 +539,36 @@ def _perm(a, *axes):
     return a.transpose(tuple(range(lead)) + tuple(lead + k for k in axes))
 
 
-def christoffel(chart, metric, x, _stages=None) -> Christoffel:
+def christoffel(chart, metric, x) -> Christoffel:
     """The connection record at x: b, C and g, with the Levi-Civita
-    coefficients, their exact space derivatives, the curvature and the
-    geodesic spray made on request.
+    coefficients, their exact space derivatives and the curvature made on
+    request.
 
     Raises MetricError if g is not positive definite at a point of x, or
     its partials there are not finite.  An array of the record that no
     point changes is the evaluator's own read-only array at a single point,
     a read-only broadcast view on a batch.
-
-    `_stages`, a list, defers that check for a non-constant metric: the
-    record's (x, G, dG) is appended to it, unchecked, for the caller to
-    check with `_check_stages` before any result of it leaves the caller.
-    Only the geodesic integrator passes it.
     """
+    return _evaluator(chart, metric).christoffel(x)
+
+
+def _evaluator(chart, metric):
+    """The connection evaluator of the pair, built on first use."""
     ev = metric._cache.get(chart)
     if ev is None:
         ev = metric._cache[chart] = _Connection(chart, metric)
-    return ev.christoffel(x, _stages)
+    return ev
+
+
+def _geodesic_field(chart, metric):
+    """The geodesic field of the pair, `_Connection.geodesic` bound to its
+    evaluator: y (..., n + r) -> dy, with an optional stage list.  Its
+    program is built here on first use, unless a constant g is not SPD,
+    which the field then raises at every call."""
+    ev = _evaluator(chart, metric)
+    if ev.field is None and ev.spd:
+        ev._build_field(chart, metric)
+    return ev.geodesic
 
 
 def _quad(a, b, T):

@@ -6,13 +6,15 @@ Integration is classical fixed-step RK4 on the coupled base/fiber system
     dmu_j/dt = - sum_{s,u} mu_s mu_u Gamma_{su}^j(x)
 
 with dense cubic-Hermite output (node states plus node derivatives); an
-`APath` keeps the (x, mu) rows as RK4 steps them.  The quadratic right
-side is the spray of the connection record (`Christoffel.spray`): the
-Koszul form contracted with mu (x) mu and solved against g, so Gamma is
-never formed on the way.  Where Gamma is held constant it is contracted
-against the symmetrized coefficients, so charts whose Gamma is
-antisymmetric in the lower pair (bi-invariant Lie algebras) keep the
-fiber coordinates constant to the bit.
+`APath` keeps the (x, mu) rows as RK4 steps them.  The right side is the
+geodesic field of the pair (`metric._geodesic_field`), one run of a
+straight-line program on the state y = (x, mu) per RK4 stage: the Koszul
+form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x) and,
+for a non-constant g, solved against g, so Gamma is never formed on the
+way.  Coefficients that cancel fold to exact zeros when the program is
+built, so charts whose Gamma is antisymmetric in the lower pair
+(bi-invariant Lie algebras) keep the fiber coordinates constant to the
+bit.
 
 Grids are deterministic: a requested span and step always produce the same
 nodes, which the transport / Jacobi / variation machinery reuses.  A span
@@ -53,7 +55,7 @@ import numpy as np
 
 from .charts import AVector
 from .errors import CheckFailure, InputError
-from .metric import _check_stages, _quad, christoffel, fiber_inner
+from .metric import _check_stages, _geodesic_field, _quad, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -326,15 +328,17 @@ def _transport_track(chart, metric, alpha):
 # ---------------------------------------------------------------------------
 
 
-def geodesic_rhs(chart, metric, x, mu, _stages=None):
+def geodesic_rhs(chart, metric, x, mu):
     """Right side of the geodesic system at (x, mu): dx = mu B and the
-    spray dmu = -Gamma(mu, mu), which one connection record forms from the
-    Koszul form without forming Gamma.  x (..., n) and mu (..., r) may
-    carry leading batch axes, which broadcast.  `_stages` defers the check
-    of g to the caller, as in `christoffel`."""
-    mu = np.asarray(mu, dtype=float)
-    ch = christoffel(chart, metric, x, _stages)
-    return (mu[..., None, :] @ ch.B)[..., 0, :], ch.spray(mu)
+    spray dmu = -Gamma(mu, mu), from one run of the pair's geodesic field
+    on the state (x, mu), which never forms Gamma.  x (..., n) and mu
+    (..., r) may carry leading batch axes, which broadcast; g is checked
+    at every point."""
+    x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
+    lead = np.broadcast_shapes(x.shape[:-1], mu.shape[:-1])
+    y = np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in (x, mu)], axis=-1)
+    dy = _geodesic_field(chart, metric)(y)
+    return dy[..., : chart.n], dy[..., chart.n :]
 
 
 def _geodesics(chart, metric, x0, mu0, t_span, step):
@@ -365,10 +369,10 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     box = chart.domain.tolist()
     y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
     stages = []  # the stage records since the last check of g
+    field = _geodesic_field(chart, metric)
 
     def rhs(j, y):
-        dx, dmu = geodesic_rhs(chart, metric, y[..., :n], y[..., n:], _stages=stages)
-        return np.concatenate([dx, dmu], axis=-1)
+        return field(y, stages)
 
     def run(start):
         try:

@@ -417,6 +417,23 @@ class TestOtherVerbs:
         assert rc == 0
         assert float(read_report(tmp_path)["check.curvature_horizontal.residual"]) < 1e-8
 
+    def test_pointwise_verbs_build_no_geodesic_field(self, tmp_path, capsys, monkeypatch):
+        # every CLI run builds its chart anew: the geodesic field program is
+        # built on the first geodesic use of a pair, which these verbs never
+        # make; hamcheck makes one and is stopped by the patch
+        from algebroid import metric
+
+        def refuse(*args):
+            raise AssertionError("the geodesic field was built")
+
+        monkeypatch.setattr(metric._Connection, "_build_field", refuse)
+        for name in catalog.names():
+            for verb in ("validate", "curvature", "oneill"):
+                assert main([verb, "--catalog", name, "--out", str(tmp_path / verb / name)]) == 0, (verb, name)
+        with pytest.raises(AssertionError, match="geodesic field was built"):
+            main(["hamcheck", "--catalog", "sphere_chart", "--out", str(tmp_path / "hamcheck")])
+        capsys.readouterr()
+
     def test_oneill_evaluates_its_point_once(self, tmp_path, capsys, monkeypatch):
         # one split frame at x serves the tensors and both checks, and its
         # connection record forms dGamma (for R) once, only where an identity

@@ -216,12 +216,18 @@ class TestConnectionEvaluator:
             geodesic_integrate(chart, metric, AVector([1.0], [0.1]), (0.0, 0.1), 1e-2)
 
     @pytest.mark.parametrize(
-        "name,runs", [("sphere_chart", [(1,)]), ("heisenberg_central", []), ("twisted", [(0, 0)])]
+        "name,runs",
+        [
+            ("sphere_chart", [(1, 0)]),
+            ("heisenberg_central", [(0,)]),
+            ("twisted", [(None, None, 0)]),
+        ],
     )
     def test_program_runs_per_geodesic_rhs(self, name, runs, twisted_chart, monkeypatch):
-        # sphere: the metric program only (the anchor is constant, the
-        # bracket zero); heisenberg: Gamma and B are held by the evaluator;
-        # twisted (identity metric): B and C in one chart run at order 0
+        # one run of the geodesic field program: its field group, and on
+        # sphere (g varies) the metric group G at order 1 for the check of
+        # g.  A constant B, C or g enters as constants; twisted (B and C
+        # vary) declares the chart's groups, which the field reads by slot
         from algebroid import expressions
         from algebroid.paths import geodesic_rhs
 
@@ -378,24 +384,31 @@ class TestDerivativeOnRequest:
             assert curvature(chart, metric, x).tobytes() == R.tobytes()
 
 
-SPRAY_CASES = [*catalog.names(), "twisted", "aff2_varying", "abelian_varying"]
+SPRAY_CASES = [*catalog.names(), "twisted", "aff2_varying", "abelian_varying", "aff2_constant_metric"]
 
 
 def spray_case(name, twisted_chart):
     """Chart and metric of a spray case: a catalog entry, the twisted chart,
-    or a varying metric over a zero anchor, with the aff2 bracket or with
-    none (Gamma = 0)."""
+    a varying metric over a zero anchor, with the aff2 bracket or with none
+    (Gamma = 0), or the aff2 bracket under a constant metric that is neither
+    the identity nor diagonal, whose g^-1 the field folds into its
+    coefficients (every constant catalog metric is the identity)."""
     if name in ("aff2_varying", "abelian_varying"):
         metric = MetricField({(1, 1): "2 + x1", (1, 2): "x1/4", (2, 2): "1 + x1^2"}, r=2, n=1)
         if name == "aff2_varying":
             return catalog.get("aff2").chart, metric
         return AlgebroidChart(n=1, r=2, b=[["0"], ["0"]], domain=[(-1.0, 1.0)]), metric
+    if name == "aff2_constant_metric":
+        return catalog.get("aff2").chart, MetricField({(1, 1): "2", (1, 2): "0.5", (2, 2): "1"}, r=2, n=1)
     return structure_case(name, twisted_chart)[:2]
 
 
 class TestSpray:
-    """The geodesic spray -Gamma(mu, mu) is contracted from the Koszul form
-    without forming Gamma; these tests compare it with Gamma itself."""
+    """The fiber part of the geodesic field, -Gamma(mu, mu), is built in a
+    program of its own from the Koszul form contracted with mu (x) mu,
+    without forming Gamma.  These tests compare it with the Gamma of the
+    connection record (the Koszul form `_koszul` and g^-1), the other
+    route, and pin that the routes stay apart."""
 
     @pytest.mark.parametrize("name", SPRAY_CASES)
     def test_equals_minus_gamma_mu_mu(self, name, twisted_chart):
@@ -405,28 +418,34 @@ class TestSpray:
         ref = -np.einsum("ti,tj,tijk->tk", mus, mus, gamma)
         # relative to |Gamma| |mu|^2, as Gamma(mu, mu) may vanish (so3_biinv)
         scale = np.max(np.abs(gamma), axis=(1, 2, 3)) * np.sum(mus * mus, axis=1)
-        batch = christoffel(chart, metric, xs).spray(mus)
-        _, dmu = geodesic_rhs(chart, metric, xs, mus)
-        assert dmu.tobytes() == batch.tobytes()
+        _, batch = geodesic_rhs(chart, metric, xs, mus)
         assert np.all(np.abs(batch - ref) <= 1e-14 * scale[:, None])
         for k in range(len(xs)):
-            one = christoffel(chart, metric, xs[k]).spray(mus[k])
+            _, one = geodesic_rhs(chart, metric, xs[k], mus[k])
             assert one.tobytes() == batch[k].tobytes()
-            assert geodesic_rhs(chart, metric, xs[k], mus[k])[1].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("name", sorted(set(catalog.names()) - {"sphere_chart"}))
     def test_constant_gamma_is_contracted_symmetrized(self, name):
-        # the sum over mu_s mu_u (Gamma_su + Gamma_us) / 2: bi-invariant
-        # fibers stay constant to the bit, and the numbers are those of
-        # contracting Gamma itself in this form
+        # a constant Gamma enters the field as the constants
+        # -(Gamma_ij + Gamma_ji) of mu_i mu_j (i < j) and -Gamma_ii: where
+        # the symmetrized Gamma vanishes they fold to exact zeros, so the
+        # bi-invariant so3 keeps its fiber coordinates constant to the bit
         entry = catalog.get(name)
         chart, metric, r = entry.chart, entry.metric, entry.chart.r
         xs, mus = sample_box(chart.domain, 20, seed=1), sample_fiber(r, 20, seed=2)
-        gamma = christoffel(chart, metric, xs).gamma
-        mumu = (mus[:, :, None] * mus[:, None, :]).reshape(-1, 1, r * r)
-        gsum = (gamma + gamma.swapaxes(-3, -2)).reshape(-1, r * r, r)
-        ref = -0.5 * (mumu @ gsum)[:, 0, :]
-        assert christoffel(chart, metric, xs).spray(mus).tobytes() == ref.tobytes()
+        gamma = christoffel(chart, metric, xs[0]).gamma
+        gsum = gamma + gamma.swapaxes(0, 1)
+        ref = -0.5 * np.einsum("ti,tj,ijk->tk", mus, mus, gsum)
+        _, dmu = geodesic_rhs(chart, metric, xs, mus)
+        scale = np.max(np.abs(gamma)) * np.sum(mus * mus, axis=1)
+        assert np.all(np.abs(dmu - ref) <= 1e-14 * scale[:, None])
+        vanishes = ~gsum.any(axis=(0, 1))
+        assert np.all(dmu[:, vanishes] == 0.0)
+        if name == "so3_biinv":
+            assert vanishes.all() and np.abs(gamma).max() == 0.5
+            path = geodesic_integrate(chart, metric, AVector(xs[0], mus[0]), (0.0, 10.0), 1e-2)
+            assert len(path.ts) == 1001
+            assert np.all(path.mus == mus[0]) and np.all(path.dmus == 0.0)
 
     @pytest.mark.parametrize("name", SPRAY_CASES)
     def test_one_point_with_a_batch_of_fiber_vectors(self, name, twisted_chart):

@@ -939,3 +939,92 @@ class TestStageCheckCost:
             tracemalloc.stop()
         assert len(path.ts) == 1501
         assert peak < 3e6
+
+
+class TestGeodesicFieldErrors:
+    """What the geodesic field raises where its inputs fail: the metric's
+    domain check before the anchor's, a singular stage as that stage's
+    MetricError, and a constant g that is not SPD before any program run."""
+
+    def test_the_metric_domain_error_comes_first(self):
+        from algebroid.expressions import EvalDomainError
+
+        chart = AlgebroidChart(n=1, r=1, b=[["sqrt(x1)"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "1 + log(x1)"}, r=1, n=1)
+        for x, mu in (([-0.5], [0.3]), ([[0.5], [-0.5]], [[0.3], [0.2]])):
+            with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+                paths.geodesic_rhs(chart, metric, np.array(x), np.array(mu))
+        with pytest.raises(EvalDomainError, match="log of a non-positive value"):
+            geodesic_integrate(chart, metric, AVector([-0.5], [0.3]), (0.0, 0.1), 1e-2)
+
+    def test_a_metric_that_is_not_spd_comes_before_the_anchor_domain_error(self):
+        from algebroid.expressions import EvalDomainError
+
+        # g = x1 evaluates at x1 < 0 but is not SPD there, where sqrt(x1) fails
+        chart = AlgebroidChart(n=1, r=1, b=[["sqrt(x1)"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "x1"}, r=1, n=1)
+        for x, mu in (([-0.5], [0.3]), ([[0.5], [-0.5]], [[0.3], [0.2]])):
+            with pytest.raises(MetricError, match=r"not positive definite at x=\[-0\.5\]"):
+                paths.geodesic_rhs(chart, metric, np.array(x), np.array(mu))
+        raised = _raised(lambda: geodesic_integrate(chart, metric, AVector([0.1], [-1.0]), (0.0, 1.0), 0.1))
+        TestStagePointChecks.assert_same(raised, _checked_geodesic_error(chart, metric, [0.1], [-1.0], 0.1))
+        assert isinstance(raised.__context__, EvalDomainError)
+
+    def test_a_singular_stage_raises_its_metric_error(self):
+        import warnings
+
+        # the first step's second stage sits at x1 = 0.1 + 0.05 * -2 = 0, where g = 0
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "x1"}, r=1, n=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError, match=r"not positive definite at x=\[0\.\]") as raised:
+                geodesic_integrate(chart, metric, AVector([0.1], [-2.0]), (0.0, 1.0), 0.1)
+        assert isinstance(raised.value.__context__, np.linalg.LinAlgError)
+
+    def test_a_constant_metric_that_is_not_spd_raises_before_any_run(self, monkeypatch):
+        from algebroid.expressions import Program
+
+        def refuse(*args):
+            raise AssertionError("a program ran")
+
+        monkeypatch.setattr(Program, "run", refuse)
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "-1"}, r=1, n=1)
+        for _ in range(2):
+            for x, mu in (([0.5], [0.3]), ([[0.5], [0.2]], [[0.3], [0.1]])):
+                with pytest.raises(MetricError, match="positive definite"):
+                    paths.geodesic_rhs(chart, metric, np.array(x), np.array(mu))
+
+
+class TestGeodesicFieldCost:
+    """A geodesic runs the pair's geodesic field program once per RK4
+    stage and forms no connection record."""
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_one_field_run_per_stage_and_no_connection_record(self, name, twisted_chart, monkeypatch):
+        from algebroid.expressions import Program
+
+        if name == "twisted":
+            chart, metric = twisted_chart, MetricField.identity(3, 2)
+        else:
+            chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        start = AVector(chart.center(), 0.2 * np.ones(chart.r))
+        geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds the field program
+        [prog] = {ev.field[0] for ev in metric._cache.values()}
+
+        def refuse(*args):
+            raise AssertionError("a connection record was formed")
+
+        runs, run = [], Program.run
+
+        def counted(p, points, orders):
+            runs.append((p, np.shape(points)))
+            return run(p, points, orders)
+
+        monkeypatch.setattr(metric_module._Connection, "christoffel", refuse)
+        monkeypatch.setattr(Program, "run", counted)
+        path = geodesic_integrate(chart, metric, start, (0.0, 0.2), 1e-3)
+        assert len(path.ts) == 201
+        assert len(runs) == 4 * 200 + 1
+        assert all(p is prog and shape == (chart.n + chart.r,) for p, shape in runs)

@@ -437,22 +437,23 @@ class TestBatchedPencil:
         assert np.ptp(grid.x[:, -1], axis=0).max() > 1e-3 or chart.has_zero_anchor
 
     def test_success_evaluates_every_row_once_per_stage(self, sphere, monkeypatch):
-        # 100 steps: 4 right sides per step plus the last node, each on all
-        # 5 rows at once; a success replays nothing
-        import algebroid.paths as paths
+        # 100 steps: 4 runs of the geodesic field per step plus the last
+        # node, each on the states (x, mu) of all 5 rows at once; a success
+        # replays nothing
+        from algebroid import metric as metric_module
 
         shapes = []
-        rhs = paths.geodesic_rhs
+        field = metric_module._Connection.geodesic
 
-        def counting(chart, metric, x, mu, **private):
-            shapes.append(np.shape(x))
-            return rhs(chart, metric, x, mu, **private)
+        def counting(ev, y, stages=None):
+            shapes.append(np.shape(y))
+            return field(ev, y, stages)
 
-        monkeypatch.setattr(paths, "geodesic_rhs", counting)
+        monkeypatch.setattr(metric_module._Connection, "geodesic", counting)
         a = AVector([1.3, 1.0], [0.4, 0.3])
         eps = np.linspace(-0.05, 0.05, 5)
         make_geodesic_pencil(sphere.chart, sphere.metric, a, [0.5, -0.2], eps, (0.0, 1.0), 1e-2)
-        assert shapes == [(5, 2)] * (4 * 100 + 1)
+        assert shapes == [(5, 4)] * (4 * 100 + 1)
 
     def test_row_leaving_the_box(self, euclidean2):
         chart, metric = euclidean2.chart, euclidean2.metric
