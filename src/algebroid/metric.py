@@ -40,10 +40,10 @@ state, a pencil, exp of many fiber vectors) is one run of that program,
 which gives a row of a batch the bits of its run alone.
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
-and the derivatives of g it computes there must be finite.  Every caller
-gets that check on each call except the geodesic integrator, which keeps
-g at its stage points unchecked and checks them in batches
-(`_check_stages`, see `paths`) with the same verdict and the same error.
+and the derivatives of g it computes there must be finite.  Every
+`christoffel` call makes that check; the geodesic field logs g to the
+stage log its caller opens (`_stage_log`), which checks the log in
+batches with the same verdict and the same error.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
 independent check of the evaluator, and the record's Gamma (Koszul form
 and g^-1) one of the field.
@@ -53,6 +53,7 @@ fibers through the two matmul forms here, `_quad` and `_g_dot`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -82,6 +83,9 @@ SPD_EIGENVALUE_FLOOR = 1e-10
 # smallest Gram determinant, relative to <a,a><b,b> (the squared sine of the
 # angle), of a pair whose sectional curvature is asked for
 GRAM_FLOOR = 1e-12
+# records of g a stage log keeps between two batched checks: 256 nodes of
+# one geodesic, at four field runs a node
+STAGE_LOG_RECORDS = 1024
 
 
 class MetricError(CheckFailure, ValueError):
@@ -198,29 +202,39 @@ def _check_metric(G, dG, points):
     _finite(MetricError, "metric derivative", dG, points)
 
 
-def _check_stage(x, G, dG, stages):
-    """`_check_metric` at the points x, or with `stages` a list, the record
-    (x, G, dG) appended to it unchecked for `_check_stages`."""
-    if stages is None:
-        _check_metric(G, dG, x)
-    else:
-        stages.append((x, G, dG))
+@contextlib.contextmanager
+def _stage_log():
+    """The one rule for when g is checked at the points of geodesic field
+    runs.  Yields keep(x, G, dG), which logs the record of one run (see
+    `_Connection.geodesic`); the log is checked in one batched pass
+    whenever it holds STAGE_LOG_RECORDS records, when the block ends and
+    before any exception leaves it.  A failing pass walks the records in
+    the order they were kept, so the first failing one raises the error of
+    its own `_check_metric`, even where the block went on past it and then
+    failed otherwise.  All records of a log share one shape."""
+    records = []
 
+    def check():
+        if not records:
+            return
+        xs, Gs, dGs = zip(*records)
+        records.clear()
+        if _is_spd(np.array(Gs)) and (dGs[0] is None or np.isfinite(np.array(dGs)).all()):
+            return
+        for x, G, dG in zip(xs, Gs, dGs):
+            _check_metric(G, dG, x)
 
-def _check_stages(stages):
-    """`_check_metric` over the (x, G, dG) records a run kept unchecked
-    (see `_Connection.geodesic`), in one batched pass; empties `stages`.  All
-    records share one shape.  When the batch fails, the records are walked
-    in the order they were kept, so the first failing one raises the
-    error its own check would have raised."""
-    if not stages:
-        return
-    xs, Gs, dGs = zip(*stages)
-    stages.clear()
-    if _is_spd(np.array(Gs)) and (dGs[0] is None or np.isfinite(np.array(dGs)).all()):
-        return
-    for x, G, dG in zip(xs, Gs, dGs):
-        _check_metric(G, dG, x)
+    def keep(x, G, dG):
+        records.append((x, G, dG))
+        if len(records) == STAGE_LOG_RECORDS:
+            check()
+
+    try:
+        yield keep
+    except Exception:
+        check()
+        raise
+    check()
 
 
 class Christoffel:
@@ -295,8 +309,8 @@ class _Connection:
       program when it is built.
 
     A non-constant g is checked at the points of each call
-    (`_check_metric`); the geodesic field alone may hand g and dg to a
-    stage list unchecked instead, for its caller to check in a batch.
+    (`_check_metric`), except in the geodesic field, which hands g and dg
+    to a stage log (`_stage_log`) that checks them in batches.
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -355,20 +369,17 @@ class _Connection:
             B, C = (B if b is None else b), (C if c is None else c)
         return Christoffel(self, x, B, C, G, dG, Gi, gamma)
 
-    def geodesic(self, y, stages=None):
+    def geodesic(self, y, keep):
         """The geodesic field at the states y (..., n + r), x and mu side
         by side: dy = (B^T mu, -Gamma(mu, mu)), from one run of the field
         program (`_build_field`), and for a non-constant g one solve of
-        its F against G.  g is checked at the points of y (`_check_metric`)
-        before the solve, unless `stages` is given: then (x, G, dG) is
-        appended to it unchecked, for the caller to check with
-        `_check_stages` before any result leaves it, and a singular G
-        raises LinAlgError here, for the caller's check of the stages to
-        turn into the MetricError of that stage.  Where the chart's part
-        of the run raises EvalDomainError, g is evaluated alone and
-        checked (or kept) first, so a g that fails there speaks first, as
-        in `christoffel`.  A constant g that is not SPD raises MetricError
-        before any program runs."""
+        its F against G.  The record (x, G, dG) goes unchecked to `keep`,
+        the log of the caller's `_stage_log` block, so a singular G raises
+        LinAlgError here, for the log's check to turn into the MetricError
+        of that stage.  Where the chart's part of the run raises
+        EvalDomainError, g is evaluated alone and logged first, so a g that
+        fails there speaks first, as in `christoffel`.  A constant g that
+        is not SPD raises MetricError before any program runs."""
         x = y[..., : self.n]
         if not self.spd:
             _raise_not_spd(self.G, x)
@@ -378,20 +389,20 @@ class _Connection:
         except EvalDomainError:
             if self.G is None:  # g's own verdict comes first, as in `christoffel`
                 [(G, dG, _)] = self.metric.run(x, self.orders[0][1])
-                _check_stage(x, G, dG, stages)
+                keep(x, G, dG)
             raise
         dy = out[-1][0]
         if self.G is not None:
             return dy
         G, dG, _ = out[0]
-        _check_stage(x, G, dG, stages)
+        keep(x, G, dG)
         dy[..., self.n :] = np.linalg.solve(G, dy[..., self.n :, None])[..., 0]
         return dy
 
     def _build_field(self, chart, metric):
         """Build the geodesic field program: over the n coordinates x and
         the r value-only coordinates mu, the groups G (order 1, only for a
-        non-constant g, whose record the stages keep) and B and C (order 0,
+        non-constant g, whose record the log keeps) and B and C (order 0,
         only where the evaluator holds no constants for them), and from
         their slots or those constants the field group dy = (B^T mu, F),
         with
@@ -562,7 +573,8 @@ def _evaluator(chart, metric):
 
 def _geodesic_field(chart, metric):
     """The geodesic field of the pair, `_Connection.geodesic` bound to its
-    evaluator: y (..., n + r) -> dy, with an optional stage list.  Its
+    evaluator: dy = field(y, keep) at states y (..., n + r), with keep
+    from a `_stage_log` block.  Its
     program is built here on first use, unless a constant g is not SPD,
     which the field then raises at every call."""
     ev = _evaluator(chart, metric)

@@ -38,12 +38,12 @@ run as one batch through `_geodesics`, which also serves single geodesics.
 The batch keeps only the success path: when a row fails a node check or
 the right side raises, the start rows are replayed one at a time, so the
 error raised is the one a row-by-row loop would raise first.
-A geodesic run checks a non-constant g at all its stage points, but not
-one stage at a time: the right side keeps each stage's g, and the run
-checks the kept stages in one batched pass every STAGE_CHECK_NODES nodes,
-at its end and before any exception leaves it; the first failing stage
-raises the MetricError a check at that stage would raise.  Every other
-connection call checks g at its own points.
+A geodesic run, like a `geodesic_rhs` call, checks a non-constant g at
+all its stage points, but not one stage at a time: it runs inside one
+stage log of `metric` (`_stage_log`), to which the right side hands each
+stage's g, and the log checks the stages in batches; the first failing
+stage raises the MetricError a check at that stage would raise.  Every
+other connection call checks g at its own points.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 
 from .charts import AVector
 from .errors import CheckFailure, InputError
-from .metric import _check_stages, _geodesic_field, _quad, christoffel, fiber_inner
+from .metric import _geodesic_field, _quad, _stage_log, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -77,9 +77,9 @@ __all__ = [
 
 TOL_APATH_GENERATED = 1e-9
 TOL_GEODESIC = 1e-6
-# nodes of a geodesic run between two batched checks of g at its stage
-# points; bounds the stage records kept to about four per node
-STAGE_CHECK_NODES = 256
+# most steps of a time grid: the Jacobi flow along a rank-3 chart's
+# geodesic peaks near 1 GB there (about 9 KB a step)
+MAX_GRID_STEPS = 100_000
 
 
 class DomainExitError(CheckFailure, RuntimeError):
@@ -200,6 +200,7 @@ class FiberCurve:
 
 
 def _grid(t_span, step):
+    """The nodes of `t_span` at `step`; InputError beyond MAX_GRID_STEPS steps."""
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise InputError(f"step must be finite and positive, got {step}")
@@ -207,8 +208,11 @@ def _grid(t_span, step):
     span = t1 - t0
     if span == 0.0:
         raise InputError("empty integration span")
-    nsteps = max(1, int(round(abs(span) / step)))
-    return np.linspace(t0, t1, nsteps + 1)
+    steps = abs(span) / step  # inf where the quotient overflows
+    if steps > MAX_GRID_STEPS + 0.5:
+        raise InputError(f"a time grid of {steps:.6g} steps ({step:g} over [{t0:g}, {t1:g}]); "
+                         f"at most {MAX_GRID_STEPS} are supported")
+    return np.linspace(t0, t1, max(1, int(round(steps))) + 1)
 
 
 def _increment(f, h, y, k1, mid, end):
@@ -333,11 +337,12 @@ def geodesic_rhs(chart, metric, x, mu):
     spray dmu = -Gamma(mu, mu), from one run of the pair's geodesic field
     on the state (x, mu), which never forms Gamma.  x (..., n) and mu
     (..., r) may carry leading batch axes, which broadcast; g is checked
-    at every point."""
+    at every point, by the stage log of the call (`metric._stage_log`)."""
     x, mu = np.asarray(x, dtype=float), np.asarray(mu, dtype=float)
     lead = np.broadcast_shapes(x.shape[:-1], mu.shape[:-1])
     y = np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in (x, mu)], axis=-1)
-    dy = _geodesic_field(chart, metric)(y)
+    with _stage_log() as keep:
+        dy = _geodesic_field(chart, metric)(y, keep)
     return dy[..., : chart.n], dy[..., chart.n :]
 
 
@@ -357,35 +362,23 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     on a failure: the rows before the failing one are integrated twice.
 
     A non-constant g is checked at every stage point, but not stage by
-    stage: the right side keeps each stage's (x, G, dG) unchecked, and
-    `_check_stages` checks the kept stages in one batched pass every
-    STAGE_CHECK_NODES nodes, at the end of the run and before any
-    exception leaves it.  A failing pass raises the MetricError of the
-    first failing stage, as a check at every stage would, even where the
-    run went on past that stage and then failed otherwise.
+    stage: each run of a start (the batch, or a replayed row) opens one
+    stage log (`metric._stage_log`), and the right side logs each stage's
+    (x, G, dG) there.  A failing check of the log raises the MetricError
+    of the first failing stage, as a check at every stage would, even
+    where the run went on past that stage and then failed otherwise.
     """
     n = chart.n
     ts = _grid(t_span, step)
     box = chart.domain.tolist()
     y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
-    stages = []  # the stage records since the last check of g
     field = _geodesic_field(chart, metric)
 
-    def rhs(j, y):
-        return field(y, stages)
-
     def run(start):
-        try:
-            ys, ds = _rk4(rhs, ts, start, on_node=guard)
-        except Exception:
-            _check_stages(stages)
-            raise
-        _check_stages(stages)
-        return ys, ds
+        with _stage_log() as keep:
+            return _rk4(lambda j, y: field(y, keep), ts, start, on_node=guard)
 
     def guard(k, y, ys, ds):
-        if k % STAGE_CHECK_NODES == 0:
-            _check_stages(stages)
         if y.ndim == 2:
             if not (np.isfinite(y).all() and chart.contains(y[:, :n])):
                 raise _RowFailed

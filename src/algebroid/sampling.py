@@ -30,6 +30,9 @@ _PRIMES = [
 ]
 
 BALL_SAMPLES = 32  # points per start when `fit_to_box` bounds the base speed
+# most points of one draw: hamcheck, the costliest verb per sample, peaks
+# near 1 GB there (about 1.9 KB a point on a rank-3 chart)
+MAX_SAMPLES = 500_000
 
 
 class AnchorError(CheckFailure, ValueError):
@@ -56,13 +59,16 @@ def halton(count, dim, seed=42):
 
     The seed both permutes digits per dimension and offsets the start
     index (small primes admit few digit permutations on their own).
-    Raises DimensionError above 30 dimensions.  The radical inverse of a
+    Raises DimensionError above 30 dimensions, and InputError above
+    MAX_SAMPLES points.  The radical inverse of a
     dimension takes every digit of every index in one array step, the
     digit scales made by repeated division by p and summed from the
     lowest digit up.
     """
     if dim > len(_PRIMES):
         raise DimensionError(f"point sampling supports at most {len(_PRIMES)} dimensions, got {dim}")
+    if count > MAX_SAMPLES:
+        raise InputError(f"point sampling supports at most {MAX_SAMPLES} points, got {count}")
     out = np.empty((count, dim))
     start = 1 + (seed % 65_536)
     idx = np.arange(start, count + start, dtype=np.int64)[:, None]

@@ -46,7 +46,7 @@ import numpy as np
 from .charts import AVector
 from .errors import InputError
 from .expressions import Program
-from .metric import _g_dot, _quad, christoffel, curvature, fiber_inner
+from .metric import _g_dot, _quad, christoffel, fiber_inner
 from .paths import APath, _geodesics, _half_grid, _increment, _linear_flow, _rk4, jacobi_solve
 
 __all__ = [
@@ -223,9 +223,8 @@ def curvature_commutation_residual(chart, metric, grid: VariationGrid, s):
         return np.gradient(f, grid.eps, axis=0, edge_order=2) + _quad(grid.beta, f, ch.gamma)
 
     lhs = nabla_t(nabla_e(s)) - nabla_e(nabla_t(s))
-    R = curvature(chart, metric, grid.x)
     # R(alpha, beta) as a matrix [k, l] at every node, then applied to s
-    Rab = _quad(grid.mu, grid.beta, R.reshape((E, N, r, r, r * r))).reshape((E, N, r, r))
+    Rab = _quad(grid.mu, grid.beta, ch.R.reshape((E, N, r, r, r * r))).reshape((E, N, r, r))
     rhs = (s[..., None, :] @ Rab)[..., 0, :] + _quad(_defect(grid, ch.C), s, ch.gamma)
     core = (lhs - rhs)[2:-2, 2:-2]
     return float(np.max(np.abs(core)))

@@ -577,6 +577,107 @@ def test_bad_numeric_flag_exits_2(argv, tmp_path, capsys):
     assert not (tmp_path / "report.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "--x", "-0.5,0.3", "--mu", "0.1,0.1"],
+        ["geodesic", "--mu", "-1e-3,0.2"],
+        ["geodesic", "--t1", "-1e-7"],
+        ["geodesic", "--step", "-1e-3"],
+        ["transport", "--s0", "-0.5,0.3"],
+        ["jacobi", "--beta0", "-1e-7,0", "--dbeta0", "-0.2,0.1"],
+    ],
+)
+def test_a_negative_value_reads_as_its_equals_form(argv, tmp_path, capsys):
+    # argparse alone takes -1 and -0.5 for values, but not -0.5,0.3 or -1e-3
+    verb, pairs = argv[0], list(zip(argv[1::2], argv[2::2]))
+    forms = {"apart": argv[1:], "equals": [f"{flag}={value}" for flag, value in pairs]}
+    runs = {}
+    for name, flags in forms.items():
+        rc = main([verb, *flags, "--catalog", "euclidean2", "--out", str(tmp_path / name)])
+        csv_file = tmp_path / name / f"{verb}.csv"
+        runs[name] = rc, capsys.readouterr().err, csv_file.read_bytes() if csv_file.exists() else None
+    assert runs["apart"] == runs["equals"]
+    rc, err, written = runs["apart"]
+    if "--step" in argv:
+        assert (rc, written) == (2, None)
+        assert err == "error: --step must be finite and positive, got -0.001\n"
+    else:
+        assert rc == 0 and written
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("geodesic --t1 1e12", "a time grid of 1e+15 steps (0.001 over [0, 1e+12]); at most 100000 are supported"),
+        ("variation-check --step 1e-12", "a time grid of 1e+12 steps (1e-12 over [0, 1]); at most 100000 are supported"),
+        ("hamcheck --samples 1000000000000", "point sampling supports at most 500000 points, got 1000000000000"),
+        ("validate --samples 1000000000000", "point sampling supports at most 500000 points, got 1000000000000"),
+    ],
+)
+def test_a_size_beyond_its_bound_exits_2(argv, error, tmp_path, capsys):
+    rc = main([*argv.split(), "--catalog", "euclidean2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**40)])
+def test_any_integer_seeds_variation_check(seed, tmp_path, capsys):
+    # the test field's frequencies come from a RandomState, seeded in [0, 2**32)
+    rc = main(["variation-check", "--catalog", "euclidean2", "--seed", seed, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+
+
+def test_the_step_bound_admits_its_own_count():
+    from algebroid.paths import MAX_GRID_STEPS, _grid
+    from algebroid.errors import InputError
+
+    assert len(_grid((0.0, 1.0), 1.0 / MAX_GRID_STEPS)) == MAX_GRID_STEPS + 1
+    with pytest.raises(InputError, match="at most 100000"):
+        _grid((0.0, 1.0), 1.0 / (MAX_GRID_STEPS + 1))
+
+
+class TestApathRoundoffFloor:
+    """apath_residual reads a Hermite derivative whose roundoff is about
+    eps max|x| / h: a residual up to 50 times that passes as roundoff."""
+
+    @pytest.mark.parametrize("argv", ["--step 1e-7 --t1 1e-4", "--step 1e-8 --t1 1e-5", "--t1 1e-9"])
+    def test_a_small_step_on_a_flat_chart_passes(self, argv, tmp_path, capsys):
+        rc = main(["geodesic", "--catalog", "euclidean2", *argv.split(), "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        report = read_report(tmp_path)
+        assert float(report["apath_roundoff_floor"]) > 1e-9
+        assert report["check.apath_residual.residual"] == "0"
+
+    def test_the_floor_is_noted_only_where_it_decides(self, tmp_path, capsys):
+        rc = main(["geodesic", "--catalog", "euclidean2", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert "apath_roundoff_floor" not in read_report(tmp_path)
+
+    @pytest.mark.parametrize("argv", ["", "--step 1e-7 --t1 1e-4"])
+    def test_a_base_velocity_off_by_1e_5_still_fails(self, argv, tmp_path, capsys, monkeypatch):
+        from algebroid import metric as metric_module
+
+        field = metric_module._Connection.geodesic
+
+        def skewed(ev, y, keep):
+            dy = field(ev, y, keep)
+            dy[..., : ev.n] *= 1 + 1e-5
+            return dy
+
+        monkeypatch.setattr(metric_module._Connection, "geodesic", skewed)
+        rc = main(["geodesic", "--catalog", "euclidean2", *argv.split(), "--out", str(tmp_path)])
+        capsys.readouterr()
+        report = read_report(tmp_path)
+        assert rc == 1
+        assert report["check.apath_residual.pass"] == "false"
+        assert "apath_roundoff_floor" not in report
+
+
 def _wide_chart(n, r):
     """Anchor a1 = d/dx1 and zeros, identity metric, box [-1, 1]^n."""
     rows = " ; ".join(", ".join(["1" if s == i == 0 else "0" for i in range(n)]) for s in range(r))
@@ -638,12 +739,18 @@ def test_variation_check_passes_on_every_catalog_chart(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name, factor", [("sphere_chart", 0.0), ("heisenberg_central", 0.5)])
 def test_variation_check_catches_a_broken_curvature(name, factor, tmp_path, capsys, monkeypatch):
-    # R zeroed or halved in the commutation identity: the residual stops
-    # converging, and only the convergence check fails
+    # R zeroed or halved in the commutation identity's connection record:
+    # the residual stops converging, and only the convergence check fails
     import algebroid.variations as variations
 
-    exact = variations.curvature
-    monkeypatch.setattr(variations, "curvature", lambda *a: factor * exact(*a))
+    exact = variations.christoffel
+
+    def broken(*args):
+        ch = exact(*args)
+        ch.R = factor * ch.R
+        return ch
+
+    monkeypatch.setattr(variations, "christoffel", broken)
     rc = main(["variation-check", "--catalog", name, "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 1
@@ -652,6 +759,29 @@ def test_variation_check_catches_a_broken_curvature(name, factor, tmp_path, caps
     assert failed == {"check.commutation_convergence_order.pass"}
     orders = [float(o) for o in report["commutation_orders"].split(",")]
     assert max(orders) < 0.1
+
+
+def test_variation_check_makes_one_connection_record_per_commutation_mesh(tmp_path, capsys, monkeypatch):
+    # the residual reads R off the record that gives it Gamma
+    import algebroid.cli as cli
+    import algebroid.metric as metric_module
+
+    def refuse(*args):
+        raise AssertionError("curvature called")
+
+    shapes = []
+    record = metric_module._Connection.christoffel
+
+    def counting(ev, x):
+        shapes.append(np.shape(x)[:-1])
+        return record(ev, x)
+
+    monkeypatch.setattr(metric_module, "curvature", refuse)
+    monkeypatch.setattr(metric_module._Connection, "christoffel", counting)
+    rc = main(["variation-check", "--catalog", "sphere_chart", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    assert [shapes.count((N, N)) for N in cli.COMMUTATION_LADDER] == [1] * len(cli.COMMUTATION_LADDER)
 
 
 def test_variation_check_flat_cutoff_scales_with_the_mesh(tmp_path, capsys, monkeypatch):
@@ -858,6 +988,26 @@ def test_docs_check_table_matches_the_code():
             documented[verb, check] = (float(tolerance), by_tol == "yes")
     code = {(verb, c): row for verb, rows in CHECKS.items() for c, row in rows.items()}
     assert documented == code
+
+
+def test_docs_input_table_matches_the_parser():
+    # every flag read as a number (INT, REAL) or as comma-separated reals
+    # (REALS) has a row of the input table, and every row names such a flag
+    import re
+
+    from algebroid.cli import _PARSER
+
+    text = (Path(__file__).resolve().parents[1] / "docs" / "chart_format.md").read_text()
+    table = text.split("| flag | rejected values |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for line in table.splitlines()[2:]:
+        documented |= set(re.findall(r"`--([a-z0-9]+)`", line.strip("|").split("|")[0]))
+    metavars = dict(re.findall(r"\[--([a-z0-9]+) ([A-Z]+)\]", _PARSER.format_usage()))
+    assert set(metavars) == set(vars(_PARSER.parse_args(["catalog"]))) - {"verb"}
+    read = {flag: vars(_PARSER.parse_args(["catalog", f"--{flag}", "1"]))[flag] for flag in metavars}
+    numeric = {flag for flag, value in read.items() if isinstance(value, (int, float))}
+    assert numeric == {flag for flag, m in metavars.items() if m in ("INT", "REAL")}
+    assert documented == numeric | {flag for flag, m in metavars.items() if m == "REALS"}
 
 
 @pytest.mark.parametrize("argv", [[], ["--catalog", "euclidean2"], ["frobnicate"]])

@@ -997,6 +997,40 @@ class TestGeodesicFieldErrors:
                     paths.geodesic_rhs(chart, metric, np.array(x), np.array(mu))
 
 
+class TestStageLog:
+    """`geodesic_rhs` and a geodesic run both check g through one stage
+    log of `metric`: a singular stage raises its MetricError from the
+    solve's LinAlgError, and a run checks its records 1024 at a time."""
+
+    def test_a_singular_row_of_a_geodesic_rhs_batch_raises_its_metric_error(self):
+        import warnings
+
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-1.0, 1.0)])
+        metric = MetricField({(1, 1): "x1"}, r=1, n=1)
+        x, mu = np.array([[0.5], [0.0], [0.3]]), np.array([[0.2], [0.1], [-0.4]])
+        expected = _raised(lambda: christoffel(chart, metric, x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raised = _raised(lambda: paths.geodesic_rhs(chart, metric, x, mu))
+        TestStagePointChecks.assert_same(raised, expected)
+        assert "x=[0.]" in str(raised)
+        assert isinstance(raised.__context__, np.linalg.LinAlgError)
+
+    def test_a_600_step_geodesic_factors_g_in_batches_of_1024_records(self, sphere, monkeypatch):
+        # 4 * 600 + 1 = 2401 stage records
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        start = AVector(sphere.chart.center(), [0.3, 0.2])
+        geodesic_integrate(sphere.chart, sphere.metric, start, (0.0, 0.6), 1e-3)
+        assert calls == [(1024, 2, 2), (1024, 2, 2), (353, 2, 2)]
+
+
 class TestGeodesicFieldCost:
     """A geodesic runs the pair's geodesic field program once per RK4
     stage and forms no connection record."""
