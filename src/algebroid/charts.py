@@ -131,14 +131,15 @@ class AlgebroidChart:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _declare(self, prog, order=1):
-        """Add the groups B and C, of order 1 or `order`, to a program;
-        returns their group numbers."""
+    def _declare(self, prog, order=1, at=None):
+        """Add the groups B and C, of order 1 or `order`, to a program, at
+        the coordinates or the slots `at` (`Program.add_group`); returns
+        their group numbers."""
         b = [(e, [((s, i), 1)]) for s, row in enumerate(self.b) for i, e in enumerate(row)]
         c = [(e, [((s, t, u), 1), ((t, s, u), -1)]) for (s, t, u), e in self.c_upper.items()]
         return (
-            prog.add_group((self.r, self.n), order, b),
-            prog.add_group((self.r, self.r, self.r), order, c),
+            prog.add_group((self.r, self.n), order, b, at=at),
+            prog.add_group((self.r, self.r, self.r), order, c, at=at),
         )
 
     def eval_anchor(self, points, order=0):

@@ -329,9 +329,13 @@ class Program:
     than expressions: `slots` gives the slots of a declared group and
     `const` those of constants, `op` combines slots through the same
     folding rule, and `add_group` takes the resulting slots as entries of
-    a values-only group.  The geodesic
-    field of `~algebroid.metric` is such a group, over the base point x
-    and the fiber point mu.
+    a values-only group.  A group of expressions can be declared at given
+    slots (`add_group`'s `at`): it then holds the expressions and their
+    partials at the point those slots make, so one program can evaluate
+    a chart at several points that are themselves computed in it.  The
+    geodesic field of `~algebroid.metric` is a group of slots over the
+    base point x and the fiber point mu, and its RK4 step a program that
+    declares the chart at each stage's point (`SlotVector`).
     """
 
     @classmethod
@@ -401,17 +405,25 @@ class Program:
         """Slot of the constant c, or None (zero) for c = 0.0."""
         return self._k(c) if c else None
 
-    def op(self, f, a, b):
-        """Slot of f(a, b), f one of operator.add, operator.sub and
-        operator.mul, for slots a and b of this program (None: zero),
-        through the folding rule of `_f`.  A constant 0.0 counts as zero
-        here, so a term with a factor that cancels to 0.0 is left out:
-        exact wherever the other factor is finite."""
+    def op(self, f, a, b, check=None):
+        """Slot of f(a, b), f one of operator.add, operator.sub,
+        operator.mul and operator.truediv, for slots a and b of this program
+        (None: zero), through the folding rule of `_f`.  A constant 0.0
+        counts as zero here, so a term with a factor that cancels to 0.0 is
+        left out: exact wherever the other factor is finite.  A quotient
+        takes `check`, a (message, node) pair: the op raises
+        EvalDomainError(message, node) wherever b <= 0, before it divides
+        (a zero divisor fails at every point), and 0 / b is zero."""
         vals = self._vals
         if a is not None and vals[a] == 0.0:
             a = None
         if b is not None and vals[b] == 0.0:
             b = None
+        if f is _DIV:
+            if a is None:
+                return None
+            b = self._k(0.0) if b is None else b
+            return self._f(f, a, b, check=(operator.le, b, *check))
         return self._f(f, a, b)
 
     def _pow(self, a, e, check=None):
@@ -429,7 +441,7 @@ class Program:
         if isinstance(node, Const):
             return {(): self._k(node.value)}
         if isinstance(node, Var):
-            return {(): node.index - 1, (node.index - 1,): self._k(1.0)}
+            return {(): self._at[node.index - 1], (node.index - 1,): self._k(1.0)}
         if isinstance(node, Neg):
             return self._map(_NEG, self._jet(node.arg))
         if isinstance(node, Call):
@@ -522,7 +534,7 @@ class Program:
 
     # -- output groups ------------------------------------------------------
 
-    def add_group(self, shape, order, entries, reads=()):
+    def add_group(self, shape, order, entries, reads=(), at=None):
         """Declare the arrays of shape `shape` (values), shape + (n,) and
         shape + (n, n) (partials) up to `order`; returns the group number.
 
@@ -533,8 +545,15 @@ class Program:
         a slot of this program (an int) for the expression; the domain
         checks of the groups `reads`, whose slots it is built from, are
         then its own too, so it checks what running them would.
+
+        `at` gives the n slots the expressions read for x1 .. x<n> (by
+        default the coordinates themselves): variable x<i> takes its value
+        from at[i - 1], while its partials stay those along coordinate i,
+        so the group holds the expressions and their partials at the point
+        those slots make.  Like `reads`, it says what the group reads.
         """
         n = self.n
+        self._at = range(n) if at is None else at
         self._order, self._checked = order, set().union(*(self._groups[g][2] for g in reads))
         self._keys = [()] + [(m,) for m in range(n) if order >= 1]
         self._keys += [(m, l) for m in range(n) for l in range(m, n) if order >= 2]
@@ -634,6 +653,34 @@ class Program:
             for cell, index, s in point:
                 a[index if base else cell] = vals[s]
         return out
+
+
+class SlotVector:
+    """Slots of a program as a vector under numpy's elementwise arithmetic.
+
+    `+`, `*` and `/` with another SlotVector (one of a single slot
+    broadcasts) or a float build one op per component through the folding
+    rule of `Program._f`, in the order Python evaluates the expression, so
+    a formula written for numpy vectors, run on SlotVectors, builds the
+    ops that give its bits.  A zero component is the constant 0.0 and is
+    never left out: y + 0.0 is an op, as it turns -0.0 into 0.0."""
+
+    def __init__(self, prog, slots):
+        zero = prog._k(0.0)
+        self.prog, self.slots = prog, [zero if s is None else s for s in slots]
+
+    def _apply(self, f, a, b):
+        prog = self.prog
+        a, b = (v.slots if isinstance(v, SlotVector) else [prog._k(v)] for v in (a, b))
+        size = max(len(a), len(b))
+        a, b = (v * size if len(v) == 1 else v for v in (a, b))
+        return SlotVector(prog, [prog._f(f, s, t) for s, t in zip(a, b)])
+
+    __add__ = lambda self, other: self._apply(_ADD, self, other)
+    __radd__ = lambda self, other: self._apply(_ADD, other, self)
+    __mul__ = lambda self, other: self._apply(_MUL, self, other)
+    __rmul__ = lambda self, other: self._apply(_MUL, other, self)
+    __truediv__ = lambda self, other: self._apply(_DIV, self, other)
 
 
 # ---------------------------------------------------------------------------

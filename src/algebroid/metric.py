@@ -31,19 +31,25 @@ R when they are first read, so no caller says in advance what it needs.
 The geodesic field lives on the same evaluator, as a program of its own
 (`_geodesic_field`).  On the first geodesic use of the pair it builds one
 straight-line `Program` over the state y = (x, mu), mu read for its values
-only, whose one output group is dy = (B^T mu, F): F is the Koszul form
-contracted with mu (x) mu, as sum_{i<=j} mu_i mu_j K^{ij}(x), built from
-the slots of B, C, G and dG (`_Connection._build_field`).  Coefficients
-that cancel fold to exact zeros there, and a constant g^-1 folds into K;
-a non-constant g is solved against once per run.  Every batch width (one
+only, whose one output group is dy = (B^T mu, g^-1 F): F is the Koszul
+form contracted with mu (x) mu, as sum_{i<=j} mu_i mu_j K^{ij}(x), built
+from the slots of B, C, G and dG (`_Connection._field_slots`).
+Coefficients that cancel fold to exact zeros there, and a constant g^-1
+folds into K; a non-constant g is solved against inside the program, by
+elimination without pivoting with a positivity check on every pivot
+(`_solve`), so no numpy solve runs per stage.  Every batch width (one
 state, a pencil, exp of many fiber vectors) is one run of that program,
-which gives a row of a batch the bits of its run alone.
+which gives a row of a batch the bits of its run alone.  A single
+geodesic takes a second program (`_geodesic_step`), built on its first
+run: one RK4 step from (y, h), whose four stages are the field's slots at
+the stage states and whose arithmetic is the RK4 increment of `paths` run
+on slots, so one run per step gives the bits of four field runs.
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
 and the derivatives of g it computes there must be finite.  Every
-`christoffel` call makes that check; the geodesic field logs g to the
-stage log its caller opens (`_stage_log`), which checks the log in
-batches with the same verdict and the same error.
+`christoffel` call makes that check; the geodesic field and the step log
+g to the stage log their caller opens (`_stage_log`), which checks the
+log in batches with the same verdict and the same error.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
 independent check of the evaluator, and the record's Gamma (Koszul form
 and g^-1) one of the field.
@@ -64,7 +70,7 @@ import numpy as np
 
 from .charts import ChartError, SectionField, _as_expression
 from .errors import CheckFailure, InputError
-from .expressions import EvalDomainError, Program
+from .expressions import EvalDomainError, Program, SlotVector
 from .sampling import _finite, _not_finite_at, sample_box
 
 __all__ = [
@@ -135,12 +141,13 @@ class MetricField:
     def identity(cls, r, n):
         return cls({(i, i): "1" for i in range(1, r + 1)}, r, n)
 
-    def _declare(self, prog, order=2):
-        """Add the group G, of order 2 or `order`, to a program; returns its
+    def _declare(self, prog, order=2, at=None):
+        """Add the group G, of order 2 or `order`, to a program, at the
+        coordinates or the slots `at` (`Program.add_group`); returns its
         number."""
         places = lambda i, j: [((i, j), 1)] if i == j else [((i, j), 1), ((j, i), 1)]
         return prog.add_group(
-            (self.r, self.r), order, [(e, places(i, j)) for (i, j), e in self.entries.items()]
+            (self.r, self.r), order, [(e, places(i, j)) for (i, j), e in self.entries.items()], at=at
         )
 
     def eval(self, points, order=0):
@@ -293,8 +300,9 @@ class _Connection:
     Built on first use and kept in ``metric._cache``.  It runs the chart's
     program for B and C and the metric's for G and hands them back in one
     `Christoffel` (whose S, Gamma and dGamma it forms on request), holds
-    the geodesic field program once a geodesic asks for it (`geodesic`),
-    and settles what does not depend on the point:
+    the geodesic field program once a geodesic asks for it (`geodesic`)
+    and the RK4 step program once a single geodesic does (`step`), and
+    settles what does not depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
@@ -309,8 +317,9 @@ class _Connection:
       program when it is built.
 
     A non-constant g is checked at the points of each call
-    (`_check_metric`), except in the geodesic field, which hands g and dg
-    to a stage log (`_stage_log`) that checks them in batches.
+    (`_check_metric`), except in the geodesic field and the step, which
+    hand g and dg to a stage log (`_stage_log`) that checks them in
+    batches, and which solve against g in their programs (`_solve`).
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -329,6 +338,7 @@ class _Connection:
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
         self.Gi = self.gamma = None
         self.field = None  # (program, orders) of the geodesic field, built on first use
+        self.stepper = None  # (program, orders, logged G groups) of one RK4 step, likewise
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
         self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
         self.G = G = self.metric.constant(0)
@@ -372,14 +382,14 @@ class _Connection:
     def geodesic(self, y, keep):
         """The geodesic field at the states y (..., n + r), x and mu side
         by side: dy = (B^T mu, -Gamma(mu, mu)), from one run of the field
-        program (`_build_field`), and for a non-constant g one solve of
-        its F against G.  The record (x, G, dG) goes unchecked to `keep`,
-        the log of the caller's `_stage_log` block, so a singular G raises
-        LinAlgError here, for the log's check to turn into the MetricError
-        of that stage.  Where the chart's part of the run raises
-        EvalDomainError, g is evaluated alone and logged first, so a g that
-        fails there speaks first, as in `christoffel`.  A constant g that
-        is not SPD raises MetricError before any program runs."""
+        program (`_build_field`), which for a non-constant g also solves
+        against it.  The record (x, G, dG) goes unchecked to `keep`, the
+        log of the caller's `_stage_log` block.  Where the run raises
+        EvalDomainError (a domain check of the chart's part, or a pivot of
+        the solve that is not positive, as at a singular g), g is evaluated
+        alone and logged first, so a g that fails there speaks first, as in
+        `christoffel`, with that stage's MetricError.  A constant g that is
+        not SPD raises MetricError before any program runs."""
         x = y[..., : self.n]
         if not self.spd:
             _raise_not_spd(self.G, x)
@@ -391,21 +401,87 @@ class _Connection:
                 [(G, dG, _)] = self.metric.run(x, self.orders[0][1])
                 keep(x, G, dG)
             raise
-        dy = out[-1][0]
-        if self.G is not None:
-            return dy
-        G, dG, _ = out[0]
-        keep(x, G, dG)
-        dy[..., self.n :] = np.linalg.solve(G, dy[..., self.n :, None])[..., 0]
-        return dy
+        if self.G is None:
+            G, dG, _ = out[0]
+            keep(x, G, dG)
+        return out[-1][0]
+
+    def step(self, y, h, keep):
+        """One RK4 step of the geodesic field from the state y (n + r,)
+        with step h: (k1, y1), the slope at y and the next state, from one
+        run of the step program (`_build_step`) on the point (y, h), the
+        bits `paths._rk4` makes of four field runs.  For a non-constant g
+        the records (x, G, dG) of the four stages go unchecked to `keep`,
+        in stage order.  Where the run raises, the caller replays its
+        geodesic through the field.  A constant g that is not SPD raises
+        MetricError before any program runs."""
+        if not self.spd:
+            _raise_not_spd(self.G, y[: self.n])
+        prog, orders, logged = self.stepper
+        z = np.empty(len(y) + 1)
+        z[:-1], z[-1] = y, h
+        out = prog.run(z, orders)
+        if logged:
+            for x, g in zip(out[-3][0], logged):
+                keep(x, *out[g][:2])
+        return out[-2][0], out[-1][0]
 
     def _build_field(self, chart, metric):
         """Build the geodesic field program: over the n coordinates x and
-        the r value-only coordinates mu, the groups G (order 1, only for a
-        non-constant g, whose record the log keeps) and B and C (order 0,
-        only where the evaluator holds no constants for them), and from
-        their slots or those constants the field group dy = (B^T mu, F),
-        with
+        the r value-only coordinates mu, the field's groups at x and, from
+        their slots, the group dy (`_field_slots`)."""
+        n, r = chart.n, chart.r
+        prog = Program(n, r)
+        dy, groups = self._field_slots(prog, range(n + r), chart, metric)
+        entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dy) if slot is not None]
+        orders = [None] * prog.add_group((n + r,), 0, entries, reads=groups) + [0]
+        if self.G is None:
+            orders[0] = 1  # G and dG, for the check of g
+        self.field = prog, tuple(orders)
+
+    def _build_step(self, chart, metric, increment):
+        """Build the RK4 step program: over the state y = (x, mu) and the
+        value-only step h, the slope k1 at y and the next state
+        y + increment(f, h, y, k1), `increment` (`paths._increment`) run
+        on `SlotVector`s, so its arithmetic is op for op the one numpy
+        does, signed zeros included.  Each of the four stages is the
+        field's own slots (`_field_slots`) at that stage's state, so a step
+        is the bits of four field runs.  For a non-constant g, the G groups
+        of the stages (order 1) and a group of the stages' base points
+        (4, n) give the records of the stage log."""
+        n, r = chart.n, chart.r
+        prog = Program(n, r + 1)
+        stages = []  # per stage: the slots of its x, the groups declared at them
+
+        def field(_, z):
+            dy, groups = self._field_slots(prog, z.slots, chart, metric)
+            stages.append((z.slots[:n], groups))
+            return SlotVector(prog, dy)
+
+        y, h = SlotVector(prog, range(n + r)), SlotVector(prog, [n + r])
+        k1 = field(None, y)
+        y1 = y + increment(field, h, y, k1, None, None)
+        groups = [g for _, gs in stages for g in gs]
+        orders, logged = [None] * len(groups), []
+        if self.G is None:
+            logged = [gs[0] for _, gs in stages]
+            for g in logged:
+                orders[g] = 1
+            points = [(s, [((i, m), 1)]) for i, (x, _) in enumerate(stages) for m, s in enumerate(x)]
+            prog.add_group((len(stages), n), 0, points)
+            orders.append(0)
+        vector = lambda v: [(s, [((k,), 1)]) for k, s in enumerate(v.slots)]
+        prog.add_group((n + r,), 0, vector(k1), reads=stages[0][1])
+        prog.add_group((n + r,), 0, vector(y1), reads=groups)
+        self.stepper = prog, tuple(orders + [0, 0]), logged
+
+    def _field_slots(self, prog, z, chart, metric):
+        """The geodesic field at the state slots z of `prog`, the n slots of
+        x then the r of mu.  Declares at x the groups G (order 1, only for
+        a non-constant g, whose record the log keeps) and B and C (order 0,
+        only where the evaluator holds no constants for them), and returns
+        from their slots or those constants the slots of dy = (B^T mu,
+        g^-1 F) (None: zero) and the groups.  With
 
             F_l = -(d_v g mu)_l + 1/2 b^{lu} mu^T d_u g mu + C_{mu l}^u (g mu)_u
 
@@ -417,24 +493,25 @@ class _Connection:
             K^{ii}_l = 1/2 P_{lii} + Q_{ili} - P_{ili}.
 
         A constant g^-1 other than the identity multiplies K at build
-        time.  Every op goes through the program's folding rule, so
+        time; a non-constant g is solved against in the program
+        (`_solve`).  Every op goes through the program's folding rule, so
         coefficients that cancel (the symmetrized Gamma of a bi-invariant
         metric) are exact zeros and their terms are left out."""
         n, r = chart.n, chart.r
         R = range(r)
-        prog = Program(n, r)
+        x, mu = z[:n], z[n:]
 
         def constants(A):  # the slots of nested lists of floats, None for zeros
             return [constants(a) for a in A] if isinstance(A, list) else prog.const(A)
 
         groups = []
         if self.G is None:  # declared first: its domain checks run first
-            groups.append(metric._declare(prog, 1))
+            groups.append(metric._declare(prog, 1, at=x))
             G, dG = prog.slots(groups[0], 0), prog.slots(groups[0], 1)
         else:
             G, dG = constants(self.G.tolist()), None
         if self.B is None or self.C is None:
-            groups += chart._declare(prog, 0)
+            groups += chart._declare(prog, 0, at=x)
             B, C = prog.slots(groups[-2]), prog.slots(groups[-1])
         else:  # the constants the evaluator holds, as `christoffel` reads them
             B, C = constants(self.B.tolist()), constants(self.C.tolist())
@@ -470,15 +547,10 @@ class _Connection:
                     for l in R
                 ]
             K[i, j] = Kij if Gi is None else [dot(row, Kij) for row in Gi]
-        mu = range(n, n + r)
         mumu = [op(mul, mu[i], mu[j]) for i, j in K]
         dx = [dot(mu, [row[m] for row in B]) for m in range(n)]
         F = [dot(mumu, [Kij[k] for Kij in K.values()]) for k in R]
-        entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dx + F) if slot is not None]
-        orders = [None] * prog.add_group((n + r,), 0, entries, reads=groups) + [0]
-        if self.G is None:
-            orders[0] = 1  # G and dG, for the check of g
-        self.field = prog, tuple(orders)
+        return dx + (F if self.G is not None else _solve(prog, G, F)), groups
 
     def _koszul(self, base, B, C, G, dG):
         r = G.shape[-1]
@@ -537,6 +609,33 @@ class _Connection:
         return 0.5 * dgamma
 
 
+def _solve(prog, G, F):
+    """The slots of g^-1 F for the slots of a symmetric G (r, r) and of F
+    (r,) of a program: Gaussian elimination on the upper triangle of G
+    without pivoting, which an SPD G needs none of, then back
+    substitution.  Each division by a pivot checks it positive first, so a
+    g that is not SPD raises EvalDomainError there and never divides by
+    zero; on a diagonal G the ops fold to F_l / g_ll, the bits of
+    `np.linalg.solve`."""
+    op, sub, mul, div = prog.op, operator.sub, operator.mul, operator.truediv
+    r = len(F)
+    A, b = [list(row) for row in G], list(F)
+    pivot = lambda k: (f"pivot {k + 1} of the metric not positive", "g")
+    for k in range(r):
+        for i in range(k + 1, r):
+            l = op(div, A[k][i], A[k][k], pivot(k))
+            for j in range(i, r):
+                A[i][j] = op(sub, A[i][j], op(mul, l, A[k][j]))
+            b[i] = op(sub, b[i], op(mul, l, b[k]))
+    z = [None] * r
+    for k in reversed(range(r)):
+        acc = b[k]
+        for j in range(k + 1, r):
+            acc = op(sub, acc, op(mul, A[k][j], z[j]))
+        z[k] = op(div, acc, A[k][k], pivot(k))
+    return z
+
+
 def _cap(prog, group, order):
     """`order`, lowered below the first level of the group's partials that
     vanishes identically."""
@@ -581,6 +680,18 @@ def _geodesic_field(chart, metric):
     if ev.field is None and ev.spd:
         ev._build_field(chart, metric)
     return ev.geodesic
+
+
+def _geodesic_step(chart, metric, increment):
+    """One RK4 step of the geodesic field of the pair, `_Connection.step`
+    bound to its evaluator: (k1, y1) = step(y, h, keep) for the state y and
+    the step h, with keep from a `_stage_log` block.  Its program is built here on first
+    use, with `increment` (`paths._increment`) as its arithmetic, unless a
+    constant g is not SPD, which the step then raises at every call."""
+    ev = _evaluator(chart, metric)
+    if ev.stepper is None and ev.spd:
+        ev._build_step(chart, metric, increment)
+    return ev.step
 
 
 def _quad(a, b, T):

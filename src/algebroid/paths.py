@@ -10,8 +10,12 @@ with dense cubic-Hermite output (node states plus node derivatives); an
 geodesic field of the pair (`metric._geodesic_field`), one run of a
 straight-line program on the state y = (x, mu) per RK4 stage: the Koszul
 form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x) and,
-for a non-constant g, solved against g, so Gamma is never formed on the
-way.  Coefficients that cancel fold to exact zeros when the program is
+for a non-constant g, solved against g inside the program, so Gamma is
+never formed on the way.  A single geodesic runs one program per RK4
+step instead (`metric._geodesic_step`): from (y_k, h) it gives the slope
+at y_k and y_{k+1}, with the four stages and the arithmetic of
+`_increment` in one pass over scalars, the bits of the four field runs.
+Coefficients that cancel fold to exact zeros when the programs are
 built, so charts whose Gamma is antisymmetric in the lower pair
 (bi-invariant Lie algebras) keep the fiber coordinates constant to the
 bit.
@@ -20,30 +24,35 @@ Grids are deterministic: a requested span and step always produce the same
 nodes, which the transport / Jacobi / variation machinery reuses.  A span
 with t1 < t0 gives a decreasing grid, and every flow runs backwards on it.
 
-Nonlinear flows step through the one RK4 core `_rk4`.  Its right side is
-called as f(j, y) with j a half-grid index: node k of the grid is j = 2k
-and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the only times an RK4
-step samples.  The state y may carry batch axes.  Linear flows along an
-already fixed path (parallel transport, the transported frame, Jacobi
-sections, the transverse solve of `variations`) read their coefficients
-on all 2N - 1 half-grid times off `_half_grid` of the track, on any
-monotone grid, with one connection record there; `_linear_flow` then
-forms the RK4 step map of every step at once from the same increment
-`_increment` and chains the maps as a prefix composition in about
-sqrt(N) blocks of sqrt(N) steps, in increment form, so that 1 + D is
-never rounded.  Parallel transport and Jacobi sections take a matrix
-of initial columns, which run through the one flow together.
+Nonlinear flows step through the one RK4 loop `_steps`, which takes a
+step as one call: `_rk4` makes it of four right-side calls and
+`_increment`, a single geodesic of one step program run.  The right side
+of `_rk4` is called as f(j, y) with j a half-grid index: node k of the
+grid is j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the
+only times an RK4 step samples.  The state y may carry batch axes.
+Linear flows along an already fixed path (parallel transport, the
+transported frame, Jacobi sections, the transverse solve of
+`variations`) read their coefficients on all 2N - 1 half-grid times off
+`_half_grid` of the track, on any monotone grid, with one connection
+record there; `_linear_flow` then forms the RK4 step map of every step
+at once from the same increment `_increment` and chains the maps as a
+prefix composition in about sqrt(N) blocks of sqrt(N) steps, in
+increment form, so that 1 + D is never rounded.  Parallel transport
+and Jacobi sections take a matrix of initial columns, which run through
+the one flow together.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
-run as one batch through `_geodesics`, which also serves single geodesics.
-The batch keeps only the success path: when a row fails a node check or
-the right side raises, the start rows are replayed one at a time, so the
-error raised is the one a row-by-row loop would raise first.
+run as one batch of `_rk4` through `_geodesics`, which also serves single
+geodesics, through the step program.  Both keep only the success path:
+when a batch row fails a node check or the right side raises, the start
+rows are replayed one at a time, so the error raised is the one a
+row-by-row loop would raise first; when a step run raises, the start is
+replayed stage by stage through `_rk4`.
 A geodesic run, like a `geodesic_rhs` call, checks a non-constant g at
 all its stage points, but not one stage at a time: it runs inside one
-stage log of `metric` (`_stage_log`), to which the right side hands each
-stage's g, and the log checks the stages in batches; the first failing
-stage raises the MetricError a check at that stage would raise.  Every
-other connection call checks g at its own points.
+stage log of `metric` (`_stage_log`), to which the right side or the
+step hands each stage's g, and the log checks the stages in batches; the
+first failing stage raises the MetricError a check at that stage would
+raise.  Every other connection call checks g at its own points.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import numpy as np
 
 from .charts import AVector
 from .errors import CheckFailure, InputError
-from .metric import _geodesic_field, _quad, _stage_log, christoffel, fiber_inner
+from .metric import _geodesic_field, _geodesic_step, _quad, _stage_log, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -236,17 +245,29 @@ def _rk4(f, ts, y0, on_node=None):
     there and may raise to abort; states and derivatives of the nodes
     before k are kept by the caller via the exception payload it builds.
     """
+
+    def step(k, y, h):
+        k1 = f(2 * k, y)
+        return k1, y + _increment(f, h, y, k1, 2 * k + 1, 2 * k + 2)
+
+    return _steps(step, lambda y: f(2 * len(ts) - 2, y), ts, y0, on_node)
+
+
+def _steps(step, last, ts, y0, on_node=None):
+    """The RK4 loop over the nodes of ts: step(k, y, h) returns the slope
+    at node k, where the state is y, and the state at node k + 1, h the
+    step between them; last(y) the slope at the last node.  on_node sees
+    each node as in `_rk4`, after the slopes of the nodes before it."""
     ys = np.empty((len(ts),) + np.shape(y0))
     ds = np.empty_like(ys)
     ys[0] = y0
-    if on_node is not None:
-        on_node(0, ys[0], ys, ds)
-    ds[0] = f(0, ys[0])
     for k in range(len(ts) - 1):
-        ys[k + 1] = ys[k] + _increment(f, ts[k + 1] - ts[k], ys[k], ds[k], 2 * k + 1, 2 * k + 2)
         if on_node is not None:
-            on_node(k + 1, ys[k + 1], ys, ds)
-        ds[k + 1] = f(2 * k + 2, ys[k + 1])
+            on_node(k, ys[k], ys, ds)
+        ds[k], ys[k + 1] = step(k, ys[k], ts[k + 1] - ts[k])
+    if on_node is not None:
+        on_node(len(ts) - 1, ys[-1], ys, ds)
+    ds[-1] = last(ys[-1])
     return ys, ds
 
 
@@ -361,12 +382,22 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     row is bit-identical to its row run alone, so the replay costs time only
     on a failure: the rows before the failing one are integrated twice.
 
+    A single start runs one step program per step (`metric._geodesic_step`,
+    built on the first single start of the pair) and one field run at the
+    last node: bit for bit the `_rk4` route over the field.  It runs under
+    numpy's raising error state, so where that route would warn, the step
+    run raises instead.  Any exception from a step run, other than a node
+    check's, replays the start through `_rk4` over the field, which then
+    raises its own error, with its error order, partial path and warnings,
+    or, where numpy only warned, returns its result.
+
     A non-constant g is checked at every stage point, but not stage by
-    stage: each run of a start (the batch, or a replayed row) opens one
-    stage log (`metric._stage_log`), and the right side logs each stage's
-    (x, G, dG) there.  A failing check of the log raises the MetricError
-    of the first failing stage, as a check at every stage would, even
-    where the run went on past that stage and then failed otherwise.
+    stage: each run of a start (the batch, a single start, or a replayed
+    row) opens one stage log (`metric._stage_log`), and the right side or
+    the step logs each stage's (x, G, dG) there.  A failing check of the
+    log raises the MetricError of the first failing stage, as a check at
+    every stage would, even where the run went on past that stage and
+    then failed otherwise.
     """
     n = chart.n
     ts = _grid(t_span, step)
@@ -394,7 +425,15 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
         raise error(float(ts[k]), partial)
 
     if y0.ndim == 1:
-        return (ts, *run(y0))
+        advance = _geodesic_step(chart, metric, _increment)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"), _stage_log() as keep:
+                step_k = lambda k, y, h: advance(y, h, keep)
+                return (ts, *_steps(step_k, lambda y: field(y, keep), ts, y0, guard))
+        except (DomainExitError, NonFiniteError):
+            raise
+        except Exception:
+            return (ts, *run(y0))
     try:
         ys, ds = run(y0)
     except Exception:

@@ -10,6 +10,8 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
+
 from algebroid import catalog, chartfile, cli, paths, sampling, variations
 from algebroid import metric as geometry
 
@@ -70,3 +72,26 @@ def test_benchmark_calls_bind_to_the_package():
             raise AssertionError(f"line {node.lineno}: {ast.unparse(node)}: {exc}") from None
         seen += 1
     assert seen >= 20
+
+
+def test_the_rk4_hook_the_tracer_wraps_keeps_its_parameters():
+    """The tracer swaps the private RK4 core `paths._rk4` for a counting
+    wrapper that forwards (f, ts, y0, on_node) by position; a renamed,
+    reordered or dropped parameter would break every traced run that
+    reaches it, and only then."""
+    rk4 = paths._rk4
+    assert list(inspect.signature(rk4).parameters) == ["f", "ts", "y0", "on_node"]
+    ts, y0 = np.linspace(0.0, 1.0, 3), np.array([1.0, -0.5])
+    nodes = []
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert paths._rk4 is not rk4 and paths._rk4.__wrapped__ is rk4
+        traced = paths._rk4(lambda j, y: -y, ts, y0, lambda k, *_: nodes.append(k))
+    finally:
+        tracer.uninstall()
+    assert paths._rk4 is rk4
+    for got, want in zip(traced, rk4(lambda j, y: -y, ts, y0)):
+        np.testing.assert_array_equal(got, want)
+    assert nodes == [0, 1, 2]
+    assert tracer.counters["paths.rk4_steps"] == 2 and tracer.counters["paths.rhs_evals"] == 9

@@ -420,13 +420,23 @@ class TestOtherVerbs:
     def test_pointwise_verbs_build_no_geodesic_field(self, tmp_path, capsys, monkeypatch):
         # every CLI run builds its chart anew: the geodesic field program is
         # built on the first geodesic use of a pair, which these verbs never
-        # make; hamcheck makes one and is stopped by the patch
+        # make; hamcheck makes one and is stopped by the patch.  The RK4
+        # step program is built on the first single geodesic, which no
+        # pointwise verb integrates.
         from algebroid import metric
 
-        def refuse(*args):
-            raise AssertionError("the geodesic field was built")
+        def refuse(what):
+            def refused(*args):
+                raise AssertionError(f"the {what} was built")
 
-        monkeypatch.setattr(metric._Connection, "_build_field", refuse)
+            return refused
+
+        monkeypatch.setattr(metric._Connection, "_build_step", refuse("step program"))
+        for name in catalog.names():
+            for verb in ("validate", "curvature", "oneill", "divergence", "hamcheck"):
+                out = tmp_path / "step" / verb / name
+                assert main([verb, "--catalog", name, "--out", str(out)]) == 0, (verb, name)
+        monkeypatch.setattr(metric._Connection, "_build_field", refuse("geodesic field"))
         for name in catalog.names():
             for verb in ("validate", "curvature", "oneill"):
                 assert main([verb, "--catalog", name, "--out", str(tmp_path / verb / name)]) == 0, (verb, name)

@@ -8,6 +8,7 @@ import pytest
 from algebroid import catalog, paths, variations
 from algebroid import metric as metric_module
 from algebroid.charts import AlgebroidChart, AVector, SectionField
+from algebroid.expressions import EvalDomainError
 from algebroid.metric import MetricError, MetricField, christoffel, covariant_derivative, curvature, fiber_inner
 from algebroid.paths import (
     APath,
@@ -853,13 +854,14 @@ class TestStagePointChecks:
     fail inside the box."""
 
     CASES = {
-        # g = x1 is not SPD at x1 <= 0: the run goes on to t = 1
+        # g = x1 is not SPD at x1 <= 0, where the solve's pivot check stops
+        # the run
         "not_spd": ("x1", 0.5, -0.5, 1e-2),
-        # ... and leaves the box at t = 0.21
+        # ... where, without that check, it would leave the box at t = 0.21
         "not_spd_then_exit": ("x1", 0.3, -1.0, 1e-2),
         # ... found by a check of a later batch of nodes than the first
         "not_spd_after_a_checked_batch": ("x1", 0.5, -0.5, 1e-3),
-        # a stage at x1 = 0, where solving against g raises LinAlgError
+        # a stage at x1 = 0, where g is singular
         "singular": ("x1", 0.1, -2.0, 0.1),
         # g overflows at a stage point, then a node is not finite
         "g_not_finite": ("cosh(800*x1)", 0.5, -0.5, 1e-2),
@@ -886,8 +888,10 @@ class TestStagePointChecks:
             raised = _raised(lambda: geodesic_integrate(chart, metric, AVector(x0, [mu]), (0.0, 1.0), step))
             expected = _checked_geodesic_error(chart, metric, x0, np.array([mu]), step)
         self.assert_same(raised, expected)
-        if name == "not_spd_then_exit":  # the run went on past the stage
-            assert isinstance(raised.__context__, DomainExitError)
+        if name == "not_spd_then_exit":  # the pivot check stopped the run at the stage
+            assert isinstance(raised.__context__, EvalDomainError)
+        if name == "g_not_finite":  # the run went on past the stage
+            assert isinstance(raised.__context__, NonFiniteError)
 
     @pytest.mark.parametrize("name", CASES)
     def test_first_failing_row_of_a_batch(self, name):
@@ -947,8 +951,6 @@ class TestGeodesicFieldErrors:
     MetricError, and a constant g that is not SPD before any program run."""
 
     def test_the_metric_domain_error_comes_first(self):
-        from algebroid.expressions import EvalDomainError
-
         chart = AlgebroidChart(n=1, r=1, b=[["sqrt(x1)"]], domain=[(-1.0, 1.0)])
         metric = MetricField({(1, 1): "1 + log(x1)"}, r=1, n=1)
         for x, mu in (([-0.5], [0.3]), ([[0.5], [-0.5]], [[0.3], [0.2]])):
@@ -958,8 +960,6 @@ class TestGeodesicFieldErrors:
             geodesic_integrate(chart, metric, AVector([-0.5], [0.3]), (0.0, 0.1), 1e-2)
 
     def test_a_metric_that_is_not_spd_comes_before_the_anchor_domain_error(self):
-        from algebroid.expressions import EvalDomainError
-
         # g = x1 evaluates at x1 < 0 but is not SPD there, where sqrt(x1) fails
         chart = AlgebroidChart(n=1, r=1, b=[["sqrt(x1)"]], domain=[(-1.0, 1.0)])
         metric = MetricField({(1, 1): "x1"}, r=1, n=1)
@@ -980,7 +980,8 @@ class TestGeodesicFieldErrors:
             warnings.simplefilter("error")
             with pytest.raises(MetricError, match=r"not positive definite at x=\[0\.\]") as raised:
                 geodesic_integrate(chart, metric, AVector([0.1], [-2.0]), (0.0, 1.0), 0.1)
-        assert isinstance(raised.value.__context__, np.linalg.LinAlgError)
+        # the solve's pivot check stopped the run there
+        assert isinstance(raised.value.__context__, EvalDomainError)
 
     def test_a_constant_metric_that_is_not_spd_raises_before_any_run(self, monkeypatch):
         from algebroid.expressions import Program
@@ -995,12 +996,15 @@ class TestGeodesicFieldErrors:
             for x, mu in (([0.5], [0.3]), ([[0.5], [0.2]], [[0.3], [0.1]])):
                 with pytest.raises(MetricError, match="positive definite"):
                     paths.geodesic_rhs(chart, metric, np.array(x), np.array(mu))
+            with pytest.raises(MetricError, match="positive definite"):
+                geodesic_integrate(chart, metric, AVector([0.5], [0.3]), (0.0, 0.1), 1e-2)
 
 
 class TestStageLog:
     """`geodesic_rhs` and a geodesic run both check g through one stage
     log of `metric`: a singular stage raises its MetricError from the
-    solve's LinAlgError, and a run checks its records 1024 at a time."""
+    EvalDomainError of the solve's pivot check, and a run checks its
+    records 1024 at a time."""
 
     def test_a_singular_row_of_a_geodesic_rhs_batch_raises_its_metric_error(self):
         import warnings
@@ -1014,7 +1018,7 @@ class TestStageLog:
             raised = _raised(lambda: paths.geodesic_rhs(chart, metric, x, mu))
         TestStagePointChecks.assert_same(raised, expected)
         assert "x=[0.]" in str(raised)
-        assert isinstance(raised.__context__, np.linalg.LinAlgError)
+        assert isinstance(raised.__context__, EvalDomainError)
 
     def test_a_600_step_geodesic_factors_g_in_batches_of_1024_records(self, sphere, monkeypatch):
         # 4 * 600 + 1 = 2401 stage records
@@ -1032,11 +1036,12 @@ class TestStageLog:
 
 
 class TestGeodesicFieldCost:
-    """A geodesic runs the pair's geodesic field program once per RK4
-    stage and forms no connection record."""
+    """A single geodesic runs the pair's step program once per RK4 step and
+    its field program once, at the last node, and forms no connection
+    record."""
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
-    def test_one_field_run_per_stage_and_no_connection_record(self, name, twisted_chart, monkeypatch):
+    def test_one_step_run_per_step_and_no_connection_record(self, name, twisted_chart, monkeypatch):
         from algebroid.expressions import Program
 
         if name == "twisted":
@@ -1044,8 +1049,8 @@ class TestGeodesicFieldCost:
         else:
             chart, metric = catalog.get(name).chart, catalog.get(name).metric
         start = AVector(chart.center(), 0.2 * np.ones(chart.r))
-        geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds the field program
-        [prog] = {ev.field[0] for ev in metric._cache.values()}
+        geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds both programs
+        [(field, stepper)] = {(ev.field[0], ev.stepper[0]) for ev in metric._cache.values()}
 
         def refuse(*args):
             raise AssertionError("a connection record was formed")
@@ -1060,5 +1065,126 @@ class TestGeodesicFieldCost:
         monkeypatch.setattr(Program, "run", counted)
         path = geodesic_integrate(chart, metric, start, (0.0, 0.2), 1e-3)
         assert len(path.ts) == 201
-        assert len(runs) == 4 * 200 + 1
-        assert all(p is prog and shape == (chart.n + chart.r,) for p, shape in runs)
+        width = chart.n + chart.r
+        assert runs == [(stepper, (width + 1,))] * 200 + [(field, (width,))]
+
+
+def _route_case(name, twisted_chart):
+    """Chart and metric of a route case: a catalog entry, the twisted chart
+    under the identity, or a non-diagonal varying metric that the field
+    solves against by elimination, over aff2 (r = 2) or the twisted chart
+    (r = 3)."""
+    if name == "twisted":
+        return twisted_chart, MetricField.identity(3, 2)
+    if name == "aff2_varying":
+        entries = {(1, 1): "2 + x1", (1, 2): "x1/4", (2, 2): "1 + x1^2"}
+        return catalog.get("aff2").chart, MetricField(entries, r=2, n=1)
+    if name == "twisted_varying":
+        entries = {(1, 1): "2 + x1*x2", (1, 3): "0.1*x2", (2, 2): "1.5", (3, 3): "exp(x1)"}
+        return twisted_chart, MetricField(entries, r=3, n=2)
+    return catalog.get(name).chart, catalog.get(name).metric
+
+
+def _reference_geodesic(chart, metric, ts, y0):
+    """The stage-by-stage route: `_rk4` over the geodesic field."""
+    field = metric_module._geodesic_field(chart, metric)
+    with metric_module._stage_log() as keep:
+        return _rk4(lambda j, y: field(y, keep), ts, y0)
+
+
+class TestSingleGeodesicRoutes:
+    """A single geodesic runs one step program per RK4 step; a batch row
+    and the reference `_rk4` over the geodesic field make four field runs
+    a step.  The three agree bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("t1", [0.5, -0.5])
+    @pytest.mark.parametrize("name", [*catalog.names(), "twisted", "aff2_varying", "twisted_varying"])
+    def test_single_batch_row_and_reference_agree_bit_for_bit(self, name, t1, twisted_chart):
+        chart, metric = _route_case(name, twisted_chart)
+        xs = sample_box(chart.domain, 3, seed=31, shrink=0.3)
+        mus = sample_fiber(chart.r, 3, seed=32, scale=0.5)
+        path = geodesic_integrate(chart, metric, AVector(xs[1], mus[1]), (0.0, t1), 1e-2)
+        ts, ys, ds = paths._geodesics(chart, metric, xs, mus, (0.0, t1), 1e-2)
+        ref_ys, ref_ds = _reference_geodesic(chart, metric, ts, np.concatenate([xs[1], mus[1]]))
+        assert path.ts.tobytes() == ts.tobytes() and len(ts) == 51
+        for got_ys, got_ds in ((path.ys, path.ds), (ys[:, 1], ds[:, 1])):
+            assert got_ys.tobytes() == ref_ys.tobytes()
+            assert got_ds.tobytes() == ref_ds.tobytes()
+
+    def test_signed_zeros_of_a_slope_that_folds_to_zero(self, so3):
+        # dx folds to zero on so3_biinv: x = -0.0 plus a zero increment is 0.0
+        chart, metric = so3.chart, so3.metric
+        y0 = np.array([-0.0, 0.1, 0.2, 0.3])
+        path = geodesic_integrate(chart, metric, AVector(y0[:1], y0[1:]), (0.0, 0.01), 1e-3)
+        assert np.signbit(path.xs[:3, 0]).tolist() == [True, False, False]
+        ref_ys, ref_ds = _reference_geodesic(chart, metric, path.ts, y0)
+        assert path.ys.tobytes() == ref_ys.tobytes() and path.ds.tobytes() == ref_ds.tobytes()
+
+
+class TestStepProgramFailures:
+    """Where the step program of a single geodesic raises, the start is
+    replayed stage by stage through `_rk4`, so the error is the one a
+    check at every stage raises; a node check's error needs no replay.
+    The chart is the line with b = 1 under g = 1 + x1^2, whose fiber
+    coordinate turns, so the stages of a step sit at four points."""
+
+    X0, MU0, STEP = np.array([0.3]), np.array([0.7]), 0.1
+
+    @staticmethod
+    def chart(b="1"):
+        return AlgebroidChart(n=1, r=1, b=[[b]], domain=[(-2.0, 2.0)])
+
+    @classmethod
+    def stage_point(cls, metric, k, stage):
+        """Base point of stage 2, 3 or 4 of step k of the run: the field is
+        called once at node 0, then at stages 2, 3, 4 and the next node."""
+        chart, seen = cls.chart(), []
+        field = metric_module._geodesic_field(chart, metric)
+        ts, y0 = paths._grid((0.0, 1.0), cls.STEP), np.concatenate([cls.X0, cls.MU0])
+        with metric_module._stage_log() as keep:
+            ys, _ = _rk4(lambda j, y: seen.append(float(y[0])) or field(y, keep), ts, y0)
+        x = seen[1 + 4 * k + stage - 2]
+        assert x not in ys[:, 0] and seen.count(x) == 1
+        return x
+
+    def run_counting_replays(self, chart, metric, x0, mu0, monkeypatch):
+        """(the error of the single geodesic from (x0, mu0), the number of
+        `_rk4` runs it made: its replays)"""
+        replays, rk4 = [], paths._rk4
+
+        def counted(*args, **kwargs):
+            replays.append(1)
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(paths, "_rk4", counted)
+        raised = _raised(lambda: geodesic_integrate(chart, metric, AVector(x0, mu0), (0.0, 1.0), self.STEP))
+        return raised, len(replays)
+
+    @pytest.mark.parametrize("stage", [2, 3, 4])
+    def test_an_anchor_domain_error_at_a_stage(self, stage, monkeypatch):
+        metric = MetricField({(1, 1): "1 + x1^2"}, r=1, n=1)
+        x = self.stage_point(metric, 3, stage)
+        chart = self.chart(f"1 + 0/(x1 - {x!r})")  # b = 1, with a check that fails at x alone
+        raised, replays = self.run_counting_replays(chart, metric, self.X0, self.MU0, monkeypatch)
+        expected = _checked_geodesic_error(chart, metric, self.X0, self.MU0, self.STEP)
+        assert isinstance(expected, EvalDomainError) and "division by zero" in str(expected)
+        assert type(raised) is type(expected) and str(raised) == str(expected)
+        assert replays == 1
+
+    def test_a_metric_that_is_not_spd_at_a_stage(self, monkeypatch):
+        # g = x1 from x1 = 0.1 at mu = -2: the first step's second stage sits
+        # at x1 = 0, where g is singular and the solve's pivot check raises
+        chart, metric = TestStagePointChecks.case("singular")[:2]
+        x0, mu0 = np.array([0.1]), np.array([-2.0])
+        raised, replays = self.run_counting_replays(chart, metric, x0, mu0, monkeypatch)
+        expected = _checked_geodesic_error(chart, metric, x0, mu0, self.STEP)
+        TestStagePointChecks.assert_same(raised, expected)
+        assert "x=[0.]" in str(raised) and isinstance(raised.__context__, EvalDomainError)
+        assert replays == 1
+
+    def test_a_node_outside_the_box_raises_without_a_replay(self, euclidean2, monkeypatch):
+        chart, metric = euclidean2.chart, euclidean2.metric
+        monkeypatch.setattr(paths, "_rk4", None)  # any replay would fail
+        with pytest.raises(DomainExitError) as err:
+            geodesic_integrate(chart, metric, AVector([0.0, 0.0], [5.0, 0.0]), (0.0, 1.0), 1e-2)
+        assert err.value.path.ts[-1] < err.value.time
