@@ -60,13 +60,12 @@ from .splitting import (
 from .variations import (
     PENCIL_EPS_STEP,
     _check_mesh,
+    _first_variation,
     anchor_of_grid,
     curvature_commutation_residual,
     delta,
-    first_variation_residual,
     make_fixed_endpoint_homotopy,
     make_geodesic_pencil,
-    row_energies,
     solve_transverse,
 )
 
@@ -201,7 +200,7 @@ def _load(args):
         try:
             entry = _catalog.get(args.catalog)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         return entry.chart, entry.metric
     try:
         return load_chart_file(args.chart)
@@ -504,10 +503,9 @@ def _cmd_variation_check(args, out, run, chart, metric):
     check("delta_anchor_kernel", float(np.max(np.abs(anchored[1:-1, 1:-1]))))
 
     homotopy = make_fixed_endpoint_homotopy(chart, metric, path, direction=u)
-    check("first_variation_identity", first_variation_residual(chart, metric, homotopy))
-    energies = row_energies(chart, metric, homotopy)
-    dE = float(np.gradient(energies, homotopy.eps, edge_order=2)[len(homotopy.eps) // 2])
-    check("geodesic_energy_criticality", abs(dE))
+    residual, dE = _first_variation(chart, metric, homotopy)
+    check("first_variation_identity", float(residual))
+    check("geodesic_energy_criticality", float(abs(dE)))
 
     rng = np.random.RandomState(args.seed % 2**32)  # any integer is a seed
     freq = rng.uniform(0.5, 1.5, size=(chart.r, 3))
@@ -550,7 +548,7 @@ def _cmd_catalog(args, out, run):
         try:
             entry = _catalog.get(args.name)
         except KeyError as exc:
-            raise InputError(str(exc)) from exc
+            raise InputError(exc.args[0]) from exc
         text = dumps_chart(entry.chart, entry.metric)
         (Path(out) / f"{args.name}.chart").write_text(text, encoding="utf-8")
         run.note("written", f"{args.name}.chart")

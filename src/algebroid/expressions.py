@@ -333,9 +333,10 @@ class Program:
     slots (`add_group`'s `at`): it then holds the expressions and their
     partials at the point those slots make, so one program can evaluate
     a chart at several points that are themselves computed in it.  The
-    geodesic field of `~algebroid.metric` is a group of slots over the
-    base point x and the fiber point mu, and its RK4 step a program that
-    declares the chart at each stage's point (`SlotVector`).
+    geodesic program of `~algebroid.metric` has two plans (the runs of two
+    tuples of orders, each copying only the slots it reaches): the field, a
+    group of slots over the base point x and the fiber point mu, and the
+    RK4 step, groups declared later at each stage's point (`SlotVector`).
     """
 
     @classmethod
@@ -606,9 +607,9 @@ class Program:
 
     def _plan(self, orders):
         """(ops to run, coordinates they read, the levels to fill as (group,
-        level, template, per-point cells, vanishes)).  Every domain check of
-        a group asked for runs, also where the value it guards is folded
-        away, as in log(x1)^0."""
+        level, template, per-point cells, vanishes), the number of slots
+        they reach).  Every domain check of a group asked for runs, also
+        where the value it guards is folded away, as in log(x1)^0."""
         levels, need = [], set()
         for g, ((top, specs, checked), order) in enumerate(zip(self._groups, orders)):
             if order is not None:
@@ -620,19 +621,23 @@ class Program:
             if out in need:
                 need.update((a, b))
         ops = tuple(op for op in self._ops if op[1] in need)
-        self._plans[orders] = plan = ops, [i for i in range(self._width) if i in need], levels
+        inputs = [i for i in range(self._width) if i in need]
+        # every slot an op reads comes before its own, the last op's the highest
+        top = 1 + max(ops[-1][1] if ops else -1, inputs[-1] if inputs else -1)
+        self._plans[orders] = plan = ops, inputs, levels, top
         return plan
 
     def run(self, points, orders):
         """Evaluate on points (..., n + values) with one derivative order
         per group (None skips the group).  Returns per group [values,
         partials, second partials], None above the order asked for: fresh
-        arrays with the leading axes of points."""
-        ops, inputs, levels = self._plans.get(orders) or self._plan(orders)
+        arrays with the leading axes of points.  A run copies only the
+        slots its plan reaches, which later groups do not change."""
+        ops, inputs, levels, top = self._plans.get(orders) or self._plan(orders)
         base = points.shape[:-1]
         vals = self._vals
         if ops or inputs:
-            vals = vals.copy()
+            vals = vals[:top]
             for i in inputs:
                 # contiguous columns: numpy's kernels take the same path as
                 # for any other array of the batch
@@ -659,8 +664,9 @@ class SlotVector:
     """Slots of a program as a vector under numpy's elementwise arithmetic.
 
     `+`, `*` and `/` with another SlotVector (one of a single slot
-    broadcasts) or a float build one op per component through the folding
-    rule of `Program._f`, in the order Python evaluates the expression, so
+    broadcasts) or a float (on the right; for `*` on either side) build one
+    op per component through the folding rule of `Program._f`, in the
+    order Python evaluates the expression, so
     a formula written for numpy vectors, run on SlotVectors, builds the
     ops that give its bits.  A zero component is the constant 0.0 and is
     never left out: y + 0.0 is an op, as it turns -0.0 into 0.0."""
@@ -677,7 +683,6 @@ class SlotVector:
         return SlotVector(prog, [prog._f(f, s, t) for s, t in zip(a, b)])
 
     __add__ = lambda self, other: self._apply(_ADD, self, other)
-    __radd__ = lambda self, other: self._apply(_ADD, other, self)
     __mul__ = lambda self, other: self._apply(_MUL, self, other)
     __rmul__ = lambda self, other: self._apply(_MUL, other, self)
     __truediv__ = lambda self, other: self._apply(_DIV, self, other)

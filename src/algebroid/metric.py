@@ -28,22 +28,24 @@ It returns one `Christoffel` record of B, C and G per point set, so no
 caller evaluates b, C or g there again; the record forms Gamma, dGamma and
 R when they are first read, so no caller says in advance what it needs.
 
-The geodesic field lives on the same evaluator, as a program of its own
-(`_geodesic_field`).  On the first geodesic use of the pair it builds one
-straight-line `Program` over the state y = (x, mu), mu read for its values
-only, whose one output group is dy = (B^T mu, g^-1 F): F is the Koszul
-form contracted with mu (x) mu, as sum_{i<=j} mu_i mu_j K^{ij}(x), built
-from the slots of B, C, G and dG (`_Connection._field_slots`).
+The geodesic field lives on the same evaluator, as one program of its
+own with two plans (`_geodesic`).  On the first geodesic use of the pair
+it builds one straight-line `Program` over the state y = (x, mu) and a
+step h, mu and h read for their values only, whose first output group
+is dy = (B^T mu, g^-1 F): F is the Koszul form contracted with mu (x) mu,
+as sum_{i<=j} mu_i mu_j K^{ij}(x), built from the slots of B, C, G and
+dG (`_Connection._field_slots`).
 Coefficients that cancel fold to exact zeros there, and a constant g^-1
 folds into K; a non-constant g is solved against inside the program, by
 elimination without pivoting with a positivity check on every pivot
 (`_solve`), so no numpy solve runs per stage.  Every batch width (one
-state, a pencil, exp of many fiber vectors) is one run of that program,
+state, a pencil, exp of many fiber vectors) is one run of the field plan,
 which gives a row of a batch the bits of its run alone.  A single
-geodesic takes a second program (`_geodesic_step`), built on its first
-run: one RK4 step from (y, h), whose four stages are the field's slots at
-the stage states and whose arithmetic is the RK4 increment of `paths` run
-on slots, so one run per step gives the bits of four field runs.
+geodesic's first run appends the RK4 step to the same program: from
+(y, h), stages 2 to 4 are the field's slots at their stage states, stage
+1 is the field's own, and the arithmetic is the RK4 increment of `paths`
+run on slots, so one run of the step plan gives the bits of four field
+runs.
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
 and the derivatives of g it computes there must be finite.  Every
@@ -300,9 +302,9 @@ class _Connection:
     Built on first use and kept in ``metric._cache``.  It runs the chart's
     program for B and C and the metric's for G and hands them back in one
     `Christoffel` (whose S, Gamma and dGamma it forms on request), holds
-    the geodesic field program once a geodesic asks for it (`geodesic`)
-    and the RK4 step program once a single geodesic does (`step`), and
-    settles what does not depend on the point:
+    the geodesic program once a geodesic asks for it, with the field plan
+    (`geodesic`) and, once a single geodesic asks, the RK4 step plan
+    (`step`), and settles what does not depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
@@ -337,8 +339,9 @@ class _Connection:
         self.B, self.C = self.chart.constant(0), self.chart.constant(1)
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
         self.Gi = self.gamma = None
-        self.field = None  # (program, orders) of the geodesic field, built on first use
-        self.stepper = None  # (program, orders, logged G groups) of one RK4 step, likewise
+        # the geodesic program (`_build_geodesic`), the field's orders, stage 1's
+        # (dy slots, groups), the step's (orders, logged G groups, k1 group)
+        self.program = self.field = self.stage1 = self.stepper = None
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
         self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
         self.G = G = self.metric.constant(0)
@@ -382,20 +385,20 @@ class _Connection:
     def geodesic(self, y, keep):
         """The geodesic field at the states y (..., n + r), x and mu side
         by side: dy = (B^T mu, -Gamma(mu, mu)), from one run of the field
-        program (`_build_field`), which for a non-constant g also solves
-        against it.  The record (x, G, dG) goes unchecked to `keep`, the
-        log of the caller's `_stage_log` block.  Where the run raises
-        EvalDomainError (a domain check of the chart's part, or a pivot of
-        the solve that is not positive, as at a singular g), g is evaluated
-        alone and logged first, so a g that fails there speaks first, as in
-        `christoffel`, with that stage's MetricError.  A constant g that is
-        not SPD raises MetricError before any program runs."""
+        plan of the geodesic program (`_build_geodesic`), which for a
+        non-constant g also solves against it.  The record (x, G, dG) goes
+        unchecked to `keep`, the log of the caller's `_stage_log` block.
+        Where the run raises EvalDomainError (a domain check of the chart's
+        part, or a pivot of the solve that is not positive, as at a
+        singular g), g is evaluated alone and logged first, so a g that
+        fails there speaks first, as in `christoffel`, with that stage's
+        MetricError.  A constant g that is not SPD raises MetricError
+        before any program runs."""
         x = y[..., : self.n]
         if not self.spd:
             _raise_not_spd(self.G, x)
-        prog, orders = self.field
         try:
-            out = prog.run(y, orders)
+            out = self.program.run(y, self.field)
         except EvalDomainError:
             if self.G is None:  # g's own verdict comes first, as in `christoffel`
                 [(G, dG, _)] = self.metric.run(x, self.orders[0][1])
@@ -409,49 +412,46 @@ class _Connection:
     def step(self, y, h, keep):
         """One RK4 step of the geodesic field from the state y (n + r,)
         with step h: (k1, y1), the slope at y and the next state, from one
-        run of the step program (`_build_step`) on the point (y, h), the
-        bits `paths._rk4` makes of four field runs.  For a non-constant g
-        the records (x, G, dG) of the four stages go unchecked to `keep`,
+        run of the step plan of the geodesic program on the point (y, h),
+        the bits `paths._rk4` makes of four field runs.  For a non-constant
+        g the records (x, G, dG) of the four stages go unchecked to `keep`,
         in stage order.  Where the run raises, the caller replays its
         geodesic through the field.  A constant g that is not SPD raises
         MetricError before any program runs."""
         if not self.spd:
             _raise_not_spd(self.G, y[: self.n])
-        prog, orders, logged = self.stepper
+        orders, logged, k1 = self.stepper
         z = np.empty(len(y) + 1)
         z[:-1], z[-1] = y, h
-        out = prog.run(z, orders)
+        out = self.program.run(z, orders)
         if logged:
-            for x, g in zip(out[-3][0], logged):
+            for x, g in zip(out[-2][0], logged):
                 keep(x, *out[g][:2])
-        return out[-2][0], out[-1][0]
+        return out[k1][0], out[-1][0]
 
-    def _build_field(self, chart, metric):
-        """Build the geodesic field program: over the n coordinates x and
-        the r value-only coordinates mu, the field's groups at x and, from
-        their slots, the group dy (`_field_slots`)."""
+    def _build_geodesic(self, chart, metric, increment=None):
+        """Build what is not built yet of the geodesic program, a `Program(n,
+        r + 1)` over the state y = (x, mu) and the step h.  First the field:
+        stage 1, the field's groups at y (`_field_slots`), and the group
+        k1 = dy.  Then, given `increment` (`paths._increment`), the step:
+        y1 = y + increment(f, h, y, k1) on `SlotVector`s, op for op the
+        arithmetic numpy does, signed zeros included, with stages 2 to 4
+        the field's slots at their states, so a step is the bits of four
+        field runs; for a non-constant g, the stages' G groups and a group
+        of their base points (4, n) give the records of the stage log."""
         n, r = chart.n, chart.r
-        prog = Program(n, r)
-        dy, groups = self._field_slots(prog, range(n + r), chart, metric)
-        entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dy) if slot is not None]
-        orders = [None] * prog.add_group((n + r,), 0, entries, reads=groups) + [0]
-        if self.G is None:
-            orders[0] = 1  # G and dG, for the check of g
-        self.field = prog, tuple(orders)
-
-    def _build_step(self, chart, metric, increment):
-        """Build the RK4 step program: over the state y = (x, mu) and the
-        value-only step h, the slope k1 at y and the next state
-        y + increment(f, h, y, k1), `increment` (`paths._increment`) run
-        on `SlotVector`s, so its arithmetic is op for op the one numpy
-        does, signed zeros included.  Each of the four stages is the
-        field's own slots (`_field_slots`) at that stage's state, so a step
-        is the bits of four field runs.  For a non-constant g, the G groups
-        of the stages (order 1) and a group of the stages' base points
-        (4, n) give the records of the stage log."""
-        n, r = chart.n, chart.r
-        prog = Program(n, r + 1)
-        stages = []  # per stage: the slots of its x, the groups declared at them
+        if self.program is None:
+            prog = self.program = Program(n, r + 1)
+            self.stage1 = dy, groups = self._field_slots(prog, range(n + r), chart, metric)
+            entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dy) if slot is not None]
+            orders = [None] * prog.add_group((n + r,), 0, entries, reads=groups) + [0]
+            if self.G is None:
+                orders[0] = 1  # G and dG, for the check of g
+            self.field = tuple(orders)
+        if increment is None or self.stepper is not None:
+            return
+        prog, (dy1, groups1) = self.program, self.stage1
+        stages = [(range(n), groups1)]  # per stage: the slots of its x, the groups declared at them
 
         def field(_, z):
             dy, groups = self._field_slots(prog, z.slots, chart, metric)
@@ -459,21 +459,20 @@ class _Connection:
             return SlotVector(prog, dy)
 
         y, h = SlotVector(prog, range(n + r)), SlotVector(prog, [n + r])
-        k1 = field(None, y)
-        y1 = y + increment(field, h, y, k1, None, None)
-        groups = [g for _, gs in stages for g in gs]
-        orders, logged = [None] * len(groups), []
-        if self.G is None:
-            logged = [gs[0] for _, gs in stages]
-            for g in logged:
-                orders[g] = 1
+        y1 = y + increment(field, h, y, SlotVector(prog, dy1), None, None)
+        logged = [gs[0] for _, gs in stages] if self.G is None else []
+        if logged:
             points = [(s, [((i, m), 1)]) for i, (x, _) in enumerate(stages) for m, s in enumerate(x)]
             prog.add_group((len(stages), n), 0, points)
-            orders.append(0)
-        vector = lambda v: [(s, [((k,), 1)]) for k, s in enumerate(v.slots)]
-        prog.add_group((n + r,), 0, vector(k1), reads=stages[0][1])
-        prog.add_group((n + r,), 0, vector(y1), reads=groups)
-        self.stepper = prog, tuple(orders + [0, 0]), logged
+        groups = [g for _, gs in stages for g in gs]
+        last = prog.add_group((n + r,), 0, [(s, [((k,), 1)]) for k, s in enumerate(y1.slots)], reads=groups)
+        orders, k1 = [None] * (last + 1), len(self.field) - 1
+        for g in logged:
+            orders[g] = 1
+        if logged:
+            orders[last - 1] = 0  # the points
+        orders[k1] = orders[last] = 0
+        self.stepper = tuple(orders), logged, k1
 
     def _field_slots(self, prog, z, chart, metric):
         """The geodesic field at the state slots z of `prog`, the n slots of
@@ -670,28 +669,17 @@ def _evaluator(chart, metric):
     return ev
 
 
-def _geodesic_field(chart, metric):
-    """The geodesic field of the pair, `_Connection.geodesic` bound to its
-    evaluator: dy = field(y, keep) at states y (..., n + r), with keep
-    from a `_stage_log` block.  Its
-    program is built here on first use, unless a constant g is not SPD,
-    which the field then raises at every call."""
+def _geodesic(chart, metric, increment=None):
+    """The evaluator of the pair with its geodesic program built, for its
+    `geodesic` method, dy = geodesic(y, keep) at states y (..., n + r), and,
+    where `increment` (`paths._increment`) is given, its `step` method,
+    (k1, y1) = step(y, h, keep) for a state y and a step h; keep comes from
+    a `_stage_log` block.  Nothing is built where a constant g is not SPD,
+    which both methods then raise at every call."""
     ev = _evaluator(chart, metric)
-    if ev.field is None and ev.spd:
-        ev._build_field(chart, metric)
-    return ev.geodesic
-
-
-def _geodesic_step(chart, metric, increment):
-    """One RK4 step of the geodesic field of the pair, `_Connection.step`
-    bound to its evaluator: (k1, y1) = step(y, h, keep) for the state y and
-    the step h, with keep from a `_stage_log` block.  Its program is built here on first
-    use, with `increment` (`paths._increment`) as its arithmetic, unless a
-    constant g is not SPD, which the step then raises at every call."""
-    ev = _evaluator(chart, metric)
-    if ev.stepper is None and ev.spd:
-        ev._build_step(chart, metric, increment)
-    return ev.step
+    if ev.spd:
+        ev._build_geodesic(chart, metric, increment)
+    return ev
 
 
 def _quad(a, b, T):

@@ -7,13 +7,13 @@ Integration is classical fixed-step RK4 on the coupled base/fiber system
 
 with dense cubic-Hermite output (node states plus node derivatives); an
 `APath` keeps the (x, mu) rows as RK4 steps them.  The right side is the
-geodesic field of the pair (`metric._geodesic_field`), one run of a
-straight-line program on the state y = (x, mu) per RK4 stage: the Koszul
-form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x) and,
-for a non-constant g, solved against g inside the program, so Gamma is
-never formed on the way.  A single geodesic runs one program per RK4
-step instead (`metric._geodesic_step`): from (y_k, h) it gives the slope
-at y_k and y_{k+1}, with the four stages and the arithmetic of
+geodesic field of the pair, one run of the field plan of its geodesic
+program (`metric._geodesic`) on the state y = (x, mu) per RK4 stage: the
+Koszul form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x)
+and, for a non-constant g, solved against g inside the program, so
+Gamma is never formed on the way.  A single geodesic runs the step plan
+of the same program once per RK4 step instead: from (y_k, h) it gives
+the slope at y_k and y_{k+1}, with the four stages and the arithmetic of
 `_increment` in one pass over scalars, the bits of the four field runs.
 Coefficients that cancel fold to exact zeros when the programs are
 built, so charts whose Gamma is antisymmetric in the lower pair
@@ -26,8 +26,8 @@ with t1 < t0 gives a decreasing grid, and every flow runs backwards on it.
 
 Nonlinear flows step through the one RK4 loop `_steps`, which takes a
 step as one call: `_rk4` makes it of four right-side calls and
-`_increment`, a single geodesic of one step program run.  The right side
-of `_rk4` is called as f(j, y) with j a half-grid index: node k of the
+`_increment`, a single geodesic of one run of the step plan.  The right
+side of `_rk4` is called as f(j, y) with j a half-grid index: node k of the
 grid is j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the
 only times an RK4 step samples.  The state y may carry batch axes.
 Linear flows along an already fixed path (parallel transport, the
@@ -42,7 +42,7 @@ and Jacobi sections take a matrix of initial columns, which run through
 the one flow together.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch of `_rk4` through `_geodesics`, which also serves single
-geodesics, through the step program.  Both keep only the success path:
+geodesics, through the step plan.  Both keep only the success path:
 when a batch row fails a node check or the right side raises, the start
 rows are replayed one at a time, so the error raised is the one a
 row-by-row loop would raise first; when a step run raises, the start is
@@ -64,7 +64,7 @@ import numpy as np
 
 from .charts import AVector
 from .errors import CheckFailure, InputError
-from .metric import _geodesic_field, _geodesic_step, _quad, _stage_log, christoffel, fiber_inner
+from .metric import _geodesic, _quad, _stage_log, christoffel, fiber_inner
 
 __all__ = [
     "APath",
@@ -363,7 +363,7 @@ def geodesic_rhs(chart, metric, x, mu):
     lead = np.broadcast_shapes(x.shape[:-1], mu.shape[:-1])
     y = np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in (x, mu)], axis=-1)
     with _stage_log() as keep:
-        dy = _geodesic_field(chart, metric)(y, keep)
+        dy = _geodesic(chart, metric).geodesic(y, keep)
     return dy[..., : chart.n], dy[..., chart.n :]
 
 
@@ -382,14 +382,15 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     row is bit-identical to its row run alone, so the replay costs time only
     on a failure: the rows before the failing one are integrated twice.
 
-    A single start runs one step program per step (`metric._geodesic_step`,
-    built on the first single start of the pair) and one field run at the
-    last node: bit for bit the `_rk4` route over the field.  It runs under
-    numpy's raising error state, so where that route would warn, the step
-    run raises instead.  Any exception from a step run, other than a node
-    check's, replays the start through `_rk4` over the field, which then
-    raises its own error, with its error order, partial path and warnings,
-    or, where numpy only warned, returns its result.
+    A single start runs the step plan once per step (appended to the
+    pair's geodesic program on its first single start, `metric._geodesic`)
+    and the field plan once, at the last node: bit for bit the `_rk4`
+    route over the field.  It runs under numpy's raising error state, so
+    where that route would warn, the step run raises instead.  Any
+    exception from a step run, other than a node check's, replays the
+    start through `_rk4` over the field, which then raises its own error,
+    with its error order, partial path and warnings, or, where numpy only
+    warned, returns its result.
 
     A non-constant g is checked at every stage point, but not stage by
     stage: each run of a start (the batch, a single start, or a replayed
@@ -403,7 +404,8 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     ts = _grid(t_span, step)
     box = chart.domain.tolist()
     y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
-    field = _geodesic_field(chart, metric)
+    ev = _geodesic(chart, metric, _increment if y0.ndim == 1 else None)
+    field, advance = ev.geodesic, ev.step
 
     def run(start):
         with _stage_log() as keep:
@@ -425,7 +427,6 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
         raise error(float(ts[k]), partial)
 
     if y0.ndim == 1:
-        advance = _geodesic_step(chart, metric, _increment)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"), _stage_log() as keep:
                 step_k = lambda k, y, h: advance(y, h, keep)
@@ -548,7 +549,13 @@ def derivative_along(chart, metric, alpha: APath, s: FiberCurve):
 
 
 def geodesic_residual(chart, metric, alpha: APath):
-    """max |nabla^alpha alpha| over the grid; zero for geodesics."""
+    """max |nabla^alpha alpha| over the grid; zero for geodesics.
+
+    The CLI reads this residual off `_jacobi`'s track instead.  The
+    function stays as the check of a path on its nodes alone, which the
+    tests call, and as a layer of the benchmark: BENCHMARK.json times
+    `paths.geodesic_residual`, and perfbench's tracer needs the function
+    for that span."""
     return float(np.max(np.abs(_nabla(alpha, alpha.mus, christoffel(chart, metric, alpha.xs).gamma))))
 
 

@@ -242,6 +242,12 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
     The left side is the centered difference of the row energies; the
     right side is boundary pairing minus the two trapezoid integrals.
     """
+    return float(_first_variation(chart, metric, grid)[0])
+
+
+def _first_variation(chart, metric, grid: VariationGrid):
+    """(`first_variation_residual`, dE/deps at the middle eps-row) from one
+    evaluation of the row energies."""
     _check_mesh(grid.eps, grid.ts)
     if grid.beta is None:
         raise InputError("first variation needs a transverse family")
@@ -260,7 +266,7 @@ def first_variation_residual(chart, metric, grid: VariationGrid):
 
     boundary = pair_beta_alpha[-1] - pair_beta_alpha[0]
     rhs = boundary - _trapz(pair_beta_Dt, grid.ts) - _trapz(pair_delta_alpha, grid.ts)
-    return float(abs(dE[mid] - rhs))
+    return abs(dE[mid] - rhs), dE[mid]
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,25 @@ def test_round_trip_catalog(name, tmp_path):
         (("b = 1, 0 ; 0, 1 ; 0, 0", "b = 1, 0 ; 0, 1"), 7, "rows"),
         (("C 1,2,3 = 1", "C 1,2,3 = 1\nC 1,2,3 = 2"), 9, "duplicate"),
         (("g 3,3 = 1", "g 3,3 = si(x1)"), None, "unknown identifier"),
+        (("[metric]", "[metrics]"), 9, "unknown section"),
+        (("r = 3", "r 3"), 5, "cannot parse entry"),
+        (("n = 2", "n 1 = 2"), 4, "'n' takes no indices"),
+        (("r = 3", "r = 3\nr = 3"), 6, "duplicate 'r'"),
+        (("C 1,2,3 = 1", "D 1,2,3 = 1"), 8, "unknown algebroid key 'D'"),
+        (("g 3,3 = 1", "g 3,3 = 1\ng 3,3 = 2"), 13, r"duplicate g \(3, 3\)"),
+        (("b = 1, 0 ; 0, 1 ; 0, 0\n", ""), None, "missing \\[algebroid\\] entry 'b'"),
+        (("domain = -2,2 ; -2,2", "domain = -2,2 ; -2"), 6, "bad domain pair '-2'"),
+        (("b = 1, 0 ; 0, 1 ; 0, 0", "b = 1, 0 ; 0, 1 ; 0"), 7, "b row '0' needs 2 entries"),
+        (("C 1,2,3 = 1", "C 1,2 = 1"), 8, "C entry needs 3 indices"),
+        (("C 1,2,3 = 1", "C 1,,3 = 1"), 8, "bad indices '1,,3'"),
+        (("n = 2", "n = 0"), 4, "n must be >= 1"),
     ],
 )
 def test_errors_carry_line_numbers(mutation, line, message):
     bad = GOOD.replace(*mutation)
     with pytest.raises(ChartFileError, match=message) as err:
         loads_chart(bad)
-    if line is not None:
-        assert err.value.line == line
+    assert err.value.line == line
 
 
 def test_missing_metric_rejected():

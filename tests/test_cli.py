@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algebroid import catalog
+from algebroid import catalog, variations
 from algebroid.chartfile import dumps_chart
 from algebroid.cli import _VERBS, CHECKS, _xcols, main
 from algebroid.metric import MetricField
@@ -418,25 +418,29 @@ class TestOtherVerbs:
         assert float(read_report(tmp_path)["check.curvature_horizontal.residual"]) < 1e-8
 
     def test_pointwise_verbs_build_no_geodesic_field(self, tmp_path, capsys, monkeypatch):
-        # every CLI run builds its chart anew: the geodesic field program is
-        # built on the first geodesic use of a pair, which these verbs never
-        # make; hamcheck makes one and is stopped by the patch.  The RK4
-        # step program is built on the first single geodesic, which no
-        # pointwise verb integrates.
+        # every CLI run builds its chart anew: the geodesic program is built
+        # on the first geodesic use of a pair, which these verbs never make;
+        # hamcheck makes one and is stopped by the second patch.  Its step
+        # phase is built on the first single geodesic, which no pointwise
+        # verb integrates.
         from algebroid import metric
 
-        def refuse(what):
-            def refused(*args):
-                raise AssertionError(f"the {what} was built")
+        build = metric._Connection._build_geodesic
 
-            return refused
+        def field_only(self, chart, m, increment=None):
+            if increment is not None:
+                raise AssertionError("the step phase was built")
+            return build(self, chart, m)
 
-        monkeypatch.setattr(metric._Connection, "_build_step", refuse("step program"))
+        def refused(*args):
+            raise AssertionError("the geodesic field was built")
+
+        monkeypatch.setattr(metric._Connection, "_build_geodesic", field_only)
         for name in catalog.names():
             for verb in ("validate", "curvature", "oneill", "divergence", "hamcheck"):
                 out = tmp_path / "step" / verb / name
                 assert main([verb, "--catalog", name, "--out", str(out)]) == 0, (verb, name)
-        monkeypatch.setattr(metric._Connection, "_build_field", refuse("geodesic field"))
+        monkeypatch.setattr(metric._Connection, "_build_geodesic", refused)
         for name in catalog.names():
             for verb in ("validate", "curvature", "oneill"):
                 assert main([verb, "--catalog", name, "--out", str(tmp_path / verb / name)]) == 0, (verb, name)
@@ -614,6 +618,24 @@ def test_a_negative_value_reads_as_its_equals_form(argv, tmp_path, capsys):
         assert err == "error: --step must be finite and positive, got -0.001\n"
     else:
         assert rc == 0 and written
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("geodesic --catalog euclidean2 --x 1,a", "cannot parse --x '1,a' as comma-separated reals"),
+        ("geodesic --catalog euclidean2 --x 1", "--x needs 2 components, got 1"),
+        ("validate --catalog nope", "unknown catalog entry 'nope'; available: " + ", ".join(catalog.names())),
+        ("validate --chart missing.chart", "chart file not found: missing.chart"),
+        ("catalog --name nope", "unknown catalog entry 'nope'; available: " + ", ".join(catalog.names())),
+    ],
+)
+def test_a_bad_point_or_source_exits_2(argv, error, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main([*argv.split(), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out" / "report.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -919,6 +941,8 @@ def test_flow_verbs_make_their_ledger_of_path_records(name, tmp_path, capsys, mo
         sizes = {"nodes": (N,), "track": (2 * N - 1,)}
         assert [b for b in batches if b in sizes.values()] == [sizes[k] for k in records], verb
         assert (1, n) not in evaluated and (1, 1 + BALL_SAMPLES, n) in evaluated, verb
+        if verb == "variation-check":  # the homotopy's row energies, evaluated once
+            assert evaluated.count((len(variations.HOMOTOPY_EPS), N, n)) == 1
 
 
 @pytest.mark.parametrize("verb", FLOW_VERBS + ["variation-check"])

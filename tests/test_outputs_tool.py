@@ -1,8 +1,21 @@
-"""`tools/outputs.py`: two saves of the same runs are byte-identical, and
-`--diff` reports a moved value and a changed exit code."""
+"""`tools/outputs.py`: two saves of the same runs are byte-identical,
+`--diff` reports a moved value and a changed exit code, and the CLI's
+outputs at default argv match their committed fingerprint.
+
+The 70 runs of the tool (ten verbs on the six catalog charts and the
+twisted chart) are saved in process and summarized as in
+`tests/outputs_fingerprint.json`: a CSV column that moves beyond the
+tool's tolerance fails here even where every check still passes.  After
+a change that moves an output on purpose, rewrite the file with
+
+    PYTHONPATH=src python tools/outputs.py --fingerprint tests/outputs_fingerprint.json
+"""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,3 +59,32 @@ def test_two_saves_are_byte_identical_and_moves_are_reported(tmp_path, capsys):
     assert lines["validate/twisted/validate.csv"].endswith("column residual)")
     assert lines["oneill/twisted/exit"] == "exit code 0 -> 1"
     assert lines["oneill/twisted/report.txt"] == "identical"
+
+
+FINGERPRINT = ROOT / "tests" / "outputs_fingerprint.json"
+
+
+def rewrite_column(csv, column, move):
+    """Apply move(values) to one column of a saved CSV, cells as repr."""
+    header, *rows = (line.split(",") for line in csv.read_text().splitlines())
+    col = header.index(column)
+    values = move(np.array([float(row[col]) for row in rows]))
+    for row, v in zip(rows, values):
+        row[col] = repr(float(v))
+    csv.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+
+def test_default_runs_match_the_committed_fingerprint(tmp_path):
+    tool = load_tool()
+    tool.save(tmp_path)
+    got = tool.fingerprint(tmp_path)
+    assert len(got) == 288
+    assert tool.matches(json.loads(FINGERPRINT.read_text()), got) == []
+
+    # the tolerance lets a one-ulp move of a cell through, not a column
+    # scaled by 1 + 1e-8
+    csv = tmp_path / "jacobi" / "sphere_chart" / "jacobi.csv"
+    rewrite_column(csv, "beta1", lambda v: np.where(v == v.max(), np.nextafter(v, np.inf), v))
+    assert tool.matches(got, tool.fingerprint(tmp_path)) == []
+    rewrite_column(csv, "beta2", lambda v: v * (1 + 1e-8))
+    assert tool.matches(got, tool.fingerprint(tmp_path)) == ["jacobi/sphere_chart/jacobi.csv"]

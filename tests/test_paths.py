@@ -1036,9 +1036,9 @@ class TestStageLog:
 
 
 class TestGeodesicFieldCost:
-    """A single geodesic runs the pair's step program once per RK4 step and
-    its field program once, at the last node, and forms no connection
-    record."""
+    """A single geodesic runs the step plan of the pair's one geodesic
+    program once per RK4 step and its field plan once, at the last node,
+    and forms no connection record."""
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
     def test_one_step_run_per_step_and_no_connection_record(self, name, twisted_chart, monkeypatch):
@@ -1049,8 +1049,9 @@ class TestGeodesicFieldCost:
         else:
             chart, metric = catalog.get(name).chart, catalog.get(name).metric
         start = AVector(chart.center(), 0.2 * np.ones(chart.r))
-        geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds both programs
-        [(field, stepper)] = {(ev.field[0], ev.stepper[0]) for ev in metric._cache.values()}
+        geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds both phases
+        [ev] = metric._cache.values()
+        step_orders = ev.stepper[0]
 
         def refuse(*args):
             raise AssertionError("a connection record was formed")
@@ -1058,7 +1059,7 @@ class TestGeodesicFieldCost:
         runs, run = [], Program.run
 
         def counted(p, points, orders):
-            runs.append((p, np.shape(points)))
+            runs.append((p, np.shape(points), orders))
             return run(p, points, orders)
 
         monkeypatch.setattr(metric_module._Connection, "christoffel", refuse)
@@ -1066,7 +1067,7 @@ class TestGeodesicFieldCost:
         path = geodesic_integrate(chart, metric, start, (0.0, 0.2), 1e-3)
         assert len(path.ts) == 201
         width = chart.n + chart.r
-        assert runs == [(stepper, (width + 1,))] * 200 + [(field, (width,))]
+        assert runs == [(ev.program, (width + 1,), step_orders)] * 200 + [(ev.program, (width,), ev.field)]
 
 
 def _route_case(name, twisted_chart):
@@ -1087,7 +1088,7 @@ def _route_case(name, twisted_chart):
 
 def _reference_geodesic(chart, metric, ts, y0):
     """The stage-by-stage route: `_rk4` over the geodesic field."""
-    field = metric_module._geodesic_field(chart, metric)
+    field = metric_module._geodesic(chart, metric).geodesic
     with metric_module._stage_log() as keep:
         return _rk4(lambda j, y: field(y, keep), ts, y0)
 
@@ -1139,7 +1140,7 @@ class TestStepProgramFailures:
         """Base point of stage 2, 3 or 4 of step k of the run: the field is
         called once at node 0, then at stages 2, 3, 4 and the next node."""
         chart, seen = cls.chart(), []
-        field = metric_module._geodesic_field(chart, metric)
+        field = metric_module._geodesic(chart, metric).geodesic
         ts, y0 = paths._grid((0.0, 1.0), cls.STEP), np.concatenate([cls.X0, cls.MU0])
         with metric_module._stage_log() as keep:
             ys, _ = _rk4(lambda j, y: seen.append(float(y[0])) or field(y, keep), ts, y0)

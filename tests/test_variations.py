@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,24 @@ class TestSolveTransverse:
         grid = make_geodesic_pencil(chart, metric, a, [0.1, 0.2, -0.3], eps, (0.0, 1.0), 2e-3)
         solved = solve_transverse(chart, metric, grid, np.zeros((5, 3)))
         assert solved.transversality_residual(chart) < 1e-5
+
+    @pytest.mark.parametrize("half_width, step, warns", [(0.6, 0.5, True), (0.05, 0.1, False)])
+    def test_a_coarse_mesh_warns_after_the_solve(self, sphere, half_width, step, warns):
+        # residual 9.9e-4 on the coarse mesh, 5.4e-7 on the fine one, about a
+        # bound of 1e-4
+        chart, metric = sphere.chart, sphere.metric
+        eps = np.linspace(-half_width, half_width, 5)
+        grid = make_geodesic_pencil(chart, metric, AVector(chart.center(), [0.3, 0.4]), [0.5, -0.3], eps,
+                                    (0.0, 1.0), step)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solved = solve_transverse(chart, metric, grid, np.zeros((5, 2)))
+        residual = solved.transversality_residual(chart)
+        assert (residual > variations.TRANSVERSALITY_POSTERIOR_TOL) == warns
+        assert [str(w.message) for w in caught] == [
+            f"transverse solve: a-posteriori transversality residual {residual:.3e}; "
+            "the mesh is probably too coarse"
+        ] * warns
 
     def test_deterministic_and_sensitive_to_initial_rows(self, sphere):
         a = AVector([1.3, 1.0], [0.4, 0.3])

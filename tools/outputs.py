@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tools/outputs.py --save DIR
     python tools/outputs.py --diff A B
+    PYTHONPATH=src python tools/outputs.py --fingerprint FILE
 
 `--save` runs the ten verbs on the six catalog charts and on
 `algebroid.catalog.twisted` (written to DIR as a chart file), all in one
@@ -15,6 +16,19 @@ the files.
 |difference| of a numeric file (absolute, and relative to the largest
 |value| of that column in A), a shape change, a changed exit code, or a
 file on one side only.  It exits 0 iff every file is identical.
+
+`--fingerprint` runs the same save into a temporary directory and writes
+FILE, a JSON summary of every file, small enough to commit: the exit
+code, the text of stderr and of the chart file, every key of
+`report.txt`, and for a CSV its header, its row count and per column
+either max |v| and sum |v| (a numeric column) or the cells (any other).
+`matches` compares a summary with a committed one: index columns and
+text exactly, numbers within `RTOL` and `ATOL`.  A Tier-1 test
+(`tests/test_outputs_tool.py`) runs it over the 70 runs, and
+
+    PYTHONPATH=src python tools/outputs.py --fingerprint tests/outputs_fingerprint.json
+
+rewrites the committed file after a change that moves an output.
 """
 
 from __future__ import annotations
@@ -22,9 +36,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -33,6 +49,16 @@ VERBS = (
     "curvature", "oneill", "divergence", "hamcheck", "variation-check",
 )
 TWISTED = "twisted"
+# a fingerprint number moves by at most RTOL of its own size plus ATOL (per
+# cell summed): the largest moves that earlier changes recorded were a few
+# ulps of O(1) values and 2.2e-15 on a residual of 1.6e-5, while a column
+# scaled by 1 + 1e-8 moves 1e4 times RTOL
+RTOL, ATOL = 1e-12, 1e-14
+INDEX = ("i", "j", "k", "l", "level")  # CSV columns of tensor indices and mesh levels: exact
+
+
+def _to_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def save(out, charts=None, verbs=VERBS):
@@ -61,6 +87,8 @@ def save(out, charts=None, verbs=VERBS):
                 with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(err):
                     warnings.simplefilter("default")
+                    # stderr gets the warnings also where a caller records them
+                    warnings.showwarning = _to_stderr
                     code = cli.main([verb, *source, "--out", str(run_dir)])
                 report = run_dir / "report.txt"
                 if report.exists():
@@ -142,14 +170,95 @@ def diff(a, b, stream=None):
     return same
 
 
+def _column(cells):
+    """The fingerprint of one CSV column: [max |v|, sum |v|] where every
+    cell is a finite number, else the cells themselves."""
+    values = [_number(c) for c in cells]
+    if None in values or not all(map(math.isfinite, values)):
+        return cells
+    return [max(map(abs, values), default=0.0), math.fsum(map(abs, values))]
+
+
+def fingerprint(root):
+    """The fingerprint of every file under a `save` directory, keyed by its
+    path there."""
+    root, out = Path(root), {}
+    for p in sorted(root.rglob("*")):
+        if not p.is_file():
+            continue
+        text, name = p.read_text(encoding="utf-8"), p.name
+        if name == "exit":
+            entry = int(text)
+        elif name == "report.txt":
+            entry = dict(line.split("=", 1) for line in text.splitlines())
+        elif name.endswith(".csv"):
+            header, rows = _table(text, name)
+            entry = {"header": header, "rows": len(rows),
+                     "columns": [_column([row[k] for row in rows]) for k in range(len(header))]}
+        else:
+            entry = text
+        out[p.relative_to(root).as_posix()] = entry
+    return out
+
+
+def _close(a, b, cells=1):
+    return abs(a - b) <= RTOL * abs(a) + ATOL * cells
+
+
+def _same_value(a, b):
+    """Whether two report values agree: numbers within the tolerance, item
+    by item in a comma list, any other text exactly."""
+    a, b = a.split(","), b.split(",")
+    if len(a) != len(b):
+        return False
+    for s, t in zip(a, b):
+        u, v = _number(s), _number(t)
+        if s != t and (u is None or v is None or not _close(u, v)):
+            return False
+    return True
+
+
+def _same_column(name, u, v, rows):
+    """Whether two column fingerprints agree: numbers within the tolerance,
+    an index column or cells exactly."""
+    if name in INDEX or not u or isinstance(u[0], str):
+        return u == v
+    return isinstance(v[0], float) and _close(u[0], v[0]) and _close(u[1], v[1], rows)
+
+
+def _same_entry(a, b):
+    if isinstance(a, dict) and "columns" in a:
+        return (isinstance(b, dict) and (a["header"], a["rows"]) == (b.get("header"), b.get("rows"))
+                and all(map(_same_column, a["header"], a["columns"], b["columns"], [a["rows"]] * len(a["header"]))))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same_value(a[k], b[k]) for k in a)
+    return a == b
+
+
+def matches(reference, got):
+    """The paths whose fingerprint in `got` differs from `reference` beyond
+    the tolerance, or is on one side only; empty where all agree."""
+    keys = sorted(reference.keys() | got.keys())
+    return [k for k in keys if k not in reference or k not in got or not _same_entry(reference[k], got[k])]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--save", metavar="DIR", help="run every verb on every chart into DIR")
     group.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two saved directories")
+    group.add_argument("--fingerprint", metavar="FILE", help="write the fingerprint of a save to FILE")
     args = parser.parse_args(argv)
     if args.save:
         save(args.save)
+        return 0
+    if args.fingerprint:
+        with tempfile.TemporaryDirectory() as tmp:
+            save(tmp)
+            prints = fingerprint(tmp)
+        # one line a file, so a rewrite diffs file by file
+        lines = (f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in prints.items())
+        Path(args.fingerprint).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
         return 0
     return 0 if diff(*args.diff) else 1
 
