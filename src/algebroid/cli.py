@@ -537,14 +537,7 @@ def _cmd_variation_check(args, out, run, chart, metric):
 
 
 def _cmd_catalog(args, out, run):
-    rows = []
-    for name in _catalog.names():
-        entry = _catalog.get(name)
-        rows.append(
-            [name, entry.chart.n, entry.chart.r, entry.chart.has_zero_anchor]
-        )
-    write_csv(out / "catalog.csv", ["name", "n", "r", "zero_anchor"], rows)
-    if args.name:
+    if args.name:  # first: an unknown name exits 2 before anything is written
         try:
             entry = _catalog.get(args.name)
         except KeyError as exc:
@@ -552,6 +545,13 @@ def _cmd_catalog(args, out, run):
         text = dumps_chart(entry.chart, entry.metric)
         (Path(out) / f"{args.name}.chart").write_text(text, encoding="utf-8")
         run.note("written", f"{args.name}.chart")
+    rows = []
+    for name in _catalog.names():
+        entry = _catalog.get(name)
+        rows.append(
+            [name, entry.chart.n, entry.chart.r, entry.chart.has_zero_anchor]
+        )
+    write_csv(out / "catalog.csv", ["name", "n", "r", "zero_anchor"], rows)
     for name in _catalog.names():
         sys.stdout.write(name + "\n")
 
@@ -618,11 +618,19 @@ def _joined(argv):
     return out
 
 
+def _make_out(out):
+    """Make the --out directory if missing; InputError where it cannot be one."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {out}: cannot make the directory ({exc.strerror})") from exc
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        _make_out(out)
         loaded = () if args.verb == "catalog" else _load(args)
         run = Run(args.verb, args)
         # an overflow is reported by the check that meets it, never as a numpy warning

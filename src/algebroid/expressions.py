@@ -370,21 +370,26 @@ class Program:
 
     def _f(self, f, *args, check=None):
         """Slot of f(*args), an op run after the domain check (test, slot of
-        an argument, message, node) if one is given.  A None argument
-        vanishes identically: 0 * y = 0, x + 0 = x - 0 = x, 0 - y = -y, and
-        a factor 1.0 is dropped; both are exact.  The one folding rule:
-        where every argument is a constant, the check passes and f gives a
-        finite value there, the slot is that constant, the bits the op
-        would give at every point."""
+        an argument, message, node) if one is given.  Exact folds: a None
+        argument vanishes identically (0 * y = 0, x + 0 = x - 0 = x, 0 - y =
+        -y), a factor 1.0 is dropped, a / 1.0 is a, and a check that a
+        constant passes is dropped (one it fails stays: the op raises at
+        every point).  The one folding rule: where every argument is a
+        constant, no check is left and f gives a finite value there, the
+        slot is that constant, the bits the op would give at every point."""
         if None in args:
             if f is _MUL or f is _NEG:
                 return None
             a, b = args
             return a if b is None else b if f is _ADD else self._f(_NEG, b)
         ks = [self._vals[a] for a in args]
+        if check and self._vals[check[1]] is not None and not check[0](self._vals[check[1]], 0.0):
+            check = None
         if f is _MUL and 1.0 in ks:
             return args[1 - ks.index(1.0)]
-        if None not in ks and not (check and check[0](self._vals[check[1]], 0.0)):
+        if f is _DIV and ks[1] == 1.0 and check is None:
+            return args[0]
+        if None not in ks and check is None:
             with np.errstate(all="ignore"):
                 v = f(*ks)
             if math.isfinite(v):

@@ -31,16 +31,16 @@ R when they are first read, so no caller says in advance what it needs.
 The geodesic field lives on the same evaluator, as one program of its
 own with two plans (`_geodesic`).  On the first geodesic use of the pair
 it builds one straight-line `Program` over the state y = (x, mu) and a
-step h, mu and h read for their values only, whose first output group
+step h, mu and h read for their values only, whose field group
 is dy = (B^T mu, g^-1 F): F is the Koszul form contracted with mu (x) mu,
 as sum_{i<=j} mu_i mu_j K^{ij}(x), built from the slots of B, C, G and
-dG (`_Connection._field_slots`).
-Coefficients that cancel fold to exact zeros there, and a constant g^-1
-folds into K; a non-constant g is solved against inside the program, by
-elimination without pivoting with a positivity check on every pivot
-(`_solve`), so no numpy solve runs per stage.  Every batch width (one
-state, a pencil, exp of many fiber vectors) is one run of the field plan,
-which gives a row of a batch the bits of its run alone.  A single
+dG that every stage declares at its point (`_Connection._field_slots`),
+and solved against g there by elimination without pivoting, with a
+positivity check on every pivot (`_solve`).  The folding rule alone
+settles constants: coefficients that cancel fold to exact zeros, and a
+unit pivot divides nothing.  Every batch width (one state, a pencil, exp
+of many fiber vectors) is one run of the field plan, which gives a row
+of a batch the bits of its run alone.  A single
 geodesic's first run appends the RK4 step to the same program: from
 (y, h), stages 2 to 4 are the field's slots at their stage states, stage
 1 is the field's own, and the arithmetic is the RK4 increment of `paths`
@@ -228,7 +228,7 @@ def _stage_log():
             return
         xs, Gs, dGs = zip(*records)
         records.clear()
-        if _is_spd(np.array(Gs)) and (dGs[0] is None or np.isfinite(np.array(dGs)).all()):
+        if _is_spd(np.array(Gs)) and np.isfinite(np.array(dGs)).all():
             return
         for x, G, dG in zip(xs, Gs, dGs):
             _check_metric(G, dG, x)
@@ -315,13 +315,13 @@ class _Connection:
       verdict raises MetricError at every use, as an evaluation would;
     * for a constant metric and a constant bracket: Gamma (with dg = 0 the
       anchor does not enter); and dGamma = 0 wherever dS vanishes
-      identically.  The geodesic field folds the same constants into its
-      program when it is built.
+      identically.
 
-    A non-constant g is checked at the points of each call
+    The geodesic program reads none of these: its folding rule settles
+    the constants.  A non-constant g is checked at the points of each call
     (`_check_metric`), except in the geodesic field and the step, which
     hand g and dg to a stage log (`_stage_log`) that checks them in
-    batches, and which solve against g in their programs (`_solve`).
+    batches.
 
     With Gamma_{ij}^k = 1/2 S_{ijl} g^{lk}, the six Koszul terms of S are
     axis permutations of two contractions, P[a, b, c] = b^{au} d_u g_{bc}
@@ -385,26 +385,26 @@ class _Connection:
     def geodesic(self, y, keep):
         """The geodesic field at the states y (..., n + r), x and mu side
         by side: dy = (B^T mu, -Gamma(mu, mu)), from one run of the field
-        plan of the geodesic program (`_build_geodesic`), which for a
-        non-constant g also solves against it.  The record (x, G, dG) goes
+        plan of the geodesic program (`_build_geodesic`), which also solves
+        against g.  For a non-constant g the record (x, G, dG) goes
         unchecked to `keep`, the log of the caller's `_stage_log` block.
         Where the run raises EvalDomainError (a domain check of the chart's
         part, or a pivot of the solve that is not positive, as at a
-        singular g), g is evaluated alone and logged first, so a g that
-        fails there speaks first, as in `christoffel`, with that stage's
-        MetricError.  A constant g that is not SPD raises MetricError
-        before any program runs."""
+        singular g), the program's G group is run alone and logged first,
+        so a g that fails there speaks first, as in `christoffel`, with
+        that stage's MetricError.  A constant g that is not SPD raises
+        MetricError before any program runs."""
         x = y[..., : self.n]
         if not self.spd:
             _raise_not_spd(self.G, x)
         try:
             out = self.program.run(y, self.field)
         except EvalDomainError:
-            if self.G is None:  # g's own verdict comes first, as in `christoffel`
-                [(G, dG, _)] = self.metric.run(x, self.orders[0][1])
+            if self.field[0]:  # g varies: its own verdict comes first, as in `christoffel`
+                [(G, dG, _)] = self.program.run(y, (1,))
                 keep(x, G, dG)
             raise
-        if self.G is None:
+        if self.field[0]:
             G, dG, _ = out[0]
             keep(x, G, dG)
         return out[-1][0]
@@ -444,10 +444,9 @@ class _Connection:
             prog = self.program = Program(n, r + 1)
             self.stage1 = dy, groups = self._field_slots(prog, range(n + r), chart, metric)
             entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dy) if slot is not None]
-            orders = [None] * prog.add_group((n + r,), 0, entries, reads=groups) + [0]
-            if self.G is None:
-                orders[0] = 1  # G and dG, for the check of g
-            self.field = tuple(orders)
+            prog.add_group((n + r,), 0, entries, reads=groups)
+            # G and dG where g varies, for the check of g, then dy
+            self.field = (None if prog.constant(groups[0]) is not None else 1, None, None, 0)
         if increment is None or self.stepper is not None:
             return
         prog, (dy1, groups1) = self.program, self.stage1
@@ -460,7 +459,7 @@ class _Connection:
 
         y, h = SlotVector(prog, range(n + r)), SlotVector(prog, [n + r])
         y1 = y + increment(field, h, y, SlotVector(prog, dy1), None, None)
-        logged = [gs[0] for _, gs in stages] if self.G is None else []
+        logged = [gs[0] for _, gs in stages] if self.field[0] else []
         if logged:
             points = [(s, [((i, m), 1)]) for i, (x, _) in enumerate(stages) for m, s in enumerate(x)]
             prog.add_group((len(stages), n), 0, points)
@@ -476,11 +475,10 @@ class _Connection:
 
     def _field_slots(self, prog, z, chart, metric):
         """The geodesic field at the state slots z of `prog`, the n slots of
-        x then the r of mu.  Declares at x the groups G (order 1, only for
-        a non-constant g, whose record the log keeps) and B and C (order 0,
-        only where the evaluator holds no constants for them), and returns
-        from their slots or those constants the slots of dy = (B^T mu,
-        g^-1 F) (None: zero) and the groups.  With
+        x then the r of mu.  Declares at x the groups G (order 1), B and C
+        (order 0), G first, whatever is constant, and returns from their
+        slots the slots of dy = (B^T mu, g^-1 F) (None: zero) and the
+        groups.  With
 
             F_l = -(d_v g mu)_l + 1/2 b^{lu} mu^T d_u g mu + C_{mu l}^u (g mu)_u
 
@@ -491,29 +489,17 @@ class _Connection:
             K^{ij}_l = P_{lij} + Q_{ilj} + Q_{jli} - (P_{ilj} + P_{jli})  (i < j)
             K^{ii}_l = 1/2 P_{lii} + Q_{ili} - P_{ili}.
 
-        A constant g^-1 other than the identity multiplies K at build
-        time; a non-constant g is solved against in the program
-        (`_solve`).  Every op goes through the program's folding rule, so
-        coefficients that cancel (the symmetrized Gamma of a bi-invariant
-        metric) are exact zeros and their terms are left out."""
+        F is solved against g in the program (`_solve`).  Every op goes
+        through the program's folding rule, so the constants of b, C and g
+        fold where the program is built, coefficients that cancel (the
+        symmetrized Gamma of a bi-invariant metric) are exact zeros and
+        their terms are left out, and a unit pivot divides nothing."""
         n, r = chart.n, chart.r
         R = range(r)
         x, mu = z[:n], z[n:]
-
-        def constants(A):  # the slots of nested lists of floats, None for zeros
-            return [constants(a) for a in A] if isinstance(A, list) else prog.const(A)
-
-        groups = []
-        if self.G is None:  # declared first: its domain checks run first
-            groups.append(metric._declare(prog, 1, at=x))
-            G, dG = prog.slots(groups[0], 0), prog.slots(groups[0], 1)
-        else:
-            G, dG = constants(self.G.tolist()), None
-        if self.B is None or self.C is None:
-            groups += chart._declare(prog, 0, at=x)
-            B, C = prog.slots(groups[-2]), prog.slots(groups[-1])
-        else:  # the constants the evaluator holds, as `christoffel` reads them
-            B, C = constants(self.B.tolist()), constants(self.C.tolist())
+        # G declared first: its domain checks run first
+        g, b, c = groups = [metric._declare(prog, 1, at=x), *chart._declare(prog, 0, at=x)]
+        G, dG, B, C = prog.slots(g), prog.slots(g, 1), prog.slots(b), prog.slots(c)
         op, add, sub, mul = prog.op, operator.add, operator.sub, operator.mul
 
         def total(*slots):  # the sum of the slots that are not None
@@ -532,24 +518,22 @@ class _Connection:
 
         some = lambda row: any(s is not None for s in row)
         zero = [[None] * r for _ in R]
-        P = [[[dot(B[a], dG[b][c]) for c in R] for b in R] if dG and some(B[a]) else zero for a in R]
+        P = [[[dot(B[a], dG[b][c]) for c in R] for b in R] if some(B[a]) else zero for a in R]
         columns = list(zip(*G))
         Q = [[[dot(C[a][b], columns[c]) for c in R] if some(C[a][b]) else zero[0] for b in R] for a in R]
-        Gi = None if self.Gi is None or (self.Gi == np.eye(r)).all() else constants(self.Gi.tolist())
         K, half = {}, prog.const(0.5)
         for i, j in itertools.combinations_with_replacement(R, 2):
             if i == j:
-                Kij = [op(sub, total(op(mul, half, P[l][i][i]), Q[i][l][i]), P[i][l][i]) for l in R]
+                K[i, j] = [op(sub, total(op(mul, half, P[l][i][i]), Q[i][l][i]), P[i][l][i]) for l in R]
             else:
-                Kij = [
+                K[i, j] = [
                     op(sub, total(P[l][i][j], Q[i][l][j], Q[j][l][i]), total(P[i][l][j], P[j][l][i]))
                     for l in R
                 ]
-            K[i, j] = Kij if Gi is None else [dot(row, Kij) for row in Gi]
         mumu = [op(mul, mu[i], mu[j]) for i, j in K]
         dx = [dot(mu, [row[m] for row in B]) for m in range(n)]
         F = [dot(mumu, [Kij[k] for Kij in K.values()]) for k in R]
-        return dx + (F if self.G is not None else _solve(prog, G, F)), groups
+        return dx + _solve(prog, G, F), groups
 
     def _koszul(self, base, B, C, G, dG):
         r = G.shape[-1]
@@ -614,8 +598,10 @@ def _solve(prog, G, F):
     without pivoting, which an SPD G needs none of, then back
     substitution.  Each division by a pivot checks it positive first, so a
     g that is not SPD raises EvalDomainError there and never divides by
-    zero; on a diagonal G the ops fold to F_l / g_ll, the bits of
-    `np.linalg.solve`."""
+    zero.  Through the folding rule the steps on constant entries run at
+    build time: a constant pivot's check is settled there, a unit pivot
+    divides nothing (an identity G leaves F as it is), and on a diagonal
+    G the ops fold to F_l / g_ll, the bits of `np.linalg.solve`."""
     op, sub, mul, div = prog.op, operator.sub, operator.mul, operator.truediv
     r = len(F)
     A, b = [list(row) for row in G], list(F)

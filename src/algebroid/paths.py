@@ -10,7 +10,7 @@ with dense cubic-Hermite output (node states plus node derivatives); an
 geodesic field of the pair, one run of the field plan of its geodesic
 program (`metric._geodesic`) on the state y = (x, mu) per RK4 stage: the
 Koszul form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x)
-and, for a non-constant g, solved against g inside the program, so
+and solved against g, constant or not, inside the program, so
 Gamma is never formed on the way.  A single geodesic runs the step plan
 of the same program once per RK4 step instead: from (y_k, h) it gives
 the slope at y_k and y_{k+1}, with the four stages and the arithmetic of

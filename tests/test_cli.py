@@ -247,6 +247,18 @@ class TestGeodesicVerb:
         assert rc == 1
         assert err.startswith("check failed: trajectory reached a non-finite state")
 
+    def test_a_domain_error_mid_run_under_a_varying_metric_exits_2(self, tmp_path, capsys):
+        # g = 1 + 0*x1 varies by its expression, its partials vanish; the
+        # anchor's sqrt fails once x1 reaches 0.5
+        f = tmp_path / "c.chart"
+        f.write_text("[algebroid]\nn = 1\nr = 1\ndomain = -2,2\nb = 1 + 0*sqrt(0.5 - x1)\n"
+                     "[metric]\ng 1,1 = 1 + 0*x1\n")
+        rc = main(["geodesic", "--chart", str(f), "--x", "0", "--mu", "1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: sqrt of a non-positive value in subexpression 'sqrt(0.5 - x1)'\n"
+        )
+
 
 class TestHamcheckVerb:
     def test_affine_algebra(self, tmp_path, capsys):
@@ -628,14 +640,20 @@ def test_a_negative_value_reads_as_its_equals_form(argv, tmp_path, capsys):
         ("validate --catalog nope", "unknown catalog entry 'nope'; available: " + ", ".join(catalog.names())),
         ("validate --chart missing.chart", "chart file not found: missing.chart"),
         ("catalog --name nope", "unknown catalog entry 'nope'; available: " + ", ".join(catalog.names())),
+        # an --out that names an existing file
+        ("validate --catalog euclidean2 --out a_file", "--out a_file: cannot make the directory (File exists)"),
     ],
 )
 def test_a_bad_point_or_source_exits_2(argv, error, tmp_path, capsys, monkeypatch):
+    # exit 2 leaves no file behind: none in --out, and a_file as it was
     monkeypatch.chdir(tmp_path)
-    rc = main([*argv.split(), "--out", str(tmp_path / "out")])
+    (tmp_path / "a_file").write_text("kept\n")
+    words = argv.split()
+    rc = main(words if "--out" in words else [*words, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {error}\n"
-    assert not (tmp_path / "out" / "report.txt").exists()
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == [tmp_path / "a_file"]
+    assert (tmp_path / "a_file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

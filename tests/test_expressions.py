@@ -1,4 +1,5 @@
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -569,3 +570,41 @@ class TestProgram:
                 _close(t.g[m], g[m])
                 for l in range(3):
                     _close(t.h[m, l], h[m][l])
+
+    @staticmethod
+    def slot_program():
+        """A Program(1) with the group x1 declared, as a program declares
+        its groups before `op` combines their slots."""
+        prog = Program(1)
+        prog.add_group((), 0, [(parse("x1", 1), [((), 1)])])
+        return prog
+
+    def test_a_quotient_by_the_constant_one_is_its_dividend(self):
+        # a / 1.0 is a: no op, and the check of the unit divisor is settled
+        prog = self.slot_program()
+        assert prog.op(operator.truediv, 0, prog.const(1.0), ("pivot", "g")) == 0
+        assert prog._ops == []
+
+    def test_a_check_that_a_constant_passes_is_dropped(self):
+        prog = self.slot_program()
+        s = prog.op(operator.truediv, 0, prog.const(2.0), ("pivot", "g"))
+        [(f, out, a, b, check)] = prog._ops
+        assert (f, out, a, b, check) == (operator.truediv, s, 0, prog.const(2.0), None)
+        prog.add_group((), 0, [(s, [((), 1)])])
+        values = prog.run(np.array([[3.0], [-1.0]]), (None, 0))[1][0]
+        assert values.tolist() == [1.5, -0.5]
+
+    @pytest.mark.parametrize("divisor", [0.0, -2.0])
+    @pytest.mark.parametrize("dividend", ["x1", "constant"])
+    def test_a_check_that_a_constant_fails_raises_at_every_point(self, divisor, dividend):
+        # the op stays, with its check, also where every argument is constant
+        prog = self.slot_program()
+        a = 0 if dividend == "x1" else prog.const(3.0)
+        s = prog.op(operator.truediv, a, prog.const(divisor), ("pivot 1 not positive", "g"))
+        assert prog._vals[s] is None and prog._ops[-1][4] is not None
+        prog.add_group((), 0, [(s, [((), 1)])])
+        for pts in (np.array([3.0]), np.array([[3.0], [-1.0]])):
+            # raised before it divides
+            with warnings.catch_warnings(), pytest.raises(EvalDomainError, match="pivot 1 not positive"):
+                warnings.simplefilter("error")
+                prog.run(pts, (None, 0))

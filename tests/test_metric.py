@@ -218,16 +218,16 @@ class TestConnectionEvaluator:
     @pytest.mark.parametrize(
         "name,runs",
         [
-            ("sphere_chart", [(1, 0)]),
-            ("heisenberg_central", [(0,)]),
-            ("twisted", [(None, None, 0)]),
+            ("sphere_chart", [(1, None, None, 0)]),
+            ("heisenberg_central", [(None, None, None, 0)]),
+            ("twisted", [(None, None, None, 0)]),
         ],
     )
     def test_program_runs_per_geodesic_rhs(self, name, runs, twisted_chart, monkeypatch):
         # one run of the geodesic field program: its field group, and on
         # sphere (g varies) the metric group G at order 1 for the check of
-        # g.  A constant B, C or g enters as constants; twisted (B and C
-        # vary) declares the chart's groups, which the field reads by slot
+        # g.  Every pair declares G, B and C, which the field reads by
+        # slot, constant or not
         from algebroid import expressions
         from algebroid.paths import geodesic_rhs
 

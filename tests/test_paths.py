@@ -1189,3 +1189,83 @@ class TestStepProgramFailures:
         with pytest.raises(DomainExitError) as err:
             geodesic_integrate(chart, metric, AVector([0.0, 0.0], [5.0, 0.0]), (0.0, 1.0), 1e-2)
         assert err.value.path.ts[-1] < err.value.time
+
+    @pytest.mark.parametrize(
+        "name, x0, mu0",
+        [
+            # the increment overflows: k1 + 2 k2 is 3e308
+            ("euclidean2", [0.0, 0.0], [1e308, 0.0]),
+            # a field stage overflows: mu2 mu2 is 1e310
+            ("aff2", [0.0], [1e155, 1e155]),
+        ],
+    )
+    def test_an_overflow_inside_a_step(self, name, x0, mu0, monkeypatch):
+        # the step run raises under numpy's raising error state; the replay
+        # warns as `_rk4` over the field does and stops at the first node,
+        # which is not finite
+        import warnings
+
+        chart, metric = catalog.get(name).chart, catalog.get(name).metric
+        x0, mu0 = np.array(x0), np.array(mu0)
+        ts, n = paths._grid((0.0, 1.0), self.STEP), chart.n
+        field = metric_module._geodesic(chart, metric).geodesic
+
+        def node(k, y, ys, ds):  # the node check of a single geodesic
+            if not np.isfinite(y).all():
+                raise NonFiniteError(float(ts[k]), None)
+            if not chart.contains(y[:n]):
+                raise DomainExitError(float(ts[k]), None)
+
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            raised, replays = self.run_counting_replays(chart, metric, x0, mu0, monkeypatch)
+        with warnings.catch_warnings(record=True) as seen_by_field:
+            warnings.simplefilter("always")
+            with metric_module._stage_log() as keep:
+                y0 = np.concatenate([x0, mu0])
+                expected = _raised(lambda: _rk4(lambda j, y: field(y, keep), ts, y0, on_node=node))
+        assert type(raised) is type(expected) is NonFiniteError
+        assert raised.time == expected.time == 0.1 and len(raised.path.ts) == 1
+        messages = [(w.category, str(w.message)) for w in seen]
+        assert messages and messages == [(w.category, str(w.message)) for w in seen_by_field]
+        assert all(category is RuntimeWarning for category, _ in messages)
+        assert replays == 1
+
+
+class TestGeodesicProgramFolds:
+    """The geodesic program is built from the chart's and metric's
+    expressions alone, and the folding rule settles their constants: no op
+    of its field or step plan divides by the constant 1.0 (a unit pivot of
+    the solve) or checks a constant slot."""
+
+    @pytest.mark.parametrize("name", [*catalog.names(), "twisted", "aff2_varying", "twisted_varying"])
+    def test_no_unit_divisor_and_no_check_of_a_constant(self, name, twisted_chart):
+        import operator
+
+        chart, metric = _route_case(name, twisted_chart)
+        ev = metric_module._geodesic(chart, metric, _increment)
+        prog = ev.program
+        for orders in (ev.field, ev.stepper[0]):
+            ops = prog._plan(orders)[0]
+            assert not [op for op in ops if op[0] is operator.truediv and prog._vals[op[3]] == 1.0]
+            assert not [op for op in ops if op[4] is not None and prog._vals[op[4][1]] is not None]
+
+
+class TestDomainErrorOfAVaryingMetric:
+    """A domain error of the chart met mid-run, under a g that varies by
+    its expression but whose partials vanish identically (g = 1 + 0*x1):
+    the stage log takes g at the failing stage as it takes every other
+    record, so the run raises the EvalDomainError."""
+
+    def test_single_start_batch_and_geodesic_rhs_raise_the_domain_error(self):
+        chart = AlgebroidChart(n=1, r=1, b=[["1 + 0*sqrt(0.5 - x1)"]], domain=[(-2.0, 2.0)])
+        metric = MetricField({(1, 1): "1 + 0*x1"}, r=1, n=1)
+        message = r"sqrt of a non-positive value in subexpression 'sqrt\(0\.5 - x1\)'"
+        runs = [
+            lambda: geodesic_integrate(chart, metric, AVector([0.0], [1.0]), (0.0, 1.0), 1e-2),
+            lambda: paths._geodesics(chart, metric, [[0.0], [0.0]], [[0.2], [1.0]], (0.0, 1.0), 1e-2),
+            lambda: paths.geodesic_rhs(chart, metric, [[0.0], [0.6]], [[1.0], [1.0]]),
+        ]
+        for run in runs:
+            with pytest.raises(EvalDomainError, match=message):
+                run()
