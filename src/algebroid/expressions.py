@@ -293,15 +293,19 @@ class _Parser:
 # m <= l, to that of d_m d_l; a partial that vanishes identically has no
 # slot (None).  An op is data: (function, out slot, argument slots a and b,
 # domain check or None), b None for a unary function.  `Program.run` is its
-# one interpreter, and a second one (over intervals, say) can walk the same
-# list.  Ops are interpreted, not compiled per program: every CLI verb
-# builds its chart anew, and compiling would
-# cost more than that.
+# interpreter and `Program.compile` its second emitter, which writes one
+# plan out as Python source; a third walk (over intervals, say) can read
+# the same list.
 # ---------------------------------------------------------------------------
 
 _ADD, _SUB, _MUL, _DIV, _NEG = (
     operator.add, operator.sub, operator.mul, operator.truediv, operator.neg
 )
+_INFIX = {_ADD: "+", _SUB: "-", _MUL: "*", _DIV: "/"}
+_TESTS = {operator.le: "<=", operator.eq: "=="}
+# terms of the finiteness sum a compiled plan adds up per source line: one
+# sum of a few thousand terms nests too deep for Python's compiler
+_SUM_TERMS = 64
 
 
 class Jet(NamedTuple):
@@ -337,6 +341,22 @@ class Program:
     tuples of orders, each copying only the slots it reaches): the field, a
     group of slots over the base point x and the fiber point mu, and the
     RK4 step, groups declared later at each stage's point (`SlotVector`).
+
+    `compile` is a second emitter over the same op list: it writes one
+    plan out once as the source of a Python function of a single point
+    given as floats (`points.tolist()`), which returns the values of given
+    slots, the bits `run` gives there.  `+ - * /` run inline as float
+    arithmetic (IEEE double, as numpy's), numpy's functions stay numpy's,
+    wrapped in `float`, and a domain check is an inline test that raises
+    the same EvalDomainError.  A compile costs 0.5-2 ms, the time of some
+    50 to 300 interpreted single-point runs, so only the RK4 step of a
+    single geodesic is compiled: it runs its plan once per step (200 times
+    per geodesic of perfbench's `geodesic_fan`).  Every other plan keeps
+    the interpreter:
+    a batch spends its time inside numpy's loops, the field plan of a
+    single geodesic runs once per geodesic, and the pointwise CLI verbs run
+    each of their 21-25 single-point plans once or twice (compiled on first
+    use, they would cost about 6 % of a `pointwise_checks` cycle).
     """
 
     @classmethod
@@ -357,6 +377,7 @@ class Program:
         self._ops = []  # (function, out slot, a, b or None, check or None)
         self._memo = {}
         self._groups = []  # per group: (order, one spec per level, checked slots)
+        self._checked = set()  # checked slots of the group being declared, or of `op`'s quotients
         self._plans = {}
 
     # -- building -----------------------------------------------------------
@@ -591,10 +612,10 @@ class Program:
     def slots(self, group, level=0):
         """The slots of a level of a group, as nested lists of its shape:
         the slot of a cell that points change, a constant slot for any
-        other nonzero cell, None for a zero cell."""
+        other cell but 0.0 (-0.0 included), None for a 0.0 cell."""
         tmpl, point, _ = self._groups[group][1][level]
         out = np.full(tmpl.shape, None, dtype=object)
-        for cell in zip(*np.nonzero(tmpl)):
+        for cell in map(tuple, np.argwhere((tmpl != 0.0) | np.signbit(tmpl))):
             out[cell] = self._k(tmpl[cell])
         for cell, _, s in point:
             out[cell] = s
@@ -631,6 +652,57 @@ class Program:
         top = 1 + max(ops[-1][1] if ops else -1, inputs[-1] if inputs else -1)
         self._plans[orders] = plan = ops, inputs, levels, top
         return plan
+
+    def compile(self, orders, outputs):
+        """The plan of `orders` (as in `run`) as one Python function of
+        the n + values coordinates of a single point, a list of floats.  It
+        runs the plan's ops and domain checks and returns, per output (a
+        list of slots the plan computes or constants, None for zero), the
+        tuple of their values: the bits a `run` gives in those cells.
+
+        Python floats overflow to inf and turn invalid operations into NaN
+        without a word, where numpy under a raising error state (`np.errstate`)
+        raises, also at a value that a later op absorbs (1 / inf).  So the
+        function tests the sum of every value the ops compute, which is
+        finite only if each of them is, and raises FloatingPointError where
+        it is not: wherever numpy would raise, and also where the sum alone
+        overflows, whatever the error state.  A division by zero that no
+        check stops raises ZeroDivisionError.  numpy's functions follow
+        numpy's error state."""
+        ops = (self._plans.get(orders) or self._plan(orders))[0]
+        env = {"EvalDomainError": EvalDomainError, "isfinite": math.isfinite}
+
+        def name(s):
+            c = 0.0 if s is None else self._vals[s]
+            if c is None:
+                return f"s{s}"
+            if math.isfinite(c):
+                return f"({c!r})"
+            env[f"k{s}"] = c
+            return f"k{s}"
+
+        lines = ["def plan(v):", "    " + "".join(f"s{i}, " for i in range(self._width)) + "= v"]
+        for f, out, a, b, check in ops:
+            if check is not None:
+                test, x, message, node = check
+                env[f"e{out}"] = message, node
+                lines += [f"    if {name(x)} {_TESTS[test]} 0.0:", f"        raise EvalDomainError(*e{out})"]
+            if f is _NEG:
+                value = f"-{name(a)}"
+            elif f in _INFIX:
+                value = f"{name(a)} {_INFIX[f]} {name(b)}"
+            else:
+                env[f.__name__] = f
+                value = f"float({f.__name__}({name(a)}{'' if b is None else ', ' + name(b)}))"
+            lines.append(f"    s{out} = {value}")
+        terms = [f"s{op[1]}" for op in ops]
+        for k in range(0, len(terms), _SUM_TERMS):
+            lines.append(f"    t = {'t + ' if k else ''}{' + '.join(terms[k:k + _SUM_TERMS])}")
+        if terms:
+            lines += ["    if not isfinite(t):", '        raise FloatingPointError("a value of the plan is not finite")']
+        lines.append("    return (" + "".join(f"({''.join(name(s) + ', ' for s in out)}), " for out in outputs) + ")")
+        exec(compile("\n".join(lines), "<Program plan>", "exec"), env)
+        return env["plan"]
 
     def run(self, points, orders):
         """Evaluate on points (..., n + values) with one derivative order

@@ -45,7 +45,9 @@ geodesic's first run appends the RK4 step to the same program: from
 (y, h), stages 2 to 4 are the field's slots at their stage states, stage
 1 is the field's own, and the arithmetic is the RK4 increment of `paths`
 run on slots, so one run of the step plan gives the bits of four field
-runs.
+runs.  The step plan, and it alone, is compiled once to a Python function
+on floats (`Program.compile`), which returns k1, the next state and the
+stage records of g as three flat tuples.
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
 and the derivatives of g it computes there must be finite.  Every
@@ -214,28 +216,54 @@ def _check_metric(G, dG, points):
 @contextlib.contextmanager
 def _stage_log():
     """The one rule for when g is checked at the points of geodesic field
-    runs.  Yields keep(x, G, dG), which logs the record of one run (see
-    `_Connection.geodesic`); the log is checked in one batched pass
-    whenever it holds STAGE_LOG_RECORDS records, when the block ends and
-    before any exception leaves it.  A failing pass walks the records in
-    the order they were kept, so the first failing one raises the error of
-    its own `_check_metric`, even where the block went on past it and then
-    failed otherwise.  All records of a log share one shape."""
-    records = []
+    runs.  Yields keep, which logs records of g unchecked: keep(x, G, dG)
+    the record of one field run (see `_Connection.geodesic`), and
+    keep(record, (stages, n, r)) the records of the stages of one RK4 step
+    as one flat tuple, each stage's x (n), G (r, r) and dG (r, r, n) in
+    turn (see `_Connection.step`).  The log is checked in one batched pass
+    whenever it holds STAGE_LOG_RECORDS records of field runs or stages,
+    when the block ends and before any exception leaves it.  A failing pass
+    walks the records in the order they were kept, a step's stage by
+    stage, so the first failing one raises the error of its own
+    `_check_metric`, even where the block went on past it and then failed
+    otherwise.  All field records of a log share one shape, and so do all
+    step records."""
+    records, kept = [], 0  # kept: records of field runs and stages since the last check
 
     def check():
+        nonlocal kept
         if not records:
             return
-        xs, Gs, dGs = zip(*records)
+        log = records[:]
         records.clear()
-        if _is_spd(np.array(Gs)) and np.isfinite(np.array(dGs)).all():
+        kept = 0
+        runs = [rec for rec in log if len(rec) == 3]
+        steps = [rec for rec in log if len(rec) == 2]
+        parts = []  # G and dG of the field runs (lists), then of the steps' stages
+        if runs:
+            parts.append(([G for _, G, _ in runs], [dG for _, _, dG in runs]))
+        if steps:
+            _, n, r = steps[0][1]
+            rows = np.array([flat for flat, _ in steps]).reshape(-1, n + r * r * (1 + n))
+            xs, Gs, dGs = rows[:, :n], rows[:, n : n + r * r].reshape(-1, r, r), rows[:, n + r * r :].reshape(-1, r, r, n)
+            parts.append((Gs, dGs))
+        # one stacked array at a time: holding G and dG of a 441-row batch
+        # together made its 20-step run about 20 % slower
+        if _is_spd(_stacked([G for G, _ in parts])) and all(np.isfinite(dG).all() for _, dG in parts):
             return
-        for x, G, dG in zip(xs, Gs, dGs):
-            _check_metric(G, dG, x)
+        stages = zip(xs, Gs, dGs) if steps else None
+        for rec in log:
+            if len(rec) == 3:
+                _check_metric(rec[1], rec[2], rec[0])
+            else:
+                for x, G, dG in itertools.islice(stages, rec[1][0]):
+                    _check_metric(G, dG, x)
 
-    def keep(x, G, dG):
-        records.append((x, G, dG))
-        if len(records) == STAGE_LOG_RECORDS:
+    def keep(*record):
+        nonlocal kept
+        records.append(record)
+        kept += 1 if len(record) == 3 else record[1][0]
+        if kept >= STAGE_LOG_RECORDS:
             check()
 
     try:
@@ -244,6 +272,14 @@ def _stage_log():
         check()
         raise
     check()
+
+
+def _stacked(Gs):
+    """One array of the matrices (..., r, r) of the arrays, or lists of
+    arrays, in Gs."""
+    if len(Gs) == 1:
+        return np.asarray(Gs[0])
+    return np.concatenate([np.reshape(G, (-1,) + np.shape(G)[-2:]) for G in Gs])
 
 
 class Christoffel:
@@ -303,8 +339,8 @@ class _Connection:
     program for B and C and the metric's for G and hands them back in one
     `Christoffel` (whose S, Gamma and dGamma it forms on request), holds
     the geodesic program once a geodesic asks for it, with the field plan
-    (`geodesic`) and, once a single geodesic asks, the RK4 step plan
-    (`step`), and settles what does not depend on the point:
+    (`geodesic`) and, once a single geodesic asks, the RK4 step plan,
+    compiled (`step`), and settles what does not depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
@@ -340,7 +376,7 @@ class _Connection:
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
         self.Gi = self.gamma = None
         # the geodesic program (`_build_geodesic`), the field's orders, stage 1's
-        # (dy slots, groups), the step's (orders, logged G groups, k1 group)
+        # (dy slots, groups), the step's (orders, compiled plan, record layout)
         self.program = self.field = self.stage1 = self.stepper = None
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
         self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
@@ -411,23 +447,24 @@ class _Connection:
 
     def step(self, y, h, keep):
         """One RK4 step of the geodesic field from the state y (n + r,)
-        with step h: (k1, y1), the slope at y and the next state, from one
-        run of the step plan of the geodesic program on the point (y, h),
-        the bits `paths._rk4` makes of four field runs.  For a non-constant
-        g the records (x, G, dG) of the four stages go unchecked to `keep`,
-        in stage order.  Where the run raises, the caller replays its
-        geodesic through the field.  A constant g that is not SPD raises
-        MetricError before any program runs."""
+        with step h: (k1, y1) as tuples of floats, the slope at y and the
+        next state, from one call of the step plan of the geodesic program,
+        compiled to Python (`Program.compile`), on the point (y, h): the
+        bits `paths._rk4` makes of four field runs.  For a non-constant g
+        the records (x, G, dG) of the four stages go unchecked to `keep` as
+        one flat tuple, each stage's x, G and dG in turn.  The plan runs on
+        Python floats, so it raises where a value it computes is not
+        finite (FloatingPointError), as numpy does under the raising error
+        state the caller runs it in; where it raises, the caller replays
+        its geodesic through the field.  A constant g that is not SPD
+        raises MetricError before any program runs."""
         if not self.spd:
             _raise_not_spd(self.G, y[: self.n])
-        orders, logged, k1 = self.stepper
-        z = np.empty(len(y) + 1)
-        z[:-1], z[-1] = y, h
-        out = self.program.run(z, orders)
-        if logged:
-            for x, g in zip(out[-2][0], logged):
-                keep(x, *out[g][:2])
-        return out[k1][0], out[-1][0]
+        _, plan, layout = self.stepper
+        k1, y1, record = plan([*y.tolist(), float(h)])
+        if layout is not None:
+            keep(record, layout)
+        return k1, y1
 
     def _build_geodesic(self, chart, metric, increment=None):
         """Build what is not built yet of the geodesic program, a `Program(n,
@@ -438,7 +475,8 @@ class _Connection:
         arithmetic numpy does, signed zeros included, with stages 2 to 4
         the field's slots at their states, so a step is the bits of four
         field runs; for a non-constant g, the stages' G groups and a group
-        of their base points (4, n) give the records of the stage log."""
+        of their base points (4, n) give the records of the stage log.  The
+        step plan is compiled once, here (`Program.compile`)."""
         n, r = chart.n, chart.r
         if self.program is None:
             prog = self.program = Program(n, r + 1)
@@ -465,13 +503,16 @@ class _Connection:
             prog.add_group((len(stages), n), 0, points)
         groups = [g for _, gs in stages for g in gs]
         last = prog.add_group((n + r,), 0, [(s, [((k,), 1)]) for k, s in enumerate(y1.slots)], reads=groups)
-        orders, k1 = [None] * (last + 1), len(self.field) - 1
+        orders = [None] * (last + 1)
         for g in logged:
             orders[g] = 1
         if logged:
             orders[last - 1] = 0  # the points
-        orders[k1] = orders[last] = 0
-        self.stepper = tuple(orders), logged, k1
+        orders[len(self.field) - 1] = orders[last] = 0  # k1, y1
+        # the stage log's record: x, G and dG of each stage in turn
+        record = [s for (x, _), g in zip(stages, logged) for s in [*x, *_flat(prog, g, 0), *_flat(prog, g, 1)]]
+        plan = prog.compile(tuple(orders), [dy1, y1.slots, record])
+        self.stepper = tuple(orders), plan, (len(stages), n, r) if logged else None
 
     def _field_slots(self, prog, z, chart, metric):
         """The geodesic field at the state slots z of `prog`, the n slots of
@@ -619,6 +660,11 @@ def _solve(prog, G, F):
             acc = op(sub, acc, op(mul, A[k][j], z[j]))
         z[k] = op(div, acc, A[k][k], pivot(k))
     return z
+
+
+def _flat(prog, group, level):
+    """The slots of a level of a group of a program, its cells in C order."""
+    return np.array(prog.slots(group, level), dtype=object).ravel().tolist()
 
 
 def _cap(prog, group, order):

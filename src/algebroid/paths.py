@@ -12,9 +12,10 @@ program (`metric._geodesic`) on the state y = (x, mu) per RK4 stage: the
 Koszul form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x)
 and solved against g, constant or not, inside the program, so
 Gamma is never formed on the way.  A single geodesic runs the step plan
-of the same program once per RK4 step instead: from (y_k, h) it gives
-the slope at y_k and y_{k+1}, with the four stages and the arithmetic of
-`_increment` in one pass over scalars, the bits of the four field runs.
+of the same program once per RK4 step instead, compiled to one Python
+function on floats: from (y_k, h) it gives the slope at y_k and
+y_{k+1}, with the four stages and the arithmetic of `_increment` in one
+pass, the bits of the four field runs.
 Coefficients that cancel fold to exact zeros when the programs are
 built, so charts whose Gamma is antisymmetric in the lower pair
 (bi-invariant Lie algebras) keep the fiber coordinates constant to the
@@ -383,14 +384,20 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     on a failure: the rows before the failing one are integrated twice.
 
     A single start runs the step plan once per step (appended to the
-    pair's geodesic program on its first single start, `metric._geodesic`)
-    and the field plan once, at the last node: bit for bit the `_rk4`
-    route over the field.  It runs under numpy's raising error state, so
-    where that route would warn, the step run raises instead.  Any
-    exception from a step run, other than a node check's, replays the
-    start through `_rk4` over the field, which then raises its own error,
-    with its error order, partial path and warnings, or, where numpy only
-    warned, returns its result.
+    pair's geodesic program on its first single start and compiled then,
+    `metric._geodesic`) and the field plan once, at the last node: bit for
+    bit the `_rk4` route over the field.  The step runs on Python floats
+    under numpy's raising error state, so where that route would warn, the
+    step raises instead: numpy's functions raise FloatingPointError
+    themselves, a division by zero raises ZeroDivisionError, and since
+    float arithmetic overflows to inf and NaN without a word, the step
+    tests the sum of every value it computes, which is finite only if
+    each value is, and raises FloatingPointError where it is not, also
+    where a later op absorbed the inf (a sum that overflows on its own
+    only costs a replay).  Any exception from a step, other than a node
+    check's, replays the start through `_rk4` over the field, which then
+    raises its own error, with its error order, partial path and
+    warnings, or, where numpy only warned, returns its result.
 
     A non-constant g is checked at every stage point, but not stage by
     stage: each run of a start (the batch, a single start, or a replayed

@@ -434,8 +434,9 @@ class TestOtherVerbs:
         # on the first geodesic use of a pair, which these verbs never make;
         # hamcheck makes one and is stopped by the second patch.  Its step
         # phase is built on the first single geodesic, which no pointwise
-        # verb integrates.
+        # verb integrates.  Nor does any of them compile a program.
         from algebroid import metric
+        from algebroid.expressions import Program
 
         build = metric._Connection._build_geodesic
 
@@ -447,7 +448,11 @@ class TestOtherVerbs:
         def refused(*args):
             raise AssertionError("the geodesic field was built")
 
+        def not_compiled(*args):
+            raise AssertionError("a program was compiled")
+
         monkeypatch.setattr(metric._Connection, "_build_geodesic", field_only)
+        monkeypatch.setattr(Program, "compile", not_compiled)
         for name in catalog.names():
             for verb in ("validate", "curvature", "oneill", "divergence", "hamcheck"):
                 out = tmp_path / "step" / verb / name

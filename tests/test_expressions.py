@@ -594,6 +594,17 @@ class TestProgram:
         values = prog.run(np.array([[3.0], [-1.0]]), (None, 0))[1][0]
         assert values.tolist() == [1.5, -0.5]
 
+    def test_a_checked_quotient_built_before_any_group(self):
+        # `op` before the first `add_group`: x1 / x2, checked x2 > 0
+        prog = Program(2)
+        s = prog.op(operator.truediv, 0, 1, ("pivot", "g"))
+        prog.add_group((), 0, [(s, [((), 1)])])
+        assert prog.run(np.array([3.0, 2.0]), (0,))[0][0] == 1.5
+        for pts in (np.array([3.0, 0.0]), np.array([[3.0, 2.0], [1.0, -1.0]])):
+            with pytest.raises(EvalDomainError, match="pivot in subexpression 'g'") as err:
+                prog.run(pts, (0,))
+            assert err.value.node == "g"
+
     @pytest.mark.parametrize("divisor", [0.0, -2.0])
     @pytest.mark.parametrize("dividend", ["x1", "constant"])
     def test_a_check_that_a_constant_fails_raises_at_every_point(self, divisor, dividend):
@@ -608,3 +619,49 @@ class TestProgram:
             with warnings.catch_warnings(), pytest.raises(EvalDomainError, match="pivot 1 not positive"):
                 warnings.simplefilter("error")
                 prog.run(pts, (None, 0))
+
+
+class TestCompiledPlan:
+    """`Program.compile` writes a plan out as a Python function of floats:
+    its outputs have the bits `run` gives at the point, and a domain check
+    raises the same EvalDomainError, message and node."""
+
+    POINTS = ([0.7, 0.3], [1.3, 0.4], [2.1, 1.7], [0.4, -0.0])
+
+    @staticmethod
+    def cells(prog, level):
+        return np.array(prog.slots(0, level), dtype=object).ravel().tolist()
+
+    @pytest.mark.parametrize(
+        "text, bad",
+        [
+            ("sin(x1*x2)", None),
+            ("cos(x1 - x2)", None),
+            ("tan(x1/2 + x2)", None),
+            ("exp(x1*x2)", None),
+            ("log(x1 - x2)", [0.5, 1.0]),
+            ("sqrt(x1 - x2)", [0.5, 1.0]),
+            ("sinh(x2) * x1", None),
+            ("cosh(x1 - x2)", None),
+            ("x1^3 - x2", None),
+            ("x1^-2 + x2", [0.0, 1.0]),
+            ("x1^1.5 * x2", [-0.5, 1.0]),
+            ("x1^x2", [-0.5, 1.0]),
+            ("x2 / (x1 - 1)", [1.0, 2.0]),
+            # d/dx1 is the constant -0.0: a cell of the template, not 0.0
+            ("-0*x1 + x2", None),
+        ],
+    )
+    def test_bits_and_domain_errors_match_run(self, text, bad):
+        prog = Program.of(parse(text, 2))
+        plan = prog.compile((2,), [self.cells(prog, k) for k in range(3)])
+        for x in self.POINTS:
+            want = prog.run(np.array(x), (2,))[0]
+            for got, level in zip(plan(list(x)), want):
+                assert np.array(got, dtype=float).tobytes() == level.tobytes()
+        if bad is not None:
+            with pytest.raises(EvalDomainError) as expected:
+                prog.run(np.array(bad), (2,))
+            with pytest.raises(EvalDomainError) as raised:
+                plan(bad)
+            assert str(raised.value) == str(expected.value) and raised.value.node is expected.value.node

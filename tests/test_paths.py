@@ -1037,8 +1037,8 @@ class TestStageLog:
 
 class TestGeodesicFieldCost:
     """A single geodesic runs the step plan of the pair's one geodesic
-    program once per RK4 step and its field plan once, at the last node,
-    and forms no connection record."""
+    program, compiled once per pair, once per RK4 step and its field plan
+    (interpreted) once, at the last node, and forms no connection record."""
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
     def test_one_step_run_per_step_and_no_connection_record(self, name, twisted_chart, monkeypatch):
@@ -1051,23 +1051,49 @@ class TestGeodesicFieldCost:
         start = AVector(chart.center(), 0.2 * np.ones(chart.r))
         geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds both phases
         [ev] = metric._cache.values()
-        step_orders = ev.stepper[0]
+        orders, plan, layout = ev.stepper
 
         def refuse(*args):
             raise AssertionError("a connection record was formed")
 
-        runs, run = [], Program.run
+        runs, run, steps = [], Program.run, []
 
         def counted(p, points, orders):
             runs.append((p, np.shape(points), orders))
             return run(p, points, orders)
 
+        def counted_plan(values):
+            steps.append(len(values))
+            return plan(values)
+
         monkeypatch.setattr(metric_module._Connection, "christoffel", refuse)
         monkeypatch.setattr(Program, "run", counted)
+        monkeypatch.setattr(ev, "stepper", (orders, counted_plan, layout))
         path = geodesic_integrate(chart, metric, start, (0.0, 0.2), 1e-3)
         assert len(path.ts) == 201
         width = chart.n + chart.r
-        assert runs == [(ev.program, (width + 1,), step_orders)] * 200 + [(ev.program, (width,), ev.field)]
+        assert steps == [width + 1] * 200
+        assert runs == [(ev.program, (width,), ev.field)]
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_a_pair_compiles_its_step_plan_once(self, name, twisted_chart, monkeypatch):
+        from algebroid.expressions import Program
+
+        chart, metric = _route_case(name, twisted_chart)
+        # a metric of its own: no geodesic has run on the pair yet
+        metric = MetricField({(i + 1, j + 1): str(e) for (i, j), e in metric.entries.items()}, metric.r, metric.n)
+        compiles, compile_plan = [], Program.compile
+
+        def counted(p, orders, outputs):
+            compiles.append(p)
+            return compile_plan(p, orders, outputs)
+
+        monkeypatch.setattr(Program, "compile", counted)
+        xs = sample_box(chart.domain, 2, seed=5, shrink=0.3)
+        geodesic_integrate(chart, metric, AVector(xs[0], 0.2 * np.ones(chart.r)), (0.0, 0.2), 1e-3)
+        assert compiles == [metric._cache[chart].program]
+        geodesic_integrate(chart, metric, AVector(xs[1], -0.1 * np.ones(chart.r)), (0.0, 0.2), 1e-3)
+        assert len(compiles) == 1
 
 
 def _route_case(name, twisted_chart):
@@ -1083,6 +1109,8 @@ def _route_case(name, twisted_chart):
     if name == "twisted_varying":
         entries = {(1, 1): "2 + x1*x2", (1, 3): "0.1*x2", (2, 2): "1.5", (3, 3): "exp(x1)"}
         return twisted_chart, MetricField(entries, r=3, n=2)
+    if name == "aff2_constant_metric":  # constant, neither the identity nor diagonal
+        return catalog.get("aff2").chart, MetricField({(1, 1): "2", (1, 2): "0.5", (2, 2): "1"}, r=2, n=1)
     return catalog.get(name).chart, catalog.get(name).metric
 
 
@@ -1120,6 +1148,97 @@ class TestSingleGeodesicRoutes:
         assert np.signbit(path.xs[:3, 0]).tolist() == [True, False, False]
         ref_ys, ref_ds = _reference_geodesic(chart, metric, path.ts, y0)
         assert path.ys.tobytes() == ref_ys.tobytes() and path.ds.tobytes() == ref_ds.tobytes()
+
+
+class TestCompiledStepPlan:
+    """The step plan of a pair's geodesic program runs compiled to Python
+    (`Program.compile`); interpreted by `Program.run`, the same plan gives
+    every output the same bits, signed zeros included: k1, y1 and the flat
+    stage record of a varying g."""
+
+    @pytest.mark.parametrize(
+        "name", [*catalog.names(), "twisted", "aff2_varying", "twisted_varying", "aff2_constant_metric"]
+    )
+    def test_compiled_and_interpreted_step_plans_agree_bit_for_bit(self, name, twisted_chart):
+        chart, metric = _route_case(name, twisted_chart)
+        ev = metric_module._geodesic(chart, metric, _increment)
+        orders, plan, layout = ev.stepper
+        k1, last = len(ev.field) - 1, len(orders) - 1
+        logged = [g for g, order in enumerate(orders) if order == 1]
+        xs = list(sample_box(chart.domain, 4, seed=41, shrink=0.3))
+        mus = list(sample_fiber(chart.r, 4, seed=42, scale=0.5))
+        if chart.contains(np.zeros(chart.n)):  # signed zeros in x (so3_biinv folds dx to zero)
+            xs.append(np.full(chart.n, -0.0))
+            mus.append(mus[0])
+        for x, mu, h in zip(xs, mus, (1e-2, -1e-2, 0.1, 1e-3, 1e-2)):
+            z = np.concatenate([x, mu, [h]])
+            out = ev.program.run(z, orders)
+            record = [np.concatenate([out[last - 1][0][i], out[g][0].ravel(), out[g][1].ravel()])
+                      for i, g in enumerate(logged)]
+            want = out[k1][0], out[last][0], np.concatenate(record) if record else np.zeros(0)
+            got = plan(z.tolist())
+            assert (layout is None) == (not logged)
+            for a, b in zip(got, want):
+                a = np.array(a, dtype=float)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestAbsorbedOverflow:
+    """An overflow inside the step plan that a later op absorbs: on the
+    line with b = 1 + 1/(x1*1e200*1e200), the product overflows to inf and
+    b is 1.  numpy raises at the product under the raising error state a
+    single start runs its steps in, where Python floats go on to finite
+    outputs, so the compiled step tests every value it computes."""
+
+    @staticmethod
+    def case():
+        chart = AlgebroidChart(n=1, r=1, b=[["1 + 1/(x1*1e200*1e200)"]], domain=[(0.5, 2.0)])
+        return chart, MetricField.identity(1, 1)
+
+    def test_the_step_raises_where_numpy_raises(self):
+        chart, metric = self.case()
+        ev = metric_module._geodesic(chart, metric, _increment)
+        y, h = np.array([1.0, 0.5]), 1e-3
+        # its outputs are finite: a test of the outputs alone would pass
+        with np.errstate(all="ignore"):
+            out = ev.program.run(np.append(y, h), ev.stepper[0])
+        assert all(np.isfinite(a).all() for group in out for a in group if a is not None)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            ev.program.run(np.append(y, h), ev.stepper[0])
+        with np.errstate(divide="raise", over="raise", invalid="raise"), metric_module._stage_log() as keep:
+            with pytest.raises(FloatingPointError):
+                ev.step(y, h, keep)
+
+    def test_a_single_start_replays_once_as_the_field_route(self, monkeypatch):
+        import warnings
+
+        chart, metric = self.case()
+        y0 = np.array([1.0, 0.5])
+        ev = metric_module._geodesic(chart, metric, _increment)
+        orders, plan, layout = ev.stepper
+        replays, rk4, steps = [], paths._rk4, []
+
+        def counted(*args, **kwargs):
+            replays.append(1)
+            return rk4(*args, **kwargs)
+
+        def counted_plan(values):
+            steps.append(1)
+            return plan(values)
+
+        monkeypatch.setattr(paths, "_rk4", counted)
+        monkeypatch.setattr(ev, "stepper", (orders, counted_plan, layout))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            path = geodesic_integrate(chart, metric, AVector(y0[:1], y0[1:]), (0.0, 1.0), 0.1)
+        with warnings.catch_warnings(record=True) as seen_by_field:
+            warnings.simplefilter("always")
+            ref_ys, ref_ds = _reference_geodesic(chart, metric, path.ts, y0)
+        assert steps == [1] and replays == [1]  # the first step raised
+        assert path.ys.tobytes() == ref_ys.tobytes() and path.ds.tobytes() == ref_ds.tobytes()
+        messages = [(w.category, str(w.message)) for w in seen]
+        assert messages and messages == [(w.category, str(w.message)) for w in seen_by_field]
+        assert all(category is RuntimeWarning for category, _ in messages)
 
 
 class TestStepProgramFailures:
