@@ -345,14 +345,17 @@ class Program:
     `compile` is a second emitter over the same op list: it writes one
     plan out once as the source of a Python function of a single point
     given as floats (`points.tolist()`), which returns the values of given
-    slots, the bits `run` gives there.  `+ - * /` run inline as float
+    slots, the bits `run` gives there, or as a loop that runs the plan
+    once per value of its last coordinate, from a point that each run
+    gives the next.  `+ - * /` run inline as float
     arithmetic (IEEE double, as numpy's), numpy's functions stay numpy's,
     wrapped in `float`, and a domain check is an inline test that raises
     the same EvalDomainError.  A compile costs 0.5-2 ms, the time of some
     50 to 300 interpreted single-point runs, so only the RK4 step of a
-    single geodesic is compiled: it runs its plan once per step (200 times
-    per geodesic of perfbench's `geodesic_fan`).  Every other plan keeps
-    the interpreter:
+    single geodesic is compiled, as a loop over its steps: it runs its
+    plan once per step (200 times per geodesic of perfbench's
+    `geodesic_fan`) with no Python call between two steps.  Every other
+    plan keeps the interpreter:
     a batch spends its time inside numpy's loops, the field plan of a
     single geodesic runs once per geodesic, and the pointwise CLI verbs run
     each of their 21-25 single-point plans once or twice (compiled on first
@@ -454,9 +457,12 @@ class Program:
         return self._f(f, a, b)
 
     def _pow(self, a, e, check=None):
-        # pow(x, 0) = 1 for every x, NaN included, and pow(x, 1) = x
+        # pow(x, 0) = 1 for every x, NaN included, and pow(x, 1) = x;
+        # numpy's power squares at exponent 2, so x * x has its bits
         if e == 0 or e == 1:
             return self._k(1.0) if e == 0 else a
+        if e == 2:
+            return self._f(_MUL, a, a)
         return self._f(np.power, a, self._k(e), check=check)
 
     def _map(self, f, *jets):
@@ -653,24 +659,39 @@ class Program:
         self._plans[orders] = plan = ops, inputs, levels, top
         return plan
 
-    def compile(self, orders, outputs):
+    def compile(self, orders, outputs, box=None):
         """The plan of `orders` (as in `run`) as one Python function of
         the n + values coordinates of a single point, a list of floats.  It
         runs the plan's ops and domain checks and returns, per output (a
         list of slots the plan computes or constants, None for zero), the
         tuple of their values: the bits a `run` gives in those cells.
 
+        Given `box`, (lo, hi) bounds of every coordinate but the last, the
+        same body runs in a loop: the function takes those coordinates and
+        a list of values of the last, runs the plan once per value, each
+        time from the values of the first output (the next point, as many
+        as the coordinates in `box`), and returns per output the list of
+        its tuples, one per run.  Before each run it tests the point
+        against the box (lo <= x <= hi, and -inf < x < inf at an infinite
+        bound, so NaN fails) and stops where it fails, so the lists are
+        shorter than the values by the runs it did not make.
+
         Python floats overflow to inf and turn invalid operations into NaN
         without a word, where numpy under a raising error state (`np.errstate`)
         raises, also at a value that a later op absorbs (1 / inf).  So the
-        function tests the sum of every value the ops compute, which is
-        finite only if each of them is, and raises FloatingPointError where
-        it is not: wherever numpy would raise, and also where the sum alone
-        overflows, whatever the error state.  A division by zero that no
-        check stops raises ZeroDivisionError.  numpy's functions follow
-        numpy's error state."""
-        ops = (self._plans.get(orders) or self._plan(orders))[0]
-        env = {"EvalDomainError": EvalDomainError, "isfinite": math.isfinite}
+        function tests a sum of the values that can hide one: the cells
+        of the plan's levels (what `run` returns), the values of ops with
+        a domain check, the divisors and the arguments of numpy's
+        functions.  Every op of the plan feeds one of those, and every
+        other op (+, -, *, negation, and a quotient in its numerator)
+        turns an inf or NaN argument into an inf or NaN value.  The sum is
+        finite only if each term is, so the function raises
+        FloatingPointError wherever numpy would raise, and also where the
+        sum alone overflows, whatever the error state.  A division by zero
+        that no check stops raises ZeroDivisionError.  numpy's functions
+        follow numpy's error state."""
+        ops, _, levels, _ = self._plans.get(orders) or self._plan(orders)
+        env = {"EvalDomainError": EvalDomainError, "isfinite": math.isfinite, "inf": math.inf}
 
         def name(s):
             c = 0.0 if s is None else self._vals[s]
@@ -681,26 +702,49 @@ class Program:
             env[f"k{s}"] = c
             return f"k{s}"
 
-        lines = ["def plan(v):", "    " + "".join(f"s{i}, " for i in range(self._width)) + "= v"]
+        tuples = [f"({''.join(name(s) + ', ' for s in out)})" for out in outputs]
+        if box is None:
+            lines, pad = ["def plan(v):", "    " + "".join(f"s{i}, " for i in range(self._width)) + "= v"], "    "
+        else:
+            def within(i, lo, hi):  # NaN fails either form
+                low = f"{lo!r} <=" if math.isfinite(lo) else "-inf <"
+                return f"{low} s{i} {f'<= {hi!r}' if math.isfinite(hi) else '< inf'}"
+
+            point = "".join(f"s{i}, " for i in range(len(box)))
+            tests = " and ".join(within(i, lo, hi) for i, (lo, hi) in enumerate(box))
+            lists = range(len(outputs))
+            lines = ["def plan(v, hs):", f"    {point}= v", "    " + "".join(f"o{k}, " for k in lists) + "= " + "[], " * len(outputs)]
+            lines += ["    " + "".join(f"a{k}, " for k in lists) + "= " + "".join(f"o{k}.append, " for k in lists)]
+            lines += [f"    for s{len(box)} in hs:", f"        if not ({tests}):", "            break"]
+            pad = "        "
+        terms = {s for *_, cells, _ in levels for _, _, s in cells}
         for f, out, a, b, check in ops:
             if check is not None:
                 test, x, message, node = check
                 env[f"e{out}"] = message, node
-                lines += [f"    if {name(x)} {_TESTS[test]} 0.0:", f"        raise EvalDomainError(*e{out})"]
+                lines += [f"{pad}if {name(x)} {_TESTS[test]} 0.0:", f"{pad}    raise EvalDomainError(*e{out})"]
+                terms.add(out)
             if f is _NEG:
                 value = f"-{name(a)}"
             elif f in _INFIX:
                 value = f"{name(a)} {_INFIX[f]} {name(b)}"
+                if f is _DIV:
+                    terms.add(b)
             else:
                 env[f.__name__] = f
                 value = f"float({f.__name__}({name(a)}{'' if b is None else ', ' + name(b)}))"
-            lines.append(f"    s{out} = {value}")
-        terms = [f"s{op[1]}" for op in ops]
+                terms.update((a, b))
+            lines.append(f"{pad}s{out} = {value}")
+        terms = [f"s{s}" for s in sorted(terms & {op[1] for op in ops})]
         for k in range(0, len(terms), _SUM_TERMS):
-            lines.append(f"    t = {'t + ' if k else ''}{' + '.join(terms[k:k + _SUM_TERMS])}")
+            lines.append(f"{pad}t = {'t + ' if k else ''}{' + '.join(terms[k:k + _SUM_TERMS])}")
         if terms:
-            lines += ["    if not isfinite(t):", '        raise FloatingPointError("a value of the plan is not finite")']
-        lines.append("    return (" + "".join(f"({''.join(name(s) + ', ' for s in out)}), " for out in outputs) + ")")
+            lines += [f"{pad}if not isfinite(t):", f'{pad}    raise FloatingPointError("a value of the plan is not finite")']
+        if box is None:
+            lines.append(f"    return ({''.join(t + ', ' for t in tuples)})")
+        else:
+            lines += [f"        p = {tuples[0]}"] + [f"        a{k}({t})" for k, t in enumerate(["p", *tuples[1:]])]
+            lines += [f"        {point}= p", "    return " + "".join(f"o{k}, " for k in lists)]
         exec(compile("\n".join(lines), "<Program plan>", "exec"), env)
         return env["plan"]
 

@@ -45,13 +45,14 @@ geodesic's first run appends the RK4 step to the same program: from
 (y, h), stages 2 to 4 are the field's slots at their stage states, stage
 1 is the field's own, and the arithmetic is the RK4 increment of `paths`
 run on slots, so one run of the step plan gives the bits of four field
-runs.  The step plan, and it alone, is compiled once to a Python function
-on floats (`Program.compile`), which returns k1, the next state and the
-stage records of g as three flat tuples.
+runs.  The step plan, and it alone, is compiled once to a Python loop
+over steps on floats (`Program.compile`), which tests each node against
+the chart box and gives, per step, k1, the next state and the stage
+records of g as three flat tuples (`_Connection.steps`).
 What the evaluator settles once per pair is listed at `_Connection`; a
 non-constant metric is evaluated and SPD-checked at every point asked for,
 and the derivatives of g it computes there must be finite.  Every
-`christoffel` call makes that check; the geodesic field and the step log
+`christoffel` call makes that check; the geodesic field and the steps log
 g to the stage log their caller opens (`_stage_log`), which checks the
 log in batches with the same verdict and the same error.
 `koszul_rhs` reads only the raw evaluations of g, b and C, so it stays an
@@ -66,6 +67,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import operator
 import weakref
 from dataclasses import dataclass
@@ -94,7 +96,7 @@ SPD_EIGENVALUE_FLOOR = 1e-10
 # angle), of a pair whose sectional curvature is asked for
 GRAM_FLOOR = 1e-12
 # records of g a stage log keeps between two batched checks: 256 nodes of
-# one geodesic, at four field runs a node
+# one geodesic, at four field runs a node (a chunk of `_Connection.steps`)
 STAGE_LOG_RECORDS = 1024
 
 
@@ -218,15 +220,15 @@ def _stage_log():
     """The one rule for when g is checked at the points of geodesic field
     runs.  Yields keep, which logs records of g unchecked: keep(x, G, dG)
     the record of one field run (see `_Connection.geodesic`), and
-    keep(record, (stages, n, r)) the records of the stages of one RK4 step
-    as one flat tuple, each stage's x (n), G (r, r) and dG (r, r, n) in
-    turn (see `_Connection.step`).  The log is checked in one batched pass
-    whenever it holds STAGE_LOG_RECORDS records of field runs or stages,
-    when the block ends and before any exception leaves it.  A failing pass
-    walks the records in the order they were kept, a step's stage by
-    stage, so the first failing one raises the error of its own
-    `_check_metric`, even where the block went on past it and then failed
-    otherwise.  All field records of a log share one shape, and so do all
+    keep(records, (stages, n, r)) the records of the stages of some RK4
+    steps, one flat tuple a step, each stage's x (n), G (r, r) and dG
+    (r, r, n) in turn (see `_Connection.steps`).  The log is checked in
+    one batched pass whenever it holds STAGE_LOG_RECORDS records of field
+    runs or stages, when the block ends and before any exception leaves
+    it.  A failing pass walks the records in the order they were kept, a
+    step's stage by stage, so the first failing one raises the error of
+    its own `_check_metric`, even where the block went on past it and
+    then failed otherwise.  All field records of a log share one shape, and so do all
     step records."""
     records, kept = [], 0  # kept: records of field runs and stages since the last check
 
@@ -244,7 +246,7 @@ def _stage_log():
             parts.append(([G for _, G, _ in runs], [dG for _, _, dG in runs]))
         if steps:
             _, n, r = steps[0][1]
-            rows = np.array([flat for flat, _ in steps]).reshape(-1, n + r * r * (1 + n))
+            rows = np.array([flat for flats, _ in steps for flat in flats]).reshape(-1, n + r * r * (1 + n))
             xs, Gs, dGs = rows[:, :n], rows[:, n : n + r * r].reshape(-1, r, r), rows[:, n + r * r :].reshape(-1, r, r, n)
             parts.append((Gs, dGs))
         # one stacked array at a time: holding G and dG of a 441-row batch
@@ -256,13 +258,13 @@ def _stage_log():
             if len(rec) == 3:
                 _check_metric(rec[1], rec[2], rec[0])
             else:
-                for x, G, dG in itertools.islice(stages, rec[1][0]):
+                for x, G, dG in itertools.islice(stages, rec[1][0] * len(rec[0])):
                     _check_metric(G, dG, x)
 
     def keep(*record):
         nonlocal kept
         records.append(record)
-        kept += 1 if len(record) == 3 else record[1][0]
+        kept += 1 if len(record) == 3 else record[1][0] * len(record[0])
         if kept >= STAGE_LOG_RECORDS:
             check()
 
@@ -340,7 +342,8 @@ class _Connection:
     `Christoffel` (whose S, Gamma and dGamma it forms on request), holds
     the geodesic program once a geodesic asks for it, with the field plan
     (`geodesic`) and, once a single geodesic asks, the RK4 step plan,
-    compiled (`step`), and settles what does not depend on the point:
+    compiled to a loop over steps (`steps`), and settles what does not
+    depend on the point:
 
     * which structure arrays vanish identically (a constant metric has
       dG = d2G = 0, a constant anchor dB = 0, a constant bracket dC = 0,
@@ -355,7 +358,7 @@ class _Connection:
 
     The geodesic program reads none of these: its folding rule settles
     the constants.  A non-constant g is checked at the points of each call
-    (`_check_metric`), except in the geodesic field and the step, which
+    (`_check_metric`), except in the geodesic field and the steps, which
     hand g and dg to a stage log (`_stage_log`) that checks them in
     batches.
 
@@ -376,7 +379,8 @@ class _Connection:
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
         self.Gi = self.gamma = None
         # the geodesic program (`_build_geodesic`), the field's orders, stage 1's
-        # (dy slots, groups), the step's (orders, compiled plan, record layout)
+        # (dy slots, groups), the step's (orders, compiled loop, steps a chunk,
+        # record layout)
         self.program = self.field = self.stage1 = self.stepper = None
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
         self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
@@ -445,26 +449,42 @@ class _Connection:
             keep(x, G, dG)
         return out[-1][0]
 
-    def step(self, y, h, keep):
-        """One RK4 step of the geodesic field from the state y (n + r,)
-        with step h: (k1, y1) as tuples of floats, the slope at y and the
-        next state, from one call of the step plan of the geodesic program,
-        compiled to Python (`Program.compile`), on the point (y, h): the
-        bits `paths._rk4` makes of four field runs.  For a non-constant g
-        the records (x, G, dG) of the four stages go unchecked to `keep` as
-        one flat tuple, each stage's x, G and dG in turn.  The plan runs on
-        Python floats, so it raises where a value it computes is not
-        finite (FloatingPointError), as numpy does under the raising error
-        state the caller runs it in; where it raises, the caller replays
-        its geodesic through the field.  A constant g that is not SPD
-        raises MetricError before any program runs."""
+    def steps(self, ys, ds, hs, keep):
+        """RK4 steps of the geodesic field from the state ys[0] (n + r,),
+        one per step h of the list hs, from the compiled loop over the step
+        plan of the geodesic program (`_build_geodesic`): the state at each
+        next node goes to ys[k + 1] and the slope at each node it steps
+        from to ds[k], the bits `paths._rk4` makes of four field runs a
+        step; returns the number of steps made.  The loop tests each node
+        before it steps from it, ys[0] included, and stops before the first
+        that is outside the chart box or not finite.  It runs in chunks of
+        at most STAGE_LOG_RECORDS // 4 steps, and a chunk's lists fill the
+        arrays in one store each.  For a non-constant g, the records of a
+        chunk's stages go unchecked to `keep` as a list of flat tuples, one
+        per step, each stage's x, G and dG in turn, before the caller tests
+        the node the steps stopped at.  The loop runs on Python floats, so
+        it raises where a value it computes is not finite
+        (FloatingPointError), as numpy does under the raising error state
+        the caller runs it in; where it raises, the caller replays its
+        geodesic through the field.  A constant g that is not SPD raises
+        MetricError before any program runs."""
         if not self.spd:
-            _raise_not_spd(self.G, y[: self.n])
-        _, plan, layout = self.stepper
-        k1, y1, record = plan([*y.tolist(), float(h)])
-        if layout is not None:
-            keep(record, layout)
-        return k1, y1
+            _raise_not_spd(self.G, ys[0, : self.n])
+        _, loop, chunk, layout = self.stepper
+        k, start = 0, ys[0].tolist()
+        for i in range(0, len(hs), chunk):
+            part = hs[i : i + chunk]
+            y1s, k1s, *records = loop(start, part)
+            if records and records[0]:
+                keep(records[0], layout)
+            if k1s:
+                ys[k + 1 : k + 1 + len(y1s)] = y1s
+                ds[k : k + len(k1s)] = k1s
+                k += len(k1s)
+            if len(k1s) < len(part):
+                break
+            start = y1s[-1]
+        return k
 
     def _build_geodesic(self, chart, metric, increment=None):
         """Build what is not built yet of the geodesic program, a `Program(n,
@@ -476,7 +496,8 @@ class _Connection:
         the field's slots at their states, so a step is the bits of four
         field runs; for a non-constant g, the stages' G groups and a group
         of their base points (4, n) give the records of the stage log.  The
-        step plan is compiled once, here (`Program.compile`)."""
+        step plan is compiled once, here, to a loop over steps that tests
+        each node against the chart box (`Program.compile`)."""
         n, r = chart.n, chart.r
         if self.program is None:
             prog = self.program = Program(n, r + 1)
@@ -511,8 +532,10 @@ class _Connection:
         orders[len(self.field) - 1] = orders[last] = 0  # k1, y1
         # the stage log's record: x, G and dG of each stage in turn
         record = [s for (x, _), g in zip(stages, logged) for s in [*x, *_flat(prog, g, 0), *_flat(prog, g, 1)]]
-        plan = prog.compile(tuple(orders), [dy1, y1.slots, record])
-        self.stepper = tuple(orders), plan, (len(stages), n, r) if logged else None
+        box = chart.domain.tolist() + [(-math.inf, math.inf)] * r
+        loop = prog.compile(tuple(orders), [y1.slots, dy1] + ([record] if logged else []), box)
+        layout = (len(stages), n, r) if logged else None
+        self.stepper = tuple(orders), loop, STAGE_LOG_RECORDS // len(stages), layout
 
     def _field_slots(self, prog, z, chart, metric):
         """The geodesic field at the state slots z of `prog`, the n slots of
@@ -704,10 +727,11 @@ def _evaluator(chart, metric):
 def _geodesic(chart, metric, increment=None):
     """The evaluator of the pair with its geodesic program built, for its
     `geodesic` method, dy = geodesic(y, keep) at states y (..., n + r), and,
-    where `increment` (`paths._increment`) is given, its `step` method,
-    (k1, y1) = step(y, h, keep) for a state y and a step h; keep comes from
-    a `_stage_log` block.  Nothing is built where a constant g is not SPD,
-    which both methods then raise at every call."""
+    where `increment` (`paths._increment`) is given, its `steps` method,
+    k = steps(ys, ds, hs, keep), which fills the node states ys and slopes
+    ds (N, n + r) from ys[0] over a list of steps hs; keep comes from a
+    `_stage_log` block.  Nothing is built where a
+    constant g is not SPD, which both methods then raise at every call."""
     ev = _evaluator(chart, metric)
     if ev.spd:
         ev._build_geodesic(chart, metric, increment)

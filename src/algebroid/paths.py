@@ -13,9 +13,10 @@ Koszul form contracted with mu (x) mu as sum_{i<=j} mu_i mu_j K^{ij}(x)
 and solved against g, constant or not, inside the program, so
 Gamma is never formed on the way.  A single geodesic runs the step plan
 of the same program once per RK4 step instead, compiled to one Python
-function on floats: from (y_k, h) it gives the slope at y_k and
-y_{k+1}, with the four stages and the arithmetic of `_increment` in one
-pass, the bits of the four field runs.
+loop over the steps on floats: from (y_k, h) each pass gives the slope
+at y_k and y_{k+1}, with the four stages and the arithmetic of
+`_increment`, the bits of the four field runs, and the loop tests each
+node against the chart box before it steps from it.
 Coefficients that cancel fold to exact zeros when the programs are
 built, so charts whose Gamma is antisymmetric in the lower pair
 (bi-invariant Lie algebras) keep the fiber coordinates constant to the
@@ -25,12 +26,11 @@ Grids are deterministic: a requested span and step always produce the same
 nodes, which the transport / Jacobi / variation machinery reuses.  A span
 with t1 < t0 gives a decreasing grid, and every flow runs backwards on it.
 
-Nonlinear flows step through the one RK4 loop `_steps`, which takes a
-step as one call: `_rk4` makes it of four right-side calls and
-`_increment`, a single geodesic of one run of the step plan.  The right
-side of `_rk4` is called as f(j, y) with j a half-grid index: node k of the
-grid is j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1, the
-only times an RK4 step samples.  The state y may carry batch axes.
+Batches of geodesics, and the replays of a single one, step through
+`_rk4`, which makes a step of four right-side calls and `_increment`.
+Its right side is called as f(j, y) with j a half-grid index: node k of
+the grid is j = 2k and the midpoint of [ts[k], ts[k+1]] is j = 2k + 1,
+the only times an RK4 step samples.  The state y may carry batch axes.
 Linear flows along an already fixed path (parallel transport, the
 transported frame, Jacobi sections, the transverse solve of
 `variations`) read their coefficients on all 2N - 1 half-grid times off
@@ -43,15 +43,15 @@ and Jacobi sections take a matrix of initial columns, which run through
 the one flow together.
 Families of geodesics on one grid (a pencil, exp of several fiber vectors)
 run as one batch of `_rk4` through `_geodesics`, which also serves single
-geodesics, through the step plan.  Both keep only the success path:
+geodesics, through the compiled loop.  Both keep only the success path:
 when a batch row fails a node check or the right side raises, the start
 rows are replayed one at a time, so the error raised is the one a
-row-by-row loop would raise first; when a step run raises, the start is
+row-by-row loop would raise first; when the loop raises, the start is
 replayed stage by stage through `_rk4`.
 A geodesic run, like a `geodesic_rhs` call, checks a non-constant g at
 all its stage points, but not one stage at a time: it runs inside one
 stage log of `metric` (`_stage_log`), to which the right side or the
-step hands each stage's g, and the log checks the stages in batches; the
+loop hands each stage's g, and the log checks the stages in batches; the
 first failing stage raises the MetricError a check at that stage would
 raise.  Every other connection call checks g at its own points.
 """
@@ -247,28 +247,18 @@ def _rk4(f, ts, y0, on_node=None):
     before k are kept by the caller via the exception payload it builds.
     """
 
-    def step(k, y, h):
-        k1 = f(2 * k, y)
-        return k1, y + _increment(f, h, y, k1, 2 * k + 1, 2 * k + 2)
-
-    return _steps(step, lambda y: f(2 * len(ts) - 2, y), ts, y0, on_node)
-
-
-def _steps(step, last, ts, y0, on_node=None):
-    """The RK4 loop over the nodes of ts: step(k, y, h) returns the slope
-    at node k, where the state is y, and the state at node k + 1, h the
-    step between them; last(y) the slope at the last node.  on_node sees
-    each node as in `_rk4`, after the slopes of the nodes before it."""
     ys = np.empty((len(ts),) + np.shape(y0))
     ds = np.empty_like(ys)
     ys[0] = y0
     for k in range(len(ts) - 1):
         if on_node is not None:
             on_node(k, ys[k], ys, ds)
-        ds[k], ys[k + 1] = step(k, ys[k], ts[k + 1] - ts[k])
+        y = ys[k]
+        ds[k] = k1 = f(2 * k, y)
+        ys[k + 1] = y + _increment(f, ts[k + 1] - ts[k], y, k1, 2 * k + 1, 2 * k + 2)
     if on_node is not None:
         on_node(len(ts) - 1, ys[-1], ys, ds)
-    ds[-1] = last(ys[-1])
+    ds[-1] = f(2 * len(ts) - 2, ys[-1])
     return ys, ds
 
 
@@ -383,36 +373,43 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     row is bit-identical to its row run alone, so the replay costs time only
     on a failure: the rows before the failing one are integrated twice.
 
-    A single start runs the step plan once per step (appended to the
-    pair's geodesic program on its first single start and compiled then,
-    `metric._geodesic`) and the field plan once, at the last node: bit for
-    bit the `_rk4` route over the field.  The step runs on Python floats
-    under numpy's raising error state, so where that route would warn, the
-    step raises instead: numpy's functions raise FloatingPointError
-    themselves, a division by zero raises ZeroDivisionError, and since
-    float arithmetic overflows to inf and NaN without a word, the step
-    tests the sum of every value it computes, which is finite only if
-    each value is, and raises FloatingPointError where it is not, also
-    where a later op absorbed the inf (a sum that overflows on its own
-    only costs a replay).  Any exception from a step, other than a node
-    check's, replays the start through `_rk4` over the field, which then
-    raises its own error, with its error order, partial path and
-    warnings, or, where numpy only warned, returns its result.
+    A single start runs the step plan of the pair's geodesic program
+    (appended to it on the pair's first single start and compiled then to
+    a loop over steps, `metric._geodesic`) in chunks of at most 256 steps,
+    and the field plan once, at the last node: bit for bit the `_rk4`
+    route over the field.  The loop tests every node it steps from, as
+    floats against the chart box, and stops at the first that fails; the
+    node arrays are filled from its lists, one store a chunk, and that
+    node is tested again here, which raises its error with the partial
+    path.  The loop
+    runs on Python floats under numpy's raising error state, so where the
+    `_rk4` route would warn, it raises instead: numpy's functions raise
+    FloatingPointError themselves, a division by zero raises
+    ZeroDivisionError, and since float arithmetic overflows to inf and
+    NaN without a word, each step tests a sum of the values that could
+    hide one (`Program.compile`), which is finite only if each of them
+    is, and raises FloatingPointError where it is not, also where a later
+    op absorbed the inf (a sum that overflows on its own only costs a
+    replay).  Any exception from the loop replays the start through
+    `_rk4` over the field, which then raises its own error, with its
+    error order, partial path and warnings, or, where numpy only warned,
+    returns its result.
 
     A non-constant g is checked at every stage point, but not stage by
     stage: each run of a start (the batch, a single start, or a replayed
     row) opens one stage log (`metric._stage_log`), and the right side or
-    the step logs each stage's (x, G, dG) there.  A failing check of the
-    log raises the MetricError of the first failing stage, as a check at
-    every stage would, even where the run went on past that stage and
-    then failed otherwise.
+    the loop logs each stage's (x, G, dG) there, a chunk's records before
+    the node it stopped at is tested.  A failing check of the log raises
+    the MetricError of the first failing stage, as a check at every stage
+    would, even where the run went on past that stage and then failed
+    otherwise.
     """
     n = chart.n
     ts = _grid(t_span, step)
     box = chart.domain.tolist()
     y0 = np.concatenate([np.asarray(x0, float), np.asarray(mu0, float)], axis=-1)
     ev = _geodesic(chart, metric, _increment if y0.ndim == 1 else None)
-    field, advance = ev.geodesic, ev.step
+    field = ev.geodesic
 
     def run(start):
         with _stage_log() as keep:
@@ -436,8 +433,12 @@ def _geodesics(chart, metric, x0, mu0, t_span, step):
     if y0.ndim == 1:
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"), _stage_log() as keep:
-                step_k = lambda k, y, h: advance(y, h, keep)
-                return (ts, *_steps(step_k, lambda y: field(y, keep), ts, y0, guard))
+                ys, ds = np.empty((len(ts), len(y0))), np.empty((len(ts), len(y0)))
+                ys[0] = y0
+                k = ev.steps(ys, ds, np.diff(ts).tolist(), keep)
+                guard(k, ys[k], ys, ds)  # raises where the steps stopped before the last node
+                ds[k] = field(ys[k], keep)
+                return ts, ys, ds
         except (DomainExitError, NonFiniteError):
             raise
         except Exception:

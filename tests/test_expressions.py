@@ -665,3 +665,24 @@ class TestCompiledPlan:
             with pytest.raises(EvalDomainError) as raised:
                 plan(bad)
             assert str(raised.value) == str(expected.value) and raised.value.node is expected.value.node
+
+
+class TestSquare:
+    """A square is one product, x * x: numpy's power squares at exponent
+    2, so the bits are those of np.power(x, 2.0), signed zeros included,
+    interpreted on a batch and compiled on floats."""
+
+    X = np.array([-0.0, 0.0, 1e-170, -3.7, 0.1, 2.0 / 3.0, 1e154, -1.3e-3, 7.25, 123456.789])
+
+    @pytest.mark.parametrize("text, inner", [("x1^2", lambda x: x), ("sin(x1)^2", np.sin)])
+    def test_bits_of_numpys_power(self, text, inner):
+        prog = Program.of(parse(text, 1))
+        assert not [op for op in prog._ops if op[0] is np.power]
+        want = np.power(inner(self.X), 2.0)
+        got = prog.run(self.X[:, None], (0,))[0][0]
+        assert got.tobytes() == want.tobytes()
+        plan = prog.compile((0,), [[prog.slots(0)]])
+        for x, w in zip(self.X, want):
+            [[value]] = plan([float(x)])
+            assert np.float64(value).tobytes() == w.tobytes()
+        assert not np.signbit(got[:2]).any()

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import tracemalloc
 from dataclasses import fields
 
@@ -1037,8 +1038,9 @@ class TestStageLog:
 
 class TestGeodesicFieldCost:
     """A single geodesic runs the step plan of the pair's one geodesic
-    program, compiled once per pair, once per RK4 step and its field plan
-    (interpreted) once, at the last node, and forms no connection record."""
+    program, compiled once per pair to a loop over steps, one loop call
+    per chunk of at most 256 steps, and its field plan (interpreted) once,
+    at the last node, and forms no connection record."""
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
     def test_one_step_run_per_step_and_no_connection_record(self, name, twisted_chart, monkeypatch):
@@ -1051,29 +1053,33 @@ class TestGeodesicFieldCost:
         start = AVector(chart.center(), 0.2 * np.ones(chart.r))
         geodesic_integrate(chart, metric, start, (0.0, 0.01), 1e-3)  # builds both phases
         [ev] = metric._cache.values()
-        orders, plan, layout = ev.stepper
+        orders, loop, chunk, layout = ev.stepper
+        assert chunk == metric_module.STAGE_LOG_RECORDS // 4 == 256
 
         def refuse(*args):
             raise AssertionError("a connection record was formed")
 
-        runs, run, steps = [], Program.run, []
+        runs, run, calls = [], Program.run, []
 
         def counted(p, points, orders):
             runs.append((p, np.shape(points), orders))
             return run(p, points, orders)
 
-        def counted_plan(values):
-            steps.append(len(values))
-            return plan(values)
+        def counted_loop(y, hs):
+            calls.append((len(y), len(hs)))
+            return loop(y, hs)
 
         monkeypatch.setattr(metric_module._Connection, "christoffel", refuse)
         monkeypatch.setattr(Program, "run", counted)
-        monkeypatch.setattr(ev, "stepper", (orders, counted_plan, layout))
-        path = geodesic_integrate(chart, metric, start, (0.0, 0.2), 1e-3)
-        assert len(path.ts) == 201
+        monkeypatch.setattr(ev, "stepper", (orders, counted_loop, chunk, layout))
         width = chart.n + chart.r
-        assert steps == [width + 1] * 200
-        assert runs == [(ev.program, (width,), ev.field)]
+        for t1, chunks in ((0.2, [200]), (0.6, [256, 256, 88])):
+            calls.clear()
+            runs.clear()
+            path = geodesic_integrate(chart, metric, start, (0.0, t1), 1e-3)
+            assert len(path.ts) == sum(chunks) + 1
+            assert calls == [(width, size) for size in chunks]
+            assert runs == [(ev.program, (width,), ev.field)]
 
     @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
     def test_a_pair_compiles_its_step_plan_once(self, name, twisted_chart, monkeypatch):
@@ -1084,14 +1090,15 @@ class TestGeodesicFieldCost:
         metric = MetricField({(i + 1, j + 1): str(e) for (i, j), e in metric.entries.items()}, metric.r, metric.n)
         compiles, compile_plan = [], Program.compile
 
-        def counted(p, orders, outputs):
-            compiles.append(p)
-            return compile_plan(p, orders, outputs)
+        def counted(p, orders, outputs, box=None):
+            compiles.append((p, box))
+            return compile_plan(p, orders, outputs, box)
 
         monkeypatch.setattr(Program, "compile", counted)
         xs = sample_box(chart.domain, 2, seed=5, shrink=0.3)
         geodesic_integrate(chart, metric, AVector(xs[0], 0.2 * np.ones(chart.r)), (0.0, 0.2), 1e-3)
-        assert compiles == [metric._cache[chart].program]
+        box = chart.domain.tolist() + [(-np.inf, np.inf)] * chart.r
+        assert compiles == [(metric._cache[chart].program, box)]
         geodesic_integrate(chart, metric, AVector(xs[1], -0.1 * np.ones(chart.r)), (0.0, 0.2), 1e-3)
         assert len(compiles) == 1
 
@@ -1151,10 +1158,11 @@ class TestSingleGeodesicRoutes:
 
 
 class TestCompiledStepPlan:
-    """The step plan of a pair's geodesic program runs compiled to Python
-    (`Program.compile`); interpreted by `Program.run`, the same plan gives
-    every output the same bits, signed zeros included: k1, y1 and the flat
-    stage record of a varying g."""
+    """The step plan of a pair's geodesic program runs compiled to Python,
+    as a loop over steps (`Program.compile`); interpreted by
+    `Program.run`, the same plan gives every output of a step the same
+    bits, signed zeros included: y1, k1 and the flat stage record of a
+    varying g."""
 
     @pytest.mark.parametrize(
         "name", [*catalog.names(), "twisted", "aff2_varying", "twisted_varying", "aff2_constant_metric"]
@@ -1162,7 +1170,7 @@ class TestCompiledStepPlan:
     def test_compiled_and_interpreted_step_plans_agree_bit_for_bit(self, name, twisted_chart):
         chart, metric = _route_case(name, twisted_chart)
         ev = metric_module._geodesic(chart, metric, _increment)
-        orders, plan, layout = ev.stepper
+        orders, loop, _, layout = ev.stepper
         k1, last = len(ev.field) - 1, len(orders) - 1
         logged = [g for g, order in enumerate(orders) if order == 1]
         xs = list(sample_box(chart.domain, 4, seed=41, shrink=0.3))
@@ -1175,28 +1183,37 @@ class TestCompiledStepPlan:
             out = ev.program.run(z, orders)
             record = [np.concatenate([out[last - 1][0][i], out[g][0].ravel(), out[g][1].ravel()])
                       for i, g in enumerate(logged)]
-            want = out[k1][0], out[last][0], np.concatenate(record) if record else np.zeros(0)
-            got = plan(z.tolist())
-            assert (layout is None) == (not logged)
-            for a, b in zip(got, want):
+            want = [out[last][0], out[k1][0]] + ([np.concatenate(record)] if record else [])
+            got = loop(z[:-1].tolist(), [h])
+            assert (layout is None) == (not logged) and len(got) == len(want)
+            for [a], b in zip(got, want):
                 a = np.array(a, dtype=float)
                 assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestAbsorbedOverflow:
-    """An overflow inside the step plan that a later op absorbs: on the
-    line with b = 1 + 1/(x1*1e200*1e200), the product overflows to inf and
-    b is 1.  numpy raises at the product under the raising error state a
-    single start runs its steps in, where Python floats go on to finite
-    outputs, so the compiled step tests every value it computes."""
+    """A value of the step plan that is not finite and that no output
+    shows: on the line with b = 1 + 1/(x1*1e200*1e200), the product
+    overflows to inf and b is 1.  numpy raises at the product under the
+    raising error state a single start runs its steps in, where Python
+    floats go on to finite outputs, so the compiled loop tests the values
+    that can hide an inf: here the divisor.  Two more charts hide one in
+    the argument of a numpy function (exp(-inf) = 0) and in a value only a
+    domain check reads (1/b for b = 1e-310, under ^0)."""
+
+    CHARTS = {
+        "divisor": "1 + 1/(x1*1e200*1e200)",
+        "exp_argument": "1 + exp(-x1*1e200*1e200)",
+        "checked_only": "(1/(x1*1e-155*1e-155))^0",
+    }
 
     @staticmethod
-    def case():
-        chart = AlgebroidChart(n=1, r=1, b=[["1 + 1/(x1*1e200*1e200)"]], domain=[(0.5, 2.0)])
+    def case(b="divisor"):
+        chart = AlgebroidChart(n=1, r=1, b=[[TestAbsorbedOverflow.CHARTS[b]]], domain=[(0.5, 2.0)])
         return chart, MetricField.identity(1, 1)
 
-    def test_the_step_raises_where_numpy_raises(self):
-        chart, metric = self.case()
+    def assert_the_step_raises_where_numpy_raises(self, b):
+        chart, metric = self.case(b)
         ev = metric_module._geodesic(chart, metric, _increment)
         y, h = np.array([1.0, 0.5]), 1e-3
         # its outputs are finite: a test of the outputs alone would pass
@@ -1206,39 +1223,95 @@ class TestAbsorbedOverflow:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             ev.program.run(np.append(y, h), ev.stepper[0])
         with np.errstate(divide="raise", over="raise", invalid="raise"), metric_module._stage_log() as keep:
-            with pytest.raises(FloatingPointError):
-                ev.step(y, h, keep)
+            with pytest.raises(FloatingPointError, match="a value of the plan is not finite"):
+                ev.steps(np.array([y, y]), np.empty((2, 2)), [h], keep)
 
-    def test_a_single_start_replays_once_as_the_field_route(self, monkeypatch):
+    def assert_a_single_start_replays_once_as_the_field_route(self, b, monkeypatch):
         import warnings
 
-        chart, metric = self.case()
+        chart, metric = self.case(b)
         y0 = np.array([1.0, 0.5])
         ev = metric_module._geodesic(chart, metric, _increment)
-        orders, plan, layout = ev.stepper
-        replays, rk4, steps = [], paths._rk4, []
+        orders, loop, chunk, layout = ev.stepper
+        replays, rk4, calls = [], paths._rk4, []
 
         def counted(*args, **kwargs):
             replays.append(1)
             return rk4(*args, **kwargs)
 
-        def counted_plan(values):
-            steps.append(1)
-            return plan(values)
+        def counted_loop(y, hs):
+            calls.append(len(hs))
+            return loop(y, hs)
 
         monkeypatch.setattr(paths, "_rk4", counted)
-        monkeypatch.setattr(ev, "stepper", (orders, counted_plan, layout))
+        monkeypatch.setattr(ev, "stepper", (orders, counted_loop, chunk, layout))
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             path = geodesic_integrate(chart, metric, AVector(y0[:1], y0[1:]), (0.0, 1.0), 0.1)
         with warnings.catch_warnings(record=True) as seen_by_field:
             warnings.simplefilter("always")
             ref_ys, ref_ds = _reference_geodesic(chart, metric, path.ts, y0)
-        assert steps == [1] and replays == [1]  # the first step raised
+        assert calls == [10] and replays == [1]  # the loop raised at its first step
         assert path.ys.tobytes() == ref_ys.tobytes() and path.ds.tobytes() == ref_ds.tobytes()
         messages = [(w.category, str(w.message)) for w in seen]
         assert messages and messages == [(w.category, str(w.message)) for w in seen_by_field]
         assert all(category is RuntimeWarning for category, _ in messages)
+
+    def test_the_step_raises_where_numpy_raises(self):
+        self.assert_the_step_raises_where_numpy_raises("divisor")
+
+    def test_a_single_start_replays_once_as_the_field_route(self, monkeypatch):
+        self.assert_a_single_start_replays_once_as_the_field_route("divisor", monkeypatch)
+
+    @pytest.mark.parametrize("b", ["exp_argument", "checked_only"])
+    def test_a_hidden_value_raises_and_replays(self, b, monkeypatch):
+        self.assert_the_step_raises_where_numpy_raises(b)
+        self.assert_a_single_start_replays_once_as_the_field_route(b, monkeypatch)
+
+
+class TestDomainExitAtAChunkBoundary:
+    """The loop of a single geodesic runs in chunks of 256 steps, each
+    testing the nodes it steps from; the first node of a chunk is tested
+    by the next chunk.  A box that the path leaves at node 255, 256 or
+    257 gives the error, time and partial path of the `_rk4` route (a
+    batch of one row, replayed through `_rk4`), stage log included: g
+    varies, so each chunk's stage records are kept before the node test
+    raises."""
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_exit_at_node(self, k, monkeypatch):
+        metric = MetricField({(1, 1): "2 + sin(x1)"}, r=1, n=1)
+        x0, mu0 = np.array([0.0]), np.array([1.0])
+        wide = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-10.0, 10.0)])
+        xs = geodesic_integrate(wide, metric, AVector(x0, mu0), (0.0, 0.3), 1e-3).xs[:, 0]
+        assert np.all(np.diff(xs) > 0)
+        chart = AlgebroidChart(n=1, r=1, b=[["1"]], domain=[(-10.0, 0.5 * (xs[k - 1] + xs[k]))])
+        ev = metric_module._geodesic(chart, metric, _increment)
+        orders, loop, chunk, layout = ev.stepper
+        calls, keeps, stage_log = [], [], metric_module._stage_log
+
+        def counted_loop(y, hs):
+            out = loop(y, hs)
+            calls.append((len(hs), len(out[0])))
+            return out
+
+        @contextlib.contextmanager
+        def counted_log():
+            with stage_log() as keep:
+                yield lambda *record: keeps.append(len(record[0])) or keep(*record)
+
+        monkeypatch.setattr(ev, "stepper", (orders, counted_loop, chunk, layout))
+        monkeypatch.setattr(paths, "_stage_log", counted_log)
+        raised = _raised(lambda: geodesic_integrate(chart, metric, AVector(x0, mu0), (0.0, 0.3), 1e-3))
+        assert calls == ([(256, k)] if k < 256 else [(256, 256), (44, k - 256)])
+        assert keeps == [min(k, 256)] + ([k - 256] if k > 256 else [])
+        monkeypatch.undo()
+        expected = _raised(lambda: paths._geodesics(chart, metric, x0[None], mu0[None], (0.0, 0.3), 1e-3))
+        assert type(raised) is type(expected) is DomainExitError
+        assert str(raised) == str(expected) and raised.time == expected.time
+        assert len(raised.path.ts) == k
+        for a in ("ts", "ys", "ds"):
+            assert getattr(raised.path, a).tobytes() == getattr(expected.path, a).tobytes()
 
 
 class TestStepProgramFailures:
