@@ -337,10 +337,10 @@ class Program:
     slots (`add_group`'s `at`): it then holds the expressions and their
     partials at the point those slots make, so one program can evaluate
     a chart at several points that are themselves computed in it.  The
-    geodesic program of `~algebroid.metric` has two plans (the runs of two
-    tuples of orders, each copying only the slots it reaches): the field, a
-    group of slots over the base point x and the fiber point mu, and the
-    RK4 step, groups declared later at each stage's point (`SlotVector`).
+    geodesic program of `~algebroid.metric` has two plans (runs of tuples of
+    orders, each copying only the slots it reaches): the field over (x, mu)
+    and the RK4 step at each stage's point (`SlotVector`); the homotopy flow
+    of `~algebroid.variations` is one group over (x, mu, beta, d beta/dt).
 
     `compile` is a second emitter over the same op list: it writes one
     plan out once as the source of a Python function of a single point

@@ -24,27 +24,28 @@ mesh rows with these differences as their t-derivatives (the rule of
 `VariationGrid.row_path`, so each eps-row gets what a flow along that
 row's A-path would) and carries all eps-rows through the precomputed
 step maps of `paths._linear_flow`; the nonlinear homotopy flow carries
-both eps-sides through the core `_rk4`, with B and C from one run of the
-chart's program per right side.
+both eps-sides through the core `_rk4`, with each right side one run
+of the chart's homotopy program (`_homotopy_program`).
 
-Every mesh contraction is a single matmul over the mesh axes: the
+Every other mesh contraction is a single matmul over the mesh axes: the
 quadratic forms sum_ij a_i b_j T[..., i, j, :] (the defect's C(alpha,
-beta), the connection terms Gamma(alpha, s) and Gamma(beta, s), the
-homotopy's commutator, R(alpha, beta) as a matrix) flatten the outer
-product a b^T against T with `metric._quad`, the metric pairings are
-`metric._g_dot`, and the anchor and the transverse coefficients are
-batched vector-matrix products.
+beta), the connection terms Gamma(alpha, s) and Gamma(beta, s), R(alpha,
+beta) as a matrix) flatten the outer product a b^T against T with
+`metric._quad`, the metric pairings are `metric._g_dot`, and the anchor
+and the transverse coefficients are batched vector-matrix products.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .charts import AVector
-from .errors import InputError
+from .errors import CheckFailure, InputError
 from .expressions import Program
 from .metric import _g_dot, _quad, christoffel, fiber_inner
 from .paths import APath, _geodesics, _half_grid, _increment, _linear_flow, _rk4, jacobi_solve
@@ -325,12 +326,22 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
     homotopy.  The flow reads only the anchor and the bracket; the metric is
     not read.  The input path is the row at eps = 0; both eps-sides flow
     out of it as one batch of two states, in |eps| with HOMOTOPY_SUBSTEPS
-    RK4 steps between consecutive rows, the negative side with its right
-    side negated.  Returns a VariationGrid with beta filled in.
+    RK4 steps between consecutive rows.  Each right side is one run of the
+    chart's homotopy program (`_homotopy_program`) on the states beside
+    beta and d beta/dt, which the negative side holds negated: the flow is
+    linear in them, so its right side comes out negated.  Returns a
+    VariationGrid with beta filled in.
+
+    `direction` must be a finite vector of shape (r,) (InputError
+    otherwise).  Where a row of the family is not finite or leaves the
+    chart box, CheckFailure names the eps of the first such row outward
+    from the path.
     """
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (chart.r,):
         raise InputError(f"direction must have shape (r,) = ({chart.r},)")
+    if not np.all(np.isfinite(direction)):
+        raise InputError("direction must be finite")
     ts = alpha0.ts
     snorm = (ts - ts[0]) / (ts[-1] - ts[0])
     profile = np.sin(np.pi * snorm)  # (N,)
@@ -339,18 +350,19 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
     beta_row = HOMOTOPY_AMPLITUDE * profile[:, None] * direction[None, :]
     dbeta_dt = HOMOTOPY_AMPLITUDE * dprofile[:, None] * direction[None, :]
 
-    n = chart.n
-    sign = np.array([-1.0, 1.0])[:, None, None]
-    program = Program.of(chart)
+    n, r = chart.n, chart.r
+    program = _homotopy_program(chart)
+    # per side (negative first): the state, then beta and d beta/dt, the
+    # negative side's negated; flow_rhs writes each state it is given
+    flow_points = np.empty((2, len(ts), n + 3 * r))
+    flow_points[1, :, n + r :] = np.concatenate([beta_row, dbeta_dt], axis=-1)
+    flow_points[0, :, n + r :] = -flow_points[1, :, n + r :]
 
     def flow_rhs(j, y):
         """d/d|eps| of the (base row, fiber row) state of each side, from
-        one run of the chart's program for B and C."""
-        X, M = y[..., :n], y[..., n:]
-        (B, _, _), (C, _, _) = program.run(X, (0, 0))
-        dX = (beta_row[:, None, :] @ B)[..., 0, :]
-        comm = _quad(M, beta_row, C)
-        return sign * np.concatenate([dX, dbeta_dt + comm], axis=-1)
+        one run of the homotopy program."""
+        flow_points[..., : n + r] = y
+        return program.run(flow_points, (None, None, 0))[-1][0]
 
     knots = HOMOTOPY_EPS[len(HOMOTOPY_EPS) // 2 :]  # 0 and the positive rows
     eps_grid = np.concatenate(
@@ -364,6 +376,51 @@ def make_fixed_endpoint_homotopy(chart, metric, alpha0: APath, direction):
     last = ys[-1] + _increment(flow_rhs, h, ys[-1], ds[-1], 2 * k + 1, 2 * k + 2)
     rows = np.concatenate([ys[::HOMOTOPY_SUBSTEPS], last[None]])  # (knot, side, N, n + r)
     state = np.concatenate([rows[:0:-1, 0], rows[:, 1]])
+    if not (np.all(np.isfinite(state)) and chart.contains(state[..., :n])):
+        # the row nearest the path first: the flow went wrong there first
+        for e, row in sorted(zip(HOMOTOPY_EPS, state), key=lambda pair: abs(pair[0])):
+            if not np.all(np.isfinite(row)):
+                raise CheckFailure(f"homotopy row eps = {e:g} is not finite")
+            if not chart.contains(row[:, :n]):
+                raise CheckFailure(f"homotopy row eps = {e:g} leaves the chart box")
     beta = np.broadcast_to(beta_row, (len(HOMOTOPY_EPS),) + beta_row.shape).copy()
     eps = np.array(HOMOTOPY_EPS)
     return VariationGrid(eps=eps, ts=ts, x=state[..., :n], mu=state[..., n:], beta=beta)
+
+
+def _homotopy_program(chart):
+    """The homotopy flow of a chart as one `Program(n, 3r)` over the
+    coordinates (x, mu, beta, d beta/dt), built on first use and kept on
+    the chart.  It declares B and C at x (`AlgebroidChart._declare`, order
+    0), and from their slots the group
+
+        dy = (B^T beta, d beta/dt + sum_{i<j} (mu_i beta_j - mu_j beta_i) C_ij)
+
+    which reads B and C, so a run makes every domain check of the chart's
+    b and C.  Every op goes through the folding rule of `Program.op`: a
+    zero entry of B or C leaves its term out and a unit entry multiplies
+    nothing, so on a chart with the identity anchor and no bracket dy is
+    the coordinates beta and d beta/dt, with no op to run."""
+    prog = chart.__dict__.get("_homotopy_program")
+    if prog is not None:
+        return prog
+    n, r = chart.n, chart.r
+    prog = Program(n, 3 * r)
+    b, c = chart._declare(prog, 0)
+    B, C = prog.slots(b), prog.slots(c)
+    mu, beta, dbeta = (range(n + k * r, n + (k + 1) * r) for k in range(3))
+    op, add, sub, mul = prog.op, operator.add, operator.sub, operator.mul
+    dx, comm = [None] * n, [None] * r
+    for s in range(r):
+        for k in range(n):
+            dx[k] = op(add, dx[k], op(mul, beta[s], B[s][k]))
+    for i, j in itertools.combinations(range(r), 2):
+        if any(entry is not None for entry in C[i][j]):
+            pair = op(sub, op(mul, mu[i], beta[j]), op(mul, mu[j], beta[i]))
+            for u in range(r):
+                comm[u] = op(add, comm[u], op(mul, pair, C[i][j][u]))
+    dy = dx + [op(add, dbeta[u], comm[u]) for u in range(r)]
+    entries = [(slot, [((k,), 1)]) for k, slot in enumerate(dy) if slot is not None]
+    prog.add_group((n + r,), 0, entries, reads=(b, c))
+    object.__setattr__(chart, "_homotopy_program", prog)
+    return prog

@@ -1,3 +1,4 @@
+import operator
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from algebroid import catalog, paths, variations
 from algebroid.charts import AlgebroidChart, AVector
-from algebroid.errors import InputError
+from algebroid.errors import CheckFailure, InputError
 from algebroid.expressions import EvalDomainError, Program
 from algebroid.metric import MetricField, _quad, christoffel, curvature
 from algebroid.paths import (
@@ -656,27 +657,38 @@ class TestBatchedFlows:
         assert grid.eps.tolist() == list(HOMOTOPY_EPS)
 
     def test_homotopy_makes_one_chart_run_per_evaluation(self, chart_metric, monkeypatch):
-        # B and C come from one run of the chart's program per right side,
-        # and no right side runs at the final state: 1 + 4 * 8 - 1 runs
+        # every right side is one run of the chart's homotopy program at its
+        # one plan, and no right side runs at the final state: 1 + 4 * 8 - 1
+        # runs; neither the chart's own program nor B or C alone runs, and a
+        # second homotopy of the chart builds nothing
         chart, metric = chart_metric
         a = AVector(chart.center(), 0.3 * np.ones(chart.r))
         path = geodesic_integrate(chart, metric, a, (0.0, 1.0), 1e-2)
-        program, run = Program.of(chart), Program.run
-        orders = []
+        direction = np.linspace(1.0, 0.5, chart.r)
+        run = Program.run
+        runs = []
 
         def counting(self, points, asked):
-            if self is program:
-                orders.append(asked)
+            runs.append((self, asked))
             return run(self, points, asked)
 
         def refuse(*args, **kwargs):
             raise AssertionError("B or C evaluated on its own")
 
+        def no_build(*args, **kwargs):
+            raise AssertionError("a program was built")
+
         monkeypatch.setattr(Program, "run", counting)
         monkeypatch.setattr(AlgebroidChart, "eval_anchor", refuse)
         monkeypatch.setattr(AlgebroidChart, "eval_bracket", refuse)
-        make_fixed_endpoint_homotopy(chart, metric, path, np.linspace(1.0, 0.5, chart.r))
-        assert orders == [(0, 0)] * 32
+        make_fixed_endpoint_homotopy(chart, metric, path, direction)
+        flow = variations._homotopy_program(chart)
+        assert runs == [(flow, (None, None, 0))] * 32
+        assert flow is not Program.of(chart)
+        monkeypatch.setattr(Program, "__init__", no_build)
+        monkeypatch.setattr(AlgebroidChart, "_declare", no_build)
+        make_fixed_endpoint_homotopy(chart, metric, path, direction)
+        assert runs == [(flow, (None, None, 0))] * 64
 
     @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central"])
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
@@ -688,6 +700,36 @@ class TestBatchedFlows:
         direction = np.ones(1 if extra < 0 else chart.r + 1)
         with pytest.raises(ValueError, match=rf"^direction must have shape \(r,\) = \({chart.r},\)$"):
             make_fixed_endpoint_homotopy(chart, metric, path, direction)
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "heisenberg_central"])
+    def test_a_direction_that_is_not_finite_is_rejected(self, name):
+        entry = catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        path = geodesic_integrate(chart, metric, AVector(chart.center(), 0.3 * np.ones(chart.r)), (0.0, 1.0), 1e-2)
+        for bad in (np.nan, np.inf):
+            direction = np.ones(chart.r)
+            direction[0] = bad
+            with pytest.raises(InputError, match="^direction must be finite$"):
+                make_fixed_endpoint_homotopy(chart, metric, path, direction)
+
+    @pytest.mark.parametrize(
+        "name, scale, verdict",
+        [
+            ("sphere_chart", 5000.0, "leaves the chart box"),
+            ("heisenberg_central", 5000.0, "leaves the chart box"),
+            ("heisenberg_central", 1e300, "is not finite"),
+        ],
+    )
+    def test_a_bad_row_raises_naming_its_eps(self, name, scale, verdict):
+        # a direction this long sweeps the rows out of the chart box, or
+        # past the largest float
+        entry = catalog.get(name)
+        chart, metric = entry.chart, entry.metric
+        path = geodesic_integrate(chart, metric, AVector(chart.center(), 0.3 * np.ones(chart.r)), (0.0, 1.0), 1e-2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            CheckFailure, match=rf"^homotopy row eps = -0\.01 {verdict}$"
+        ):
+            make_fixed_endpoint_homotopy(chart, metric, path, scale * np.ones(chart.r))
 
     def test_homotopy_reflects_under_negated_direction(self, chart_metric):
         # flowing along -d is flowing along d in -eps: rows swap ends, beta flips
@@ -910,7 +952,7 @@ class TestMatmulContractions:
             assert_close(_quad(a, b, T), np.einsum("eti,etj,etiju->etu", a, b, T))
             for i in range(len(grid.eps)):
                 assert_close(_quad(a[i], b[i], T[i]), np.einsum("ti,tj,tiju->tu", a[i], b[i], T[i]))
-        # the homotopy's two eps-sides against one shared transverse row
+        # two eps-rows against one shared transverse row, broadcast
         M, beta_row, C = grid.mu[:2], grid.beta[2], ch.C[:2]
         assert_close(_quad(M, beta_row, C), np.einsum("wti,tj,wtiju->wtu", M, beta_row, C))
 
@@ -991,3 +1033,19 @@ class TestMatmulContractions:
         sdot = _grid_derivative(values, path.ts)
         new = derivative_along(chart, metric, path, paths.FiberCurve(path.ts, values))
         assert_close(new.values, sdot + corr, max(np.max(np.abs(sdot)), np.max(np.abs(corr))))
+
+
+class TestHomotopyProgram:
+    """The homotopy flow folds the constants of the chart's B and C: a zero
+    entry leaves its term out and a unit entry multiplies nothing."""
+
+    @pytest.mark.parametrize("name", ORACLE_CHARTS)
+    def test_constants_fold(self, name, request):
+        chart = request.getfixturevalue("twisted_chart") if name == "twisted" else catalog.get(name).chart
+        prog = variations._homotopy_program(chart)
+        ops = prog._plan((None, None, 0))[0]
+        if name in ("sphere_chart", "euclidean2"):
+            assert ops == ()
+        for f, _, a, b, _ in prog._ops:
+            if f is operator.mul:
+                assert {prog._vals[a], prog._vals[b]}.isdisjoint({0.0, 1.0})
