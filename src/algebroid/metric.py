@@ -27,6 +27,11 @@ and G, dG and d2G on the metric's: the programs that also serve
 It returns one `Christoffel` record of B, C and G per point set, so no
 caller evaluates b, C or g there again; the record forms Gamma, dGamma and
 R when they are first read, so no caller says in advance what it needs.
+Where g and C are constant, dGamma = 0 and Gamma and R do not depend on
+the point: the evaluator forms both once, at one point, by the record's
+own formulas, and every record hands them out read-only (a broadcast view
+on a batch).  A record of any other pair sums dGamma and R term by term
+into one array each, so a batch leaves no temporary per term.
 
 The geodesic field lives on the same evaluator, as one program of its
 own with two plans (`_geodesic`).  On the first geodesic use of the pair
@@ -290,17 +295,21 @@ class Christoffel:
     access and kept.  The record keeps x and dg for what it forms, and
     S and g^-1 once formed: reading dGamma runs the programs once more, at
     derivative orders but only on groups already run for B, C and G, so it
-    raises no new EvalDomainError."""
+    raises no new EvalDomainError.  Where the evaluator settled Gamma and R
+    once for the pair, the record holds them from the start and forms
+    neither."""
 
-    def __init__(self, ev, x, B, C, G, dG, Gi=None, gamma=None):
+    def __init__(self, ev, x, B, C, G, dG, Gi=None, gamma=None, R=None):
         self._ev, self._x, self._dG = ev, x, dG  # dG is None where not computed
         self.B, self.C, self.G = B, C, G  # (..., r, n), (..., r, r, r), (..., r, r)
-        # what is already at hand: the evaluator's g^-1 and Gamma of a
+        # what is already at hand: the evaluator's g^-1, Gamma and R of a
         # constant pair, or the rows of a record that formed them
         if Gi is not None:
             self._Gi = Gi
         if gamma is not None:
             self.gamma = gamma
+        if R is not None:
+            self.R = R
 
     _S = functools.cached_property(  # (..., r, r, r)
         lambda self: self._ev._koszul(self._x.shape[:-1], self.B, self.C, self.G, self._dG)
@@ -311,27 +320,38 @@ class Christoffel:
 
     @functools.cached_property
     def R(self):
-        """R[i, j, k, l], the a_l component of R(a_i, a_j) a_k, from
-        R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the exact dGamma:
-        three matmuls, P[i, j, k, l] = b^{im} d_m Gamma_{jk}^l,
-        GG[i, j, k, l] = Gamma_{jk}^m Gamma_{im}^l and
-        CG[i, j, k, l] = C_{ij}^m Gamma_{mk}^l, each of the first two taken
-        minus its transpose in (i, j)."""
-        B, C, gamma, dgamma = self.B, self.C, self.gamma, self.dgamma
-        lead, r = gamma.shape[:-3], gamma.shape[-1]
-        P = B @ dgamma.reshape(dgamma.shape[:-4] + (r**3, -1)).swapaxes(-1, -2)
-        GG = gamma.reshape(lead + (1, r * r, r)) @ gamma
-        CG = C.reshape(lead + (r * r, r)) @ gamma.reshape(lead + (r, r * r))
-        P, GG, CG = (a.reshape(lead + (r,) * 4) for a in (P, GG, CG))
-        return (P - P.swapaxes(-4, -3)) + (GG - GG.swapaxes(-4, -3)) - CG
+        """R[i, j, k, l] (..., r, r, r, r), formed on first read from this
+        record's B, C, Gamma and dGamma by `_curvature`; a record of a pair
+        whose Gamma the evaluator settles holds the pair's R instead."""
+        return _curvature(self.B, self.C, self.gamma, self.dgamma)
 
     def _rows(self, pick):
         """The record at the points `pick` of its leading batch axis, with
-        the rows of g^-1 and Gamma where they are already formed."""
+        the rows of g^-1, Gamma and R where they are already formed."""
         at = lambda a: None if a is None else a[pick]
-        formed = (self.__dict__.get(k) for k in ("_Gi", "gamma"))
+        formed = (self.__dict__.get(k) for k in ("_Gi", "gamma", "R"))
         arrays = (self._x, self.B, self.C, self.G, self._dG, *formed)
         return Christoffel(self._ev, *map(at, arrays))
+
+
+def _curvature(B, C, gamma, dgamma):
+    """R[i, j, k, l], the a_l component of R(a_i, a_j) a_k, from
+    R(a,b)s = D_a D_b s - D_b D_a s - D_{[a,b]} s with the exact dGamma:
+    three matmuls, P[i, j, k, l] = b^{im} d_m Gamma_{jk}^l,
+    GG[i, j, k, l] = Gamma_{jk}^m Gamma_{im}^l and
+    CG[i, j, k, l] = C_{ij}^m Gamma_{mk}^l, each of the first two taken
+    minus its transpose in (i, j): R = (P - P^T) + (GG - GG^T) - CG,
+    summed in that order into one array, each term dropped once it is in."""
+    lead, r = gamma.shape[:-3], gamma.shape[-1]
+    shape = lead + (r,) * 4
+    P = (B @ dgamma.reshape(dgamma.shape[:-4] + (r**3, -1)).swapaxes(-1, -2)).reshape(shape)
+    R = P - P.swapaxes(-4, -3)
+    del P
+    GG = (gamma.reshape(lead + (1, r * r, r)) @ gamma).reshape(shape)
+    R += GG - GG.swapaxes(-4, -3)
+    del GG
+    R -= (C.reshape(lead + (r * r, r)) @ gamma.reshape(lead + (r, r * r))).reshape(shape)
+    return R
 
 
 class _Connection:
@@ -353,8 +373,9 @@ class _Connection:
     * for a constant metric: g, its inverse and the SPD verdict; a negative
       verdict raises MetricError at every use, as an evaluation would;
     * for a constant metric and a constant bracket: Gamma (with dg = 0 the
-      anchor does not enter); and dGamma = 0 wherever dS vanishes
-      identically.
+      anchor does not enter), and R, formed once by `_curvature` (with
+      dGamma = 0 the anchor enters R only through b dGamma, zero for every
+      finite b); and dGamma = 0 wherever dS vanishes identically.
 
     The geodesic program reads none of these: its folding rule settles
     the constants.  A non-constant g is checked at the points of each call
@@ -377,13 +398,13 @@ class _Connection:
         self.chart, self.metric = Program.of(chart), Program.of(metric)
         self.B, self.C = self.chart.constant(0), self.chart.constant(1)
         self.anchor, self.bracket = (not self.chart.is_zero(g) for g in (0, 1))
-        self.Gi = self.gamma = None
+        self.Gi = self.gamma = self.R = None
         # the geodesic program (`_build_geodesic`), the field's orders, stage 1's
         # (dy slots, groups), the step's (orders, compiled loop, steps a chunk,
         # record layout)
         self.program = self.field = self.stage1 = self.stepper = None
         self.dgamma = np.zeros((chart.r,) * 3 + (chart.n,))  # where dS vanishes identically
-        self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma as handed out (views)
+        self.held = {}  # per batch shape asked for: G, g^-1, B, C, Gamma, R as handed out (views)
         self.G = G = self.metric.constant(0)
         self.spd = G is None or _is_spd(G)
         # the orders to run B, C, G at for Gamma (k = 0) and dGamma (k = 1: dB only with dg)
@@ -399,6 +420,10 @@ class _Connection:
                 self.gamma = 0.5 * (self._koszul((), None, self.C, G, None) @ self.Gi[None])
                 self.gamma.flags.writeable = False
         self.dgamma.flags.writeable = False
+        if self.gamma is not None:  # dS vanishes identically, so dGamma = 0
+            B = self.B if self.B is not None else np.zeros((chart.r, chart.n))
+            self.R = _curvature(B, self.C, self.gamma, self.dgamma)
+            self.R.flags.writeable = False
 
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
@@ -407,9 +432,9 @@ class _Connection:
         if held is None:
             held = self.held[base] = [
                 a if a is None or not base else np.broadcast_to(a, base + a.shape)
-                for a in (self.G, self.Gi, self.B, self.C, self.gamma)
+                for a in (self.G, self.Gi, self.B, self.C, self.gamma, self.R)
             ]
-        G, Gi, B, C, gamma = held
+        G, Gi, B, C, gamma, R = held
         (ob, oc), og = self.orders[0]
         dG = None
         if self.G is None:
@@ -420,7 +445,7 @@ class _Connection:
         if ob is not None or oc is not None:
             (b, _, _), (c, _, _) = self.chart.run(x, (ob, oc))
             B, C = (B if b is None else b), (C if c is None else c)
-        return Christoffel(self, x, B, C, G, dG, Gi, gamma)
+        return Christoffel(self, x, B, C, G, dG, Gi, gamma, R)
 
     def geodesic(self, y, keep):
         """The geodesic field at the states y (..., n + r), x and mu side
@@ -604,11 +629,13 @@ class _Connection:
         S = None
         if dG is not None and self.anchor:
             P = (B @ dG.reshape(base + (r * r, -1)).swapaxes(-1, -2)).reshape(base + (r, r, r))
-            S = (P + P.swapaxes(-3, -2)) - _perm(P, 1, 2, 0)
+            S = P + P.swapaxes(-3, -2)
+            S -= _perm(P, 1, 2, 0)
         if self.bracket:
             Q = C @ G[..., None, :, :]
-            tc = (Q + _perm(Q, 1, 2, 0)) + Q.swapaxes(-3, -1)
-            S = tc if S is None else S + tc
+            tc = Q + _perm(Q, 1, 2, 0)
+            tc += Q.swapaxes(-3, -1)
+            S = _plus(S, tc)
         return np.zeros(base + (r, r, r)) if S is None else S
 
     def _dgamma(self, ch):
@@ -622,38 +649,41 @@ class _Connection:
             _finite(MetricError, "metric derivative", d2G, x)
         if ob is not None or oc is not None:
             (_, dB, _), (_, dC, _) = self.chart.run(x, (ob, oc))
-        # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise
+        # dP[a, b, c, m] = d_m P[a, b, c], dQ likewise.  Every sum is formed
+        # in one array, in the order of the formula, and each temporary is
+        # dropped once it is summed in: a Jacobi flow forms dGamma at every
+        # point of its half grid
         dS = None
         if dG is not None and self.anchor:
-            dP = None
-            if d2G is not None:
-                dP = _perm(B[..., None, None, :, :] @ d2G, 2, 0, 1, 3)
+            dP = None if d2G is None else _perm(B[..., None, None, :, :] @ d2G, 2, 0, 1, 3)
             if dB is not None:
-                BdG = (dG.reshape(base + (1, r * r, n)) @ dB).reshape(base + (r, r, r, n))
-                dP = BdG if dP is None else BdG + dP
+                dP = _plus(dP, (dG.reshape(base + (1, r * r, n)) @ dB).reshape(base + (r, r, r, n)))
             if dP is not None:
-                dS = (dP + dP.swapaxes(-4, -3)) - _perm(dP, 1, 2, 0, 3)
+                dS = dP + dP.swapaxes(-4, -3)
+                dS -= _perm(dP, 1, 2, 0, 3)
+                del dP
         if self.bracket:
-            dQ = None
-            if dC is not None:
-                dQ = (dC.swapaxes(-1, -2) @ G[..., None, None, :, :]).swapaxes(-1, -2)
+            dQ = None if dC is None else (dC.swapaxes(-1, -2) @ G[..., None, None, :, :]).swapaxes(-1, -2)
             if dG is not None:
-                CdG = (C @ dG.reshape(base + (1, r, r * n))).reshape(base + (r, r, r, n))
-                dQ = CdG if dQ is None else dQ + CdG
+                dQ = _plus(dQ, (C @ dG.reshape(base + (1, r, r * n))).reshape(base + (r, r, r, n)))
             if dQ is not None:
-                tc = (dQ + _perm(dQ, 1, 2, 0, 3)) + dQ.swapaxes(-4, -2)
-                dS = tc if dS is None else dS + tc
+                tc = dQ + _perm(dQ, 1, 2, 0, 3)
+                tc += dQ.swapaxes(-4, -2)
+                del dQ
+                dS = _plus(dS, tc)
+                del tc
         if dS is None:
             return np.broadcast_to(self.dgamma, base + self.dgamma.shape) if base else self.dgamma
         Gi = ch._Gi
         dgamma = (dS.swapaxes(-1, -2) @ Gi[..., None, None, :, :]).swapaxes(-1, -2)
+        del dS
         if dG is not None:
-            S = ch._S
             dGm = _perm(dG, 2, 0, 1)  # dGm[m, a, b] = d_m g_{ab}
             dGi = -(Gi[..., None, :, :] @ dGm @ Gi[..., None, :, :])
-            SdGi = S.reshape(base + (1, r * r, r)) @ dGi
-            dgamma = dgamma + _perm(SdGi.reshape(base + (n, r, r, r)), 1, 2, 3, 0)
-        return 0.5 * dgamma
+            SdGi = ch._S.reshape(base + (1, r * r, r)) @ dGi
+            dgamma += _perm(SdGi.reshape(base + (n, r, r, r)), 1, 2, 3, 0)
+        dgamma *= 0.5
+        return dgamma
 
 
 def _solve(prog, G, F):
@@ -694,6 +724,15 @@ def _cap(prog, group, order):
     """`order`, lowered below the first level of the group's partials that
     vanishes identically."""
     return next((k - 1 for k in range(1, order + 1) if prog.is_zero(group, k)), order)
+
+
+def _plus(acc, term):
+    """acc + term, summed into acc, an array of the caller's own; term
+    where acc is None."""
+    if acc is None:
+        return term
+    acc += term
+    return acc
 
 
 def _perm(a, *axes):

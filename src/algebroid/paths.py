@@ -88,7 +88,8 @@ __all__ = [
 TOL_APATH_GENERATED = 1e-9
 TOL_GEODESIC = 1e-6
 # most steps of a time grid: the Jacobi flow along a rank-3 chart's
-# geodesic peaks near 1 GB there (about 9 KB a step)
+# geodesic peaks near 0.65 GB there (traced, about 6.5 KB a step on the
+# twisted chart; 3 KB on heisenberg_central, whose R is settled once)
 MAX_GRID_STEPS = 100_000
 
 
@@ -591,7 +592,10 @@ def _jacobi(chart, metric, alpha: APath, beta0, dbeta0):
     # K[l, j] = sum_ik mu_i mu_k R[i, j, k, l]: contract i, then k
     Ri = (mu[:, None, :] @ ch.R.reshape(len(mu), r, -1)).reshape((len(mu),) + (r,) * 3)
     K = (mu[:, None, None, :] @ Ri)[:, :, 0, :].swapaxes(-1, -2)
-    ops = np.block([[L, np.broadcast_to(np.eye(r), L.shape)], [K, L]])
+    ops = np.empty((len(L), 2 * r, 2 * r))  # [[L, I], [K, L]]
+    ops[:, :r, :r] = ops[:, r:, r:] = L
+    ops[:, :r, r:] = np.eye(r)
+    ops[:, r:, :r] = K
     y0 = np.concatenate([np.asarray(beta0, float), np.asarray(dbeta0, float)])
     return res, _linear_flow(ops, alpha.ts, y0)[:, :r]
 

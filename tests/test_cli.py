@@ -468,9 +468,10 @@ class TestOtherVerbs:
     def test_oneill_evaluates_its_point_once(self, tmp_path, capsys, monkeypatch):
         # one split frame at x serves the tensors and both checks, and its
         # connection record forms dGamma (for R) once, only where an identity
-        # applies: none does on foliation_xy.  The second connection call on
-        # heisenberg_central makes the frames at the mixed identity's 2n
-        # difference points.
+        # applies (none does on foliation_xy) and the pair's R is not settled
+        # once (on heisenberg_central and so3_biinv it is, so no record forms
+        # dGamma).  The second connection call on heisenberg_central makes
+        # the frames at the mixed identity's 2n difference points.
         from algebroid import metric, splitting
 
         frames, calls = [], {}
@@ -493,9 +494,9 @@ class TestOtherVerbs:
         counted("christoffel")
         counted("_dgamma")
         for name, connection_calls, dgamma_runs in [
-            ("heisenberg_central", 2, 1),
+            ("heisenberg_central", 2, 0),
             ("sphere_chart", 1, 1),
-            ("so3_biinv", 1, 1),
+            ("so3_biinv", 1, 0),
             ("foliation_xy", 1, 0),
         ]:
             frames.clear()

@@ -384,6 +384,82 @@ class TestDerivativeOnRequest:
             assert curvature(chart, metric, x).tobytes() == R.tobytes()
 
 
+# the catalog pairs whose Gamma the evaluator settles: a constant g and a
+# constant bracket, so dGamma = 0
+CONSTANT_GAMMA_PAIRS = ["aff2", "euclidean2", "foliation_xy", "heisenberg_central", "so3_biinv"]
+
+
+def formula_R(B, C, gamma, dgamma):
+    """R from the record's arrays by the formula of `Christoffel.R`, as one
+    expression: (P - P^T) + (GG - GG^T) - CG."""
+    lead, r = gamma.shape[:-3], gamma.shape[-1]
+    P = B @ dgamma.reshape(dgamma.shape[:-4] + (r**3, -1)).swapaxes(-1, -2)
+    GG = gamma.reshape(lead + (1, r * r, r)) @ gamma
+    CG = C.reshape(lead + (r * r, r)) @ gamma.reshape(lead + (r, r * r))
+    P, GG, CG = (a.reshape(lead + (r,) * 4) for a in (P, GG, CG))
+    return (P - P.swapaxes(-4, -3)) + (GG - GG.swapaxes(-4, -3)) - CG
+
+
+def count_curvature(monkeypatch):
+    """Wrap `metric._curvature`; returns the list of the calls it gets."""
+    from algebroid import metric as metric_module
+
+    formed, form = [], metric_module._curvature
+
+    def counted(*args):
+        formed.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(metric_module, "_curvature", counted)
+    return formed
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits, so -0.0 and 0.0 differ."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSettledCurvature:
+    """Where the evaluator settles Gamma, it settles R too: formed once per
+    pair, read-only, a broadcast view on a batch, and at every point the
+    bits of the formula on that point's record."""
+
+    @pytest.mark.parametrize("name", [*CONSTANT_GAMMA_PAIRS, "affine_action"])
+    def test_R_is_formed_once_with_the_bits_of_the_formula(self, name, monkeypatch):
+        if name == "affine_action":
+            # the anchor varies, and enters R only through b dGamma = 0
+            chart = AlgebroidChart(n=1, r=2, b=[["1"], ["x1"]], c_upper={(1, 2, 1): "1"}, domain=[(-1.0, 1.0)])
+            metric = MetricField.identity(2, 1)
+        else:
+            entry = catalog.get(name)  # a new pair: its evaluator is built below
+            chart, metric = entry.chart, entry.metric
+        formed = count_curvature(monkeypatch)
+        pts = sample_box(chart.domain, 199, seed=11)
+        batch = christoffel(chart, metric, pts)
+        assert len(formed) == 1  # by the evaluator, when it is built
+        assert batch.R.shape == (199,) + (chart.r,) * 4 and batch.R.strides[0] == 0
+        assert same_bits(batch.R, formula_R(batch.B, batch.C, batch.gamma, batch.dgamma))
+        for k, x in enumerate(pts):
+            one = christoffel(chart, metric, x)
+            assert same_bits(one.R, formula_R(one.B, one.C, one.gamma, one.dgamma))
+            assert same_bits(batch.R[k], one.R)
+        for ch in (one, batch):
+            with pytest.raises(ValueError, match="read-only"):
+                ch.R[...] = 0.0
+        assert len(formed) == 1
+
+    @pytest.mark.parametrize("name", ["sphere_chart", "twisted"])
+    def test_a_varying_pair_forms_R_per_record(self, name, twisted_chart, monkeypatch):
+        chart, metric, _ = structure_case(name, twisted_chart)
+        formed = count_curvature(monkeypatch)
+        pts = sample_box(chart.domain, 7, seed=11)
+        for x in (pts[0], pts):
+            ch = christoffel(chart, metric, x)
+            assert same_bits(ch.R, formula_R(ch.B, ch.C, ch.gamma, ch.dgamma))
+            ch.R[...] = 0.0  # the record's own array
+        assert len(formed) == 2
+
+
 SPRAY_CASES = [*catalog.names(), "twisted", "aff2_varying", "abelian_varying", "aff2_constant_metric"]
 
 

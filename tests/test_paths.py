@@ -324,6 +324,28 @@ class TestJacobi:
         norms = np.sqrt(fiber_inner(sphere.metric, path.xs, beta.values, beta.values))
         assert np.max(np.abs(norms - np.sin(path.ts))) < 1e-6
 
+    @pytest.mark.parametrize("name,bound", [("heisenberg_central", 433_000), ("twisted", 886_000)])
+    def test_traced_peak_along_a_100_step_geodesic(self, name, bound):
+        # the traced peaks of this change plus 25 %: 346 KB and 709 KB, with
+        # R settled once on heisenberg_central and the curvature sums formed
+        # in place; with a temporary per term and R formed per point they
+        # were 806 KB and 1033 KB
+        if name == "twisted":
+            entry, start = catalog.twisted(), AVector([1.0, 0.9], [0.3, -0.2, 0.4])
+        else:
+            entry, start = catalog.get(name), AVector([0.3, -0.7], [0.5, 0.3, -0.4])
+        chart, metric = entry.chart, entry.metric
+        path = geodesic_integrate(chart, metric, start, (0.0, 0.1), 1e-3)
+        assert len(path.ts) == 101
+        jacobi_solve(chart, metric, path, np.zeros(chart.r), start.mu)  # warm the caches
+        tracemalloc.start()
+        try:
+            jacobi_solve(chart, metric, path, np.zeros(chart.r), start.mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_rejects_non_geodesic(self, sphere):
         path = geodesic_integrate(
             sphere.chart, sphere.metric, AVector([1.0, 1.0], [0.3, 0.2]), (0, 1), 1e-2
